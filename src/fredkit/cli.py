@@ -236,10 +236,13 @@ def _get_lambda(params):
 
 
 def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
-    """Run one command; returns (json_obj, csv_string)."""
+    """Run one command; returns (json_obj, csv_rows).
+
+    main renders the rows to text only when CSV output is asked for.
+    """
     if config.command == "validate":
         report = validate(config)
-        return {"violations": report}, "".join(v + "\n" for v in report)
+        return {"violations": report}, report
 
     violations = validate(config)
     if violations:
@@ -261,8 +264,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             write_complex_csv(f"{dump_vectors}_P.csv", d.right)
             write_complex_csv(f"{dump_vectors}_Q.csv", d.left)
         obj = decomposition_to_obj(d)
-        rows = [[v] for v in d.eigenvalues]
-        return obj, csv_text(rows)
+        return obj, [[v] for v in d.eigenvalues]
 
     if cmd == "jordan":
         jf = jordan.jordan_decompose(op.A, cluster_tol=float(p.get("cluster_tol", 1e-7)))
@@ -270,8 +272,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             write_complex_csv(f"{dump_vectors}_P.csv", jf.P)
             write_complex_csv(f"{dump_vectors}_Q.csv", jf.Q)
         obj = jordan_to_obj(jf)
-        rows = [[lam, complex(m)] for lam, m in jf.blocks]
-        return obj, csv_text(rows)
+        return obj, [[lam, complex(m)] for lam, m in jf.blocks]
 
     if cmd == "svd":
         sv = opsvd.operator_svd(op)
@@ -282,7 +283,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "singular_values": [float(t) for t in sv.singular_values],
             "rank_numerical": sv.rank_numerical,
         }
-        return obj, csv_text([[complex(t)] for t in sv.singular_values])
+        return obj, [[complex(t)] for t in sv.singular_values]
 
     if cmd == "solve":
         lam = _get_lambda(p)
@@ -301,7 +302,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "nearest_eigen_gap": sol.nearest_eigen_gap,
             "solution": [complex_to_obj(v) for v in sol.solution],
         }
-        return obj, csv_text([[v] for v in sol.solution])
+        return obj, [[v] for v in sol.solution]
 
     if cmd == "det":
         method = p.get("method", "direct")
@@ -318,8 +319,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
                 for e in evals
             ],
         }
-        rows = [[e.lam, complex(e.value.real), complex(e.value.imag)] for e in evals]
-        return obj, csv_text(rows)
+        return obj, [[e.lam, complex(e.value.real), complex(e.value.imag)] for e in evals]
 
     if cmd == "iterate":
         n = int(p.get("n", 1))
@@ -328,7 +328,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "n": n,
             "matrix": [[complex_to_obj(v) for v in row] for row in Kn],
         }
-        return obj, csv_text(Kn)
+        return obj, Kn
 
     if cmd == "powerit":
         k = int(p.get("k", 1))
@@ -343,15 +343,22 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "stages_completed": res.stages_completed,
             "failure": res.failure_reason,
         }
-        return obj, csv_text([[nu] for nu, _p, _q in res])
+        return obj, [[nu] for nu, _p, _q in res]
 
     if cmd == "trace":
         n = int(p.get("n", 0))
         sv = opsvd.operator_svd(op)
         val = opsvd.trace_power(sv, n)
-        return {"n": n, "value": val}, csv_text([[complex(val)]])
+        return {"n": n, "value": val}, [[complex(val)]]
 
     raise InvalidArgumentError(f"unknown command {config.command!r}")
+
+
+def _render_csv(command, rows):
+    """CSV text of execute's rows; validate writes one violation per line."""
+    if command == "validate":
+        return "".join(v + "\n" for v in rows)
+    return csv_text(rows)
 
 
 def _cap_threads():
@@ -424,13 +431,16 @@ def main(argv=None):
         return 2
 
     try:
-        obj, csv_out = execute(
+        obj, rows = execute(
             config, dump_operator=args.dump_operator, dump_vectors=args.dump_vectors
         )
     except FredkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = dumps_canonical(obj, indent=2) + "\n" if config.output_format == "json" else csv_out
+    if config.output_format == "json":
+        text = dumps_canonical(obj, indent=2) + "\n"
+    else:
+        text = _render_csv(config.command, rows)
     if config.destination:
         with open(config.destination, "w") as fh:
             fh.write(text)

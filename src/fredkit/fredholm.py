@@ -7,6 +7,12 @@ decomposition are provided for validation.  Fredholm convention
 throughout: the "eigenvalues" lambda_j are the reciprocals 1/nu_j of the
 operator eigenvalues, and the determinant D(lambda) vanishes exactly
 there.
+
+The proximity guards and the product determinant read eigenvalues from
+DiscreteOperator.spectrum, which is computed once per operator and cached
+(the operator's matrices are read-only), so sweeping lambda over one
+operator -- resolvent solves, product determinants, log-derivative paths --
+pays for one eigvals.
 """
 from dataclasses import dataclass
 
@@ -54,8 +60,8 @@ class DeterminantEval:
 
 
 def _operator_nus(op):
-    """Retained nonzero operator eigenvalues nu_j of the discretization."""
-    nus = np.linalg.eigvals(op.A)
+    """Retained nonzero operator eigenvalues nu_j, from the cached spectrum."""
+    nus = op.spectrum
     top = float(np.max(np.abs(nus))) if nus.size else 0.0
     if top == 0.0:
         return nus[:0]
@@ -98,22 +104,15 @@ def _guard_proximity(op, lam):
     return gap, nearest
 
 
-def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
-    """Solve (I - lambda*A) p = f directly with LU and a condition guard.
+def _guarded_solve(op, lam, rhs):
+    """Solve (I - lambda*A) X = rhs behind the proximity and condition guards.
 
-    Raises EigenvalueProximityError, reporting the nearest Fredholm
-    eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
-    the system's condition estimate exceeds 1e10.
+    Rejects lambda near the cached spectrum, factors M = I - lambda*A with
+    a condition estimate, refuses conditions above 1e10 and applies one
+    refinement pass.  Returns (X, nearest_eigen_gap).
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("resolvent solves need a square block shape")
-    lam = complex(lam)
-    f = np.asarray(f, dtype=complex)
-    n = op.A.shape[0]
-    if f.shape != (n,):
-        raise InvalidArgumentError(f"rhs has shape {f.shape}, expected ({n},)")
     gap, nearest = _guard_proximity(op, lam)
-    M = np.eye(n, dtype=complex) - lam * op.A
+    M = np.eye(op.A.shape[0], dtype=complex) - lam * op.A
     fac, cond = _lu_with_cond(M)
     if cond > COND_LIMIT:
         raise EigenvalueProximityError(
@@ -122,8 +121,28 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
             nearest=nearest,
             gap=gap,
         )
-    p = lu_solve(fac, f)
-    p = p + lu_solve(fac, f - M @ p)  # one refinement pass
+    X = lu_solve(fac, rhs)
+    X = X + lu_solve(fac, rhs - M @ X)  # one refinement pass
+    return X, gap
+
+
+def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
+    """Solve (I - lambda*A) p = f directly with LU and a condition guard.
+
+    Raises EigenvalueProximityError, reporting the nearest Fredholm
+    eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
+    the system's condition estimate exceeds 1e10.  The proximity guard
+    reads the operator's cached spectrum, so repeated solves on one
+    operator compute eigvals once.
+    """
+    if not op.is_square_block:
+        raise InvalidArgumentError("resolvent solves need a square block shape")
+    lam = complex(lam)
+    f = np.asarray(f, dtype=complex)
+    n = op.A.shape[0]
+    if f.shape != (n,):
+        raise InvalidArgumentError(f"rhs has shape {f.shape}, expected ({n},)")
+    p, gap = _guarded_solve(op, lam, f)
     scale = float(np.linalg.norm(f))
     residual = float(np.linalg.norm(p - lam * (op.A @ p) - f))
     if scale > 0:
@@ -136,23 +155,11 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
 
     Satisfies both defining identities (the Neumann-series form)
     lambda * A @ N_lambda = N_lambda - K = lambda * N_lambda @ (W K).
+    Guarded as resolvent_solve is, against the cached spectrum.
     """
     if not op.is_square_block:
         raise InvalidArgumentError("resolvent kernels need a square block shape")
-    lam = complex(lam)
-    gap, nearest = _guard_proximity(op, lam)
-    n = op.A.shape[0]
-    M = np.eye(n, dtype=complex) - lam * op.A
-    fac, cond = _lu_with_cond(M)
-    if cond > COND_LIMIT:
-        raise EigenvalueProximityError(
-            f"system condition {cond:.3e} exceeds 1e10 near lambda={lam:.6g}; "
-            f"nearest Fredholm eigenvalue {nearest}",
-            nearest=nearest,
-            gap=gap,
-        )
-    NL = lu_solve(fac, op.K)
-    NL = NL + lu_solve(fac, op.K - M @ NL)
+    NL, _gap = _guarded_solve(op, complex(lam), op.K)
     return NL
 
 
@@ -197,9 +204,10 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     """Fredholm determinant D(lambda).
 
     method="direct" evaluates det(I - lambda*A) by LU; method="product"
-    multiplies (1 - lambda*nu_j) over the retained spectrum, dropping
-    machine-neutral factors with |lambda*nu_j| < 1e-14.  Zeros of D locate
-    the Fredholm eigenvalues.
+    multiplies (1 - lambda*nu_j) over every eigenvalue of A, read from the
+    operator's cached spectrum, dropping only the machine-neutral factors
+    with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
+    eigenvalues.
     """
     if not op.is_square_block:
         raise InvalidArgumentError("determinants need a square block shape")
@@ -209,7 +217,7 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
         n = op.A.shape[0]
         value = complex(np.linalg.det(np.eye(n, dtype=complex) - lam * op.A))
     elif method == "product":
-        nus = _operator_nus(op)
+        nus = op.spectrum
         factors = 1.0 - lam * nus
         keep = np.abs(lam * nus) >= TAIL_CUTOFF
         value = complex(np.prod(factors[keep])) if np.any(keep) else 1.0 + 0j
@@ -225,7 +233,8 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     interval lambda_path = (a, b) with the composite trapezoid rule and
     compares exp(-integral up to each grid point) against the direct
     determinant ratio D(lambda_t)/D(a).  The path must keep a 1e-3
-    relative gap from every Fredholm eigenvalue.
+    relative gap from every Fredholm eigenvalue.  The path check and every
+    resolvent along the path share the operator's cached spectrum.
     """
     a, b = (float(lambda_path[0]), float(lambda_path[1]))
     if steps < 1:

@@ -5,13 +5,17 @@ dense matrix A with block entry A[i, j] = N(x_i, x_j) * w_j.  Alongside A
 we keep the raw samples K and the symmetrized form
 B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
+The eigenvalues of A are computed at most once per operator, on first use
+of DiscreteOperator.spectrum, and shared by every later caller.
 """
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    EvaluationError,
     InvalidArgumentError,
     NontrivialityWarning,
     UnsupportedKernelError,
@@ -33,6 +37,13 @@ class DiscreteOperator:
     K : raw kernel samples, (n*s1) x (n*s2), node-major blocks
     A : K with columns scaled by the node weights (drives iteration/solves)
     B : W^{1/2}-symmetrized samples (drives Hermitian/SVD paths)
+    spectrum : eigenvalues of A (square block shapes only), computed lazily
+
+    K, A and B are made read-only on construction, so the spectrum of A
+    cannot go stale: it is computed by one ``np.linalg.eigvals(A)`` the
+    first time it is read, cached on the instance and itself read-only.
+    Nothing reads it eagerly; the Hermitian, bi-orthogonal, SVD, iterate
+    and power paths never touch it.
     """
 
     rule: QuadratureRule
@@ -44,6 +55,15 @@ class DiscreteOperator:
     def __post_init__(self):
         for M in (self.K, self.A, self.B):
             M.setflags(write=False)
+
+    @cached_property
+    def spectrum(self):
+        """All eigenvalues of A in LAPACK order, computed once and read-only."""
+        if not self.is_square_block:
+            raise InvalidArgumentError("a spectrum needs a square block shape")
+        nus = np.linalg.eigvals(self.A)
+        nus.setflags(write=False)
+        return nus
 
     @property
     def block_rows(self):
@@ -83,11 +103,14 @@ class DiscreteOperator:
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
     """Sample a kernel on a rule and assemble K, A, and B.
 
-    Emits NontrivialityWarning when the sampled kernel is numerically zero
-    (useful as a fixture, but no spectral content).
+    Raises EvaluationError, with ``pair`` set to the node pair (y, z), when
+    a sample is not finite: the first such entry in row-major order is
+    named.  Emits NontrivialityWarning when the sampled kernel is
+    numerically zero (useful as a fixture, but no spectral content).
     """
     K = kernel.sample_matrix(rule)
     s1, s2 = kernel.shape
+    _check_finite(K, rule, s1, s2)
     wr = expand_weights(rule.weights, s1)
     wc = expand_weights(rule.weights, s2)
     A = K * wc[None, :]
@@ -100,6 +123,20 @@ def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
             stacklevel=2,
         )
     return op
+
+
+def _check_finite(K, rule, s1, s2):
+    finite = np.isfinite(K)
+    if finite.all():
+        return
+    row, col = np.argwhere(~finite)[0]
+    i, j = int(row) // s1, int(col) // s2
+    y, z = float(rule.nodes[i]), float(rule.nodes[j])
+    raise EvaluationError(
+        f"kernel sample {K[row, col]} at node pair {i}, {j} "
+        f"(y={y!r}, z={z!r}) is not finite",
+        pair=(y, z),
+    )
 
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:

@@ -163,6 +163,25 @@ class TestRun:
         vals = [obj_to_complex(v) for v in json.loads(text)["eigenvalues"]]
         assert abs(vals[0] - 1.0 / 3.0) <= 1e-12
 
+    @pytest.mark.parametrize("command", ["eig", "det"])
+    def test_nan_grid_exits_1(self, tmp_path, capsys, command):
+        rule = fk.gauss_legendre(8, 0.0, 1.0)
+        table = np.ones((8, 8), dtype=complex)
+        table[3, 4] = np.nan
+        path = tmp_path / "table.csv"
+        write_complex_csv(path, table)
+        doc = {
+            "kernel": {"name": "grid", "csv": str(path)},
+            "measure": {"kind": "gauss-legendre", "n": 8, "a": 0.0, "b": 1.0},
+            "command": command,
+            "params": {"lambda": 0.5},
+            "output": {"format": "json", "destination": None},
+        }
+        code, text = run_cli(tmp_path, doc)
+        assert code == 1
+        assert text == ""
+        assert "EvaluationError" in capsys.readouterr().err
+
     def test_iterate_csv(self, tmp_path):
         doc = {
             "kernel": YZ_DET["kernel"],

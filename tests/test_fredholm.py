@@ -173,6 +173,87 @@ class TestFredholmDeterminant:
             fk.fredholm_determinant(yz_op, 1.0, "mystery")
 
 
+class TestProductDeterminantTail:
+    def test_mehler_full_spectrum_gh256(self):
+        # oracle: D(lambda) = prod_j (1 - lambda r^j); the bound is the
+        # first-order LU estimate N u cond(I - lambda B) plus 4u per factor
+        # of the reference product (perfbench's det_bound)
+        r, lam = 0.5, 12.0 + 1.0j
+        op = fk.discretize(fk.mehler_kernel(r), fk.gauss_hermite_prob(256))
+        ref, j = 1.0 + 0.0j, 0
+        while abs(lam) * r ** j > 1e-20:
+            ref *= 1.0 - lam * r ** j
+            j += 1
+        cond = (1.0 + abs(lam)) / float(np.min(np.abs(1.0 - lam * r ** np.arange(j + 1))))
+        bound = (256 * cond + 4 * j) * np.finfo(float).eps / 2
+        for method in ("direct", "product"):
+            got = fk.fredholm_determinant(op, lam, method).value
+            assert abs(got - ref) / abs(ref) <= bound
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Count numpy.linalg.eigvals calls made while the test runs."""
+    calls = []
+    real = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+class TestSpectrumCache:
+    def test_one_eigvals_per_operator_gh256(self, eigvals_calls):
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        f = np.ones(256, dtype=complex)
+        for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
+            fk.resolvent_solve(op, lam, f)
+            fk.fredholm_determinant(op, lam, "product")
+        with pytest.raises(EigenvalueProximityError) as err:
+            fk.resolvent_solve(op, 4.0 * (1.0 + 1e-10), f)
+        assert err.value.nearest == pytest.approx(4.0, rel=1e-12)
+        fk.determinant_log_derivative_check(op, (0.0, 0.9), 20)
+        assert eigvals_calls == [(256, 256)]
+        fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        fk.fredholm_determinant(fresh, 1.0, "product")
+        assert len(eigvals_calls) == 2
+
+    def test_deflated_operator_has_its_own(self, mehler_op, eigvals_calls):
+        d = fk.hermitian_eig(mehler_op)
+        deflated = fk.deflate(mehler_op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
+        fk.fredholm_determinant(deflated, 1.0, "product")
+        assert len(eigvals_calls) == 1
+        assert np.min(np.abs(deflated.spectrum - 1.0)) > 0.4  # nu_1 = 1 removed
+        assert len(eigvals_calls) == 1
+
+    def test_other_paths_never_compute_it(self, gh40, eigvals_calls):
+        op = fk.discretize(fk.mehler_kernel(0.5), gh40)
+        fk.hermitian_eig(op)
+        fk.djf_eig(op)
+        fk.operator_svd(op)
+        fk.iterated_kernel(op, 5)
+        fk.sequential_spectrum(op, 2, 200, 1e-10)
+        assert eigvals_calls == []
+        assert "spectrum" not in vars(op)
+
+    def test_cached_spectrum_is_read_only(self, yz_op):
+        nus = yz_op.spectrum
+        assert nus is yz_op.spectrum
+        with pytest.raises(ValueError):
+            nus[0] = 0.0
+
+    def test_rectangular_block_has_no_spectrum(self, gl8):
+        kern = fk.separable_kernel(
+            [1.0], [lambda y: np.stack([y, y], axis=-1)], [lambda z: z], shape=(2, 1)
+        )
+        op = fk.discretize(kern, gl8)
+        with pytest.raises(InvalidArgumentError):
+            op.spectrum
+
+
 class TestLogDerivativeCheck:
     def test_rank_one_path(self, yz_op):
         # oracle: trace N_lambda = (1/3)/(1 - lambda/3) = -d/dlambda log D

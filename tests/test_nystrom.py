@@ -3,10 +3,12 @@ import pytest
 
 import fredkit as fk
 from fredkit.errors import (
+    EvaluationError,
     InvalidArgumentError,
     UnsupportedKernelError,
     ZeroDivisionSignal,
 )
+from fredkit.kernels import ClosedForm
 
 
 def gram_project(op, rule, basis):
@@ -48,6 +50,34 @@ class TestDiscretize:
 
     def test_hermitian_defect_small_for_symmetric(self, mehler_op):
         assert mehler_op.hermitian_defect() <= 1e-13
+
+
+class TestNonFiniteSamples:
+    def test_grid_nan_names_first_pair(self):
+        rule = fk.gauss_legendre(8, 0.0, 1.0)
+        table = np.ones((8, 8), dtype=complex)
+        table[2, 5] = np.nan
+        table[6, 1] = np.inf
+        with pytest.raises(EvaluationError) as err:
+            fk.discretize(fk.grid_kernel(rule, table), rule)
+        assert err.value.pair == (rule.nodes[2], rule.nodes[5])
+
+    def test_infinite_diagonal_closed_form(self, gl8):
+        kern = fk.Kernel(shape=(1, 1), body=ClosedForm(lambda y, z: 1.0 / (y - z)))
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError) as err:
+            fk.discretize(kern, gl8)
+        assert err.value.pair == (gl8.nodes[0], gl8.nodes[0])
+
+    def test_block_kernel_pair_is_node_pair(self, gl8):
+        bad = (gl8.nodes[3], gl8.nodes[4])
+
+        def evaluator(y, z):
+            return np.array([[1.0, 0.0], [0.0, np.nan if (y, z) == bad else 1.0]])
+
+        kern = fk.Kernel(shape=(2, 2), body=ClosedForm(evaluator))
+        with pytest.raises(EvaluationError) as err:
+            fk.discretize(kern, gl8)
+        assert err.value.pair == bad
 
 
 class TestApply:
