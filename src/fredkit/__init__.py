@@ -7,18 +7,23 @@ solves with Fredholm determinants, and power iteration with deflation.
 """
 import os as _os
 
-# FREDKIT_THREADS caps internal (BLAS) parallelism; 0 means serial.  The
-# common BLAS env vars only take effect before numpy spins up its pools,
-# so this must run before the submodule imports below.
-_raw = _os.environ.get("FREDKIT_THREADS")
-if _raw is not None:
+
+def _thread_cap():
+    """FREDKIT_THREADS, the cap on BLAS threads (0 means serial, as 1 does),
+    or None when unset or not an integer."""
+    raw = _os.environ.get("FREDKIT_THREADS")
     try:
-        _n = str(max(1, int(_raw)))
+        return None if raw is None else max(1, int(raw))
     except ValueError:
-        _n = None
-    if _n is not None:
-        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            _os.environ.setdefault(_var, _n)
+        return None
+
+
+# The common BLAS env vars only take effect before numpy spins up its pools,
+# so this must run before the submodule imports below.
+_n = _thread_cap()
+if _n is not None:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, str(_n))
 
 from .errors import (  # noqa: E402
     ClusteringError,

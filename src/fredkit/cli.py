@@ -12,22 +12,26 @@ A run is described by a single JSON document (file or stdin)::
 
 Flags only select the config path and overrides, so a config file is a
 reproducible artifact: the same document yields byte-identical JSON
-output.  Exit codes: 0 success, 1 computation error (category printed on
-stderr), 2 config/usage error.
+output.  Exit codes: 0 success, 1 computation error or field violation
+(category printed on stderr), 2 config/usage error.
+
+A config is validated by building it: the rule and kernel constructors
+enforce their own constraints, and failures are labelled ``section.key:``.
 
 Kernels: mehler (r), separable (coeffs + rights/lefts as polynomial
 coefficient lists, ascending powers), defective (lam, m; basis built from
 the measure), grid (csv path with "re,im" cells).  Measures: the
 constructor specs gauss-legendre {n,a,b}, gauss-hermite-prob {n},
-discrete {points,weights}, or an inline rule {kind,nodes,weights}.
+discrete {points,weights}, or an inline rule {nodes,weights}.
 """
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
+from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
 from .errors import FredkitError, InvalidArgumentError
 from .serialize import (
     complex_to_obj,
@@ -43,13 +47,6 @@ from .serialize import (
 COMMANDS = (
     "eig", "djf", "jordan", "svd", "solve", "det", "iterate", "powerit",
     "trace", "validate",
-)
-KERNEL_NAMES = ("mehler", "separable", "defective", "grid")
-MEASURE_KINDS = (
-    measure.KIND_GAUSS_LEGENDRE,
-    measure.KIND_GAUSS_HERMITE_PROB,
-    measure.KIND_DISCRETE,
-    measure.KIND_CUSTOM,
 )
 
 
@@ -75,31 +72,75 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc):
+        """Raises InvalidArgumentError unless the document and each of its
+        sections is a JSON object and the destination a path or null."""
         if not isinstance(doc, dict):
             raise InvalidArgumentError("config must be a JSON object")
-        out = doc.get("output", {}) or {}
+        sections = {}
+        for key in ("kernel", "measure", "params", "output"):
+            sections[key] = {} if doc.get(key) is None else doc[key]
+            if not isinstance(sections[key], dict):
+                raise InvalidArgumentError(f"{key}: must be a JSON object, got {doc[key]!r}")
+        out = sections["output"]
+        if not isinstance(out.get("destination", ""), (str, type(None))):
+            raise InvalidArgumentError("output.destination: must be a path or null")
         return RunConfig(
-            kernel=doc.get("kernel", {}) or {},
-            measure=doc.get("measure", {}) or {},
+            kernel=sections["kernel"],
+            measure=sections["measure"],
             command=doc.get("command", ""),
-            params=doc.get("params", {}) or {},
+            params=sections["params"],
             output_format=out.get("format", "json"),
             destination=out.get("destination"),
         )
 
 
+_REQUIRED = object()
+# what reading a field can raise, the constructors' own errors included
+_FIELD_ERRORS = (TypeError, ValueError, IndexError, OverflowError, OSError, FredkitError)
+
+
+def _labelled(label, fn, *args, **kwargs):
+    """fn(...), any failure raised as InvalidArgumentError("label: message")."""
+    try:
+        return fn(*args, **kwargs)
+    except _FIELD_ERRORS as exc:
+        raise InvalidArgumentError(f"{label}: {exc}") from None
+
+
+def _field(section, spec, key, convert, default=_REQUIRED):
+    """convert(spec[key]) labelled section.key, or `default` when the key is absent."""
+    if key in spec:
+        return _labelled(f"{section}.{key}", convert, spec[key])
+    if default is _REQUIRED:
+        raise InvalidArgumentError(f"{section}.{key}: required")
+    return default
+
+
+def _build(section, constructor, spec, **converters):
+    """constructor(**fields), each field read by _field; the constructor's
+    own failures span several fields, so they carry the bare section label."""
+    fields = {key: _field(section, spec, key, convert) for key, convert in converters.items()}
+    return _labelled(section, constructor, **fields)
+
+
+def _reals(values):
+    return np.asarray(values, dtype=float)
+
+
 def build_rule(spec):
-    """QuadratureRule from a measure spec (constructor form or inline rule)."""
-    kind = spec.get("kind")
+    """QuadratureRule from a measure spec (constructor form or inline rule);
+    raises InvalidArgumentError labelled with the failing field."""
     if "nodes" in spec:
-        return measure.QuadratureRule.from_dict(spec)
+        return _build("measure", measure.QuadratureRule, spec, nodes=_reals, weights=_reals)
+    kind = spec.get("kind")
     if kind == measure.KIND_GAUSS_LEGENDRE:
-        return measure.gauss_legendre(int(spec["n"]), float(spec["a"]), float(spec["b"]))
+        return _build("measure", measure.gauss_legendre, spec,
+                      n=measure._check_count, a=float, b=float)
     if kind == measure.KIND_GAUSS_HERMITE_PROB:
-        return measure.gauss_hermite_prob(int(spec["n"]))
+        return _field("measure", spec, "n", measure.gauss_hermite_prob)
     if kind == measure.KIND_DISCRETE:
-        return measure.discrete_measure(spec["points"], spec["weights"])
-    raise InvalidArgumentError(f"unknown measure kind {kind!r}")
+        return _build("measure", measure.discrete_measure, spec, points=_reals, weights=_reals)
+    raise InvalidArgumentError(f"measure.kind: unknown kind {kind!r}")
 
 
 def _poly(coeffs):
@@ -111,128 +152,114 @@ def _poly(coeffs):
 
 def build_kernel(spec, rule):
     """Kernel from a gallery spec; defective kernels take their basis from
-    polynomials orthonormalized under the rule."""
+    polynomials orthonormalized under the rule.  Raises InvalidArgumentError
+    labelled with the failing field."""
     name = spec.get("name")
     if name == "mehler":
-        return kernels.mehler_kernel(float(spec["r"]))
+        return _field("kernel", spec, "r", kernels.mehler_kernel)
     if name == "separable":
-        coeffs = [obj_to_complex(c) for c in spec["coeffs"]]
-        rights = [_poly(p) for p in spec["rights"]]
-        lefts = [_poly(p) for p in spec["lefts"]]
-        return kernels.separable_kernel(coeffs, rights, lefts)
+        return _build("kernel", kernels.separable_kernel, spec,
+                      coeffs=lambda cs: [obj_to_complex(c) for c in cs],
+                      rights=lambda ps: [_poly(p) for p in ps],
+                      lefts=lambda ps: [_poly(p) for p in ps])
     if name == "defective":
-        m = int(spec["m"])
-        basis = kernels.orthonormal_poly_basis(rule, m)
-        return kernels.defective_kernel(obj_to_complex(spec["lam"]), m, basis, rule)
+        def defective(lam, m):
+            basis = kernels.orthonormal_poly_basis(rule, m)
+            return kernels.defective_kernel(lam, m, basis, rule)
+
+        return _build("kernel", defective, spec, lam=obj_to_complex, m=int)
     if name == "grid":
-        table = read_complex_csv(spec["csv"])
-        return kernels.grid_kernel(rule, table)
-    raise InvalidArgumentError(f"unknown kernel name {name!r}")
+        # os.fspath: a number is not a path (open() would take it for a descriptor)
+        return _build("kernel", lambda csv: kernels.grid_kernel(rule, csv), spec,
+                      csv=lambda path: read_complex_csv(os.fspath(path)))
+    raise InvalidArgumentError(f"kernel.name: unknown kernel {name!r}")
 
 
-def validate(config: RunConfig):
-    """Static constraint report; no computation is performed."""
+def _count_from(low):
+    def convert(value):
+        if int(value) < low:
+            raise ValueError(f"need an integer >= {low}, got {value!r}")
+        return int(value)
+
+    return convert
+
+
+def _positive(value):
+    if not float(value) > 0:
+        raise ValueError(f"need a value > 0, got {value!r}")
+    return float(value)
+
+
+def _lambda(value):
+    if isinstance(value, (list, tuple)):
+        return complex(float(value[0]), float(value[1]))
+    return obj_to_complex(value)
+
+
+def _lambda_grid(text):
+    try:
+        a, b, steps = str(text).split(":")
+        a, b, steps = float(a), float(b), int(steps)
+    except ValueError:
+        steps = 0
+    if steps < 1 or not a <= b:
+        raise ValueError(f"malformed, need 'a:b:steps' with a <= b, got {text!r}")
+    return np.linspace(a, b, steps)
+
+
+def _rhs(value):
+    """None for "ones" (sized by the operator), else the rhs vector."""
+    if isinstance(value, str):
+        return None if value == "ones" else read_complex_csv(value).reshape(-1)
+    return np.array([obj_to_complex(v) for v in value])
+
+
+# command -> {param: (converter, default)}; _REQUIRED marks a required param
+PARAMS = {
+    "jordan": {"cluster_tol": (float, 1e-7)},
+    "solve": {"lambda": (_lambda, _REQUIRED), "rhs": (_rhs, None)},
+    "det": {"lambda": (_lambda, 0j), "lambda_grid": (_lambda_grid, None),
+            "method": (str, "direct")},
+    "iterate": {"n": (_count_from(1), 1)},
+    "trace": {"n": (_count_from(0), 0)},
+    "powerit": {"k": (_count_from(1), 1), "tol": (_positive, 1e-10),
+                "nmax": (_count_from(1), 200)},
+}
+
+
+def _parse_params(command, params):
+    """Typed, range-checked params of one command, defaults filled in."""
+    return {key: _field("params", params, key, convert, default)
+            for key, (convert, default) in PARAMS.get(command, {}).items()}
+
+
+def _prepare(config: RunConfig):
+    """(violations, rule, kernel, params) of a config; a part that failed
+    is None, and a kernel built on the rule is skipped when the rule failed."""
     violations = []
     if config.command not in COMMANDS:
         violations.append(f"command: unknown command {config.command!r}")
     if config.output_format not in ("json", "csv"):
         violations.append(f"output.format: must be json or csv, got {config.output_format!r}")
 
-    m = config.measure
-    kind = m.get("kind")
-    if config.command != "validate" or m or config.kernel:
-        if "nodes" in m:
-            if len(m.get("nodes", [])) != len(m.get("weights", [])):
-                violations.append("measure: nodes and weights lengths differ")
-            if any(w <= 0 for w in m.get("weights", [])):
-                violations.append("measure: weights must be positive")
-        elif kind not in MEASURE_KINDS or kind == measure.KIND_CUSTOM:
-            violations.append(f"measure.kind: unknown kind {kind!r}")
-        else:
-            n = m.get("n", m.get("points") and len(m["points"]))
-            if kind != measure.KIND_DISCRETE:
-                if not isinstance(n, int) or n < 1:
-                    violations.append(f"measure.n: need an integer >= 1, got {n!r}")
-                elif n > measure.MAX_RULE_SIZE:
-                    violations.append(f"measure.n: {n} exceeds cap {measure.MAX_RULE_SIZE}")
-            if kind == measure.KIND_GAUSS_LEGENDRE:
-                a, b = m.get("a"), m.get("b")
-                if a is None or b is None or not float(a) < float(b):
-                    violations.append(f"measure: need a < b, got a={a!r}, b={b!r}")
-            if kind == measure.KIND_DISCRETE:
-                pts = m.get("points", [])
-                wts = m.get("weights", [])
-                if len(pts) != len(wts) or not pts:
-                    violations.append("measure: points/weights must be equal-length, nonempty")
-                if len(set(pts)) != len(pts):
-                    violations.append("measure.points: must be pairwise distinct")
-                if any(w <= 0 for w in wts):
-                    violations.append("measure.weights: must be positive")
-
-        k = config.kernel
-        kname = k.get("name")
-        if kname not in KERNEL_NAMES:
-            violations.append(f"kernel.name: unknown kernel {kname!r}")
-        elif kname == "mehler":
-            r = k.get("r")
-            if r is None or not abs(float(r)) < 1:
-                violations.append(f"kernel.r: need |r| < 1, got {r!r}")
-        elif kname == "separable":
-            lens = {len(k.get(key, [])) for key in ("coeffs", "rights", "lefts")}
-            if len(lens) != 1 or 0 in lens:
-                violations.append("kernel: coeffs/rights/lefts must have equal nonzero length")
-        elif kname == "defective":
-            if int(k.get("m", 0)) < 2:
-                violations.append("kernel.m: defective blocks need m >= 2")
-        elif kname == "grid":
-            import os
-
-            path = k.get("csv")
-            if not path or not os.path.exists(path):
-                violations.append(f"kernel.csv: file not found: {path!r}")
-
-    p = config.params
-    cmd = config.command
-    if cmd == "solve":
-        if "lambda" not in p:
-            violations.append("params.lambda: required for solve")
-        rhs = p.get("rhs")
-        if isinstance(rhs, str) and rhs != "ones":
-            import os
-
-            if not os.path.exists(rhs):
-                violations.append(f"params.rhs: file not found: {rhs!r}")
-    if cmd == "det" and "lambda_grid" in p:
+    def collect(build, *args):
         try:
-            a, b, steps = _parse_grid(p["lambda_grid"])
-            if steps < 1 or not a <= b:
-                raise ValueError
-        except Exception:
-            violations.append(f"params.lambda_grid: malformed, need 'a:b:steps', got {p.get('lambda_grid')!r}")
-    if cmd == "iterate" and int(p.get("n", 1)) < 1:
-        violations.append("params.n: need n >= 1")
-    if cmd == "trace" and int(p.get("n", 0)) < 0:
-        violations.append("params.n: need n >= 0")
-    if cmd == "powerit":
-        if int(p.get("k", 1)) < 1:
-            violations.append("params.k: need k >= 1")
-        if float(p.get("tol", 1e-10)) <= 0:
-            violations.append("params.tol: need tol > 0")
-        if int(p.get("nmax", 200)) < 1:
-            violations.append("params.nmax: need nmax >= 1")
-    return violations
+            return build(*args)
+        except InvalidArgumentError as exc:
+            violations.append(str(exc))
+
+    rule = collect(build_rule, config.measure)
+    on_rule = config.kernel.get("name") in ("defective", "grid")
+    kern = collect(build_kernel, config.kernel, rule) if rule or not on_rule else None
+    params = collect(_parse_params, config.command, config.params)
+    return violations, rule, kern, params
 
 
-def _parse_grid(text):
-    a, b, steps = str(text).split(":")
-    return float(a), float(b), int(steps)
-
-
-def _get_lambda(params):
-    lam = params.get("lambda", 0.0)
-    if isinstance(lam, (list, tuple)):
-        return complex(float(lam[0]), float(lam[1]))
-    return obj_to_complex(lam)
+def validate(config: RunConfig):
+    """Constraint report: the message of every field or constructor that
+    rejects the config.  Builds the rule and kernel; runs no discretization
+    or decomposition."""
+    return _prepare(config)[0]
 
 
 def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
@@ -244,18 +271,14 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         report = validate(config)
         return {"violations": report}, report
 
-    violations = validate(config)
+    violations, rule, kern, p = _prepare(config)
     if violations:
         raise InvalidArgumentError("; ".join(violations))
-
-    rule = build_rule(config.measure)
-    kern = build_kernel(config.kernel, rule)
     op = nystrom.discretize(kern, rule)
     if dump_operator:
         write_complex_csv(f"{dump_operator}_K.csv", op.K)
         write_complex_csv(f"{dump_operator}_A.csv", op.A)
         write_complex_csv(f"{dump_operator}_B.csv", op.B)
-    p = config.params
     cmd = config.command
 
     if cmd in ("eig", "djf"):
@@ -267,7 +290,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[v] for v in d.eigenvalues]
 
     if cmd == "jordan":
-        jf = jordan.jordan_decompose(op.A, cluster_tol=float(p.get("cluster_tol", 1e-7)))
+        jf = jordan.jordan_decompose(op.A, cluster_tol=p["cluster_tol"])
         if dump_vectors:
             write_complex_csv(f"{dump_vectors}_P.csv", jf.P)
             write_complex_csv(f"{dump_vectors}_Q.csv", jf.Q)
@@ -286,18 +309,10 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[complex(t)] for t in sv.singular_values]
 
     if cmd == "solve":
-        lam = _get_lambda(p)
-        rhs = p.get("rhs", "ones")
-        if isinstance(rhs, str):
-            if rhs == "ones":
-                f = np.ones(op.A.shape[1], dtype=complex)
-            else:
-                f = read_complex_csv(rhs).reshape(-1)
-        else:
-            f = np.array([obj_to_complex(v) for v in rhs])
-        sol = fredholm.resolvent_solve(op, lam, f)
+        f = np.ones(op.A.shape[1], dtype=complex) if p["rhs"] is None else p["rhs"]
+        sol = fredholm.resolvent_solve(op, p["lambda"], f)
         obj = {
-            "lambda": complex_to_obj(lam),
+            "lambda": complex_to_obj(sol.lam),
             "residual": sol.residual,
             "nearest_eigen_gap": sol.nearest_eigen_gap,
             "solution": [complex_to_obj(v) for v in sol.solution],
@@ -305,15 +320,10 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[v] for v in sol.solution]
 
     if cmd == "det":
-        method = p.get("method", "direct")
-        if "lambda_grid" in p:
-            a, b, steps = _parse_grid(p["lambda_grid"])
-            lams = np.linspace(a, b, steps)
-        else:
-            lams = [_get_lambda(p)]
-        evals = [fredholm.fredholm_determinant(op, lam, method) for lam in lams]
+        lams = [p["lambda"]] if p["lambda_grid"] is None else p["lambda_grid"]
+        evals = [fredholm.fredholm_determinant(op, lam, p["method"]) for lam in lams]
         obj = {
-            "method": method,
+            "method": p["method"],
             "values": [
                 {"lambda": complex_to_obj(e.lam), "re": e.value.real, "im": e.value.imag}
                 for e in evals
@@ -322,19 +332,15 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[e.lam, complex(e.value.real), complex(e.value.imag)] for e in evals]
 
     if cmd == "iterate":
-        n = int(p.get("n", 1))
-        Kn = nystrom.iterated_kernel(op, n)
+        Kn = nystrom.iterated_kernel(op, p["n"])
         obj = {
-            "n": n,
+            "n": p["n"],
             "matrix": [[complex_to_obj(v) for v in row] for row in Kn],
         }
         return obj, Kn
 
     if cmd == "powerit":
-        k = int(p.get("k", 1))
-        tol = float(p.get("tol", 1e-10))
-        nmax = int(p.get("nmax", 200))
-        res = powerit.sequential_spectrum(op, k, nmax, tol)
+        res = powerit.sequential_spectrum(op, p["k"], p["nmax"], p["tol"])
         obj = {
             "estimates": [complex_to_obj(nu) for nu, _p, _q in res],
             "ratios": [
@@ -346,12 +352,8 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[nu] for nu, _p, _q in res]
 
     if cmd == "trace":
-        n = int(p.get("n", 0))
-        sv = opsvd.operator_svd(op)
-        val = opsvd.trace_power(sv, n)
-        return {"n": n, "value": val}, [[complex(val)]]
-
-    raise InvalidArgumentError(f"unknown command {config.command!r}")
+        val = opsvd.trace_power(opsvd.operator_svd(op), p["n"])
+        return {"n": p["n"], "value": val}, [[complex(val)]]
 
 
 def _render_csv(command, rows):
@@ -362,22 +364,15 @@ def _render_csv(command, rows):
 
 
 def _cap_threads():
-    import os
-
-    raw = os.environ.get("FREDKIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        return None
+    n = _thread_cap()
+    if n is None:
+        return
     try:
         import threadpoolctl
 
         threadpoolctl.threadpool_limits(n)
     except ImportError:
         pass  # env vars set by fredkit.__init__ cover fresh interpreters
-    return n
 
 
 def main(argv=None):
@@ -434,18 +429,21 @@ def main(argv=None):
         obj, rows = execute(
             config, dump_operator=args.dump_operator, dump_vectors=args.dump_vectors
         )
+        if config.output_format == "json":
+            text = dumps_canonical(obj, indent=2) + "\n"
+        else:
+            text = _render_csv(config.command, rows)
+        if config.destination:
+            with open(config.destination, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except FredkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if config.output_format == "json":
-        text = dumps_canonical(obj, indent=2) + "\n"
-    else:
-        text = _render_csv(config.command, rows)
-    if config.destination:
-        with open(config.destination, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # an output or dump path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -23,7 +23,8 @@ KIND_CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Immutable quadrature rule: strictly increasing nodes, positive weights.
+    """Immutable quadrature rule: finite, strictly increasing nodes and
+    finite positive weights.
 
     Attributes
     ----------
@@ -55,6 +56,8 @@ class QuadratureRule:
             raise InvalidArgumentError(
                 f"rule size {nodes.size} exceeds the cap of {MAX_RULE_SIZE}"
             )
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise InvalidArgumentError("nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise InvalidArgumentError("nodes must be strictly increasing")
         if np.any(weights <= 0):

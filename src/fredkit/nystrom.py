@@ -9,7 +9,7 @@ The eigenvalues of A are computed at most once per operator, on first use
 of DiscreteOperator.spectrum, and shared by every later caller.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,8 @@ class DiscreteOperator:
     B : W^{1/2}-symmetrized samples (drives Hermitian/SVD paths)
     spectrum : eigenvalues of A (square block shapes only), computed lazily
 
+    An operator is built from (rule, shape, K) alone; A and B are derived
+    from them on construction, the one place that knows their layout.
     K, A and B are made read-only on construction, so the spectrum of A
     cannot go stale: it is computed by one ``np.linalg.eigvals(A)`` the
     first time it is read, cached on the instance and itself read-only.
@@ -49,10 +51,13 @@ class DiscreteOperator:
     rule: QuadratureRule
     shape: tuple
     K: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
+    A: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        wr, wc = self.w_rows, self.w_cols
+        object.__setattr__(self, "A", self.K * wc[None, :])
+        object.__setattr__(self, "B", np.sqrt(wr)[:, None] * self.K * np.sqrt(wc)[None, :])
         for M in (self.K, self.A, self.B):
             M.setflags(write=False)
 
@@ -64,14 +69,6 @@ class DiscreteOperator:
         nus = np.linalg.eigvals(self.A)
         nus.setflags(write=False)
         return nus
-
-    @property
-    def block_rows(self):
-        return self.shape[0]
-
-    @property
-    def block_cols(self):
-        return self.shape[1]
 
     @property
     def w_rows(self):
@@ -88,11 +85,9 @@ class DiscreteOperator:
     def hs_norm(self):
         """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2.
 
-        Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2).
+        Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F.
         """
-        sr = np.sqrt(self.w_rows)[:, None]
-        sc = np.sqrt(self.w_cols)[None, :]
-        return float(np.linalg.norm(sr * self.K * sc))
+        return float(np.linalg.norm(self.B))
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry."""
@@ -111,11 +106,7 @@ def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
     K = kernel.sample_matrix(rule)
     s1, s2 = kernel.shape
     _check_finite(K, rule, s1, s2)
-    wr = expand_weights(rule.weights, s1)
-    wc = expand_weights(rule.weights, s2)
-    A = K * wc[None, :]
-    B = np.sqrt(wr)[:, None] * K * np.sqrt(wc)[None, :]
-    op = DiscreteOperator(rule=rule, shape=(s1, s2), K=K, A=A, B=B)
+    op = DiscreteOperator(rule=rule, shape=(s1, s2), K=K)
     if op.hs_norm() == 0.0:
         warnings.warn(
             "discretized kernel is numerically zero (||N||_2 = 0)",

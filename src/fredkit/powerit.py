@@ -205,9 +205,9 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     """Remove the leading pair: N_1(y,z) = N(y,z) - nu1 * p1(y) q1(z)^*.
 
     `target` is a DiscreteOperator, or a Kernel together with `rule`.
-    The pair must be bi-orthonormalized (<q1, p1>_W = 1 to 1e-8); the
-    deflated spectrum equals the original with nu1 replaced by zero, the
-    remaining pairs untouched.
+    The pair must be finite and bi-orthonormalized (<q1, p1>_W = 1 to
+    1e-8), else PreconditionViolationError; the deflated spectrum equals
+    the original with nu1 replaced by zero, the remaining pairs untouched.
     """
     if isinstance(target, Kernel):
         if rule is None:
@@ -218,16 +218,16 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     op = target
     p1 = np.asarray(p1, dtype=complex)
     q1 = np.asarray(q1, dtype=complex)
+    nu1 = complex(nu1)
+    if not np.isfinite(nu1):
+        raise PreconditionViolationError(f"eigenvalue nu1 = {nu1} is not finite")
     pairing = winner(op.w_rows, q1, p1)
-    if abs(pairing - 1.0) > 1e-8:
+    if not abs(pairing - 1.0) <= 1e-8:  # a NaN pairing fails too
         raise PreconditionViolationError(
             f"pair is not bi-orthonormalized: <q1, p1>_W = {pairing:.12g}"
         )
-    K1 = op.K - complex(nu1) * np.outer(p1, np.conj(q1))
-    wr, wc = op.w_rows, op.w_cols
-    A1 = K1 * wc[None, :]
-    B1 = np.sqrt(wr)[:, None] * K1 * np.sqrt(wc)[None, :]
-    return DiscreteOperator(rule=op.rule, shape=op.shape, K=K1, A=A1, B=B1)
+    K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
+    return DiscreteOperator(rule=op.rule, shape=op.shape, K=K1)
 
 
 @dataclass

@@ -86,13 +86,19 @@ class AsymptoticProfile:
         return (self.p_top * rot[None, :]) @ self.q_top.conj().T
 
 
+def _roundoff_floor(vals):
+    """N * eps * |nu_1|: eigenvalues closer than this are not resolved."""
+    return vals.size * np.finfo(float).eps * max(float(np.max(np.abs(vals))), 1e-300)
+
+
 def _sort_order(vals, mod_rtol=1e-10):
     """Descending modulus with ties broken by descending phase in (-pi, pi].
 
-    Moduli within mod_rtol of the group leader count as tied, so the
-    ordering agrees across eig/eigh paths whose roundoff differs; phases
-    hugging the -pi seam are wrapped to +pi (a negative real eigenvalue
-    must not flip sides on 1e-17 imaginary noise).
+    Moduli within mod_rtol of the group leader, or within the roundoff
+    floor N * eps * |nu_1|, count as tied, so the ordering agrees across
+    eig/eigh paths whose roundoff differs while resolved small moduli keep
+    their order; phases hugging the -pi seam are wrapped to +pi (a
+    negative real eigenvalue must not flip sides on 1e-17 imaginary noise).
     """
     if vals.size == 0:
         return np.arange(0)
@@ -100,9 +106,10 @@ def _sort_order(vals, mod_rtol=1e-10):
     phases = np.angle(vals)
     phases = np.where(phases <= -np.pi + 1e-9, phases + 2.0 * np.pi, phases)
     order = list(np.lexsort((-phases, -mods)))
-    tol = mod_rtol * max(float(mods.max()), 1e-300)
+    floor = _roundoff_floor(vals)
     i = 0
     while i < len(order):
+        tol = max(mod_rtol * mods[order[i]], floor)
         j = i + 1
         while j < len(order) and mods[order[i]] - mods[order[j]] <= tol:
             j += 1
@@ -288,16 +295,19 @@ def _rebasis_degenerate(vals, V, retained):
     LAPACK returns an arbitrary and possibly ill-conditioned basis for a
     repeated semisimple eigenvalue; mixing within each eigenspace is free,
     and a QR basis makes the later inversion and condition check reflect
-    the geometry between eigenspaces only.  The non-retained tail (the
-    numerical null space) is treated as one group.
+    the geometry between eigenspaces only.  Neighbours are grouped when
+    they differ by at most 1e-9 of the larger modulus or by the roundoff
+    floor N * eps * |nu_1|, so small distinct eigenvalues stay apart.  The
+    non-retained tail (the numerical null space) is treated as one group.
     """
     if vals.size == 0:
         return
-    top = np.abs(vals[0])
+    floor = _roundoff_floor(vals)
     groups = []
     start = 0
     for j in range(1, retained):
-        if abs(vals[j] - vals[j - 1]) > DEGENERATE_RTOL * top:
+        scale = max(abs(vals[j - 1]), abs(vals[j]))
+        if abs(vals[j] - vals[j - 1]) > max(DEGENERATE_RTOL * scale, floor):
             groups.append((start, j))
             start = j
     groups.append((start, retained))

@@ -25,16 +25,6 @@ def wnorm(w, u):
     return float(np.sqrt(np.sum(w * np.abs(u) ** 2).real))
 
 
-def wfrobenius(w_rows, w_cols, X):
-    """Weighted Frobenius norm ||W_r^{1/2} X W_c^{1/2}||_F.
-
-    This is the discrete analogue of the L2(mu x mu) kernel norm.
-    """
-    sr = np.sqrt(w_rows)[:, None]
-    sc = np.sqrt(w_cols)[None, :]
-    return float(np.linalg.norm(sr * X * sc))
-
-
 def anchor_phase(u):
     """Unit-modulus factor that rotates the largest-|.| entry real positive.
 
@@ -47,10 +37,3 @@ def anchor_phase(u):
         return 1.0
     return abs(ua) / ua
 
-
-def normalize_weighted(w, u):
-    """Scale `u` to unit weighted norm with a real-positive anchor entry."""
-    n = wnorm(w, u)
-    if n == 0.0:
-        return u.copy()
-    return u * (anchor_phase(u) / n)

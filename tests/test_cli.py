@@ -319,3 +319,86 @@ class TestValidate:
             config = RunConfig.from_dict(doc)
             assert RunConfig.from_dict(config.to_dict()) == config
             assert config.to_dict() == doc
+
+
+GL8 = {"kind": "gauss-legendre", "n": 8, "a": 0.0, "b": 1.0}
+SEPARABLE = {"name": "separable", "coeffs": [1.0], "rights": [[0, 1]], "lefts": [[0, 1]]}
+
+# (id, config changes on top of MEHLER_EIG, exit code, label stderr must name)
+MALFORMED = [
+    ("iterate-n-text", {"command": "iterate", "params": {"n": "x"}}, 1, "params.n:"),
+    ("mehler-r-text", {"kernel": {"name": "mehler", "r": "abc"}}, 1, "kernel.r:"),
+    ("defective-m-text", {"kernel": {"name": "defective", "lam": 0.5, "m": "two"},
+                          "measure": GL8}, 1, "kernel.m:"),
+    ("separable-coeff-text", {"kernel": dict(SEPARABLE, coeffs=["x"]), "measure": GL8},
+     1, "kernel.coeffs:"),
+    ("inline-weights-text", {"measure": {"nodes": [0.0, 1.0], "weights": ["a", "b"]}},
+     1, "measure.weights:"),
+    ("kernel-not-object", {"kernel": [1, 2]}, 2, "kernel:"),
+    ("powerit-tol-text", {"command": "powerit", "params": {"tol": "tiny"}}, 1, "params.tol:"),
+    ("solve-lambda-short", {"command": "solve", "params": {"lambda": [1.0]}},
+     1, "params.lambda:"),
+    ("mehler-r-missing", {"kernel": {"name": "mehler"}}, 1, "kernel.r:"),
+    ("legendre-b-missing", {"measure": {"kind": "gauss-legendre", "n": 8, "a": 0.0}},
+     1, "measure.b:"),
+    ("separable-lefts-missing", {"kernel": {k: v for k, v in SEPARABLE.items() if k != "lefts"},
+                                 "measure": GL8}, 1, "kernel.lefts:"),
+    ("solve-lambda-missing", {"command": "solve", "params": {}}, 1, "params.lambda:"),
+    ("hermite-over-cap", {"measure": {"kind": "gauss-hermite-prob", "n": 321}}, 1, "measure.n:"),
+    ("legendre-over-cap", {"measure": dict(GL8, n=1025)}, 1, "measure.n:"),
+    ("legendre-n-float", {"measure": dict(GL8, n=8.5)}, 1, "measure.n:"),
+    ("discrete-weight-infinite", {"measure": {"kind": "discrete", "points": [0.0, 1.0],
+                                              "weights": [float("inf"), 1.0]}}, 1, "measure:"),
+    ("grid-csv-missing", {"kernel": {"name": "grid", "csv": "no-such-dir/absent.csv"},
+                          "measure": GL8}, 1, "kernel.csv:"),
+    ("grid-csv-not-path", {"kernel": {"name": "grid", "csv": 5}, "measure": GL8},
+     1, "kernel.csv:"),
+    ("det-grid-malformed", {"command": "det", "params": {"lambda_grid": "0:1"}},
+     1, "params.lambda_grid:"),
+    ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
+     1, "params.n:"),
+    ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),
+    ("params-not-object", {"params": "x"}, 2, "params:"),
+    ("destination-not-path", {"output": {"format": "json", "destination": 5}},
+     2, "output.destination:"),
+]
+
+
+class TestMalformedConfigs:
+    """Every malformed config exits 1 or 2 with the failing field named on
+    stderr; none lets an exception escape main."""
+
+    @pytest.mark.parametrize(
+        "changes, code, label", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+    )
+    def test_exit_code_and_label(self, tmp_path, capsys, changes, code, label):
+        out = tmp_path / "out.json"
+        doc = dict(MEHLER_EIG, output={"format": "json", "destination": str(out)})
+        doc.update(changes)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["-c", str(cfg)]) == code
+        assert label in capsys.readouterr().err
+        assert not out.exists()
+        if code == 1:  # a field violation: validate names the same field
+            report = validate(RunConfig.from_dict(doc))
+            assert any(v.startswith(label) for v in report)
+
+    def test_unwritable_destination_exits_2(self, tmp_path, capsys):
+        doc = dict(MEHLER_EIG, output={"format": "json",
+                                       "destination": str(tmp_path / "absent" / "out.json")})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["-c", str(cfg)]) == 2
+        assert "output error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, cap", [(None, None), ("0", 1), ("1", 1), ("3", 3), ("many", None)])
+def test_thread_cap_parse(monkeypatch, raw, cap):
+    from fredkit import _thread_cap
+
+    if raw is None:
+        monkeypatch.delenv("FREDKIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("FREDKIT_THREADS", raw)
+    assert _thread_cap() == cap

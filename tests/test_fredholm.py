@@ -274,6 +274,17 @@ class TestLogDerivativeCheck:
         with pytest.raises(PoleError):
             fk.determinant_log_derivative_check(yz_op, (0.0, 3.0), 50)
 
+    def test_one_factorization_per_path_point(self, monkeypatch):
+        from fredkit import fredholm
+
+        calls = []
+        lu_factor, det = fredholm.lu_factor, np.linalg.det
+        monkeypatch.setattr(fredholm, "lu_factor", lambda M: calls.append("lu") or lu_factor(M))
+        monkeypatch.setattr(np.linalg, "det", lambda M: calls.append("det") or det(M))
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        assert fk.determinant_log_derivative_check(op, (0.0, 0.9), 20) <= 0.05
+        assert calls == ["lu"] * 21
+
 
 class TestFirstKindSolve:
     def test_rank_one_eigenspace(self, yz_op, gl8):

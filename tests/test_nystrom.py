@@ -43,6 +43,17 @@ class TestDiscretize:
         sw = np.sqrt(w)
         assert np.allclose(yz2_op.B, sw[:, None] * yz2_op.K * sw[None, :], rtol=0, atol=0)
 
+    def test_built_from_rule_shape_and_samples(self, gl8):
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((16, 24)) + 1j * rng.standard_normal((16, 24))
+        op = fk.DiscreteOperator(rule=gl8, shape=(2, 3), K=K)
+        wr, wc = np.repeat(gl8.weights, 2), np.repeat(gl8.weights, 3)
+        assert np.array_equal(op.A, K * wc[None, :])
+        assert np.array_equal(op.B, np.sqrt(wr)[:, None] * K * np.sqrt(wc)[None, :])
+        assert op.hs_norm() == np.linalg.norm(op.B)
+        with pytest.raises(TypeError):
+            fk.DiscreteOperator(rule=gl8, shape=(2, 3), K=K, A=op.A, B=op.B)
+
     def test_hs_norm_quadrature(self, gl8, yz_kernel):
         # oracle: ||N||_2^2 = int int y^2 z^2 dy dz = 1/9
         op = fk.discretize(yz_kernel, gl8)

@@ -175,6 +175,14 @@ class TestDeflate:
         with pytest.raises(PreconditionViolationError):
             fk.deflate(yz_op, d.eigenvalues[0], 2.0 * d.right[:, 0], d.left[:, 0])
 
+    def test_nan_pair_rejected(self, yz_op):
+        d = fk.djf_eig(yz_op)
+        nu, p, q = d.eigenvalues[0], d.right[:, 0], d.left[:, 0]
+        with pytest.raises(PreconditionViolationError):
+            fk.deflate(yz_op, nu, np.where(np.arange(p.size) == 3, np.nan, p), q)
+        with pytest.raises(PreconditionViolationError):
+            fk.deflate(yz_op, complex("nan"), p, q)
+
     def test_kernel_input_with_rule(self, yz_kernel, gl8, yz_op):
         d = fk.djf_eig(yz_op)
         op1 = fk.deflate(yz_kernel, d.eigenvalues[0], d.right[:, 0], d.left[:, 0], rule=gl8)

@@ -10,6 +10,7 @@ from fredkit.errors import (
     NoSpectrumError,
     WrongDecompositionError,
 )
+from fredkit.kernels import ClosedForm
 
 from conftest import wfro
 
@@ -91,6 +92,31 @@ class TestDjfEig:
         d = fk.djf_eig(two_term_op)
         assert d.eigenvalues[0] == pytest.approx(0.5, abs=1e-12)
         assert d.eigenvalues[1] == pytest.approx(0.2, abs=1e-12)
+
+
+class TestSmallEigenvaluesGH256:
+    """Mehler r = 1/2 on GH256: the discrete spectrum is 2^-j to roundoff, so
+    every retained eigenvalue (2^-j >= 1e-12, j < 40) sits within the
+    Weyl-type bound N eps |nu_1| of 2^-j."""
+
+    N = 256
+    BOUND = N * np.finfo(float).eps
+
+    def test_hermitian_prefix_holds_no_noise(self):
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(self.N))
+        d = fk.hermitian_eig(op)
+        assert d.retained == 40
+        assert np.max(np.abs(d.eigenvalues[:40] - 0.5 ** np.arange(40))) <= self.BOUND
+
+    def test_djf_keeps_small_distinct_eigenvalues_apart(self):
+        # e^{0.2y} M(y, z) e^{-0.2z} is similar to Mehler: same spectrum,
+        # non-Hermitian samples
+        mehler = fk.mehler_kernel(0.5).body.evaluator
+        kern = fk.Kernel((1, 1), ClosedForm(
+            lambda y, z: np.exp(0.2 * y) * mehler(y, z) * np.exp(-0.2 * z)))
+        d = fk.djf_eig(fk.discretize(kern, fk.gauss_hermite_prob(self.N)))
+        assert d.retained == 40
+        assert np.max(np.abs(d.eigenvalues[:40] - 0.5 ** np.arange(40))) <= self.BOUND
 
 
 class TestAsymptoticProfile:
