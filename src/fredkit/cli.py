@@ -34,7 +34,6 @@ import numpy as np
 from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
 from .errors import FredkitError, InvalidArgumentError
 from .serialize import (
-    complex_to_obj,
     csv_text,
     decomposition_to_obj,
     dumps_canonical,
@@ -197,6 +196,7 @@ def _lambda(value):
 
 
 def _lambda_grid(text):
+    """Real grid 'a:b:steps'; one LU per step, so steps is capped as a rule size is."""
     try:
         a, b, steps = str(text).split(":")
         a, b, steps = float(a), float(b), int(steps)
@@ -204,7 +204,14 @@ def _lambda_grid(text):
         steps = 0
     if steps < 1 or not a <= b:
         raise ValueError(f"malformed, need 'a:b:steps' with a <= b, got {text!r}")
-    return np.linspace(a, b, steps)
+    return np.linspace(a, b, measure._check_count(steps))
+
+
+def _det_method(name):
+    """The method name as given, which the output echoes, once fredholm's
+    method table has it (in any case)."""
+    fredholm._determinant_method(name)
+    return name
 
 
 def _rhs(value):
@@ -219,7 +226,7 @@ PARAMS = {
     "jordan": {"cluster_tol": (float, 1e-7)},
     "solve": {"lambda": (_lambda, _REQUIRED), "rhs": (_rhs, None)},
     "det": {"lambda": (_lambda, 0j), "lambda_grid": (_lambda_grid, None),
-            "method": (str, "direct")},
+            "method": (_det_method, "direct")},
     "iterate": {"n": (_count_from(1), 1)},
     "trace": {"n": (_count_from(0), 0)},
     "powerit": {"k": (_count_from(1), 1), "tol": (_positive, 1e-10),
@@ -303,7 +310,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             write_complex_csv(f"{dump_vectors}_P.csv", sv.left)
             write_complex_csv(f"{dump_vectors}_Q.csv", sv.right)
         obj = {
-            "singular_values": [float(t) for t in sv.singular_values],
+            "singular_values": np.asarray(sv.singular_values, dtype=float),
             "rank_numerical": sv.rank_numerical,
         }
         return obj, [[complex(t)] for t in sv.singular_values]
@@ -312,10 +319,10 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         f = np.ones(op.A.shape[1], dtype=complex) if p["rhs"] is None else p["rhs"]
         sol = fredholm.resolvent_solve(op, p["lambda"], f)
         obj = {
-            "lambda": complex_to_obj(sol.lam),
+            "lambda": complex(sol.lam),
             "residual": sol.residual,
             "nearest_eigen_gap": sol.nearest_eigen_gap,
-            "solution": [complex_to_obj(v) for v in sol.solution],
+            "solution": np.asarray(sol.solution, dtype=complex),
         }
         return obj, [[v] for v in sol.solution]
 
@@ -325,7 +332,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         obj = {
             "method": p["method"],
             "values": [
-                {"lambda": complex_to_obj(e.lam), "re": e.value.real, "im": e.value.imag}
+                {"lambda": complex(e.lam), "re": e.value.real, "im": e.value.imag}
                 for e in evals
             ],
         }
@@ -335,17 +342,15 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         Kn = nystrom.iterated_kernel(op, p["n"])
         obj = {
             "n": p["n"],
-            "matrix": [[complex_to_obj(v) for v in row] for row in Kn],
+            "matrix": np.asarray(Kn, dtype=complex),
         }
         return obj, Kn
 
     if cmd == "powerit":
         res = powerit.sequential_spectrum(op, p["k"], p["nmax"], p["tol"])
         obj = {
-            "estimates": [complex_to_obj(nu) for nu, _p, _q in res],
-            "ratios": [
-                [complex_to_obj(r) for r in tr.ratios] for tr in res.traces
-            ],
+            "estimates": np.array([nu for nu, _p, _q in res], dtype=complex),
+            "ratios": [np.asarray(tr.ratios, dtype=complex) for tr in res.traces],
             "stages_completed": res.stages_completed,
             "failure": res.failure_reason,
         }

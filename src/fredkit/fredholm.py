@@ -203,6 +203,32 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     return out
 
 
+def _det_direct(op, lam):
+    n = op.A.shape[0]
+    return complex(np.linalg.det(np.eye(n, dtype=complex) - lam * op.A))
+
+
+def _det_product(op, lam):
+    nus = op.spectrum
+    factors = 1.0 - lam * nus
+    keep = np.abs(lam * nus) >= TAIL_CUTOFF
+    return complex(np.prod(factors[keep])) if np.any(keep) else 1.0 + 0j
+
+
+# method name -> evaluator of D(lambda) on a square operator
+_DETERMINANTS = {"direct": _det_direct, "product": _det_product}
+
+
+def _determinant_method(method):
+    """The lower-cased name of a determinant method; InvalidArgumentError
+    unless it names one in _DETERMINANTS (in any case)."""
+    if not isinstance(method, str) or method.lower() not in _DETERMINANTS:
+        raise InvalidArgumentError(
+            f"unknown method {method!r}, expected one of {', '.join(_DETERMINANTS)}"
+        )
+    return method.lower()
+
+
 def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> DeterminantEval:
     """Fredholm determinant D(lambda).
 
@@ -215,18 +241,8 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     if not op.is_square_block:
         raise InvalidArgumentError("determinants need a square block shape")
     lam = complex(lam)
-    method = method.lower()
-    if method == "direct":
-        n = op.A.shape[0]
-        value = complex(np.linalg.det(np.eye(n, dtype=complex) - lam * op.A))
-    elif method == "product":
-        nus = op.spectrum
-        factors = 1.0 - lam * nus
-        keep = np.abs(lam * nus) >= TAIL_CUTOFF
-        value = complex(np.prod(factors[keep])) if np.any(keep) else 1.0 + 0j
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
-    return DeterminantEval(lam=lam, value=value, method=method)
+    method = _determinant_method(method)
+    return DeterminantEval(lam=lam, value=_DETERMINANTS[method](op, lam), method=method)
 
 
 def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: int):

@@ -66,17 +66,17 @@ class DiscreteOperator:
         """All eigenvalues of A in LAPACK order, computed once and read-only."""
         if not self.is_square_block:
             raise InvalidArgumentError("a spectrum needs a square block shape")
-        nus = np.linalg.eigvals(self.A)
-        nus.setflags(write=False)
-        return nus
+        return _read_only(np.linalg.eigvals(self.A))
 
-    @property
+    @cached_property
     def w_rows(self):
-        return expand_weights(self.rule.weights, self.shape[0])
+        """Node weights repeated over the block's rows, computed once and read-only."""
+        return _read_only(expand_weights(self.rule.weights, self.shape[0]))
 
-    @property
+    @cached_property
     def w_cols(self):
-        return expand_weights(self.rule.weights, self.shape[1])
+        """Node weights repeated over the block's columns, computed once and read-only."""
+        return _read_only(expand_weights(self.rule.weights, self.shape[1]))
 
     @property
     def is_square_block(self):
@@ -93,6 +93,11 @@ class DiscreteOperator:
         """Relative departure of B from Hermitian symmetry."""
         scale = max(float(np.linalg.norm(self.B)), 1e-300)
         return float(np.linalg.norm(self.B - self.B.conj().T)) / scale
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:

@@ -4,6 +4,14 @@ JSON output is rendered by hand so the byte stream is reproducible: keys
 sorted, floats printed with 17 significant digits, complex numbers as
 {"im": ..., "re": ...}.  CSV uses the RFC dialect with '.' decimals and
 complex cells written as quoted "re,im" pairs.
+
+Real and complex float ndarrays take a fast path: every entry is
+formatted in one pass over the array and nested brackets are folded from
+the innermost axis outwards, instead of one recursive call per number.
+Float and complex scalars are written as 0-d arrays.  The bytes are the
+same as the per-number rendering of the array's nested lists; other values
+(dicts, lists, ints, bools, strings, integer arrays) are written
+recursively.
 """
 import csv
 import io
@@ -11,51 +19,85 @@ import io
 import numpy as np
 
 
-def _fmt_float(x):
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"non-finite value {x!r} cannot be serialized")
-    out = format(x, ".17g")
-    # keep the token a valid JSON number
-    return out if ("e" in out or "." in out or "inf" in out) else out + ".0"
+def _tokens(values):
+    """JSON number tokens of a real float array's entries, in C order.
+
+    Each token is the entry's ".17g" text, which round-trips a double, with
+    ".0" appended when the text has neither "." nor "e" (an integral value)
+    so it reads back as a float.  Raises ValueError if any entry is not
+    finite.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[~finite].flat[0])
+        raise ValueError(f"non-finite value {bad!r} cannot be serialized")
+    return [t if "." in t or "e" in t else t + ".0"
+            for t in map("{:.17g}".format, values.ravel().tolist())]
+
+
+def _string(s):
+    out = s.replace("\\", "\\\\").replace('"', '\\"')
+    for ch, esc in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+        out = out.replace(ch, esc)
+    return f'"{out}"'
+
+
+def _pad(indent, level):
+    return "" if indent is None else "\n" + " " * (indent * level)
+
+
+def _array(a, indent, level):
+    """Canonical JSON of a real or complex float array at nesting `level`.
+
+    One template holds the whole array: a complex entry's template is fixed
+    ("im" sorts before "re"), and brackets are built by folding the
+    innermost axis outwards.  The entries' tokens fill it in one pass.
+    """
+    leaf = level + a.ndim
+    if a.dtype.kind == "c":
+        inner = _pad(indent, leaf + 1)
+        template = "{" + inner + '"im": %s,' + inner + '"re": %s' + _pad(indent, leaf) + "}"
+        tokens = [None] * (2 * a.size)
+        tokens[0::2] = _tokens(a.imag)
+        tokens[1::2] = _tokens(a.real)
+    else:
+        template, tokens = "%s", _tokens(a)
+    for axis in reversed(range(a.ndim)):
+        inner = _pad(indent, level + axis + 1)
+        items = inner + ("," + inner).join([template] * a.shape[axis]) if a.shape[axis] else ""
+        template = "[" + items + _pad(indent, level + axis) + "]"
+    return template % tuple(tokens)
 
 
 def dumps_canonical(obj, indent=None, _level=0):
     """Canonical JSON text for dict/list/str/num/complex/ndarray trees."""
-    pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * _level)
+    return _dump(obj, indent, _level)
+
+
+def _dump(obj, indent, level):
+    pad = _pad(indent, level + 1)
+    end = _pad(indent, level)
     if isinstance(obj, dict):
-        items = []
-        for key in sorted(obj):
-            items.append(
-                f"{pad}{dumps_canonical(str(key))}: "
-                f"{dumps_canonical(obj[key], indent, _level + 1)}"
-            )
+        items = [f"{pad}{_string(str(key))}: {_dump(obj[key], indent, level + 1)}"
+                 for key in sorted(obj)]
         return "{" + ",".join(items) + end + "}"
     if isinstance(obj, (list, tuple)):
-        items = [f"{pad}{dumps_canonical(v, indent, _level + 1)}" for v in obj]
+        items = [f"{pad}{_dump(v, indent, level + 1)}" for v in obj]
         return "[" + ",".join(items) + end + "]"
     if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent, _level)
+        if obj.dtype.kind in "fc":
+            return _array(obj, indent, level)
+        return _dump(obj.tolist(), indent, level)
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        for ch, esc in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
-            out = out.replace(ch, esc)
-        return f'"{out}"'
-    if isinstance(obj, (complex, np.complexfloating)):
-        return dumps_canonical({"re": float(obj.real), "im": float(obj.imag)}, indent, _level)
+        return _string(obj)
+    if isinstance(obj, (float, complex, np.inexact)):  # a 0-d array
+        return _array(np.asarray(obj), indent, level)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def complex_to_obj(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
 
 
 def obj_to_complex(d):
@@ -117,7 +159,7 @@ def csv_text(matrix):
 def decomposition_to_obj(d):
     """JSON-ready summary of a BiSpectralDecomposition."""
     return {
-        "eigenvalues": [complex_to_obj(v) for v in d.eigenvalues],
+        "eigenvalues": np.asarray(d.eigenvalues, dtype=complex),
         "biorth_residual": float(d.biorth_residual),
         "hermitian": bool(d.hermitian),
         "retained": int(d.retained),
@@ -127,8 +169,6 @@ def decomposition_to_obj(d):
 def jordan_to_obj(jf):
     """JSON-ready summary of a JordanForm."""
     return {
-        "blocks": [
-            {"lambda": complex_to_obj(lam), "m": int(m)} for lam, m in jf.blocks
-        ],
-        "residuals": [float(r) for r in jf.residuals],
+        "blocks": [{"lambda": complex(lam), "m": int(m)} for lam, m in jf.blocks],
+        "residuals": np.asarray(jf.residuals, dtype=float),
     }

@@ -152,12 +152,12 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         )
     Bsym = 0.5 * (op.B + op.B.conj().T)
     vals, vecs = np.linalg.eigh(Bsym)
-    order = _sort_order(vals.astype(complex))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    eigenvalues = vals.astype(complex)
+    order = _sort_order(eigenvalues)
+    vals, eigenvalues, vecs = vals[order], eigenvalues[order], vecs[:, order]
     w = op.w_rows
     P = vecs / np.sqrt(w)[:, None]
-    retained = _retained_count(vals.astype(complex))
+    retained = _retained_count(eigenvalues)
     top = np.abs(vals[0]) if vals.size else 0.0
     for j in range(P.shape[1]):
         col = P[:, j]
@@ -169,7 +169,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         P[:, j] = col
     resid = _biorth_residual(w, P, P, retained)
     return BiSpectralDecomposition(
-        eigenvalues=vals.astype(complex),
+        eigenvalues=eigenvalues,
         right=P,
         left=P,
         biorth_residual=resid,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import fredkit as fk
-from fredkit.cli import RunConfig, main, validate
+from fredkit.cli import COMMANDS, RunConfig, main, validate
 from fredkit.serialize import obj_to_complex, write_complex_csv
+from test_serialize import _reference_dumps
 
 
 def run_cli(tmp_path, doc, *args):
@@ -272,6 +273,36 @@ class TestRun:
         assert json.loads(out.read_text())["hermitian"] is True
 
 
+GL8_JSON = {"kind": "gauss-legendre", "n": 8, "a": 0.0, "b": 1.0}
+# command -> (kernel, measure, params) of a small run, one per command
+EVERY_COMMAND = {
+    "eig": (MEHLER_EIG["kernel"], MEHLER_EIG["measure"], {}),
+    "djf": ({"name": "separable", "coeffs": [{"re": 1.0, "im": 0.5}], "rights": [[0, 1]],
+             "lefts": [[0, 1]]}, GL8_JSON, {}),
+    "jordan": ({"name": "defective", "lam": 0.5, "m": 2}, dict(GL8_JSON, n=6),
+               {"cluster_tol": 1e-5}),
+    "svd": (YZ_DET["kernel"], GL8_JSON, {}),
+    "solve": (YZ_DET["kernel"], GL8_JSON, {"lambda": {"re": 1.0, "im": 0.5}, "rhs": "ones"}),
+    "det": (YZ_DET["kernel"], GL8_JSON, {"lambda_grid": "0:4:9"}),
+    "iterate": (YZ_DET["kernel"], GL8_JSON, {"n": 2}),
+    "powerit": (MEHLER_EIG["kernel"], MEHLER_EIG["measure"], {"k": 2, "nmax": 400}),
+    "trace": (YZ_DET["kernel"], GL8_JSON, {"n": 1}),
+    "validate": ({"name": "mehler", "r": 1.5}, MEHLER_EIG["measure"], {}),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_json_output_is_a_fixed_point(tmp_path, command):
+    """Each command's JSON is what the recursive writer makes of the parsed
+    document: ".17g" round-trips a double, so parsing loses nothing."""
+    kernel, measure, params = EVERY_COMMAND[command]
+    doc = {"kernel": kernel, "measure": measure, "command": command, "params": params,
+           "output": {"format": "json", "destination": None}}
+    code, text = run_cli(tmp_path, doc)
+    assert code == 0
+    assert _reference_dumps(json.loads(text), indent=2) + "\n" == text
+
+
 class TestValidate:
     def test_valid_config_empty_report(self):
         assert validate(RunConfig.from_dict(MEHLER_EIG)) == []
@@ -355,6 +386,10 @@ MALFORMED = [
      1, "kernel.csv:"),
     ("det-grid-malformed", {"command": "det", "params": {"lambda_grid": "0:1"}},
      1, "params.lambda_grid:"),
+    ("det-grid-over-cap", {"command": "det", "params": {"lambda_grid": "0:1:10000000000000"}},
+     1, "params.lambda_grid:"),
+    ("det-method-unknown", {"command": "det", "params": {"method": "lu"}}, 1, "params.method:"),
+    ("det-method-number", {"command": "det", "params": {"method": 3}}, 1, "params.method:"),
     ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
      1, "params.n:"),
     ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),

@@ -172,6 +172,15 @@ class TestFredholmDeterminant:
         with pytest.raises(InvalidArgumentError):
             fk.fredholm_determinant(yz_op, 1.0, "mystery")
 
+    def test_non_string_method(self, yz_op):
+        with pytest.raises(InvalidArgumentError, match="unknown method 3"):
+            fk.fredholm_determinant(yz_op, 1.0, 3)
+
+    def test_method_name_any_case(self, yz_op):
+        got = fk.fredholm_determinant(yz_op, 1.0, "Product")
+        assert got.method == "product"
+        assert got.value == fk.fredholm_determinant(yz_op, 1.0, "product").value
+
 
 class TestProductDeterminantTail:
     def test_mehler_full_spectrum_gh256(self):

@@ -240,6 +240,16 @@ class TestBlockKernels:
         back = fk.apply_adjoint(op, out)
         assert back.shape == (16,)
 
+    def test_expanded_weights_cached_read_only(self, gl8):
+        kern = fk.Kernel((2, 3), ClosedForm(lambda y, z: np.full((2, 3), y * z)))
+        op = fk.discretize(kern, gl8)
+        assert np.array_equal(op.w_rows, np.repeat(gl8.weights, 2))
+        assert np.array_equal(op.w_cols, np.repeat(gl8.weights, 3))
+        for name in ("w_rows", "w_cols"):
+            assert getattr(op, name) is getattr(op, name)
+            with pytest.raises(ValueError):
+                getattr(op, name)[0] = 1.0
+
 
 class TestNystromExtend:
     def test_rank_one_closed_form(self, yz_kernel, gl8):

@@ -13,6 +13,115 @@ from fredkit.serialize import (
 )
 
 
+# The recursive writer that the array fast path replaced, kept verbatim
+# (renamed) as the oracle: one call per number, complex values as dicts.
+def _reference_fmt_float(x):
+    x = float(x)
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite value {x!r} cannot be serialized")
+    out = format(x, ".17g")
+    # keep the token a valid JSON number
+    return out if ("e" in out or "." in out or "inf" in out) else out + ".0"
+
+
+def _reference_dumps(obj, indent=None, _level=0):
+    """Canonical JSON text for dict/list/str/num/complex/ndarray trees."""
+    pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
+    end = "" if indent is None else "\n" + " " * (indent * _level)
+    if isinstance(obj, dict):
+        items = []
+        for key in sorted(obj):
+            items.append(
+                f"{pad}{_reference_dumps(str(key))}: "
+                f"{_reference_dumps(obj[key], indent, _level + 1)}"
+            )
+        return "{" + ",".join(items) + end + "}"
+    if isinstance(obj, (list, tuple)):
+        items = [f"{pad}{_reference_dumps(v, indent, _level + 1)}" for v in obj]
+        return "[" + ",".join(items) + end + "]"
+    if isinstance(obj, np.ndarray):
+        return _reference_dumps(obj.tolist(), indent, _level)
+    if isinstance(obj, bool) or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, str):
+        out = obj.replace("\\", "\\\\").replace('"', '\\"')
+        for ch, esc in (("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+            out = out.replace(ch, esc)
+        return f'"{out}"'
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _reference_dumps({"re": float(obj.real), "im": float(obj.imag)}, indent, _level)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_fmt_float(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# floats whose tokens take every branch of the number rule
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.0,
+                  2.0 ** 53, 1e16, 99999999999999984.0, 1e17, 1e22, -1e22, 0.1,
+                  1.0 / 3.0, 1e-5, 123456.789, 1.7976931348623157e308]
+
+
+def _random_floats(rng, shape):
+    """Normal draws over many decades, a quarter of them special values."""
+    values = np.array(rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape))
+    special = rng.random(shape) < 0.25
+    values[special] = rng.choice(SPECIAL_FLOATS, size=int(special.sum()))
+    return values
+
+
+def _random_array(rng):
+    ndim = int(rng.integers(0, 4))
+    shape = tuple(int(d) for d in rng.integers(0, 4, ndim))
+    if rng.random() < 0.2 and ndim:  # an empty axis somewhere
+        shape = shape[:-1] + (0,) if rng.random() < 0.5 else (0,) + shape[1:]
+    kind = rng.integers(5)
+    if kind == 0:
+        return _random_floats(rng, shape)
+    if kind == 1:
+        return np.asarray(_random_floats(rng, shape) + 1j * _random_floats(rng, shape))
+    if kind == 2:
+        return np.asarray(np.clip(_random_floats(rng, shape), -1e38, 1e38), dtype=np.float32)
+    if kind == 3:
+        return np.asarray(rng.integers(-5, 5, shape))
+    return np.asarray(rng.random(shape) < 0.5)
+
+
+def _random_leaf(rng):
+    pick = rng.integers(11)
+    if pick == 0:
+        return float(rng.choice(SPECIAL_FLOATS))
+    if pick == 1:
+        return float(_random_floats(rng, ()))
+    if pick == 2:
+        return int(rng.integers(-10 ** 6, 10 ** 6))
+    if pick == 3:
+        return bool(rng.random() < 0.5)
+    if pick == 4:
+        return None
+    if pick == 5:
+        return str(rng.choice(["", "plain", 'quote " and \\ slash', "tab\tnew\nline\r"]))
+    if pick == 6:
+        return complex(float(rng.choice(SPECIAL_FLOATS)), float(_random_floats(rng, ())))
+    if pick == 7:
+        scalars = [np.float64(-0.0), np.float32(0.1), np.int64(7),
+                   np.complex128(1e22 - 0.5j), np.complex64(2 + 1j)]
+        return scalars[rng.integers(len(scalars))]
+    return _random_array(rng)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    size = int(rng.integers(0, 4))
+    pick = rng.integers(3)
+    if pick == 0:
+        return {f"k{int(rng.integers(10))}": _random_tree(rng, depth - 1) for _ in range(size)}
+    items = [_random_tree(rng, depth - 1) for _ in range(size)]
+    return items if pick == 1 else tuple(items)
+
+
 class TestCanonicalJson:
     def test_floats_have_17_digits(self):
         text = dumps_canonical({"x": 1.0 / 3.0})
@@ -42,6 +151,52 @@ class TestCanonicalJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             dumps_canonical(float("nan"))
+
+    def test_array_tokens(self):
+        values = np.array([2.0, -0.0, 5e-324, 1e16, 1e17, 1e22, 0.1])
+        assert dumps_canonical(values) == (
+            "[2.0,-0.0,4.9406564584124654e-324,10000000000000000.0,1e+17,1e+22,"
+            "0.10000000000000001]"
+        )
+
+    def test_complex_array_template(self):
+        text = dumps_canonical({"z": np.array([[1 - 2j]])}, indent=2)
+        assert text == (
+            '{\n  "z": [\n    [\n      {\n        "im": -2.0,\n        "re": 1.0\n'
+            "      }\n    ]\n  ]\n}"
+        )
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3), (2, 0, 1)])
+    def test_empty_arrays(self, shape):
+        for dtype in (float, complex):
+            a = np.zeros(shape, dtype=dtype)
+            for indent in (None, 2):
+                assert dumps_canonical(a, indent, 1) == _reference_dumps(a, indent, 1)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_matches_recursive_writer(self, indent):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            tree = _random_tree(rng, 4)
+            level = int(rng.integers(3))
+            assert dumps_canonical(tree, indent, level) == _reference_dumps(tree, indent, level)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_matches_recursive_writer_on_arrays(self, indent):
+        rng = np.random.default_rng(7)
+        for ndim in (1, 2, 3):
+            shape = tuple(int(d) for d in rng.integers(1, 5, ndim))
+            real = _random_floats(rng, shape)
+            cplx = real + 1j * _random_floats(rng, shape)
+            tree = {"real": real, "complex": cplx, "nested": [real, {"c": cplx}]}
+            assert dumps_canonical(tree, indent) == _reference_dumps(tree, indent)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                     complex(np.inf, 0.0)])
+    def test_non_finite_array_entry_rejected(self, bad):
+        a = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_canonical({"a": a}, indent=2)
 
 
 class TestComplexCsv:
