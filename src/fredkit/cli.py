@@ -191,8 +191,8 @@ def _positive(value):
 
 def _lambda(value):
     if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return obj_to_complex(value)
+        value = complex(float(value[0]), float(value[1]))
+    return fredholm._finite_lambda(obj_to_complex(value))
 
 
 def _lambda_grid(text):
@@ -202,8 +202,8 @@ def _lambda_grid(text):
         a, b, steps = float(a), float(b), int(steps)
     except ValueError:
         steps = 0
-    if steps < 1 or not a <= b:
-        raise ValueError(f"malformed, need 'a:b:steps' with a <= b, got {text!r}")
+    if steps < 1 or not -np.inf < a <= b < np.inf:
+        raise ValueError(f"malformed, need 'a:b:steps' with finite a <= b, got {text!r}")
     return np.linspace(a, b, measure._check_count(steps))
 
 

@@ -33,7 +33,6 @@ from .spectral import (
     djf_eig,
     hermitian_eig,
 )
-from .wlinalg import winner
 
 GAP_RTOL = 1e-8
 COND_LIMIT = 1e10
@@ -71,6 +70,14 @@ def _operator_nus(op):
 def _fredholm_lambdas(op):
     nus = _operator_nus(op)
     return 1.0 / nus if nus.size else nus
+
+
+def _finite_lambda(lam):
+    """complex(lam), or InvalidArgumentError when it is not finite."""
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise InvalidArgumentError(f"lambda={lam} is not finite")
+    return lam
 
 
 def _nearest_gap(lam, lambdas):
@@ -136,11 +143,12 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
     the system's condition estimate exceeds 1e10.  The proximity guard
     reads the operator's cached spectrum, so repeated solves on one
-    operator compute eigvals once.
+    operator compute eigvals once.  A non-finite lambda raises
+    InvalidArgumentError.
     """
     if not op.is_square_block:
         raise InvalidArgumentError("resolvent solves need a square block shape")
-    lam = complex(lam)
+    lam = _finite_lambda(lam)
     f = np.asarray(f, dtype=complex)
     n = op.A.shape[0]
     if f.shape != (n,):
@@ -162,7 +170,7 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
     """
     if not op.is_square_block:
         raise InvalidArgumentError("resolvent kernels need a square block shape")
-    NL, _gap = _guarded_solve(op, complex(lam), op.K)
+    NL, _gap = _guarded_solve(op, _finite_lambda(lam), op.K)
     return NL
 
 
@@ -195,12 +203,8 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     lam = complex(lam)
     f = np.asarray(f, dtype=complex)
     lambdas = _series_lambdas(d, k, lam)
-    out = f.astype(complex).copy()
-    w = d.weights
-    for j in range(k):
-        proj = winner(w, d.left[:, j], f)
-        out += lam * proj / (lambdas[j] - lam) * d.right[:, j]
-    return out
+    proj = d.left[:, :k].conj().T @ (d.weights * f)  # <q_j, f>_W
+    return f + d.right[:, :k] @ (lam * proj / (lambdas - lam))
 
 
 def _det_direct(op, lam):
@@ -236,13 +240,16 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     multiplies (1 - lambda*nu_j) over every eigenvalue of A, read from the
     operator's cached spectrum, dropping only the machine-neutral factors
     with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
-    eigenvalues.
+    eigenvalues.  A non-finite lambda or D(lambda) raises InvalidArgumentError.
     """
     if not op.is_square_block:
         raise InvalidArgumentError("determinants need a square block shape")
-    lam = complex(lam)
+    lam = _finite_lambda(lam)
     method = _determinant_method(method)
-    return DeterminantEval(lam=lam, value=_DETERMINANTS[method](op, lam), method=method)
+    value = _DETERMINANTS[method](op, lam)
+    if not np.isfinite(value):
+        raise InvalidArgumentError(f"{method} D(lambda={lam:.6g}) = {value} is not finite")
+    return DeterminantEval(lam=lam, value=value, method=method)
 
 
 def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: int):
@@ -298,12 +305,9 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     """
     lam = complex(lambda_j)
     d = hermitian_eig(op) if op.hermitian_defect() <= HERMITIAN_RTOL else djf_eig(op)
-    basis = []
-    for j in range(d.retained):
-        if abs(1.0 / d.eigenvalues[j] - lam) <= tol:
-            basis.append(d.right[:, j].copy())
-    if not basis:
+    near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
+    if not near.size:
         raise NoSolutionError(
             f"lambda={lam:.6g} is not within {tol} of any Fredholm eigenvalue"
         )
-    return basis
+    return list(d.right[:, near].T.copy())

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedProfileError,
 )
 from .kernels import basis_kernel
-from .wlinalg import anchor_phase
+from .nystrom import _anchor_phase
 
 DESK_DIM_LIMIT = 64
 RANK_RTOL = 1e-10
@@ -259,7 +259,7 @@ def _cluster_chains(N, lam, amult):
         u3, _, _ = np.linalg.svd(W, full_matrices=False)
         for i in range(n_blocks):
             g = u3[:, i]
-            g = g * anchor_phase(g)
+            g = g * _anchor_phase(g)
             chain = [g]
             for _ in range(size - 1):
                 sol, *_ = np.linalg.lstsq(S, chain[-1], rcond=None)

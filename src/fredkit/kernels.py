@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .measure import QuadratureRule
-from .wlinalg import winner
 
 
 def hermite_he(j, x):
@@ -293,7 +292,7 @@ def orthonormal_poly_basis(rule, count):
         p = Poly.basis(k)
         for _ in range(2):
             for q in polys:
-                p = p - Poly(q.coef) * winner(w, q(x), p(x)).real
+                p = p - Poly(q.coef) * float(np.sum(w * q(x) * p(x)))
         nrm = math.sqrt(float(np.sum(w * p(x) ** 2)))
         p = p / nrm
         polys.append(p)

@@ -7,6 +7,10 @@ B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
 The eigenvalues of A are computed at most once per operator, on first use
 of DiscreteOperator.spectrum, and shared by every later caller.
+
+Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
+block samples are node-major (entry i*s + c is component c at node i), each
+node weight repeated over the block's components (w_rows / w_cols).
 """
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +27,6 @@ from .errors import (
 )
 from .kernels import Kernel
 from .measure import QuadratureRule
-from .wlinalg import expand_weights
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,12 @@ class DiscreteOperator:
     @cached_property
     def w_rows(self):
         """Node weights repeated over the block's rows, computed once and read-only."""
-        return _read_only(expand_weights(self.rule.weights, self.shape[0]))
+        return _read_only(np.repeat(self.rule.weights, self.shape[0]))
 
     @cached_property
     def w_cols(self):
         """Node weights repeated over the block's columns, computed once and read-only."""
-        return _read_only(expand_weights(self.rule.weights, self.shape[1]))
+        return _read_only(np.repeat(self.rule.weights, self.shape[1]))
 
     @property
     def is_square_block(self):
@@ -98,6 +101,28 @@ class DiscreteOperator:
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _winner(w, U, V):
+    """<u, v>_W for vectors, else per column pair; each sum runs along a
+    contiguous row, so a column pair rounds exactly as the lone vectors do."""
+    g = np.sum(np.ascontiguousarray(w * np.conj(U.T) * V.T), axis=-1)
+    return complex(g) if U.ndim == 1 else g
+
+
+def _wnorm(w, U):
+    """||u||_W for a vector, else per column (rounded as in _winner)."""
+    nrm = np.sqrt(np.sum(np.ascontiguousarray(w * np.abs(U.T) ** 2), axis=-1))
+    return float(nrm) if U.ndim == 1 else nrm
+
+
+def _anchor_phase(U):
+    """Unit-modulus factor rotating the first maximal-|.| entry of u (of each
+    column of a matrix) real positive; 1 for a zero vector or column."""
+    ua = np.take_along_axis(U, np.argmax(np.abs(U), axis=0, keepdims=True), axis=0)[0]
+    ua = np.where(ua == 0, 1, ua)
+    # hypot rounds as abs() of one complex does; np.abs of an array may not
+    return np.hypot(ua.real, ua.imag) / ua
 
 
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .nystrom import DiscreteOperator
-from .wlinalg import anchor_phase
+from .errors import ConvergenceError, InvalidArgumentError
+from .nystrom import DiscreteOperator, _anchor_phase
 
 RANK_RTOL = 1e-12
 
@@ -49,15 +48,17 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     sqrt(w)); each p_j gets a real-positive anchor entry and q_j inherits
     the same rotation, so A q_j = theta_j p_j is preserved.
     """
-    U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
+    try:
+        U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"svd did not converge: {exc}") from exc
     swr = np.sqrt(op.w_rows)
     swc = np.sqrt(op.w_cols)
     P = U / swr[:, None]
     Q = Vh.conj().T / swc[:, None]
-    for j in range(P.shape[1]):
-        ph = anchor_phase(P[:, j])
-        P[:, j] *= ph
-        Q[:, j] *= ph
+    ph = _anchor_phase(P)
+    P *= ph
+    Q *= ph
     theta1 = s[0] if s.size else 0.0
     rank = int(np.sum(s > RANK_RTOL * theta1)) if theta1 > 0 else 0
     return OperatorSVD(

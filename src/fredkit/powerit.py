@@ -21,9 +21,8 @@ from .errors import (
     UnsupportedProfileError,
 )
 from .kernels import Kernel
-from .nystrom import DiscreteOperator, apply_adjoint, discretize
+from .nystrom import DiscreteOperator, _anchor_phase, _winner, _wnorm, apply_adjoint, discretize
 from .spectral import djf_eig
-from .wlinalg import anchor_phase, winner, wnorm
 
 COLLAPSE_RTOL = 1e-14
 
@@ -65,7 +64,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
         raise InvalidArgumentError("n_max must be >= 1")
     w = op.w_rows
     f = np.asarray(f, dtype=complex)
-    nf = wnorm(w, f)
+    nf = _wnorm(w, f)
     if nf == 0.0:
         raise StartingVectorError("starting vector is zero")
     h = f / nf
@@ -77,15 +76,15 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     while k < n_max:
         k += 1
         y = op.A @ h
-        gh = winner(w, g, h)
-        gy = winner(w, g, y)
+        gh = _winner(w, g, h)
+        gy = _winner(w, g, y)
         if abs(gh) > 1e-14:
             ratio = gy / gh
         else:  # probe momentarily orthogonal to the iterate
-            ratio = winner(w, h, y) / winner(w, h, h)
+            ratio = _winner(w, h, y) / _winner(w, h, h)
         i_star = int(np.argmax(np.abs(h)))
         pw = y[i_star] / h[i_star] if h[i_star] != 0 else complex("nan")
-        ny = wnorm(w, y)
+        ny = _wnorm(w, y)
         if ny <= COLLAPSE_RTOL * op_scale:
             raise StartingVectorError(
                 "iterate collapsed to numerical zero; the starting vector lies "
@@ -166,38 +165,38 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     w = op.w_rows
     p = np.asarray(f, dtype=complex)
     q = np.asarray(g, dtype=complex)
-    if wnorm(w, p) == 0.0 or wnorm(w, q) == 0.0:
+    if _wnorm(w, p) == 0.0 or _wnorm(w, q) == 0.0:
         raise StartingVectorError("starting vector is zero")
-    p = p / wnorm(w, p)
-    q = q / wnorm(w, q)
+    p = p / _wnorm(w, p)
+    q = q / _wnorm(w, q)
     op_scale = max(float(np.linalg.norm(op.A)), 1e-300)
     target = resid_rtol * abs(nu1)
     res_p = res_q = np.inf
     for _ in range(n):
         yp = (op.A @ p) / nu1
         yq = apply_adjoint(op, q) / np.conj(nu1)
-        np_, nq_ = wnorm(w, yp), wnorm(w, yq)
+        np_, nq_ = _wnorm(w, yp), _wnorm(w, yq)
         if np_ <= COLLAPSE_RTOL * op_scale or nq_ <= COLLAPSE_RTOL * op_scale:
             raise StartingVectorError(
                 "iterate collapsed; the starting vector has no component on "
                 "the leading pair"
             )
-        res_p = abs(nu1) * wnorm(w, yp - p * (winner(w, p, yp)))
-        res_q = abs(nu1) * wnorm(w, yq - q * (winner(w, q, yq)))
+        res_p = abs(nu1) * _wnorm(w, yp - p * (_winner(w, p, yp)))
+        res_q = abs(nu1) * _wnorm(w, yq - q * (_winner(w, q, yq)))
         p = yp / np_
         q = yq / nq_
         if max(res_p, res_q) <= 0.1 * target:
             break
-    res_p = wnorm(w, op.A @ p - nu1 * p)
-    res_q = wnorm(w, apply_adjoint(op, q) - np.conj(nu1) * q)
+    res_p = _wnorm(w, op.A @ p - nu1 * p)
+    res_q = _wnorm(w, apply_adjoint(op, q) - np.conj(nu1) * q)
     if max(res_p, res_q) > target:
         raise ConvergenceError(
             f"eigen-residual {max(res_p, res_q):.3e} stagnates above "
             f"{target:.3e}; the dominant eigenvalue is likely defective or "
             "non-simple -- see the jordan module"
         )
-    p = p * anchor_phase(p)
-    q = q / np.conj(winner(w, q, p))
+    p = p * _anchor_phase(p)
+    q = q / np.conj(_winner(w, q, p))
     return p, q
 
 
@@ -221,7 +220,7 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     nu1 = complex(nu1)
     if not np.isfinite(nu1):
         raise PreconditionViolationError(f"eigenvalue nu1 = {nu1} is not finite")
-    pairing = winner(op.w_rows, q1, p1)
+    pairing = _winner(op.w_rows, q1, p1)
     if not abs(pairing - 1.0) <= 1e-8:  # a NaN pairing fails too
         raise PreconditionViolationError(
             f"pair is not bi-orthonormalized: <q1, p1>_W = {pairing:.12g}"
@@ -305,7 +304,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
         except (ConvergenceError, StartingVectorError) as exc:
             result.failure_reason = f"stage {stage}: {exc}"
             return result
-        nu = winner(w, q, current.A @ p)  # Rayleigh refinement, <q, p>_W = 1
+        nu = _winner(w, q, current.A @ p)  # Rayleigh refinement, <q, p>_W = 1
         result.triples.append((nu, p, q))
         result.stages_completed = stage
         current = deflate(current, nu, p, q)

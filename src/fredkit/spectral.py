@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DefectiveSuspectedError,
     InvalidArgumentError,
     NoSpectrumError,
     WrongDecompositionError,
 )
-from .nystrom import DiscreteOperator
-from .wlinalg import anchor_phase, winner, wnorm
+from .nystrom import DiscreteOperator, _anchor_phase, _winner, _wnorm
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 REFINE_RTOL = 1e-5        # Nystrom refinement only above this: the A p / nu pass
@@ -131,6 +131,20 @@ def _biorth_residual(w, P, Q, retained):
     return float(np.max(np.abs(G - np.eye(retained))))
 
 
+def _matvecs(M, X):
+    """M @ x for each column x of X, as stacked matrix-vector products that
+    round as a lone M @ x does: a matrix-matrix product rounds otherwise and
+    can move an anchor between tied entries (mirror nodes of a symmetric rule)."""
+    return np.matmul(M, X.T[:, :, None])[:, :, 0].T
+
+
+def _unit_anchored(w, P):
+    """Per-column factors giving each nonzero column of P unit W-norm and a
+    real-positive first maximal entry (1 for a zero column)."""
+    nrm = _wnorm(w, P)
+    return _anchor_phase(P) / np.where(nrm > 0, nrm, 1.0)
+
+
 def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
@@ -151,22 +165,20 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
             f"kernel is not Hermitian (relative defect {defect:.3e}); use djf_eig"
         )
     Bsym = 0.5 * (op.B + op.B.conj().T)
-    vals, vecs = np.linalg.eigh(Bsym)
+    try:
+        vals, vecs = np.linalg.eigh(Bsym)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     eigenvalues = vals.astype(complex)
     order = _sort_order(eigenvalues)
     vals, eigenvalues, vecs = vals[order], eigenvalues[order], vecs[:, order]
     w = op.w_rows
     P = vecs / np.sqrt(w)[:, None]
     retained = _retained_count(eigenvalues)
-    top = np.abs(vals[0]) if vals.size else 0.0
-    for j in range(P.shape[1]):
-        col = P[:, j]
-        if retained and abs(vals[j]) >= REFINE_RTOL * top:
-            col = (op.A @ col) / vals[j]
-        nrm = wnorm(w, col)
-        if nrm > 0:
-            col = col * (anchor_phase(col) / nrm)
-        P[:, j] = col
+    if retained:
+        sel = np.flatnonzero(np.abs(vals) >= REFINE_RTOL * np.abs(vals[0]))
+        P[:, sel] = _matvecs(op.A, P[:, sel]) / vals[sel]
+    P *= _unit_anchored(w, P)
     resid = _biorth_residual(w, P, P, retained)
     return BiSpectralDecomposition(
         eigenvalues=eigenvalues,
@@ -199,7 +211,10 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """
     if not op.is_square_block:
         raise InvalidArgumentError("eigendecomposition needs a square block shape")
-    vals, V = np.linalg.eig(op.B)
+    try:
+        vals, V = np.linalg.eig(op.B)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eig did not converge: {exc}") from exc
     order = _sort_order(vals)
     vals = vals[order]
     V = V[:, order]
@@ -207,14 +222,15 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     _check_coalescence(vals, V, retained)
     _rebasis_degenerate(vals, V, retained)
     top = np.abs(vals[0]) if vals.size else 0.0
-    for j in range(retained):
-        resid = float(np.linalg.norm(op.B @ V[:, j] - vals[j] * V[:, j]))
-        resid /= float(np.linalg.norm(V[:, j]))
-        if resid > 1e-9 * top:
-            raise DefectiveSuspectedError(
-                f"eigen-residual {resid:.3e} for nu={vals[j]:.6g} exceeds "
-                "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module"
-            )
+    Vr = V[:, :retained]
+    resid = np.linalg.norm(op.B @ Vr - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
+    bad = np.flatnonzero(resid > 1e-9 * top)
+    if bad.size:
+        j = bad[0]
+        raise DefectiveSuspectedError(
+            f"eigen-residual {resid[j]:.3e} for nu={vals[j]:.6g} exceeds "
+            "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module"
+        )
     sv = np.linalg.svd(V, compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if cond > COND_LIMIT:
@@ -224,29 +240,22 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         )
 
     w = op.w_rows
-    sqw = np.sqrt(w)
-    top = np.abs(vals[0]) if vals.size else 0.0
+    sqw = np.sqrt(w)[:, None]
     # normalize V columns so the node samples p = V/sqrt(w) come out with
     # unit weighted norm and a real-positive anchor entry
-    for j in range(V.shape[1]):
-        p = V[:, j] / sqw
-        nrm = wnorm(w, p)
-        if nrm > 0:
-            V[:, j] *= anchor_phase(p) / nrm
+    V *= _unit_anchored(w, V / sqw)
     U = np.linalg.inv(V).conj().T
-    P = V / sqw[:, None]
-    Q = U / sqw[:, None]
-    for j in range(retained):
-        if abs(vals[j]) < REFINE_RTOL * top:
-            continue
-        p = (op.A @ P[:, j]) / vals[j]
-        nrm = wnorm(w, p)
-        p *= anchor_phase(p) / nrm
-        q = (op.K.conj().T @ (w * Q[:, j])) / np.conj(vals[j])
-        g = winner(w, q, p)
-        q /= np.conj(g)
-        P[:, j] = p
-        Q[:, j] = q
+    P = V / sqw
+    Q = U / sqw
+    # one Nystrom pass on the retained pairs above REFINE_RTOL: p <- A p / nu
+    # and q <- K^H (w q) / conj(nu), then q rescaled to <q, p>_W = 1
+    sel = np.flatnonzero(np.abs(vals[:retained]) >= REFINE_RTOL * top)
+    Ps = _matvecs(op.A, P[:, sel]) / vals[sel]
+    Ps *= _unit_anchored(w, Ps)
+    Qs = _matvecs(op.K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
+    Qs /= np.conj(_winner(w, Qs, Ps))
+    P[:, sel] = Ps
+    Q[:, sel] = Qs
     resid = _biorth_residual(w, P, Q, retained)
     if resid > 1e-8:
         raise DefectiveSuspectedError(
@@ -274,19 +283,21 @@ def _check_coalescence(vals, V, retained, val_rtol=1e-6, angle_tol=1e-8):
     """
     if retained < 2:
         return
-    top = np.abs(vals[0])
+    v = vals[:retained]
+    # pairs i < j of nearly equal eigenvalues; their overlaps come from one Gram matrix
+    close = np.triu(np.abs(v[:, None] - v[None, :]) <= val_rtol * np.abs(v[0]), k=1)
+    if not close.any():
+        return
     Vr = V[:, :retained]
     Vr = Vr / np.linalg.norm(Vr, axis=0)
-    for i in range(retained):
-        for j in range(i + 1, retained):
-            if abs(vals[i] - vals[j]) > val_rtol * top:
-                continue
-            overlap = abs(np.vdot(Vr[:, i], Vr[:, j]))
-            if overlap > 1.0 - angle_tol:
-                raise DefectiveSuspectedError(
-                    f"eigenvectors of nearly equal eigenvalues nu={vals[i]:.6g} "
-                    f"coalesce (overlap {overlap:.12f}); use the jordan module"
-                )
+    overlap = np.abs(Vr.conj().T @ Vr)
+    hits = np.argwhere(close & (overlap > 1.0 - angle_tol))
+    if hits.size:
+        i, j = hits[0]
+        raise DefectiveSuspectedError(
+            f"eigenvectors of nearly equal eigenvalues nu={vals[i]:.6g} "
+            f"coalesce (overlap {overlap[i, j]:.12f}); use the jordan module"
+        )
 
 
 def _rebasis_degenerate(vals, V, retained):
@@ -356,10 +367,7 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
     if n < 1:
         raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
     approx = (profile.r1 ** n) * profile.coefficient_matrix(n)
-    w = d.weights
-    scale = 0.0
-    for j in range(profile.R, d.retained):
-        scale += wnorm(w, d.left[:, j])
+    scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R : d.retained])))
     bound = (profile.r0 ** n) * scale
     return approx, bound
 

@@ -390,6 +390,12 @@ MALFORMED = [
      1, "params.lambda_grid:"),
     ("det-method-unknown", {"command": "det", "params": {"method": "lu"}}, 1, "params.method:"),
     ("det-method-number", {"command": "det", "params": {"method": 3}}, 1, "params.method:"),
+    ("det-lambda-nan", {"command": "det", "params": {"lambda": float("nan")}},
+     1, "params.lambda:"),
+    ("det-grid-infinite", {"command": "det", "params": {"lambda_grid": "-inf:0:3"}},
+     1, "params.lambda_grid:"),
+    ("solve-lambda-infinite", {"command": "solve", "params": {"lambda": [0.0, float("inf")]}},
+     1, "params.lambda:"),
     ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
      1, "params.n:"),
     ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),
@@ -426,6 +432,33 @@ class TestMalformedConfigs:
         cfg.write_text(json.dumps(doc))
         assert main(["-c", str(cfg)]) == 2
         assert "output error" in capsys.readouterr().err
+
+
+def test_overflowing_determinant_exits_1(tmp_path, capsys):
+    """lambda = 1e308 (1 + i) is finite, so validate passes it; the
+    determinant overflows and is refused when it is computed."""
+    out = tmp_path / "out.json"
+    doc = dict(MEHLER_EIG, command="det", params={"lambda": {"re": 1e308, "im": 1e308}},
+               output={"format": "json", "destination": str(out)})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    with np.errstate(all="ignore"):
+        assert main(["-c", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidArgumentError: direct D(lambda=1e+308+1e+308j) = ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_lapack_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, text = run_cli(tmp_path, MEHLER_EIG)
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("ConvergenceError: eigh did not converge")
 
 
 @pytest.mark.parametrize("raw, cap", [(None, None), ("0", 1), ("1", 1), ("3", 3), ("many", None)])

@@ -1,0 +1,226 @@
+"""The weighted-geometry conventions at benchmark scale.
+
+hermitian_eig, djf_eig and operator_svd normalize whole arrays of columns
+through nystrom's column-wise helpers.  The scalar helpers they replaced
+are kept below, verbatim, as the oracle: column by column, the array forms
+must give the same bits, the decompositions must return what the helpers
+made of one column at a time, bit for bit, and the outputs must keep unit
+W-norms, a real-positive first maximal entry, and the orthonormality and
+bi-orthogonality budgets.  Cases are seeded, at the N = 64 / 256 sizes of
+the benchmark's smaller workloads and at its N = 1024 for the Hermitian
+and SVD paths; djf_eig at N = 1024 (about 5 s) is left to the benchmark.
+"""
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import fredkit as fk
+from fredkit import spectral
+from fredkit.errors import DefectiveSuspectedError
+from fredkit.kernels import ClosedForm
+from fredkit.nystrom import _anchor_phase, _winner, _wnorm
+
+UNIT = np.finfo(float).eps / 2  # unit roundoff u
+
+
+def winner(w, u, v):
+    """Weighted inner product sum_i w_i * conj(u_i) * v_i."""
+    return complex(np.sum(w * np.conj(u) * v))
+
+
+def wnorm(w, u):
+    """Weighted 2-norm induced by `winner`."""
+    return float(np.sqrt(np.sum(w * np.abs(u) ** 2).real))
+
+
+def anchor_phase(u):
+    """Unit-modulus factor that rotates the largest-|.| entry real positive.
+
+    Ties resolve to the first maximal entry, which makes the convention
+    deterministic.  Returns 1.0 for the zero vector.
+    """
+    a = int(np.argmax(np.abs(u)))
+    ua = u[a]
+    if ua == 0:
+        return 1.0
+    return abs(ua) / ua
+
+
+def twin_kernel(a):
+    """e^{iay} M(y, z) e^{-iaz}: Hermitian, complex, with Mehler's spectrum."""
+    mehler = fk.mehler_kernel(0.5).body.evaluator
+    return fk.Kernel(shape=(1, 1), body=ClosedForm(
+        lambda y, z: np.exp(1j * a * y) * mehler(y, z) * np.exp(-1j * a * z)))
+
+
+@lru_cache(maxsize=None)
+def operator(name, n):
+    """The seeded operator `name` on Gauss-Legendre n over [-4, 4]."""
+    rule = fk.gauss_legendre(n, -4.0, 4.0)
+    rng = np.random.default_rng(n)
+    if name == "mehler":
+        kern = fk.mehler_kernel(0.5)
+    elif name == "twin":
+        kern = twin_kernel(rng.uniform(0.5, 1.5))
+    else:  # a real symmetric basis kernel of rank 6
+        C = rng.standard_normal((6, 6))
+        kern = fk.basis_kernel(C + C.T, fk.orthonormal_poly_basis(rule, 6), rule)
+    return fk.discretize(kern, rule)
+
+
+METHODS = {"eig": fk.hermitian_eig, "djf": fk.djf_eig, "svd": fk.operator_svd}
+CASES = [(name, n, method) for n in (64, 256) for name in ("mehler", "twin", "basis")
+         for method in METHODS] + [("mehler", 1024, "eig"), ("mehler", 1024, "svd")]
+
+
+@lru_cache(maxsize=None)
+def decomposition(name, n, method):
+    return METHODS[method](operator(name, n))
+
+
+def teardown_module():
+    operator.cache_clear()  # the N = 1024 operator and its decompositions
+    decomposition.cache_clear()
+
+
+def families(d, method):
+    """(anchored family, other family, row weights, scored columns)."""
+    if method == "svd":
+        return d.left, d.right, d.w_rows, d.rank_numerical
+    return d.right, d.left, d.weights, d.retained
+
+
+def columns(f, w, X, *more):
+    return np.array([f(w, X[:, j], *(Y[:, j] for Y in more)) for j in range(X.shape[1])])
+
+
+@pytest.mark.parametrize("name, n, method", CASES)
+def test_array_helpers_match_the_scalar_ones(name, n, method):
+    d = decomposition(name, n, method)
+    P, Q, w, _ = families(d, method)  # square blocks: one weight vector serves P and Q
+    rng = np.random.default_rng(n)
+    # the outputs, and a copy with seeded column phases: an unanchored input
+    spun = P * np.exp(1j * rng.uniform(-np.pi, np.pi, P.shape[1]))
+    for X in (P, Q, spun):
+        anchors = np.array([int(np.argmax(np.abs(X[:, j]))) for j in range(X.shape[1])])
+        assert np.array_equal(np.argmax(np.abs(X), axis=0), anchors)
+        phases = np.array([anchor_phase(X[:, j]) for j in range(X.shape[1])])
+        assert np.array_equal(_anchor_phase(X), phases)
+        assert np.array_equal(_wnorm(w, X), columns(wnorm, w, X))
+    assert np.array_equal(_winner(w, Q, P), columns(winner, w, Q, P))
+    assert np.array_equal(_winner(w, spun, P), columns(winner, w, spun, P))
+    for j in (0, P.shape[1] - 1):  # a vector is the one-column case
+        assert _wnorm(w, P[:, j]) == wnorm(w, P[:, j])
+        assert _winner(w, Q[:, j], P[:, j]) == winner(w, Q[:, j], P[:, j])
+        assert _anchor_phase(P[:, j]) == anchor_phase(P[:, j])
+
+
+def test_exact_ties_go_to_the_first_maximal_entry():
+    X = np.array([[1.0, -1j, 0.0], [-1.0, 1.0, 0.0], [1j, -1.0, 0.0]])
+    phases = [anchor_phase(X[:, j]) for j in range(3)]
+    assert phases == [1.0, 1j, 1.0]  # the zero column keeps phase 1
+    assert np.array_equal(_anchor_phase(X), phases)
+    assert _anchor_phase(X[:, 1]) == 1j
+
+
+@pytest.mark.parametrize("name, n, method", CASES)
+def test_outputs_keep_the_conventions(name, n, method):
+    d = decomposition(name, n, method)
+    P, Q, w, r = families(d, method)
+    assert r >= 6
+    Pr, Qr = P[:, :r], Q[:, :r]
+    assert np.max(np.abs(columns(wnorm, w, Pr) - 1.0)) <= n * UNIT
+    # the anchor, the first maximal entry before the final rounding, is real
+    # positive; rounding may lift a mirror-node twin a hair above it
+    mods = np.abs(Pr)
+    near_top = mods >= (1.0 - 8 * UNIT) * mods.max(axis=0)
+    positive = np.abs(Pr - mods) <= 4 * UNIT * mods
+    assert np.all(np.any(near_top & positive, axis=0))
+    gram = Qr.conj().T @ (w[:, None] * Pr) - np.eye(r)
+    if method == "djf":
+        assert np.max(np.abs(gram)) <= 1e-8
+        assert d.biorth_residual == pytest.approx(np.max(np.abs(gram)), abs=1e-15)
+    else:
+        for X in (Pr, Qr):
+            assert np.max(np.abs(X.conj().T @ (w[:, None] * X) - np.eye(r))) <= 1e-10
+
+
+def column_at_a_time(op, method):
+    """The decompositions' outputs as the scalar helpers made them, one column
+    at a time; the LAPACK calls, sort and refusal checks are fredkit's own."""
+    w = op.w_rows
+    if method == "svd":
+        U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
+        P, Q = U / np.sqrt(w)[:, None], Vh.conj().T / np.sqrt(op.w_cols)[:, None]
+        for j in range(P.shape[1]):
+            ph = anchor_phase(P[:, j])
+            P[:, j] *= ph
+            Q[:, j] *= ph
+        return P, Q
+    if method == "eig":
+        vals, vecs = np.linalg.eigh(0.5 * (op.B + op.B.conj().T))
+        order = spectral._sort_order(vals.astype(complex))
+        vals, P = vals[order], vecs[:, order] / np.sqrt(w)[:, None]
+        for j in range(P.shape[1]):
+            col = P[:, j]
+            if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
+                col = (op.A @ col) / vals[j]
+            P[:, j] = col * (anchor_phase(col) / wnorm(w, col))
+        return P, P
+    vals, V = np.linalg.eig(op.B)
+    order = spectral._sort_order(vals)
+    vals, V = vals[order], V[:, order]
+    retained = spectral._retained_count(vals)
+    spectral._rebasis_degenerate(vals, V, retained)
+    sqw = np.sqrt(w)
+    for j in range(V.shape[1]):
+        p = V[:, j] / sqw
+        V[:, j] *= anchor_phase(p) / wnorm(w, p)
+    P, Q = V / sqw[:, None], np.linalg.inv(V).conj().T / sqw[:, None]
+    for j in range(retained):
+        if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
+            p = (op.A @ P[:, j]) / vals[j]
+            p *= anchor_phase(p) / wnorm(w, p)
+            q = (op.K.conj().T @ (w * Q[:, j])) / np.conj(vals[j])
+            P[:, j], Q[:, j] = p, q / np.conj(winner(w, q, p))
+    return P, Q
+
+
+@pytest.mark.parametrize("name, n, method", CASES)
+def test_outputs_equal_the_column_at_a_time_ones(name, n, method):
+    """Bit for bit, so every anchor lands where one column alone puts it:
+    Mehler's odd eigenfunctions on a symmetric rule have mirror-node entries
+    tied up to rounding, and a matrix-matrix polish moves some of them."""
+    P, Q, _, _ = families(decomposition(name, n, method), method)
+    P_ref, Q_ref = column_at_a_time(operator(name, n), method)
+    assert np.array_equal(P, P_ref)
+    assert np.array_equal(Q, Q_ref)
+
+
+def jordan_like(m, delta, n=12):
+    """A kernel acting as 0.5 I + N + delta diag(0, 1, .., m-1) on m basis
+    functions over Gauss-Legendre n: a Jordan block for delta = 0."""
+    rule = fk.gauss_legendre(n, 0.0, 1.0)
+    J = 0.5 * np.eye(m) + np.diag(np.ones(m - 1), 1) + delta * np.diag(np.arange(m))
+    return fk.discretize(fk.basis_kernel(J, fk.orthonormal_poly_basis(rule, m), rule), rule)
+
+
+def defective(m, n=12):
+    rule = fk.gauss_legendre(n, 0.0, 1.0)
+    basis = fk.orthonormal_poly_basis(rule, m)
+    return fk.discretize(fk.defective_kernel(0.5, m, basis, rule), rule)
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: defective(2), r"^eigenvectors of nearly equal eigenvalues nu=0\.5[-+]\S+j "
+     r"coalesce \(overlap 1\.000000000000\); use the jordan module$"),
+    (lambda: defective(3), r"^eigenvector matrix condition \S+e\+10 exceeds 1e8; the operator "
+     r"looks defective -- use the jordan module$"),
+    # condition 7.6e7 passes; the residual, about cond * u, lands at 1.7e-8 to 1.8e-8
+    (lambda: jordan_like(3, 1.778e-4), r"^bi-orthogonality residual \S+e-08 exceeds 1e-8; "
+     r"the operator looks defective -- use the jordan module$"),
+], ids=["coalescence", "condition", "bi-orthogonality"])
+def test_djf_refusal_branches(op, message):
+    with pytest.raises(DefectiveSuspectedError, match=message):
+        fk.djf_eig(op())

@@ -313,3 +313,30 @@ class TestFirstKindSolve:
         op = fk.discretize(kern, gl8)
         basis = fk.first_kind_solve(op, 1.0 / 0.3, tol=1e-6)
         assert len(basis) == 2
+
+
+NON_FINITE = [complex("nan"), complex("inf"), complex(0.5, -np.inf), complex(1.0, np.nan)]
+# entry point -> a call taking (operator, lambda, rhs)
+LAMBDA_ENTRY_POINTS = {
+    "resolvent_solve": lambda op, lam, f: fk.resolvent_solve(op, lam, f),
+    "resolvent_kernel": lambda op, lam, f: fk.resolvent_kernel(op, lam),
+    "det_direct": lambda op, lam, f: fk.fredholm_determinant(op, lam, "direct"),
+    "det_product": lambda op, lam, f: fk.fredholm_determinant(op, lam, "product"),
+}
+
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("entry", LAMBDA_ENTRY_POINTS)
+    def test_refused_with_its_name(self, mehler_op, entry, lam):
+        with pytest.raises(InvalidArgumentError, match="lambda=.* is not finite"):
+            LAMBDA_ENTRY_POINTS[entry](mehler_op, lam, np.ones(40))
+
+    @pytest.mark.parametrize("method", ["direct", "product"])
+    @pytest.mark.parametrize("lam", [1e300, complex(1e308, 1e308)], ids=str)
+    def test_overflowing_determinant_refused(self, lam, method):
+        # Mehler on GH8: D(lambda) ~ prod_j (1 - lambda 2^-j), far beyond 1e308
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(8))
+        with np.errstate(all="ignore"):
+            with pytest.raises(InvalidArgumentError, match=rf"{method} D\(lambda="):
+                fk.fredholm_determinant(op, lam, method)

@@ -251,3 +251,15 @@ class TestSvdTruncate:
             fk.svd_truncate(sv, 0)
         with pytest.raises(InvalidArgumentError):
             fk.svd_truncate(sv, sv.rank_numerical + 1)
+
+
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op):
+    failure = np.linalg.LinAlgError("SVD did not converge")
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(fk.ConvergenceError, match="svd did not converge") as err:
+        fk.operator_svd(mehler_op)
+    assert err.value.__cause__ is failure

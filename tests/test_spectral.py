@@ -250,3 +250,16 @@ class TestExpansionInvariants:
                 series += d.eigenvalues[j] ** n * proj * d.right[:, j]
             scale = max(np.max(np.abs(exact)), 1e-300)
             assert np.max(np.abs(exact - series)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("name, decompose", [("eigh", fk.hermitian_eig), ("eig", fk.djf_eig)])
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op, name, decompose):
+    failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(fk.ConvergenceError, match=f"{name} did not converge") as err:
+        decompose(mehler_op)
+    assert err.value.__cause__ is failure
