@@ -17,7 +17,7 @@ pays for one eigvals.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .errors import (
     EigenvalueProximityError,
@@ -30,6 +30,7 @@ from .spectral import (
     BiSpectralDecomposition,
     HERMITIAN_RTOL,
     RETAIN_RTOL,
+    _lu_with_cond,
     djf_eig,
     hermitian_eig,
 )
@@ -88,15 +89,6 @@ def _nearest_gap(lam, lambdas):
     return float(dists[i]), complex(lambdas[i])
 
 
-def _lu_with_cond(M):
-    lu, piv = lu_factor(M)
-    gecon = get_lapack_funcs("gecon", (M,))
-    anorm = float(np.linalg.norm(M, 1))
-    rcond, _info = gecon(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
-    return (lu, piv), cond
-
-
 def _guard_proximity(op, lam):
     """Reject lambda too close to a Fredholm eigenvalue; return the gap."""
     lambdas = _fredholm_lambdas(op)
@@ -113,10 +105,12 @@ def _guard_proximity(op, lam):
 
 def _guarded_lu(op, lam):
     """(M, (lu, piv), nearest_eigen_gap) for M = I - lambda*A, refusing
-    lambda near the cached spectrum or a condition estimate above 1e10."""
+    lambda near the cached spectrum or a condition estimate above 1e10, and
+    a lambda so large that M or its 1-norm overflows."""
     gap, nearest = _guard_proximity(op, lam)
-    M = np.eye(op.A.shape[0], dtype=complex) - lam * op.A
-    fac, cond = _lu_with_cond(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.eye(op.A.shape[0], dtype=complex) - lam * op.A
+    fac, cond = _lu_with_cond(M, f"I - lambda*A at lambda={lam:.6g}")
     if cond > COND_LIMIT:
         raise EigenvalueProximityError(
             f"system condition {cond:.3e} exceeds 1e10 near lambda={lam:.6g}; "

@@ -177,22 +177,60 @@ def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
         raise InvalidArgumentError(
             f"sample vector has length {p.shape}, expected ({op.K.shape[0]},)"
         )
-    return op.K.conj().T @ (op.w_rows * p)
+    # conj((w p)^H K) = K^H (w p) without forming K^H, an N x N copy per call
+    return np.conj(np.conj(op.w_rows * p) @ op.K)
 
 
 def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
-    """Node samples of the n-th iterated kernel: (K W)^{n-1} K.
+    """Node samples of the n-th iterated kernel: X_n = (K W)^{n-1} K.
 
-    n = 1 returns K itself.  Requires a square block shape.
+    n = 1 returns a copy of K and n = 2 returns A @ K.  Larger n is built by
+    doubling, from X_{a+b} = X_a W X_b: walking the bits of n below the
+    leading one, each bit squares, X <- (X W) X, and each 1 bit then steps
+    once more, X <- A X = (X W) K.  That is floor(log2 n) + popcount(n) - 1
+    matrix products instead of n - 1, with at most two N x N arrays and one
+    N x 256 column slab alive.
+
+    Roundoff grows as for the sequential product: if one product rounds
+    within g |P| |Q| componentwise (g = sqrt(2) gamma_{2N} for N-term complex
+    inner products in any summation order) and scaling by W within u, then
+    by induction over X_{a+b} = X_a W X_b, every evaluation order gives
+    |computed X_n - X_n| <= (((1 + u)(1 + g))^{n-1} - 1) |K| (W |K|)^{n-1}
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5).
+
+    Requires a square block shape.  Raises InvalidArgumentError when an
+    entry of the iterate is not finite (overflow).
     """
     if not op.is_square_block:
         raise InvalidArgumentError("iterated kernels need a square block shape")
     if n < 1:
         raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
-    out = np.array(op.K, dtype=complex)
-    for _ in range(n - 1):
-        out = op.A @ out
-    return out
+    X = np.array(op.K, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in bin(n)[3:]:
+            _square_in_place(X, op.w_cols)
+            if bit == "1":
+                X = op.A @ X
+        if not np.isfinite(X).all():
+            raise InvalidArgumentError(
+                f"iterate n={n} overflows: its entries are not finite"
+            )
+    return X
+
+
+# columns per product in _square_in_place: as fast as one whole product at
+# N = 1024 on one OpenBLAS thread (128 costs about 7 % more), for a quarter
+# of an N x N array
+_SLAB = 256
+
+
+def _square_in_place(X, w):
+    """X <- (X W) X, one column slab at a time: a slab of the product needs
+    only that slab of X, so no third N x N array is made.  Each entry is the
+    same inner product as in the whole product."""
+    XW = X * w
+    for j in range(0, X.shape[1], _SLAB):
+        X[:, j : j + _SLAB] = XW @ X[:, j : j + _SLAB]
 
 
 def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):

@@ -12,9 +12,11 @@ orthonormality of matrix eigenvectors maps onto weighted orthonormality of
 node samples, then polish retained eigenvectors with one Nystrom pass
 (p <- A p / nu), which restores full accuracy at small-weight nodes.
 """
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import (
     ConvergenceError,
@@ -145,6 +147,25 @@ def _unit_anchored(w, P):
     return _anchor_phase(P) / np.where(nrm > 0, nrm, 1.0)
 
 
+def _lu_with_cond(M, name):
+    """((lu, piv), cond) for a square M: one LU factorization and the 1-norm
+    condition estimate LAPACK gecon takes from it (Hager-Higham), inf when M
+    is exactly singular.  Raises InvalidArgumentError, naming M by ``name``,
+    when M or its 1-norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        anorm = float(np.linalg.norm(M, 1))
+    if not np.isfinite(anorm):
+        raise InvalidArgumentError(f"{name} has 1-norm {anorm}, not a finite number")
+    with warnings.catch_warnings():
+        # an exactly zero pivot shows as rcond = 0 below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(M, check_finite=False)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, _info = gecon(lu, anorm)
+    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
+    return (lu, piv), cond
+
+
 def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
@@ -200,11 +221,15 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     with a real-positive anchor entry, which pins down the free constant
     multipliers; the left vectors then have no freedom left.
 
+    The normalized eigenvector matrix V is factored once: its 1-norm
+    condition estimate (LAPACK gecon) guards the refusal below, and the
+    left family U = V^{-H} is solved from the same LU.
+
     Raises
     ------
     DefectiveSuspectedError
-        If the eigenvector matrix is numerically singular (condition
-        > 1e8), if two retained eigenvectors with close eigenvalues are
+        If the eigenvector matrix is numerically singular (1-norm condition
+        estimate > 1e8), if two retained eigenvectors with close eigenvalues are
         numerically parallel, or if the final bi-orthogonality residual
         exceeds 1e-8.  A non-diagonal Jordan structure is the likely
         cause; see the jordan module.
@@ -231,20 +256,25 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
             f"eigen-residual {resid[j]:.3e} for nu={vals[j]:.6g} exceeds "
             "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module"
         )
-    sv = np.linalg.svd(V, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    w = op.w_rows
+    sqw = np.sqrt(w)[:, None]
+    # normalize V columns so the node samples p = V/sqrt(w) come out with
+    # unit weighted norm and a real-positive anchor entry; eig's columns have
+    # unit 2-norm already, so this turns each by a phase and leaves V's
+    # condition alone up to rounding
+    V *= _unit_anchored(w, V / sqw)
+    fac, cond = _lu_with_cond(V, "the eigenvector matrix")
     if cond > COND_LIMIT:
         raise DefectiveSuspectedError(
             f"eigenvector matrix condition {cond:.3e} exceeds 1e8; the operator "
             "looks defective -- use the jordan module"
         )
-
-    w = op.w_rows
-    sqw = np.sqrt(w)[:, None]
-    # normalize V columns so the node samples p = V/sqrt(w) come out with
-    # unit weighted norm and a real-positive anchor entry
-    V *= _unit_anchored(w, V / sqw)
-    U = np.linalg.inv(V).conj().T
+    # U = V^{-H}, solved over the identity in place and conjugated in place;
+    # the LU is freed first, so no more N x N arrays are alive than for inv(V)
+    U = lu_solve(fac, np.eye(V.shape[0], dtype=V.dtype, order="F"), overwrite_b=True,
+                 check_finite=False)
+    del fac
+    U = np.conj(U, out=U).T
     P = V / sqw
     Q = U / sqw
     # one Nystrom pass on the retained pairs above REFINE_RTOL: p <- A p / nu

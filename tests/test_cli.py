@@ -1,4 +1,6 @@
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -448,6 +450,56 @@ def test_overflowing_determinant_exits_1(tmp_path, capsys):
     assert err.startswith("InvalidArgumentError: direct D(lambda=1e+308+1e+308j) = ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_overflowing_solve_exits_1(tmp_path, capsys):
+    """At lambda = 1e308 (1 + i) the 1-norm of I - lambda*A overflows: the
+    solve is refused as invalid, not as near an eigenvalue, and no numpy
+    overflow warning is printed."""
+    doc = dict(MEHLER_EIG, command="solve",
+               params={"lambda": {"re": 1e308, "im": 1e308}, "rhs": "ones"},
+               measure={"kind": "gauss-hermite-prob", "n": 8})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(tmp_path, doc)
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidArgumentError: I - lambda*A at lambda=1e+308+1e+308j has 1-norm inf")
+    assert err.count("\n") == 1
+
+
+YZ10_ITERATE = {
+    "kernel": {"name": "separable", "coeffs": [10.0], "rights": [[0, 1]], "lefts": [[0, 1]]},
+    "measure": {"kind": "gauss-legendre", "n": 8, "a": 0.0, "b": 1.0},
+    "command": "iterate",
+    "params": {"n": 700},
+    "output": {"format": "json", "destination": None},
+}
+
+
+def test_overflowing_iterate_exits_1(tmp_path, capsys):
+    # eigenvalue 10/3: the 700th iterate is about (10/3)^699 ~ 1e365
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(tmp_path, YZ10_ITERATE)
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "InvalidArgumentError: iterate n=700 overflows: its entries are not finite\n")
+
+
+def test_huge_iterate_count_is_fast(tmp_path):
+    # the 1e8-th iterate of y z (eigenvalue 1/3) underflows to zero; doubling
+    # reaches it in 26 squarings and 11 extra products
+    doc = dict(YZ10_ITERATE, kernel=YZ_DET["kernel"], params={"n": 100_000_000})
+    start = time.perf_counter()
+    code, text = run_cli(tmp_path, doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["n"] == 100_000_000
+    assert all(v == 0 for row in doc["matrix"] for entry in row for v in entry.values())
 
 
 def test_lapack_failure_exits_1(tmp_path, capsys, monkeypatch):

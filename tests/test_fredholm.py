@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -284,11 +286,12 @@ class TestLogDerivativeCheck:
             fk.determinant_log_derivative_check(yz_op, (0.0, 3.0), 50)
 
     def test_one_factorization_per_path_point(self, monkeypatch):
-        from fredkit import fredholm
+        from fredkit import spectral
 
         calls = []
-        lu_factor, det = fredholm.lu_factor, np.linalg.det
-        monkeypatch.setattr(fredholm, "lu_factor", lambda M: calls.append("lu") or lu_factor(M))
+        lu_factor, det = spectral.lu_factor, np.linalg.det
+        monkeypatch.setattr(spectral, "lu_factor",
+                            lambda M, **kw: calls.append("lu") or lu_factor(M, **kw))
         monkeypatch.setattr(np.linalg, "det", lambda M: calls.append("det") or det(M))
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         assert fk.determinant_log_derivative_check(op, (0.0, 0.9), 20) <= 0.05
@@ -340,3 +343,14 @@ class TestNonFiniteLambda:
         with np.errstate(all="ignore"):
             with pytest.raises(InvalidArgumentError, match=rf"{method} D\(lambda="):
                 fk.fredholm_determinant(op, lam, method)
+
+    @pytest.mark.parametrize("entry", ["resolvent_solve", "resolvent_kernel"])
+    def test_overflowing_system_refused(self, entry):
+        # lambda is finite, but ||I - lambda A||_1 is not: the condition
+        # estimate cannot say anything about eigenvalue proximity
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError,
+                               match=r"lambda=1e\+308\+1e\+308j has 1-norm inf"):
+                LAMBDA_ENTRY_POINTS[entry](op, complex(1e308, 1e308), np.ones(8))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,41 @@ class TestApplyAdjoint:
             rhs = np.sum(w * np.conj(fk.apply_adjoint(two_term_op, p)) * f)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_duality_on_block_kernel(self):
+        # a complex, non-Hermitian 2 x 2 block kernel: node-major rows and
+        # columns, each node weight repeated over the block's components
+        def evaluator(y, z):
+            return np.array([[np.exp(-(y - z) ** 2), y * z],
+                             [1j * np.sin(y + 2 * z), np.cos(y - 2 * z) + 1j * y]])
+
+        rule = fk.gauss_legendre(64, 0.0, 1.0)
+        op = fk.discretize(fk.Kernel(shape=(2, 2), body=ClosedForm(evaluator)), rule)
+        rng = np.random.default_rng(12)
+        w = op.w_rows
+        for _ in range(10):
+            f = rng.normal(size=128) + 1j * rng.normal(size=128)
+            p = rng.normal(size=128) + 1j * rng.normal(size=128)
+            lhs = np.sum(w * np.conj(p) * fk.apply(op, f))
+            rhs = np.sum(w * np.conj(fk.apply_adjoint(op, p)) * f)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def doubling_cases():
+    twin_rule = fk.gauss_legendre(256, -4.0, 4.0)
+    mehler = fk.mehler_kernel(0.5).body.evaluator
+    phase = np.exp(1j * 0.8 * twin_rule.nodes)
+    gl8 = fk.gauss_legendre(8, 0.0, 1.0)
+    return {
+        "mehler-gl256": lambda: fk.discretize(fk.mehler_kernel(0.5), twin_rule),
+        # e^{iay} M(y, z) e^{-iaz}: Mehler's complex twin, as the benchmark runs it
+        "twin-gl256": lambda: fk.discretize(
+            fk.Kernel(shape=(1, 1), body=ClosedForm(
+                lambda y, z: np.exp(0.8j * y) * mehler(y, z) * np.exp(-0.8j * z))),
+            twin_rule),
+        "defective-gl8": lambda: fk.discretize(
+            fk.defective_kernel(0.5, 2, fk.orthonormal_poly_basis(gl8, 2), gl8), gl8),
+    }
+
 
 class TestIteratedKernel:
     def test_first_iterate_is_k(self, yz_op):
@@ -182,6 +219,46 @@ class TestIteratedKernel:
     def test_bad_iterate(self, yz_op):
         with pytest.raises(InvalidArgumentError):
             fk.iterated_kernel(yz_op, 0)
+
+    def test_overflow_refused(self, gl8):
+        # N(y, z) = 10 y z has eigenvalue 10/3, so X_700 ~ (10/3)^699 overflows
+        op = fk.discretize(fk.separable_kernel([10.0], [lambda y: y], [lambda z: z]), gl8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="iterate n=700 overflows"):
+                fk.iterated_kernel(op, 700)
+
+    @pytest.mark.parametrize("case", list(doubling_cases()))
+    def test_doubling_matches_sequential_product(self, case):
+        """Componentwise, for n = 1..33.  One complex gemm rounds within
+        g = sqrt(2) gamma_{2N}: the real and the imaginary part of each entry
+        are sums of 2N real products, each within gamma_{2N} of
+        sum_k |a_r b_r| + |a_i b_i| <= sum_k |a_k| |b_k| in any summation
+        order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        sec. 3.1), and scaling by W rounds within u.  If the computed X_a and
+        X_b are within c_a, c_b of M_a, M_b (M_m = |K| (W |K|)^{m-1}), the
+        computed X_a W X_b is within (1 + c_a)(1 + c_b)(1 + u)(1 + g) - 1 of
+        M_{a+b}, since M_a W M_b = M_{a+b}; with c_1 = 0 every order of
+        evaluation, sequential or doubling, gives
+        c_n = ((1 + u)(1 + g))^{n-1} - 1 (sec. 3.5).  So the two differ by
+        at most 2 c_n M_n, and M_n computed in real arithmetic is at least
+        (1 - c_n) of the exact one.  n = 1 and n = 2 are exact."""
+        op = doubling_cases()[case]()
+        K, A = op.K, op.A
+        assert np.array_equal(fk.iterated_kernel(op, 1), K)
+        assert np.array_equal(fk.iterated_kernel(op, 2), A @ K)
+        N = K.shape[0]
+        u = np.finfo(float).eps / 2
+        g = np.sqrt(2) * 2 * N * u / (1 - 2 * N * u)
+        absA = np.abs(K) * op.w_cols
+        M, seq = np.abs(K), K
+        for n in range(2, 34):
+            # the reference: (K W)^{n-1} K as n - 1 left products with A
+            M, seq = absA @ M, A @ seq
+            c = ((1 + u) * (1 + g)) ** (n - 1) - 1
+            err = np.abs(fk.iterated_kernel(op, n) - seq)
+            bound = 2 * c / (1 - c) * M
+            assert np.all(err <= bound), (n, np.max(err / bound))
 
 
 class TestSimilarity:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import spectral
 from fredkit.errors import (
     DefectiveSuspectedError,
     InvalidArgumentError,
@@ -13,6 +15,7 @@ from fredkit.errors import (
 from fredkit.kernels import ClosedForm
 
 from conftest import wfro
+from test_conventions import defective, jordan_like
 
 
 class TestHermitianEig:
@@ -263,3 +266,60 @@ def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op, n
     with pytest.raises(fk.ConvergenceError, match=f"{name} did not converge") as err:
         decompose(mehler_op)
     assert err.value.__cause__ is failure
+
+
+@pytest.mark.parametrize("case", [1e-4, 1.778e-4, 2.371e-4, 3.2e-4, 1e-3, "defective"], ids=str)
+def test_condition_refusal_agrees_with_two_norm_condition(monkeypatch, case):
+    """djf_eig refuses on gecon's 1-norm estimate of V's condition; on the
+    near-Jordan kernels that straddle 1e8 it decides as the 2-norm condition
+    of the same V does.  cond_1 / N <= cond_2 <= N cond_1 for any N x N
+    matrix, and here cond_1 / cond_2 is about 1.19 (1.26 for the Jordan
+    block), while the nearest case to 1e8 sits a factor 1.25 below it
+    (delta = 1.778e-4: 8.0e7 against 6.7e7)."""
+    seen = []
+
+    def spy(M, name):
+        fac, cond = lu_with_cond(M, name)
+        seen.append((M.copy(), cond))
+        return fac, cond
+
+    lu_with_cond = spectral._lu_with_cond
+    monkeypatch.setattr(spectral, "_lu_with_cond", spy)
+    op = defective(3) if case == "defective" else jordan_like(3, case)
+    try:
+        fk.djf_eig(op)
+        refused = False
+    except DefectiveSuspectedError as exc:
+        refused = str(exc).startswith("eigenvector matrix condition ")
+    (V, estimate), = seen
+    sv = np.linalg.svd(V, compute_uv=False)
+    cond_2 = sv[0] / sv[-1]
+    n = V.shape[0]
+    assert cond_2 / n <= estimate <= n * cond_2
+    assert refused == (estimate > spectral.COND_LIMIT) == (cond_2 > spectral.COND_LIMIT)
+    assert refused == (case in (1e-4, "defective"))
+
+
+def test_exactly_singular_eigenvectors_refused(monkeypatch):
+    """A repeated eigenvector column makes V exactly singular: LU meets an
+    exactly zero pivot, gecon returns rcond = 0, and djf_eig refuses without
+    letting scipy's LinAlgWarning through."""
+    rule = fk.gauss_legendre(2, 0.0, 1.0)
+    x1 = rule.nodes[1]
+    # rank one and zero at the second node: B = diag(b, 0), so eig returns
+    # V = I; its null column replaced by the first gives V = [[1, 1], [0, 0]]
+    op = fk.discretize(fk.separable_kernel([1.0], [lambda y: y - x1], [lambda z: z - x1]), rule)
+    eig = np.linalg.eig
+
+    def duplicate(M):
+        vals, V = eig(M)
+        k = int(np.argmax(np.abs(vals)))
+        V[:, 1 - k] = V[:, k]
+        return vals, V
+
+    monkeypatch.setattr(np.linalg, "eig", duplicate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DefectiveSuspectedError,
+                           match=r"^eigenvector matrix condition inf exceeds 1e8"):
+            fk.djf_eig(op)
