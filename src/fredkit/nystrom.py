@@ -187,9 +187,8 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     n = 1 returns a copy of K and n = 2 returns A @ K.  Larger n is built by
     doubling, from X_{a+b} = X_a W X_b: walking the bits of n below the
     leading one, each bit squares, X <- (X W) X, and each 1 bit then steps
-    once more, X <- A X = (X W) K.  That is floor(log2 n) + popcount(n) - 1
-    matrix products instead of n - 1, with at most two N x N arrays and one
-    N x 256 column slab alive.
+    once more, X <- K (W X).  That is floor(log2 n) + popcount(n) - 1
+    matrix products instead of n - 1, with at most three N x N arrays alive.
 
     Roundoff grows as for the sequential product: if one product rounds
     within g |P| |Q| componentwise (g = sqrt(2) gamma_{2N} for N-term complex
@@ -206,31 +205,17 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
     X = np.array(op.K, dtype=complex)
+    w = op.w_cols
     with np.errstate(over="ignore", invalid="ignore"):
         for bit in bin(n)[3:]:
-            _square_in_place(X, op.w_cols)
+            X = (X * w) @ X
             if bit == "1":
-                X = op.A @ X
+                X = op.K @ (w[:, None] * X)
         if not np.isfinite(X).all():
             raise InvalidArgumentError(
                 f"iterate n={n} overflows: its entries are not finite"
             )
     return X
-
-
-# columns per product in _square_in_place: as fast as one whole product at
-# N = 1024 on one OpenBLAS thread (128 costs about 7 % more), for a quarter
-# of an N x N array
-_SLAB = 256
-
-
-def _square_in_place(X, w):
-    """X <- (X W) X, one column slab at a time: a slab of the product needs
-    only that slab of X, so no third N x N array is made.  Each entry is the
-    same inner product as in the whole product."""
-    XW = X * w
-    for j in range(0, X.shape[1], _SLAB):
-        X[:, j : j + _SLAB] = XW @ X[:, j : j + _SLAB]
 
 
 def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):

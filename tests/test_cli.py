@@ -491,11 +491,12 @@ def test_overflowing_iterate_exits_1(tmp_path, capsys):
 
 def test_huge_iterate_count_is_fast(tmp_path):
     # the 1e8-th iterate of y z (eigenvalue 1/3) underflows to zero; doubling
-    # reaches it in 26 squarings and 11 extra products
+    # reaches it in 26 squarings and 11 extra products, a few milliseconds,
+    # where n - 1 products take minutes: the limit leaves room for a slow host
     doc = dict(YZ10_ITERATE, kernel=YZ_DET["kernel"], params={"n": 100_000_000})
     start = time.perf_counter()
     code, text = run_cli(tmp_path, doc)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 10.0
     assert code == 0
     doc = json.loads(text)
     assert doc["n"] == 100_000_000
