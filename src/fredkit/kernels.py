@@ -7,8 +7,15 @@ supported:
 * ClosedForm   -- an evaluator (y, z) -> block, total on Omega x Omega
 * FiniteRank   -- sum_j nu_j * right_j(y) * left_j(z)^*, finitely many terms
 * GridSampled  -- values known only at the node pairs of one rule
+
+Each body samples itself in one method, ``_samples(shape, ys, zs)``: the
+blocks N(y, z) at every pair of ys x zs, node-major.  A rule's sample
+matrix, one block and a Nystrom row all come from it.  Every call of a
+function the caller supplies goes through ``_evaluate``, and finite-rank
+terms and basis functions are sampled at nodes alike (``_node_values``).
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,31 +65,65 @@ class HermitePair:
         return f"HermitePair(degree={self.degree})"
 
 
-def _eval_samples(fn, nodes, block):
-    """Evaluate a (possibly non-vectorized) function at all nodes.
+def _evaluate(fn, args, shape):
+    """fn(*args) as a complex array of `shape`, not copied.
 
-    Returns an (n, block) complex array.
+    args are one point, (y, z) or (x,), or whole node arrays whose axes lead
+    `shape`.  On node arrays the result is None when fn takes scalars only:
+    the call raises TypeError or ValueError, or its result is not laid out
+    over the nodes.  Any other failure, and a value at one point with the
+    wrong number of entries, raises EvaluationError naming the point.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
+    on_nodes = isinstance(args[0], np.ndarray)
     try:
-        out = np.asarray(fn(nodes), dtype=complex)
-        if block == 1 and out.shape in ((), (n,)):
-            return np.broadcast_to(np.atleast_1d(out), (n,)).reshape(n, 1)
-        if out.shape == (n, block):
-            return out
-    except Exception:
-        pass
-    rows = np.empty((n, block), dtype=complex)
-    for i, x in enumerate(nodes):
-        v = np.asarray(fn(x), dtype=complex).reshape(block)
-        rows[i] = v
-    return rows
+        out = np.asarray(fn(*args), dtype=complex)
+        if on_nodes and out.shape[: args[0].ndim] != args[0].shape:
+            return None
+        return out.reshape(shape)
+    except Exception as exc:
+        if on_nodes and isinstance(exc, (TypeError, ValueError)):
+            return None
+        if np.size(args[0]) > 1:
+            where, pair = f"on node arrays of shape {args[0].shape}", None
+        else:  # one point, also when given as one-element arrays
+            point = tuple(float(np.ravel(a)[0]) for a in args)
+            pair = point if len(point) == 2 else None
+            where = f"at {'(y, z)' if pair else 'x'} = {pair or point[0]}"
+        raise EvaluationError(f"kernel evaluation failed {where}: {exc}", pair=pair) from exc
+
+
+def _node_values(fn, xs, s):
+    """fn at every node of xs, node-major: xs.size * s entries."""
+    out = _evaluate(fn, (xs,), (xs.size * s,))
+    if out is None:
+        out = np.concatenate([_evaluate(fn, (x,), (s,)) for x in xs])
+    return out
+
+
+def _real_point(v, name):
+    """[v] as a float array; v must be a finite real number."""
+    if not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise InvalidArgumentError(f"{name} must be a finite real number, got {v!r}")
+    return np.array([v], dtype=float)
 
 
 @dataclass(frozen=True)
 class ClosedForm:
     evaluator: object  # callable (y, z) -> scalar or (s1, s2) block
+
+    def _samples(self, shape, ys, zs):
+        # a scalar evaluator is tried once on the meshgrid, a block one pair by pair
+        s1, s2 = shape
+        ev = self.evaluator
+        if shape == (1, 1):
+            K = _evaluate(ev, np.meshgrid(ys, zs, indexing="ij"), (ys.size, zs.size))
+            if K is not None:
+                return K
+        K = np.empty((ys.size * s1, zs.size * s2), dtype=complex)
+        for i, y in enumerate(ys):
+            for j, z in enumerate(zs):
+                K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2] = _evaluate(ev, (y, z), shape)
+        return K
 
 
 @dataclass(frozen=True)
@@ -91,98 +132,70 @@ class FiniteRank:
     # the kernel is sum_j coeff_j * right_j(y) * left_j(z)^*
     terms: tuple
 
+    def _samples(self, shape, ys, zs):
+        s1, s2 = shape
+        K = np.zeros((ys.size * s1, zs.size * s2), dtype=complex)
+        for coeff, right, left in self.terms:
+            r, l = _node_values(right, ys, s1), _node_values(left, zs, s2)
+            K += coeff * np.outer(r, np.conj(l))
+        return K
+
 
 @dataclass(frozen=True)
 class GridSampled:
     rule: QuadratureRule
-    table: np.ndarray
+    table: np.ndarray  # a read-only copy of the caller's table
+
+    def __post_init__(self):
+        table = np.array(self.table, dtype=complex)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    def _samples(self, shape, ys, zs):
+        # exact lookup among the rule's nodes: no value off them
+        nodes = self.rule.nodes
+        index = []
+        for xs, s in zip((ys, zs), shape):
+            i = np.minimum(np.searchsorted(nodes, xs), nodes.size - 1)
+            if not np.array_equal(nodes[i], xs):
+                raise UnsupportedKernelError(
+                    "grid-sampled kernels evaluate only at their own node pairs")
+            index.append((s * i[:, None] + np.arange(s)).ravel())
+        return self.table[np.ix_(*index)]
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Matrix-valued kernel with a block shape and one of three bodies."""
+    """Matrix-valued kernel with a block shape and one of three bodies,
+    each sampled by its ``_samples(shape, ys, zs)``."""
 
     shape: tuple
     body: object
 
     def __post_init__(self):
-        s1, s2 = self.shape
-        if s1 < 1 or s2 < 1:
-            raise InvalidArgumentError("block shape entries must be >= 1")
-        if isinstance(self.body, FiniteRank) and len(self.body.terms) < 1:
+        shape, body = self.shape, self.body
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
+                for s in shape)):
+            raise InvalidArgumentError(f"block shape must be two positive integers: {shape!r}")
+        s1, s2 = map(int, shape)
+        object.__setattr__(self, "shape", (s1, s2))
+        if isinstance(body, FiniteRank) and len(body.terms) < 1:
             raise InvalidArgumentError("a finite-rank kernel needs >= 1 term")
-
-    @property
-    def is_grid(self):
-        return isinstance(self.body, GridSampled)
+        if isinstance(body, GridSampled):
+            n = body.rule.count
+            if body.table.shape != (n * s1, n * s2):
+                raise InvalidArgumentError(f"table shape {body.table.shape} does not match "
+                                           f"(n*s1, n*s2) = ({n * s1}, {n * s2})")
 
     def eval_block(self, y, z):
-        """Evaluate the s1 x s2 block at a single point pair."""
-        s1, s2 = self.shape
-        body = self.body
-        if isinstance(body, ClosedForm):
-            try:
-                val = np.asarray(body.evaluator(y, z), dtype=complex)
-            except Exception as exc:
-                raise EvaluationError(
-                    f"kernel evaluation failed at (y={y!r}, z={z!r}): {exc}",
-                    pair=(y, z),
-                ) from exc
-            return val.reshape(s1, s2)
-        if isinstance(body, FiniteRank):
-            block = np.zeros((s1, s2), dtype=complex)
-            for coeff, right, left in body.terms:
-                r = np.asarray(right(y), dtype=complex).reshape(s1)
-                l = np.asarray(left(z), dtype=complex).reshape(s2)
-                block += coeff * np.outer(r, np.conj(l))
-            return block
-        # grid-sampled: defined only at node pairs of its own rule
-        nodes = body.rule.nodes
-        iy = np.searchsorted(nodes, y)
-        iz = np.searchsorted(nodes, z)
-        if (
-            iy >= nodes.size
-            or iz >= nodes.size
-            or nodes[iy] != y
-            or nodes[iz] != z
-        ):
-            raise UnsupportedKernelError(
-                "grid-sampled kernels evaluate only at their own node pairs"
-            )
-        return self.body.table[iy * s1 : (iy + 1) * s1, iz * s2 : (iz + 1) * s2]
+        """The s1 x s2 block N(y, z) at finite real y and z, sampled as
+        sample_matrix samples it."""
+        return self.body._samples(self.shape, _real_point(y, "y"), _real_point(z, "z"))
 
     def sample_matrix(self, rule):
         """Raw sample matrix K with block (i, j) = N(x_i, x_j), node-major."""
-        s1, s2 = self.shape
-        nodes = rule.nodes
-        n = nodes.size
-        body = self.body
-        if isinstance(body, GridSampled):
-            if not body.rule.same_nodes_as(rule):
-                raise UnsupportedKernelError(
-                    "grid-sampled kernel was tabulated on a different rule"
-                )
-            return np.array(body.table, dtype=complex)
-        if isinstance(body, FiniteRank):
-            K = np.zeros((n * s1, n * s2), dtype=complex)
-            for coeff, right, left in body.terms:
-                r = _eval_samples(right, nodes, s1).reshape(n * s1)
-                l = _eval_samples(left, nodes, s2).reshape(n * s2)
-                K += coeff * np.outer(r, np.conj(l))
-            return K
-        if s1 == 1 and s2 == 1:
-            try:
-                Y, Z = np.meshgrid(nodes, nodes, indexing="ij")
-                K = np.asarray(body.evaluator(Y, Z), dtype=complex)
-                if K.shape == (n, n):
-                    return K
-            except Exception:
-                pass
-        K = np.empty((n * s1, n * s2), dtype=complex)
-        for i, y in enumerate(nodes):
-            for j, z in enumerate(nodes):
-                K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2] = self.eval_block(y, z)
-        return K
+        return self.body._samples(self.shape, rule.nodes, rule.nodes)
 
 
 def mehler_kernel(r):
@@ -213,10 +226,8 @@ def separable_kernel(coeffs, rights, lefts, shape=(1, 1)):
     """
     if not (len(coeffs) == len(rights) == len(lefts)):
         raise InvalidArgumentError("coeffs, rights, lefts must have equal length")
-    if len(coeffs) < 1:
-        raise InvalidArgumentError("need at least one term")
     terms = tuple((complex(c), r, l) for c, r, l in zip(coeffs, rights, lefts))
-    return Kernel(shape=tuple(shape), body=FiniteRank(terms))
+    return Kernel(shape=shape, body=FiniteRank(terms))
 
 
 def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
@@ -229,7 +240,7 @@ def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     m = len(basis)
     if C.shape != (m, m):
         raise InvalidArgumentError("coefficient matrix shape must match basis size")
-    E = np.column_stack([_eval_samples(e, rule.nodes, 1).ravel() for e in basis])
+    E = np.column_stack([_node_values(e, rule.nodes, 1) for e in basis])
     gram = E.conj().T @ (rule.weights[:, None] * E)
     resid = float(np.max(np.abs(gram - np.eye(m))))
     if resid > gram_tol:
@@ -261,16 +272,12 @@ def defective_kernel(lam, m, basis, rule):
 
 
 def grid_kernel(rule, table, shape=(1, 1)):
-    """Kernel known only through samples at the rule's node pairs."""
-    s1, s2 = shape
-    table = np.asarray(table, dtype=complex)
-    n = rule.count
-    if table.shape != (n * s1, n * s2):
-        raise InvalidArgumentError(
-            f"table shape {table.shape} does not match (n*s1, n*s2) = "
-            f"({n * s1}, {n * s2})"
-        )
-    return Kernel(shape=(s1, s2), body=GridSampled(rule, table))
+    """Kernel known only through samples at the rule's node pairs.
+
+    The (n*s1) x (n*s2) table is copied; the kernel answers only at pairs
+    of the rule's nodes, found by exact lookup.
+    """
+    return Kernel(shape=shape, body=GridSampled(rule, table))
 
 
 def orthonormal_poly_basis(rule, count):

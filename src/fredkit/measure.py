@@ -74,11 +74,6 @@ class QuadratureRule:
         values = np.asarray(values)
         return np.tensordot(self.weights, values, axes=(0, 0))
 
-    def same_nodes_as(self, other, tol=0.0):
-        if self.count != other.count:
-            return False
-        return bool(np.all(np.abs(self.nodes - other.nodes) <= tol))
-
     def to_dict(self):
         d = {
             "kind": self.kind,

@@ -12,6 +12,8 @@ Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
 node weight repeated over the block's components (w_rows / w_cols).
 """
+import cmath
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,10 +24,9 @@ from .errors import (
     EvaluationError,
     InvalidArgumentError,
     NontrivialityWarning,
-    UnsupportedKernelError,
     ZeroDivisionSignal,
 )
-from .kernels import Kernel
+from .kernels import Kernel, _real_point
 from .measure import QuadratureRule
 
 
@@ -221,23 +222,19 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
 def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     """Off-grid eigenfunction value via the Nystrom interpolant.
 
-    p(y) = nu^{-1} sum_i N(y, x_i) w_i p(x_i).  At a node this reproduces
-    the sample up to the eigen-residual.
+    p(y) = nu^{-1} sum_i N(y, x_i) w_i p(x_i), one row of samples at (y, x_i)
+    times the weighted samples.  At a node this reproduces the sample up to
+    the eigen-residual; a grid-sampled kernel extends only to its own nodes.
+    nu must be a finite number and y a finite real number.
     """
+    if not isinstance(nu, numbers.Number) or not cmath.isfinite(nu):
+        raise InvalidArgumentError(f"nu must be a finite number, got {nu!r}")
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
-    if kernel.is_grid:
-        raise UnsupportedKernelError(
-            "grid-sampled kernels cannot be evaluated off-grid"
-        )
     s1, s2 = kernel.shape
     p = np.asarray(eig_samples, dtype=complex)
     if p.shape != (rule.count * s2,):
         raise InvalidArgumentError("eigenfunction samples have the wrong length")
-    acc = np.zeros(s1, dtype=complex)
-    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
-        acc += kernel.eval_block(y, x) @ (w * p[i * s2 : (i + 1) * s2])
-    acc /= complex(nu)
-    if s1 == 1:
-        return complex(acc[0])
-    return acc
+    row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
+    acc = row @ (np.repeat(rule.weights, s2) * p) / complex(nu)
+    return complex(acc[0]) if s1 == 1 else acc

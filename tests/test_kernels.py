@@ -5,10 +5,12 @@ import pytest
 
 import fredkit as fk
 from fredkit.errors import (
+    EvaluationError,
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
 )
+from fredkit.kernels import ClosedForm
 
 
 class TestHermite:
@@ -177,3 +179,156 @@ class TestBasisHelper:
             [[np.sum(gl8.weights * a(x) * b(x)) for b in e] for a in e]
         )
         assert G == pytest.approx(np.eye(3), abs=1e-13)
+
+
+def _mehler_twin(y, z):
+    # complex exponentials round differently on scalars and on arrays
+    return np.exp(0.8j * y) * fk.mehler_kernel(0.5).body.evaluator(y, z) * np.exp(-0.8j * z)
+
+
+def _block(y, z):
+    return np.array([[np.exp(-(y - z) ** 2), y * z], [1j * np.sin(y + 2 * z), np.cos(y - z)]])
+
+
+SAMPLED_BODIES = {
+    "closed-form": lambda rule: fk.Kernel((1, 1), ClosedForm(_mehler_twin)),
+    "closed-form-scalar-only": lambda rule: fk.Kernel(
+        (1, 1), ClosedForm(lambda y, z: math.exp(-(y - z) ** 2) + y * z)),
+    "closed-form-block": lambda rule: fk.Kernel((2, 3), ClosedForm(
+        lambda y, z: np.outer([1.0, y], [z, 1j * np.exp(z), np.cos(y * z)]))),
+    "finite-rank": lambda rule: fk.separable_kernel(
+        [0.3 + 0.1j, -0.7], [lambda y: np.exp(0.5j * y), np.cos], [np.sin, lambda z: z * z]),
+    "finite-rank-block": lambda rule: fk.separable_kernel(
+        [1.0, 0.5j], [lambda y: np.array([y, np.cos(y)]), lambda y: np.stack([y, y * y], -1)],
+        [lambda z: [math.sin(z), z], lambda z: np.stack([np.exp(1j * z), z], -1)], shape=(2, 2)),
+    "grid": lambda rule: fk.grid_kernel(
+        rule, fk.Kernel((1, 1), ClosedForm(_mehler_twin)).sample_matrix(rule)),
+    "grid-block": lambda rule: fk.grid_kernel(
+        rule, fk.Kernel((2, 2), ClosedForm(_block)).sample_matrix(rule), shape=(2, 2)),
+}
+
+
+class TestSampling:
+    """Every sample comes from one routine per body, and a failing or
+    wrong-sized evaluation is an EvaluationError naming the point."""
+
+    @pytest.mark.parametrize("body", sorted(SAMPLED_BODIES))
+    def test_eval_block_is_block_of_sample_matrix(self, body):
+        rule = fk.gauss_legendre(16, -4.0, 4.0)
+        kern = SAMPLED_BODIES[body](rule)
+        K = kern.sample_matrix(rule)
+        s1, s2 = kern.shape
+        for i, y in enumerate(rule.nodes):
+            for j, z in enumerate(rule.nodes):
+                block = K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2]
+                assert np.array_equal(kern.eval_block(float(y), float(z)), block), (i, j)
+
+    @staticmethod
+    def failing_kernels(fn):
+        """A kernel of each evaluating body whose one function is fn."""
+        ok = lambda y: y  # noqa: E731
+        return {
+            "closed-form": fk.Kernel((1, 1), ClosedForm(fn)),
+            "closed-form-block": fk.Kernel((2, 2), ClosedForm(fn)),
+            "finite-rank-right": fk.separable_kernel([1.0], [lambda y: fn(y, y)], [ok]),
+            "finite-rank-left": fk.separable_kernel([1.0], [ok], [lambda z: fn(z, z)]),
+        }
+
+    @pytest.mark.parametrize("kind", ["closed-form", "closed-form-block",
+                                      "finite-rank-right", "finite-rank-left"])
+    def test_raising_evaluation(self, kind, gl8):
+        def fn(y, z):
+            raise RuntimeError("evaluator is broken")
+
+        kern = self.failing_kernels(fn)[kind]
+        with pytest.raises(EvaluationError, match="evaluator is broken"):
+            fk.discretize(kern, gl8)
+        with pytest.raises(EvaluationError, match=r"at .* = .*evaluator is broken"):
+            kern.eval_block(0.25, 0.5)
+
+    @pytest.mark.parametrize("kind", ["closed-form", "closed-form-block",
+                                      "finite-rank-right", "finite-rank-left"])
+    def test_buggy_evaluator_called_once(self, kind, gl8):
+        calls = []
+
+        def fn(y, z):
+            calls.append(1)
+            return undefined_name  # noqa: F821
+
+        with pytest.raises(EvaluationError, match="undefined_name") as err:
+            self.failing_kernels(fn)[kind].sample_matrix(gl8)
+        assert isinstance(err.value.__cause__, NameError)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["closed-form", "closed-form-block",
+                                      "finite-rank-right", "finite-rank-left"])
+    def test_wrong_number_of_entries(self, kind, gl8):
+        # scalar-only, so every body ends at a call for one point
+        kern = self.failing_kernels(lambda y, z: [math.exp(y), math.exp(z), 1.0])[kind]
+        with pytest.raises(EvaluationError, match="size 3") as err:
+            fk.discretize(kern, gl8)
+        x0 = float(gl8.nodes[0])
+        assert err.value.pair == ((x0, x0) if kind.startswith("closed-form") else None)
+        with pytest.raises(EvaluationError, match="size 3"):
+            kern.eval_block(0.25, 0.5)
+
+    def test_block_layout_not_over_nodes_is_sampled_per_node(self, gl8):
+        # (s, n) from node arrays is not taken for (n, s): the term is called per node
+        x = gl8.nodes
+        kern = fk.separable_kernel([1.0], [lambda y: np.array([y, 2 * y])],
+                                   [lambda z: np.array([z, np.ones_like(z)])], shape=(2, 2))
+        expected = np.outer(np.stack([x, 2 * x], -1).ravel(), np.stack([x, np.ones(8)], -1).ravel())
+        assert np.array_equal(kern.sample_matrix(gl8), expected)
+
+    def test_scalar_only_evaluator_call_count(self, gl8):
+        calls = []
+
+        def evaluator(y, z):
+            calls.append(1)
+            return math.exp(y * z)
+
+        K = fk.Kernel((1, 1), ClosedForm(evaluator)).sample_matrix(gl8)
+        assert len(calls) == 1 + 64  # one try on the meshgrid, then pair by pair
+        assert np.array_equal(K, [[math.exp(y * z) for z in gl8.nodes] for y in gl8.nodes])
+
+    @pytest.mark.parametrize("y, z", [(float("nan"), 0.5), (0.5, float("inf")),
+                                      (np.array([0.5]), 0.5), (0.5, 1j), ("0.5", 0.5)])
+    def test_eval_block_needs_finite_real_points(self, y, z):
+        with pytest.raises(InvalidArgumentError):
+            fk.mehler_kernel(0.5).eval_block(y, z)
+
+
+class TestGridTable:
+    def test_table_is_copied_and_read_only(self):
+        rule = fk.discrete_measure([0.0, 1.0], [0.5, 0.5])
+        table = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+        kern = fk.grid_kernel(rule, table)
+        table[0, 0] = 99.0
+        assert kern.eval_block(0.0, 0.0)[0, 0] == 1.0
+        assert fk.discretize(kern, rule).K[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            kern.body.table[0, 0] = 5.0
+
+    def test_eval_block_is_not_a_view(self):
+        rule = fk.discrete_measure([0.0, 1.0], [0.5, 0.5])
+        kern = fk.grid_kernel(rule, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        block = kern.eval_block(1.0, 0.0)
+        block[0, 0] = 99.0
+        assert kern.eval_block(1.0, 0.0)[0, 0] == 3.0
+
+    def test_other_rule_rejected(self, gl8):
+        kern = fk.grid_kernel(gl8, np.eye(8))
+        with pytest.raises(UnsupportedKernelError):
+            kern.sample_matrix(fk.gauss_legendre(8, 0.0, 2.0))
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 1), (1.5, 1), (True, 1), (1, False),
+                                       (0, 1), (1, -2), "ab", 2, None, (1, "1")])
+    def test_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError, match="block shape"):
+            fk.Kernel(shape, ClosedForm(lambda y, z: y * z))
+
+    def test_integers_kept_as_a_tuple(self):
+        kern = fk.Kernel([np.int64(2), 3], ClosedForm(lambda y, z: np.zeros((2, 3))))
+        assert kern.shape == (2, 3) and all(type(s) is int for s in kern.shape)

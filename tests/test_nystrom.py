@@ -354,3 +354,39 @@ class TestNystromExtend:
         kern = fk.grid_kernel(gl8, np.eye(8))
         with pytest.raises(UnsupportedKernelError):
             fk.nystrom_extend(kern, gl8, np.ones(8), 1.0, 0.5)
+
+    def test_grid_body_at_its_nodes(self, gl8):
+        kern = fk.grid_kernel(gl8, np.outer(gl8.nodes, gl8.nodes))
+        samples = gl8.nodes.astype(complex)
+        for i in (0, 3, 7):
+            val = fk.nystrom_extend(kern, gl8, samples, 1.0 / 3.0, gl8.nodes[i])
+            assert val == pytest.approx(samples[i], abs=1e-14)
+
+    @pytest.mark.parametrize("nu, y", [
+        (float("nan"), 0.5), (complex(1.0, float("inf")), 0.5), (np.array([1.0]), 0.5),
+        ("1", 0.5), (1.0, float("nan")), (1.0, float("-inf")), (1.0, np.array([0.25, 0.5])),
+        (1.0, 0.5 + 0j), (1.0, None),
+    ])
+    def test_nu_and_y_checked(self, yz_kernel, gl8, nu, y):
+        with pytest.raises(InvalidArgumentError):
+            fk.nystrom_extend(yz_kernel, gl8, gl8.nodes.astype(complex), nu, y)
+
+    def test_matches_node_by_node_sum(self):
+        # reference: the sum node by node that one row product replaced; the
+        # two round the same terms in another order, within 2 n u sum |term|
+        def evaluator(y, z):
+            return np.array([[np.exp(-(y - z) ** 2), y * z], [1j * np.sin(y + 2 * z), np.cos(y)]])
+
+        rule = fk.gauss_legendre(64, 0.0, 1.0)
+        kern = fk.Kernel((2, 2), ClosedForm(evaluator))
+        rng = np.random.default_rng(7)
+        p = rng.normal(size=128) + 1j * rng.normal(size=128)
+        nu, y = 0.7 - 0.2j, 0.3141
+        terms = [kern.eval_block(y, x) @ (w * p[2 * i : 2 * i + 2])
+                 for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))]
+        ref = sum(terms) / nu
+        scale = sum(np.abs(kern.eval_block(y, x)) @ np.abs(w * p[2 * i : 2 * i + 2])
+                    for i, (x, w) in enumerate(zip(rule.nodes, rule.weights)))
+        bound = 2 * 128 * np.finfo(float).eps * scale / abs(nu)
+        got = fk.nystrom_extend(kern, rule, p, nu, y)
+        assert np.all(np.abs(got - ref) <= bound)
