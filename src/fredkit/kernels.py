@@ -113,17 +113,16 @@ class ClosedForm:
 
     def _samples(self, shape, ys, zs):
         # a scalar evaluator is tried once on the meshgrid, a block one pair by pair
-        s1, s2 = shape
         ev = self.evaluator
         if shape == (1, 1):
             K = _evaluate(ev, np.meshgrid(ys, zs, indexing="ij"), (ys.size, zs.size))
             if K is not None:
                 return K
-        K = np.empty((ys.size * s1, zs.size * s2), dtype=complex)
-        for i, y in enumerate(ys):
+        K = np.empty((ys.size, zs.size) + shape, dtype=complex)
+        for Ki, y in zip(K, ys):
             for j, z in enumerate(zs):
-                K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2] = _evaluate(ev, (y, z), shape)
-        return K
+                Ki[j] = _evaluate(ev, (y, z), shape)
+        return K.transpose(0, 2, 1, 3).reshape(ys.size * shape[0], zs.size * shape[1])
 
 
 @dataclass(frozen=True)
