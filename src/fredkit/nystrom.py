@@ -12,7 +12,6 @@ Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
 node weight repeated over the block's components (w_rows / w_cols).
 """
-import cmath
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -227,7 +226,7 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     the eigen-residual; a grid-sampled kernel extends only to its own nodes.
     nu must be a finite number and y a finite real number.
     """
-    if not isinstance(nu, numbers.Number) or not cmath.isfinite(nu):
+    if not isinstance(nu, numbers.Number) or not np.isfinite(nu):
         raise InvalidArgumentError(f"nu must be a finite number, got {nu!r}")
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
