@@ -16,6 +16,7 @@ terms and basis functions are sampled at nodes alike (``_node_values``).
 """
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,7 @@ def _node_values(fn, xs, s):
 
 def _real_point(v, name):
     """[v] as a float array; v must be a finite real number."""
-    if not isinstance(v, numbers.Real) or not math.isfinite(v):
+    if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):
         raise InvalidArgumentError(f"{name} must be a finite real number, got {v!r}")
     return np.array([v], dtype=float)
 
@@ -165,8 +166,7 @@ class GridSampled:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Matrix-valued kernel with a block shape and one of three bodies,
-    each sampled by its ``_samples(shape, ys, zs)``."""
+    """Matrix-valued kernel with a block shape and one of three bodies."""
 
     shape: tuple
     body: object
@@ -271,11 +271,8 @@ def defective_kernel(lam, m, basis, rule):
 
 
 def grid_kernel(rule, table, shape=(1, 1)):
-    """Kernel known only through samples at the rule's node pairs.
-
-    The (n*s1) x (n*s2) table is copied; the kernel answers only at pairs
-    of the rule's nodes, found by exact lookup.
-    """
+    """Kernel known only through samples at the rule's node pairs: a read-only
+    copy of the (n*s1) x (n*s2) table, read by exact lookup of the nodes."""
     return Kernel(shape=shape, body=GridSampled(rule, table))
 
 

@@ -13,6 +13,7 @@ block samples are node-major (entry i*s + c is component c at node i), each
 node weight repeated over the block's components (w_rows / w_cols).
 """
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -226,7 +227,8 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     the eigen-residual; a grid-sampled kernel extends only to its own nodes.
     nu must be a finite number and y a finite real number.
     """
-    if not isinstance(nu, numbers.Number) or not np.isfinite(nu):
+    big = sys.float_info.max
+    if not (isinstance(nu, numbers.Complex) and abs(nu.real) <= big and abs(nu.imag) <= big):
         raise InvalidArgumentError(f"nu must be a finite number, got {nu!r}")
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")

@@ -292,7 +292,8 @@ class TestSampling:
         assert np.array_equal(K, [[math.exp(y * z) for z in gl8.nodes] for y in gl8.nodes])
 
     @pytest.mark.parametrize("y, z", [(float("nan"), 0.5), (0.5, float("inf")),
-                                      (np.array([0.5]), 0.5), (0.5, 1j), ("0.5", 0.5)])
+                                      (np.array([0.5]), 0.5), (0.5, 1j), ("0.5", 0.5),
+                                      (10 ** 400, 0.5)])
     def test_eval_block_needs_finite_real_points(self, y, z):
         with pytest.raises(InvalidArgumentError):
             fk.mehler_kernel(0.5).eval_block(y, z)

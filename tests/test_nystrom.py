@@ -365,7 +365,7 @@ class TestNystromExtend:
     @pytest.mark.parametrize("nu, y", [
         (float("nan"), 0.5), (complex(1.0, float("inf")), 0.5), (np.array([1.0]), 0.5),
         ("1", 0.5), (1.0, float("nan")), (1.0, float("-inf")), (1.0, np.array([0.25, 0.5])),
-        (1.0, 0.5 + 0j), (1.0, None),
+        (1.0, 0.5 + 0j), (1.0, None), (10 ** 400, 0.5), (1.0, -(10 ** 400)),
     ])
     def test_nu_and_y_checked(self, yz_kernel, gl8, nu, y):
         with pytest.raises(InvalidArgumentError):
