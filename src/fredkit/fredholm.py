@@ -25,7 +25,7 @@ from .errors import (
     NoSolutionError,
     PoleError,
 )
-from .nystrom import DiscreteOperator
+from .nystrom import DiscreteOperator, _matvec
 from .spectral import (
     BiSpectralDecomposition,
     HERMITIAN_RTOL,
@@ -149,7 +149,7 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
         raise InvalidArgumentError(f"rhs has shape {f.shape}, expected ({n},)")
     p, gap = _guarded_solve(op, lam, f)
     scale = float(np.linalg.norm(f))
-    residual = float(np.linalg.norm(p - lam * (op.A @ p) - f))
+    residual = float(np.linalg.norm(p - lam * _matvec(op.A, p) - f))
     if scale > 0:
         residual /= scale
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)
@@ -187,7 +187,7 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
     lam = complex(lam)
     lambdas = _series_lambdas(d, k, lam)
     if k == 0:
-        return np.zeros_like(d.operator.K)
+        return np.zeros(d.operator.K.shape, dtype=complex)
     coeffs = 1.0 / (lambdas - lam)
     return (d.right[:, :k] * coeffs[None, :]) @ d.left[:, :k].conj().T
 
@@ -202,8 +202,11 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
 
 
 def _det_direct(op, lam):
-    n = op.A.shape[0]
-    return complex(np.linalg.det(np.eye(n, dtype=complex) - lam * op.A))
+    # a real lambda keeps a real operator's LU real; the identity is a
+    # temporary, freed before det copies its argument
+    shift = lam.real if lam.imag == 0 else lam
+    dtype = np.result_type(shift, op.A)
+    return complex(np.linalg.det(np.eye(op.A.shape[0], dtype=dtype) - shift * op.A))
 
 
 def _det_product(op, lam):

@@ -13,6 +13,7 @@ blocks N(y, z) at every pair of ys x zs, node-major.  A rule's sample
 matrix, one block and a Nystrom row all come from it.  Every call of a
 function the caller supplies goes through ``_evaluate``, and finite-rank
 terms and basis functions are sampled at nodes alike (``_node_values``).
+Real values come back as float64 and anything else as complex128.
 """
 import math
 import numbers
@@ -66,8 +67,16 @@ class HermitePair:
         return f"HermitePair(degree={self.degree})"
 
 
+def _float_or_complex(values):
+    """values as a float64 array when its entries are real numbers (bool,
+    integer or float), else as a complex128 array; not copied when it is one."""
+    values = np.asarray(values)
+    return values.astype(float if values.dtype.kind in "biuf" else complex, copy=False)
+
+
 def _evaluate(fn, args, shape):
-    """fn(*args) as a complex array of `shape`, not copied.
+    """fn(*args) as an array of `shape`, not copied: float64 when fn returns
+    real numbers, else complex128.
 
     args are one point, (y, z) or (x,), or whole node arrays whose axes lead
     `shape`.  On node arrays the result is None when fn takes scalars only:
@@ -77,7 +86,7 @@ def _evaluate(fn, args, shape):
     """
     on_nodes = isinstance(args[0], np.ndarray)
     try:
-        out = np.asarray(fn(*args), dtype=complex)
+        out = _float_or_complex(fn(*args))
         if on_nodes and out.shape[: args[0].ndim] != args[0].shape:
             return None
         return out.reshape(shape)
@@ -144,10 +153,10 @@ class FiniteRank:
 @dataclass(frozen=True)
 class GridSampled:
     rule: QuadratureRule
-    table: np.ndarray  # a read-only copy of the caller's table
+    table: np.ndarray  # a read-only float or complex copy of the caller's table
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=complex)
+        table = _float_or_complex(np.array(self.table))
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -232,9 +241,12 @@ def separable_kernel(coeffs, rights, lefts, shape=(1, 1)):
 def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     """Scalar kernel N(y,z) = sum_ab C[a,b] e_a(y) e_b(z)^* on a checked basis.
 
-    The basis functions must be orthonormal under `rule` to `gram_tol`;
-    the operator then acts on span{e_a} exactly as the matrix C.
+    The basis functions must be orthonormal under `rule` to `gram_tol`, a
+    finite number >= 0; the operator then acts on span{e_a} exactly as the
+    matrix C.
     """
+    if not (isinstance(gram_tol, numbers.Real) and 0 <= gram_tol <= sys.float_info.max):
+        raise InvalidArgumentError(f"gram_tol must be a finite number >= 0, got {gram_tol!r}")
     C = np.asarray(coeff_matrix, dtype=complex)
     m = len(basis)
     if C.shape != (m, m):

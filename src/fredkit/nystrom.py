@@ -6,7 +6,9 @@ we keep the raw samples K and the symmetrized form
 B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
 The eigenvalues of A are computed at most once per operator, on first use
-of DiscreteOperator.spectrum, and shared by every later caller.
+of DiscreteOperator.spectrum, and shared by every later caller.  K, A and B
+are float64 for a real kernel and complex128 otherwise; _matvec applies a
+real matrix to complex samples without a complex copy of the matrix.
 
 Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
@@ -45,6 +47,11 @@ class DiscreteOperator:
 
     An operator is built from (rule, shape, K) alone; A and B are derived
     from them on construction, the one place that knows their layout.
+    The dtype follows the kernel: a complex K whose imaginary part is
+    exactly zero is stored as its float64 real part, and A and B follow K,
+    so a real kernel gets real arrays and real LAPACK calls.  Values that
+    are complex by contract stay complex: the spectrum, djf_eig's pairs and
+    solves at complex lambda.
     K, A and B are made read-only on construction, so the spectrum of A
     cannot go stale: it is computed by one ``np.linalg.eigvals(A)`` the
     first time it is read, cached on the instance and itself read-only.
@@ -59,6 +66,8 @@ class DiscreteOperator:
     B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.K.dtype.kind == "c" and not self.K.imag.any():
+            object.__setattr__(self, "K", self.K.real.copy())
         wr, wc = self.w_rows, self.w_cols
         object.__setattr__(self, "A", self.K * wc[None, :])
         object.__setattr__(self, "B", np.sqrt(wr)[:, None] * self.K * np.sqrt(wc)[None, :])
@@ -67,10 +76,10 @@ class DiscreteOperator:
 
     @cached_property
     def spectrum(self):
-        """All eigenvalues of A in LAPACK order, computed once and read-only."""
+        """All eigenvalues of A in LAPACK order, complex, computed once and read-only."""
         if not self.is_square_block:
             raise InvalidArgumentError("a spectrum needs a square block shape")
-        return _read_only(np.linalg.eigvals(self.A))
+        return _read_only(np.linalg.eigvals(self.A).astype(complex, copy=False))
 
     @cached_property
     def w_rows(self):
@@ -102,6 +111,16 @@ class DiscreteOperator:
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _matvec(M, x):
+    """M @ x for a vector x.  A real M times a complex x is one real product
+    on x's (n, 2) float view: numpy's mixed product would first copy M to
+    complex, on every call."""
+    if M.dtype.kind == "f" and x.dtype.kind == "c":
+        x = np.ascontiguousarray(x)
+        return (M @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    return M @ x
 
 
 def _winner(w, U, V):
@@ -168,7 +187,7 @@ def apply(op: DiscreteOperator, f) -> np.ndarray:
         raise InvalidArgumentError(
             f"sample vector has length {f.shape}, expected ({op.A.shape[1]},)"
         )
-    return op.A @ f
+    return _matvec(op.A, f)
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
@@ -178,8 +197,8 @@ def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
         raise InvalidArgumentError(
             f"sample vector has length {p.shape}, expected ({op.K.shape[0]},)"
         )
-    # conj((w p)^H K) = K^H (w p) without forming K^H, an N x N copy per call
-    return np.conj(np.conj(op.w_rows * p) @ op.K)
+    # conj(K^T conj(w p)) = K^H (w p) without forming K^H, an N x N copy per call
+    return np.conj(_matvec(op.K.T, np.conj(op.w_rows * p)))
 
 
 def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
@@ -191,9 +210,12 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     once more, X <- K (W X).  That is floor(log2 n) + popcount(n) - 1
     matrix products instead of n - 1, with at most three N x N arrays alive.
 
+    The iterate has K's dtype: real products for a real operator.
+
     Roundoff grows as for the sequential product: if one product rounds
-    within g |P| |Q| componentwise (g = sqrt(2) gamma_{2N} for N-term complex
-    inner products in any summation order) and scaling by W within u, then
+    within g |P| |Q| componentwise (g = gamma_N for N-term real inner
+    products, g = sqrt(2) gamma_{2N} for complex ones, in any summation
+    order) and scaling by W within u, then
     by induction over X_{a+b} = X_a W X_b, every evaluation order gives
     |computed X_n - X_n| <= (((1 + u)(1 + g))^{n-1} - 1) |K| (W |K|)^{n-1}
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5).
@@ -205,7 +227,7 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
         raise InvalidArgumentError("iterated kernels need a square block shape")
     if n < 1:
         raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
-    X = np.array(op.K, dtype=complex)
+    X = op.K.copy()
     w = op.w_cols
     with np.errstate(over="ignore", invalid="ignore"):
         for bit in bin(n)[3:]:

@@ -21,7 +21,15 @@ from .errors import (
     UnsupportedProfileError,
 )
 from .kernels import Kernel
-from .nystrom import DiscreteOperator, _anchor_phase, _winner, _wnorm, apply_adjoint, discretize
+from .nystrom import (
+    DiscreteOperator,
+    _anchor_phase,
+    _matvec,
+    _winner,
+    _wnorm,
+    apply_adjoint,
+    discretize,
+)
 from .spectral import djf_eig
 
 COLLAPSE_RTOL = 1e-14
@@ -75,7 +83,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     k = 0
     while k < n_max:
         k += 1
-        y = op.A @ h
+        y = _matvec(op.A, h)
         gh = _winner(w, g, h)
         gy = _winner(w, g, y)
         if abs(gh) > 1e-14:
@@ -173,7 +181,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     target = resid_rtol * abs(nu1)
     res_p = res_q = np.inf
     for _ in range(n):
-        yp = (op.A @ p) / nu1
+        yp = _matvec(op.A, p) / nu1
         yq = apply_adjoint(op, q) / np.conj(nu1)
         np_, nq_ = _wnorm(w, yp), _wnorm(w, yq)
         if np_ <= COLLAPSE_RTOL * op_scale or nq_ <= COLLAPSE_RTOL * op_scale:
@@ -187,7 +195,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         q = yq / nq_
         if max(res_p, res_q) <= 0.1 * target:
             break
-    res_p = _wnorm(w, op.A @ p - nu1 * p)
+    res_p = _wnorm(w, _matvec(op.A, p) - nu1 * p)
     res_q = _wnorm(w, apply_adjoint(op, q) - np.conj(nu1) * q)
     if max(res_p, res_q) > target:
         raise ConvergenceError(
@@ -304,7 +312,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
         except (ConvergenceError, StartingVectorError) as exc:
             result.failure_reason = f"stage {stage}: {exc}"
             return result
-        nu = _winner(w, q, current.A @ p)  # Rayleigh refinement, <q, p>_W = 1
+        nu = _winner(w, q, _matvec(current.A, p))  # Rayleigh refinement, <q, p>_W = 1
         result.triples.append((nu, p, q))
         result.stages_completed = stage
         current = deflate(current, nu, p, q)

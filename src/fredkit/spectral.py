@@ -221,6 +221,11 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     with a real-positive anchor entry, which pins down the free constant
     multipliers; the left vectors then have no freedom left.
 
+    eig and the polish run in complex arithmetic, also for a real operator
+    (B and K are upcast once): LAPACK's real and complex eigensolvers round
+    differently, and this decomposition's refusals sit close to rounding
+    (see COND_LIMIT).
+
     The normalized eigenvector matrix V is factored once: its 1-norm
     condition estimate (LAPACK gecon) guards the refusal below, and the
     left family U = V^{-H} is solved from the same LU.
@@ -236,8 +241,9 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """
     if not op.is_square_block:
         raise InvalidArgumentError("eigendecomposition needs a square block shape")
+    B = op.B.astype(complex, copy=False)
     try:
-        vals, V = np.linalg.eig(op.B)
+        vals, V = np.linalg.eig(B)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eig did not converge: {exc}") from exc
     order = _sort_order(vals)
@@ -248,7 +254,7 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     _rebasis_degenerate(vals, V, retained)
     top = np.abs(vals[0]) if vals.size else 0.0
     Vr = V[:, :retained]
-    resid = np.linalg.norm(op.B @ Vr - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
+    resid = np.linalg.norm(B @ Vr - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
     bad = np.flatnonzero(resid > 1e-9 * top)
     if bad.size:
         j = bad[0]
@@ -282,7 +288,8 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     sel = np.flatnonzero(np.abs(vals[:retained]) >= REFINE_RTOL * top)
     Ps = _matvecs(op.A, P[:, sel]) / vals[sel]
     Ps *= _unit_anchored(w, Ps)
-    Qs = _matvecs(op.K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
+    K = op.K.astype(complex, copy=False)
+    Qs = _matvecs(K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
     Qs /= np.conj(_winner(w, Qs, Ps))
     P[:, sel] = Ps
     Q[:, sel] = Qs
@@ -407,7 +414,7 @@ def reconstruct(d: BiSpectralDecomposition, k: int) -> np.ndarray:
     if k < 0 or k > d.eigenvalues.size:
         raise InvalidArgumentError(f"rank {k} out of range")
     if k == 0:
-        return np.zeros_like(d.operator.K)
+        return np.zeros(d.operator.K.shape, dtype=complex)
     P = d.right[:, :k]
     Q = d.left[:, :k]
     return (P * d.eigenvalues[None, :k]) @ Q.conj().T

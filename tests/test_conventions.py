@@ -168,7 +168,7 @@ def column_at_a_time(op, method):
                 col = (op.A @ col) / vals[j]
             P[:, j] = col * (anchor_phase(col) / wnorm(w, col))
         return P, P
-    vals, V = np.linalg.eig(op.B)
+    vals, V = np.linalg.eig(op.B.astype(complex))  # djf_eig upcasts a real B, and K below
     order = spectral._sort_order(vals)
     vals, V = vals[order], V[:, order]
     retained = spectral._retained_count(vals)
@@ -182,7 +182,7 @@ def column_at_a_time(op, method):
         if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
             p = (op.A @ P[:, j]) / vals[j]
             p *= anchor_phase(p) / wnorm(w, p)
-            q = (op.K.conj().T @ (w * Q[:, j])) / np.conj(vals[j])
+            q = (op.K.astype(complex).conj().T @ (w * Q[:, j])) / np.conj(vals[j])
             P[:, j], Q[:, j] = p, q / np.conj(winner(w, q, p))
     return P, Q
 

@@ -131,6 +131,16 @@ class TestDefective:
         with pytest.raises(PreconditionViolationError, match="Gram residual"):
             fk.defective_kernel(0.5, 2, bad, gl8)
 
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    @pytest.mark.parametrize("gram_tol", [float("nan"), float("inf"), -float("inf"), -1.0,
+                                          -1e-300, 1j, "1e-3", None])
+    def test_gram_tol_must_be_finite_and_nonnegative(self, gl8, gram_tol, orthonormal):
+        # a NaN or infinite tolerance would pass a basis that is not orthonormal
+        basis = fk.orthonormal_poly_basis(gl8, 2) if orthonormal else [lambda y: y * 0 + 1.0,
+                                                                       lambda y: y]
+        with pytest.raises(InvalidArgumentError, match="gram_tol must be a finite number >= 0"):
+            fk.basis_kernel(np.eye(2), basis, gl8, gram_tol=gram_tol)
+
     def test_small_block_rejected(self, gl8):
         basis = fk.orthonormal_poly_basis(gl8, 1)
         with pytest.raises(InvalidArgumentError):
