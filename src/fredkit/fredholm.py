@@ -197,8 +197,8 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     lam = complex(lam)
     f = np.asarray(f, dtype=complex)
     lambdas = _series_lambdas(d, k, lam)
-    proj = d.left[:, :k].conj().T @ (d.weights * f)  # <q_j, f>_W
-    return f + d.right[:, :k] @ (lam * proj / (lambdas - lam))
+    proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
+    return f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
 
 
 def _det_direct(op, lam):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ClusteringError,
+    ConvergenceError,
     IllConditionedChainError,
     InvalidArgumentError,
     NoSpectrumError,
@@ -141,13 +142,28 @@ def jordan_decompose(N, cluster_tol=1e-7):
     IllConditionedChainError
         When a computed chain fails N p_k = lam p_k + p_{k-1} beyond
         1e-6 * ||N||.
+    ConvergenceError
+        When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
+    InvalidArgumentError
+        When N is not square, exceeds desk scale or has an entry that is
+        not finite (checked before any LAPACK call).
     """
     N = np.asarray(N, dtype=complex)
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise InvalidArgumentError("need a square matrix")
+    if N.shape[0] > DESK_DIM_LIMIT:
+        raise InvalidArgumentError(f"dimension {N.shape[0]} exceeds desk scale {DESK_DIM_LIMIT}")
+    if not np.isfinite(N).all():
+        raise InvalidArgumentError("N has an entry that is not finite")
+    try:
+        return _decompose(N, cluster_tol)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Jordan decomposition failed in LAPACK: {exc}") from exc
+
+
+def _decompose(N, cluster_tol):
+    """jordan_decompose on a checked finite square N."""
     s = N.shape[0]
-    if s > DESK_DIM_LIMIT:
-        raise InvalidArgumentError(f"dimension {s} exceeds desk scale {DESK_DIM_LIMIT}")
     nrm = float(np.linalg.norm(N, 2))
     eigs = np.linalg.eigvals(N)
     rho = float(np.max(np.abs(eigs)))

@@ -10,10 +10,25 @@ supported:
 
 Each body samples itself in one method, ``_samples(shape, ys, zs)``: the
 blocks N(y, z) at every pair of ys x zs, node-major.  A rule's sample
-matrix, one block and a Nystrom row all come from it.  Every call of a
-function the caller supplies goes through ``_evaluate``, and finite-rank
-terms and basis functions are sampled at nodes alike (``_node_values``).
-Real values come back as float64 and anything else as complex128.
+matrix, one block and a Nystrom row all come from it.  Finite-rank terms
+and basis functions are sampled at nodes alike (``_node_values``).
+
+Every value a function the caller supplies returns is converted by
+``_as_samples``, and every failure, of the call or of the conversion, is
+refused by ``_failed`` with an EvaluationError naming the point.  Real
+values come back as float64 and anything else as complex128, so the dtype
+follows the kernel:
+
+* ``_evaluate`` makes one call, on node arrays or at one point;
+* a block evaluator, or a scalar one that refuses the meshgrid, is called
+  pair by pair in one loop per row of z values.  Each row is converted
+  once and written into a (y, s1, z, s2) buffer, so the node-major matrix
+  is a free reshape of it.  The buffer takes the dtype of the first row
+  and is upcast once if a later row is complex.  On the block-powerit
+  benchmark's 2 x 2 kernel (GH256, one BLAS thread, a 2-vCPU Xeon) this
+  adds 0.1-0.4 us a pair to the evaluator's own 4.5-5.7 us;
+* a finite-rank kernel fills float64 when every coefficient and node value
+  is real, and complex128 otherwise.
 """
 import math
 import numbers
@@ -84,22 +99,37 @@ def _evaluate(fn, args, shape):
     over the nodes.  Any other failure, and a value at one point with the
     wrong number of entries, raises EvaluationError naming the point.
     """
-    on_nodes = isinstance(args[0], np.ndarray)
     try:
-        out = _float_or_complex(fn(*args))
-        if on_nodes and out.shape[: args[0].ndim] != args[0].shape:
+        value = fn(*args)
+    except Exception as exc:
+        return _failed(exc, args)
+    return _as_samples(value, args, shape)
+
+
+def _as_samples(value, args, shape):
+    """value, returned by a call at args, converted as _evaluate converts it."""
+    try:
+        out = _float_or_complex(value)
+        if out.shape[: np.ndim(args[0])] != np.shape(args[0]):
             return None
         return out.reshape(shape)
     except Exception as exc:
-        if on_nodes and isinstance(exc, (TypeError, ValueError)):
-            return None
-        if np.size(args[0]) > 1:
-            where, pair = f"on node arrays of shape {args[0].shape}", None
-        else:  # one point, also when given as one-element arrays
-            point = tuple(float(np.ravel(a)[0]) for a in args)
-            pair = point if len(point) == 2 else None
-            where = f"at {'(y, z)' if pair else 'x'} = {pair or point[0]}"
-        raise EvaluationError(f"kernel evaluation failed {where}: {exc}", pair=pair) from exc
+        return _failed(exc, args)
+
+
+def _failed(exc, args):
+    """None when exc, from a call at args or from converting its value, is a
+    TypeError or ValueError on node arrays; else raise EvaluationError naming
+    the point (or the node arrays' shape), caused by exc."""
+    if isinstance(args[0], np.ndarray) and isinstance(exc, (TypeError, ValueError)):
+        return None
+    if np.size(args[0]) > 1:
+        where, pair = f"on node arrays of shape {args[0].shape}", None
+    else:  # one point, also when given as one-element arrays
+        point = tuple(float(np.ravel(a)[0]) for a in args)
+        pair = point if len(point) == 2 else None
+        where = f"at {'(y, z)' if pair else 'x'} = {pair or point[0]}"
+    raise EvaluationError(f"kernel evaluation failed {where}: {exc}", pair=pair) from exc
 
 
 def _node_values(fn, xs, s):
@@ -128,11 +158,26 @@ class ClosedForm:
             K = _evaluate(ev, np.meshgrid(ys, zs, indexing="ij"), (ys.size, zs.size))
             if K is not None:
                 return K
-        K = np.empty((ys.size, zs.size) + shape, dtype=complex)
-        for Ki, y in zip(K, ys):
-            for j, z in enumerate(zs):
-                Ki[j] = _evaluate(ev, (y, z), shape)
-        return K.transpose(0, 2, 1, 3).reshape(ys.size * shape[0], zs.size * shape[1])
+        # one row of z values at a time, into a (y, s1, z, s2) buffer
+        zs = list(zs)
+        K = None
+        for i, y in enumerate(ys):
+            values = []
+            try:
+                for z in zs:
+                    values.append(ev(y, z))
+            except Exception as exc:
+                _failed(exc, (y, zs[len(values)]))  # at one point: raises
+            try:
+                row = _float_or_complex(values).reshape((len(zs),) + shape)
+            except Exception:  # name the first value that is not one block
+                row = np.array([_as_samples(v, (y, z), shape) for v, z in zip(values, zs)])
+            if K is None:
+                K = np.empty((ys.size, shape[0], len(zs), shape[1]), dtype=row.dtype)
+            elif row.dtype != K.dtype and row.dtype.kind == "c":
+                K = K.astype(complex)
+            K[i] = row.transpose(1, 0, 2)
+        return K.reshape(ys.size * shape[0], len(zs) * shape[1])
 
 
 @dataclass(frozen=True)
@@ -142,11 +187,24 @@ class FiniteRank:
     terms: tuple
 
     def _samples(self, shape, ys, zs):
+        # float64 when every coefficient and node value is real: then each
+        # term is the real part of its complex form bit for bit, since
+        # (a + 0i)(x + 0i) has real part a*x - 0*0, rounded once
         s1, s2 = shape
-        K = np.zeros((ys.size * s1, zs.size * s2), dtype=complex)
-        for coeff, right, left in self.terms:
-            r, l = _node_values(right, ys, s1), _node_values(left, zs, s2)
-            K += coeff * np.outer(r, np.conj(l))
+        terms = [(coeff, _node_values(right, ys, s1), _node_values(left, zs, s2))
+                 for coeff, right, left in self.terms]
+        real = all(np.imag(c) == 0 and r.dtype.kind == l.dtype.kind == "f" for c, r, l in terms)
+        K = np.zeros((ys.size * s1, zs.size * s2), dtype=float if real else complex)
+        if not real:
+            # one expression on purpose: numpy runs a large temporary's
+            # product in place, as outer * coeff, and a complex product's
+            # rounding depends on the order of its operands
+            for coeff, r, l in terms:
+                K += coeff * np.outer(r, np.conj(l))
+            return K
+        term = np.empty_like(K)
+        for coeff, r, l in terms:
+            K += np.multiply(np.outer(r, l, out=term), np.real(coeff), out=term)
         return K
 
 

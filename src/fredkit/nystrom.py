@@ -8,7 +8,8 @@ orthonormality of eigenfunction samples into Euclidean orthonormality.
 The eigenvalues of A are computed at most once per operator, on first use
 of DiscreteOperator.spectrum, and shared by every later caller.  K, A and B
 are float64 for a real kernel and complex128 otherwise; _matvec applies a
-real matrix to complex samples without a complex copy of the matrix.
+real matrix to complex samples (a vector or a matrix of them) without a
+complex copy of the matrix.
 
 Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
@@ -114,12 +115,14 @@ def _read_only(a):
 
 
 def _matvec(M, x):
-    """M @ x for a vector x.  A real M times a complex x is one real product
-    on x's (n, 2) float view: numpy's mixed product would first copy M to
-    complex, on every call."""
+    """M @ x for a vector or a matrix x.  A real M times a complex x is one
+    real product on x's float view, (n, 2) for a vector and (n, 2m) for an
+    n x m matrix: numpy's mixed product would first copy M to complex, on
+    every call."""
     if M.dtype.kind == "f" and x.dtype.kind == "c":
         x = np.ascontiguousarray(x)
-        return (M @ x.view(float).reshape(-1, 2)).view(complex)[:, 0]
+        y = M @ x.view(float).reshape(x.shape[0], -1)
+        return y.view(complex).reshape(M.shape[:1] + x.shape[1:])
     return M @ x
 
 
@@ -259,5 +262,5 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     if p.shape != (rule.count * s2,):
         raise InvalidArgumentError("eigenfunction samples have the wrong length")
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
-    acc = row @ (np.repeat(rule.weights, s2) * p) / complex(nu)
+    acc = _matvec(row, np.repeat(rule.weights, s2) * p) / complex(nu)
     return complex(acc[0]) if s1 == 1 else acc

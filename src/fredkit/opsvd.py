@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidArgumentError
-from .nystrom import DiscreteOperator, _anchor_phase
+from .nystrom import DiscreteOperator, _anchor_phase, _matvec
 
 RANK_RTOL = 1e-12
 
@@ -126,9 +126,9 @@ def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
             f"sample vector has length {f.shape}, expected ({V.shape[0]},)"
         )
     r = svd.rank_numerical
-    coeffs = V[:, :r].conj().T @ (w * f)
+    coeffs = _matvec(V[:, :r].conj().T, w * f)
     pw = svd.singular_values[:r] ** (2 * n)
-    return V[:, :r] @ (pw * coeffs)
+    return _matvec(V[:, :r], pw * coeffs)
 
 
 def trace_power(svd: OperatorSVD, n: int) -> float:

@@ -233,7 +233,12 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
         raise PreconditionViolationError(
             f"pair is not bi-orthonormalized: <q1, p1>_W = {pairing:.12g}"
         )
-    K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
+    if op.K.dtype.kind == "f" and not (nu1.imag or p1.imag.any() or q1.imag.any()):
+        # a real pair keeps a real operator's update real: the real part of
+        # the complex one, whose imaginary part the constructor would drop
+        K1 = op.K - nu1.real * np.outer(p1.real, q1.real)
+    else:
+        K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
     return DiscreteOperator(rule=op.rule, shape=op.shape, K=K1)
 
 

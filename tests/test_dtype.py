@@ -7,6 +7,8 @@ spectrum: a backward-stable decomposition of the real B and one of the same
 B stored as complex each lie within N u ||B|| of the exact one, so the two
 differ by at most twice that, scaled by the condition of what is compared.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ class TestRealAgreesWithComplex:
 
 class TestRealAwareMatvec:
     """_matvec(M, x) for a real M and a complex x is one real product on x's
-    (n, 2) float view; each part is an N-term real sum on one side and a
+    float view, (n, 2) for a vector and (n, 2m) for a matrix; each part is an N-term real sum on one side and a
     2N-term one (with zero terms) in complex arithmetic, so they differ by at
     most (gamma_N + gamma_2N) |M| |x| componentwise."""
 
@@ -247,3 +249,97 @@ class TestRealAwareMatvec:
         for fn, M, v in ((fk.apply, op.A, f), (fk.apply_adjoint, op.K.T, op.w_rows * f)):
             bound = (gamma(N) + gamma(2 * N)) * (np.abs(M) @ np.abs(v))
             assert np.all(np.abs(fn(op, f) - fn(opc, f)) <= np.sqrt(2) * bound)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_matrix_right_hand_side(self, layout):
+        rng = np.random.default_rng(14)
+        M = rng.standard_normal((N // 2, N))
+        X = rng.standard_normal((N, 6)) + 1j * rng.standard_normal((N, 6))
+        X = X[:, ::2] if layout == "strided" else np.ascontiguousarray(X[:, :3])
+        got = _matvec(M, X)
+        assert got.dtype == np.complex128 and got.shape == (N // 2, 3)
+        ref = M.astype(complex) @ X
+        bound = (gamma(N) + gamma(2 * N)) * (np.abs(M) @ np.abs(X))
+        assert np.all(np.abs(got.real - ref.real) <= bound)
+        assert np.all(np.abs(got.imag - ref.imag) <= bound)
+
+
+def product_gap(M, x):
+    """Bound on |M @ x as _matvec forms it - M @ x in complex arithmetic|, for
+    a real M, a complex x and M's inner dimension k: each part of each lies
+    within gamma_2k |M| |x| of the exact product (TestRealAwareMatvec), so
+    the moduli of the two differ by at most 2 sqrt(2) of that."""
+    return 2 * np.sqrt(2) * gamma(2 * M.shape[1]) * (np.abs(M) @ np.abs(x))
+
+
+# One complex multiply or divide rounds within this relative error, also
+# when an operand is real (Higham, 2nd ed., lemma 3.5).
+ELEM = np.sqrt(2) * gamma(4)
+
+
+class TestRealAwarePaths:
+    """gram_apply, second_kind_solve_series and nystrom_extend apply a real
+    matrix to complex samples through _matvec.  Each is compared with the
+    same formula in plain complex products: the gaps of its products
+    (product_gap) are carried through the elementwise steps between them,
+    each of which rounds within ELEM relative on either side."""
+
+    def test_gram_apply(self, pair):
+        op, _, _ = pair
+        sv = fk.operator_svd(op)
+        assert sv.left.dtype == np.float64
+        f = np.random.default_rng(15).standard_normal((N, 2)) @ [1, 1j]
+        r, w = sv.rank_numerical, sv.w_rows
+        V, pw = sv.left[:, :r], sv.singular_values[:r] ** 4
+        c = V.T.astype(complex) @ (w * f)
+        ref = V.astype(complex) @ (pw * c)
+        dc = product_gap(V.T, w * f)
+        t = pw * (np.abs(c) + dc)  # bounds |pw * c| on either side
+        bound = np.abs(V) @ (pw * dc + 2 * ELEM * t) + product_gap(V, (1 + ELEM) * t)
+        assert np.all(np.abs(fk.gram_apply(sv, 2, f) - ref) <= bound)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.7 + 0.4j])
+    def test_second_kind_solve_series(self, pair, lam):
+        op, _, _ = pair
+        d = fk.hermitian_eig(op)
+        assert d.right.dtype == np.float64
+        f = np.random.default_rng(16).standard_normal((N, 2)) @ [1, 1j]
+        k, w = d.retained, d.weights
+        P, den = d.right[:, :k], 1.0 / d.eigenvalues[:k] - lam
+        proj = P.T.astype(complex) @ (w * f)
+        y = P.astype(complex) @ (lam * proj / den)
+        ref = f + y
+        dproj = product_gap(P.T, w * f)
+        t = abs(lam) * (np.abs(proj) + dproj) / np.abs(den)  # bounds |lam proj / den|
+        dy = (np.abs(P) @ (abs(lam) * dproj / np.abs(den) + 4 * ELEM * t)
+              + product_gap(P, (1 + 2 * ELEM) * t))
+        bound = dy + 2 * ELEM * (np.abs(f) + np.abs(y) + dy)  # the final sum, either side
+        assert np.all(np.abs(fk.second_kind_solve_series(d, lam, f, k) - ref) <= bound)
+
+    def test_nystrom_extend(self):
+        rule = fk.gauss_legendre(N, -1.0, 1.0)
+        kern = fk.Kernel((2, 2), ClosedForm(block_kernel))
+        p = np.random.default_rng(17).standard_normal((2 * N, 2)) @ [1, 1j]
+        nu, y = 0.7 - 0.2j, 0.3141
+        row = kern.body._samples(kern.shape, np.array([y]), rule.nodes)
+        assert row.dtype == np.float64
+        wp = np.repeat(rule.weights, 2) * p
+        acc = row.astype(complex) @ wp
+        ref = acc / nu
+        dacc = product_gap(row, wp)
+        bound = dacc / abs(nu) + 2 * ELEM * (np.abs(acc) + dacc) / abs(nu)
+        assert np.all(np.abs(fk.nystrom_extend(kern, rule, p, nu, y) - ref) <= bound)
+
+    def test_no_complex_copy_of_the_matrix(self, pair):
+        op, _, _ = pair
+        sv, d = fk.operator_svd(op), fk.hermitian_eig(op)
+        f = np.random.default_rng(18).standard_normal((N, 2)) @ [1, 1j]
+        calls = [(lambda: fk.gram_apply(sv, 2, f), sv.left[:, :sv.rank_numerical]),
+                 (lambda: fk.second_kind_solve_series(d, 0.3, f, d.retained),
+                  d.right[:, :d.retained])]
+        for call, M in calls:
+            tracemalloc.start()
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < M.size * np.dtype(complex).itemsize

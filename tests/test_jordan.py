@@ -4,6 +4,7 @@ import pytest
 import fredkit as fk
 from fredkit.errors import (
     ClusteringError,
+    ConvergenceError,
     InvalidArgumentError,
     UnsupportedProfileError,
 )
@@ -194,6 +195,33 @@ class TestJordanDecompose:
         jf = fk.jordan_decompose(np.diag([1.0, 1.0], 1), cluster_tol=1e-5)
         assert [m for _, m in jf.blocks] == [3]
         assert abs(jf.blocks[0][0]) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_refused_before_lapack(self, bad, monkeypatch):
+        # a NaN made LAPACK's SVD fail to converge, an inf failed its input check
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite matrix")
+
+        for name in ("norm", "eigvals", "svd", "qr", "lstsq", "inv"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        N = np.diag([1.0, 1.0], 1).astype(complex)
+        N[2, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            fk.jordan_decompose(N)
+
+    @pytest.mark.parametrize("name", ["eigvals", "svd", "qr", "lstsq", "inv"])
+    def test_lapack_failure_is_convergence_error(self, name, monkeypatch):
+        # no finite input is known to make these fail, so each is made to
+        # fail in turn on a matrix whose decomposition calls all of them
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{name} failed")
+
+        N = np.diag([0.5, 0.5, 0.5, 0.2]) + np.diag([1.0, 0.0, 0.0], 1)
+        assert [m for _, m in fk.jordan_decompose(N, cluster_tol=1e-5).blocks] == [2, 1, 1]
+        monkeypatch.setattr(np.linalg, name, fails)
+        with pytest.raises(ConvergenceError, match=f"{name} failed") as err:
+            fk.jordan_decompose(N, cluster_tol=1e-5)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestMatrixPowerViaJordan:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fredkit.errors import (
     PreconditionViolationError,
     UnsupportedKernelError,
 )
-from fredkit.kernels import ClosedForm
+from fredkit.kernels import ClosedForm, _evaluate
 
 
 class TestHermite:
@@ -307,6 +308,110 @@ class TestSampling:
     def test_eval_block_needs_finite_real_points(self, y, z):
         with pytest.raises(InvalidArgumentError):
             fk.mehler_kernel(0.5).eval_block(y, z)
+
+
+def _powerit_block(y, z):
+    """A block-powerit-style 2 x 2 block S diag(m1, m2) S^-1 of two Mehler
+    kernels, S = [[2, 1], [1, 1]], from scalars only (math.exp)."""
+    m1 = math.exp((1.2 * y * z - 0.36 * (y * y + z * z)) / 1.28) / 0.8
+    m2 = 0.8 * math.exp((-y * z - 0.25 * (y * y + z * z)) / 1.5) / math.sqrt(0.75)
+    return [[2 * m1 - m2, 2 * (m2 - m1)], [m1 - m2, 2 * m2 - m1]]
+
+
+@pytest.fixture(scope="module")
+def gh256():
+    return fk.gauss_hermite_prob(256)
+
+
+@pytest.fixture(scope="module")
+def powerit_K(gh256):
+    """The block samples on GH256 and the number of evaluator calls made."""
+    calls = []
+
+    def evaluator(y, z):
+        calls.append(1)
+        return _powerit_block(y, z)
+
+    return fk.Kernel((2, 2), ClosedForm(evaluator)).sample_matrix(gh256), len(calls)
+
+
+class TestBlockSamplingAtScale:
+    """Block kernels are sampled one row of pairs at a time, at the size the
+    block-powerit benchmark samples: 256 nodes, 65,536 pairs."""
+
+    def test_matches_per_pair_oracle(self, gh256, powerit_K):
+        K, calls = powerit_K
+        x = gh256.nodes
+        oracle = np.empty((256, 2, 256, 2))
+        for i, y in enumerate(x):
+            for j, z in enumerate(x):
+                oracle[i, :, j] = _evaluate(_powerit_block, (y, z), (2, 2))
+        assert K.dtype == np.float64 and K.shape == (512, 512) and K.flags.c_contiguous
+        assert K.tobytes() == oracle.tobytes()
+        assert calls == 256 ** 2
+
+    def test_complex_value_in_the_last_row(self, gh256, powerit_K):
+        x = gh256.nodes
+        last = (x[-1], x[-1])
+
+        def evaluator(y, z):
+            block = _powerit_block(y, z)
+            return np.multiply(block, 1 + 1e-3j) if (y, z) == last else block
+
+        K = fk.Kernel((2, 2), ClosedForm(evaluator)).sample_matrix(gh256)
+        real = powerit_K[0]
+        assert K.dtype == np.complex128
+        assert np.array_equal(K[:, :-2], real[:, :-2]) and np.array_equal(K[:-2], real[:-2])
+        assert np.array_equal(K[-2:, -2:], np.multiply(_powerit_block(*last), 1 + 1e-3j))
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0, 3.0], None])
+    def test_bad_value_mid_row_named(self, gh256, value):
+        x = gh256.nodes
+        bad = (x[3], x[117])
+        calls = []
+
+        def evaluator(y, z):
+            calls.append(1)
+            return value if (y, z) == bad else _powerit_block(y, z)
+
+        with pytest.raises(EvaluationError, match=r"at \(y, z\)") as err:
+            fk.Kernel((2, 2), ClosedForm(evaluator)).sample_matrix(gh256)
+        assert err.value.pair == bad
+        assert len(calls) == 4 * 256  # the bad pair's row is called once, in full
+
+
+class TestRealFiniteRankFill:
+    def test_real_terms_fill_float64_bit_for_bit(self, gl8):
+        rights, lefts = [np.cos, lambda y: y], [np.sin, lambda z: z * z]
+        kern = fk.separable_kernel([0.5, -0.25], rights, lefts)
+        K = kern.sample_matrix(gl8)
+        x = gl8.nodes
+        complex_fill = np.zeros((8, 8), dtype=complex)
+        for c, r, l in zip([0.5 + 0j, -0.25 + 0j], rights, lefts):
+            complex_fill += c * np.outer(r(x), np.conj(l(x)))
+        assert K.dtype == np.float64 and not complex_fill.imag.any()
+        assert K.tobytes() == complex_fill.real.tobytes()
+
+    @pytest.mark.parametrize("coeffs, right", [([0.5 + 1e-300j, 1.0], np.cos),
+                                               ([0.5, 1.0], lambda y: np.exp(1e-3j * y))])
+    def test_complex_coefficient_or_values_stay_complex(self, gl8, coeffs, right):
+        kern = fk.separable_kernel(coeffs, [right, np.sin], [np.cos, np.sin])
+        assert kern.sample_matrix(gl8).dtype == np.complex128
+
+    def test_peak_memory_at_most_mehler(self):
+        """A real separable kernel allocates float64 K and one term buffer, no
+        more than the meshgrid of a closed-form kernel on the same rule."""
+        rule = fk.gauss_legendre(1024, -1.0, 1.0)
+        kernels = [fk.separable_kernel([0.5, -0.25], [np.cos, lambda y: y],
+                                       [np.sin, lambda z: z * z]),
+                   fk.mehler_kernel(0.5)]
+        peaks = []
+        for kern in kernels:
+            tracemalloc.start()
+            fk.discretize(kern, rule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestGridTable:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,22 @@ class TestExtractLeadingPair:
 
 
 class TestDeflate:
+    def test_real_pair_deflates_in_real_arrays(self):
+        """A real operator with a real pair is updated in float64: at most
+        K1, A, B and one N x N temporary are alive, and K1 is the complex
+        update's real part."""
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        d = fk.hermitian_eig(op)
+        nu, p, q = d.eigenvalues[0], d.right[:, 0], d.left[:, 0]
+        tracemalloc.start()
+        op1 = fk.deflate(op, nu, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert op1.K.dtype == np.float64
+        assert peak < 4.5 * op.K.nbytes
+        update = complex(nu) * np.outer(p.astype(complex), np.conj(q.astype(complex)))
+        assert np.array_equal(op1.K, (op.K - update).real)
+
     def test_rank_one_annihilation(self, yz_op):
         d = fk.djf_eig(yz_op)
         op1 = fk.deflate(yz_op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
