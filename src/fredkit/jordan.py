@@ -146,7 +146,8 @@ def jordan_decompose(N, cluster_tol=1e-7):
         When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
     InvalidArgumentError
         When N is not square, exceeds desk scale or has an entry that is
-        not finite (checked before any LAPACK call).
+        not finite (checked before any LAPACK call), or when a power
+        ||N - lambda I||^k the rank staircase needs overflows.
     """
     N = np.asarray(N, dtype=complex)
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
@@ -238,9 +239,16 @@ def _cluster_chains(N, lam, amult):
                 f"{amult} (kernel dims {dims[1:]}); the cluster tolerance does "
                 "not match the actual eigenvalue splitting"
             )
+        # ||S^k||_2 <= smax^k: while the rank tolerance is finite, so is S^k
+        try:
+            tol = RANK_RTOL * max(smax, 1e-300) ** k
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"||N - lambda I||^{k} overflows for lambda={lam:.6g}; the staircase "
+                "rank tolerance cannot be formed -- rescale N"
+            ) from None
         Sk = S @ Sk
         u, sv, vh = np.linalg.svd(Sk)
-        tol = RANK_RTOL * max(smax, 1e-300) ** k
         r = int(np.sum(sv > tol))
         if s - r > amult:
             raise ClusteringError(

@@ -6,7 +6,10 @@ we keep the raw samples K and the symmetrized form
 B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
 The eigenvalues of A are computed at most once per operator, on first use
-of DiscreteOperator.spectrum, and shared by every later caller.  K, A and B
+of DiscreteOperator.spectrum, and shared by every later caller; so are the
+Hermitian defect of B and the eigendecomposition of B's Hermitian part
+(DiscreteOperator.hermitian_eigh), which hermitian_eig, djf_eig and
+operator_svd share on an operator that is Hermitian to roundoff.  K, A and B
 are float64 for a real kernel and complex128 otherwise; _matvec applies a
 real matrix to complex samples (a vector or a matrix of them) without a
 complex copy of the matrix.
@@ -24,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     EvaluationError,
     InvalidArgumentError,
     NontrivialityWarning,
@@ -31,6 +35,8 @@ from .errors import (
 )
 from .kernels import Kernel, _real_point
 from .measure import QuadratureRule
+
+UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,20 @@ class DiscreteOperator:
     so a real kernel gets real arrays and real LAPACK calls.  Values that
     are complex by contract stay complex: the spectrum, djf_eig's pairs and
     solves at complex lambda.
-    K, A and B are made read-only on construction, so the spectrum of A
-    cannot go stale: it is computed by one ``np.linalg.eigvals(A)`` the
-    first time it is read, cached on the instance and itself read-only.
-    Nothing reads it eagerly; the Hermitian, bi-orthogonal, SVD, iterate
-    and power paths never touch it.
+    K, A and B are made read-only on construction, so nothing cached from
+    them can go stale.  The spectrum of A is computed by one
+    ``np.linalg.eigvals(A)`` the first time it is read, cached on the
+    instance and itself read-only.  Nothing reads it eagerly; the
+    Hermitian, bi-orthogonal, SVD, iterate and power paths never touch it.
+    The Hermitian defect and ``hermitian_eigh`` are cached the same way.
+
+    The Hermitian route.  An operator with hermitian_defect() <= n u
+    (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
+    by one eigh of its Hermitian part S = (B + B^H) / 2, and djf_eig and
+    operator_svd answer from it instead of running eig and svd.  Replacing
+    B by S moves it by ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F,
+    within the backward error of order n u ||B|| that eig and svd already
+    commit, so every answer keeps an a priori bound.
     """
 
     rule: QuadratureRule
@@ -104,9 +119,44 @@ class DiscreteOperator:
         return float(np.linalg.norm(self.B))
 
     def hermitian_defect(self):
-        """Relative departure of B from Hermitian symmetry."""
-        scale = max(float(np.linalg.norm(self.B)), 1e-300)
-        return float(np.linalg.norm(self.B - self.B.conj().T)) / scale
+        """Relative departure of B from Hermitian symmetry,
+        ||B - B^H||_F / ||B||_F, computed once (square block shapes only)."""
+        return self._defect
+
+    @cached_property
+    def _defect(self):
+        return _hermitian_part(self.B)[1]
+
+    def hermitian_to_roundoff(self):
+        """Whether the Hermitian route applies: a square block shape and
+        hermitian_defect() <= n u, n = B.shape[0], u = eps / 2."""
+        return self.is_square_block and self.hermitian_defect() <= self.B.shape[0] * UNIT
+
+    @cached_property
+    def hermitian_eigh(self):
+        """(vals, vecs) of ``np.linalg.eigh`` on B's Hermitian part
+        (B + B^H) / 2: real eigenvalues ascending, orthonormal columns of B's
+        dtype.  Computed on first use, once, and read-only.
+
+        Raises ConvergenceError, caching nothing, when eigh does not converge.
+        """
+        S, defect = _hermitian_part(self.B)
+        self.__dict__.setdefault("_defect", defect)
+        try:
+            vals, vecs = np.linalg.eigh(S)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+        return _read_only(vals), _read_only(vecs)
+
+
+def _hermitian_part(B):
+    """(S, defect) for a square B: its Hermitian part S = (B + B^H) / 2 and
+    ||B - B^H||_F / ||B||_F, read off S as 2 ||B - S||_F / ||B||_F since
+    B - B^H = 2 (B - S), so no N x N copy of B^H outlives the sum."""
+    S = B + B.conj().T
+    S *= 0.5
+    scale = max(float(np.linalg.norm(B)), 1e-300)
+    return S, 2.0 * float(np.linalg.norm(B - S)) / scale
 
 
 def _read_only(a):

@@ -5,6 +5,13 @@ Euclidean orthonormality of the singular vectors becomes weighted
 orthonormality of the node samples: <p_j, p_k>_W = <q_j, q_k>_W = delta_jk.
 Iterated Gram-operator kernels (N N^*)^n and their odd-power variants, the
 trace power sums, and truncation follow from the triples alone.
+
+When B is Hermitian to roundoff (hermitian_defect() <= n u, see
+DiscreteOperator.hermitian_to_roundoff) the triples come from the
+operator's cached eigh of B's Hermitian part, B = V diag(nu) V^H, instead of
+an svd: theta_j = |nu_j|, p_j = v_j / sqrt(w) and q_j = sign(nu_j) p_j.
+Symmetrizing moves B by (defect / 2) ||B||_F, within the backward error
+the svd would commit, and the eigh is shared with hermitian_eig and djf_eig.
 """
 from dataclasses import dataclass
 
@@ -42,20 +49,30 @@ class OperatorSVD:
 
 
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
-    """Singular triples of the operator via the dense SVD of B.
+    """Singular triples of the operator via the dense SVD of B, or via the
+    cached eigh of B's Hermitian part when B is Hermitian to roundoff.
 
     Samples are un-weighted back from the singular vectors (division by
     sqrt(w)); each p_j gets a real-positive anchor entry and q_j inherits
-    the same rotation, so A q_j = theta_j p_j is preserved.
+    the same rotation, so A q_j = theta_j p_j is preserved.  From eigh,
+    theta = |nu| in a stable descending sort and q_j = sign(nu_j) p_j, with
+    sign(0) = +1.
     """
-    try:
-        U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"svd did not converge: {exc}") from exc
     swr = np.sqrt(op.w_rows)
-    swc = np.sqrt(op.w_cols)
-    P = U / swr[:, None]
-    Q = Vh.conj().T / swc[:, None]
+    if op.hermitian_to_roundoff():
+        vals, vecs = op.hermitian_eigh
+        s = np.abs(vals)
+        order = np.argsort(-s, kind="stable")
+        s = s[order]
+        P = vecs[:, order] / swr[:, None]
+        Q = P * np.where(vals[order] < 0, -1.0, 1.0)
+    else:
+        try:
+            U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"svd did not converge: {exc}") from exc
+        P = U / swr[:, None]
+        Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
     ph = _anchor_phase(P)
     P *= ph
     Q *= ph

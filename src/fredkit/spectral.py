@@ -11,9 +11,17 @@ Both work on the symmetrized matrix B = W^{1/2} K W^{1/2} so that Euclidean
 orthonormality of matrix eigenvectors maps onto weighted orthonormality of
 node samples, then polish retained eigenvectors with one Nystrom pass
 (p <- A p / nu), which restores full accuracy at small-weight nodes.
+
+hermitian_eig reads the eigh of B's Hermitian part that the operator
+computes once (DiscreteOperator.hermitian_eigh).  djf_eig returns that same
+decomposition, upcast to complex, when B is Hermitian to roundoff
+(hermitian_defect() <= n u, DiscreteOperator.hermitian_to_roundoff): eigh
+of the Hermitian part then answers within the backward error a general eig
+commits, at a fraction of its cost, and its vectors are orthonormal, so
+they are their own bi-orthogonal family.
 """
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
@@ -171,6 +179,8 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
 
     Eigenvalues are real; the single eigenvector family is orthonormal in
     the weighted inner product and serves as both right and left family.
+    The eigh of B's Hermitian part comes from the operator's cache
+    (DiscreteOperator.hermitian_eigh), so it runs once per operator.
 
     Raises
     ------
@@ -185,11 +195,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         raise WrongDecompositionError(
             f"kernel is not Hermitian (relative defect {defect:.3e}); use djf_eig"
         )
-    Bsym = 0.5 * (op.B + op.B.conj().T)
-    try:
-        vals, vecs = np.linalg.eigh(Bsym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    vals, vecs = op.hermitian_eigh
     eigenvalues = vals.astype(complex)
     order = _sort_order(eigenvalues)
     vals, eigenvalues, vecs = vals[order], eigenvalues[order], vecs[:, order]
@@ -221,10 +227,17 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     with a real-positive anchor entry, which pins down the free constant
     multipliers; the left vectors then have no freedom left.
 
-    eig and the polish run in complex arithmetic, also for a real operator
-    (B and K are upcast once): LAPACK's real and complex eigensolvers round
-    differently, and this decomposition's refusals sit close to rounding
-    (see COND_LIMIT).
+    When B is Hermitian to roundoff (hermitian_defect() <= n u, n = B.shape[0],
+    u = eps / 2), this is hermitian_eig's decomposition with its eigenvalues
+    and vectors upcast once to complex; one array serves as right and left
+    family.  Symmetrizing moves B by (defect / 2) ||B||_F, no more than the
+    backward error eig commits, and the operator's cached eigh is shared
+    with hermitian_eig and operator_svd.
+
+    Otherwise eig and the polish run in complex arithmetic, also for a real
+    operator (B and K are upcast once): LAPACK's real and complex
+    eigensolvers round differently, and this decomposition's refusals sit
+    close to rounding (see COND_LIMIT).
 
     The normalized eigenvector matrix V is factored once: its 1-norm
     condition estimate (LAPACK gecon) guards the refusal below, and the
@@ -241,6 +254,10 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """
     if not op.is_square_block:
         raise InvalidArgumentError("eigendecomposition needs a square block shape")
+    if op.hermitian_to_roundoff():
+        d = hermitian_eig(op)
+        P = d.right.astype(complex, copy=False)
+        return replace(d, right=P, left=P)
     B = op.B.astype(complex, copy=False)
     try:
         vals, V = np.linalg.eig(B)

@@ -9,6 +9,12 @@ W-norms, a real-positive first maximal entry, and the orthonormality and
 bi-orthogonality budgets.  Cases are seeded, at the N = 64 / 256 sizes of
 the benchmark's smaller workloads and at its N = 1024 for the Hermitian
 and SVD paths; djf_eig at N = 1024 (about 5 s) is left to the benchmark.
+
+mehler, twin and basis are Hermitian to roundoff, so djf_eig and
+operator_svd answer from the eigh of B's Hermitian part there: their oracles
+are the eigh one, upcast to complex for djf_eig, and the sign-folded eigh
+one for the SVD.  skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not, and
+keeps djf_eig's eig path and the svd path under their own oracles.
 """
 from functools import lru_cache
 
@@ -54,6 +60,16 @@ def twin_kernel(a):
         lambda y, z: np.exp(1j * a * y) * mehler(y, z) * np.exp(-1j * a * z)))
 
 
+def skew_kernel(b):
+    """e^{by} M(y, z) e^{-bz}: real, not Hermitian, with Mehler's spectrum."""
+    mehler = fk.mehler_kernel(0.5).body.evaluator
+    return fk.Kernel(shape=(1, 1), body=ClosedForm(
+        lambda y, z: np.exp(b * y) * mehler(y, z) * np.exp(-b * z)))
+
+
+HERMITIAN = {"mehler": True, "twin": True, "basis": True, "skew": False}
+
+
 @lru_cache(maxsize=None)
 def operator(name, n):
     """The seeded operator `name` on Gauss-Legendre n over [-4, 4]."""
@@ -61,6 +77,8 @@ def operator(name, n):
     rng = np.random.default_rng(n)
     if name == "mehler":
         kern = fk.mehler_kernel(0.5)
+    elif name == "skew":
+        kern = skew_kernel(0.2)
     elif name == "twin":
         kern = twin_kernel(rng.uniform(0.5, 1.5))
     else:  # a real symmetric basis kernel of rank 6
@@ -70,8 +88,10 @@ def operator(name, n):
 
 
 METHODS = {"eig": fk.hermitian_eig, "djf": fk.djf_eig, "svd": fk.operator_svd}
-CASES = [(name, n, method) for n in (64, 256) for name in ("mehler", "twin", "basis")
-         for method in METHODS] + [("mehler", 1024, "eig"), ("mehler", 1024, "svd")]
+CASES = ([(name, n, method) for n in (64, 256) for name in ("mehler", "twin", "basis")
+          for method in METHODS]
+         + [("skew", n, method) for n in (64, 256) for method in ("djf", "svd")]
+         + [("mehler", 1024, "eig"), ("mehler", 1024, "svd")])
 
 
 @lru_cache(maxsize=None)
@@ -148,8 +168,25 @@ def test_outputs_keep_the_conventions(name, n, method):
 
 def column_at_a_time(op, method):
     """The decompositions' outputs as the scalar helpers made them, one column
-    at a time; the LAPACK calls, sort and refusal checks are fredkit's own."""
+    at a time; the LAPACK calls, sort and refusal checks are fredkit's own.
+    On an operator Hermitian to roundoff, djf_eig's oracle is the eigh one
+    upcast to complex, and the SVD's comes from the same eigh: theta = |nu|
+    in a stable descending sort, q = sign(nu) p with sign(0) = +1."""
     w = op.w_rows
+    if method == "djf" and op.hermitian_to_roundoff():
+        P, _ = column_at_a_time(op, "eig")
+        P = P.astype(complex)
+        return P, P
+    if method == "svd" and op.hermitian_to_roundoff():
+        vals, vecs = np.linalg.eigh(0.5 * (op.B + op.B.conj().T))
+        order = np.argsort(-np.abs(vals), kind="stable")
+        P = vecs[:, order] / np.sqrt(w)[:, None]
+        Q = P * np.where(vals[order] < 0, -1.0, 1.0)
+        for j in range(P.shape[1]):
+            ph = anchor_phase(P[:, j])
+            P[:, j] *= ph
+            Q[:, j] *= ph
+        return P, Q
     if method == "svd":
         U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
         P, Q = U / np.sqrt(w)[:, None], Vh.conj().T / np.sqrt(op.w_cols)[:, None]
@@ -193,7 +230,9 @@ def test_outputs_equal_the_column_at_a_time_ones(name, n, method):
     Mehler's odd eigenfunctions on a symmetric rule have mirror-node entries
     tied up to rounding, and a matrix-matrix polish moves some of them."""
     P, Q, _, _ = families(decomposition(name, n, method), method)
-    P_ref, Q_ref = column_at_a_time(operator(name, n), method)
+    op = operator(name, n)
+    assert op.hermitian_to_roundoff() == HERMITIAN[name]
+    P_ref, Q_ref = column_at_a_time(op, method)
     assert np.array_equal(P, P_ref)
     assert np.array_equal(Q, Q_ref)
 

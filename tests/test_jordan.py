@@ -223,6 +223,12 @@ class TestJordanDecompose:
             fk.jordan_decompose(N, cluster_tol=1e-5)
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
+    def test_overflowing_rank_tolerance_refused(self):
+        # rho = 1 <= 1e-10 ||N|| takes N as nilpotent, one cluster of two, so
+        # the staircase reaches k = 2, where ||N - lambda I||^2 ~ 2^2000
+        with pytest.raises(InvalidArgumentError, match=r"\|\|N - lambda I\|\|\^2 overflows"):
+            fk.jordan_decompose([[1, 2 ** 1000], [0, 0.5]], cluster_tol=1e-3)
+
 
 class TestMatrixPowerViaJordan:
     def test_zeroth_power(self):

@@ -234,6 +234,21 @@ class TestSampling:
                 block = K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2]
                 assert np.array_equal(kern.eval_block(float(y), float(z)), block), (i, j)
 
+    @pytest.mark.parametrize("body", ["finite-rank", "finite-rank-block"])
+    def test_eval_block_is_block_of_a_large_sample_matrix(self, body):
+        """GL256: a complex sample matrix of 256 KiB or more, where numpy
+        would run `coeff * outer` in place with its operands swapped."""
+        rule = fk.gauss_legendre(256, -4.0, 4.0)
+        kern = SAMPLED_BODIES[body](rule)
+        K = kern.sample_matrix(rule)
+        assert K.dtype == np.complex128 and K.nbytes >= 256 * 1024
+        s1, s2 = kern.shape
+        for i in range(0, rule.count, 7):
+            for j in range(0, rule.count, 7):
+                block = K[i * s1 : (i + 1) * s1, j * s2 : (j + 1) * s2]
+                y, z = float(rule.nodes[i]), float(rule.nodes[j])
+                assert np.array_equal(kern.eval_block(y, z), block), (i, j)
+
     @staticmethod
     def failing_kernels(fn):
         """A kernel of each evaluating body whose one function is fn."""

@@ -253,7 +253,8 @@ class TestSvdTruncate:
             fk.svd_truncate(sv, sv.rank_numerical + 1)
 
 
-def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op):
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, two_term_op):
+    """On an operator that is not Hermitian, where operator_svd runs svd."""
     failure = np.linalg.LinAlgError("SVD did not converge")
 
     def fail(*args, **kwargs):
@@ -261,5 +262,5 @@ def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op):
 
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(fk.ConvergenceError, match="svd did not converge") as err:
-        fk.operator_svd(mehler_op)
+        fk.operator_svd(two_term_op)
     assert err.value.__cause__ is failure

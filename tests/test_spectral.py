@@ -256,15 +256,19 @@ class TestExpansionInvariants:
 
 
 @pytest.mark.parametrize("name, decompose", [("eigh", fk.hermitian_eig), ("eig", fk.djf_eig)])
-def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, mehler_op, name, decompose):
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, two_term_op, name,
+                                                       decompose):
     failure = np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def fail(*args, **kwargs):
         raise failure
 
+    # eigh on a fresh Hermitian operator, since a shared one may hold its eigh
+    # already; eig on one that is not Hermitian, where djf_eig runs it
+    op = fk.discretize(fk.mehler_kernel(0.5), gh40) if name == "eigh" else two_term_op
     monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(fk.ConvergenceError, match=f"{name} did not converge") as err:
-        decompose(mehler_op)
+        decompose(op)
     assert err.value.__cause__ is failure
 
 
@@ -306,9 +310,11 @@ def test_exactly_singular_eigenvectors_refused(monkeypatch):
     letting scipy's LinAlgWarning through."""
     rule = fk.gauss_legendre(2, 0.0, 1.0)
     x1 = rule.nodes[1]
-    # rank one and zero at the second node: B = diag(b, 0), so eig returns
-    # V = I; its null column replaced by the first gives V = [[1, 1], [0, 0]]
-    op = fk.discretize(fk.separable_kernel([1.0], [lambda y: y - x1], [lambda z: z - x1]), rule)
+    # rank one and zero on the second row: B = [[a, b], [0, 0]], not Hermitian,
+    # so djf_eig runs eig; the null column replaced by the top one, [1, 0],
+    # gives V = [[1, 1], [0, 0]]
+    op = fk.discretize(fk.separable_kernel([1.0], [lambda y: y - x1], [lambda z: z]), rule)
+    assert not op.hermitian_to_roundoff()
     eig = np.linalg.eig
 
     def duplicate(M):
