@@ -25,6 +25,7 @@ constructor specs gauss-legendre {n,a,b}, gauss-hermite-prob {n},
 discrete {points,weights}, or an inline rule {nodes,weights}.
 """
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
-from .errors import FredkitError, InvalidArgumentError
+from .errors import FredkitError, InvalidArgumentError, _count_arg, _number_arg
 from .serialize import (
     csv_text,
     decomposition_to_obj,
@@ -126,6 +127,10 @@ def _reals(values):
     return np.asarray(values, dtype=float)
 
 
+# a rule's node count, and a count capped as one (each step costs an LU)
+_rule_size = functools.partial(_count_arg, name="count", low=1, high=measure.MAX_RULE_SIZE)
+
+
 def build_rule(spec):
     """QuadratureRule from a measure spec (constructor form or inline rule);
     raises InvalidArgumentError labelled with the failing field."""
@@ -134,7 +139,7 @@ def build_rule(spec):
     kind = spec.get("kind")
     if kind == measure.KIND_GAUSS_LEGENDRE:
         return _build("measure", measure.gauss_legendre, spec,
-                      n=measure._check_count, a=float, b=float)
+                      n=_rule_size, a=float, b=float)
     if kind == measure.KIND_GAUSS_HERMITE_PROB:
         return _field("measure", spec, "n", measure.gauss_hermite_prob)
     if kind == measure.KIND_DISCRETE:
@@ -155,7 +160,7 @@ def build_kernel(spec, rule):
     labelled with the failing field."""
     name = spec.get("name")
     if name == "mehler":
-        return _field("kernel", spec, "r", kernels.mehler_kernel)
+        return _field("kernel", spec, "r", lambda r: kernels.mehler_kernel(float(r)))
     if name == "separable":
         return _build("kernel", kernels.separable_kernel, spec,
                       coeffs=lambda cs: [obj_to_complex(c) for c in cs],
@@ -175,24 +180,20 @@ def build_kernel(spec, rule):
 
 
 def _count_from(low):
-    def convert(value):
-        if int(value) < low:
-            raise ValueError(f"need an integer >= {low}, got {value!r}")
-        return int(value)
-
-    return convert
+    return lambda value: _count_arg(int(value), "count", low)
 
 
 def _positive(value):
-    if not float(value) > 0:
+    value = _number_arg(float(value), "value", real=True)
+    if not value > 0:
         raise ValueError(f"need a value > 0, got {value!r}")
-    return float(value)
+    return value
 
 
 def _lambda(value):
     if isinstance(value, (list, tuple)):
         value = complex(float(value[0]), float(value[1]))
-    return fredholm._finite_lambda(obj_to_complex(value))
+    return _number_arg(obj_to_complex(value), "lambda")
 
 
 def _lambda_grid(text):
@@ -204,7 +205,7 @@ def _lambda_grid(text):
         steps = 0
     if steps < 1 or not -np.inf < a <= b < np.inf:
         raise ValueError(f"malformed, need 'a:b:steps' with finite a <= b, got {text!r}")
-    return np.linspace(a, b, measure._check_count(steps))
+    return np.linspace(a, b, _rule_size(steps))
 
 
 def _det_method(name):

@@ -1,4 +1,11 @@
-"""Exception and warning types shared across fredkit."""
+"""Exception and warning types shared across fredkit, and the argument checks
+every public entry point runs: a count is an integer in range, a number is
+finite, a sample vector has the operator's length and finite entries.
+"""
+import numbers
+import sys
+
+import numpy as np
 
 
 class FredkitError(Exception):
@@ -7,6 +14,44 @@ class FredkitError(Exception):
 
 class InvalidArgumentError(FredkitError, ValueError):
     """An argument violates a documented range or shape constraint."""
+
+
+def _count_arg(value, name, low=0, high=None):
+    """int(value); InvalidArgumentError unless value is a Python or numpy
+    integer (not a bool) in low..high, with no upper bound when high is None."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidArgumentError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _number_arg(value, name, real=False):
+    """complex(value), or float(value) when real; InvalidArgumentError unless
+    value is a finite number (a real one when real).  |re|, |im| <= the
+    largest float is the test, so 10**400 is refused, not overflowed."""
+    big = sys.float_info.max
+    if not (isinstance(value, numbers.Real if real else numbers.Complex)
+            and abs(value.real) <= big and abs(value.imag) <= big):
+        raise InvalidArgumentError(
+            f"{name}={value!r} is not {'a finite real number' if real else 'finite'}")
+    return float(value) if real else complex(value)
+
+
+def _samples_arg(value, n, name):
+    """value as a complex (n,) array, not copied when it is one;
+    InvalidArgumentError unless it converts, has that shape and is finite."""
+    try:
+        samples = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name} is not an array of numbers: {exc}") from None
+    if samples.shape != (n,):
+        raise InvalidArgumentError(f"{name} has shape {samples.shape}, expected ({n},)")
+    if not np.isfinite(samples).all():
+        raise InvalidArgumentError(f"{name} has an entry that is not finite")
+    return samples
 
 
 class PreconditionViolationError(FredkitError):

@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     NoSolutionError,
     PoleError,
+    _count_arg, _number_arg, _samples_arg,
 )
 from .nystrom import DiscreteOperator, _matvec
 from .spectral import (
@@ -73,14 +74,6 @@ def _fredholm_lambdas(op):
     return 1.0 / nus if nus.size else nus
 
 
-def _finite_lambda(lam):
-    """complex(lam), or InvalidArgumentError when it is not finite."""
-    lam = complex(lam)
-    if not np.isfinite(lam):
-        raise InvalidArgumentError(f"lambda={lam} is not finite")
-    return lam
-
-
 def _nearest_gap(lam, lambdas):
     if lambdas.size == 0:
         return np.inf, None
@@ -123,10 +116,14 @@ def _guarded_lu(op, lam):
 
 def _guarded_solve(op, lam, rhs):
     """Solve (I - lambda*A) X = rhs through _guarded_lu with one refinement
-    pass.  Returns (X, nearest_eigen_gap)."""
+    pass.  Returns (X, nearest_eigen_gap); raises InvalidArgumentError,
+    naming lambda, when an entry of X overflows."""
     M, fac, gap = _guarded_lu(op, lam)
-    X = lu_solve(fac, rhs)
-    X = X + lu_solve(fac, rhs - M @ X)  # one refinement pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = lu_solve(fac, rhs, check_finite=False)
+        X = X + lu_solve(fac, rhs - M @ X, check_finite=False)  # one refinement pass
+    if not np.isfinite(X).all():
+        raise InvalidArgumentError(f"the solve at lambda={lam:.6g} overflows")
     return X, gap
 
 
@@ -137,19 +134,18 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
     the system's condition estimate exceeds 1e10.  The proximity guard
     reads the operator's cached spectrum, so repeated solves on one
-    operator compute eigvals once.  A non-finite lambda raises
-    InvalidArgumentError.
+    operator compute eigvals once.  A non-finite lambda or f, or a solution
+    or residual norm that overflows, raises InvalidArgumentError.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("resolvent solves need a square block shape")
-    lam = _finite_lambda(lam)
-    f = np.asarray(f, dtype=complex)
-    n = op.A.shape[0]
-    if f.shape != (n,):
-        raise InvalidArgumentError(f"rhs has shape {f.shape}, expected ({n},)")
+    op._require_square("a resolvent solve")
+    lam = _number_arg(lam, "lambda")
+    f = _samples_arg(f, op.A.shape[0], "f")
     p, gap = _guarded_solve(op, lam, f)
-    scale = float(np.linalg.norm(f))
-    residual = float(np.linalg.norm(p - lam * _matvec(op.A, p) - f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm(f))
+        residual = float(np.linalg.norm(p - lam * _matvec(op.A, p) - f))
+    if not (np.isfinite(scale) and np.isfinite(residual)):
+        raise InvalidArgumentError(f"the residual norm at lambda={lam:.6g} overflows; rescale f")
     if scale > 0:
         residual /= scale
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)
@@ -162,15 +158,13 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
     lambda * A @ N_lambda = N_lambda - K = lambda * N_lambda @ (W K).
     Guarded as resolvent_solve is, against the cached spectrum.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("resolvent kernels need a square block shape")
-    NL, _gap = _guarded_solve(op, _finite_lambda(lam), op.K)
+    op._require_square("a resolvent kernel")
+    NL, _gap = _guarded_solve(op, _number_arg(lam, "lambda"), op.K)
     return NL
 
 
 def _series_lambdas(d, k, lam):
-    if k < 0 or k > d.retained:
-        raise InvalidArgumentError(f"truncation {k} out of range 0..{d.retained}")
+    k = _count_arg(k, "truncation", 0, d.retained)
     lambdas = 1.0 / d.eigenvalues[:k]
     if k:
         dmin = np.min(np.abs(lambdas - lam))
@@ -184,7 +178,7 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
 
     Equals resolvent_kernel at full truncation on finite-rank kernels.
     """
-    lam = complex(lam)
+    lam = _number_arg(lam, "lambda")
     lambdas = _series_lambdas(d, k, lam)
     if k == 0:
         return np.zeros(d.operator.K.shape, dtype=complex)
@@ -194,8 +188,8 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
 
 def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.ndarray:
     """Series solution f + lambda * sum_j p_j <q_j, f>_W / (lambda_j - lambda)."""
-    lam = complex(lam)
-    f = np.asarray(f, dtype=complex)
+    lam = _number_arg(lam, "lambda")
+    f = _samples_arg(f, d.right.shape[0], "f")
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
     return f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
@@ -239,9 +233,8 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
     eigenvalues.  A non-finite lambda or D(lambda) raises InvalidArgumentError.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("determinants need a square block shape")
-    lam = _finite_lambda(lam)
+    op._require_square("a determinant")
+    lam = _number_arg(lam, "lambda")
     method = _determinant_method(method)
     value = _DETERMINANTS[method](op, lam)
     if not np.isfinite(value):
@@ -259,11 +252,13 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     relative gap from every Fredholm eigenvalue.  Each path point costs one
     guarded LU of I - lambda*A, which gives both the weighted trace, as
     tr((I - lambda*A)^{-1} A), and the determinant; the path check and the
-    guards share the operator's cached spectrum.
+    guards share the operator's cached spectrum.  The path must be two
+    finite real numbers and steps an integer >= 1.
     """
-    a, b = (float(lambda_path[0]), float(lambda_path[1]))
-    if steps < 1:
-        raise InvalidArgumentError("need at least one panel")
+    if not (isinstance(lambda_path, (tuple, list, np.ndarray)) and len(lambda_path) == 2):
+        raise InvalidArgumentError(f"lambda_path must be a pair (a, b), got {lambda_path!r}")
+    a, b = (_number_arg(t, "lambda_path end", real=True) for t in lambda_path)
+    steps = _count_arg(steps, "steps", 1)
     grid = np.linspace(a, b, steps + 1)
     lambdas = _fredholm_lambdas(op)
     if lambdas.size:
@@ -300,7 +295,8 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     eigenvalues lie within tol of lambda_j; raises NoSolutionError when
     none do (the first-kind equation is solvable only on the spectrum).
     """
-    lam = complex(lambda_j)
+    lam = _number_arg(lambda_j, "lambda_j")
+    tol = _number_arg(tol, "tol", real=True)
     d = hermitian_eig(op) if op.hermitian_defect() <= HERMITIAN_RTOL else djf_eig(op)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:

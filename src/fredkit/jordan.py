@@ -19,6 +19,7 @@ from .errors import (
     InvalidArgumentError,
     NoSpectrumError,
     UnsupportedProfileError,
+    _count_arg, _number_arg,
 )
 from .kernels import basis_kernel
 from .nystrom import _anchor_phase
@@ -41,9 +42,8 @@ def binomial(n, a):
 
 def jordan_block(lam, m):
     """m x m block: lam on the diagonal, 1 on the superdiagonal."""
-    if m < 1:
-        raise InvalidArgumentError(f"block size must be >= 1, got {m}")
-    return complex(lam) * np.eye(m, dtype=complex) + np.diag(
+    m = _count_arg(m, "block size", 1)
+    return _number_arg(lam, "lam") * np.eye(m, dtype=complex) + np.diag(
         np.ones(m - 1, dtype=complex), 1
     )
 
@@ -54,11 +54,9 @@ def jordan_block_power(lam, m, n):
     Entry (j, k) equals C(n, k-j) * lam^{n-(k-j)} for 0 <= k-j <= min(n, m-1)
     and 0 otherwise, with the 0^0 = 1 convention when lam = 0.
     """
-    if m < 1:
-        raise InvalidArgumentError(f"block size must be >= 1, got {m}")
-    if n < 0:
-        raise InvalidArgumentError(f"exponent must be >= 0, got {n}")
-    lam = complex(lam)
+    m = _count_arg(m, "block size", 1)
+    n = _count_arg(n, "exponent")
+    lam = _number_arg(lam, "lam")
     out = np.zeros((m, m), dtype=complex)
     for a in range(0, min(n, m - 1) + 1):
         e = n - a
@@ -146,9 +144,11 @@ def jordan_decompose(N, cluster_tol=1e-7):
         When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
     InvalidArgumentError
         When N is not square, exceeds desk scale or has an entry that is
-        not finite (checked before any LAPACK call), or when a power
-        ||N - lambda I||^k the rank staircase needs overflows.
+        not finite (checked before any LAPACK call), when cluster_tol is not
+        a finite real number, or when a power ||N - lambda I||^k the rank
+        staircase needs overflows.
     """
+    cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
     N = np.asarray(N, dtype=complex)
     if N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise InvalidArgumentError("need a square matrix")
@@ -295,8 +295,7 @@ def _cluster_chains(N, lam, amult):
 
 def matrix_power_via_jordan(jf: JordanForm, n: int) -> np.ndarray:
     """N^n = P J^n Q^* assembled from per-block binomial powers."""
-    if n < 0:
-        raise InvalidArgumentError(f"exponent must be >= 0, got {n}")
+    n = _count_arg(n, "exponent")
     return jf.P @ jf.assemble_j(n) @ jf.Q.conj().T
 
 
@@ -313,8 +312,8 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
     several maximal blocks: the per-eigenvalue enumeration behind the
     asymptotic form breaks down there.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
+    n = _count_arg(n, "iterate", 1)
+    tier_rtol = _number_arg(tier_rtol, "tier_rtol", real=True)
     mods = [abs(lam) for lam, _ in jf.blocks]
     r1 = max(mods)
     if r1 == 0.0:
@@ -355,7 +354,7 @@ def lift_to_kernel(blocks, basis, rule):
     the orthogonal complement.  The chain functions are the basis entries
     grouped block by block.
     """
-    blocks = [(complex(lam), int(m)) for lam, m in blocks]
+    blocks = [(_number_arg(lam, "lam"), _count_arg(m, "block size", 1)) for lam, m in blocks]
     total = sum(m for _, m in blocks)
     if total != len(basis):
         raise InvalidArgumentError(

@@ -42,6 +42,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
+    _count_arg, _number_arg,
 )
 from .measure import QuadratureRule
 
@@ -51,8 +52,7 @@ def hermite_he(j, x):
 
     Recurrence: He_{j+1}(x) = x He_j(x) - j He_{j-1}(x), He_0 = 1, He_1 = x.
     """
-    if j < 0:
-        raise InvalidArgumentError("degree must be >= 0")
+    j = _count_arg(j, "degree")
     x = np.asarray(x, dtype=float)
     h_prev = np.ones_like(x)
     if j == 0:
@@ -70,9 +70,7 @@ class HermitePair:
     """
 
     def __init__(self, degree):
-        if degree < 0:
-            raise InvalidArgumentError("degree must be >= 0")
-        self.degree = int(degree)
+        self.degree = _count_arg(degree, "degree")
         self._scale = 1.0 / math.sqrt(math.factorial(self.degree))
 
     def __call__(self, x):
@@ -142,9 +140,7 @@ def _node_values(fn, xs, s):
 
 def _real_point(v, name):
     """[v] as a float array; v must be a finite real number."""
-    if not (isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max):
-        raise InvalidArgumentError(f"{name} must be a finite real number, got {v!r}")
-    return np.array([v], dtype=float)
+    return np.array([_number_arg(v, name, real=True)])
 
 
 @dataclass(frozen=True)
@@ -242,11 +238,9 @@ class Kernel:
 
     def __post_init__(self):
         shape, body = self.shape, self.body
-        if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(
-                isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
-                for s in shape)):
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
             raise InvalidArgumentError(f"block shape must be two positive integers: {shape!r}")
-        s1, s2 = map(int, shape)
+        s1, s2 = (_count_arg(s, "block shape entry", 1) for s in shape)
         object.__setattr__(self, "shape", (s1, s2))
         if isinstance(body, FiniteRank) and len(body.terms) < 1:
             raise InvalidArgumentError("a finite-rank kernel needs >= 1 term")
@@ -272,7 +266,7 @@ def mehler_kernel(r):
     Against the standard normal measure its eigenvalues are r^j with the
     orthonormal Hermite functions He_j/sqrt(j!) as eigenfunctions.
     """
-    r = float(r)
+    r = _number_arg(r, "r", real=True)
     if not abs(r) < 1:
         raise InvalidArgumentError(f"need |r| < 1, got r={r}")
     # Ratio of the correlated bivariate normal density to the product of
@@ -334,11 +328,10 @@ def defective_kernel(lam, m, basis, rule):
     On span{e_1..e_m} the operator maps e_k to lam*e_k + e_{k-1} (e_0 = 0),
     so its restriction is exactly the Jordan block with eigenvalue `lam`.
     """
-    if m < 2:
-        raise InvalidArgumentError("a defective block needs size >= 2")
+    m = _count_arg(m, "block size", 2)
     if len(basis) != m:
         raise InvalidArgumentError("basis length must equal the block size")
-    J = np.eye(m, dtype=complex) * complex(lam) + np.diag(np.ones(m - 1), 1)
+    J = np.eye(m, dtype=complex) * _number_arg(lam, "lam") + np.diag(np.ones(m - 1), 1)
     return basis_kernel(J, basis, rule)
 
 
@@ -355,10 +348,7 @@ def orthonormal_poly_basis(rule, count):
     for stability.  For Gauss-Legendre rules this yields scaled shifted
     Legendre polynomials; for Gauss-Hermite the normalized He_j family.
     """
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
-    if count > rule.count:
-        raise InvalidArgumentError("cannot orthonormalize more functions than nodes")
+    count = _count_arg(count, "count", 1, rule.count)
     x = rule.nodes
     w = rule.weights
     Poly = np.polynomial.Polynomial

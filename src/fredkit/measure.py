@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _count_arg, _number_arg
 
 MAX_RULE_SIZE = 1024
 
@@ -129,9 +129,9 @@ def gauss_legendre(n, a, b):
     units of roundoff: with n = 8 on [0, 1], sum(w * x**2) evaluates to
     1/3 + 1.7e-16 (about 3 ulp).
     """
-    n = _check_count(n)
-    a = float(a)
-    b = float(b)
+    n = _count_arg(n, "count", 1, MAX_RULE_SIZE)
+    a = _number_arg(a, "a", real=True)
+    b = _number_arg(b, "b", real=True)
     if not a < b:
         raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
     # Legendre recurrence on [-1,1]: offdiag_k = k / sqrt(4k^2 - 1), mu0 = 2
@@ -157,7 +157,7 @@ def gauss_hermite_prob(n):
     extreme weights decay like exp(-x_max^2/2) and fall out of
     double-precision range soon after.
     """
-    n = _check_count(n)
+    n = _count_arg(n, "count", 1, MAX_RULE_SIZE)
     if n > MAX_HERMITE_SIZE:
         raise InvalidArgumentError(
             f"Hermite rules are capped at {MAX_HERMITE_SIZE} nodes; beyond "
@@ -178,24 +178,10 @@ def discrete_measure(points, weights):
     weights = np.asarray(weights, dtype=float)
     if points.ndim != 1 or weights.ndim != 1 or points.size != weights.size:
         raise InvalidArgumentError("points and weights must be equal-length 1-d")
-    if points.size == 0:
-        raise InvalidArgumentError("need at least one point")
     order = np.argsort(points)
     points = points[order]
     weights = weights[order]
     if np.any(np.diff(points) == 0):
         raise InvalidArgumentError("points must be pairwise distinct")
-    if np.any(weights <= 0):
-        raise InvalidArgumentError("weights must be positive")
     return QuadratureRule(points, weights, kind=KIND_DISCRETE)
 
-
-def _check_count(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidArgumentError(f"count must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {n}")
-    if n > MAX_RULE_SIZE:
-        raise InvalidArgumentError(f"count {n} exceeds the cap of {MAX_RULE_SIZE}")
-    return n

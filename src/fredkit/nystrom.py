@@ -18,8 +18,6 @@ Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
 node weight repeated over the block's components (w_rows / w_cols).
 """
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +30,7 @@ from .errors import (
     InvalidArgumentError,
     NontrivialityWarning,
     ZeroDivisionSignal,
+    _count_arg, _number_arg, _samples_arg,
 )
 from .kernels import Kernel, _real_point
 from .measure import QuadratureRule
@@ -93,8 +92,7 @@ class DiscreteOperator:
     @cached_property
     def spectrum(self):
         """All eigenvalues of A in LAPACK order, complex, computed once and read-only."""
-        if not self.is_square_block:
-            raise InvalidArgumentError("a spectrum needs a square block shape")
+        self._require_square("a spectrum")
         return _read_only(np.linalg.eigvals(self.A).astype(complex, copy=False))
 
     @cached_property
@@ -111,6 +109,11 @@ class DiscreteOperator:
     def is_square_block(self):
         return self.shape[0] == self.shape[1]
 
+    def _require_square(self, what):
+        """InvalidArgumentError, naming `what`, unless the block shape is square."""
+        if not self.is_square_block:
+            raise InvalidArgumentError(f"{what} needs a square block shape, got {self.shape}")
+
     def hs_norm(self):
         """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2.
 
@@ -120,11 +123,13 @@ class DiscreteOperator:
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
-        ||B - B^H||_F / ||B||_F, computed once (square block shapes only)."""
+        ||B - B^H||_F / ||B||_F, computed once.  Raises InvalidArgumentError
+        for a block shape that is not square."""
         return self._defect
 
     @cached_property
     def _defect(self):
+        self._require_square("a Hermitian defect")
         return _hermitian_part(self.B)[1]
 
     def hermitian_to_roundoff(self):
@@ -140,6 +145,7 @@ class DiscreteOperator:
 
         Raises ConvergenceError, caching nothing, when eigh does not converge.
         """
+        self._require_square("a Hermitian eigendecomposition")
         S, defect = _hermitian_part(self.B)
         self.__dict__.setdefault("_defect", defect)
         try:
@@ -235,21 +241,12 @@ def _check_finite(K, rule, s1, s2):
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:
     """Nystrom image of the operator on node samples: A @ f."""
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (op.A.shape[1],):
-        raise InvalidArgumentError(
-            f"sample vector has length {f.shape}, expected ({op.A.shape[1]},)"
-        )
-    return _matvec(op.A, f)
+    return _matvec(op.A, _samples_arg(f, op.A.shape[1], "f"))
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
     """Node samples of the adjoint image: (W K)^* p = K^H (w * p)."""
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (op.K.shape[0],):
-        raise InvalidArgumentError(
-            f"sample vector has length {p.shape}, expected ({op.K.shape[0]},)"
-        )
+    p = _samples_arg(p, op.K.shape[0], "p")
     # conj(K^T conj(w p)) = K^H (w p) without forming K^H, an N x N copy per call
     return np.conj(_matvec(op.K.T, np.conj(op.w_rows * p)))
 
@@ -276,10 +273,8 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     Requires a square block shape.  Raises InvalidArgumentError when an
     entry of the iterate is not finite (overflow).
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("iterated kernels need a square block shape")
-    if n < 1:
-        raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
+    op._require_square("an iterated kernel")
+    n = _count_arg(n, "iterate", 1)
     X = op.K.copy()
     w = op.w_cols
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,15 +297,11 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     the eigen-residual; a grid-sampled kernel extends only to its own nodes.
     nu must be a finite number and y a finite real number.
     """
-    big = sys.float_info.max
-    if not (isinstance(nu, numbers.Complex) and abs(nu.real) <= big and abs(nu.imag) <= big):
-        raise InvalidArgumentError(f"nu must be a finite number, got {nu!r}")
+    nu = _number_arg(nu, "nu")
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
     s1, s2 = kernel.shape
-    p = np.asarray(eig_samples, dtype=complex)
-    if p.shape != (rule.count * s2,):
-        raise InvalidArgumentError("eigenfunction samples have the wrong length")
+    p = _samples_arg(eig_samples, rule.count * s2, "eig_samples")
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
-    acc = _matvec(row, np.repeat(rule.weights, s2) * p) / complex(nu)
+    acc = _matvec(row, np.repeat(rule.weights, s2) * p) / nu
     return complex(acc[0]) if s1 == 1 else acc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError, _count_arg, _samples_arg
 from .nystrom import DiscreteOperator, _anchor_phase, _matvec
 
 RANK_RTOL = 1e-12
@@ -102,8 +102,7 @@ def iterated_gram(svd: OperatorSVD, n: int, side="left") -> np.ndarray:
     Expansion sum_j theta_j^{2n} p_j p_j^* (resp. q_j q_j^*); the numerical
     null space contributes nothing for n >= 1.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
+    n = _count_arg(n, "iterate", 1)
     V = _side_matrix(svd, side)
     pw = svd.singular_values ** (2 * n)
     return (V * pw[None, :]) @ V.conj().T
@@ -115,14 +114,11 @@ def iterated_gram_with_kernel(svd: OperatorSVD, n: int, side="left") -> np.ndarr
     side="left" gives (N N^*)^n N (reproduces K at n = 0); side="right"
     gives the adjoint variant sum_j theta_j^{2n+1} q_j p_j^*.
     """
-    if n < 0:
-        raise InvalidArgumentError(f"iterate must be >= 0, got {n}")
+    n = _count_arg(n, "iterate")
+    V = _side_matrix(svd, side)
+    W = svd.right if side == "left" else svd.left
     pw = svd.singular_values ** (2 * n + 1)
-    if side == "left":
-        return (svd.left * pw[None, :]) @ svd.right.conj().T
-    if side == "right":
-        return (svd.right * pw[None, :]) @ svd.left.conj().T
-    raise InvalidArgumentError(f"side must be 'left' or 'right', got {side!r}")
+    return (V * pw[None, :]) @ W.conj().T
 
 
 def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
@@ -133,15 +129,10 @@ def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
     retained singular subspace, not the identity: truncation discards the
     null directions that would be needed to resolve arbitrary f.
     """
-    if n < 0:
-        raise InvalidArgumentError(f"iterate must be >= 0, got {n}")
+    n = _count_arg(n, "iterate")
     V = _side_matrix(svd, side)
     w = svd.w_rows if side == "left" else svd.w_cols
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (V.shape[0],):
-        raise InvalidArgumentError(
-            f"sample vector has length {f.shape}, expected ({V.shape[0]},)"
-        )
+    f = _samples_arg(f, V.shape[0], "f")
     r = svd.rank_numerical
     coeffs = _matvec(V[:, :r].conj().T, w * f)
     pw = svd.singular_values[:r] ** (2 * n)
@@ -153,8 +144,7 @@ def trace_power(svd: OperatorSVD, n: int) -> float:
 
     Equals the quadrature of trace[N^* (N N^*)^n N](x, x) over the measure.
     """
-    if n < 0:
-        raise InvalidArgumentError(f"iterate must be >= 0, got {n}")
+    n = _count_arg(n, "iterate")
     return float(np.sum(svd.singular_values ** (2 * n + 2)))
 
 
@@ -164,10 +154,7 @@ def svd_truncate(svd: OperatorSVD, M: int):
     The tail bound drives the O(theta_{M+1}^{2n}) error of truncated
     iterated Gram kernels.
     """
-    if M < 1 or M > svd.rank_numerical:
-        raise InvalidArgumentError(
-            f"kept count {M} out of range 1..{svd.rank_numerical}"
-        )
+    M = _count_arg(M, "kept count", 1, svd.rank_numerical)
     tail = float(svd.singular_values[M]) if M < svd.singular_values.size else 0.0
     trunc = OperatorSVD(
         singular_values=svd.singular_values[:M].copy(),

@@ -19,6 +19,7 @@ from .errors import (
     PreconditionViolationError,
     StartingVectorError,
     UnsupportedProfileError,
+    _count_arg, _number_arg, _samples_arg,
 )
 from .kernels import Kernel
 from .nystrom import (
@@ -66,17 +67,16 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     Raises StartingVectorError when the iterate collapses to numerical
     zero, i.e. f lies in the operator's null space.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("power iteration needs a square block shape")
-    if n_max < 1:
-        raise InvalidArgumentError("n_max must be >= 1")
+    op._require_square("power iteration")
+    n_max = _count_arg(n_max, "n_max", 1)
+    tol = _number_arg(tol, "tol", real=True)
     w = op.w_rows
-    f = np.asarray(f, dtype=complex)
+    f = _samples_arg(f, w.size, "f")
     nf = _wnorm(w, f)
     if nf == 0.0:
         raise StartingVectorError("starting vector is zero")
     h = f / nf
-    g = np.asarray(probe, dtype=complex) / 1.0 if probe is not None else h.copy()
+    g = _samples_arg(probe, w.size, "probe") / 1.0 if probe is not None else h.copy()
     op_scale = max(float(np.linalg.norm(op.A)), 1e-300)
     iterates, scales, ratios, pointwise = [], [], [], []
     converged = False
@@ -165,14 +165,15 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         as happens for a defective dominant eigenvalue; the jordan module
         handles that structure.
     """
-    nu1 = complex(nu1)
+    op._require_square("power iteration")
+    nu1 = _number_arg(nu1, "nu1")
     if nu1 == 0:
         raise InvalidArgumentError("nu1 must be nonzero")
-    if n < 1:
-        raise InvalidArgumentError("need at least one iteration")
+    n = _count_arg(n, "iterations", 1)
+    resid_rtol = _number_arg(resid_rtol, "resid_rtol", real=True)
     w = op.w_rows
-    p = np.asarray(f, dtype=complex)
-    q = np.asarray(g, dtype=complex)
+    p = _samples_arg(f, w.size, "f")
+    q = _samples_arg(g, w.size, "g")
     if _wnorm(w, p) == 0.0 or _wnorm(w, q) == 0.0:
         raise StartingVectorError("starting vector is zero")
     p = p / _wnorm(w, p)
@@ -212,9 +213,11 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     """Remove the leading pair: N_1(y,z) = N(y,z) - nu1 * p1(y) q1(z)^*.
 
     `target` is a DiscreteOperator, or a Kernel together with `rule`.
-    The pair must be finite and bi-orthonormalized (<q1, p1>_W = 1 to
-    1e-8), else PreconditionViolationError; the deflated spectrum equals
-    the original with nu1 replaced by zero, the remaining pairs untouched.
+    The block shape must be square, else InvalidArgumentError.  The pair
+    must be finite, p1 and q1 of the operator's length, and
+    bi-orthonormalized (<q1, p1>_W = 1 to 1e-8), else
+    PreconditionViolationError; the deflated spectrum equals the original
+    with nu1 replaced by zero, the remaining pairs untouched.
     """
     if isinstance(target, Kernel):
         if rule is None:
@@ -223,11 +226,13 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     if not isinstance(target, DiscreteOperator):
         raise InvalidArgumentError("target must be a Kernel or DiscreteOperator")
     op = target
-    p1 = np.asarray(p1, dtype=complex)
-    q1 = np.asarray(q1, dtype=complex)
-    nu1 = complex(nu1)
-    if not np.isfinite(nu1):
-        raise PreconditionViolationError(f"eigenvalue nu1 = {nu1} is not finite")
+    op._require_square("deflation")
+    try:
+        nu1 = _number_arg(nu1, "nu1")
+        p1 = _samples_arg(p1, op.K.shape[0], "p1")
+        q1 = _samples_arg(q1, op.K.shape[0], "q1")
+    except InvalidArgumentError as exc:
+        raise PreconditionViolationError(f"deflation needs a finite pair: {exc}") from None
     pairing = _winner(op.w_rows, q1, p1)
     if not abs(pairing - 1.0) <= 1e-8:  # a NaN pairing fails too
         raise PreconditionViolationError(
@@ -280,8 +285,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
     with a partial result.  Starting vectors are drawn from a fixed-seed
     generator, so runs are reproducible.
     """
-    if k < 1:
-        raise InvalidArgumentError("need k >= 1 stages")
+    k = _count_arg(k, "stages", 1)
     result = SequentialSpectrumResult()
     current = op
     w = op.w_rows

@@ -32,6 +32,7 @@ from .errors import (
     InvalidArgumentError,
     NoSpectrumError,
     WrongDecompositionError,
+    _count_arg, _number_arg,
 )
 from .nystrom import DiscreteOperator, _anchor_phase, _winner, _wnorm
 
@@ -188,8 +189,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         If B departs from Hermitian symmetry by more than 1e-10 relative;
         use djf_eig for non-Hermitian kernels.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("eigendecomposition needs a square block shape")
+    op._require_square("an eigendecomposition")
     defect = op.hermitian_defect()
     if defect > HERMITIAN_RTOL:
         raise WrongDecompositionError(
@@ -252,8 +252,7 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         exceeds 1e-8.  A non-diagonal Jordan structure is the likely
         cause; see the jordan module.
     """
-    if not op.is_square_block:
-        raise InvalidArgumentError("eigendecomposition needs a square block shape")
+    op._require_square("an eigendecomposition")
     if op.hermitian_to_roundoff():
         d = hermitian_eig(op)
         P = d.right.astype(complex, copy=False)
@@ -391,6 +390,7 @@ def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> Asymptot
     largest modulus below the tier (0 if the tier exhausts the retained
     spectrum).
     """
+    cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
     if d.retained == 0:
         raise NoSpectrumError("all eigenvalues are numerically zero")
     vals = d.eigenvalues[: d.retained]
@@ -418,8 +418,7 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
     dominates the dropped terms in the weighted Frobenius norm, since each
     retained p_j has unit weighted norm.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"iterate must be >= 1, got {n}")
+    n = _count_arg(n, "iterate", 1)
     approx = (profile.r1 ** n) * profile.coefficient_matrix(n)
     scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R : d.retained])))
     bound = (profile.r0 ** n) * scale
@@ -428,8 +427,7 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
 
 def reconstruct(d: BiSpectralDecomposition, k: int) -> np.ndarray:
     """Partial kernel reconstruction sum_{j<=k} nu_j p_j q_j^* at node pairs."""
-    if k < 0 or k > d.eigenvalues.size:
-        raise InvalidArgumentError(f"rank {k} out of range")
+    k = _count_arg(k, "rank", 0, d.eigenvalues.size)
     if k == 0:
         return np.zeros(d.operator.K.shape, dtype=complex)
     P = d.right[:, :k]

@@ -1,0 +1,209 @@
+"""Malformed arguments: every public entry point refuses them with a
+FredkitError subclass, never with a raw Python, numpy or scipy error or a
+runtime warning.
+
+Each row of ROWS names a public callable, builds good arguments for it and
+lists the arguments to spoil, each with the kind of its spoiled values:
+a count gets 2.5, True and -1; a number NaN, inf and 10**400; a sample
+vector a wrong length and a NaN entry; an operator a (1, 2)-block one.
+test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
+function taking an operator, a decomposition, a count or a sample vector
+cannot ship without rows here.
+"""
+import dataclasses
+import functools
+import inspect
+import warnings
+
+import numpy as np
+import pytest
+
+import fredkit as fk
+from fredkit.kernels import ClosedForm
+
+
+@functools.cache
+def env():
+    """Good arguments, built once: a non-Hermitian two-term operator on GL8
+    (eigenvalues 0.5 and 0.2) with its bi-orthogonal decomposition, Mehler
+    on GL8 with its SVD (numerical rank 7), a Jordan form and a (1, 2)-block
+    operator."""
+    rule = fk.gauss_legendre(8, 0.0, 1.0)
+    e = fk.orthonormal_poly_basis(rule, 3)
+    kern = fk.separable_kernel([0.5, 0.2], [e[0], e[1]], [e[0] + 0.6 * e[2], e[1] - 0.4 * e[2]])
+    op = fk.discretize(kern, rule)
+    d = fk.djf_eig(op)
+    hermitian = fk.discretize(fk.mehler_kernel(0.5), rule)
+    wide = fk.Kernel((1, 2), ClosedForm(lambda y, z: np.array([[y * z, y + z]])))
+    return {
+        "rule": rule, "basis": e[:2], "kernel": kern, "op": op, "d": d,
+        "profile": fk.asymptotic_profile(d), "hermitian": hermitian,
+        "svd": fk.operator_svd(hermitian), "wide": fk.discretize(wide, rule),
+        "jf": fk.jordan_decompose(np.array([[0.5, 1.0], [0.0, 0.5]])),
+        "nu": d.eigenvalues[0], "p": d.right[:, 0], "q": d.left[:, 0], "ones": np.ones(8),
+    }
+
+
+def _nan_entry(v):
+    v = np.array(v, dtype=complex)
+    v[0] = np.nan
+    return v
+
+
+COUNT = {"2.5": lambda v: 2.5, "True": lambda v: True, "-1": lambda v: -1}
+NUMBER = {"nan": lambda v: float("nan"), "inf": lambda v: float("inf"),
+          "1e400": lambda v: 10 ** 400}
+VECTOR = {"short": lambda v: np.asarray(v)[:-1], "nan-entry": _nan_entry}
+OPERATOR = {"block-1x2": lambda v: env()["wide"]}
+PAIR = {"end-" + k: (lambda s: lambda v: (0.0, s(v)))(s) for k, s in NUMBER.items()}
+PAIR.update({"scalar": lambda v: 0.5, "triple": lambda v: (0.0, 0.5, 1.0)})
+
+# name -> (callable, good keyword arguments from env(), {argument: spoils})
+ROWS = {
+    "gauss_legendre": (fk.gauss_legendre, lambda e: dict(n=8, a=0.0, b=1.0),
+                       {"n": COUNT, "a": NUMBER, "b": NUMBER}),
+    "gauss_hermite_prob": (fk.gauss_hermite_prob, lambda e: dict(n=8), {"n": COUNT}),
+    "HermitePair": (fk.HermitePair, lambda e: dict(degree=2), {"degree": COUNT}),
+    "hermite_he": (fk.hermite_he, lambda e: dict(j=2, x=[0.1, 0.2]), {"j": COUNT}),
+    "mehler_kernel": (fk.mehler_kernel, lambda e: dict(r=0.5), {"r": NUMBER}),
+    "defective_kernel": (fk.defective_kernel,
+                         lambda e: dict(lam=0.5, m=2, basis=e["basis"], rule=e["rule"]),
+                         {"lam": NUMBER, "m": COUNT}),
+    "orthonormal_poly_basis": (fk.orthonormal_poly_basis,
+                               lambda e: dict(rule=e["rule"], count=3), {"count": COUNT}),
+    "apply": (fk.apply, lambda e: dict(op=e["op"], f=e["ones"]), {"f": VECTOR}),
+    "apply_adjoint": (fk.apply_adjoint, lambda e: dict(op=e["op"], p=e["ones"]),
+                      {"p": VECTOR}),
+    "iterated_kernel": (fk.iterated_kernel, lambda e: dict(op=e["op"], n=3),
+                        {"op": OPERATOR, "n": COUNT}),
+    "nystrom_extend": (fk.nystrom_extend,
+                       lambda e: dict(kernel=e["kernel"], rule=e["rule"], eig_samples=e["p"],
+                                      nu=e["nu"], y=0.3),
+                       {"eig_samples": VECTOR, "nu": NUMBER, "y": NUMBER}),
+    "hermitian_eig": (fk.hermitian_eig, lambda e: dict(op=e["hermitian"]), {"op": OPERATOR}),
+    "djf_eig": (fk.djf_eig, lambda e: dict(op=e["op"]), {"op": OPERATOR}),
+    "asymptotic_profile": (fk.asymptotic_profile, lambda e: dict(d=e["d"], cluster_tol=1e-8),
+                           {"cluster_tol": NUMBER}),
+    "power_approx": (fk.power_approx,
+                     lambda e: dict(d=e["d"], profile=e["profile"], n=3), {"n": COUNT}),
+    "reconstruct": (fk.reconstruct, lambda e: dict(d=e["d"], k=2), {"k": COUNT}),
+    "jordan_block": (fk.jordan_block, lambda e: dict(lam=0.5, m=2),
+                     {"lam": NUMBER, "m": COUNT}),
+    "jordan_block_power": (fk.jordan_block_power, lambda e: dict(lam=0.5, m=2, n=3),
+                           {"lam": NUMBER, "m": COUNT, "n": COUNT}),
+    "jordan_decompose": (fk.jordan_decompose,
+                         lambda e: dict(N=np.diag([0.5, 0.2]), cluster_tol=1e-7),
+                         {"cluster_tol": NUMBER}),
+    "matrix_power_via_jordan": (fk.matrix_power_via_jordan, lambda e: dict(jf=e["jf"], n=3),
+                                {"n": COUNT}),
+    "defective_asymptotic": (fk.defective_asymptotic,
+                             lambda e: dict(jf=e["jf"], n=3, tier_rtol=1e-8),
+                             {"n": COUNT, "tier_rtol": NUMBER}),
+    "iterated_gram": (fk.iterated_gram, lambda e: dict(svd=e["svd"], n=2), {"n": COUNT}),
+    "iterated_gram_with_kernel": (fk.iterated_gram_with_kernel,
+                                  lambda e: dict(svd=e["svd"], n=1), {"n": COUNT}),
+    "gram_apply": (fk.gram_apply, lambda e: dict(svd=e["svd"], n=1, f=e["ones"]),
+                   {"n": COUNT, "f": VECTOR}),
+    "trace_power": (fk.trace_power, lambda e: dict(svd=e["svd"], n=1), {"n": COUNT}),
+    "svd_truncate": (fk.svd_truncate, lambda e: dict(svd=e["svd"], M=1), {"M": COUNT}),
+    "resolvent_solve": (fk.resolvent_solve, lambda e: dict(op=e["op"], lam=0.3, f=e["ones"]),
+                        {"op": OPERATOR, "lam": NUMBER, "f": VECTOR}),
+    "resolvent_kernel": (fk.resolvent_kernel, lambda e: dict(op=e["op"], lam=0.3),
+                         {"op": OPERATOR, "lam": NUMBER}),
+    "resolvent_series": (fk.resolvent_series, lambda e: dict(d=e["d"], lam=0.3, k=2),
+                         {"lam": NUMBER, "k": COUNT}),
+    "second_kind_solve_series": (fk.second_kind_solve_series,
+                                 lambda e: dict(d=e["d"], lam=0.3, f=e["ones"], k=2),
+                                 {"lam": NUMBER, "f": VECTOR, "k": COUNT}),
+    "fredholm_determinant": (fk.fredholm_determinant, lambda e: dict(op=e["op"], lam=0.3),
+                             {"op": OPERATOR, "lam": NUMBER}),
+    "determinant_log_derivative_check": (
+        fk.determinant_log_derivative_check,
+        lambda e: dict(op=e["op"], lambda_path=(0.0, 1.0), steps=4),
+        {"op": OPERATOR, "lambda_path": PAIR, "steps": COUNT}),
+    "first_kind_solve": (fk.first_kind_solve, lambda e: dict(op=e["op"], lambda_j=2.0, tol=1e-6),
+                         {"op": OPERATOR, "lambda_j": NUMBER, "tol": NUMBER}),
+    "power_ratio_estimate": (fk.power_ratio_estimate,
+                             lambda e: dict(op=e["op"], f=e["ones"], n_max=200, tol=1e-10,
+                                            probe=e["ones"]),
+                             {"op": OPERATOR, "f": VECTOR, "n_max": COUNT, "tol": NUMBER,
+                              "probe": VECTOR}),
+    "variational_estimate": (fk.variational_estimate, lambda e: dict(op=e["op"]),
+                             {"op": OPERATOR}),
+    "extract_leading_pair": (fk.extract_leading_pair,
+                             lambda e: dict(op=e["op"], nu1=e["nu"], f=e["ones"], g=e["ones"],
+                                            n=200, resid_rtol=1e-6),
+                             {"op": OPERATOR, "nu1": NUMBER, "f": VECTOR, "g": VECTOR,
+                              "n": COUNT, "resid_rtol": NUMBER}),
+    "deflate": (fk.deflate, lambda e: dict(target=e["op"], nu1=e["nu"], p1=e["p"], q1=e["q"]),
+                {"target": OPERATOR, "nu1": NUMBER, "p1": VECTOR, "q1": VECTOR}),
+    "sequential_spectrum": (fk.sequential_spectrum,
+                            lambda e: dict(op=e["op"], k=1, n_max=200, tol=1e-10),
+                            {"op": OPERATOR, "k": COUNT, "n_max": COUNT, "tol": NUMBER}),
+}
+
+CASES = [(row, arg, spoil) for row, (_fn, _good, spoils) in ROWS.items()
+         for arg, kinds in spoils.items() for spoil in kinds]
+
+
+def _call(fn, kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(**kwargs)
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_good_arguments_pass(row):
+    fn, good, _spoils = ROWS[row]
+    _call(fn, good(env()))
+
+
+@pytest.mark.parametrize("row, arg, spoil", CASES, ids=["-".join(c) for c in CASES])
+def test_spoiled_argument_refused(row, arg, spoil):
+    fn, good, spoils = ROWS[row]
+    kwargs = good(env())
+    kwargs[arg] = spoils[arg][spoil](kwargs[arg])
+    with pytest.raises(fk.FredkitError):
+        _call(fn, kwargs)
+
+
+# arguments that make an entry point gated: by annotation or by name
+GATED_TYPES = (fk.DiscreteOperator, fk.BiSpectralDecomposition, fk.OperatorSVD, fk.JordanForm,
+               int)
+OPERATOR_NAMES = {"op", "target", "d", "svd", "jf"}
+COUNT_NAMES = {"n", "k", "m", "M", "count", "steps", "n_max", "degree", "j"}
+VECTOR_NAMES = {"f", "g", "p", "p1", "q1", "probe", "eig_samples"}
+# an SVD exists for every block shape, so there is no argument to spoil
+NOTHING_TO_SPOIL = {"operator_svd"}
+
+
+def _gated_arguments(obj):
+    params = inspect.signature(obj).parameters.values()
+    return {p.name for p in params if p.annotation in GATED_TYPES
+            or p.name in OPERATOR_NAMES | COUNT_NAMES | VECTOR_NAMES}
+
+
+def test_every_entry_point_has_rows():
+    """A public function (or a class that is not a record) taking an
+    operator, a decomposition, a count or a sample vector has a row, and the
+    row spoils each of its counts and sample vectors."""
+    missing = []
+    for name in fk.__all__:
+        obj = getattr(fk, name)
+        if not callable(obj) or (inspect.isclass(obj) and (
+                dataclasses.is_dataclass(obj) or issubclass(obj, (Exception, Warning)))):
+            continue
+        gated = _gated_arguments(obj)
+        if not gated or name in NOTHING_TO_SPOIL:
+            continue
+        spoiled = set(ROWS[name][2]) if name in ROWS else set()
+        unspoiled = (gated & (COUNT_NAMES | VECTOR_NAMES)) - spoiled
+        if name not in ROWS or unspoiled:
+            missing.append(f"{name} {sorted(unspoiled or gated)}")
+    assert not missing, f"public entry points without rows: {missing}"
+
+
+def test_rows_name_public_callables():
+    for name, (fn, _good, spoils) in ROWS.items():
+        assert getattr(fk, name) is fn and name in fk.__all__
+        assert set(spoils) <= set(inspect.signature(fn).parameters)

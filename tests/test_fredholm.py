@@ -354,3 +354,26 @@ class TestNonFiniteLambda:
             with pytest.raises(InvalidArgumentError,
                                match=r"lambda=1e\+308\+1e\+308j has 1-norm inf"):
                 LAMBDA_ENTRY_POINTS[entry](op, complex(1e308, 1e308), np.ones(8))
+
+
+class TestOverflowingSolve:
+    """lambda and the right-hand side are finite, but the solution or the
+    residual norm is not: refused as invalid, naming lambda, with no numpy
+    warning and no raw error from lu_solve."""
+
+    def test_overflowing_rhs_refused(self, gl8):
+        op = fk.discretize(fk.mehler_kernel(0.5), gl8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"lambda=0\.3"):
+                fk.resolvent_solve(op, 0.3, np.full(8, 1e308))
+
+    def test_overflowing_resolvent_kernel_refused(self, gl8):
+        # K = 1e305 everywhere: nu = 1e305 (the weights sum to 1), so at
+        # lambda = (1 - 1e-5) / nu the resolvent is K / (1 - lambda nu) = 1e310
+        op = fk.DiscreteOperator(rule=gl8, shape=(1, 1), K=np.full((8, 8), 1e305))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(fk.resolvent_kernel(op, 0.999e-305)).all()
+            with pytest.raises(InvalidArgumentError, match=r"lambda=9\.9999e-306.* overflows"):
+                fk.resolvent_kernel(op, 0.99999e-305)
