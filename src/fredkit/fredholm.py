@@ -14,10 +14,11 @@ DiscreteOperator.spectrum, which is computed once per operator and cached
 operator -- resolvent solves, product determinants, log-derivative paths --
 pays for one eigvals.
 """
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import (
     EigenvalueProximityError,
@@ -26,15 +27,8 @@ from .errors import (
     PoleError,
     _count_arg, _number_arg, _samples_arg,
 )
-from .nystrom import DiscreteOperator, _matvec
-from .spectral import (
-    BiSpectralDecomposition,
-    HERMITIAN_RTOL,
-    RETAIN_RTOL,
-    _lu_with_cond,
-    djf_eig,
-    hermitian_eig,
-)
+from .nystrom import DiscreteOperator, _matvec, _pow2_scale
+from .spectral import BiSpectralDecomposition, HERMITIAN_RTOL, RETAIN_RTOL, djf_eig, hermitian_eig
 
 GAP_RTOL = 1e-8
 COND_LIMIT = 1e10
@@ -96,6 +90,25 @@ def _guard_proximity(op, lam):
     return gap, nearest
 
 
+def _lu_with_cond(M, name):
+    """((lu, piv), cond) for a square M: one LU factorization and the 1-norm
+    condition estimate LAPACK gecon takes from it (Hager-Higham), inf when M
+    is exactly singular.  Raises InvalidArgumentError, naming M by ``name``,
+    when M or its 1-norm is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        anorm = float(np.linalg.norm(M, 1))
+    if not np.isfinite(anorm):
+        raise InvalidArgumentError(f"{name} has 1-norm {anorm}, not a finite number")
+    with warnings.catch_warnings():
+        # an exactly zero pivot shows as rcond = 0 below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(M, check_finite=False)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, _info = gecon(lu, anorm)
+    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
+    return (lu, piv), cond
+
+
 def _guarded_lu(op, lam):
     """(M, (lu, piv), nearest_eigen_gap) for M = I - lambda*A, refusing
     lambda near the cached spectrum or a condition estimate above 1e10, and
@@ -135,17 +148,21 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     the system's condition estimate exceeds 1e10.  The proximity guard
     reads the operator's cached spectrum, so repeated solves on one
     operator compute eigvals once.  A non-finite lambda or f, or a solution
-    or residual norm that overflows, raises InvalidArgumentError.
+    or residual that overflows, raises InvalidArgumentError; where only the
+    norms of f and the residual overflow, both are scaled by a power of two.
     """
     op._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
     f = _samples_arg(f, op.A.shape[0], "f")
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.linalg.norm(f))
-        residual = float(np.linalg.norm(p - lam * _matvec(op.A, p) - f))
-    if not (np.isfinite(scale) and np.isfinite(residual)):
-        raise InvalidArgumentError(f"the residual norm at lambda={lam:.6g} overflows; rescale f")
+        r = p - lam * _matvec(op.A, p) - f
+        scale, residual = float(np.linalg.norm(f)), float(np.linalg.norm(r))
+        if not (np.isfinite(scale) and np.isfinite(residual)):  # scale both, exactly
+            s = _pow2_scale(f)
+            scale, residual = float(np.linalg.norm(f * s)), float(np.linalg.norm(r * s))
+    if not np.isfinite(residual):
+        raise InvalidArgumentError(f"the residual at lambda={lam:.6g} overflows")
     if scale > 0:
         residual /= scale
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)

@@ -192,17 +192,20 @@ class FiniteRank:
         real = all(np.imag(c) == 0 and r.dtype.kind == l.dtype.kind == "f" for c, r, l in terms)
         K = np.zeros((ys.size * s1, zs.size * s2), dtype=float if real else complex)
         term = np.empty_like(K)
-        if not real:
-            # coeff first, into a buffer apart from the product's operands, at
-            # every size: numpy's complex multiply rounds by its operand order
-            # and, on a one-element array, differently again when run in
-            # place, so `coeff * outer`, which numpy runs in place as
-            # outer * coeff from 256 KiB up, gave eval_block other bits
+        # an overflowing product is left inf (or nan), for discretize's
+        # finiteness check to name
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not real:
+                # coeff first, into a buffer apart from the product's operands, at
+                # every size: numpy's complex multiply rounds by its operand order
+                # and, on a one-element array, differently again when run in
+                # place, so `coeff * outer`, which numpy runs in place as
+                # outer * coeff from 256 KiB up, gave eval_block other bits
+                for coeff, r, l in terms:
+                    K += np.multiply(coeff, np.outer(r, np.conj(l)), out=term)
+                return K
             for coeff, r, l in terms:
-                K += np.multiply(coeff, np.outer(r, np.conj(l)), out=term)
-            return K
-        for coeff, r, l in terms:
-            K += np.multiply(np.outer(r, l, out=term), np.real(coeff), out=term)
+                K += np.multiply(np.outer(r, l, out=term), np.real(coeff), out=term)
         return K
 
 

@@ -119,7 +119,7 @@ class DiscreteOperator:
 
         Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F.
         """
-        return float(np.linalg.norm(self.B))
+        return float(_norm(self.B))
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
@@ -161,8 +161,29 @@ def _hermitian_part(B):
     B - B^H = 2 (B - S), so no N x N copy of B^H outlives the sum."""
     S = B + B.conj().T
     S *= 0.5
-    scale = max(float(np.linalg.norm(B)), 1e-300)
-    return S, 2.0 * float(np.linalg.norm(B - S)) / scale
+    scale = max(float(_norm(B)), 1e-300)
+    return S, 2.0 * float(_norm(B - S)) / scale
+
+
+def _pow2_scale(X):
+    """The power of two s with max |X s| in [1/2, 1), 1 for a zero or
+    non-finite X: multiplying by it is exact for every entry that stays in
+    the normal range."""
+    with np.errstate(over="ignore"):
+        top = float(np.max(np.abs(X), initial=0.0))
+    return float(np.ldexp(1.0, -np.frexp(top)[1])) if 0.0 < top < np.inf else 1.0
+
+
+def _norm(X, axis=None):
+    """np.linalg.norm(X, axis=axis) without overflow on the way: only when
+    that norm overflows is it recomputed on X * _pow2_scale(X) and scaled
+    back, so every other norm keeps its bits."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(X, axis=axis)
+        if not np.all(np.isfinite(nrm)):
+            s = _pow2_scale(X)
+            nrm = np.linalg.norm(X * s, axis=axis) / s
+    return nrm
 
 
 def _read_only(a):

@@ -26,6 +26,7 @@ from .nystrom import (
     DiscreteOperator,
     _anchor_phase,
     _matvec,
+    _pow2_scale,
     _winner,
     _wnorm,
     apply_adjoint,
@@ -34,6 +35,14 @@ from .nystrom import (
 from .spectral import djf_eig
 
 COLLAPSE_RTOL = 1e-14
+
+
+def _unit_scaled(f):
+    """f times the power of two that brings its largest entry into [1/2, 1).
+    A starting vector or probe is scale-free, and the scaling is exact: f's
+    squared entries cannot overflow, while f / ||f||_W and every ratio
+    against a probe keep their bits."""
+    return f * _pow2_scale(f)
 
 
 @dataclass(frozen=True)
@@ -71,12 +80,12 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     n_max = _count_arg(n_max, "n_max", 1)
     tol = _number_arg(tol, "tol", real=True)
     w = op.w_rows
-    f = _samples_arg(f, w.size, "f")
+    f = _unit_scaled(_samples_arg(f, w.size, "f"))
     nf = _wnorm(w, f)
     if nf == 0.0:
         raise StartingVectorError("starting vector is zero")
     h = f / nf
-    g = _samples_arg(probe, w.size, "probe") / 1.0 if probe is not None else h.copy()
+    g = _unit_scaled(_samples_arg(probe, w.size, "probe")) if probe is not None else h.copy()
     op_scale = max(float(np.linalg.norm(op.A)), 1e-300)
     iterates, scales, ratios, pointwise = [], [], [], []
     converged = False
@@ -172,8 +181,8 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     n = _count_arg(n, "iterations", 1)
     resid_rtol = _number_arg(resid_rtol, "resid_rtol", real=True)
     w = op.w_rows
-    p = _samples_arg(f, w.size, "f")
-    q = _samples_arg(g, w.size, "g")
+    p = _unit_scaled(_samples_arg(f, w.size, "f"))
+    q = _unit_scaled(_samples_arg(g, w.size, "g"))
     if _wnorm(w, p) == 0.0 or _wnorm(w, q) == 0.0:
         raise StartingVectorError("starting vector is zero")
     p = p / _wnorm(w, p)

@@ -5,7 +5,8 @@ Two routes:
 * hermitian_eig -- Hermitian kernels; real spectrum, one orthonormal family
   (the discrete Mercer expansion).
 * djf_eig -- diagonalizable non-Hermitian kernels; bi-orthogonal right/left
-  eigenfunction families with <q_j, p_k>_W = delta_jk.
+  eigenfunction families with <q_j, p_k>_W = delta_jk; eig in the operator's
+  dtype, then r x r algebra on the r retained right vectors.
 
 Both work on the symmetrized matrix B = W^{1/2} K W^{1/2} so that Euclidean
 orthonormality of matrix eigenvectors maps onto weighted orthonormality of
@@ -20,28 +21,24 @@ of the Hermitian part then answers within the backward error a general eig
 commits, at a fraction of its cost, and its vectors are orthonormal, so
 they are their own bi-orthogonal family.
 """
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import (
     ConvergenceError,
     DefectiveSuspectedError,
-    InvalidArgumentError,
     NoSpectrumError,
     WrongDecompositionError,
     _count_arg, _number_arg,
 )
-from .nystrom import DiscreteOperator, _anchor_phase, _winner, _wnorm
+from .nystrom import UNIT, DiscreteOperator, _anchor_phase, _matvec, _norm, _winner, _wnorm
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 REFINE_RTOL = 1e-5        # Nystrom refinement only above this: the A p / nu pass
                           # injects eps*||A||/|nu| noise, which must stay below
                           # the 1e-10 orthonormality budget
 HERMITIAN_RTOL = 1e-10
-COND_LIMIT = 1e8
 DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspace
 
 
@@ -156,25 +153,6 @@ def _unit_anchored(w, P):
     return _anchor_phase(P) / np.where(nrm > 0, nrm, 1.0)
 
 
-def _lu_with_cond(M, name):
-    """((lu, piv), cond) for a square M: one LU factorization and the 1-norm
-    condition estimate LAPACK gecon takes from it (Hager-Higham), inf when M
-    is exactly singular.  Raises InvalidArgumentError, naming M by ``name``,
-    when M or its 1-norm is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        anorm = float(np.linalg.norm(M, 1))
-    if not np.isfinite(anorm):
-        raise InvalidArgumentError(f"{name} has 1-norm {anorm}, not a finite number")
-    with warnings.catch_warnings():
-        # an exactly zero pivot shows as rcond = 0 below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(M, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
-    return (lu, piv), cond
-
-
 def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
@@ -234,43 +212,42 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     backward error eig commits, and the operator's cached eigh is shared
     with hermitian_eig and operator_svd.
 
-    Otherwise eig and the polish run in complex arithmetic, also for a real
-    operator (B and K are upcast once): LAPACK's real and complex
-    eigensolvers round differently, and this decomposition's refusals sit
-    close to rounding (see COND_LIMIT).
-
-    The normalized eigenvector matrix V is factored once: its 1-norm
-    condition estimate (LAPACK gecon) guards the refusal below, and the
-    left family U = V^{-H} is solved from the same LU.
+    Otherwise eig runs on B in its own dtype (real LAPACK for a real
+    operator), the polish on A and K, and the pairs are complex.  The r
+    retained eigenvectors V_r keep their span; the rest, a numerical null
+    space, become Q_t of one complete QR [Q_t, Q_perp] of themselves, and
+    U = V^{-H} and the exact condition kappa of V = [V_r, Q_t] come from
+    r x r algebra (_inverse_adjoint).  An inverse of condition kappa is
+    bi-orthogonal to about kappa n u (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 14), which must fit the 1e-8 budget.
 
     Raises
     ------
     DefectiveSuspectedError
-        If the eigenvector matrix is numerically singular (1-norm condition
-        estimate > 1e8), if two retained eigenvectors with close eigenvalues are
-        numerically parallel, or if the final bi-orthogonality residual
-        exceeds 1e-8.  A non-diagonal Jordan structure is the likely
-        cause; see the jordan module.
+        If retained eigenvectors of nearly equal eigenvalues are parallel,
+        a retained eigen-residual exceeds 1e-9 |nu_1|, kappa n u exceeds
+        1e-8 (C singular or kappa not finite included), or the final
+        bi-orthogonality residual exceeds 1e-8.  A non-diagonal Jordan
+        structure is the likely cause; see the jordan module.
     """
     op._require_square("an eigendecomposition")
     if op.hermitian_to_roundoff():
         d = hermitian_eig(op)
         P = d.right.astype(complex, copy=False)
         return replace(d, right=P, left=P)
-    B = op.B.astype(complex, copy=False)
     try:
-        vals, V = np.linalg.eig(B)
+        vals, V = np.linalg.eig(op.B)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eig did not converge: {exc}") from exc
+    vals, V = vals.astype(complex, copy=False), V.astype(complex, copy=False)
     order = _sort_order(vals)
-    vals = vals[order]
-    V = V[:, order]
+    vals, V = vals[order], V[:, order]
     retained = _retained_count(vals)
     _check_coalescence(vals, V, retained)
     _rebasis_degenerate(vals, V, retained)
     top = np.abs(vals[0]) if vals.size else 0.0
     Vr = V[:, :retained]
-    resid = np.linalg.norm(B @ Vr - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
+    resid = _norm(_matvec(op.B, Vr) - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
     bad = np.flatnonzero(resid > 1e-9 * top)
     if bad.size:
         j = bad[0]
@@ -278,61 +255,69 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
             f"eigen-residual {resid[j]:.3e} for nu={vals[j]:.6g} exceeds "
             "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module"
         )
+    n = V.shape[0]
+    Z, _ = np.linalg.qr(V[:, retained:], mode="complete")
+    V[:, retained:] = Z[:, : n - retained]
     w = op.w_rows
     sqw = np.sqrt(w)[:, None]
-    # normalize V columns so the node samples p = V/sqrt(w) come out with
-    # unit weighted norm and a real-positive anchor entry; eig's columns have
-    # unit 2-norm already, so this turns each by a phase and leaves V's
-    # condition alone up to rounding
+    # p = V/sqrt(w) gets unit weighted norm and a real-positive anchor entry;
+    # the columns have unit 2-norm already, so this turns each by a phase
     V *= _unit_anchored(w, V / sqw)
-    fac, cond = _lu_with_cond(V, "the eigenvector matrix")
-    if cond > COND_LIMIT:
+    U, kappa = _inverse_adjoint(V, Z, retained)
+    del Z
+    if not kappa * n * UNIT <= 1e-8:
         raise DefectiveSuspectedError(
-            f"eigenvector matrix condition {cond:.3e} exceeds 1e8; the operator "
-            "looks defective -- use the jordan module"
-        )
-    # U = V^{-H}, solved over the identity in place and conjugated in place;
-    # the LU is freed first, so no more N x N arrays are alive than for inv(V)
-    U = lu_solve(fac, np.eye(V.shape[0], dtype=V.dtype, order="F"), overwrite_b=True,
-                 check_finite=False)
-    del fac
-    U = np.conj(U, out=U).T
-    P = V / sqw
-    Q = U / sqw
+            f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / (n u) = "
+            f"{1e-8 / (n * UNIT):.3e}; the operator looks defective -- use the jordan module")
+    P, Q = V / sqw, U / sqw
     # one Nystrom pass on the retained pairs above REFINE_RTOL: p <- A p / nu
     # and q <- K^H (w q) / conj(nu), then q rescaled to <q, p>_W = 1
     sel = np.flatnonzero(np.abs(vals[:retained]) >= REFINE_RTOL * top)
     Ps = _matvecs(op.A, P[:, sel]) / vals[sel]
     Ps *= _unit_anchored(w, Ps)
-    K = op.K.astype(complex, copy=False)
-    Qs = _matvecs(K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
+    Qs = _matvecs(op.K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
     Qs /= np.conj(_winner(w, Qs, Ps))
-    P[:, sel] = Ps
-    Q[:, sel] = Qs
+    P[:, sel], Q[:, sel] = Ps, Qs
     resid = _biorth_residual(w, P, Q, retained)
     if resid > 1e-8:
         raise DefectiveSuspectedError(
             f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the operator "
-            "looks defective -- use the jordan module"
-        )
-    hermitian = op.hermitian_defect() <= HERMITIAN_RTOL
-    return BiSpectralDecomposition(
-        eigenvalues=vals,
-        right=P,
-        left=Q,
-        biorth_residual=resid,
-        hermitian=hermitian,
-        retained=retained,
-        operator=op,
-    )
+            "looks defective -- use the jordan module")
+    return BiSpectralDecomposition(eigenvalues=vals, right=P, left=Q, biorth_residual=resid,
+                                   hermitian=op.hermitian_defect() <= HERMITIAN_RTOL,
+                                   retained=retained, operator=op)
+
+
+def _inverse_adjoint(V, Z, r):
+    """(U, kappa) with U = V^{-H} for V = [V_r, Q_t], where Q_t is the
+    first n - r columns of the unitary Z = [Q_t, Q_perp], each times a
+    phase.  V = [Q_t, Q_perp] M with M = [[A, I], [C, 0]], A = Q_t^H V_r and
+    C = Q_perp^H V_r (r x r), so M^{-1} = [[0, C^{-1}], [I, -A C^{-1}]],
+    U = [Q_perp C^{-H}, Q_t - Q_perp C^{-H} A^H] and kappa = ||M||_1
+    ||M^{-1}||_1 exactly; kappa is inf when C is singular (U None) or when
+    kappa does not come out finite."""
+    Vr, Qt, Qp = V[:, :r], V[:, r:], Z[:, V.shape[0] - r:]
+    A, C = Qt.conj().T @ Vr, Qp.conj().T @ Vr
+    try:
+        Cinv = np.linalg.inv(C)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the columns of M are [A; C] and those of M^{-1} [C^{-1}; -A C^{-1}],
+        # next to identity columns of 1-norm 1 (none when Q_t is empty)
+        kappa = float(np.prod([np.max(np.abs(np.vstack(X)).sum(axis=0), initial=float(Qt.size > 0))
+                               for X in ((A, C), (Cinv, A @ Cinv))]))
+        Ur = Qp @ Cinv.conj().T
+        U = np.hstack((Ur, Qt - Ur @ A.conj().T))
+    return U, kappa if np.isfinite(kappa) else np.inf
 
 
 def _check_coalescence(vals, V, retained, val_rtol=1e-6, angle_tol=1e-8):
     """Reject nearly-equal eigenvalues whose eigenvectors are parallel.
 
     A semisimple repeated eigenvalue keeps independent eigenvectors; a
-    defective one collapses them.  The condition-number check alone can
-    miss 2x2 coalescence (cond ~ 1/sqrt(eps) sits near the limit).
+    defective one collapses them.  Run before the condition rule, this names
+    the eigenvalue.
     """
     if retained < 2:
         return
@@ -354,17 +339,16 @@ def _check_coalescence(vals, V, retained, val_rtol=1e-6, angle_tol=1e-8):
 
 
 def _rebasis_degenerate(vals, V, retained):
-    """Orthonormalize eigenvector groups of (numerically) equal eigenvalues.
+    """Orthonormalize eigenvector groups of (numerically) equal retained eigenvalues.
 
     LAPACK returns an arbitrary and possibly ill-conditioned basis for a
     repeated semisimple eigenvalue; mixing within each eigenspace is free,
     and a QR basis makes the later inversion and condition check reflect
     the geometry between eigenspaces only.  Neighbours are grouped when
     they differ by at most 1e-9 of the larger modulus or by the roundoff
-    floor N * eps * |nu_1|, so small distinct eigenvalues stay apart.  The
-    non-retained tail (the numerical null space) is treated as one group.
+    floor N * eps * |nu_1|, so small distinct eigenvalues stay apart.
     """
-    if vals.size == 0:
+    if retained < 2:
         return
     floor = _roundoff_floor(vals)
     groups = []
@@ -375,8 +359,6 @@ def _rebasis_degenerate(vals, V, retained):
             groups.append((start, j))
             start = j
     groups.append((start, retained))
-    if retained < vals.size:
-        groups.append((retained, vals.size))
     for a, b in groups:
         if b - a >= 2:
             Q, _ = np.linalg.qr(V[:, a:b])

@@ -286,11 +286,11 @@ class TestLogDerivativeCheck:
             fk.determinant_log_derivative_check(yz_op, (0.0, 3.0), 50)
 
     def test_one_factorization_per_path_point(self, monkeypatch):
-        from fredkit import spectral
+        from fredkit import fredholm
 
         calls = []
-        lu_factor, det = spectral.lu_factor, np.linalg.det
-        monkeypatch.setattr(spectral, "lu_factor",
+        lu_factor, det = fredholm.lu_factor, np.linalg.det
+        monkeypatch.setattr(fredholm, "lu_factor",
                             lambda M, **kw: calls.append("lu") or lu_factor(M, **kw))
         monkeypatch.setattr(np.linalg, "det", lambda M: calls.append("det") or det(M))
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
@@ -367,6 +367,26 @@ class TestOverflowingSolve:
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match=r"lambda=0\.3"):
                 fk.resolvent_solve(op, 0.3, np.full(8, 1e308))
+
+    def test_large_rhs_gives_a_finite_residual(self, gl8):
+        """||f|| overflows at 1e200 entries; f and the residual are scaled by
+        one power of two, and the relative residual comes out as at f = 1."""
+        op = fk.discretize(fk.mehler_kernel(0.5), gl8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = fk.resolvent_solve(op, 0.3, np.full(8, 1e200))
+        ref = fk.resolvent_solve(op, 0.3, np.ones(8))
+        assert np.isfinite(sol.residual)
+        assert sol.residual <= 8 * ref.residual + 8 * np.finfo(float).eps
+        assert np.max(np.abs(sol.solution / 1e200 - ref.solution)) <= 1e-15
+
+    def test_ordinary_residual_is_the_plain_one(self, gl8):
+        op = fk.discretize(fk.mehler_kernel(0.5), gl8)
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=8) + 1j * rng.normal(size=8)
+        sol = fk.resolvent_solve(op, 0.3, f)
+        r = sol.solution - 0.3 * fk.apply(op, sol.solution) - f
+        assert sol.residual == float(np.linalg.norm(r)) / float(np.linalg.norm(f))
 
     def test_overflowing_resolvent_kernel_refused(self, gl8):
         # K = 1e305 everywhere: nu = 1e305 (the weights sum to 1), so at

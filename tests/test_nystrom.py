@@ -93,6 +93,39 @@ class TestNonFiniteSamples:
         assert err.value.pair == bad
 
 
+class TestScaleSafeNorms:
+    """Norms of B square its entries; a B with finite entries above about
+    1e154 is scaled by a power of two first, and only then, so every other
+    operator keeps its bits."""
+
+    def test_huge_finite_kernel(self, gl8):
+        kern = fk.separable_kernel([1e305], [lambda y: 1.0 + 0 * y], [lambda z: z])
+        unit = fk.discretize(fk.separable_kernel([1.0], [lambda y: 1.0 + 0 * y],
+                                                 [lambda z: z]), gl8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = fk.discretize(kern, gl8)
+            assert op.hs_norm() == pytest.approx(1e305 * unit.hs_norm(), rel=1e-15)
+            assert op.hermitian_defect() == pytest.approx(unit.hermitian_defect(), rel=1e-15)
+            d = fk.djf_eig(op)
+        # the eigenvalue 1e305 int_0^1 z dz, exact on GL8
+        assert d.retained == 1 and d.eigenvalues[0] == pytest.approx(0.5e305, rel=1e-14)
+
+    def test_rescaling_is_exact(self, gl8):
+        # a power-of-two coefficient: the rescaled norms are the unit ones, bit for bit
+        ops = [fk.discretize(fk.separable_kernel([c], [lambda y: 1.0 + y], [lambda z: z]), gl8)
+               for c in (1.0, 2.0 ** 1000)]
+        assert ops[1].hs_norm() == 2.0 ** 1000 * ops[0].hs_norm()
+        assert ops[1].hermitian_defect() == ops[0].hermitian_defect()
+
+    def test_overflowing_fill_is_an_evaluation_error(self, gl8):
+        kern = fk.separable_kernel([1.0], [lambda y: 1e200 + 0 * y], [lambda z: 1e200 + 0 * z])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="is not finite"):
+                fk.discretize(kern, gl8)
+
+
 class TestApply:
     def test_constant_maps_to_half_y(self, yz_op, gl8):
         f = np.ones(8, dtype=complex)

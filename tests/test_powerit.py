@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,37 @@ class TestPowerRatioEstimate:
         trace = fk.power_ratio_estimate(yz_op, np.ones(8, dtype=complex), 50, 1e-12)
         assert len(trace.pointwise_ratios) == len(trace.ratios)
         assert trace.pointwise_ratios[-1] == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+class TestScaleFreeStart:
+    """Starting vectors and probes are divided by a power of two near their
+    largest entry once per call: exact, so a large start runs without
+    overflow and any start runs as its scaled copies do, bit for bit."""
+
+    def test_huge_starting_vectors(self, gl8):
+        op = fk.discretize(fk.mehler_kernel(0.5), gl8)
+        huge = np.full(8, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = fk.power_ratio_estimate(op, huge, 50, 1e-10, probe=huge)
+            p, q = fk.extract_leading_pair(op, trace.estimate, huge, huge, 50)
+        ref = fk.power_ratio_estimate(op, np.ones(8), 50, 1e-10)
+        assert trace.converged and trace.estimate == pytest.approx(ref.estimate, rel=1e-12)
+        assert np.sum(op.w_rows * np.conj(q) * p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scaled_starts_give_the_same_bits(self, gl8):
+        op = fk.discretize(fk.mehler_kernel(0.5), gl8)
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=8) + 1j * rng.normal(size=8)
+        g = rng.normal(size=8)
+        runs = [fk.power_ratio_estimate(op, f * s, 50, 1e-10, probe=g * s)
+                for s in (1.0, 2.0 ** 40)]
+        assert runs[0].ratios == runs[1].ratios
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0].iterates, runs[1].iterates))
+        nu1 = runs[0].estimate
+        pairs = [fk.extract_leading_pair(op, nu1, f * s, g * s, 50) for s in (1.0, 2.0 ** -40)]
+        assert np.array_equal(pairs[0][0], pairs[1][0])
+        assert np.array_equal(pairs[0][1], pairs[1][1])
 
 
 class TestVariationalEstimate:

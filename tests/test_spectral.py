@@ -15,7 +15,7 @@ from fredkit.errors import (
 from fredkit.kernels import ClosedForm
 
 from conftest import wfro
-from test_conventions import defective, jordan_like
+from test_conventions import UNIT, defective, jordan_like
 
 
 class TestHermitianEig:
@@ -274,40 +274,44 @@ def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, two_te
 
 @pytest.mark.parametrize("case", [1e-4, 1.778e-4, 2.371e-4, 3.2e-4, 1e-3, "defective"], ids=str)
 def test_condition_refusal_agrees_with_two_norm_condition(monkeypatch, case):
-    """djf_eig refuses on gecon's 1-norm estimate of V's condition; on the
-    near-Jordan kernels that straddle 1e8 it decides as the 2-norm condition
-    of the same V does.  cond_1 / N <= cond_2 <= N cond_1 for any N x N
-    matrix, and here cond_1 / cond_2 is about 1.19 (1.26 for the Jordan
-    block), while the nearest case to 1e8 sits a factor 1.25 below it
-    (delta = 1.778e-4: 8.0e7 against 6.7e7)."""
+    """djf_eig refuses when kappa n u > 1e-8, kappa = ||M||_1 ||M^{-1}||_1 for
+    V = Z' M with Z' = [Q_t, Q_perp] unitary, so cond_2(V) = cond_2(M) and
+    cond_1(M) / n <= cond_2(V) <= n cond_1(M) for any n x n matrix.  kappa
+    is the exact cond_1(M) up to the rounding of M^{-1}, about kappa u
+    relative, and on the near-Jordan kernels that straddle the limit it
+    decides as cond_2(V) would: cond_1 / cond_2 is 1.1 to 1.5 here, while
+    the nearest case sits a factor 2.8 from the limit (delta = 1e-3)."""
     seen = []
 
-    def spy(M, name):
-        fac, cond = lu_with_cond(M, name)
-        seen.append((M.copy(), cond))
-        return fac, cond
+    def spy(V, Z, r):
+        U, kappa = inverse_adjoint(V, Z, r)
+        seen.append((V.copy(), Z.copy(), r, kappa))
+        return U, kappa
 
-    lu_with_cond = spectral._lu_with_cond
-    monkeypatch.setattr(spectral, "_lu_with_cond", spy)
+    inverse_adjoint = spectral._inverse_adjoint
+    monkeypatch.setattr(spectral, "_inverse_adjoint", spy)
     op = defective(3) if case == "defective" else jordan_like(3, case)
     try:
         fk.djf_eig(op)
         refused = False
     except DefectiveSuspectedError as exc:
         refused = str(exc).startswith("eigenvector matrix condition ")
-    (V, estimate), = seen
+    (V, Z, r, kappa), = seen
+    n = V.shape[0]
+    M = np.hstack((V[:, r:], Z[:, n - r:])).conj().T @ V
+    assert kappa == pytest.approx(np.linalg.cond(M, 1), rel=kappa * n * UNIT)
     sv = np.linalg.svd(V, compute_uv=False)
     cond_2 = sv[0] / sv[-1]
-    n = V.shape[0]
-    assert cond_2 / n <= estimate <= n * cond_2
-    assert refused == (estimate > spectral.COND_LIMIT) == (cond_2 > spectral.COND_LIMIT)
-    assert refused == (case in (1e-4, "defective"))
+    assert kappa / n <= cond_2 <= n * kappa
+    assert refused == (kappa * n * UNIT > 1e-8) == (cond_2 * n * UNIT > 1e-8)
+    assert refused == (case != 1e-3)
 
 
 def test_exactly_singular_eigenvectors_refused(monkeypatch):
-    """A repeated eigenvector column makes V exactly singular: LU meets an
-    exactly zero pivot, gecon returns rcond = 0, and djf_eig refuses without
-    letting scipy's LinAlgWarning through."""
+    """A repeated eigenvector column makes V exactly singular: the r x r
+    block C = Q_perp^H V_r is exactly zero, its inverse fails, and djf_eig
+    refuses at condition inf without letting a LinAlgError or a warning
+    through."""
     rule = fk.gauss_legendre(2, 0.0, 1.0)
     x1 = rule.nodes[1]
     # rank one and zero on the second row: B = [[a, b], [0, 0]], not Hermitian,
@@ -327,5 +331,5 @@ def test_exactly_singular_eigenvectors_refused(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DefectiveSuspectedError,
-                           match=r"^eigenvector matrix condition inf exceeds 1e8"):
+                           match=r"^eigenvector matrix condition inf exceeds 1e-8 / \(n u\)"):
             fk.djf_eig(op)
