@@ -99,8 +99,9 @@ class UnsupportedProfileError(FredkitError):
     """The spectral configuration falls outside the supported asymptotics."""
 
 
-class EigenvalueProximityError(FredkitError):
-    """A resolvent-type solve was requested too close to an eigenvalue."""
+class _NearPoleError(FredkitError):
+    """lambda sits too near a Fredholm eigenvalue: ``nearest`` is that
+    eigenvalue and ``gap`` = |lambda - nearest|."""
 
     def __init__(self, message, nearest=None, gap=None):
         super().__init__(message)
@@ -108,7 +109,11 @@ class EigenvalueProximityError(FredkitError):
         self.gap = gap
 
 
-class PoleError(FredkitError):
+class EigenvalueProximityError(_NearPoleError):
+    """A resolvent-type solve was requested too close to an eigenvalue."""
+
+
+class PoleError(_NearPoleError):
     """A series or path evaluation hit a pole of the resolvent."""
 
 

@@ -8,11 +8,20 @@ throughout: the "eigenvalues" lambda_j are the reciprocals 1/nu_j of the
 operator eigenvalues, and the determinant D(lambda) vanishes exactly
 there.
 
+One pole rule (_guard_pole) decides every refusal near the spectrum:
+lambda is too near when its gap to the Fredholm eigenvalue nearest it in
+absolute distance is at most rtol times that eigenvalue's modulus, with
+rtol = GAP_RTOL (1e-8) for solves and resolvent kernels, SERIES_RTOL
+(1e-12) for the eigen-series over their truncation, and PATH_RTOL (1e-3) at
+each log-derivative path point.  The error raised names the eigenvalue and
+carries it as ``nearest``, with ``gap``.
+
 The proximity guards and the product determinant read eigenvalues from
 DiscreteOperator.spectrum, which is computed once per operator and cached
-(the operator's matrices are read-only), so sweeping lambda over one
-operator -- resolvent solves, product determinants, log-derivative paths --
-pays for one eigvals.
+(the operator's matrices are read-only), and keep its retained part, cut
+as the decompositions cut theirs (spectral._retained), so sweeping lambda
+over one operator -- resolvent solves, product determinants, log-derivative
+paths -- pays for one eigvals.
 """
 import warnings
 from dataclasses import dataclass
@@ -28,9 +37,12 @@ from .errors import (
     _count_arg, _number_arg, _samples_arg,
 )
 from .nystrom import DiscreteOperator, _matvec, _pow2_scale
-from .spectral import BiSpectralDecomposition, HERMITIAN_RTOL, RETAIN_RTOL, djf_eig, hermitian_eig
+from .spectral import BiSpectralDecomposition, HERMITIAN_RTOL, _retained, djf_eig, hermitian_eig
 
-GAP_RTOL = 1e-8
+# relative pole distances below which lambda is refused (_guard_pole)
+GAP_RTOL = 1e-8           # direct solves and resolvent kernels
+SERIES_RTOL = 1e-12       # eigen-series forms
+PATH_RTOL = 1e-3          # every point of a log-derivative path
 COND_LIMIT = 1e10
 TAIL_CUTOFF = 1e-14
 
@@ -54,39 +66,24 @@ class DeterminantEval:
     method: str
 
 
-def _operator_nus(op):
-    """Retained nonzero operator eigenvalues nu_j, from the cached spectrum."""
-    nus = op.spectrum
-    top = float(np.max(np.abs(nus))) if nus.size else 0.0
-    if top == 0.0:
-        return nus[:0]
-    return nus[np.abs(nus) > RETAIN_RTOL * top]
-
-
 def _fredholm_lambdas(op):
-    nus = _operator_nus(op)
-    return 1.0 / nus if nus.size else nus
+    """lambda_j = 1/nu_j over the retained part of the cached spectrum."""
+    nus = op.spectrum
+    return 1.0 / nus[_retained(nus)]
 
 
-def _nearest_gap(lam, lambdas):
+def _guard_pole(lam, lambdas, rtol, error=EigenvalueProximityError, name="lambda"):
+    """The one pole rule: (gap, nearest) for the Fredholm eigenvalue nearest
+    lam in absolute distance, (inf, None) when there is none; raises `error`,
+    naming that eigenvalue, when gap <= rtol * |nearest|."""
     if lambdas.size == 0:
         return np.inf, None
     dists = np.abs(lambdas - lam)
     i = int(np.argmin(dists))
-    return float(dists[i]), complex(lambdas[i])
-
-
-def _guard_proximity(op, lam):
-    """Reject lambda too close to a Fredholm eigenvalue; return the gap."""
-    lambdas = _fredholm_lambdas(op)
-    gap, nearest = _nearest_gap(lam, lambdas)
-    if nearest is not None and gap <= GAP_RTOL * abs(nearest):
-        raise EigenvalueProximityError(
-            f"lambda={lam:.6g} is within {GAP_RTOL} relative of the Fredholm "
-            f"eigenvalue {nearest:.6g}",
-            nearest=nearest,
-            gap=gap,
-        )
+    gap, nearest = float(dists[i]), complex(lambdas[i])
+    if gap <= rtol * abs(nearest):
+        raise error(f"{name}={lam:.6g} is within {rtol:g} relative of the Fredholm "
+                    f"eigenvalue {nearest:.6g}", nearest=nearest, gap=gap)
     return gap, nearest
 
 
@@ -113,7 +110,7 @@ def _guarded_lu(op, lam):
     """(M, (lu, piv), nearest_eigen_gap) for M = I - lambda*A, refusing
     lambda near the cached spectrum or a condition estimate above 1e10, and
     a lambda so large that M or its 1-norm overflows."""
-    gap, nearest = _guard_proximity(op, lam)
+    gap, nearest = _guard_pole(lam, _fredholm_lambdas(op), GAP_RTOL)
     with np.errstate(over="ignore", invalid="ignore"):
         M = np.eye(op.A.shape[0], dtype=complex) - lam * op.A
     fac, cond = _lu_with_cond(M, f"I - lambda*A at lambda={lam:.6g}")
@@ -181,12 +178,8 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
 
 
 def _series_lambdas(d, k, lam):
-    k = _count_arg(k, "truncation", 0, d.retained)
-    lambdas = 1.0 / d.eigenvalues[:k]
-    if k:
-        dmin = np.min(np.abs(lambdas - lam))
-        if dmin <= 1e-12 * max(1.0, float(np.max(np.abs(lambdas)))):
-            raise PoleError(f"lambda={lam:.6g} coincides with a Fredholm eigenvalue")
+    lambdas = 1.0 / d.eigenvalues[: _count_arg(k, "truncation", 0, d.retained)]
+    _guard_pole(lam, lambdas, SERIES_RTOL, PoleError)
     return lambdas
 
 
@@ -194,6 +187,8 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
     """Partial-sum resolvent sum_{j<=k} p_j q_j^* / (lambda_j - lambda).
 
     Equals resolvent_kernel at full truncation on finite-rank kernels.
+    Raises PoleError when lambda is within 1e-12 relative of the nearest
+    of the k Fredholm eigenvalues.
     """
     lam = _number_arg(lam, "lambda")
     lambdas = _series_lambdas(d, k, lam)
@@ -204,7 +199,8 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
 
 
 def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.ndarray:
-    """Series solution f + lambda * sum_j p_j <q_j, f>_W / (lambda_j - lambda)."""
+    """Series solution f + lambda * sum_j p_j <q_j, f>_W / (lambda_j - lambda),
+    guarded as resolvent_series is."""
     lam = _number_arg(lam, "lambda")
     f = _samples_arg(f, d.right.shape[0], "f")
     lambdas = _series_lambdas(d, k, lam)
@@ -265,8 +261,9 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     Integrates the weighted trace of the resolvent kernel along the real
     interval lambda_path = (a, b) with the composite trapezoid rule and
     compares exp(-integral up to each grid point) against the direct
-    determinant ratio D(lambda_t)/D(a).  The path must keep a 1e-3
-    relative gap from every Fredholm eigenvalue.  Each path point costs one
+    determinant ratio D(lambda_t)/D(a).  Each path point must keep a gap of
+    more than 1e-3 relative to its nearest Fredholm eigenvalue, else
+    PoleError.  Each path point costs one
     guarded LU of I - lambda*A, which gives both the weighted trace, as
     tr((I - lambda*A)^{-1} A), and the determinant; the path check and the
     guards share the operator's cached spectrum.  The path must be two
@@ -278,14 +275,8 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     steps = _count_arg(steps, "steps", 1)
     grid = np.linspace(a, b, steps + 1)
     lambdas = _fredholm_lambdas(op)
-    if lambdas.size:
-        for t in grid:
-            gap = np.min(np.abs(lambdas - t) / np.abs(lambdas))
-            if gap < 1e-3:
-                raise PoleError(
-                    f"path point lambda={t:.6g} is within 1e-3 relative of a "
-                    "Fredholm eigenvalue"
-                )
+    for t in grid:
+        _guard_pole(t, lambdas, PATH_RTOL, PoleError, "path point lambda")
 
     def log_det_and_trace(lam):
         _M, (lu, piv), _gap = _guarded_lu(op, complex(lam))

@@ -6,7 +6,10 @@ the structure cannot be trusted: eigenvalues are clustered by single
 linkage, the Weyr staircase is read off singular-value ranks of powers of
 (N - lambda I), eigenvectors of each block are taken from
 ker(S) intersect range(S^{size-1}), and chains extend by minimum-norm
-least-squares solves of S p_k = p_{k-1}.
+least-squares solves of S p_k = p_{k-1}.  Blocks are listed in the order
+the spectral decompositions list eigenvalues (spectral._sort_order):
+descending modulus, near-ties by descending phase.  Powers that overflow
+are refused with InvalidArgumentError naming n.
 """
 from dataclasses import dataclass
 
@@ -22,7 +25,8 @@ from .errors import (
     _count_arg, _number_arg,
 )
 from .kernels import basis_kernel
-from .nystrom import _anchor_phase
+from .nystrom import _anchor_phase, _finite_power
+from .spectral import _sort_order
 
 DESK_DIM_LIMIT = 64
 RANK_RTOL = 1e-10
@@ -52,23 +56,28 @@ def jordan_block_power(lam, m, n):
     """n-th power of a Jordan block via the binomial expansion.
 
     Entry (j, k) equals C(n, k-j) * lam^{n-(k-j)} for 0 <= k-j <= min(n, m-1)
-    and 0 otherwise, with the 0^0 = 1 convention when lam = 0.
+    and 0 otherwise, with the 0^0 = 1 convention when lam = 0.  A power that
+    overflows raises InvalidArgumentError naming n.
     """
     m = _count_arg(m, "block size", 1)
     n = _count_arg(n, "exponent")
     lam = _number_arg(lam, "lam")
-    out = np.zeros((m, m), dtype=complex)
-    for a in range(0, min(n, m - 1) + 1):
-        e = n - a
-        if lam == 0:
-            coef = 1.0 if e == 0 else 0.0
-        else:
-            coef = lam ** e
-        val = binomial(n, a) * coef
-        if val != 0:
-            idx = np.arange(m - a)
-            out[idx, idx + a] = val
-    return out
+
+    def power():
+        out = np.zeros((m, m), dtype=complex)
+        for a in range(0, min(n, m - 1) + 1):
+            e = n - a
+            if lam == 0:
+                coef = 1.0 if e == 0 else 0.0
+            else:
+                coef = lam ** e
+            val = binomial(n, a) * coef
+            if val != 0:
+                idx = np.arange(m - a)
+                out[idx, idx + a] = val
+        return out
+
+    return _finite_power(n, "exponent", power)
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,10 @@ def _cluster_eigenvalues(eigs, delta):
 
 def jordan_decompose(N, cluster_tol=1e-7):
     """Numerical Jordan form of a small dense matrix.
+
+    Blocks are grouped by eigenvalue cluster, the clusters in the order
+    spectral._sort_order gives their centres, longest blocks first within a
+    cluster.
 
     Parameters
     ----------
@@ -189,15 +202,10 @@ def _decompose(N, cluster_tol):
                 gap=gap,
                 threshold=10.0 * delta,
             )
-    # deterministic cluster order: descending |lambda|, ties descending phase
-    order = sorted(
-        range(len(centers)),
-        key=lambda i: (-abs(centers[i]), -np.angle(centers[i])),
-    )
     blocks = []
     P_cols = []
     residuals = []
-    for ci in order:
+    for ci in _sort_order(np.array(centers)):
         lam = centers[ci]
         amult = len(clusters[ci])
         chains = _cluster_chains(N, lam, amult)
@@ -294,9 +302,10 @@ def _cluster_chains(N, lam, amult):
 
 
 def matrix_power_via_jordan(jf: JordanForm, n: int) -> np.ndarray:
-    """N^n = P J^n Q^* assembled from per-block binomial powers."""
+    """N^n = P J^n Q^* assembled from per-block binomial powers; a power
+    that overflows raises InvalidArgumentError naming n."""
     n = _count_arg(n, "exponent")
-    return jf.P @ jf.assemble_j(n) @ jf.Q.conj().T
+    return _finite_power(n, "exponent", lambda: jf.P @ jf.assemble_j(n) @ jf.Q.conj().T)
 
 
 def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
@@ -310,7 +319,8 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
 
     Raises UnsupportedProfileError when one top-tier eigenvalue carries
     several maximal blocks: the per-eigenvalue enumeration behind the
-    asymptotic form breaks down there.
+    asymptotic form breaks down there, and InvalidArgumentError naming n
+    when the envelope overflows.
     """
     n = _count_arg(n, "iterate", 1)
     tier_rtol = _number_arg(tier_rtol, "tier_rtol", real=True)
@@ -336,7 +346,7 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
                     "supported asymptotic profile"
                 )
         seen.append(lam)
-    envelope = binomial(n, M - 1) * r1 ** (n - M + 1)
+    envelope = _finite_power(n, "iterate", lambda: binomial(n, M - 1) * r1 ** (n - M + 1))
     D = np.zeros((jf.dim, jf.dim), dtype=complex)
     for i, lam in leading:
         theta = np.angle(lam)

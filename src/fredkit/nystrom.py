@@ -174,16 +174,35 @@ def _pow2_scale(X):
     return float(np.ldexp(1.0, -np.frexp(top)[1])) if 0.0 < top < np.inf else 1.0
 
 
-def _norm(X, axis=None):
-    """np.linalg.norm(X, axis=axis) without overflow on the way: only when
-    that norm overflows is it recomputed on X * _pow2_scale(X) and scaled
-    back, so every other norm keeps its bits."""
+def _no_overflow(norm, X):
+    """norm(X) without overflow on the way: only the norms that overflow are
+    recomputed, on X * _pow2_scale(X), and scaled back, so every other norm
+    keeps its bits."""
     with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(X, axis=axis)
-        if not np.all(np.isfinite(nrm)):
-            s = _pow2_scale(X)
-            nrm = np.linalg.norm(X * s, axis=axis) / s
-    return nrm
+        nrm = norm(X)
+    if np.isfinite(nrm).all():
+        return nrm
+    s = _pow2_scale(X)
+    return np.where(np.isfinite(nrm), nrm, norm(X * s) / s)
+
+
+def _norm(X, axis=None):
+    """np.linalg.norm(X, axis=axis), through _no_overflow."""
+    return _no_overflow(lambda Y: np.linalg.norm(Y, axis=axis), X)
+
+
+def _finite_power(n, name, power):
+    """power(), an n-th power or a result built from one, with its overflow
+    refused: an OverflowError or a result with an entry that is not finite
+    raises InvalidArgumentError naming n.  A finite result keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = power()
+        except OverflowError:
+            out = np.inf
+    if not np.isfinite(out).all():
+        raise InvalidArgumentError(f"{name} n={n} overflows: its entries are not finite")
+    return out
 
 
 def _read_only(a):
@@ -211,8 +230,10 @@ def _winner(w, U, V):
 
 
 def _wnorm(w, U):
-    """||u||_W for a vector, else per column (rounded as in _winner)."""
-    nrm = np.sqrt(np.sum(np.ascontiguousarray(w * np.abs(U.T) ** 2), axis=-1))
+    """||u||_W for a vector, else per column (rounded as in _winner), through
+    _no_overflow."""
+    nrm = _no_overflow(
+        lambda Y: np.sqrt(np.sum(np.ascontiguousarray(w * np.abs(Y.T) ** 2), axis=-1)), U)
     return float(nrm) if U.ndim == 1 else nrm
 
 
@@ -296,18 +317,17 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     """
     op._require_square("an iterated kernel")
     n = _count_arg(n, "iterate", 1)
-    X = op.K.copy()
-    w = op.w_cols
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def doubling():
+        X = op.K.copy()
+        w = op.w_cols
         for bit in bin(n)[3:]:
             X = (X * w) @ X
             if bit == "1":
                 X = op.K @ (w[:, None] * X)
-        if not np.isfinite(X).all():
-            raise InvalidArgumentError(
-                f"iterate n={n} overflows: its entries are not finite"
-            )
-    return X
+        return X
+
+    return _finite_power(n, "iterate", doubling)
 
 
 def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):

@@ -4,7 +4,8 @@ The SVD is computed on the symmetrized matrix B = W^{1/2} K W^{1/2}, so
 Euclidean orthonormality of the singular vectors becomes weighted
 orthonormality of the node samples: <p_j, p_k>_W = <q_j, q_k>_W = delta_jk.
 Iterated Gram-operator kernels (N N^*)^n and their odd-power variants, the
-trace power sums, and truncation follow from the triples alone.
+trace power sums, and truncation follow from the triples alone; a power
+whose result overflows raises InvalidArgumentError naming n.
 
 When B is Hermitian to roundoff (hermitian_defect() <= n u, see
 DiscreteOperator.hermitian_to_roundoff) the triples come from the
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidArgumentError, _count_arg, _samples_arg
-from .nystrom import DiscreteOperator, _anchor_phase, _matvec
-
-RANK_RTOL = 1e-12
+from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _matvec
+from .spectral import _retained_count
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,12 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     ph = _anchor_phase(P)
     P *= ph
     Q *= ph
-    theta1 = s[0] if s.size else 0.0
-    rank = int(np.sum(s > RANK_RTOL * theta1)) if theta1 > 0 else 0
     return OperatorSVD(
         singular_values=s,
         left=P,
         right=Q,
         shape=op.shape,
-        rank_numerical=rank,
+        rank_numerical=_retained_count(s),
         operator=op,
     )
 
@@ -104,8 +102,8 @@ def iterated_gram(svd: OperatorSVD, n: int, side="left") -> np.ndarray:
     """
     n = _count_arg(n, "iterate", 1)
     V = _side_matrix(svd, side)
-    pw = svd.singular_values ** (2 * n)
-    return (V * pw[None, :]) @ V.conj().T
+    theta = svd.singular_values[None, :]
+    return _finite_power(n, "iterate", lambda: (V * theta ** (2 * n)) @ V.conj().T)
 
 
 def iterated_gram_with_kernel(svd: OperatorSVD, n: int, side="left") -> np.ndarray:
@@ -117,8 +115,8 @@ def iterated_gram_with_kernel(svd: OperatorSVD, n: int, side="left") -> np.ndarr
     n = _count_arg(n, "iterate")
     V = _side_matrix(svd, side)
     W = svd.right if side == "left" else svd.left
-    pw = svd.singular_values ** (2 * n + 1)
-    return (V * pw[None, :]) @ W.conj().T
+    theta = svd.singular_values[None, :]
+    return _finite_power(n, "iterate", lambda: (V * theta ** (2 * n + 1)) @ W.conj().T)
 
 
 def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
@@ -135,8 +133,8 @@ def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
     f = _samples_arg(f, V.shape[0], "f")
     r = svd.rank_numerical
     coeffs = _matvec(V[:, :r].conj().T, w * f)
-    pw = svd.singular_values[:r] ** (2 * n)
-    return _matvec(V[:, :r], pw * coeffs)
+    theta = svd.singular_values[:r]
+    return _finite_power(n, "iterate", lambda: _matvec(V[:, :r], theta ** (2 * n) * coeffs))
 
 
 def trace_power(svd: OperatorSVD, n: int) -> float:
@@ -145,7 +143,7 @@ def trace_power(svd: OperatorSVD, n: int) -> float:
     Equals the quadrature of trace[N^* (N N^*)^n N](x, x) over the measure.
     """
     n = _count_arg(n, "iterate")
-    return float(np.sum(svd.singular_values ** (2 * n + 2)))
+    return _finite_power(n, "iterate", lambda: float(np.sum(svd.singular_values ** (2 * n + 2))))
 
 
 def svd_truncate(svd: OperatorSVD, M: int):

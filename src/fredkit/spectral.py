@@ -32,7 +32,9 @@ from .errors import (
     WrongDecompositionError,
     _count_arg, _number_arg,
 )
-from .nystrom import UNIT, DiscreteOperator, _anchor_phase, _matvec, _norm, _winner, _wnorm
+from .nystrom import (
+    UNIT, DiscreteOperator, _anchor_phase, _finite_power, _matvec, _norm, _winner, _wnorm,
+)
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 REFINE_RTOL = 1e-5        # Nystrom refinement only above this: the A p / nu pass
@@ -107,6 +109,7 @@ def _sort_order(vals, mod_rtol=1e-10):
     eig/eigh paths whose roundoff differs while resolved small moduli keep
     their order; phases hugging the -pi seam are wrapped to +pi (a
     negative real eigenvalue must not flip sides on 1e-17 imaginary noise).
+    jordan_decompose orders its blocks by it too.
     """
     if vals.size == 0:
         return np.arange(0)
@@ -126,10 +129,16 @@ def _sort_order(vals, mod_rtol=1e-10):
     return np.array(order)
 
 
+def _retained(vals):
+    """The retained cut, as a mask: |nu| > RETAIN_RTOL * max |nu|, so nothing
+    is retained when that max is 0.  Shared by the decompositions, the
+    operator SVD's numerical rank and the resolvent's pole guards."""
+    mods = np.abs(vals)
+    return mods > RETAIN_RTOL * np.max(mods, initial=0.0)
+
+
 def _retained_count(vals):
-    if vals.size == 0 or np.abs(vals[0]) == 0.0:
-        return 0
-    return int(np.sum(np.abs(vals) > RETAIN_RTOL * np.abs(vals[0])))
+    return int(np.count_nonzero(_retained(vals)))
 
 
 def _biorth_residual(w, P, Q, retained):
@@ -398,12 +407,13 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
 
     Returns (approximation, bound); the bound r0^n * sum_{j>R} ||q_j||_W
     dominates the dropped terms in the weighted Frobenius norm, since each
-    retained p_j has unit weighted norm.
+    retained p_j has unit weighted norm.  An approximation or bound that
+    overflows raises InvalidArgumentError naming n.
     """
     n = _count_arg(n, "iterate", 1)
-    approx = (profile.r1 ** n) * profile.coefficient_matrix(n)
     scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R : d.retained])))
-    bound = (profile.r0 ** n) * scale
+    approx = _finite_power(n, "iterate", lambda: (profile.r1 ** n) * profile.coefficient_matrix(n))
+    bound = _finite_power(n, "iterate", lambda: (profile.r0 ** n) * scale)
     return approx, bound
 
 

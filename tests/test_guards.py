@@ -1,0 +1,229 @@
+"""One implementation of each spectral guard, reached by every caller.
+
+* the pole rule (fredholm._guard_pole): lambda is refused when its gap to the
+  nearest Fredholm eigenvalue is at most rtol times that eigenvalue, with
+  rtol 1e-8 for solves, 1e-12 for eigen-series and 1e-3 for paths;
+* the retained cut (spectral._retained): |nu| > 1e-12 max |nu|;
+* the eigenvalue order (spectral._sort_order), Jordan blocks included;
+* power iteration's start and collapse test, which scale with the kernel;
+
+and the refusals of results that overflow: deflation updates and powers.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+import fredkit as fk
+from fredkit import fredholm, powerit, spectral
+from fredkit.errors import (
+    EigenvalueProximityError,
+    InvalidArgumentError,
+    PoleError,
+)
+
+from conftest import wfro
+
+UNIT = np.finfo(float).eps / 2  # unit roundoff u
+
+
+def one(x):
+    return np.ones_like(x)
+
+
+def wnorm(rule, v):
+    return np.sqrt(np.sum(rule.weights * np.abs(v) ** 2))
+
+
+class TestPoleRule:
+    def test_series_near_a_pole_of_a_large_truncation(self, mehler_op, gh40):
+        # lambda = 0.9 is 10 % from lambda_0 = 1; the series over all 40
+        # retained pairs matches the direct resolvent kernel and solve, in
+        # the weighted norms, as closely as the full-truncation test on the
+        # two-term kernel asks
+        d = fk.hermitian_eig(mehler_op)
+        assert d.retained == 40
+        want = fk.resolvent_kernel(mehler_op, 0.9)
+        got = fk.resolvent_series(d, 0.9, d.retained)
+        assert wfro(mehler_op, got - want) <= 1e-9 * wfro(mehler_op, want)
+        f = np.cos(gh40.nodes).astype(complex)
+        sol = fk.second_kind_solve_series(d, 0.9, f, d.retained)
+        ref = fk.resolvent_solve(mehler_op, 0.9, f).solution
+        assert wnorm(gh40, sol - ref) <= 1e-9 * wnorm(gh40, ref)
+
+    def test_series_relative_to_the_nearest_eigenvalue(self, gl8):
+        # nu = 1e6 and 1e-5: lambda = 1.05e-6 is 5 % from lambda_1 = 1e-6,
+        # and the largest Fredholm eigenvalue 1e5 must not widen that margin
+        basis = fk.orthonormal_poly_basis(gl8, 2)
+        op = fk.discretize(fk.basis_kernel(np.diag([1e6, 1e-5]), basis, gl8), gl8)
+        d = fk.djf_eig(op)
+        assert d.retained == 2
+        want = fk.resolvent_kernel(op, 1.05e-6)
+        got = fk.resolvent_series(d, 1.05e-6, d.retained)
+        assert wfro(op, got - want) <= 1e-9 * wfro(op, want)
+
+    @pytest.mark.parametrize("call", ["resolvent_series", "second_kind_solve_series"])
+    def test_series_refusal_names_the_pole(self, yz_op, call):
+        d = fk.djf_eig(yz_op)
+        args = (np.ones(8),) if call == "second_kind_solve_series" else ()
+        with pytest.raises(PoleError, match=r"Fredholm eigenvalue 3\+0j") as err:
+            getattr(fk, call)(d, 3.0, *args, 1)
+        assert err.value.nearest == pytest.approx(3.0, rel=1e-12)
+        assert err.value.gap <= fredholm.SERIES_RTOL * 3.0
+
+    def test_path_refusal_names_the_pole(self, yz_op):
+        # the grid of (0, 3) in 50 steps lands on lambda_1 = 3
+        with pytest.raises(PoleError, match=r"path point lambda=3 .*eigenvalue 3\+0j") as err:
+            fk.determinant_log_derivative_check(yz_op, (0.0, 3.0), 50)
+        assert err.value.nearest == pytest.approx(3.0, rel=1e-12)
+        assert err.value.gap <= fredholm.PATH_RTOL * 3.0
+
+    def test_path_refuses_by_the_nearest_eigenvalue(self, yz_op):
+        # 1e-3 relative of lambda_1 = 3 on either side of the rule
+        inside = 3.0 * (1 - 0.9 * fredholm.PATH_RTOL)
+        outside = 3.0 * (1 - 1.1 * fredholm.PATH_RTOL)
+        with pytest.raises(PoleError):
+            fk.determinant_log_derivative_check(yz_op, (0.0, inside), 1)
+        assert fk.determinant_log_derivative_check(yz_op, (0.0, outside), 1) >= 0.0
+
+    def test_solve_refusal_carries_nearest_and_gap(self, yz_op):
+        lam = 3.0 * (1 + 0.5 * fredholm.GAP_RTOL)
+        with pytest.raises(EigenvalueProximityError, match="Fredholm eigenvalue 3") as err:
+            fk.resolvent_solve(yz_op, lam, np.ones(8))
+        assert err.value.nearest == pytest.approx(3.0, rel=1e-12)
+        assert err.value.gap == pytest.approx(1.5 * fredholm.GAP_RTOL, rel=1e-6)
+
+
+class TestRetainedCut:
+    def test_one_cut_for_decompositions_svd_and_poles(self, gl8):
+        # nu = 1, 1e-11, 1e-13: the cut 1e-12 max |nu| keeps two
+        basis = fk.orthonormal_poly_basis(gl8, 3)
+        op = fk.discretize(fk.basis_kernel(np.diag([1.0, 1e-11, 1e-13]), basis, gl8), gl8)
+        assert fk.hermitian_eig(op).retained == 2
+        assert fk.operator_svd(op).rank_numerical == 2
+        assert fredholm._fredholm_lambdas(op).size == 2
+
+    def test_zero_spectrum_keeps_nothing(self):
+        assert not spectral._retained(np.zeros(4)).any()
+        assert spectral._retained_count(np.zeros(0)) == 0
+
+
+def pm_similar(seed):
+    """Q diag(0.5, -0.5, 0.25, -0.25) Q^{-1}, Q standard normal: the moduli
+    tie in pairs, and the computed ones differ by rounding."""
+    Q = np.random.default_rng(seed).standard_normal((4, 4))
+    return Q @ np.diag([0.5, -0.5, 0.25, -0.25]) @ np.linalg.inv(Q)
+
+
+class TestJordanOrder:
+    def test_blocks_follow_the_eigenvalue_order(self):
+        for seed in range(200):
+            lams = np.array([lam for lam, _m in fk.jordan_decompose(pm_similar(seed)).blocks])
+            assert np.array_equal(spectral._sort_order(lams), np.arange(4)), seed
+            # within the default linkage radius 1e-7 rho of the true values
+            assert lams.real == pytest.approx([-0.5, 0.5, -0.25, 0.25], abs=1e-7 * 0.5)
+
+
+def scaled_kernel(c):
+    """c y z + (c/2): rank two, nu_1 = 0.78 c on [0, 1]."""
+    return fk.separable_kernel([c, c / 2], [lambda y: y, one], [lambda z: z, one])
+
+
+class TestPowerIterationScale:
+    """The start is unit in the W-norm and the collapse test compares the
+    image A h with COLLAPSE_RTOL ||A||_F, so both scale with the kernel;
+    norms that would overflow are taken after a power-of-two scaling."""
+
+    def run(self, op, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fk.sequential_spectrum(op, k, 400, 1e-10)
+            f = np.ones(op.A.shape[0])
+            p, q = fk.extract_leading_pair(op, result.eigenvalues[0], f, f, 400)
+        assert result.failure_reason is None
+        return np.array(result.eigenvalues), p, q
+
+    def test_same_spectrum_at_every_scale(self, gl8):
+        # the same computation up to one rounding per sample and operation:
+        # n u relative, for the eigenvalues and the unit right vector
+        ref, p_ref, _q = self.run(fk.discretize(scaled_kernel(1.0), gl8), 2)
+        for c in (1e15, 1e100, 1e300):
+            nus, p, q = self.run(fk.discretize(scaled_kernel(c), gl8), 2)
+            assert np.all(np.abs(nus / c - ref) <= gl8.count * UNIT * np.abs(ref)), c
+            assert np.sum(gl8.weights * np.conj(q) * p) == pytest.approx(1.0, abs=1e-12)
+            assert wnorm(gl8, p - p_ref) <= gl8.count * UNIT, c  # p has unit W-norm
+
+    def test_kernel_whose_squares_overflow(self, gl8):
+        # nu_1 = 1e305 / 3: the entries of A and of each iterate square to inf
+        op = fk.discretize(fk.separable_kernel([1e305], [lambda y: y], [lambda z: z]), gl8)
+        nus, _p, _q = self.run(op, 1)
+        assert abs(nus[0] / 1e305 * 3 - 1) <= gl8.count * UNIT
+
+    def test_null_space_start_still_collapses(self, gl8):
+        # orthogonal to z in the weighted inner product: A f = 0
+        f = gl8.nodes - np.sum(gl8.weights * gl8.nodes ** 2) / np.sum(gl8.weights * gl8.nodes)
+        for c in (1.0, 1e300):
+            op = fk.discretize(fk.separable_kernel([c], [lambda y: y], [lambda z: z]), gl8)
+            with pytest.raises(fk.StartingVectorError, match="collapsed"):
+                fk.power_ratio_estimate(op, f, 10, 1e-10)
+
+
+class TestSequentialSpectrumWarnings:
+    def test_other_warnings_reach_the_caller(self, two_term_op, monkeypatch):
+        real = powerit.power_ratio_estimate
+
+        def warning_stage(*args, **kwargs):
+            warnings.warn("a warning from inside a stage", RuntimeWarning)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(powerit, "power_ratio_estimate", warning_stage)
+        with pytest.warns(RuntimeWarning, match="from inside a stage"):
+            result = fk.sequential_spectrum(two_term_op, 2, 400, 1e-10)
+        assert result.failure_reason is None
+
+    def test_unsettled_ratios_are_reported_not_warned(self, pm_half_op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fk.sequential_spectrum(pm_half_op, 2, 60, 1e-12)
+        assert "did not converge" in result.failure_reason
+
+
+class TestOverflowRefused:
+    def test_deflation_update(self, yz_op):
+        d = fk.djf_eig(yz_op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"nu1=1e\+308.* overflows"):
+                fk.deflate(yz_op, 1e308, d.right[:, 0], d.left[:, 0])
+
+    @staticmethod
+    def calls(gl8):
+        # nu = 2 (6 y z on [0, 1]) and the Jordan block [[2, 1], [0, 2]]:
+        # their 2000th powers overflow
+        op = fk.discretize(fk.separable_kernel([6.0], [lambda y: y], [lambda z: z]), gl8)
+        d, sv = fk.djf_eig(op), fk.operator_svd(op)
+        jf = fk.jordan_decompose(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        return {
+            "power_approx": lambda n: fk.power_approx(d, fk.asymptotic_profile(d), n),
+            "defective_asymptotic": lambda n: fk.defective_asymptotic(jf, n),
+            "jordan_block_power": lambda n: fk.jordan_block_power(2.0, 2, n),
+            "matrix_power_via_jordan": lambda n: fk.matrix_power_via_jordan(jf, n),
+            "trace_power": lambda n: fk.trace_power(sv, n),
+            "iterated_gram": lambda n: fk.iterated_gram(sv, n),
+            "iterated_gram_with_kernel": lambda n: fk.iterated_gram_with_kernel(sv, n),
+            "gram_apply": lambda n: fk.gram_apply(sv, n, np.ones(8)),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "power_approx", "defective_asymptotic", "jordan_block_power", "matrix_power_via_jordan",
+        "trace_power", "iterated_gram", "iterated_gram_with_kernel", "gram_apply",
+    ])
+    def test_power(self, gl8, name):
+        call = self.calls(gl8)[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finite = call(100)
+            with pytest.raises(InvalidArgumentError, match="n=2000 overflows"):
+                call(2000)
+        for x in finite if isinstance(finite, tuple) else (finite,):
+            assert np.isfinite(x).all()
