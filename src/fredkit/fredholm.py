@@ -21,7 +21,7 @@ DiscreteOperator.spectrum, which is computed once per operator and cached
 (the operator's matrices are read-only), and keep its retained part, cut
 as the decompositions cut theirs (spectral._retained), so sweeping lambda
 over one operator -- resolvent solves, product determinants, log-derivative
-paths -- pays for one eigvals.
+paths -- pays for one eigensolve, the shared eigh on the Hermitian route.
 """
 import warnings
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ from .errors import (
     _count_arg, _number_arg, _samples_arg,
 )
 from .nystrom import DiscreteOperator, _matvec, _pow2_scale
-from .spectral import BiSpectralDecomposition, HERMITIAN_RTOL, _retained, djf_eig, hermitian_eig
+from .spectral import BiSpectralDecomposition, _retained, djf_eig, hermitian_eig
 
 # relative pole distances below which lambda is refused (_guard_pole)
 GAP_RTOL = 1e-8           # direct solves and resolvent kernels
@@ -144,7 +144,7 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
     the system's condition estimate exceeds 1e10.  The proximity guard
     reads the operator's cached spectrum, so repeated solves on one
-    operator compute eigvals once.  A non-finite lambda or f, or a solution
+    operator compute it once.  A non-finite lambda or f, or a solution
     or residual that overflows, raises InvalidArgumentError; where only the
     norms of f and the residual overflow, both are scaled by a power of two.
     """
@@ -217,10 +217,8 @@ def _det_direct(op, lam):
 
 
 def _det_product(op, lam):
-    nus = op.spectrum
-    factors = 1.0 - lam * nus
-    keep = np.abs(lam * nus) >= TAIL_CUTOFF
-    return complex(np.prod(factors[keep])) if np.any(keep) else 1.0 + 0j
+    nus = op.spectrum  # complex, so an empty product is 1 + 0j
+    return complex(np.prod((1.0 - lam * nus)[np.abs(lam * nus) >= TAIL_CUTOFF]))
 
 
 # method name -> evaluator of D(lambda) on a square operator
@@ -282,7 +280,7 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
         _M, (lu, piv), _gap = _guarded_lu(op, complex(lam))
         swaps = np.count_nonzero(piv != np.arange(piv.size))
         log_det = np.sum(np.log(np.diag(lu))) + 1j * np.pi * (swaps % 2)
-        return log_det, np.trace(lu_solve((lu, piv), op.A))
+        return log_det, np.trace(lu_solve((lu, piv), op.A, check_finite=False))
 
     log_d, g = np.array([log_det_and_trace(t) for t in grid]).T
     h = (b - a) / steps
@@ -302,10 +300,11 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     Returns the bi-orthonormalized right eigenvectors whose Fredholm
     eigenvalues lie within tol of lambda_j; raises NoSolutionError when
     none do (the first-kind equation is solvable only on the spectrum).
+    Decomposed by hermitian_eig when op.hermitian_to_roundoff(), else djf_eig.
     """
     lam = _number_arg(lambda_j, "lambda_j")
     tol = _number_arg(tol, "tol", real=True)
-    d = hermitian_eig(op) if op.hermitian_defect() <= HERMITIAN_RTOL else djf_eig(op)
+    d = hermitian_eig(op) if op.hermitian_to_roundoff() else djf_eig(op)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:
         raise NoSolutionError(

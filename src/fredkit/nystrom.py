@@ -5,11 +5,11 @@ dense matrix A with block entry A[i, j] = N(x_i, x_j) * w_j.  Alongside A
 we keep the raw samples K and the symmetrized form
 B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
-The eigenvalues of A are computed at most once per operator, on first use
-of DiscreteOperator.spectrum, and shared by every later caller; so are the
-Hermitian defect of B and the eigendecomposition of B's Hermitian part
-(DiscreteOperator.hermitian_eigh), which hermitian_eig, djf_eig and
-operator_svd share on an operator that is Hermitian to roundoff.  K, A and B
+B's Hermitian defect, the eigh of its Hermitian part (hermitian_eigh) and
+A's eigenvalues (spectrum) are computed at most once per operator, on first
+use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
+gate of every Hermitian shortcut) the spectrum is that eigh's values, so
+one eigh serves the decompositions, the SVD and the resolvent.  K, A and B
 are float64 for a real kernel and complex128 otherwise; _matvec applies a
 real matrix to complex samples (a vector or a matrix of them) without a
 complex copy of the matrix.
@@ -59,19 +59,17 @@ class DiscreteOperator:
     are complex by contract stay complex: the spectrum, djf_eig's pairs and
     solves at complex lambda.
     K, A and B are made read-only on construction, so nothing cached from
-    them can go stale.  The spectrum of A is computed by one
-    ``np.linalg.eigvals(A)`` the first time it is read, cached on the
-    instance and itself read-only.  Nothing reads it eagerly; the
-    Hermitian, bi-orthogonal, SVD, iterate and power paths never touch it.
-    The Hermitian defect and ``hermitian_eigh`` are cached the same way.
+    them can go stale: the Hermitian defect, ``hermitian_eigh`` and the
+    spectrum, each computed on first read (never eagerly) and read-only.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
-    by one eigh of its Hermitian part S = (B + B^H) / 2, and djf_eig and
-    operator_svd answer from it instead of running eig and svd.  Replacing
-    B by S moves it by ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F,
-    within the backward error of order n u ||B|| that eig and svd already
-    commit, so every answer keeps an a priori bound.
+    by one eigh of its Hermitian part S = (B + B^H) / 2, which replaces the
+    eig of djf_eig, the svd of operator_svd and the eigvals of the spectrum.
+    S is within ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F of B,
+    inside the backward error those calls commit (eigvals(A) also carries
+    the sqrt(max w / min w) condition of W^{-1/2}), so every answer keeps an
+    a priori bound.
     """
 
     rule: QuadratureRule
@@ -91,9 +89,14 @@ class DiscreteOperator:
 
     @cached_property
     def spectrum(self):
-        """All eigenvalues of A in LAPACK order, complex, computed once and read-only."""
+        """All eigenvalues of A, complex, computed once and read-only:
+        hermitian_eigh's, ascending, when hermitian_to_roundoff() holds, else
+        one eigvals(A)'s in LAPACK order (ConvergenceError, caching nothing,
+        when it does not converge)."""
+        if self.hermitian_to_roundoff():
+            return _read_only(self.hermitian_eigh[0].astype(complex))
         self._require_square("a spectrum")
-        return _read_only(np.linalg.eigvals(self.A).astype(complex, copy=False))
+        return _read_only(_linalg("eigvals", self.A).astype(complex, copy=False))
 
     @cached_property
     def w_rows(self):
@@ -148,10 +151,7 @@ class DiscreteOperator:
         self._require_square("a Hermitian eigendecomposition")
         S, defect = _hermitian_part(self.B)
         self.__dict__.setdefault("_defect", defect)
-        try:
-            vals, vecs = np.linalg.eigh(S)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+        vals, vecs = _linalg("eigh", S)
         return _read_only(vals), _read_only(vecs)
 
 
@@ -208,6 +208,15 @@ def _finite_power(n, name, power):
 def _read_only(a):
     a.setflags(write=False)
     return a
+
+
+def _linalg(name, *args, **kwargs):
+    """np.linalg.<name>(*args, **kwargs), its LinAlgError raised as
+    ConvergenceError("<name> did not converge: ...")."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{name} did not converge: {exc}") from exc
 
 
 def _matvec(M, x):

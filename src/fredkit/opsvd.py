@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, _count_arg, _samples_arg
-from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _matvec
+from .errors import InvalidArgumentError, _count_arg, _samples_arg
+from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec
 from .spectral import _retained_count
 
 
@@ -67,10 +67,7 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         P = vecs[:, order] / swr[:, None]
         Q = P * np.where(vals[order] < 0, -1.0, 1.0)
     else:
-        try:
-            U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"svd did not converge: {exc}") from exc
+        U, s, Vh = _linalg("svd", op.B, full_matrices=False)
         P = U / swr[:, None]
         Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
     ph = _anchor_phase(P)

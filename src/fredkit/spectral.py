@@ -26,21 +26,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DefectiveSuspectedError,
     NoSpectrumError,
     WrongDecompositionError,
     _count_arg, _number_arg,
 )
 from .nystrom import (
-    UNIT, DiscreteOperator, _anchor_phase, _finite_power, _matvec, _norm, _winner, _wnorm,
+    UNIT, DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec, _norm, _winner,
+    _wnorm,
 )
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 REFINE_RTOL = 1e-5        # Nystrom refinement only above this: the A p / nu pass
                           # injects eps*||A||/|nu| noise, which must stay below
                           # the 1e-10 orthonormality budget
-HERMITIAN_RTOL = 1e-10
+HERMITIAN_RTOL = 1e-10    # hermitian_eig's refusal only: its caller asks for B's
+                          # Hermitian part, which may be further than n u from B
 DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspace
 
 
@@ -52,7 +53,8 @@ class BiSpectralDecomposition:
     in (-pi, pi].  Right vectors have unit weighted norm with a
     real-positive anchor entry; left vectors are fixed by bi-orthogonality
     <q_j, p_k>_W = delta_jk.  Pairs with |nu_j| <= 1e-12 |nu_1| are
-    reported but not scored.
+    reported but not scored.  ``hermitian`` is True exactly when the pairs
+    come from the eigh of B's Hermitian part (right is left).
     """
 
     eigenvalues: np.ndarray
@@ -66,10 +68,6 @@ class BiSpectralDecomposition:
     @property
     def weights(self):
         return self.operator.w_rows
-
-    def fredholm_eigenvalues(self):
-        """lambda_j = 1/nu_j over the retained spectrum."""
-        return 1.0 / self.eigenvalues[: self.retained]
 
 
 @dataclass(frozen=True)
@@ -244,10 +242,7 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         d = hermitian_eig(op)
         P = d.right.astype(complex, copy=False)
         return replace(d, right=P, left=P)
-    try:
-        vals, V = np.linalg.eig(op.B)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eig did not converge: {exc}") from exc
+    vals, V = _linalg("eig", op.B)
     vals, V = vals.astype(complex, copy=False), V.astype(complex, copy=False)
     order = _sort_order(vals)
     vals, V = vals[order], V[:, order]
@@ -293,8 +288,7 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
             f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the operator "
             "looks defective -- use the jordan module")
     return BiSpectralDecomposition(eigenvalues=vals, right=P, left=Q, biorth_residual=resid,
-                                   hermitian=op.hermitian_defect() <= HERMITIAN_RTOL,
-                                   retained=retained, operator=op)
+                                   hermitian=False, retained=retained, operator=op)
 
 
 def _inverse_adjoint(V, Z, r):

@@ -203,22 +203,25 @@ class TestProductDeterminantTail:
 
 
 @pytest.fixture
-def eigvals_calls(monkeypatch):
-    """Count numpy.linalg.eigvals calls made while the test runs."""
-    calls = []
-    real = np.linalg.eigvals
+def lapack_calls(monkeypatch):
+    """The input shapes of the numpy.linalg eigvals and eigh calls made while
+    the test runs, by name."""
+    calls = {"eigvals": [], "eigh": []}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
 
-    def counting(a):
-        calls.append(a.shape)
-        return real(a)
+        def counting(a, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append(a.shape)
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
 class TestSpectrumCache:
-    def test_one_eigvals_per_operator_gh256(self, eigvals_calls):
+    def test_one_eigh_per_hermitian_operator_gh256(self, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        assert op.hermitian_to_roundoff()
         f = np.ones(256, dtype=complex)
         for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
             fk.resolvent_solve(op, lam, f)
@@ -227,27 +230,44 @@ class TestSpectrumCache:
             fk.resolvent_solve(op, 4.0 * (1.0 + 1e-10), f)
         assert err.value.nearest == pytest.approx(4.0, rel=1e-12)
         fk.determinant_log_derivative_check(op, (0.0, 0.9), 20)
-        assert eigvals_calls == [(256, 256)]
+        fk.hermitian_eig(op)
+        fk.djf_eig(op)
+        fk.operator_svd(op)
+        assert lapack_calls == {"eigvals": [], "eigh": [(256, 256)]}
+        assert op.spectrum.tobytes() == op.hermitian_eigh[0].astype(complex).tobytes()
         fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         fk.fredholm_determinant(fresh, 1.0, "product")
-        assert len(eigvals_calls) == 2
+        assert lapack_calls == {"eigvals": [], "eigh": [(256, 256)] * 2}
 
-    def test_deflated_operator_has_its_own(self, mehler_op, eigvals_calls):
-        d = fk.hermitian_eig(mehler_op)
-        deflated = fk.deflate(mehler_op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
+    def test_one_eigvals_per_non_hermitian_operator(self, yz2_kernel, gl8, lapack_calls):
+        op = fk.discretize(yz2_kernel, gl8)
+        assert not op.hermitian_to_roundoff()
+        f = np.ones(8, dtype=complex)
+        for lam in (1.0, 2.0 + 1.0j):
+            fk.resolvent_solve(op, lam, f)
+            fk.fredholm_determinant(op, lam, "product")
+        fk.determinant_log_derivative_check(op, (0.0, 1.0), 10)
+        assert lapack_calls == {"eigvals": [(8, 8)], "eigh": []}
+
+    def test_deflated_operator_has_its_own(self, gh40, lapack_calls):
+        op = fk.discretize(fk.mehler_kernel(0.5), gh40)
+        d = fk.hermitian_eig(op)
+        deflated = fk.deflate(op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
+        assert deflated.hermitian_to_roundoff()
         fk.fredholm_determinant(deflated, 1.0, "product")
-        assert len(eigvals_calls) == 1
+        assert lapack_calls == {"eigvals": [], "eigh": [(40, 40)] * 2}
         assert np.min(np.abs(deflated.spectrum - 1.0)) > 0.4  # nu_1 = 1 removed
-        assert len(eigvals_calls) == 1
+        assert deflated.spectrum.tobytes() == deflated.hermitian_eigh[0].astype(complex).tobytes()
+        assert len(lapack_calls["eigh"]) == 2
 
-    def test_other_paths_never_compute_it(self, gh40, eigvals_calls):
+    def test_other_paths_never_compute_it(self, gh40, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), gh40)
         fk.hermitian_eig(op)
         fk.djf_eig(op)
         fk.operator_svd(op)
         fk.iterated_kernel(op, 5)
         fk.sequential_spectrum(op, 2, 200, 1e-10)
-        assert eigvals_calls == []
+        assert lapack_calls["eigvals"] == []
         assert "spectrum" not in vars(op)
 
     def test_cached_spectrum_is_read_only(self, yz_op):

@@ -108,28 +108,35 @@ def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
     assert not vals.flags.writeable and not vecs.flags.writeable
 
 
-def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
-    """A twin with a 1e-12 skew-Hermitian perturbation, above n u: djf_eig
-    runs eig and operator_svd runs svd; hermitian_eig still accepts it."""
-    rule = fk.gauss_legendre(256, -4.0, 4.0)
-    op = fk.discretize(twin_kernel(0.8), rule)
+def band_operator(op):
+    """op with a seeded skew-symmetric perturbation of K that puts its
+    Hermitian defect near 1e-12: above n u for n <= 1024, so off the
+    Hermitian route, and still within hermitian_eig's 1e-10."""
     E = np.random.default_rng(12).standard_normal(op.K.shape)
     E -= E.T
     sw = np.sqrt(op.w_rows)
     E *= 0.5e-12 * np.linalg.norm(op.B) / np.linalg.norm(sw[:, None] * E * sw[None, :])
-    skewed = fk.DiscreteOperator(rule=rule, shape=(1, 1), K=op.K + E)
+    return fk.DiscreteOperator(rule=op.rule, shape=op.shape, K=op.K + E)
+
+
+def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
+    """A twin with a 1e-12 skew-Hermitian perturbation, above n u: djf_eig
+    runs eig, operator_svd runs svd and the spectrum eigvals, and djf_eig's
+    decomposition is not marked Hermitian; hermitian_eig still accepts it."""
+    skewed = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(256, -4.0, 4.0)))
     n = skewed.B.shape[0]
     defect = skewed.hermitian_defect()
     direct = np.linalg.norm(skewed.B - skewed.B.conj().T) / np.linalg.norm(skewed.B)
     assert abs(defect - direct) <= 4 * UNIT + n * UNIT * direct
     assert n * UNIT < defect <= fk.spectral.HERMITIAN_RTOL
     assert not skewed.hermitian_to_roundoff()
-    calls = spy_on(monkeypatch, ("eigh", "eig", "svd"))
+    calls = spy_on(monkeypatch, ("eigh", "eig", "svd", "eigvals"))
     d = fk.djf_eig(skewed)
     fk.operator_svd(skewed)
     fk.hermitian_eig(skewed)
-    assert calls == ["eig", "svd", "eigh"]
-    assert d.hermitian and d.right is not d.left
+    skewed.spectrum
+    assert calls == ["eig", "svd", "eigh", "eigvals"]
+    assert not d.hermitian and d.right is not d.left
 
 
 def test_eigh_failure_is_cached_nowhere(monkeypatch, gh40):
@@ -143,3 +150,24 @@ def test_eigh_failure_is_cached_nowhere(monkeypatch, gh40):
     assert calls == ["eigh"] * 3
     monkeypatch.undo()
     assert fk.hermitian_eig(op).retained > 0
+
+
+def test_eigvals_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):
+    """Off the Hermitian route a spectrum that does not converge raises
+    ConvergenceError from every entry point that reads it, caching nothing."""
+    failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+    op = fk.discretize(yz2_kernel, gl8)
+    assert not op.hermitian_to_roundoff()
+    calls = spy_on(monkeypatch, ("eigvals",), fail=failure)
+    f = np.ones(8, dtype=complex)
+    for read_spectrum in (lambda: fk.resolvent_solve(op, 1.0, f),
+                          lambda: fk.resolvent_kernel(op, 1.0),
+                          lambda: fk.fredholm_determinant(op, 1.0, "product"),
+                          lambda: fk.determinant_log_derivative_check(op, (0.0, 1.0), 4)):
+        with pytest.raises(fk.ConvergenceError, match="^eigvals did not converge") as err:
+            read_spectrum()
+        assert err.value.__cause__ is failure
+    assert calls == ["eigvals"] * 4
+    assert "spectrum" not in vars(op)
+    monkeypatch.undo()
+    assert fk.fredholm_determinant(op, 1.0, "product").value == pytest.approx(0.75, rel=1e-14)

@@ -18,8 +18,12 @@ whose weighted norms sum to within dropped_mass(r), which starts one index
 early; its own rounding is first order in N u as the solve's, and so is
 bounded by the same forward error.  Each determinant is within det_bound of
 the product formula, the spectral product within |lambda| dropped_mass(r)
-more, so the two agree within the sum.
+more; and since the eigh values the product reads are backward stable in B
+itself, the direct and product determinants agree within det_bound.
 
+Both operators are Hermitian to roundoff, so their spectrum is the eigh the
+decompositions share and no eigvals runs.  A refusal names the Fredholm
+eigenvalue within 1e-12 relative, the bound of lambda-sweep's refusal rounds.
 Gauss-Hermite rules stop at 320 nodes, so there is no N = 1024 case.
 """
 import math
@@ -32,6 +36,7 @@ from fredkit.spectral import RETAIN_RTOL
 
 from conftest import wfro
 from test_conventions import twin_kernel
+from test_hermitian_route import RESID_RTOL, band_operator, spy_on
 
 U = np.finfo(float).eps / 2  # unit roundoff u
 R = 0.5
@@ -73,10 +78,15 @@ def dropped_mass():
     return R ** j / (1.0 - R)
 
 
+def sweep_operators(n):
+    """lambda-sweep's Mehler and twin on the n-node Gauss-Hermite rule."""
+    rule = fk.gauss_hermite_prob(n)
+    return [fk.discretize(k, rule) for k in (fk.mehler_kernel(R), twin_kernel(1.0))]
+
+
 @pytest.fixture(scope="module", params=[256, 64])
 def operators(request):
-    rule = fk.gauss_hermite_prob(request.param)
-    return [fk.discretize(k, rule) for k in (fk.mehler_kernel(R), twin_kernel(1.0))]
+    return sweep_operators(request.param)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=LAMBDA_IDS)
@@ -99,3 +109,54 @@ def test_resolvent_invariants(operators, lam):
         bound = det_bound(n, lam, factors)
         assert abs(direct - D) <= bound * abs(D)
         assert abs(product - D) <= (abs(lam) * dropped_mass() + bound) * abs(D)
+        assert abs(product - direct) <= bound * abs(D)
+
+
+@pytest.mark.parametrize("n", [256, 64])
+def test_no_eigvals_on_the_hermitian_route(monkeypatch, n):
+    """Every public entry point that reads the spectrum, and every
+    decomposition, runs on one eigh per fresh operator."""
+    calls = spy_on(monkeypatch, ("eigvals", "eigh", "eig", "svd"))
+    lam = LAMBDAS[0]
+    for op in sweep_operators(n):
+        assert op.hermitian_to_roundoff()
+        fk.resolvent_solve(op, lam, np.ones(n, dtype=complex))
+        fk.resolvent_kernel(op, lam)
+        for method in ("direct", "product"):
+            fk.fredholm_determinant(op, lam, method)
+        fk.determinant_log_derivative_check(op, (0.0, 0.9), 4)
+        fk.first_kind_solve(op, 1.0, 1e-8)
+        for decompose in (fk.hermitian_eig, fk.djf_eig, fk.operator_svd):
+            decompose(op)
+        assert op.spectrum.tobytes() == op.hermitian_eigh[0].astype(complex).tobytes()
+    assert calls == ["eigh", "eigh"]
+
+
+@pytest.mark.parametrize("j", range(6))
+@pytest.mark.parametrize("offset", [1e-10, -1e-10])
+def test_refusal_names_the_eigenvalue(operators, j, offset):
+    """lambda-sweep's refusal rounds: lambda = 2^j (1 + offset) is refused,
+    naming 2^j within 1e-12 relative."""
+    for op in operators:
+        n = op.A.shape[0]
+        with pytest.raises(fk.EigenvalueProximityError) as err:
+            fk.resolvent_solve(op, 2.0 ** j * (1.0 + offset), np.ones(n, dtype=complex))
+        assert abs(err.value.nearest - 2.0 ** j) <= 1e-12 * 2.0 ** j
+
+
+def test_first_kind_solve_follows_the_one_gate(monkeypatch):
+    """On real Mehler GH256, Hermitian to roundoff, first_kind_solve takes
+    hermitian_eig's real vectors; on its band operator, above n u, it takes
+    djf_eig's general path (one eig, no eigh).  Either vector p is an
+    eigenfunction: ||A p - p / lambda_j||_W within 1e-9 |nu_1| = 1e-9, the
+    eigen-residual bound of perfbench/README.md, for ||p||_W = 1."""
+    mehler = sweep_operators(256)[0]
+    band = band_operator(mehler)
+    assert not band.hermitian_to_roundoff()
+    calls = spy_on(monkeypatch, ("eigh", "eig"))
+    for op, dtype, route in ((mehler, np.float64, ["eigh"]), (band, np.complex128, ["eig"])):
+        del calls[:]
+        (p,) = fk.first_kind_solve(op, 2.0, 1e-8)
+        assert p.dtype == dtype and calls == route
+        w = op.w_rows
+        assert math.sqrt(float(np.sum(w * np.abs(op.A @ p - p / 2.0) ** 2))) <= RESID_RTOL
