@@ -199,13 +199,17 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
 
 
 def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.ndarray:
-    """Series solution f + lambda * sum_j p_j <q_j, f>_W / (lambda_j - lambda),
-    guarded as resolvent_series is."""
+    """Solution of p - lambda A p = f in Nystrom form, f + lambda A s, from the
+    series s = f + lambda sum_{j<=k} p_j <q_j, f>_W / (lambda_j - lambda); A
+    weights s by the nodes, so unpolished samples at small-weight nodes are
+    not read, and f's pairs beyond k get one Neumann term.  Guarded as
+    resolvent_series is."""
     lam = _number_arg(lam, "lambda")
     f = _samples_arg(f, d.right.shape[0], "f")
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
-    return f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
+    s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
+    return f + lam * _matvec(d.operator.A, s)
 
 
 def _det_direct(op, lam):

@@ -133,7 +133,10 @@ class DiscreteOperator:
     @cached_property
     def _defect(self):
         self._require_square("a Hermitian defect")
-        return _hermitian_part(self.B)[1]
+        S, defect = _hermitian_part(self.B)
+        if defect <= self.B.shape[0] * UNIT:  # on the route: hermitian_eigh takes S
+            self.__dict__["_hermitian_S"] = S
+        return defect
 
     def hermitian_to_roundoff(self):
         """Whether the Hermitian route applies: a square block shape and
@@ -146,11 +149,15 @@ class DiscreteOperator:
         (B + B^H) / 2: real eigenvalues ascending, orthonormal columns of B's
         dtype.  Computed on first use, once, and read-only.
 
-        Raises ConvergenceError, caching nothing, when eigh does not converge.
+        The Hermitian part is built once, here or (on the Hermitian route) by
+        the defect, and dropped after the eigh.  Raises ConvergenceError,
+        caching nothing, when eigh does not converge.
         """
         self._require_square("a Hermitian eigendecomposition")
-        S, defect = _hermitian_part(self.B)
-        self.__dict__.setdefault("_defect", defect)
+        S = self.__dict__.pop("_hermitian_S", None)
+        if S is None:
+            S, defect = _hermitian_part(self.B)
+            self.__dict__.setdefault("_defect", defect)
         vals, vecs = _linalg("eigh", S)
         return _read_only(vals), _read_only(vecs)
 

@@ -228,8 +228,10 @@ def column_at_a_time(op, method):
     A, C = Qt.conj().T @ V[:, :r], Qp.conj().T @ V[:, :r]
     Ur = Qp @ np.linalg.inv(C).conj().T
     P, Q = V / sqw[:, None], np.hstack((Ur, Qt - Ur @ A.conj().T)) / sqw[:, None]
+    # the pass runs where REFINE_RTOL |nu_1| times the largest retained ||q_j||_W fits
+    kappa_max = max([1.0] + [wnorm(w, Q[:, j]) for j in range(r)])
     for j in range(r):
-        if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
+        if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]) * kappa_max:
             p = (op.A @ P[:, j]) / vals[j]
             p *= anchor_phase(p) / wnorm(w, p)
             q = (op.K.conj().T @ (w * Q[:, j])) / np.conj(vals[j])
@@ -257,12 +259,19 @@ def _basis(rule, m, a):
     return basis if a == 0 else [lambda x, e=e: e(x) * np.exp(1j * a * x) for e in basis]
 
 
+def basis_operator(C, a=0.0, n=12):
+    """The kernel acting as the matrix C on len(C) basis functions over
+    Gauss-Legendre n on [0, 1]."""
+    rule = fk.gauss_legendre(n, 0.0, 1.0)
+    C = np.asarray(C, dtype=float)
+    return fk.discretize(fk.basis_kernel(C, _basis(rule, C.shape[0], a), rule), rule)
+
+
 def jordan_like(m, delta, n=12, a=0.0):
     """A kernel acting as 0.5 I + N + delta diag(0, 1, .., m-1) on m basis
     functions over Gauss-Legendre n: a Jordan block for delta = 0."""
-    rule = fk.gauss_legendre(n, 0.0, 1.0)
     J = 0.5 * np.eye(m) + np.diag(np.ones(m - 1), 1) + delta * np.diag(np.arange(m))
-    return fk.discretize(fk.basis_kernel(J, _basis(rule, m, a), rule), rule)
+    return basis_operator(J, a, n)
 
 
 def defective(m, n=12, a=0.0):
@@ -270,14 +279,13 @@ def defective(m, n=12, a=0.0):
     return fk.discretize(fk.defective_kernel(0.5, m, _basis(rule, m, a), rule), rule)
 
 
-def polish_noise(n=12):
+def polish_noise(n=12, a=0.0):
     """Rank 2, eigenvalues 1 and 1e-4 with an eigenvector angle of about
-    1e-3: kappa n u is about 3e-12, but the Nystrom pass on the left vector
-    of nu = 1e-4 amplifies rounding by ||K|| / |nu|, to a bi-orthogonality
-    residual of about 2e-7."""
-    rule = fk.gauss_legendre(n, 0.0, 1.0)
-    C = np.array([[1.0, 1e3], [0.0, 1e-4]])
-    return fk.discretize(fk.basis_kernel(C, _basis(rule, 2, 0.0), rule), rule)
+    1e-3: kappa n u is about 3e-12, and ||q_2||_W about 1e3 lifts the pass
+    threshold to about 1e-2 |nu_1|, so nu = 1e-4 keeps its unpolished pair.
+    A pass there would amplify rounding by ||K|| ||q_2||_W / |nu|, to a
+    bi-orthogonality residual of about 2e-7."""
+    return basis_operator([[1.0, 1e3], [0.0, 1e-4]], a, n)
 
 
 # 1e-8 / (n u) at n = 12
@@ -286,15 +294,13 @@ LIMIT = (r"exceeds 1e-8 / \(n u\) = 7\.506e\+06; "
 
 
 @pytest.mark.parametrize("op, message", [
-    (lambda: defective(2), r"^eigenvectors of nearly equal eigenvalues nu=0\.5[-+]\S+j "
-     r"coalesce \(overlap 1\.000000000000\); use the jordan module$"),
+    # kappa n u = 1.6e-7: the coalescing eigenvectors of a Jordan block
+    (lambda: defective(2), r"^eigenvector matrix condition 1\.\d+e\+08 " + LIMIT),
     (lambda: defective(3), r"^eigenvector matrix condition \S+e\+10 " + LIMIT),
     # kappa n u = 1.03e-8: refused on the condition, where a rule on the residual
     # would be decided by rounding (1.7e-8 to 1.8e-8 with complex eig, 9.0e-9 with real)
     (lambda: jordan_like(3, 1.778e-4), r"^eigenvector matrix condition 7\.\d+e\+07 " + LIMIT),
-    (polish_noise, r"^bi-orthogonality residual \S+e-07 exceeds 1e-8; "
-     r"the operator looks defective -- use the jordan module$"),
-], ids=["coalescence", "condition", "near-jordan condition", "bi-orthogonality"])
+], ids=["defective-2 condition", "condition", "near-jordan condition"])
 def test_djf_refusal_branches(op, message):
     with pytest.raises(DefectiveSuspectedError, match=message):
         fk.djf_eig(op())

@@ -4,7 +4,9 @@ There eig runs in the operator's dtype, the non-retained tail of
 eigenvectors is replaced by an orthonormal basis of its span from one
 complete QR, and the left family and the condition kappa = cond_1(M) of
 V = Z M come from r x r algebra on the r retained right vectors (see
-djf_eig).  The refusal rule is kappa n u <= 1e-8.
+djf_eig).  The one refusal rule is kappa n u <= 1e-8, tested first; the
+eigen-residual and bi-orthogonality checks after it are output assertions
+that only the fault-injection tests at the end reach.
 
 Invariants are checked at the benchmark's sizes on the real skew kernel
 e^{0.2y} M(y, z) e^{-0.2z} (M Mehler's, r = 0.5) and its complex twin
@@ -15,9 +17,11 @@ its discrete spectrum.  Bounds come from n, u, kappa and REFINE_RTOL:
 * the pairs not touched by the Nystrom pass are bi-orthogonal to within
   kappa n u, the error of an inverse of condition kappa (Higham, Accuracy
   and Stability of Numerical Algorithms, 2nd ed., ch. 14);
-* the pass p <- A p / nu, q <- K^H (w q) / conj(nu), run for
-  |nu| >= REFINE_RTOL |nu_1|, rounds at n u ||A|| / |nu|, so the whole
-  families stay within kappa n u / REFINE_RTOL;
+* the pass p <- A p / nu, q <- K^H (w q) / conj(nu) rounds at about
+  u ||B|| kappa_max / |nu| in the Gram matrix, kappa_max = max_j ||q_j||_W,
+  and runs only for |nu| >= REFINE_RTOL kappa_max |nu_1|, so the pairs below
+  REFINE_RTOL |nu_1| are untouched and the whole families stay within
+  kappa n u / REFINE_RTOL;
 * eigenvalues move by at most kappa times their backward error n u ||B||.
 """
 import numpy as np
@@ -28,9 +32,15 @@ import fredkit as fk
 from fredkit import spectral
 from fredkit.errors import DefectiveSuspectedError
 
-from test_conventions import UNIT, defective, jordan_like, skew_kernel
+from test_conventions import (
+    UNIT, basis_operator, defective, jordan_like, polish_noise, skew_kernel,
+)
 
 A_TWIN = 0.7  # the twin's phase rate: skew_kernel(0.2 + 0.7i)
+
+
+def _wnorms(w, X):
+    return np.sqrt(np.sum(w[:, None] * np.abs(X) ** 2, axis=0))
 
 
 def kappa_spy(monkeypatch):
@@ -45,6 +55,15 @@ def kappa_spy(monkeypatch):
 
     monkeypatch.setattr(spectral, "_inverse_adjoint", spy)
     return seen
+
+
+def assert_eigen_residuals(op, d):
+    """Right and left eigen-residuals of the retained pairs within djf_eig's 1e-9 |nu_1|."""
+    w, P, Q, r, nu = op.w_rows, d.right, d.left, d.retained, d.eigenvalues
+    right = _wnorms(w, op.A @ P[:, :r] - P[:, :r] * nu[:r])
+    left = _wnorms(w, op.K.conj().T @ (w[:, None] * Q[:, :r]) - Q[:, :r] * np.conj(nu[:r]))
+    assert np.max(right) <= 1e-9 * abs(nu[0])
+    assert np.max(left / _wnorms(w, Q[:, :r])) <= 1e-9 * abs(nu[0])
 
 
 @pytest.mark.parametrize("n, a", [(64, 0.0), (64, A_TWIN), (256, 0.0), (256, A_TWIN),
@@ -62,9 +81,6 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     nu1 = abs(nu[0])
     assert r >= 6
 
-    def wnorms(X):
-        return np.sqrt(np.sum(w[:, None] * np.abs(X) ** 2, axis=0))
-
     # bi-orthogonality: the retained pairs as reported, the whole families
     # within the polish bound, and the pairs the pass left alone within kappa n u
     G = Q.conj().T @ (w[:, None] * P) - np.eye(n)
@@ -73,11 +89,7 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     untouched = np.abs(nu) < spectral.REFINE_RTOL * nu1
     assert np.max(np.abs(G[np.ix_(untouched, untouched)])) <= kappa * n * UNIT
 
-    # right and left eigen-residuals of the retained pairs, within djf_eig's 1e-9 |nu_1|
-    right = wnorms(op.A @ P[:, :r] - P[:, :r] * nu[:r])
-    left = wnorms(op.K.conj().T @ (w[:, None] * Q[:, :r]) - Q[:, :r] * np.conj(nu[:r]))
-    assert np.max(right) <= 1e-9 * nu1
-    assert np.max(left / wnorms(Q[:, :r])) <= 1e-9 * nu1
+    assert_eigen_residuals(op, d)
 
     # the trace, and the spectrum of Mehler on the same rule
     assert abs(np.sum(nu) - np.sum(w * np.diag(op.K))) <= n * UNIT * np.sum(np.abs(nu))
@@ -95,46 +107,74 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     cond = np.linalg.norm(V) * inv_norm
     Qref = Vinv.conj().T[:, :r] / sqw
     bound = inv_norm * (np.linalg.norm(G[:r], axis=1) + cond * n * UNIT)
-    assert np.all(wnorms(Q[:, :r] - Qref) <= bound)
+    assert np.all(_wnorms(w, Q[:, :r] - Qref) <= bound)
 
 
 def _branch(op):
-    """The branch djf_eig takes on op: None when it accepts."""
+    """(branch, None) for the refusal branch djf_eig takes on op, or
+    (None, decomposition) when it accepts."""
     try:
-        fk.djf_eig(op)
+        return None, fk.djf_eig(op)
     except DefectiveSuspectedError as exc:
-        for prefix, branch in (("eigenvectors of nearly equal", "coalescence"),
-                               ("eigenvector matrix condition", "condition"),
+        for prefix, branch in (("eigenvector matrix condition", "condition"),
                                ("eigen-residual", "residual"),
                                ("bi-orthogonality residual", "bi-orthogonality")):
             if str(exc).startswith(prefix):
-                return branch
+                return branch, None
         raise
-    return None
 
 
-@pytest.mark.parametrize("make, branch", [
-    *[((lambda a, d=d: jordan_like(3, d, a=a)), "condition")
-      for d in (1e-4, 1.778e-4, 2.371e-4, 3.2e-4)],
-    *[((lambda a, d=d: jordan_like(3, d, a=a)), None) for d in (1e-3, 1e-2)],
-    ((lambda a: defective(2, a=a)), "coalescence"),
-    ((lambda a: defective(3, a=a)), "condition"),
+def _jordan_row(d, branch):
+    return (lambda a: jordan_like(3, d, a=a)), branch, 0.5 + d * np.arange(3)
+
+
+def _matrix_row(C, branch):
+    return (lambda a: basis_operator(C, a)), branch, np.linalg.eigvals(C)
+
+
+@pytest.mark.parametrize("make, branch, eigenvalues", [
+    *[_jordan_row(d, "condition") for d in (1e-4, 1.778e-4, 2.371e-4, 3.2e-4)],
+    *[_jordan_row(d, None) for d in (1e-3, 1e-2)],
+    ((lambda a: defective(2, a=a)), "condition", None),
+    ((lambda a: defective(3, a=a)), "condition", None),
+    ((lambda a: polish_noise(a=a)), None, np.array([1.0, 1e-4])),
+    # kappa n u / 1e-8 = 0.28 / 0.32 (real / twin): nearly equal eigenvalues
+    # with independent eigenvectors, accepted on both dtypes
+    _matrix_row([[1.0, 1.0], [0.0, 1.0 + 1e-6]], None),
+    # noise eigenvalues of ||B||_F = 1e5 are retained, and stay inside every bound
+    _matrix_row([[1.0, 1e5], [0.0, 0.5]], None),
+    # kappa n u / 1e-8 = 6.7: refused before a noise eigen-residual is read
+    _matrix_row([[1.0, 1e7], [0.0, 0.5]], "condition"),
 ], ids=["jordan-1e-4", "jordan-1.778e-4", "jordan-2.371e-4", "jordan-3.2e-4",
-        "jordan-1e-3", "jordan-1e-2", "defective-2", "defective-3"])
-def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch):
+        "jordan-1e-3", "jordan-1e-2", "defective-2", "defective-3", "polish-noise",
+        "near-equal", "offdiag-1e5", "offdiag-1e7"])
+def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenvalues):
     """Each row takes the same branch on the real operator (real eig) and on
     its complex twin, whose basis functions carry e^{iax} (complex eig), and
     kappa n u sits a factor 2 or more from 1e-8, so neither the eig flavour
-    nor the rounding of a BLAS thread count can flip a decision."""
+    nor the rounding of a BLAS thread count can flip a decision.  The one
+    refusal is the condition rule; an accepted row meets the bounds of
+    test_invariants_at_benchmark_scale against the eigenvalues of its matrix."""
     seen = kappa_spy(monkeypatch)
     for a, dtype in ((0.0, np.float64), (A_TWIN, np.complex128)):
         op = make(a)
+        n = op.B.shape[0]
         assert op.B.dtype == dtype and not op.hermitian_to_roundoff()
         seen.clear()
-        assert _branch(op) == branch
-        for kappa in seen:
-            margin = kappa * op.B.shape[0] * UNIT / 1e-8
-            assert margin <= 0.5 or margin >= 2.0
+        taken, d = _branch(op)
+        assert taken == branch
+        (kappa,) = seen
+        margin = kappa * n * UNIT / 1e-8
+        assert margin <= 0.5 or margin >= 2.0
+        if d is not None:
+            # within 1e-8, and within the kappa n u / REFINE_RTOL the pass threshold keeps
+            assert d.biorth_residual <= min(1e-8, kappa * n * UNIT / spectral.REFINE_RTOL)
+            assert_eigen_residuals(op, d)
+            # the matrix's eigenvalues by descending modulus, then the retained noise
+            r, nu = d.retained, d.eigenvalues
+            ref = np.zeros(r, dtype=complex)
+            ref[:eigenvalues.size] = eigenvalues[np.argsort(-np.abs(eigenvalues))]
+            assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * np.linalg.norm(op.B)
 
 
 def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):
@@ -163,3 +203,39 @@ def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):
     # the one inverse is C's, r x r
     assert [c for c in calls if c[0] != "eig"] == [("inv", (d.retained, d.retained), None)]
     assert d.right.dtype == d.left.dtype == d.eigenvalues.dtype == np.complex128
+
+
+def test_eigen_residual_check_refuses_a_wrong_eigenvalue(monkeypatch):
+    """An eig whose top eigenvalue is off by 1e-6 relative leaves kappa and
+    the bi-orthogonality as they were, so only the eigen-residual check can
+    refuse it."""
+    op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0))
+    linalg = spectral._linalg
+
+    def spoiled(name, *args):
+        vals, V = linalg(name, *args)
+        vals = vals.copy()
+        vals[np.argmax(np.abs(vals))] *= 1.0 + 1e-6
+        return vals, V
+
+    monkeypatch.setattr(spectral, "_linalg", spoiled)
+    with pytest.raises(DefectiveSuspectedError,
+                       match=r"^eigen-residual \S+ for nu=\S+ exceeds 1e-9 \|nu_1\|"):
+        fk.djf_eig(op)
+
+
+def test_biorthogonality_check_refuses_a_spoiled_left_family(monkeypatch):
+    """A last retained left vector that leans 1e-6 toward the first, a pair
+    the pass leaves alone, keeps kappa and the right pairs, so only the
+    bi-orthogonality check can refuse it."""
+    op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0))
+    inverse_adjoint = spectral._inverse_adjoint
+
+    def spoiled(V, Z, r):
+        U, kappa = inverse_adjoint(V, Z, r)
+        U[:, r - 1] += 1e-6 * U[:, 0]
+        return U, kappa
+
+    monkeypatch.setattr(spectral, "_inverse_adjoint", spoiled)
+    with pytest.raises(DefectiveSuspectedError, match=r"^bi-orthogonality residual \S+e-0[67] "):
+        fk.djf_eig(op)

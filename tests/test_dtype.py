@@ -316,12 +316,19 @@ class TestRealAwarePaths:
         P, den = d.right[:, :k], 1.0 / d.eigenvalues[:k] - lam
         proj = P.T.astype(complex) @ (w * f)
         y = P.astype(complex) @ (lam * proj / den)
-        ref = f + y
+        s = f + y
         dproj = product_gap(P.T, w * f)
         t = abs(lam) * (np.abs(proj) + dproj) / np.abs(den)  # bounds |lam proj / den|
         dy = (np.abs(P) @ (abs(lam) * dproj / np.abs(den) + 4 * ELEM * t)
               + product_gap(P, (1 + 2 * ELEM) * t))
-        bound = dy + 2 * ELEM * (np.abs(f) + np.abs(y) + dy)  # the final sum, either side
+        ds = dy + 2 * ELEM * (np.abs(f) + np.abs(y) + dy)  # the series s = f + y, either side
+        # the Nystrom form f + lam A s: A's product, the multiply by lam, the final sum
+        z = op.A.astype(complex) @ s
+        dz = np.abs(op.A) @ ds + product_gap(op.A, np.abs(s) + ds)
+        u = lam * z
+        du = abs(lam) * (dz + 2 * ELEM * (np.abs(z) + dz))
+        ref = f + u
+        bound = du + 2 * ELEM * (np.abs(f) + np.abs(u) + du)
         assert np.all(np.abs(fk.second_kind_solve_series(d, lam, f, k) - ref) <= bound)
 
     def test_nystrom_extend(self):

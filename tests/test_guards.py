@@ -38,9 +38,10 @@ def wnorm(rule, v):
 class TestPoleRule:
     def test_series_near_a_pole_of_a_large_truncation(self, mehler_op, gh40):
         # lambda = 0.9 is 10 % from lambda_0 = 1; the series over all 40
-        # retained pairs matches the direct resolvent kernel and solve, in
-        # the weighted norms, as closely as the full-truncation test on the
-        # two-term kernel asks
+        # retained pairs matches the direct resolvent kernel in the weighted
+        # norm, and the direct solve at every node, as closely as the
+        # full-truncation test on the two-term kernel asks: the Nystrom form
+        # of the solve reads no sample at the outer nodes (weight 1.5e-29)
         d = fk.hermitian_eig(mehler_op)
         assert d.retained == 40
         want = fk.resolvent_kernel(mehler_op, 0.9)
@@ -49,7 +50,7 @@ class TestPoleRule:
         f = np.cos(gh40.nodes).astype(complex)
         sol = fk.second_kind_solve_series(d, 0.9, f, d.retained)
         ref = fk.resolvent_solve(mehler_op, 0.9, f).solution
-        assert wnorm(gh40, sol - ref) <= 1e-9 * wnorm(gh40, ref)
+        assert np.max(np.abs(sol - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_series_relative_to_the_nearest_eigenvalue(self, gl8):
         # nu = 1e6 and 1e-5: lambda = 1.05e-6 is 5 % from lambda_1 = 1e-6,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import nystrom
 
 from test_conventions import twin_kernel
 
@@ -106,6 +107,32 @@ def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
     assert calls == ["eigh"]
     vals, vecs = op.hermitian_eigh
     assert not vals.flags.writeable and not vecs.flags.writeable
+
+
+@pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
+                                   "hermitian_eigh"])
+def test_one_hermitian_part_per_operator(monkeypatch, first):
+    """B's Hermitian part is built once on GH256 Mehler, whichever reader
+    comes first, and no N x N array but K, A and B outlives the eigh."""
+    calls = []
+    build = nystrom._hermitian_part
+
+    def spy(B):
+        calls.append(B.shape)
+        return build(B)
+
+    monkeypatch.setattr(nystrom, "_hermitian_part", spy)
+    op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+    readers = {"spectrum": lambda: op.spectrum, "hermitian_eigh": lambda: op.hermitian_eigh,
+               **{name: (lambda f=getattr(fk, name): f(op))
+                  for name in ("hermitian_eig", "djf_eig", "operator_svd")}}
+    readers.pop(first)()
+    for read in readers.values():
+        read()
+    assert op.hermitian_to_roundoff()
+    assert calls == [(256, 256)]
+    assert sorted(k for k, v in vars(op).items()
+                  if isinstance(v, np.ndarray) and v.ndim == 2) == ["A", "B", "K"]
 
 
 def band_operator(op):
