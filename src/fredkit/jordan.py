@@ -154,7 +154,9 @@ def jordan_decompose(N, cluster_tol=1e-7):
         When a computed chain fails N p_k = lam p_k + p_{k-1} beyond
         1e-6 * ||N||.
     ConvergenceError
-        When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
+        When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.  inv does
+        on a P with a zero chain vector, which the chain residual admits
+        once ||N|| >= 1e6: diag(0.99, 1, 1, 1.01, 1e6) is one such input.
     InvalidArgumentError
         When N is not square, exceeds desk scale or has an entry that is
         not finite (checked before any LAPACK call), when cluster_tol is not
@@ -270,6 +272,11 @@ def _cluster_chains(N, lam, amult):
     m = k
     w = [dims[i] - dims[i - 1] for i in range(1, m + 1)] + [0]
     counts = [w[i] - w[i + 1] for i in range(m)]  # blocks of size i+1
+    if min(counts) < 0:  # a Jordan structure's kernel dims grow by less each power
+        raise ClusteringError(
+            f"staircase for lambda={lam:.6g} has kernel dims {dims[1:]}, whose "
+            "increments grow; the rank threshold does not resolve the cluster"
+        )
     ker1 = nulls[1]
     chains = []
     used = []

@@ -9,10 +9,12 @@ B's Hermitian defect, the eigh of its Hermitian part (hermitian_eigh) and
 A's eigenvalues (spectrum) are computed at most once per operator, on first
 use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
 gate of every Hermitian shortcut) the spectrum is that eigh's values, so
-one eigh serves the decompositions, the SVD and the resolvent.  K, A and B
-are float64 for a real kernel and complex128 otherwise; _matvec applies a
-real matrix to complex samples (a vector or a matrix of them) without a
-complex copy of the matrix.
+one eigh serves the decompositions, the SVD and the resolvent.  That eigh
+runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one there:
+divide and conquer (dsyevd) for a real B, MRRR (zheevr) for a complex one.
+K, A and B are float64 for a real kernel and complex128 otherwise; _matvec
+applies a real matrix to complex samples (a vector or a matrix of them)
+without a complex copy of the matrix.
 
 Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -36,6 +39,15 @@ from .kernels import Kernel, _real_point
 from .measure import QuadratureRule
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
+
+# scipy.linalg.eigh's driver for B's Hermitian part, by dtype kind: divide
+# and conquer (dsyevd, as numpy's eigh) for a real B, MRRR (zheevr; Dhillon,
+# Parlett & Voemel, ACM TOMS 32(4), 2006) for a complex one.  On Mehler and
+# its complex twin (scipy's OpenBLAS 0.3.30, one thread, 2-vCPU Xeon guest),
+# dsyevr takes 1.3-1.4x dsyevd's time at N = 32..128 and 0.95-0.99x at 256
+# and 1024, while zheevr takes 0.94x zheevd's at N = 128, 0.71x at 256 and
+# 0.44x at 1024, for the same full orthonormal family.
+EIGH_DRIVER = {"f": "evd", "c": "evr"}
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,10 @@ class DiscreteOperator:
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
-    by one eigh of its Hermitian part S = (B + B^H) / 2, which replaces the
-    eig of djf_eig, the svd of operator_svd and the eigvals of the spectrum.
+    by one eigh of its Hermitian part S = (B + B^H) / 2 (LAPACK's dsyevd
+    for a real B, zheevr for a complex one; see EIGH_DRIVER), which
+    replaces the eig of djf_eig, the svd of operator_svd and the eigvals
+    of the spectrum.
     S is within ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F of B,
     inside the backward error those calls commit (eigvals(A) also carries
     the sqrt(max w / min w) condition of W^{-1/2}), so every answer keeps an
@@ -145,20 +159,29 @@ class DiscreteOperator:
 
     @cached_property
     def hermitian_eigh(self):
-        """(vals, vecs) of ``np.linalg.eigh`` on B's Hermitian part
+        """(vals, vecs) of ``scipy.linalg.eigh`` on B's Hermitian part
         (B + B^H) / 2: real eigenvalues ascending, orthonormal columns of B's
         dtype.  Computed on first use, once, and read-only.
 
-        The Hermitian part is built once, here or (on the Hermitian route) by
-        the defect, and dropped after the eigh.  Raises ConvergenceError,
-        caching nothing, when eigh does not converge.
+        The LAPACK driver follows the dtype (EIGH_DRIVER): dsyevd, numpy's eigh,
+        for a real B and the MRRR solver zheevr for a complex one, which
+        takes under half of zheevd's time at N = 1024 and returns the same
+        full orthonormal family.  The Hermitian part is built once, here or
+        (on the Hermitian route) by the defect, handed to LAPACK to
+        overwrite and dropped.  Raises InvalidArgumentError when that part
+        has an entry that is not finite (zheevr would answer without an
+        error) and ConvergenceError when eigh does not converge, caching
+        nothing.
         """
         self._require_square("a Hermitian eigendecomposition")
         S = self.__dict__.pop("_hermitian_S", None)
         if S is None:
             S, defect = _hermitian_part(self.B)
             self.__dict__.setdefault("_defect", defect)
-        vals, vecs = _linalg("eigh", S)
+            if not np.isfinite(defect):  # finite exactly when S is
+                raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
+        vals, vecs = _linalg("eigh", S, lib=scipy.linalg, driver=EIGH_DRIVER[S.dtype.kind],
+                             overwrite_a=True, check_finite=False)
         return _read_only(vals), _read_only(vecs)
 
 
@@ -217,11 +240,12 @@ def _read_only(a):
     return a
 
 
-def _linalg(name, *args, **kwargs):
-    """np.linalg.<name>(*args, **kwargs), its LinAlgError raised as
+def _linalg(name, *args, lib=np.linalg, **kwargs):
+    """lib.<name>(*args, **kwargs), np.linalg's by default, its LinAlgError
+    (numpy's and scipy.linalg's are one class) raised as
     ConvergenceError("<name> did not converge: ...")."""
     try:
-        return getattr(np.linalg, name)(*args, **kwargs)
+        return getattr(lib, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"{name} did not converge: {exc}") from exc
 

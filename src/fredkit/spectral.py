@@ -16,7 +16,10 @@ node samples, then polish retained eigenvectors with one Nystrom pass
 its rounding fits the budget.
 
 hermitian_eig reads the eigh of B's Hermitian part that the operator
-computes once (DiscreteOperator.hermitian_eigh).  djf_eig returns that same
+computes once (DiscreteOperator.hermitian_eigh): LAPACK's dsyevd for a real
+B and the MRRR solver zheevr for a complex one, which at N = 1024 takes
+under half of zheevd's time for the same orthonormal family
+(nystrom.EIGH_DRIVER).  djf_eig returns that same
 decomposition, upcast to complex, when B is Hermitian to roundoff
 (hermitian_defect() <= n u, DiscreteOperator.hermitian_to_roundoff): eigh
 of the Hermitian part then answers within the backward error a general eig

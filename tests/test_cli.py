@@ -8,6 +8,8 @@ import pytest
 import fredkit as fk
 from fredkit.cli import COMMANDS, RunConfig, main, validate
 from fredkit.serialize import obj_to_complex, write_complex_csv
+from test_conventions import twin_kernel
+from test_hermitian_route import library
 from test_serialize import _reference_dumps
 
 
@@ -504,14 +506,21 @@ def test_huge_iterate_count_is_fast(tmp_path):
 
 
 def test_lapack_failure_exits_1(tmp_path, capsys, monkeypatch):
+    """A LinAlgError from the eigh, on Mehler GH40 (dsyevd) and on its complex
+    twin read from a grid (zheevr), exits 1 with nothing written, from every
+    command that reads the eigh."""
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("Internal Error.")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    code, text = run_cli(tmp_path, MEHLER_EIG)
-    assert code == 1
-    assert text == ""
-    assert capsys.readouterr().err.startswith("ConvergenceError: eigh did not converge")
+    twin = tmp_path / "twin.csv"
+    write_complex_csv(twin, twin_kernel(0.8).sample_matrix(fk.gauss_hermite_prob(40)))
+    monkeypatch.setattr(library("eigh"), "eigh", fail)
+    for kernel in (MEHLER_EIG["kernel"], {"name": "grid", "csv": str(twin)}):
+        for command, params in (("eig", {}), ("djf", {}), ("svd", {}), ("solve", {"lambda": 0.5})):
+            code, text = run_cli(tmp_path, dict(MEHLER_EIG, kernel=kernel, command=command,
+                                                params=params))
+            assert (code, text) == (1, "")
+            assert capsys.readouterr().err.startswith("ConvergenceError: eigh did not converge")
 
 
 @pytest.mark.parametrize("raw, cap", [(None, None), ("0", 1), ("1", 1), ("3", 3), ("many", None)])

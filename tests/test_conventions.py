@@ -8,28 +8,31 @@ made of one column at a time, bit for bit, and the outputs must keep unit
 W-norms, a real-positive first maximal entry, and the orthonormality and
 bi-orthogonality budgets.  Cases are seeded, at the N = 64 / 256 sizes of
 the benchmark's smaller workloads and at its N = 1024 for the Hermitian
-and SVD paths; djf_eig's general path at N = 1024 is checked against
-invariants in test_djf_general.py.
+and SVD paths, real and complex; djf_eig's general path at N = 1024 is
+checked against invariants in test_djf_general.py.
 
 mehler, twin and basis are Hermitian to roundoff, so djf_eig and
 operator_svd answer from the eigh of B's Hermitian part there: their oracles
 are the eigh one, upcast to complex for djf_eig, and the sign-folded eigh
-one for the SVD.  skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not, and
-keeps djf_eig's general path and the svd path under their own oracles; the
-djf one runs a real eig and builds the left family from the same r x r
-formulas as djf_eig (V = [V_r, Q_t] = [Q_t, Q_perp] M), one column of the
-polish at a time.
+one for the SVD.  That eigh is the call fredkit makes, dsyevd for real
+mehler and basis and zheevr for twin, so the oracle sees the same bits.
+skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not, and keeps djf_eig's
+general path and the svd path under their own oracles; the djf one runs a
+real eig and builds the left family from the same r x r formulas as
+djf_eig (V = [V_r, Q_t] = [Q_t, Q_perp] M), one column of the polish at a
+time.
 """
 from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fredkit as fk
 from fredkit import spectral
 from fredkit.errors import DefectiveSuspectedError
 from fredkit.kernels import ClosedForm
-from fredkit.nystrom import _anchor_phase, _winner, _wnorm
+from fredkit.nystrom import EIGH_DRIVER, _anchor_phase, _winner, _wnorm
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
@@ -95,7 +98,7 @@ METHODS = {"eig": fk.hermitian_eig, "djf": fk.djf_eig, "svd": fk.operator_svd}
 CASES = ([(name, n, method) for n in (64, 256) for name in ("mehler", "twin", "basis")
           for method in METHODS]
          + [("skew", n, method) for n in (64, 256) for method in ("djf", "svd")]
-         + [("mehler", 1024, "eig"), ("mehler", 1024, "svd")])
+         + [("mehler", 1024, "eig"), ("mehler", 1024, "svd"), ("twin", 1024, "eig")])
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +173,14 @@ def test_outputs_keep_the_conventions(name, n, method):
             assert np.max(np.abs(X.conj().T @ (w[:, None] * X) - np.eye(r))) <= 1e-10
 
 
+def hermitian_eigh(op):
+    """The eigh fredkit makes of op's Hermitian part: LAPACK's dsyevd for a
+    real B and zheevr for a complex one (nystrom.EIGH_DRIVER)."""
+    S = 0.5 * (op.B + op.B.conj().T)
+    return scipy.linalg.eigh(S, driver=EIGH_DRIVER[S.dtype.kind], overwrite_a=True,
+                             check_finite=False)
+
+
 def column_at_a_time(op, method):
     """The decompositions' outputs as the scalar helpers made them, one column
     at a time; the LAPACK calls, sort and refusal checks are fredkit's own.
@@ -182,7 +193,7 @@ def column_at_a_time(op, method):
         P = P.astype(complex)
         return P, P
     if method == "svd" and op.hermitian_to_roundoff():
-        vals, vecs = np.linalg.eigh(0.5 * (op.B + op.B.conj().T))
+        vals, vecs = hermitian_eigh(op)
         order = np.argsort(-np.abs(vals), kind="stable")
         P = vecs[:, order] / np.sqrt(w)[:, None]
         Q = P * np.where(vals[order] < 0, -1.0, 1.0)
@@ -200,7 +211,7 @@ def column_at_a_time(op, method):
             Q[:, j] *= ph
         return P, Q
     if method == "eig":
-        vals, vecs = np.linalg.eigh(0.5 * (op.B + op.B.conj().T))
+        vals, vecs = hermitian_eigh(op)
         order = spectral._sort_order(vals.astype(complex))
         vals, P = vals[order], vecs[:, order] / np.sqrt(w)[:, None]
         for j in range(P.shape[1]):

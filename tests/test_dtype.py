@@ -16,6 +16,8 @@ import fredkit as fk
 from fredkit.kernels import ClosedForm
 from fredkit.nystrom import _matvec, _read_only
 
+from test_hermitian_route import library
+
 U = np.finfo(float).eps / 2  # unit roundoff
 N = 256
 
@@ -106,13 +108,13 @@ class TestDtypeFollowsKernel:
         a real eig, and djf_eig's pairs are complex either way."""
         seen = []
         for name in ("eigh", "svd", "eigvals", "eig"):
-            real = getattr(np.linalg, name)
+            real = getattr(library(name), name)
 
             def spy(a, *args, _name=name, _real=real, **kwargs):
                 seen.append((_name, np.asarray(a).dtype))
                 return _real(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, spy)
+            monkeypatch.setattr(library(name), name, spy)
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(40))
         d = fk.hermitian_eig(op)
         svd = fk.operator_svd(op)
@@ -132,6 +134,22 @@ class TestDtypeFollowsKernel:
         for k in (0, 2):
             assert fk.reconstruct(d, k).dtype == np.complex128
             assert fk.resolvent_series(d, 0.3, k).dtype == np.complex128
+
+    def test_eigh_driver_follows_the_dtype(self, monkeypatch, gh40):
+        """The one eigh gets B's Hermitian part in B's dtype, for LAPACK to
+        overwrite, with the LAPACK driver nystrom.EIGH_DRIVER names: dsyevd
+        ("evd") for real Mehler, zheevr ("evr") for its complex twin."""
+        seen = []
+        real = library("eigh").eigh
+
+        def spy(a, **kwargs):
+            seen.append((a.dtype, kwargs["driver"], kwargs["overwrite_a"]))
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(library("eigh"), "eigh", spy)
+        for kern in (fk.mehler_kernel(0.5), twin_kernel(0.5, 0.8)):
+            fk.hermitian_eig(fk.discretize(kern, gh40))
+        assert seen == [(np.float64, "evd", True), (np.complex128, "evr", True)]
 
 
 @pytest.fixture(scope="module")

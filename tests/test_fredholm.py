@@ -13,6 +13,7 @@ from fredkit.errors import (
 )
 
 from conftest import wfro
+from test_hermitian_route import library
 
 
 class TestResolventSolve:
@@ -204,17 +205,17 @@ class TestProductDeterminantTail:
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """The input shapes of the numpy.linalg eigvals and eigh calls made while
-    the test runs, by name."""
+    """The input shapes of the eigvals and eigh calls made while the test
+    runs, by name (np.linalg.eigvals, scipy.linalg.eigh: see library)."""
     calls = {"eigvals": [], "eigh": []}
     for name, seen in calls.items():
-        real = getattr(np.linalg, name)
+        real = getattr(library(name), name)
 
         def counting(a, *args, _real=real, _seen=seen, **kwargs):
             _seen.append(a.shape)
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(library(name), name, counting)
     return calls
 
 

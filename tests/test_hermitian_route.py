@@ -9,11 +9,12 @@ orthonormality within 1e-10, and A q = theta p within 1e-9 theta_1.
 """
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fredkit as fk
 from fredkit import nystrom
 
-from test_conventions import twin_kernel
+from test_conventions import basis_operator, twin_kernel
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 ORTH_TOL = 1e-10
@@ -24,11 +25,17 @@ def wnorms(w, X):
     return np.sqrt(np.sum(w[:, None] * np.abs(X) ** 2, axis=0))
 
 
+def library(name):
+    """The module whose <name> fredkit calls: scipy.linalg for eigh, which
+    takes a LAPACK driver per dtype (nystrom.EIGH_DRIVER), else np.linalg."""
+    return scipy.linalg if name == "eigh" else np.linalg
+
+
 def spy_on(monkeypatch, names, fail=None):
-    """Record each call of np.linalg.<name>; raise `fail` from them if given."""
+    """Record each call of library(name).<name>; raise `fail` from them if given."""
     calls = []
     for name in names:
-        real = getattr(np.linalg, name)
+        real = getattr(library(name), name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
             calls.append(_name)
@@ -36,7 +43,7 @@ def spy_on(monkeypatch, names, fail=None):
                 raise fail
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(library(name), name, spy)
     return calls
 
 
@@ -135,6 +142,29 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["A", "B", "K"]
 
 
+def test_mrrr_family_is_orthonormal_through_clusters():
+    """zheevr, MRRR, where it is weakest: a complex Hermitian kernel acting
+    as diag(1, 1, 1, -1/2, -1/2, 1/4) on six basis functions that carry
+    e^{0.7ix}, on Gauss-Legendre 256 over [0, 1].  Its spectrum holds 1
+    three times, -1/2 twice and a zero cluster of n - 6.  All n columns of the
+    cached eigh are orthonormal within ORTH_TOL, each has an eigen-residual
+    within the backward error n u ||B||_F (far inside RESID_RTOL |nu_1|),
+    and the eigenvalues are within (kappa + 1) n u ||B||_F, kappa = 1, of
+    the matrix's, as test_djf_general bounds them."""
+    C = np.diag([1.0, 1.0, 1.0, -0.5, -0.5, 0.25])
+    op = basis_operator(C, 0.7, 256)
+    n = op.B.shape[0]
+    assert op.B.dtype == np.complex128 and op.hermitian_to_roundoff()
+    vals, V = op.hermitian_eigh
+    backward = n * UNIT * np.linalg.norm(op.B)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= ORTH_TOL
+    S = 0.5 * (op.B + op.B.conj().T)
+    resid = np.linalg.norm(S @ V - V * vals, axis=0)
+    assert np.max(resid) <= min(backward, RESID_RTOL * np.max(np.abs(vals)))
+    ref = np.sort(np.concatenate((np.diag(C), np.zeros(n - 6))))
+    assert np.max(np.abs(vals - ref)) <= 2 * backward
+
+
 def band_operator(op):
     """op with a seeded skew-symmetric perturbation of K that puts its
     Hermitian defect near 1e-12: above n u for n <= 1024, so off the
@@ -167,16 +197,38 @@ def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
 
 
 def test_eigh_failure_is_cached_nowhere(monkeypatch, gh40):
-    failure = np.linalg.LinAlgError("Eigenvalues did not converge")
-    op = fk.discretize(fk.mehler_kernel(0.5), gh40)
-    calls = spy_on(monkeypatch, ("eigh",), fail=failure)
-    for decompose in (fk.hermitian_eig, fk.djf_eig, fk.operator_svd):
-        with pytest.raises(fk.ConvergenceError, match="^eigh did not converge") as err:
-            decompose(op)
-        assert err.value.__cause__ is failure
-    assert calls == ["eigh"] * 3
-    monkeypatch.undo()
-    assert fk.hermitian_eig(op).retained > 0
+    """A LinAlgError from the eigh, real (dsyevd) or complex (zheevr, whose
+    internal error scipy raises as "Internal Error."), leaves every reader
+    of the cache as ConvergenceError and caches nothing."""
+    failure = np.linalg.LinAlgError("Internal Error.")
+    for kernel in (fk.mehler_kernel(0.5), twin_kernel(0.8)):
+        op = fk.discretize(kernel, gh40)
+        assert op.hermitian_to_roundoff()
+        calls = spy_on(monkeypatch, ("eigh",), fail=failure)
+        for read in (fk.hermitian_eig, fk.djf_eig, fk.operator_svd, lambda op: op.spectrum):
+            with pytest.raises(fk.ConvergenceError, match="^eigh did not converge: Int") as err:
+                read(op)
+            assert err.value.__cause__ is failure
+        assert calls == ["eigh"] * 4
+        assert not {"hermitian_eigh", "spectrum"} & set(vars(op))
+        monkeypatch.undo()
+        assert fk.hermitian_eig(op).retained > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_non_finite_hermitian_part_is_refused_before_lapack(monkeypatch, gl8, dtype):
+    """zheevr answers a NaN without an error, so a Hermitian part that is
+    not finite is refused before any eigh, whichever the dtype."""
+    K = np.ones((8, 8)) if dtype is np.float64 else np.full((8, 8), 1.0 + 0.5j)
+    K[3, 4] = np.nan
+    op = fk.DiscreteOperator(rule=gl8, shape=(1, 1), K=K)
+    assert op.K.dtype == dtype
+    calls = spy_on(monkeypatch, ("eigh",))
+    for read in (fk.hermitian_eig, lambda op: op.hermitian_eigh):
+        with pytest.raises(fk.InvalidArgumentError, match="Hermitian part has an entry"):
+            read(op)
+    assert calls == []
+    assert "hermitian_eigh" not in vars(op)
 
 
 def test_eigvals_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):

@@ -211,8 +211,9 @@ class TestJordanDecompose:
 
     @pytest.mark.parametrize("name", ["eigvals", "svd", "qr", "lstsq", "inv"])
     def test_lapack_failure_is_convergence_error(self, name, monkeypatch):
-        # no finite input is known to make these fail, so each is made to
-        # fail in turn on a matrix whose decomposition calls all of them
+        # no finite input is known to make the others fail (inv's is in
+        # test_singular_chain_matrix_is_convergence_error), so each is made
+        # to fail in turn on a matrix whose decomposition calls all of them
         def fails(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{name} failed")
 
@@ -222,6 +223,24 @@ class TestJordanDecompose:
         with pytest.raises(ConvergenceError, match=f"{name} failed") as err:
             fk.jordan_decompose(N, cluster_tol=1e-5)
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_singular_chain_matrix_is_convergence_error(self):
+        """A finite input whose inv(P) is exactly singular.  diag(0.99, 1, 1,
+        1.01, 1e6) puts the four values near 1 in one cluster (radius
+        1e-7 * 1e6), the rank thresholds 1e-10 ||S^k|| read kernel dims
+        [2, 4] there, so two blocks of size 2, and each chain's second
+        vector is the zero least-squares solution, whose residual
+        ||p_1|| = 1 is within 1e-6 ||N||: P has two zero columns."""
+        with pytest.raises(ConvergenceError, match="Singular matrix") as err:
+            fk.jordan_decompose(np.diag([0.99, 1.0, 1.0, 1.01, 1e6]))
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_growing_staircase_refused(self):
+        """diag(1, 1 + 4e-10, 2): the two values near 1 form one cluster whose
+        kernel dims read [0, 2], since 2e-10 ||S|| clears the rank threshold
+        and its square does not; no Jordan structure has them."""
+        with pytest.raises(ClusteringError, match=r"kernel dims \[0, 2\], whose increments grow"):
+            fk.jordan_decompose(np.diag([1.0, 1.0 + 4e-10, 2.0]))
 
     def test_overflowing_rank_tolerance_refused(self):
         # rho = 1 <= 1e-10 ||N|| takes N as nilpotent, one cluster of two, so

@@ -15,7 +15,8 @@ from fredkit.errors import (
 from fredkit.kernels import ClosedForm
 
 from conftest import wfro
-from test_conventions import UNIT, defective, jordan_like
+from test_conventions import UNIT, defective, jordan_like, twin_kernel
+from test_hermitian_route import library
 
 
 class TestHermitianEig:
@@ -255,18 +256,23 @@ class TestExpansionInvariants:
             assert np.max(np.abs(exact - series)) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("name, decompose", [("eigh", fk.hermitian_eig), ("eig", fk.djf_eig)])
+@pytest.mark.parametrize("name, decompose, kernel", [
+    ("eigh", fk.hermitian_eig, fk.mehler_kernel(0.5)),
+    ("eigh", fk.hermitian_eig, twin_kernel(0.8)),
+    ("eig", fk.djf_eig, None),
+], ids=["eigh-hermitian_eig", "eigh-hermitian_eig-twin", "eig-djf_eig"])
 def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, two_term_op, name,
-                                                       decompose):
+                                                       decompose, kernel):
     failure = np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def fail(*args, **kwargs):
         raise failure
 
-    # eigh on a fresh Hermitian operator, since a shared one may hold its eigh
-    # already; eig on one that is not Hermitian, where djf_eig runs it
-    op = fk.discretize(fk.mehler_kernel(0.5), gh40) if name == "eigh" else two_term_op
-    monkeypatch.setattr(np.linalg, name, fail)
+    # eigh on a fresh Hermitian operator, real (dsyevd) or complex (zheevr),
+    # since a shared one may hold its eigh already; eig on one that is not
+    # Hermitian, where djf_eig runs it
+    op = two_term_op if kernel is None else fk.discretize(kernel, gh40)
+    monkeypatch.setattr(library(name), name, fail)
     with pytest.raises(fk.ConvergenceError, match=f"{name} did not converge") as err:
         decompose(op)
     assert err.value.__cause__ is failure
