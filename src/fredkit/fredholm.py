@@ -3,7 +3,13 @@
 The second-kind equation p - lambda*N p = f is solved directly through an
 LU factorization of (I - lambda*A) with a condition estimate guarding
 eigenvalue proximity; series forms built from a bi-orthogonal
-decomposition are provided for validation.  Fredholm convention
+decomposition are provided for validation.  That LU is the one of every
+lambda-path (_lu): resolvent solves, resolvent kernels, the direct
+determinant, read off its diagonal and pivots, and each log-derivative path
+point.  It is real for a real lambda on a real operator, and the last
+lambda's is kept on the operator, so a solve and a determinant at one
+lambda pay for one LU (the determinant and the resolvent come from one
+factorization; Bornemann, Math. Comp. 79 (2010)).  Fredholm convention
 throughout: the "eigenvalues" lambda_j are the reciprocals 1/nu_j of the
 operator eigenvalues, and the determinant D(lambda) vanishes exactly
 there.
@@ -36,7 +42,7 @@ from .errors import (
     PoleError,
     _count_arg, _number_arg, _samples_arg,
 )
-from .nystrom import DiscreteOperator, _matvec, _pow2_scale
+from .nystrom import DiscreteOperator, _matvec, _on_float_view, _pow2_scale, _read_only
 from .spectral import BiSpectralDecomposition, _retained, djf_eig, hermitian_eig
 
 # relative pole distances below which lambda is refused (_guard_pole)
@@ -87,33 +93,72 @@ def _guard_pole(lam, lambdas, rtol, error=EigenvalueProximityError, name="lambda
     return gap, nearest
 
 
-def _lu_with_cond(M, name):
-    """((lu, piv), cond) for a square M: one LU factorization and the 1-norm
-    condition estimate LAPACK gecon takes from it (Hager-Higham), inf when M
-    is exactly singular.  Raises InvalidArgumentError, naming M by ``name``,
-    when M or its 1-norm is not finite."""
+def _system(op, lam):
+    """M = I - lambda*A, in the dtype of lambda and A: real for a real lambda
+    on a real operator.  The one expression every LU and every refinement
+    residual builds, so a rebuilt M has the bits the factored one had."""
+    shift = lam.real if lam.imag == 0 else lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.eye(op.A.shape[0], dtype=np.result_type(shift, op.A)) - shift * op.A
+
+
+def _lu(op, lam):
+    """(M, lu, piv, anorm): the LU factorization of M = _system(op, lam) and
+    M's 1-norm, inf or nan when M overflows.  The one LU of every lambda-path
+    -- solves, resolvent kernels, direct determinants, log-derivative path
+    points -- cached on the operator for the last lambda, so one lambda's
+    solve and determinant share it.  The cache keeps the factors, not M:
+    M is returned when this call built it and None when the factors come
+    from the cache."""
+    cached = op.__dict__.get("_lu")
+    if cached is not None and cached[0] == lam:
+        return (None,) + cached[1:]
+    M = _system(op, lam)
     with np.errstate(over="ignore", invalid="ignore"):
         anorm = float(np.linalg.norm(M, 1))
-    if not np.isfinite(anorm):
-        raise InvalidArgumentError(f"{name} has 1-norm {anorm}, not a finite number")
     with warnings.catch_warnings():
-        # an exactly zero pivot shows as rcond = 0 below
+        # an exactly zero pivot shows as rcond = 0 and as D = 0
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(M, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, _info = gecon(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
-    return (lu, piv), cond
+    op.__dict__["_lu"] = (lam, _read_only(lu), _read_only(piv), anorm)
+    return M, lu, piv, anorm
+
+
+def _lu_solve(lu, piv, rhs):
+    """M^{-1} rhs from M's LU; a real LU solves complex right-hand sides on
+    their float view, as _matvec applies a real matrix."""
+    if lu.dtype.kind == "f" and rhs.dtype.kind == "c":
+        return _on_float_view(lambda y: lu_solve((lu, piv), y, check_finite=False), rhs)
+    return lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def _slogdet(lu, piv):
+    """(sign, log|det M|) from M's LU, as numpy's slogdet: sign is +-1 for a
+    real LU and of unit modulus for a complex one, det M = sign exp(log|det M|);
+    (0, -inf) when a pivot is exactly zero."""
+    d = np.diagonal(lu)
+    absd = np.abs(d)
+    if not absd.all():
+        return 0.0, -np.inf
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    with np.errstate(invalid="ignore"):  # an infinite pivot: a sign that is not finite
+        sign = np.prod(d / absd)
+    return (-sign if swaps % 2 else sign), float(np.log(absd).sum())
 
 
 def _guarded_lu(op, lam):
-    """(M, (lu, piv), nearest_eigen_gap) for M = I - lambda*A, refusing
-    lambda near the cached spectrum or a condition estimate above 1e10, and
-    a lambda so large that M or its 1-norm overflows."""
+    """(M or None, lu, piv, nearest_eigen_gap) of M = I - lambda*A, as _lu
+    gives them, refusing lambda near the cached spectrum or a condition
+    estimate above 1e10 (LAPACK gecon's 1-norm estimate, Hager-Higham, from
+    the LU; inf for an exactly singular M), and a lambda so large that M or
+    its 1-norm overflows."""
     gap, nearest = _guard_pole(lam, _fredholm_lambdas(op), GAP_RTOL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = np.eye(op.A.shape[0], dtype=complex) - lam * op.A
-    fac, cond = _lu_with_cond(M, f"I - lambda*A at lambda={lam:.6g}")
+    M, lu, piv, anorm = _lu(op, lam)
+    if not np.isfinite(anorm):
+        raise InvalidArgumentError(
+            f"I - lambda*A at lambda={lam:.6g} has 1-norm {anorm}, not a finite number")
+    rcond, _info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
+    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
     if cond > COND_LIMIT:
         raise EigenvalueProximityError(
             f"system condition {cond:.3e} exceeds 1e10 near lambda={lam:.6g}; "
@@ -121,17 +166,19 @@ def _guarded_lu(op, lam):
             nearest=nearest,
             gap=gap,
         )
-    return M, fac, gap
+    return M, lu, piv, gap
 
 
 def _guarded_solve(op, lam, rhs):
     """Solve (I - lambda*A) X = rhs through _guarded_lu with one refinement
     pass.  Returns (X, nearest_eigen_gap); raises InvalidArgumentError,
     naming lambda, when an entry of X overflows."""
-    M, fac, gap = _guarded_lu(op, lam)
+    M, lu, piv, gap = _guarded_lu(op, lam)
+    if M is None:
+        M = _system(op, lam)
     with np.errstate(over="ignore", invalid="ignore"):
-        X = lu_solve(fac, rhs, check_finite=False)
-        X = X + lu_solve(fac, rhs - M @ X, check_finite=False)  # one refinement pass
+        X = _lu_solve(lu, piv, rhs)
+        X = X + _lu_solve(lu, piv, rhs - _matvec(M, X))  # one refinement pass
     if not np.isfinite(X).all():
         raise InvalidArgumentError(f"the solve at lambda={lam:.6g} overflows")
     return X, gap
@@ -144,7 +191,10 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
     the system's condition estimate exceeds 1e10.  The proximity guard
     reads the operator's cached spectrum, so repeated solves on one
-    operator compute it once.  A non-finite lambda or f, or a solution
+    operator compute it once, and the LU is the one LU per operator and
+    lambda that resolvent_kernel and the direct determinant share; at a
+    real lambda on a real operator it is real, and solves f on its float
+    view.  A non-finite lambda or f, or a solution
     or residual that overflows, raises InvalidArgumentError; where only the
     norms of f and the residual overflow, both are scaled by a power of two.
     """
@@ -170,7 +220,9 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
 
     Satisfies both defining identities (the Neumann-series form)
     lambda * A @ N_lambda = N_lambda - K = lambda * N_lambda @ (W K).
-    Guarded as resolvent_solve is, against the cached spectrum.
+    Guarded as resolvent_solve is, against the cached spectrum, and solved
+    with the same one LU per operator and lambda; real at a real lambda on
+    a real operator.
     """
     op._require_square("a resolvent kernel")
     NL, _gap = _guarded_solve(op, _number_arg(lam, "lambda"), op.K)
@@ -213,11 +265,10 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
 
 
 def _det_direct(op, lam):
-    # a real lambda keeps a real operator's LU real; the identity is a
-    # temporary, freed before det copies its argument
-    shift = lam.real if lam.imag == 0 else lam
-    dtype = np.result_type(shift, op.A)
-    return complex(np.linalg.det(np.eye(op.A.shape[0], dtype=dtype) - shift * op.A))
+    _M, lu, piv, _anorm = _lu(op, lam)
+    sign, logabs = _slogdet(lu, piv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(sign * np.exp(logabs))
 
 
 def _det_product(op, lam):
@@ -242,7 +293,10 @@ def _determinant_method(method):
 def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> DeterminantEval:
     """Fredholm determinant D(lambda).
 
-    method="direct" evaluates det(I - lambda*A) by LU; method="product"
+    method="direct" reads det(I - lambda*A) off the diagonal and pivots of
+    its LU, the one LU per operator and lambda a resolvent solve or kernel
+    at that lambda shares (real for a real lambda on a real operator), and
+    is 0 when a pivot is exactly zero; it runs no guard.  method="product"
     multiplies (1 - lambda*nu_j) over every eigenvalue of A, read from the
     operator's cached spectrum, dropping only the machine-neutral factors
     with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
@@ -265,11 +319,13 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     compares exp(-integral up to each grid point) against the direct
     determinant ratio D(lambda_t)/D(a).  Each path point must keep a gap of
     more than 1e-3 relative to its nearest Fredholm eigenvalue, else
-    PoleError.  Each path point costs one
-    guarded LU of I - lambda*A, which gives both the weighted trace, as
-    tr((I - lambda*A)^{-1} A), and the determinant; the path check and the
-    guards share the operator's cached spectrum.  The path must be two
-    finite real numbers and steps an integer >= 1.
+    PoleError.  Each path point costs one guarded LU of I - lambda*A, real
+    on a real operator, the one LU per operator and lambda of every
+    lambda-path; it gives both the weighted trace, as
+    tr((I - lambda*A)^{-1} A), and log D, read as the direct determinant
+    is.  The path check and the guards share the operator's cached
+    spectrum.  The path must be two finite real numbers and steps an
+    integer >= 1.
     """
     if not (isinstance(lambda_path, (tuple, list, np.ndarray)) and len(lambda_path) == 2):
         raise InvalidArgumentError(f"lambda_path must be a pair (a, b), got {lambda_path!r}")
@@ -281,10 +337,9 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
         _guard_pole(t, lambdas, PATH_RTOL, PoleError, "path point lambda")
 
     def log_det_and_trace(lam):
-        _M, (lu, piv), _gap = _guarded_lu(op, complex(lam))
-        swaps = np.count_nonzero(piv != np.arange(piv.size))
-        log_det = np.sum(np.log(np.diag(lu))) + 1j * np.pi * (swaps % 2)
-        return log_det, np.trace(lu_solve((lu, piv), op.A, check_finite=False))
+        _M, lu, piv, _gap = _guarded_lu(op, complex(lam))
+        sign, logabs = _slogdet(lu, piv)
+        return logabs + 1j * np.angle(sign), np.trace(_lu_solve(lu, piv, op.A))
 
     log_d, g = np.array([log_det_and_trace(t) for t in grid]).T
     h = (b - a) / steps

@@ -72,7 +72,8 @@ class DiscreteOperator:
     solves at complex lambda.
     K, A and B are made read-only on construction, so nothing cached from
     them can go stale: the Hermitian defect, ``hermitian_eigh`` and the
-    spectrum, each computed on first read (never eagerly) and read-only.
+    spectrum, each computed on first read (never eagerly) and read-only, and
+    the LU of I - lambda*A that fredholm keeps for the last lambda.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
@@ -252,14 +253,21 @@ def _linalg(name, *args, lib=np.linalg, **kwargs):
 
 def _matvec(M, x):
     """M @ x for a vector or a matrix x.  A real M times a complex x is one
-    real product on x's float view, (n, 2) for a vector and (n, 2m) for an
-    n x m matrix: numpy's mixed product would first copy M to complex, on
-    every call."""
+    real product on x's float view (_on_float_view): numpy's mixed product
+    would first copy M to complex, on every call."""
     if M.dtype.kind == "f" and x.dtype.kind == "c":
-        x = np.ascontiguousarray(x)
-        y = M @ x.view(float).reshape(x.shape[0], -1)
-        return y.view(complex).reshape(M.shape[:1] + x.shape[1:])
+        return _on_float_view(lambda y: M @ y, x)
     return M @ x
+
+
+def _on_float_view(apply, x):
+    """apply(x) for a real linear map `apply` of matrices and a complex
+    vector or matrix x, as one real call on x's float view, (n, 2) for a
+    vector and (n, 2m) for an n x m matrix, whose real and imaginary columns
+    the map keeps apart."""
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(apply(x.view(float).reshape(x.shape[0], -1))).view(complex)
+    return y.reshape(y.shape[:1] + x.shape[1:])
 
 
 def _winner(w, U, V):

@@ -1,3 +1,5 @@
+import itertools
+import re
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import fredkit as fk
+from fredkit import fredholm
 from fredkit.errors import (
     EigenvalueProximityError,
     InvalidArgumentError,
@@ -13,6 +16,7 @@ from fredkit.errors import (
 )
 
 from conftest import wfro
+from test_conventions import twin_kernel
 from test_hermitian_route import library
 
 
@@ -205,18 +209,25 @@ class TestProductDeterminantTail:
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """The input shapes of the eigvals and eigh calls made while the test
-    runs, by name (np.linalg.eigvals, scipy.linalg.eigh: see library)."""
-    calls = {"eigvals": [], "eigh": []}
+    """The input shapes of the eigvals, eigh, lu_factor and det calls made
+    while the test runs, by name (np.linalg.eigvals, scipy.linalg.eigh: see
+    library; the lu_factor fredholm calls; np.linalg.det)."""
+    calls = {"eigvals": [], "eigh": [], "lu_factor": [], "det": []}
     for name, seen in calls.items():
-        real = getattr(library(name), name)
+        owner = fredholm if name == "lu_factor" else library(name)
+        real = getattr(owner, name)
 
         def counting(a, *args, _real=real, _seen=seen, **kwargs):
             _seen.append(a.shape)
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(library(name), name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def no_lapack(**calls):
+    """lapack_calls' record with the given entries, every other one empty."""
+    return {"eigvals": [], "eigh": [], "lu_factor": [], "det": [], **calls}
 
 
 class TestSpectrumCache:
@@ -226,7 +237,9 @@ class TestSpectrumCache:
         f = np.ones(256, dtype=complex)
         for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
             fk.resolvent_solve(op, lam, f)
-            fk.fredholm_determinant(op, lam, "product")
+            fk.resolvent_kernel(op, lam)
+            for method in ("direct", "product"):
+                fk.fredholm_determinant(op, lam, method)
         with pytest.raises(EigenvalueProximityError) as err:
             fk.resolvent_solve(op, 4.0 * (1.0 + 1e-10), f)
         assert err.value.nearest == pytest.approx(4.0, rel=1e-12)
@@ -234,11 +247,26 @@ class TestSpectrumCache:
         fk.hermitian_eig(op)
         fk.djf_eig(op)
         fk.operator_svd(op)
-        assert lapack_calls == {"eigvals": [], "eigh": [(256, 256)]}
+        # one LU per lambda and per path point; the pole refusal needs none
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * (5 + 21))
         assert op.spectrum.tobytes() == op.hermitian_eigh[0].astype(complex).tobytes()
         fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         fk.fredholm_determinant(fresh, 1.0, "product")
-        assert lapack_calls == {"eigvals": [], "eigh": [(256, 256)] * 2}
+        assert lapack_calls == no_lapack(eigh=[(256, 256)] * 2, lu_factor=[(256, 256)] * 26)
+
+    def test_one_lu_per_lambda_gh256(self, lapack_calls):
+        """Solve, resolvent kernel and direct determinant at one lambda share
+        one LU, in any order, and no det runs."""
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+        f = np.ones(256, dtype=complex)
+        calls = [lambda lam: fk.resolvent_solve(op, lam, f),
+                 lambda lam: fk.resolvent_kernel(op, lam),
+                 lambda lam: fk.fredholm_determinant(op, lam, "direct")]
+        orders = itertools.permutations(calls)
+        for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
+            for call in next(orders):
+                call(lam)
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * 5)
 
     def test_one_eigvals_per_non_hermitian_operator(self, yz2_kernel, gl8, lapack_calls):
         op = fk.discretize(yz2_kernel, gl8)
@@ -248,7 +276,7 @@ class TestSpectrumCache:
             fk.resolvent_solve(op, lam, f)
             fk.fredholm_determinant(op, lam, "product")
         fk.determinant_log_derivative_check(op, (0.0, 1.0), 10)
-        assert lapack_calls == {"eigvals": [(8, 8)], "eigh": []}
+        assert lapack_calls == no_lapack(eigvals=[(8, 8)], lu_factor=[(8, 8)] * (2 + 11))
 
     def test_deflated_operator_has_its_own(self, gh40, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), gh40)
@@ -256,7 +284,7 @@ class TestSpectrumCache:
         deflated = fk.deflate(op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
         assert deflated.hermitian_to_roundoff()
         fk.fredholm_determinant(deflated, 1.0, "product")
-        assert lapack_calls == {"eigvals": [], "eigh": [(40, 40)] * 2}
+        assert lapack_calls == no_lapack(eigh=[(40, 40)] * 2)
         assert np.min(np.abs(deflated.spectrum - 1.0)) > 0.4  # nu_1 = 1 removed
         assert deflated.spectrum.tobytes() == deflated.hermitian_eigh[0].astype(complex).tobytes()
         assert len(lapack_calls["eigh"]) == 2
@@ -286,6 +314,99 @@ class TestSpectrumCache:
             op.spectrum
 
 
+def constant_on_two_atoms():
+    """Constant kernel 1 on the discrete rule {0, 1} with weights 1/4, 1/4:
+    A = [[1/4, 1/4], [1/4, 1/4]], so I - 2A = [[1/2, -1/2], [-1/2, 1/2]] is
+    exactly singular and D(2) = 0."""
+    one = fk.separable_kernel([1.0], [np.ones_like], [np.ones_like])
+    return fk.discretize(one, fk.discrete_measure([0.0, 1.0], [0.25, 0.25]))
+
+
+def defective_gl8():
+    """A 2 x 2 Jordan block at nu = 1/2: the condition of I - lambda A grows
+    as the gap squared, so lambda = 2 (1 + 1e-5) passes the pole rule and
+    the gecon bound refuses it."""
+    gl8 = fk.gauss_legendre(8, 0.0, 1.0)
+    return fk.discretize(fk.defective_kernel(0.5, 2, fk.orthonormal_poly_basis(gl8, 2), gl8), gl8)
+
+
+# case -> (a fresh operator, lambda, the refusal each call expects or None)
+SHARED_LU_CASES = {
+    "real-complex-lambda": (
+        lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(40)), 1.5 + 0.5j, {}),
+    "real-real-lambda": (
+        lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(40)), 0.9, {}),
+    "complex-real-lambda": (
+        lambda: fk.discretize(twin_kernel(1.0), fk.gauss_hermite_prob(40)), -1.5, {}),
+    "gecon-refusal": (defective_gl8, 2.0 * (1.0 + 1e-5), {
+        "solve": "system condition .* exceeds 1e10", "kernel": "system condition .* exceeds 1e10"}),
+    "overflowing-norm": (
+        lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(8)), 1e308 + 1e308j, {
+            "solve": "has 1-norm inf", "kernel": "has 1-norm inf",
+            "det": r"direct D\(lambda=.* is not finite"}),
+    "singular": (constant_on_two_atoms, 2.0, {
+        "solve": "within 1e-08 relative", "kernel": "within 1e-08 relative"}),
+}
+SHARED_LU_CALLS = {
+    "solve": lambda op, lam: fk.resolvent_solve(op, lam, np.ones(op.A.shape[0])),
+    "kernel": lambda op, lam: fk.resolvent_kernel(op, lam),
+    "det": lambda op, lam: fk.fredholm_determinant(op, lam, "direct"),
+}
+
+
+def outcome(call, op, lam):
+    """("refused", its message) when call(op, lam) raises a FredkitError,
+    else ("ok", the result's bits)."""
+    try:
+        out = call(op, lam)
+    except fk.FredkitError as exc:
+        return "refused", f"{type(exc).__name__}: {exc}"
+    if isinstance(out, np.ndarray):
+        return "ok", (out.dtype.str, out.tobytes())
+    if isinstance(out, fk.ResolventSolve):
+        return "ok", (out.solution.tobytes(), out.residual, out.nearest_eigen_gap)
+    return "ok", repr(out)
+
+
+class TestSharedLU:
+    """One LU of I - lambda*A per operator and lambda serves the solve, the
+    resolvent kernel and the direct determinant: each result, and each
+    refusal, is the one a fresh operator gives, whatever the call order."""
+
+    @pytest.mark.parametrize("case", SHARED_LU_CASES)
+    def test_call_order_does_not_matter(self, case):
+        make, lam, refusals = SHARED_LU_CASES[case]
+        alone = {}
+        for name, call in SHARED_LU_CALLS.items():
+            kind, got = alone[name] = outcome(call, make(), lam)
+            assert kind == ("refused" if name in refusals else "ok"), got
+            assert name not in refusals or re.search(refusals[name], got), got
+        for order in itertools.permutations(SHARED_LU_CALLS):
+            op = make()
+            assert {name: outcome(SHARED_LU_CALLS[name], op, lam) for name in order} == alone
+
+    def test_exactly_singular_system_has_zero_determinant(self):
+        op = constant_on_two_atoms()
+        assert fk.fredholm_determinant(op, 2.0, "direct").value == 0
+        with pytest.raises(EigenvalueProximityError):
+            fk.resolvent_solve(op, 2.0, np.ones(2))
+        assert fk.fredholm_determinant(op, 2.0, "direct").value == 0
+
+    def test_real_lambda_on_a_real_operator_is_one_real_lu(self, mehler_op, lapack_calls):
+        f = np.linspace(-1.0, 1.0, 40) * (1.0 + 0.5j)
+        sol = fk.resolvent_solve(mehler_op, 0.9, f)
+        NL = fk.resolvent_kernel(mehler_op, 0.9)
+        fk.fredholm_determinant(mehler_op, 0.9, "direct")
+        assert sol.solution.dtype == np.complex128 and NL.dtype == np.float64
+        assert lapack_calls["lu_factor"] == [(40, 40)]
+        M, lu, _piv, _anorm = fredholm._lu(mehler_op, 0.9 + 0j)
+        assert M is None  # the cached factors
+        assert lu.dtype == np.float64 and not lu.flags.writeable
+        # the float-view solve is the complex one within its refinement
+        M = np.eye(40) - 0.9 * mehler_op.A
+        assert np.max(np.abs(M @ sol.solution - f)) <= 1e-14 * np.max(np.abs(f))
+
+
 class TestLogDerivativeCheck:
     def test_rank_one_path(self, yz_op):
         # oracle: trace N_lambda = (1/3)/(1 - lambda/3) = -d/dlambda log D
@@ -306,17 +427,10 @@ class TestLogDerivativeCheck:
         with pytest.raises(PoleError):
             fk.determinant_log_derivative_check(yz_op, (0.0, 3.0), 50)
 
-    def test_one_factorization_per_path_point(self, monkeypatch):
-        from fredkit import fredholm
-
-        calls = []
-        lu_factor, det = fredholm.lu_factor, np.linalg.det
-        monkeypatch.setattr(fredholm, "lu_factor",
-                            lambda M, **kw: calls.append("lu") or lu_factor(M, **kw))
-        monkeypatch.setattr(np.linalg, "det", lambda M: calls.append("det") or det(M))
+    def test_one_factorization_per_path_point(self, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         assert fk.determinant_log_derivative_check(op, (0.0, 0.9), 20) <= 0.05
-        assert calls == ["lu"] * 21
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * 21)
 
 
 class TestFirstKindSolve:

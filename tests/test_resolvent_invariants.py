@@ -8,7 +8,9 @@ from the Fredholm eigenvalue 1.
 
 The bounds are perfbench/README.md's, in weighted Frobenius norms.
 M = I - lambda B, the symmetrized system, has norm at most 1 + |lambda| and
-condition cond = (1 + |lambda|) / min_j |1 - lambda r^j| (det_bound's).  A
+condition cond = (1 + |lambda|) / min_j |1 - lambda r^j| (det_bound's); for
+a Hermitian B with other eigenvalues nu_j the norm is 1 + |lambda| max |nu_j|
+and the minimum runs over 1 - lambda nu_j (system_norm, cond).  A
 refined LU solve is backward stable to N u, so the left identity, its
 residual, is within N u (1 + |lambda|) ||N_lambda||, and its forward error
 within cond N u ||N_lambda||; the right identity is that error times
@@ -24,7 +26,11 @@ itself, the direct and product determinants agree within det_bound.
 Both operators are Hermitian to roundoff, so their spectrum is the eigh the
 decompositions share and no eigvals runs.  A refusal names the Fredholm
 eigenvalue within 1e-12 relative, the bound of lambda-sweep's refusal rounds.
-Gauss-Hermite rules stop at 320 nodes, so there is no N = 1024 case.
+Gauss-Hermite rules stop at 320 nodes, so the N = 1024 case is Mehler on
+spectra-n1024's Gauss-Legendre rule over [-4, 4].  Against Lebesgue measure
+its spectrum is not r^j, so there the bounds read the operator's own: the
+two identities, and the direct and product determinants against each other,
+at one complex and one real lambda, with one LU per lambda.
 """
 import math
 
@@ -32,6 +38,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import fredholm
 from fredkit.spectral import RETAIN_RTOL
 
 from conftest import wfro
@@ -65,12 +72,23 @@ def fredholm_det(lam):
     return out, j
 
 
-def cond(lam, factors):
-    return (1.0 + abs(lam)) / float(np.min(np.abs(1.0 - lam * R ** np.arange(factors + 1))))
+def mehler_nus(factors):
+    """Mehler's eigenvalues r^j over the reference product's factors."""
+    return R ** np.arange(factors + 1)
 
 
-def det_bound(n, lam, factors):
-    return (n * cond(lam, factors) + 4 * factors) * U
+def system_norm(lam, nus):
+    """The bound 1 + |lambda| max |nu| on ||I - lambda B||, B Hermitian with
+    eigenvalues nus."""
+    return 1.0 + abs(lam) * float(np.max(np.abs(nus)))
+
+
+def cond(lam, nus):
+    return system_norm(lam, nus) / float(np.min(np.abs(1.0 - lam * nus)))
+
+
+def det_bound(n, lam, nus, factors):
+    return (n * cond(lam, nus) + 4 * factors) * U
 
 
 def dropped_mass():
@@ -89,27 +107,64 @@ def operators(request):
     return sweep_operators(request.param)
 
 
+def check_identities(op, lam, NL, nus):
+    """Both defining identities of the resolvent kernel NL, within the
+    bounds above for a B with eigenvalues nus; returns the forward bound."""
+    n = op.A.shape[0]
+    size = wfro(op, NL)
+    forward = cond(lam, nus) * n * U * size
+    diff = NL - op.K
+    assert wfro(op, lam * op.A @ NL - diff) <= n * U * system_norm(lam, nus) * size
+    assert wfro(op, lam * NL @ (op.w_cols[:, None] * op.K) - diff) <= \
+        system_norm(lam, nus) * forward
+    return forward
+
+
 @pytest.mark.parametrize("lam", LAMBDAS, ids=LAMBDA_IDS)
 def test_resolvent_invariants(operators, lam):
     D, factors = fredholm_det(lam)
+    nus = mehler_nus(factors)
     for op in operators:
         n = op.A.shape[0]
         NL = fk.resolvent_kernel(op, lam)
-        size = wfro(op, NL)
-        forward = cond(lam, factors) * n * U * size
-        diff = NL - op.K
-        assert wfro(op, lam * op.A @ NL - diff) <= n * U * (1.0 + abs(lam)) * size
-        assert wfro(op, lam * NL @ (op.w_cols[:, None] * op.K) - diff) <= \
-            (1.0 + abs(lam)) * forward
+        forward = check_identities(op, lam, NL, nus)
         d = fk.djf_eig(op)
         series = fk.resolvent_series(d, lam, d.retained)
         assert wfro(op, series - NL) <= dropped_mass() + 2.0 * forward
         direct = fk.fredholm_determinant(op, lam, "direct").value
         product = fk.fredholm_determinant(op, lam, "product").value
-        bound = det_bound(n, lam, factors)
+        bound = det_bound(n, lam, nus, factors)
         assert abs(direct - D) <= bound * abs(D)
         assert abs(product - D) <= (abs(lam) * dropped_mass() + bound) * abs(D)
         assert abs(product - direct) <= bound * abs(D)
+
+
+@pytest.fixture(scope="module")
+def mehler_gl1024():
+    return fk.discretize(fk.mehler_kernel(R), fk.gauss_legendre(1024, -4.0, 4.0))
+
+
+@pytest.mark.parametrize("lam", [LAMBDAS[0], 0.9], ids=["round0", "0.9"])
+def test_resolvent_invariants_gl1024(mehler_gl1024, monkeypatch, lam):
+    """Mehler on spectra-n1024's rule, Gauss-Legendre 1024 over [-4, 4]:
+    against Lebesgue measure its spectrum is not r^j (max |nu| = 90.4), so
+    the bounds read the operator's own, the eigh values of a B Hermitian to
+    roundoff.  The solve, the resolvent kernel and the direct determinant
+    at one lambda share one LU, real at the real lambda."""
+    op = mehler_gl1024
+    n = op.A.shape[0]
+    lus = []
+    lu_factor = fredholm.lu_factor
+    monkeypatch.setattr(fredholm, "lu_factor",
+                        lambda M, **kw: lus.append((M.shape, M.dtype)) or lu_factor(M, **kw))
+    nus = op.spectrum
+    fk.resolvent_solve(op, lam, np.ones(n, dtype=complex))
+    check_identities(op, lam, fk.resolvent_kernel(op, lam), nus)
+    direct = fk.fredholm_determinant(op, lam, "direct").value
+    product = fk.fredholm_determinant(op, lam, "product").value
+    factors = np.count_nonzero(np.abs(lam * nus) >= fredholm.TAIL_CUTOFF)
+    assert abs(product - direct) <= det_bound(n, lam, nus, factors) * abs(direct)
+    assert lus == [((n, n), np.result_type(lam.real if lam.imag == 0 else lam, op.A))]
 
 
 @pytest.mark.parametrize("n", [256, 64])
