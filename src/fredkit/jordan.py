@@ -152,11 +152,12 @@ def jordan_decompose(N, cluster_tol=1e-7):
         radius, or the staircase ranks are inconsistent with the cluster.
     IllConditionedChainError
         When a computed chain fails N p_k = lam p_k + p_{k-1} beyond
-        1e-6 * ||N||.
+        1e-6 * ||N||, or any of its vectors beyond
+        1e-6 * (||N|| ||p_k|| + ||p_{k-1}||), which refuses a zero chain
+        vector whatever ||N||: diag(0.99, 1, 1, 1.01, 1e6) reads two blocks
+        of size 2 whose second vectors are 0, and is refused so.
     ConvergenceError
-        When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.  inv does
-        on a P with a zero chain vector, which the chain residual admits
-        once ||N|| >= 1e6: diag(0.99, 1, 1, 1.01, 1e6) is one such input.
+        When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
     InvalidArgumentError
         When N is not square, exceeds desk scale or has an entry that is
         not finite (checked before any LAPACK call), when cluster_tol is not
@@ -207,6 +208,7 @@ def _decompose(N, cluster_tol):
     blocks = []
     P_cols = []
     residuals = []
+    loose = None  # the first (residual, bound) of a vector over its own bound
     for ci in _sort_order(np.array(centers)):
         lam = centers[ci]
         amult = len(clusters[ci])
@@ -216,7 +218,12 @@ def _decompose(N, cluster_tol):
             res = 0.0
             prev = np.zeros(s, dtype=complex)
             for vec in chain:
-                res = max(res, float(np.linalg.norm(N @ vec - lam * vec - prev)))
+                r = float(np.linalg.norm(N @ vec - lam * vec - prev))
+                bound = CHAIN_RESID_RTOL * (nrm * float(np.linalg.norm(vec))
+                                            + float(np.linalg.norm(prev)))
+                if loose is None and r > bound:
+                    loose = (r, bound)
+                res = max(res, r)
                 prev = vec
             residuals.append(res)
             P_cols.extend(chain)
@@ -225,6 +232,12 @@ def _decompose(N, cluster_tol):
         raise IllConditionedChainError(
             f"worst chain residual {worst:.3e} exceeds 1e-6 * ||N|| = "
             f"{CHAIN_RESID_RTOL * nrm:.3e}"
+        )
+    if loose is not None:
+        # a vector small against the one before it, a zero one above all
+        raise IllConditionedChainError(
+            f"chain residual {loose[0]:.3e} exceeds 1e-6 * (||N|| ||p_k|| + "
+            f"||p_(k-1)||) = {loose[1]:.3e}"
         )
     P = np.column_stack(P_cols)
     Q = np.linalg.inv(P).conj().T

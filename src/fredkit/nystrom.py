@@ -73,7 +73,8 @@ class DiscreteOperator:
     K, A and B are made read-only on construction, so nothing cached from
     them can go stale: the Hermitian defect, ``hermitian_eigh`` and the
     spectrum, each computed on first read (never eagerly) and read-only, and
-    the LU of I - lambda*A that fredholm keeps for the last lambda.
+    what fredholm keeps: A permuted to its elimination order, once, and the
+    LU of I - lambda*A for the last lambda.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed

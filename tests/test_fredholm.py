@@ -399,7 +399,7 @@ class TestSharedLU:
         fk.fredholm_determinant(mehler_op, 0.9, "direct")
         assert sol.solution.dtype == np.complex128 and NL.dtype == np.float64
         assert lapack_calls["lu_factor"] == [(40, 40)]
-        M, lu, _piv, _anorm = fredholm._lu(mehler_op, 0.9 + 0j)
+        M, lu, _piv = fredholm._lu(mehler_op, 0.9 + 0j)
         assert M is None  # the cached factors
         assert lu.dtype == np.float64 and not lu.flags.writeable
         # the float-view solve is the complex one within its refinement

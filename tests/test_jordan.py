@@ -5,6 +5,7 @@ import fredkit as fk
 from fredkit.errors import (
     ClusteringError,
     ConvergenceError,
+    IllConditionedChainError,
     InvalidArgumentError,
     UnsupportedProfileError,
 )
@@ -211,9 +212,10 @@ class TestJordanDecompose:
 
     @pytest.mark.parametrize("name", ["eigvals", "svd", "qr", "lstsq", "inv"])
     def test_lapack_failure_is_convergence_error(self, name, monkeypatch):
-        # no finite input is known to make the others fail (inv's is in
-        # test_singular_chain_matrix_is_convergence_error), so each is made
-        # to fail in turn on a matrix whose decomposition calls all of them
+        # no finite input is known to make any of them fail (a zero chain
+        # vector, which made inv(P) singular, is refused before it: see
+        # test_zero_chain_vector_is_ill_conditioned), so each is made to
+        # fail in turn on a matrix whose decomposition calls all of them
         def fails(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{name} failed")
 
@@ -224,16 +226,17 @@ class TestJordanDecompose:
             fk.jordan_decompose(N, cluster_tol=1e-5)
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
-    def test_singular_chain_matrix_is_convergence_error(self):
-        """A finite input whose inv(P) is exactly singular.  diag(0.99, 1, 1,
-        1.01, 1e6) puts the four values near 1 in one cluster (radius
-        1e-7 * 1e6), the rank thresholds 1e-10 ||S^k|| read kernel dims
-        [2, 4] there, so two blocks of size 2, and each chain's second
-        vector is the zero least-squares solution, whose residual
-        ||p_1|| = 1 is within 1e-6 ||N||: P has two zero columns."""
-        with pytest.raises(ConvergenceError, match="Singular matrix") as err:
+    def test_zero_chain_vector_is_ill_conditioned(self):
+        """diag(0.99, 1, 1, 1.01, 1e6) puts the four values near 1 in one
+        cluster (radius 1e-7 * 1e6), the rank thresholds 1e-10 ||S^k|| read
+        kernel dims [2, 4] there, so two blocks of size 2, and each chain's
+        second vector is the zero least-squares solution.  Its residual
+        ||p_1|| = 1 is within 1e-6 ||N||, but not within
+        1e-6 (||N|| ||p_2|| + ||p_1||) = 1e-6: refused before inv(P), which
+        is exactly singular, is formed."""
+        with pytest.raises(IllConditionedChainError,
+                           match=r"chain residual 1\.000e\+00 exceeds .* = 1\.000e-06"):
             fk.jordan_decompose(np.diag([0.99, 1.0, 1.0, 1.01, 1e6]))
-        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_growing_staircase_refused(self):
         """diag(1, 1 + 4e-10, 2): the two values near 1 form one cluster whose

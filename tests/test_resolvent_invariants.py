@@ -31,6 +31,11 @@ spectra-n1024's Gauss-Legendre rule over [-4, 4].  Against Lebesgue measure
 its spectrum is not r^j, so there the bounds read the operator's own: the
 two identities, and the direct and product determinants against each other,
 at one complex and one real lambda, with one LU per lambda.
+
+That LU eliminates the nodes by decreasing weight.  On GH256 its factors
+hold no subnormal number, whichever way the rule lists its nodes, and the
+rule listed in reverse gives the same resolvent, solution and D(lambda),
+re-indexed, within the bounds above.
 """
 import math
 
@@ -165,6 +170,77 @@ def test_resolvent_invariants_gl1024(mehler_gl1024, monkeypatch, lam):
     factors = np.count_nonzero(np.abs(lam * nus) >= fredholm.TAIL_CUTOFF)
     assert abs(product - direct) <= det_bound(n, lam, nus, factors) * abs(direct)
     assert lus == [((n, n), np.result_type(lam.real if lam.imag == 0 else lam, op.A))]
+
+
+def reflected_operators(n):
+    """lambda-sweep's two kernels on the n-node Gauss-Hermite rule reflected,
+    x -> -x: a discrete rule listing the nodes and weights in reverse, so
+    node i of it is node n - 1 - i of the rule.  Mehler is even and the
+    twin's reflection is the twin with a = -1, so each sample matrix is the
+    original with rows and columns reversed."""
+    rule = fk.gauss_hermite_prob(n)
+    mirror = fk.discrete_measure(-rule.nodes, rule.weights)
+    assert np.array_equal(mirror.weights, rule.weights[::-1])
+    return [fk.discretize(k, mirror) for k in (fk.mehler_kernel(R), twin_kernel(-1.0))]
+
+
+def subnormal_parts(X):
+    """How many real and imaginary parts of X are subnormal (non-zero and
+    below the smallest normal float)."""
+    parts = np.abs(np.stack([X.real, X.imag]))
+    return int(np.count_nonzero((parts != 0) & (parts < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("lam", [LAMBDAS[0], 0.9], ids=["round0", "0.9"])
+@pytest.mark.parametrize("listing", ["natural", "reversed"])
+def test_lu_eliminates_heavy_nodes_first(monkeypatch, lam, listing):
+    """GH256's weights span 1 down to 3e-211.  The one LU per lambda
+    eliminates the nodes by decreasing weight, whatever the order the rule
+    lists them in, so its factors hold no subnormal entry; eliminated in
+    the listed order, the light nodes first, they hold 556 to 1,070."""
+    lus = []
+    lu_factor = fredholm.lu_factor
+    monkeypatch.setattr(fredholm, "lu_factor",
+                        lambda M, **kw: lus.append(M.shape) or lu_factor(M, **kw))
+    ops = sweep_operators(256) if listing == "natural" else reflected_operators(256)
+    for op in ops:
+        assert subnormal_parts(op.A) > 0
+        fk.resolvent_solve(op, lam, np.ones(256, dtype=complex))
+        fk.fredholm_determinant(op, lam, "direct")
+        assert subnormal_parts(op.__dict__["_lu"][1]) == 0  # the cached factors
+    assert lus == [(256, 256)] * 2
+
+
+@pytest.fixture(scope="module")
+def both_listings():
+    return list(zip(sweep_operators(256), reflected_operators(256)))
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=LAMBDA_IDS)
+def test_reversed_listing_reindexes_the_solution(both_listings, lam):
+    """The same kernels on the same rule, its nodes listed in reverse: the
+    resolvent kernel, the solve re-indexed and D(lambda) agree with the
+    natural listing's within this file's bounds, so the elimination order
+    follows the weights and the solution is put back in the caller's
+    order."""
+    D, factors = fredholm_det(lam)
+    nus = mehler_nus(factors)
+    f = np.cos(fk.gauss_hermite_prob(256).nodes) * (1.0 + 0.5j)
+    for op, mirror in both_listings:
+        n = op.A.shape[0]
+        NL = fk.resolvent_kernel(op, lam)
+        forward = check_identities(op, lam, NL, nus)
+        NLm = fk.resolvent_kernel(mirror, lam)
+        check_identities(mirror, lam, NLm, nus)
+        assert wfro(op, NLm[::-1, ::-1] - NL) <= 2.0 * forward
+        p = fk.resolvent_solve(op, lam, f).solution
+        pm = fk.resolvent_solve(mirror, lam, f[::-1]).solution
+        size = math.sqrt(float(np.sum(op.w_rows * np.abs(p) ** 2)))
+        assert math.sqrt(float(np.sum(op.w_rows * np.abs(pm[::-1] - p) ** 2))) <= \
+            2.0 * cond(lam, nus) * n * U * size
+        bound = det_bound(n, lam, nus, factors)
+        for o in (op, mirror):
+            assert abs(fk.fredholm_determinant(o, lam, "direct").value - D) <= bound * abs(D)
 
 
 @pytest.mark.parametrize("n", [256, 64])
