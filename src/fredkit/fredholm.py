@@ -293,10 +293,9 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
 
 def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.ndarray:
     """Solution of p - lambda A p = f in Nystrom form, f + lambda A s, from the
-    series s = f + lambda sum_{j<=k} p_j <q_j, f>_W / (lambda_j - lambda); A
-    weights s by the nodes, so unpolished samples at small-weight nodes are
-    not read, and f's pairs beyond k get one Neumann term.  Guarded as
-    resolvent_series is."""
+    series s = f + lambda sum_{j<=k} p_j <q_j, f>_W / (lambda_j - lambda); f's
+    pairs beyond k get one Neumann term.  A's weights do not hide samples the
+    polish left unresolved (ROADMAP item 2).  Guarded as resolvent_series is."""
     lam = _number_arg(lam, "lambda")
     f = _samples_arg(f, d.right.shape[0], "f")
     lambdas = _series_lambdas(d, k, lam)

@@ -8,11 +8,11 @@ trace power sums, and truncation follow from the triples alone; a power
 whose result overflows raises InvalidArgumentError naming n.
 
 When B is Hermitian to roundoff (hermitian_defect() <= n u, see
-DiscreteOperator.hermitian_to_roundoff) the triples come from the
-operator's cached eigh of B's Hermitian part, B = V diag(nu) V^H, instead of
-an svd: theta_j = |nu_j|, p_j = v_j / sqrt(w) and q_j = sign(nu_j) p_j.
-Symmetrizing moves B by (defect / 2) ||B||_F, within the backward error
-the svd would commit, and the eigh is shared with hermitian_eig and djf_eig.
+DiscreteOperator.hermitian_to_roundoff) the triples come from hermitian_eig
+instead of an svd: theta_j = |nu_j| in a stable descending sort, p_j its
+polished, anchored samples and q_j = sign(nu_j) p_j with sign(0) = +1.
+Its eigh of B's Hermitian part moves B by (defect / 2) ||B||_F, within the
+backward error the svd would commit.
 """
 from dataclasses import dataclass
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, _count_arg, _samples_arg
 from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec
-from .spectral import _retained_count
+from .spectral import _retained_count, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -49,30 +49,27 @@ class OperatorSVD:
 
 
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
-    """Singular triples of the operator via the dense SVD of B, or via the
-    cached eigh of B's Hermitian part when B is Hermitian to roundoff.
+    """Singular triples of the operator via the dense SVD of B, or from
+    hermitian_eig when B is Hermitian to roundoff (see the module docstring).
 
-    Samples are un-weighted back from the singular vectors (division by
-    sqrt(w)); each p_j gets a real-positive anchor entry and q_j inherits
-    the same rotation, so A q_j = theta_j p_j is preserved.  From eigh,
-    theta = |nu| in a stable descending sort and q_j = sign(nu_j) p_j, with
-    sign(0) = +1.
+    From the SVD, samples are un-weighted back from the singular vectors
+    (division by sqrt(w)); each p_j gets a real-positive anchor entry and
+    q_j inherits the same rotation, so A q_j = theta_j p_j is preserved.
     """
-    swr = np.sqrt(op.w_rows)
     if op.hermitian_to_roundoff():
-        vals, vecs = op.hermitian_eigh
-        s = np.abs(vals)
-        order = np.argsort(-s, kind="stable")
-        s = s[order]
-        P = vecs[:, order] / swr[:, None]
-        Q = P * np.where(vals[order] < 0, -1.0, 1.0)
+        d = hermitian_eig(op)
+        nu = d.eigenvalues.real
+        order = np.argsort(-np.abs(nu), kind="stable")
+        s = np.abs(nu[order])
+        P = d.right[:, order]
+        Q = P * np.where(nu[order] < 0, -1.0, 1.0)
     else:
         U, s, Vh = _linalg("svd", op.B, full_matrices=False)
-        P = U / swr[:, None]
+        P = U / np.sqrt(op.w_rows)[:, None]
         Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
-    ph = _anchor_phase(P)
-    P *= ph
-    Q *= ph
+        ph = _anchor_phase(P)
+        P *= ph
+        Q *= ph
     return OperatorSVD(
         singular_values=s,
         left=P,

@@ -12,15 +12,16 @@ Two routes:
 Both work on the symmetrized matrix B = W^{1/2} K W^{1/2} so that Euclidean
 orthonormality of matrix eigenvectors maps onto weighted orthonormality of
 node samples, then polish retained eigenvectors with one Nystrom pass
-(p <- A p / nu), which restores full accuracy at small-weight nodes, where
-its rounding fits the budget.
+(p <- A p / nu) where its rounding fits the budget; one pass leaves the
+samples at the smallest weights of a wide rule unresolved (ROADMAP item 2).
 
 hermitian_eig reads the eigh of B's Hermitian part that the operator
 computes once (DiscreteOperator.hermitian_eigh): LAPACK's dsyevd for a real
 B and the MRRR solver zheevr for a complex one, which at N = 1024 takes
 under half of zheevd's time for the same orthonormal family
-(nystrom.EIGH_DRIVER).  djf_eig returns that same
-decomposition, upcast to complex, when B is Hermitian to roundoff
+(nystrom.EIGH_DRIVER).  djf_eig returns that same decomposition, upcast
+to complex, and operator_svd its sorted, sign-folded form (so the SVD is
+polished too), when B is Hermitian to roundoff
 (hermitian_defect() <= n u, DiscreteOperator.hermitian_to_roundoff): eigh
 of the Hermitian part then answers within the backward error a general eig
 commits, at a fraction of its cost, and its vectors are orthonormal, so
@@ -42,6 +43,7 @@ from .nystrom import (
 )
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
+TIE_RTOL = 1e-10          # moduli this close (relative) sort as tied, by phase
 REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
                           # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
                           # which must stay below the orthonormality budget
@@ -104,10 +106,10 @@ def _roundoff_floor(vals):
     return vals.size * np.finfo(float).eps * max(float(np.max(np.abs(vals))), 1e-300)
 
 
-def _sort_order(vals, mod_rtol=1e-10):
+def _sort_order(vals):
     """Descending modulus with ties broken by descending phase in (-pi, pi].
 
-    Moduli within mod_rtol of the group leader, or within the roundoff
+    Moduli within TIE_RTOL of the group leader, or within the roundoff
     floor N * eps * |nu_1|, count as tied, so the ordering agrees across
     eig/eigh paths whose roundoff differs while resolved small moduli keep
     their order; phases hugging the -pi seam are wrapped to +pi (a
@@ -123,7 +125,7 @@ def _sort_order(vals, mod_rtol=1e-10):
     floor = _roundoff_floor(vals)
     i = 0
     while i < len(order):
-        tol = max(mod_rtol * mods[order[i]], floor)
+        tol = max(TIE_RTOL * mods[order[i]], floor)
         j = i + 1
         while j < len(order) and mods[order[i]] - mods[order[j]] <= tol:
             j += 1
@@ -288,7 +290,8 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
                          >= REFINE_RTOL * top * np.max(_wnorm(w, Q[:, :retained]), initial=1.0))
     Ps = _matvecs(op.A, P[:, sel]) / vals[sel]
     Ps *= _unit_anchored(w, Ps)
-    Qs = _matvecs(op.K.conj().T, w[:, None] * Q[:, sel]) / np.conj(vals[sel])
+    # K^H (w q) as conj(K^T conj(w q)), as apply_adjoint: no N x N copy of K^H
+    Qs = np.conj(_matvecs(op.K.T, np.conj(w[:, None] * Q[:, sel]))) / np.conj(vals[sel])
     Qs /= np.conj(_winner(w, Qs, Ps))
     P[:, sel], Q[:, sel] = Ps, Qs
     resid = _biorth_residual(w, P, Q, retained)

@@ -13,9 +13,10 @@ checked against invariants in test_djf_general.py.
 
 mehler, twin and basis are Hermitian to roundoff, so djf_eig and
 operator_svd answer from the eigh of B's Hermitian part there: their oracles
-are the eigh one, upcast to complex for djf_eig, and the sign-folded eigh
-one for the SVD.  That eigh is the call fredkit makes, dsyevd for real
-mehler and basis and zheevr for twin, so the oracle sees the same bits.
+are the eigh one, upcast to complex for djf_eig, and the same one sorted by
+modulus and sign-folded for the SVD.  That eigh is the call fredkit makes,
+dsyevd for real mehler and basis and zheevr for twin, so the oracle sees
+the same bits.
 skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not, and keeps djf_eig's
 general path and the svd path under their own oracles; the djf one runs a
 real eig and builds the left family from the same r x r formulas as
@@ -185,23 +186,21 @@ def column_at_a_time(op, method):
     """The decompositions' outputs as the scalar helpers made them, one column
     at a time; the LAPACK calls, sort and refusal checks are fredkit's own.
     On an operator Hermitian to roundoff, djf_eig's oracle is the eigh one
-    upcast to complex, and the SVD's comes from the same eigh: theta = |nu|
-    in a stable descending sort, q = sign(nu) p with sign(0) = +1."""
+    upcast to complex, and the SVD's is the eigh one re-sorted: theta = |nu|
+    in a stable descending sort of its eigenvalues, q = sign(nu) p with
+    sign(0) = +1."""
     w = op.w_rows
     if method == "djf" and op.hermitian_to_roundoff():
         P, _ = column_at_a_time(op, "eig")
         P = P.astype(complex)
         return P, P
     if method == "svd" and op.hermitian_to_roundoff():
-        vals, vecs = hermitian_eigh(op)
+        P, _ = column_at_a_time(op, "eig")
+        vals = hermitian_eigh(op)[0]
+        vals = vals[spectral._sort_order(vals.astype(complex))]
         order = np.argsort(-np.abs(vals), kind="stable")
-        P = vecs[:, order] / np.sqrt(w)[:, None]
-        Q = P * np.where(vals[order] < 0, -1.0, 1.0)
-        for j in range(P.shape[1]):
-            ph = anchor_phase(P[:, j])
-            P[:, j] *= ph
-            Q[:, j] *= ph
-        return P, Q
+        P = P[:, order]
+        return P, P * np.where(vals[order] < 0, -1.0, 1.0)
     if method == "svd":
         U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
         P, Q = U / np.sqrt(w)[:, None], Vh.conj().T / np.sqrt(op.w_cols)[:, None]

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import nystrom
+from fredkit import nystrom, spectral
 
 from test_conventions import basis_operator, twin_kernel
 
@@ -87,12 +87,17 @@ def test_svd_from_eigh_at_benchmark_scale(twin1024):
     check_svd_bounds(twin1024, sv)
 
 
-def test_indefinite_kernel_folds_the_sign_into_q():
-    """A real symmetric rank-6 kernel with eigenvalues of both signs: q_j is
-    p_j times the sign of the eigenvalue whose modulus theta_j is."""
+def indefinite_operator():
+    """A real symmetric rank-6 kernel with eigenvalues of both signs, on
+    Gauss-Legendre 256 over [-4, 4]."""
     rule = fk.gauss_legendre(256, -4.0, 4.0)
     C = np.random.default_rng(256).standard_normal((6, 6))
-    op = fk.discretize(fk.basis_kernel(C + C.T, fk.orthonormal_poly_basis(rule, 6), rule), rule)
+    return fk.discretize(fk.basis_kernel(C + C.T, fk.orthonormal_poly_basis(rule, 6), rule), rule)
+
+
+def test_indefinite_kernel_folds_the_sign_into_q():
+    """q_j is p_j times the sign of the eigenvalue whose modulus theta_j is."""
+    op = indefinite_operator()
     assert op.hermitian_to_roundoff()
     sv, h = fk.operator_svd(op), fk.hermitian_eig(op)
     r = sv.rank_numerical
@@ -102,6 +107,46 @@ def test_indefinite_kernel_folds_the_sign_into_q():
     assert np.array_equal(sv.singular_values[:r], np.abs(h.eigenvalues[:r]))
     assert np.array_equal(sv.right[:, :r], sv.left[:, :r] * signs)
     check_svd_bounds(op, sv)
+
+
+ON_ROUTE = {
+    "mehler-gh40": lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(40)),
+    "mehler-gh64": lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(64)),
+    "twin-gh40": lambda: fk.discretize(twin_kernel(0.8), fk.gauss_hermite_prob(40)),
+    "indefinite": indefinite_operator,
+}
+
+
+@pytest.mark.parametrize("name", [*ON_ROUTE, "twin-gl1024"])
+def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
+    """On the route operator_svd's families are hermitian_eig's, polished and
+    anchored, in a stable descending sort by |nu| with q = sign(nu) p, bit for
+    bit; the singular values are |nu| of the cached eigh values in that sort."""
+    op = request.getfixturevalue("twin1024") if name == "twin-gl1024" else ON_ROUTE[name]()
+    assert op.hermitian_to_roundoff()
+    h, sv = fk.hermitian_eig(op), fk.operator_svd(op)
+    nu = h.eigenvalues.real
+    order = np.argsort(-np.abs(nu), kind="stable")
+    assert np.array_equal(sv.left, h.right[:, order])
+    assert np.array_equal(sv.right, h.right[:, order] * np.where(nu[order] < 0, -1.0, 1.0))
+    assert sv.left.dtype == sv.right.dtype == h.right.dtype
+    vals = np.abs(op.hermitian_eigh[0])
+    assert np.array_equal(sv.singular_values, vals[np.argsort(-vals, kind="stable")])
+
+
+def test_vector_samples_are_the_hermite_functions(gh40):
+    """Mehler r = 0.5 has the eigenfunctions He_j / sqrt(j!) (HermitePair) for
+    its eigenvalues r^j.  The first 8 samples of hermitian_eig's family and of
+    operator_svd's left family match them up to sign, relative to their
+    largest sample, within the polish budget n u / REFINE_RTOL."""
+    op = fk.discretize(fk.mehler_kernel(0.5), gh40)
+    x = gh40.nodes
+    bound = x.size * UNIT / spectral.REFINE_RTOL
+    for P in (fk.hermitian_eig(op).right, fk.operator_svd(op).left):
+        for j in range(8):
+            ref = fk.HermitePair(j)(x)
+            err = min(np.max(np.abs(P[:, j] - ref)), np.max(np.abs(P[:, j] + ref)))
+            assert err <= bound * np.max(np.abs(ref))
 
 
 def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
