@@ -191,8 +191,11 @@ def _positive(value):
 
 
 def _lambda(value):
+    """A number, a complex object {"re", "im"} or a pair [re, im] of numbers."""
     if isinstance(value, (list, tuple)):
-        value = complex(float(value[0]), float(value[1]))
+        if len(value) != 2:
+            raise ValueError(f"a pair [re, im] needs exactly two numbers, got {value!r}")
+        value = complex(*(_number_arg(v, "lambda part", real=True) for v in value))
     return _number_arg(obj_to_complex(value), "lambda")
 
 
@@ -317,7 +320,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         return obj, [[complex(t)] for t in sv.singular_values]
 
     if cmd == "solve":
-        f = np.ones(op.A.shape[1], dtype=complex) if p["rhs"] is None else p["rhs"]
+        f = np.ones(op.K.shape[1], dtype=complex) if p["rhs"] is None else p["rhs"]
         sol = fredholm.resolvent_solve(op, p["lambda"], f)
         obj = {
             "lambda": complex(sol.lam),

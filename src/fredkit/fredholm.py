@@ -14,6 +14,8 @@ symmetrically permuted system P (I - lambda*A) P^T that eliminates the
 nodes by decreasing weight (_elimination): in the listed order a rule whose
 weights span hundreds of decades, Gauss-Hermite above all, eliminates its
 lightest nodes first and the factorization runs in subnormal arithmetic.
+That system is built from K and the weights permuted to this order
+(K_e, w_e), as I - K_e (lambda w_e), so A is never formed for it.
 The permutation keeps the determinant, the 1-norm and the condition
 estimate, so every guard and error keeps its meaning.  Fredholm convention
 throughout: the "eigenvalues" lambda_j are the reciprocals 1/nu_j of the
@@ -48,7 +50,9 @@ from .errors import (
     PoleError,
     _count_arg, _number_arg, _samples_arg,
 )
-from .nystrom import DiscreteOperator, _matvec, _on_float_view, _pow2_scale, _read_only
+from .nystrom import (
+    DiscreteOperator, _apply_A, _matvec, _on_float_view, _pow2_scale, _read_only,
+)
 from .spectral import BiSpectralDecomposition, _retained, djf_eig, hermitian_eig
 
 # relative pole distances below which lambda is refused (_guard_pole)
@@ -100,11 +104,13 @@ def _guard_pole(lam, lambdas, rtol, error=EigenvalueProximityError, name="lambda
 
 
 def _elimination(op):
-    """(order, A_e): the elimination order of every LU of I - lambda*A, the
-    nodes by decreasing weight (a stable argsort of -w_cols, so a block's
-    components stay together and ties keep their listing), and A permuted
-    symmetrically to it, A_e = P A P^T = A[order][:, order].  Computed once
-    per operator and read-only, so no lambda pays for a gather.
+    """(order, K_e, w_e): the elimination order of every LU of
+    I - lambda*A, the nodes by decreasing weight (a stable argsort of
+    -w_cols, so a block's components stay together and ties keep their
+    listing), with K permuted symmetrically to it, K_e = P K P^T =
+    K[order][:, order], and the weights w_e = w_cols[order], so that
+    P A P^T = K_e W_e.  Computed once per operator and read-only, so no
+    lambda pays for a gather.
 
     The heaviest nodes go first because the listed order of a rule whose
     weights span many decades eliminates the lightest first: on
@@ -119,19 +125,21 @@ def _elimination(op):
     if cached is None:
         order = np.argsort(-op.w_cols, kind="stable")
         cached = op.__dict__["_elimination"] = (
-            _read_only(order), _read_only(op.A[np.ix_(order, order)]))
+            _read_only(order), _read_only(op.K[np.ix_(order, order)]),
+            _read_only(op.w_cols[order]))
     return cached
 
 
 def _system(op, lam):
-    """P (I - lambda*A) P^T = I - lambda*A_e, the system in elimination order
-    (_elimination), in the dtype of lambda and A: real for a real lambda on
-    a real operator.  The one expression every LU and every refinement
-    residual builds, so a rebuilt system has the bits the factored one had."""
+    """P (I - lambda*A) P^T = I - K_e (lambda w_e), the system in elimination
+    order (_elimination), built in one pass over K_e, in the dtype of lambda
+    and K: real for a real lambda on a real operator.  The one expression
+    every LU and every refinement residual builds, so a rebuilt system has
+    the bits the factored one had."""
     shift = lam.real if lam.imag == 0 else lam
-    Ae = _elimination(op)[1]
+    _order, Ke, we = _elimination(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = (-shift) * Ae
+        M = Ke * ((-shift) * we)
         M.reshape(-1)[:: M.shape[0] + 1] += 1.0  # the diagonal
     return M
 
@@ -235,16 +243,17 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     lambda that resolvent_kernel and the direct determinant share; at a
     real lambda on a real operator it is real, and solves f on its float
     view.  That LU eliminates the nodes by decreasing weight: f is permuted
-    to that order once, refined there, and the solution permuted back.  A non-finite lambda or f, or a solution
-    or residual that overflows, raises InvalidArgumentError; where only the
-    norms of f and the residual overflow, both are scaled by a power of two.
+    to that order once, refined there, and the solution permuted back.  A
+    non-finite lambda or f, or a solution or residual that overflows,
+    raises InvalidArgumentError; where only the norms of f and the residual
+    overflow, both are scaled by a power of two.
     """
     op._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
-    f = _samples_arg(f, op.A.shape[0], "f")
+    f = _samples_arg(f, op.K.shape[0], "f")
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = p - lam * _matvec(op.A, p) - f
+        r = p - lam * _apply_A(op, p) - f
         scale, residual = float(np.linalg.norm(f)), float(np.linalg.norm(r))
         if not (np.isfinite(scale) and np.isfinite(residual)):  # scale both, exactly
             s = _pow2_scale(f)
@@ -301,7 +310,7 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
     s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
-    return f + lam * _matvec(d.operator.A, s)
+    return f + lam * _apply_A(d.operator, s)
 
 
 def _det_direct(op, lam):
@@ -364,10 +373,10 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     PoleError.  Each path point costs one guarded LU of I - lambda*A, real
     on a real operator, the one LU per operator and lambda of every
     lambda-path; it gives both the weighted trace, as
-    tr((I - lambda*A)^{-1} A), and log D, read as the direct determinant
-    is.  The path check and the guards share the operator's cached
-    spectrum.  The path must be two finite real numbers and steps an
-    integer >= 1.
+    tr((I - lambda*A)^{-1} A) = sum_i w_e,i ((P M P^T)^{-1} K_e)_ii in
+    elimination order, and log D, read as the direct determinant is.  The
+    path check and the guards share the operator's cached spectrum.  The
+    path must be two finite real numbers and steps an integer >= 1.
     """
     if not (isinstance(lambda_path, (tuple, list, np.ndarray)) and len(lambda_path) == 2):
         raise InvalidArgumentError(f"lambda_path must be a pair (a, b), got {lambda_path!r}")
@@ -378,13 +387,13 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     for t in grid:
         _guard_pole(t, lambdas, PATH_RTOL, PoleError, "path point lambda")
 
-    Ae = _elimination(op)[1]
+    _order, Ke, we = _elimination(op)
 
     def log_det_and_trace(lam):
-        # tr(M^{-1} A) = tr((P M P^T)^{-1} A_e), both in elimination order
+        # tr(M^{-1} A) = tr((P M P^T)^{-1} K_e W_e), both in elimination order
         _M, lu, piv, _gap = _guarded_lu(op, complex(lam))
         sign, logabs = _slogdet(lu, piv)
-        return logabs + 1j * np.angle(sign), np.trace(_lu_solve(lu, piv, Ae))
+        return logabs + 1j * np.angle(sign), np.sum(we * np.diagonal(_lu_solve(lu, piv, Ke)))
 
     log_d, g = np.array([log_det_and_trace(t) for t in grid]).T
     h = (b - a) / steps

@@ -1,10 +1,12 @@
 """Nystrom discretization of integral operators.
 
 Replacing the integral by a quadrature sum turns the operator into the
-dense matrix A with block entry A[i, j] = N(x_i, x_j) * w_j.  Alongside A
-we keep the raw samples K and the symmetrized form
+dense matrix A = K W with block entry A[i, j] = N(x_i, x_j) * w_j.  An
+operator stores two matrices: the raw samples K and the symmetrized form
 B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
+Every product with A is K (w x), through one helper (_apply_A), so A
+itself is formed only when a caller reads DiscreteOperator.A.
 B's Hermitian defect, the eigh of its Hermitian part (hermitian_eigh) and
 A's eigenvalues (spectrum) are computed at most once per operator, on first
 use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
@@ -12,9 +14,9 @@ gate of every Hermitian shortcut) the spectrum is that eigh's values, so
 one eigh serves the decompositions, the SVD and the resolvent.  That eigh
 runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one there:
 divide and conquer (dsyevd) for a real B, MRRR (zheevr) for a complex one.
-K, A and B are float64 for a real kernel and complex128 otherwise; _matvec
-applies a real matrix to complex samples (a vector or a matrix of them)
-without a complex copy of the matrix.
+K and B (and A, once read) are float64 for a real kernel and complex128
+otherwise; _matvec applies a real matrix to complex samples (a vector, a
+matrix or a stack of them) without a complex copy of the matrix.
 
 Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
@@ -59,22 +61,23 @@ class DiscreteOperator:
     rule : QuadratureRule
     shape : (s1, s2) kernel block shape
     K : raw kernel samples, (n*s1) x (n*s2), node-major blocks
-    A : K with columns scaled by the node weights (drives iteration/solves)
     B : W^{1/2}-symmetrized samples (drives Hermitian/SVD paths)
+    A : K with columns scaled by the node weights, K * w_cols, formed on
+        first read; fredkit's own products with A are K (w x) (_apply_A)
     spectrum : eigenvalues of A (square block shapes only), computed lazily
 
-    An operator is built from (rule, shape, K) alone; A and B are derived
-    from them on construction, the one place that knows their layout.
-    The dtype follows the kernel: a complex K whose imaginary part is
-    exactly zero is stored as its float64 real part, and A and B follow K,
-    so a real kernel gets real arrays and real LAPACK calls.  Values that
-    are complex by contract stay complex: the spectrum, djf_eig's pairs and
-    solves at complex lambda.
-    K, A and B are made read-only on construction, so nothing cached from
-    them can go stale: the Hermitian defect, ``hermitian_eigh`` and the
+    An operator is built from (rule, shape, K) alone; B is derived from
+    them on construction, the one place that knows its layout, and it
+    stores K and B only.  The dtype follows the kernel: a complex K whose
+    imaginary part is exactly zero is stored as its float64 real part, and
+    B and A follow K, so a real kernel gets real arrays and real LAPACK
+    calls.  Values that are complex by contract stay complex: the
+    spectrum, djf_eig's pairs and solves at complex lambda.
+    K and B are made read-only on construction, so nothing cached from
+    them can go stale: A, the Hermitian defect, ``hermitian_eigh`` and the
     spectrum, each computed on first read (never eagerly) and read-only, and
-    what fredholm keeps: A permuted to its elimination order, once, and the
-    LU of I - lambda*A for the last lambda.
+    what fredholm keeps: K and the weights permuted to its elimination
+    order, once, and the LU of I - lambda*A for the last lambda.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
@@ -91,17 +94,23 @@ class DiscreteOperator:
     rule: QuadratureRule
     shape: tuple
     K: np.ndarray
-    A: np.ndarray = field(init=False, repr=False)
     B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.K.dtype.kind == "c" and not self.K.imag.any():
             object.__setattr__(self, "K", self.K.real.copy())
         wr, wc = self.w_rows, self.w_cols
-        object.__setattr__(self, "A", self.K * wc[None, :])
         object.__setattr__(self, "B", np.sqrt(wr)[:, None] * self.K * np.sqrt(wc)[None, :])
-        for M in (self.K, self.A, self.B):
+        for M in (self.K, self.B):
             M.setflags(write=False)
+
+    @cached_property
+    def A(self):
+        """The Nystrom matrix K * w_cols, K's columns scaled by the node
+        weights, formed on first read and read-only.  fredkit forms it only
+        for eigvals off the Hermitian route (spectrum) and for its CLI
+        (jordan, --dump-operator); every product with A is K (w x)."""
+        return _read_only(self.K * self.w_cols)
 
     @cached_property
     def spectrum(self):
@@ -253,9 +262,9 @@ def _linalg(name, *args, lib=np.linalg, **kwargs):
 
 
 def _matvec(M, x):
-    """M @ x for a vector or a matrix x.  A real M times a complex x is one
-    real product on x's float view (_on_float_view): numpy's mixed product
-    would first copy M to complex, on every call."""
+    """M @ x for a vector, a matrix or a stack of matrices x.  A real M times
+    a complex x is one real product on x's float view (_on_float_view):
+    numpy's mixed product would first copy M to complex, on every call."""
     if M.dtype.kind == "f" and x.dtype.kind == "c":
         return _on_float_view(lambda y: M @ y, x)
     return M @ x
@@ -263,12 +272,31 @@ def _matvec(M, x):
 
 def _on_float_view(apply, x):
     """apply(x) for a real linear map `apply` of matrices and a complex
-    vector or matrix x, as one real call on x's float view, (n, 2) for a
-    vector and (n, 2m) for an n x m matrix, whose real and imaginary columns
-    the map keeps apart."""
+    vector, matrix or stack x, as one real call on x's float view: (n, 2)
+    for a vector, (n, 2m) for an n x m matrix and (b, n, 2m) for a stack,
+    whose real and imaginary columns the map keeps apart."""
     x = np.ascontiguousarray(x)
-    y = np.ascontiguousarray(apply(x.view(float).reshape(x.shape[0], -1))).view(complex)
-    return y.reshape(y.shape[:1] + x.shape[1:])
+    y = np.ascontiguousarray(apply((x[:, None] if x.ndim == 1 else x).view(float)))
+    y = y.view(complex)
+    return y[:, 0] if x.ndim == 1 else y
+
+
+def _weighted_products(M, w, X):
+    """M @ (w x) for a vector x, or for each column x of a matrix X as
+    stacked matrix-vector products that round as a lone one does: a
+    matrix-matrix product rounds otherwise and can move an anchor between
+    tied entries (mirror nodes of a symmetric rule).  A real M applies to
+    complex samples on their float view (_matvec), with no complex copy."""
+    if X.ndim == 1:
+        return _matvec(M, w * X)
+    return _matvec(M, (w[:, None] * X).T[:, :, None])[:, :, 0].T
+
+
+def _apply_A(op, X):
+    """A @ x = K (w_cols x) for node samples x, a vector or the columns of
+    a matrix (_weighted_products): the one product with A, which is never
+    formed for it."""
+    return _weighted_products(op.K, op.w_cols, X)
 
 
 def _winner(w, U, V):
@@ -296,7 +324,7 @@ def _anchor_phase(U):
 
 
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
-    """Sample a kernel on a rule and assemble K, A, and B.
+    """Sample a kernel on a rule and assemble K and B.
 
     Raises EvaluationError, with ``pair`` set to the node pair (y, z), when
     a sample is not finite: the first such entry in row-major order is
@@ -331,15 +359,19 @@ def _check_finite(K, rule, s1, s2):
 
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:
-    """Nystrom image of the operator on node samples: A @ f."""
-    return _matvec(op.A, _samples_arg(f, op.A.shape[1], "f"))
+    """Nystrom image of the operator on node samples: A @ f = K (w f)."""
+    return _apply_A(op, _samples_arg(f, op.K.shape[1], "f"))
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
     """Node samples of the adjoint image: (W K)^* p = K^H (w * p)."""
-    p = _samples_arg(p, op.K.shape[0], "p")
-    # conj(K^T conj(w p)) = K^H (w p) without forming K^H, an N x N copy per call
-    return np.conj(_matvec(op.K.T, np.conj(op.w_rows * p)))
+    return _apply_adjoint(op, _samples_arg(p, op.K.shape[0], "p"))
+
+
+def _apply_adjoint(op, X):
+    """K^H (w_rows x) for a vector x or each column of a matrix, as
+    conj(K^T (w conj(x))) without forming K^H, an N x N copy per call."""
+    return np.conj(_weighted_products(op.K.T, op.w_rows, np.conj(X)))
 
 
 def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .kernels import Kernel
 from .nystrom import (
     DiscreteOperator,
     _anchor_phase,
-    _matvec,
+    _apply_A,
     _norm,
     _pow2_scale,
     _winner,
@@ -65,8 +65,9 @@ def _collapse_test(op):
     """The collapse test, as a function of ||A h||_W, the weighted norm of the
     image of a unit iterate h (or of its adjoint image) before it is divided
     by anything: StartingVectorError when that is at most COLLAPSE_RTOL
-    ||A||_F, so that image and floor both scale with the kernel."""
-    floor = COLLAPSE_RTOL * max(float(_norm(op.A)), 1e-300)
+    ||A||_F, so that image and floor both scale with the kernel.  ||A||_F is
+    taken of a transient K * w_cols, which the operator does not keep."""
+    floor = COLLAPSE_RTOL * max(float(_norm(op.K * op.w_cols)), 1e-300)
 
     def test(image_norm):
         if image_norm <= floor:
@@ -119,7 +120,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     k = 0
     while k < n_max:
         k += 1
-        y = _matvec(op.A, h)
+        y = _apply_A(op, h)
         ny = _wnorm(w, y)
         collapse_test(ny)
         gh = _winner(w, g, h)
@@ -209,7 +210,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     target = resid_rtol * abs(nu1)
     res_p = res_q = np.inf
     for _ in range(n):
-        yp = _matvec(op.A, p) / nu1
+        yp = _apply_A(op, p) / nu1
         yq = apply_adjoint(op, q) / np.conj(nu1)
         np_, nq_ = _wnorm(w, yp), _wnorm(w, yq)
         collapse_test(abs(nu1) * min(np_, nq_))  # the images' norms, to rounding
@@ -219,7 +220,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         q = yq / nq_
         if max(res_p, res_q) <= 0.1 * target:
             break
-    res_p = _wnorm(w, _matvec(op.A, p) - nu1 * p)
+    res_p = _wnorm(w, _apply_A(op, p) - nu1 * p)
     res_q = _wnorm(w, apply_adjoint(op, q) - np.conj(nu1) * q)
     if max(res_p, res_q) > target:
         raise ConvergenceError(
@@ -320,7 +321,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
     result = SequentialSpectrumResult()
     current = op
     w = op.w_rows
-    n = op.A.shape[0]
+    n = op.K.shape[0]
     for stage in range(1, k + 1):
         trace = None
         for attempt in range(3):
@@ -353,7 +354,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
         except (ConvergenceError, StartingVectorError) as exc:
             result.failure_reason = f"stage {stage}: {exc}"
             return result
-        nu = _winner(w, q, _matvec(current.A, p))  # Rayleigh refinement, <q, p>_W = 1
+        nu = _winner(w, q, _apply_A(current, p))  # Rayleigh refinement, <q, p>_W = 1
         result.triples.append((nu, p, q))
         result.stages_completed = stage
         current = deflate(current, nu, p, q)

@@ -15,6 +15,7 @@ recursively.
 """
 import csv
 import io
+import numbers
 
 import numpy as np
 
@@ -101,8 +102,16 @@ def _dump(obj, indent, level):
 
 
 def obj_to_complex(d):
+    """complex of a number or of a {"re": ..., "im": ...} object of real
+    numbers, a missing part read as 0; ValueError for an object with neither
+    key, with any other key or with a part that is not a real number."""
     if isinstance(d, dict):
-        return complex(float(d.get("re", 0.0)), float(d.get("im", 0.0)))
+        if not d or not set(d) <= {"re", "im"}:
+            raise ValueError(f"a complex object has keys 're' and 'im' only, got {list(d)}")
+        parts = [d.get(key, 0.0) for key in ("re", "im")]
+        if not all(isinstance(v, numbers.Real) for v in parts):
+            raise ValueError(f"a complex object's parts are real numbers, got {d!r}")
+        return complex(*map(float, parts))
     return complex(d)
 
 

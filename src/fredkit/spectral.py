@@ -12,8 +12,9 @@ Two routes:
 Both work on the symmetrized matrix B = W^{1/2} K W^{1/2} so that Euclidean
 orthonormality of matrix eigenvectors maps onto weighted orthonormality of
 node samples, then polish retained eigenvectors with one Nystrom pass
-(p <- A p / nu) where its rounding fits the budget; one pass leaves the
-samples at the smallest weights of a wide rule unresolved (ROADMAP item 2).
+(p <- A p / nu = K (w p) / nu) where its rounding fits the budget; one
+pass leaves the samples at the smallest weights of a wide rule unresolved
+(ROADMAP item 2).
 
 hermitian_eig reads the eigh of B's Hermitian part that the operator
 computes once (DiscreteOperator.hermitian_eigh): LAPACK's dsyevd for a real
@@ -38,8 +39,8 @@ from .errors import (
     _count_arg, _number_arg,
 )
 from .nystrom import (
-    UNIT, DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec, _norm, _winner,
-    _wnorm,
+    UNIT, DiscreteOperator, _anchor_phase, _apply_A, _apply_adjoint, _finite_power, _linalg,
+    _matvec, _norm, _winner, _wnorm,
 )
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
@@ -153,13 +154,6 @@ def _biorth_residual(w, P, Q, retained):
     return float(np.max(np.abs(G - np.eye(retained))))
 
 
-def _matvecs(M, X):
-    """M @ x for each column x of X, as stacked matrix-vector products that
-    round as a lone M @ x does: a matrix-matrix product rounds otherwise and
-    can move an anchor between tied entries (mirror nodes of a symmetric rule)."""
-    return np.matmul(M, X.T[:, :, None])[:, :, 0].T
-
-
 def _unit_anchored(w, P):
     """Per-column factors giving each nonzero column of P unit W-norm and a
     real-positive first maximal entry (1 for a zero column)."""
@@ -196,7 +190,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     retained = _retained_count(eigenvalues)
     if retained:
         sel = np.flatnonzero(np.abs(vals) >= REFINE_RTOL * np.abs(vals[0]))
-        P[:, sel] = _matvecs(op.A, P[:, sel]) / vals[sel]
+        P[:, sel] = _apply_A(op, P[:, sel]) / vals[sel]
     P *= _unit_anchored(w, P)
     resid = _biorth_residual(w, P, P, retained)
     return BiSpectralDecomposition(
@@ -227,9 +221,9 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     with hermitian_eig and operator_svd.
 
     Otherwise eig runs on B in its own dtype (real LAPACK for a real
-    operator), the polish on A and K, and the pairs are complex.  The r
-    retained eigenvectors V_r keep their span; the rest, a numerical null
-    space, become Q_t of one complete QR [Q_t, Q_perp] of themselves, and
+    operator), the polish on K and the weights, and the pairs are complex.
+    The r retained eigenvectors V_r keep their span; the rest, a numerical
+    null space, become Q_t of one complete QR [Q_t, Q_perp] of themselves, and
     U = V^{-H} and the exact condition kappa of V = [V_r, Q_t] come from
     r x r algebra (_inverse_adjoint).  An inverse of condition kappa is
     bi-orthogonal to about kappa n u (Higham, Accuracy and Stability of
@@ -288,10 +282,9 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     # then q rescaled to <q, p>_W = 1
     sel = np.flatnonzero(np.abs(vals[:retained])
                          >= REFINE_RTOL * top * np.max(_wnorm(w, Q[:, :retained]), initial=1.0))
-    Ps = _matvecs(op.A, P[:, sel]) / vals[sel]
+    Ps = _apply_A(op, P[:, sel]) / vals[sel]
     Ps *= _unit_anchored(w, Ps)
-    # K^H (w q) as conj(K^T conj(w q)), as apply_adjoint: no N x N copy of K^H
-    Qs = np.conj(_matvecs(op.K.T, np.conj(w[:, None] * Q[:, sel]))) / np.conj(vals[sel])
+    Qs = _apply_adjoint(op, Q[:, sel]) / np.conj(vals[sel])
     Qs /= np.conj(_winner(w, Qs, Ps))
     P[:, sel], Q[:, sel] = Ps, Qs
     resid = _biorth_residual(w, P, Q, retained)

@@ -400,6 +400,24 @@ MALFORMED = [
      1, "params.lambda_grid:"),
     ("solve-lambda-infinite", {"command": "solve", "params": {"lambda": [0.0, float("inf")]}},
      1, "params.lambda:"),
+    # a complex literal is {"re", "im"} (either may be left out) or a pair [re, im]
+    ("det-lambda-wrong-key", {"command": "det", "params": {"lambda": {"real": 1.5}}},
+     1, "params.lambda:"),
+    ("det-lambda-extra-key", {"command": "det", "params": {"lambda": {"re": 1.5, "img": 2}}},
+     1, "params.lambda:"),
+    ("det-lambda-empty-object", {"command": "det", "params": {"lambda": {}}},
+     1, "params.lambda:"),
+    ("det-lambda-triple", {"command": "det", "params": {"lambda": [1.5, 0, 7]}},
+     1, "params.lambda:"),
+    ("solve-lambda-text-part", {"command": "solve", "params": {"lambda": ["1.5", 0]}},
+     1, "params.lambda:"),
+    ("solve-lambda-text-re", {"command": "solve", "params": {"lambda": {"re": "1.5"}}},
+     1, "params.lambda:"),
+    ("separable-coeff-wrong-key", {"kernel": dict(SEPARABLE, coeffs=[{"real": 1.0}]),
+                                   "measure": GL8}, 1, "kernel.coeffs:"),
+    ("defective-lam-extra-key", {"kernel": {"name": "defective", "m": 2,
+                                            "lam": {"re": 0.5, "im": 0.0, "abs": 0.5}},
+                                 "measure": GL8}, 1, "kernel.lam:"),
     ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
      1, "params.n:"),
     ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),

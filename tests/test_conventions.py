@@ -21,7 +21,8 @@ skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not, and keeps djf_eig's
 general path and the svd path under their own oracles; the djf one runs a
 real eig and builds the left family from the same r x r formulas as
 djf_eig (V = [V_r, Q_t] = [Q_t, Q_perp] M), one column of the polish at a
-time.
+time.  The polish applies A as K (w p) and the adjoint as K^H (w q); a real
+K applies to a complex column as one real product on its (n, 2) float view.
 """
 from functools import lru_cache
 
@@ -46,6 +47,16 @@ def winner(w, u, v):
 def wnorm(w, u):
     """Weighted 2-norm induced by `winner`."""
     return float(np.sqrt(np.sum(w * np.abs(u) ** 2).real))
+
+
+def weighted(M, w, x):
+    """M @ (w x) for one column x, as the polish rounds it: a real M applies
+    to a complex x as one product with the (n, 2) columns of its real and
+    imaginary parts."""
+    y = w * x
+    if M.dtype.kind == "f" and y.dtype.kind == "c":
+        return np.ascontiguousarray(M @ np.column_stack((y.real, y.imag))).view(complex)[:, 0]
+    return M @ y
 
 
 def anchor_phase(u):
@@ -216,7 +227,7 @@ def column_at_a_time(op, method):
         for j in range(P.shape[1]):
             col = P[:, j]
             if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
-                col = (op.A @ col) / vals[j]
+                col = weighted(op.K, op.w_cols, col) / vals[j]
             P[:, j] = col * (anchor_phase(col) / wnorm(w, col))
         return P, P
     vals, V = np.linalg.eig(op.B)  # real LAPACK for a real B; the pairs are complex
@@ -242,9 +253,9 @@ def column_at_a_time(op, method):
     kappa_max = max([1.0] + [wnorm(w, Q[:, j]) for j in range(r)])
     for j in range(r):
         if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]) * kappa_max:
-            p = (op.A @ P[:, j]) / vals[j]
+            p = weighted(op.K, op.w_cols, P[:, j]) / vals[j]
             p *= anchor_phase(p) / wnorm(w, p)
-            q = (op.K.conj().T @ (w * Q[:, j])) / np.conj(vals[j])
+            q = weighted(op.K.conj().T, w, Q[:, j]) / np.conj(vals[j])
             P[:, j], Q[:, j] = p, q / np.conj(winner(w, q, p))
     return P, Q
 

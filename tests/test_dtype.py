@@ -14,7 +14,7 @@ import pytest
 
 import fredkit as fk
 from fredkit.kernels import ClosedForm
-from fredkit.nystrom import _matvec, _read_only
+from fredkit.nystrom import _apply_A, _apply_adjoint, _matvec, _read_only
 
 from test_hermitian_route import library
 
@@ -376,3 +376,21 @@ class TestRealAwarePaths:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < M.size * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("product", [_apply_A, _apply_adjoint])
+    def test_polish_products_make_no_copy_of_the_matrix(self, pair, product):
+        """The polishes' products, K (w x) and K^H (w x), on 10 complex columns
+        of a real operator: each column rounds as it does alone, and the call
+        allocates less than one N x N float64 array (a complex copy of K or
+        of A would take twice that)."""
+        op, _, _ = pair
+        X = np.random.default_rng(19).standard_normal((N, 20)) @ np.kron(np.eye(10), [1, 1j]).T
+        product(op, X[:, :1])  # w_rows and w_cols are cached before the count
+        tracemalloc.start()
+        Y = product(op, X)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < op.K.size * np.dtype(float).itemsize
+        assert Y.dtype == np.complex128 and Y.shape == X.shape
+        for j in range(X.shape[1]):
+            assert np.array_equal(Y[:, j], product(op, X[:, j]))

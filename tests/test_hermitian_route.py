@@ -161,11 +161,31 @@ def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
     assert not vals.flags.writeable and not vecs.flags.writeable
 
 
+def lambda_path(op):
+    """A resolvent solve, a direct determinant and a log-derivative check:
+    the readers of the elimination order and of the shared LU.  Mehler
+    r = 1/2 has its Fredholm eigenvalues at 2^j, away from all three."""
+    fk.resolvent_solve(op, 0.5, np.ones(op.K.shape[0]))
+    fk.fredholm_determinant(op, 2.5 + 1j, "direct")
+    fk.determinant_log_derivative_check(op, (0.0, 0.5), 4)
+
+
+def square_arrays(op):
+    """Where op keeps an N x N array: an attribute, or entry i of a cached tuple."""
+    return sorted(f"{k}[{i}]" if isinstance(v, tuple) else k
+                  for k, v in vars(op).items()
+                  for i, x in (enumerate(v) if isinstance(v, tuple) else [(None, v)])
+                  if isinstance(x, np.ndarray) and x.ndim == 2)
+
+
 @pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
-                                   "hermitian_eigh"])
+                                   "hermitian_eigh", "lambda_path"])
 def test_one_hermitian_part_per_operator(monkeypatch, first):
     """B's Hermitian part is built once on GH256 Mehler, whichever reader
-    comes first, and no N x N array but K, A and B outlives the eigh."""
+    comes first.  Of the operator's matrices only K and B are stored: after
+    every reader, the other N x N arrays are the eigh's vectors,
+    _elimination's K_e and the last lambda's LU factors.  A is formed on
+    its first read, K * w_cols bit for bit, and kept read-only."""
     calls = []
     build = nystrom._hermitian_part
 
@@ -176,6 +196,7 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     monkeypatch.setattr(nystrom, "_hermitian_part", spy)
     op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
     readers = {"spectrum": lambda: op.spectrum, "hermitian_eigh": lambda: op.hermitian_eigh,
+               "lambda_path": lambda: lambda_path(op),
                **{name: (lambda f=getattr(fk, name): f(op))
                   for name in ("hermitian_eig", "djf_eig", "operator_svd")}}
     readers.pop(first)()
@@ -184,7 +205,15 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     assert op.hermitian_to_roundoff()
     assert calls == [(256, 256)]
     assert sorted(k for k, v in vars(op).items()
-                  if isinstance(v, np.ndarray) and v.ndim == 2) == ["A", "B", "K"]
+                  if isinstance(v, np.ndarray) and v.ndim == 2) == ["B", "K"]
+    assert square_arrays(op) == ["B", "K", "_elimination[1]", "_lu[1]", "hermitian_eigh[1]"]
+    order, Ke, we = vars(op)["_elimination"]
+    assert np.array_equal(Ke, op.K[np.ix_(order, order)]) and np.array_equal(we, op.w_cols[order])
+    assert "A" not in vars(op)
+    A = op.A
+    assert vars(op)["A"] is A and not A.flags.writeable
+    assert A.dtype == op.K.dtype and np.array_equal(A.view(np.uint64),
+                                                    (op.K * op.w_cols).view(np.uint64))
 
 
 def test_mrrr_family_is_orthonormal_through_clusters():

@@ -141,6 +141,20 @@ class TestCanonicalJson:
         assert parsed["vals"][0] == 0.1
         assert obj_to_complex(parsed["z"]) == 1 + 2j
 
+    @pytest.mark.parametrize("obj, z", [({"re": 1.5}, 1.5), ({"im": -2}, -2j), (0.5, 0.5)])
+    def test_complex_object_part_defaults_to_zero(self, obj, z):
+        assert obj_to_complex(obj) == z
+
+    @pytest.mark.parametrize("obj", [{}, {"real": 1.5}, {"re": 1.5, "img": 2.0}])
+    def test_complex_object_with_other_keys_rejected(self, obj):
+        with pytest.raises(ValueError, match="keys 're' and 'im' only"):
+            obj_to_complex(obj)
+
+    @pytest.mark.parametrize("obj", [{"re": "1.5"}, {"re": 1.0, "im": None}, {"im": [2.0]}])
+    def test_complex_object_parts_must_be_numbers(self, obj):
+        with pytest.raises(ValueError, match="parts are real numbers"):
+            obj_to_complex(obj)
+
     def test_ndarray_serialized(self):
         assert json.loads(dumps_canonical(np.array([1.0, 2.0]))) == [1.0, 2.0]
 
