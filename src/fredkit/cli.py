@@ -384,7 +384,9 @@ def _cap_threads():
         pass  # env vars set by fredkit.__init__ cover fresh interpreters
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fredkit",
         description="Integral-operator toolkit: spectral, Jordan, SVD, "
@@ -409,7 +411,11 @@ def main(argv=None):
         metavar="PREFIX",
         help="for eig/djf/jordan/svd: also write PREFIX_P.csv, PREFIX_Q.csv",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     _cap_threads()
 
     import json
@@ -443,8 +449,8 @@ def main(argv=None):
         else:
             text = _render_csv(config.command, rows)
         if config.destination:
-            with open(config.destination, "w") as fh:
-                fh.write(text)
+            with open(config.destination, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
     except FredkitError as exc:

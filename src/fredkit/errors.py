@@ -28,13 +28,21 @@ def _count_arg(value, name, low=0, high=None):
     return value
 
 
+def _is_number(value, real=False):
+    """Whether value is a number (a real one when real); a bool is not."""
+    kind = numbers.Real if real else numbers.Complex
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _number_arg(value, name, real=False):
     """complex(value), or float(value) when real; InvalidArgumentError unless
-    value is a finite number (a real one when real).  |re|, |im| <= the
-    largest float is the test, so 10**400 is refused, not overflowed."""
+    value is a finite number (a real one when real), which a bool or a
+    string is not.  |re|, |im| <= the largest float is the test, so 10**400
+    is refused, not overflowed."""
+    if not _is_number(value, real):
+        raise InvalidArgumentError(f"{name}={value!r} is not a {'real ' if real else ''}number")
     big = sys.float_info.max
-    if not (isinstance(value, numbers.Real if real else numbers.Complex)
-            and abs(value.real) <= big and abs(value.imag) <= big):
+    if not (abs(value.real) <= big and abs(value.imag) <= big):
         raise InvalidArgumentError(
             f"{name}={value!r} is not {'a finite real number' if real else 'finite'}")
     return float(value) if real else complex(value)

@@ -37,11 +37,10 @@ as the decompositions cut theirs (spectral._retained), so sweeping lambda
 over one operator -- resolvent solves, product determinants, log-derivative
 paths -- pays for one eigensolve, the shared eigh on the Hermitian route.
 """
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     EigenvalueProximityError,
@@ -144,6 +143,16 @@ def _system(op, lam):
     return M
 
 
+def _getrf(M):
+    """(lu, piv) of M from LAPACK getrf, the pivots 0-based, as lu_factor
+    gives them; getrf is looked up at each call, as gecon is.  An exactly
+    zero pivot is no error here: it shows as rcond = 0 and as D = 0."""
+    lu, piv, info = get_lapack_funcs("getrf", (M,))(M)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    return lu, piv
+
+
 def _lu(op, lam):
     """(M, lu, piv): the LU factorization of M = _system(op, lam), the system
     in elimination order (_elimination), so the nodes of largest weight are
@@ -156,34 +165,39 @@ def _lu(op, lam):
     if cached is not None and cached[0] == lam:
         return (None,) + cached[1:]
     M = _system(op, lam)
-    with warnings.catch_warnings():
-        # an exactly zero pivot shows as rcond = 0 and as D = 0
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(M, check_finite=False)
+    lu, piv = _getrf(M)
     op.__dict__["_lu"] = (lam, _read_only(lu), _read_only(piv))
     return M, lu, piv
+
+
+def _getrs(lu, piv, b):
+    """M^{-1} b from M's LU by LAPACK getrs, looked up at each call."""
+    x, info = get_lapack_funcs("getrs", (lu, b))(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
 
 
 def _lu_solve(lu, piv, rhs):
     """M^{-1} rhs from M's LU; a real LU solves complex right-hand sides on
     their float view, as _matvec applies a real matrix."""
     if lu.dtype.kind == "f" and rhs.dtype.kind == "c":
-        return _on_float_view(lambda y: lu_solve((lu, piv), y, check_finite=False), rhs)
-    return lu_solve((lu, piv), rhs, check_finite=False)
+        return _on_float_view(lambda y: _getrs(lu, piv, y), rhs)
+    return _getrs(lu, piv, rhs)
 
 
 def _slogdet(lu, piv):
     """(sign, log|det M|) from M's LU, as numpy's slogdet: sign is +-1 for a
     real LU and of unit modulus for a complex one, det M = sign exp(log|det M|);
     (0, -inf) when a pivot is exactly zero."""
-    d = np.diagonal(lu)
-    absd = np.abs(d)
+    d = lu.diagonal()
+    absd = abs(d)
     if not absd.all():
         return 0.0, -np.inf
-    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    odd = np.count_nonzero(piv != np.arange(piv.size)) % 2
     with np.errstate(invalid="ignore"):  # an infinite pivot: a sign that is not finite
-        sign = np.prod(d / absd)
-    return (-sign if swaps % 2 else sign), float(np.log(absd).sum())
+        sign = (d / absd).prod()
+    return (-sign if odd else sign), float(np.log(absd).sum())
 
 
 def _guarded_lu(op, lam):

@@ -4,8 +4,9 @@ runtime warning.
 
 Each row of ROWS names a public callable, builds good arguments for it and
 lists the arguments to spoil, each with the kind of its spoiled values:
-a count gets 2.5, True and -1; a number NaN, inf and 10**400; a sample
-vector a wrong length and a NaN entry; an operator a (1, 2)-block one.
+a count gets 2.5, True and -1; a number NaN, inf, 10**400, True and the
+text "0.5"; a sample vector a wrong length and a NaN entry; an operator a
+(1, 2)-block one.
 test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
 function taking an operator, a decomposition, a count or a sample vector
 cannot ship without rows here.
@@ -52,7 +53,7 @@ def _nan_entry(v):
 
 COUNT = {"2.5": lambda v: 2.5, "True": lambda v: True, "-1": lambda v: -1}
 NUMBER = {"nan": lambda v: float("nan"), "inf": lambda v: float("inf"),
-          "1e400": lambda v: 10 ** 400}
+          "1e400": lambda v: 10 ** 400, "True": lambda v: True, "text": lambda v: "0.5"}
 VECTOR = {"short": lambda v: np.asarray(v)[:-1], "nan-entry": _nan_entry}
 OPERATOR = {"block-1x2": lambda v: env()["wide"]}
 PAIR = {"end-" + k: (lambda s: lambda v: (0.0, s(v)))(s) for k, s in NUMBER.items()}

@@ -418,6 +418,21 @@ MALFORMED = [
     ("defective-lam-extra-key", {"kernel": {"name": "defective", "m": 2,
                                             "lam": {"re": 0.5, "im": 0.0, "abs": 0.5}},
                                  "measure": GL8}, 1, "kernel.lam:"),
+    # a bool or a string is not a number, in a literal or in one of its parts
+    ("det-lambda-true", {"command": "det", "params": {"lambda": True}}, 1, "params.lambda:"),
+    ("det-lambda-text", {"command": "det", "params": {"lambda": "1+2j"}}, 1, "params.lambda:"),
+    ("solve-lambda-bool-pair", {"command": "solve", "params": {"lambda": [True, False]}},
+     1, "params.lambda:"),
+    ("det-lambda-re-true", {"command": "det", "params": {"lambda": {"re": True}}},
+     1, "params.lambda:"),
+    ("separable-coeff-true", {"kernel": dict(SEPARABLE, coeffs=[True]), "measure": GL8},
+     1, "kernel.coeffs:"),
+    ("separable-coeff-complex-text", {"kernel": dict(SEPARABLE, coeffs=["1+2j"]),
+                                      "measure": GL8}, 1, "kernel.coeffs:"),
+    ("defective-lam-true", {"kernel": {"name": "defective", "lam": True, "m": 2},
+                            "measure": GL8}, 1, "kernel.lam:"),
+    ("defective-lam-text", {"kernel": {"name": "defective", "lam": "0.5", "m": 2},
+                            "measure": GL8}, 1, "kernel.lam:"),
     ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
      1, "params.n:"),
     ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),
@@ -507,6 +522,23 @@ def test_overflowing_iterate_exits_1(tmp_path, capsys):
     assert text == ""
     assert capsys.readouterr().err == (
         "InvalidArgumentError: iterate n=700 overflows: its entries are not finite\n")
+
+
+def test_iterate_output_file_has_the_stdout_bytes(tmp_path, capsys):
+    """The 20th iterate of y z on Gauss-Legendre 128, 16,384 complex entries
+    with zero imaginary parts: --output writes the UTF-8 bytes of the text
+    printed to stdout."""
+    doc = dict(YZ10_ITERATE, kernel=YZ_DET["kernel"], params={"n": 20},
+               measure={"kind": "gauss-legendre", "n": 128, "a": 0.0, "b": 1.0})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["-c", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    code, _text = run_cli(tmp_path, doc)
+    assert code == 0
+    assert (tmp_path / "out.txt").read_bytes() == printed.encode("utf-8")
+    assert printed == _reference_dumps(json.loads(printed), indent=2) + "\n"
+    assert len(json.loads(printed)["matrix"]) == 128
 
 
 def test_huge_iterate_count_is_fast(tmp_path):

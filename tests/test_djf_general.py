@@ -29,7 +29,7 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import spectral
+from fredkit import fredholm, spectral
 from fredkit.errors import DefectiveSuspectedError
 
 from test_conventions import (
@@ -192,8 +192,9 @@ def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):
         return spy
 
     scipy_names = ("lu_factor", "lu_solve", "inv", "solve", "get_lapack_funcs")
+    # and any binding spectral holds, and fredholm's getrf seam and LAPACK lookup
     for module, names in ((np.linalg, ("eig", "inv", "solve")), (scipy.linalg, scipy_names),
-                          (spectral, scipy_names)):  # and any binding spectral holds
+                          (spectral, scipy_names), (fredholm, ("_getrf", "get_lapack_funcs"))):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spying(name, getattr(module, name)))

@@ -209,25 +209,26 @@ class TestProductDeterminantTail:
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """The input shapes of the eigvals, eigh, lu_factor and det calls made
+    """The input shapes of the eigvals, eigh, getrf and det calls made
     while the test runs, by name (np.linalg.eigvals, scipy.linalg.eigh: see
-    library; the lu_factor fredholm calls; np.linalg.det)."""
-    calls = {"eigvals": [], "eigh": [], "lu_factor": [], "det": []}
+    library; fredholm._getrf, the seam of every LU fredholm makes;
+    np.linalg.det)."""
+    calls = {"eigvals": [], "eigh": [], "getrf": [], "det": []}
     for name, seen in calls.items():
-        owner = fredholm if name == "lu_factor" else library(name)
-        real = getattr(owner, name)
+        owner, attr = (fredholm, "_getrf") if name == "getrf" else (library(name), name)
+        real = getattr(owner, attr)
 
         def counting(a, *args, _real=real, _seen=seen, **kwargs):
             _seen.append(a.shape)
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
     return calls
 
 
 def no_lapack(**calls):
     """lapack_calls' record with the given entries, every other one empty."""
-    return {"eigvals": [], "eigh": [], "lu_factor": [], "det": [], **calls}
+    return {"eigvals": [], "eigh": [], "getrf": [], "det": [], **calls}
 
 
 class TestSpectrumCache:
@@ -248,11 +249,11 @@ class TestSpectrumCache:
         fk.djf_eig(op)
         fk.operator_svd(op)
         # one LU per lambda and per path point; the pole refusal needs none
-        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * (5 + 21))
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], getrf=[(256, 256)] * (5 + 21))
         assert op.spectrum.tobytes() == op.hermitian_eigh[0].astype(complex).tobytes()
         fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         fk.fredholm_determinant(fresh, 1.0, "product")
-        assert lapack_calls == no_lapack(eigh=[(256, 256)] * 2, lu_factor=[(256, 256)] * 26)
+        assert lapack_calls == no_lapack(eigh=[(256, 256)] * 2, getrf=[(256, 256)] * 26)
 
     def test_one_lu_per_lambda_gh256(self, lapack_calls):
         """Solve, resolvent kernel and direct determinant at one lambda share
@@ -266,7 +267,7 @@ class TestSpectrumCache:
         for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
             for call in next(orders):
                 call(lam)
-        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * 5)
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], getrf=[(256, 256)] * 5)
 
     def test_one_eigvals_per_non_hermitian_operator(self, yz2_kernel, gl8, lapack_calls):
         op = fk.discretize(yz2_kernel, gl8)
@@ -276,7 +277,7 @@ class TestSpectrumCache:
             fk.resolvent_solve(op, lam, f)
             fk.fredholm_determinant(op, lam, "product")
         fk.determinant_log_derivative_check(op, (0.0, 1.0), 10)
-        assert lapack_calls == no_lapack(eigvals=[(8, 8)], lu_factor=[(8, 8)] * (2 + 11))
+        assert lapack_calls == no_lapack(eigvals=[(8, 8)], getrf=[(8, 8)] * (2 + 11))
 
     def test_deflated_operator_has_its_own(self, gh40, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), gh40)
@@ -398,7 +399,7 @@ class TestSharedLU:
         NL = fk.resolvent_kernel(mehler_op, 0.9)
         fk.fredholm_determinant(mehler_op, 0.9, "direct")
         assert sol.solution.dtype == np.complex128 and NL.dtype == np.float64
-        assert lapack_calls["lu_factor"] == [(40, 40)]
+        assert lapack_calls["getrf"] == [(40, 40)]
         M, lu, _piv = fredholm._lu(mehler_op, 0.9 + 0j)
         assert M is None  # the cached factors
         assert lu.dtype == np.float64 and not lu.flags.writeable
@@ -430,7 +431,7 @@ class TestLogDerivativeCheck:
     def test_one_factorization_per_path_point(self, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         assert fk.determinant_log_derivative_check(op, (0.0, 0.9), 20) <= 0.05
-        assert lapack_calls == no_lapack(eigh=[(256, 256)], lu_factor=[(256, 256)] * 21)
+        assert lapack_calls == no_lapack(eigh=[(256, 256)], getrf=[(256, 256)] * 21)
 
 
 class TestFirstKindSolve:

@@ -7,6 +7,7 @@ import fredkit as fk
 from fredkit.errors import InvalidArgumentError
 
 from conftest import wfro
+from test_conventions import UNIT, skew_kernel
 
 
 def gram_oracle(op, n, side="left"):
@@ -220,6 +221,51 @@ class TestTracePower:
             cur = fk.trace_power(sv, n)
             assert cur <= t1sq * prev * (1 + 1e-12)
             prev = cur
+
+
+# benchmark-size operators: Mehler r = 0.5 on the route, the real skew
+# kernel e^{0.2y} M(y, z) e^{-0.2z} off it
+TRACE_OPERATORS = {
+    "mehler-gh64": lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(64)),
+    "mehler-gh256": lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256)),
+    "skew-gl64": lambda: fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0)),
+    "skew-gl256": lambda: fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0)),
+    "mehler-gl1024": lambda: fk.discretize(fk.mehler_kernel(0.5),
+                                           fk.gauss_legendre(1024, -4.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("case", TRACE_OPERATORS)
+def test_trace_identities_at_benchmark_scale(case):
+    """sum theta_j^2 = ||B||_F^2, and trace_power(k) = sum_j mu_j^(k+1) with
+    the squared singular values mu_j from eigvalsh of the test's own B:
+    nu_j^2 of B on the Hermitian route, the eigenvalues of B^H B off it.
+
+    The bounds are test_djf_general's: a singular value moves by at most
+    delta = (kappa + 1) n u ||B||_F with kappa = 1, the backward error of
+    the decomposition and of the reference, plus on the route the distance
+    ||B - B^H||_F from B to the Hermitian matrices the two eigensolvers
+    read.  So ||theta|| is within delta of ||B||_F (the Frobenius norm is
+    unitarily invariant), and each theta_j^2 within eta = 4 delta ||B||_F
+    of mu_j (theta_j <= ||B||_F, and B^H B rounds by n u ||B||_F^2 before
+    its eigvalsh).  A sum of m-th powers then moves by
+    sum_j m (mu_j + eta)^(m-1) eta, and each side rounds by (m + n) u of it.
+    """
+    op = TRACE_OPERATORS[case]()
+    B, n = op.B, op.B.shape[0]
+    hermitian = op.hermitian_to_roundoff()
+    assert hermitian == case.startswith("mehler")
+    sv = fk.operator_svd(op)
+    norm = np.linalg.norm(B)
+    delta = 2 * n * UNIT * norm + (np.linalg.norm(B - B.conj().T) if hermitian else 0.0)
+    assert abs(np.linalg.norm(sv.singular_values) - norm) <= delta
+    mu = np.abs(np.linalg.eigvalsh(B) ** 2 if hermitian else np.linalg.eigvalsh(B.conj().T @ B))
+    eta = 4 * delta * norm
+    for k in (0, 1, 2):
+        m = k + 1
+        ref = np.sum(mu ** m)
+        bound = np.sum(m * (mu + eta) ** (m - 1) * eta) + 2 * (m + n) * UNIT * ref
+        assert abs(fk.trace_power(sv, k) - ref) <= bound
 
 
 class TestSvdTruncate:

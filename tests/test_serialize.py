@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fredkit import serialize
 from fredkit.serialize import (
     csv_text,
     dumps_canonical,
@@ -155,6 +156,12 @@ class TestCanonicalJson:
         with pytest.raises(ValueError, match="parts are real numbers"):
             obj_to_complex(obj)
 
+    @pytest.mark.parametrize("obj", [True, False, "1+2j", "0.5", {"re": True}, {"im": False}],
+                             ids=["true", "false", "text", "text-real", "re-true", "im-false"])
+    def test_bool_or_text_is_not_a_number(self, obj):
+        with pytest.raises(ValueError, match="number"):
+            obj_to_complex(obj)
+
     def test_ndarray_serialized(self):
         assert json.loads(dumps_canonical(np.array([1.0, 2.0]))) == [1.0, 2.0]
 
@@ -211,6 +218,94 @@ class TestCanonicalJson:
         a = np.array([[1.0, 2.0], [3.0, bad]])
         with pytest.raises(ValueError, match="non-finite"):
             dumps_canonical({"a": a}, indent=2)
+
+
+# arrays at and above serialize._UNIQUE_MIN entries, which format each
+# distinct value once, and below it
+def _gl_nodes(n):
+    return np.polynomial.legendre.leggauss(n)[0]
+
+
+BIG_ARRAYS = {
+    # the CLI's iterate output: a 128 x 128 complex matrix, imaginary parts 0.0
+    "complex-128-zero-imag": np.asarray(np.outer(_gl_nodes(128), _gl_nodes(128)) / 3.0 ** 19,
+                                        dtype=complex),
+    "rank-one-real-128": np.outer(np.arange(1.0, 129.0), 0.1 * np.arange(-64.0, 64.0)),
+    "signed-zeros": np.array([0.0, -0.0, 1.5, -0.0] * 40).reshape(10, 16),
+    "signed-zeros-complex": np.array([complex(0.0, -0.0), complex(-0.0, 0.0)] * 40),
+    "integral-edges": np.array([1e16 - 2, 1e16, 1e17, 2.5e17, -1e16, -(1e16 - 2), -1e17,
+                                -2.5e17, 99999999999999984.0, 2.0 ** 53] * 8),
+    "subnormals": np.array([5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -1e-320,
+                            2.2250738585072014e-308, 0.0, -0.0] * 10).reshape(2, 5, 8),
+    "float32": np.linspace(-3.0, 3.0, 100, dtype=np.float32).reshape(4, 25),
+    "complex64": np.asarray(np.linspace(-1.0, 1.0, 80) + 1j * np.linspace(0.0, 2.0, 80),
+                            dtype=np.complex64),
+}
+SMALL_ARRAYS = {
+    "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0]),
+    "integral-edges": np.array([1e16 - 2, 1e16, 1e17, 2.5e17, -1e16, -2.5e17]),
+    "subnormals": np.array([[5e-324, -5e-324], [1e-310, 2.2250738585072009e-308]]),
+    "zero-d-real": np.array(-0.0),
+    "zero-d-complex": np.array(1e16 - 2j),
+    "empty-complex": np.zeros((3, 0, 2), dtype=complex),
+    "empty-real": np.zeros((0,)),
+}
+
+
+class TestDistinctValueTokens:
+    """_tokens formats each distinct value of an array of _UNIQUE_MIN entries
+    or more once; the bytes are those of the per-number writer either way."""
+
+    def test_sizes_straddle_the_cut(self):
+        assert all(a.size >= serialize._UNIQUE_MIN for a in BIG_ARRAYS.values())
+        assert all(a.size < serialize._UNIQUE_MIN for a in SMALL_ARRAYS.values())
+        distinct = np.unique(BIG_ARRAYS["complex-128-zero-imag"].view(float)).size
+        assert serialize._FORMAT_CHUNK < distinct < 128 * 128  # several templates, many repeats
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("name", list(BIG_ARRAYS) + [f"small-{k}" for k in SMALL_ARRAYS])
+    def test_matches_recursive_writer(self, name, indent):
+        a = BIG_ARRAYS[name] if name in BIG_ARRAYS else SMALL_ARRAYS[name[len("small-"):]]
+        tree = {"a": a, "nested": [a, {"b": a}]}
+        assert dumps_canonical(tree, indent) == _reference_dumps(tree, indent)
+
+    def test_signed_zeros_keep_their_tokens(self):
+        text = dumps_canonical(BIG_ARRAYS["signed-zeros"])
+        assert text.count("-0.0") == 80 and text.count("0.0") == 120
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_random_repeats(self, indent):
+        """Values drawn from a pool of 20, some of them special, so most are repeats."""
+        rng = np.random.default_rng(8)
+        for shape in ((64,), (9, 10), (3, 5, 7), (200,)):
+            pool = _random_floats(rng, (20,))
+            real = pool[rng.integers(0, 20, shape)]
+            cplx = real + 1j * pool[rng.integers(0, 20, shape)]
+            tree = {"real": real, "complex": cplx}
+            assert dumps_canonical(tree, indent) == _reference_dumps(tree, indent)
+
+    @pytest.mark.parametrize("scalar, named", [(complex(np.inf, np.nan), "nan"),
+                                               (complex(-np.inf, 1.0), "-inf"),
+                                               (np.float32(np.inf), "inf")])
+    def test_non_finite_scalar_rejected(self, scalar, named):
+        """A scalar is checked as a 0-d array is: imaginary part first."""
+        for obj in (scalar, np.asarray(scalar)):
+            with pytest.raises(ValueError, match=f"^non-finite value {named} "):
+                dumps_canonical([obj])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
+    def test_non_finite_entry_rejected(self, bad):
+        """At or above the cut, as below it, the error names the first
+        imaginary part that is not finite, else the first real part."""
+        a = np.ones((16, 16), dtype=type(bad))
+        a[3, 5] = bad
+        a[9, 1] = complex(-np.inf, np.inf) if a.dtype.kind == "c" else -np.inf
+        if a.dtype.kind == "c":
+            first = a.imag[3, 5] if not np.isfinite(a.imag[3, 5]) else a.imag[9, 1]
+        else:
+            first = bad
+        with pytest.raises(ValueError, match=f"^non-finite value {float(first)!r} "):
+            dumps_canonical({"a": a})
 
 
 class TestComplexCsv:
