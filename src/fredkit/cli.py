@@ -15,8 +15,9 @@ reproducible artifact: the same document yields byte-identical JSON
 output.  Exit codes: 0 success, 1 computation error or field violation
 (category printed on stderr), 2 config/usage error.
 
-A config is validated by building it: the rule and kernel constructors
-enforce their own constraints, and failures are labelled ``section.key:``.
+A config is validated by building it: each field goes through the library's
+check of its kind, the rule and kernel constructors enforce their own
+constraints, and failures are labelled ``section.key:``.
 
 Kernels: mehler (r), separable (coeffs + rights/lefts as polynomial
 coefficient lists, ascending powers), defective (lam, m; basis built from
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
-from .errors import FredkitError, InvalidArgumentError, _count_arg, _number_arg
+from .errors import FredkitError, InvalidArgumentError, _array_arg, _count_arg, _number_arg
 from .serialize import (
     csv_text,
     decomposition_to_obj,
@@ -123,27 +124,28 @@ def _build(section, constructor, spec, **converters):
     return _labelled(section, constructor, **fields)
 
 
-def _reals(values):
-    return np.asarray(values, dtype=float)
-
-
-# a rule's node count, and a count capped as one (each step costs an LU)
+# the library's checks, one per kind of field.  _rule_size also caps a lambda
+# grid (an LU a step); a vector's values are its constructor's to check
+_real = functools.partial(_number_arg, name="value", real=True)
+_count = functools.partial(_count_arg, name="count")
+_positive_count = functools.partial(_count_arg, name="count", low=1)
 _rule_size = functools.partial(_count_arg, name="count", low=1, high=measure.MAX_RULE_SIZE)
+_vector = functools.partial(_array_arg, name="value", shape=(None,), dtype=float, finite=False)
 
 
 def build_rule(spec):
     """QuadratureRule from a measure spec (constructor form or inline rule);
     raises InvalidArgumentError labelled with the failing field."""
     if "nodes" in spec:
-        return _build("measure", measure.QuadratureRule, spec, nodes=_reals, weights=_reals)
+        return _build("measure", measure.QuadratureRule, spec, nodes=_vector, weights=_vector)
     kind = spec.get("kind")
     if kind == measure.KIND_GAUSS_LEGENDRE:
         return _build("measure", measure.gauss_legendre, spec,
-                      n=_rule_size, a=float, b=float)
+                      n=_rule_size, a=_real, b=_real)
     if kind == measure.KIND_GAUSS_HERMITE_PROB:
         return _field("measure", spec, "n", measure.gauss_hermite_prob)
     if kind == measure.KIND_DISCRETE:
-        return _build("measure", measure.discrete_measure, spec, points=_reals, weights=_reals)
+        return _build("measure", measure.discrete_measure, spec, points=_vector, weights=_vector)
     raise InvalidArgumentError(f"measure.kind: unknown kind {kind!r}")
 
 
@@ -160,7 +162,7 @@ def build_kernel(spec, rule):
     labelled with the failing field."""
     name = spec.get("name")
     if name == "mehler":
-        return _field("kernel", spec, "r", lambda r: kernels.mehler_kernel(float(r)))
+        return _field("kernel", spec, "r", kernels.mehler_kernel)
     if name == "separable":
         return _build("kernel", kernels.separable_kernel, spec,
                       coeffs=lambda cs: [obj_to_complex(c) for c in cs],
@@ -171,7 +173,7 @@ def build_kernel(spec, rule):
             basis = kernels.orthonormal_poly_basis(rule, m)
             return kernels.defective_kernel(lam, m, basis, rule)
 
-        return _build("kernel", defective, spec, lam=obj_to_complex, m=int)
+        return _build("kernel", defective, spec, lam=obj_to_complex, m=_count)
     if name == "grid":
         # os.fspath: a number is not a path (open() would take it for a descriptor)
         return _build("kernel", lambda csv: kernels.grid_kernel(rule, csv), spec,
@@ -179,12 +181,8 @@ def build_kernel(spec, rule):
     raise InvalidArgumentError(f"kernel.name: unknown kernel {name!r}")
 
 
-def _count_from(low):
-    return lambda value: _count_arg(int(value), "count", low)
-
-
 def _positive(value):
-    value = _number_arg(float(value), "value", real=True)
+    value = _real(value)
     if not value > 0:
         raise ValueError(f"need a value > 0, got {value!r}")
     return value
@@ -227,14 +225,14 @@ def _rhs(value):
 
 # command -> {param: (converter, default)}; _REQUIRED marks a required param
 PARAMS = {
-    "jordan": {"cluster_tol": (float, 1e-7)},
+    "jordan": {"cluster_tol": (_real, 1e-7)},
     "solve": {"lambda": (_lambda, _REQUIRED), "rhs": (_rhs, None)},
     "det": {"lambda": (_lambda, 0j), "lambda_grid": (_lambda_grid, None),
             "method": (_det_method, "direct")},
-    "iterate": {"n": (_count_from(1), 1)},
-    "trace": {"n": (_count_from(0), 0)},
-    "powerit": {"k": (_count_from(1), 1), "tol": (_positive, 1e-10),
-                "nmax": (_count_from(1), 200)},
+    "iterate": {"n": (_positive_count, 1)},
+    "trace": {"n": (_count, 0)},
+    "powerit": {"k": (_positive_count, 1), "tol": (_positive, 1e-10),
+                "nmax": (_positive_count, 200)},
 }
 
 

@@ -1,6 +1,7 @@
 """Exception and warning types shared across fredkit, and the argument checks
-every public entry point runs: a count is an integer in range, a number is
-finite, a sample vector has the operator's length and finite entries.
+every public entry point runs, one per kind of value: a count is an integer
+in range, a number is finite, an array holds numbers in the shape asked for
+(a sample vector has the operator's length) and, as a rule, finite ones.
 """
 import numbers
 import sys
@@ -48,18 +49,35 @@ def _number_arg(value, name, real=False):
     return float(value) if real else complex(value)
 
 
-def _samples_arg(value, n, name):
-    """value as a complex (n,) array, not copied when it is one;
-    InvalidArgumentError unless it converts, has that shape and is finite."""
+def _array_arg(value, name, shape=None, dtype=complex, finite=True):
+    """value as a float64 (dtype float) or complex128 (dtype complex) array,
+    not copied when it is one; dtype None keeps real entries float64.
+    InvalidArgumentError unless value is an array or evenly nested sequence
+    of numbers (real ones for dtype float; a bool or a string is not one),
+    of `shape` (None: any length, or any shape) and, when finite, finite."""
+    real = dtype is float
     try:
-        samples = np.asarray(value, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"{name} is not an array of numbers: {exc}") from None
-    if samples.shape != (n,):
-        raise InvalidArgumentError(f"{name} has shape {samples.shape}, expected ({n},)")
-    if not np.isfinite(samples).all():
+        array = np.asarray(value)
+        if isinstance(value, (np.ndarray, np.generic)):
+            ok = array.dtype.kind in ("iuf" if real else "iufc")
+        else:  # numpy reads a bool among numbers as 0 or 1, so each entry is looked at
+            entries = np.array(value, dtype=object).ravel().tolist()
+            ok = all(_is_number(v, real) for v in entries)
+            if ok and array.dtype.kind == "O":  # an integer past int64
+                array = array.astype(float if all(_is_number(v, True) for v in entries)
+                                     else complex)
+    except (TypeError, ValueError, OverflowError):  # rows of different lengths, 10**400
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"{name} is not an array of {'real ' if real else ''}numbers")
+    array = array.astype(dtype or (complex if array.dtype.kind == "c" else float), copy=False)
+    if shape is not None and (array.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, array.shape))):
+        expected = str(tuple(shape)).replace("None", "any")
+        raise InvalidArgumentError(f"{name} has shape {array.shape}, expected {expected}")
+    if finite and not np.isfinite(array).all():
         raise InvalidArgumentError(f"{name} has an entry that is not finite")
-    return samples
+    return array
 
 
 class PreconditionViolationError(FredkitError):

@@ -47,7 +47,7 @@ from .errors import (
     InvalidArgumentError,
     NoSolutionError,
     PoleError,
-    _count_arg, _number_arg, _samples_arg,
+    _array_arg, _count_arg, _number_arg,
 )
 from .nystrom import (
     DiscreteOperator, _apply_A, _matvec, _on_float_view, _pow2_scale, _read_only,
@@ -264,7 +264,7 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     """
     op._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
-    f = _samples_arg(f, op.K.shape[0], "f")
+    f = _array_arg(f, "f", (op.K.shape[0],))
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
         r = p - lam * _apply_A(op, p) - f
@@ -320,7 +320,7 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     pairs beyond k get one Neumann term.  A's weights do not hide samples the
     polish left unresolved (ROADMAP item 2).  Guarded as resolvent_series is."""
     lam = _number_arg(lam, "lambda")
-    f = _samples_arg(f, d.right.shape[0], "f")
+    f = _array_arg(f, "f", (d.right.shape[0],))
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
     s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     NoSpectrumError,
     UnsupportedProfileError,
-    _count_arg, _number_arg,
+    _array_arg, _count_arg, _number_arg,
 )
 from .kernels import basis_kernel
 from .nystrom import _anchor_phase, _finite_power
@@ -159,19 +159,17 @@ def jordan_decompose(N, cluster_tol=1e-7):
     ConvergenceError
         When a LAPACK call (eigvals, svd, qr, lstsq, inv) fails.
     InvalidArgumentError
-        When N is not square, exceeds desk scale or has an entry that is
-        not finite (checked before any LAPACK call), when cluster_tol is not
-        a finite real number, or when a power ||N - lambda I||^k the rank
-        staircase needs overflows.
+        When N is not a square array of numbers, exceeds desk scale or has
+        an entry that is not finite (checked before any LAPACK call), when
+        cluster_tol is not a finite real number, or when a power
+        ||N - lambda I||^k the rank staircase needs overflows.
     """
     cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
-    N = np.asarray(N, dtype=complex)
-    if N.ndim != 2 or N.shape[0] != N.shape[1]:
-        raise InvalidArgumentError("need a square matrix")
+    N = _array_arg(N, "N", (None, None))
+    if N.shape[0] != N.shape[1]:
+        raise InvalidArgumentError(f"N has shape {N.shape}, need a square matrix")
     if N.shape[0] > DESK_DIM_LIMIT:
         raise InvalidArgumentError(f"dimension {N.shape[0]} exceeds desk scale {DESK_DIM_LIMIT}")
-    if not np.isfinite(N).all():
-        raise InvalidArgumentError("N has an entry that is not finite")
     try:
         return _decompose(N, cluster_tol)
     except np.linalg.LinAlgError as exc:
@@ -377,13 +375,17 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
 
 
 def lift_to_kernel(blocks, basis, rule):
-    """Finite-rank kernel whose operator carries the given Jordan blocks.
+    """Finite-rank kernel whose operator carries the given Jordan blocks, a
+    list or tuple of (lam, m) pairs.
 
     The basis must be orthonormal under the rule; the operator then acts
     on span(basis) exactly as blockdiag(J_{m_j}(lambda_j)) and as zero on
     the orthogonal complement.  The chain functions are the basis entries
     grouped block by block.
     """
+    if not (isinstance(blocks, (tuple, list))
+            and all(isinstance(b, (tuple, list)) and len(b) == 2 for b in blocks)):
+        raise InvalidArgumentError(f"blocks must be a list of (lam, m) pairs, got {blocks!r}")
     blocks = [(_number_arg(lam, "lam"), _count_arg(m, "block size", 1)) for lam, m in blocks]
     total = sum(m for _, m in blocks)
     if total != len(basis):

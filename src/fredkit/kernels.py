@@ -31,8 +31,6 @@ follows the kernel:
   is real, and complex128 otherwise.
 """
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +40,19 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
-    _count_arg, _number_arg,
+    _array_arg, _count_arg, _is_number, _number_arg,
 )
 from .measure import QuadratureRule
 
 
 def hermite_he(j, x):
-    """Probabilists' Hermite polynomial He_j evaluated elementwise.
+    """Probabilists' Hermite polynomial He_j evaluated elementwise on x, an
+    array of real numbers of any shape.
 
     Recurrence: He_{j+1}(x) = x He_j(x) - j He_{j-1}(x), He_0 = 1, He_1 = x.
     """
     j = _count_arg(j, "degree")
-    x = np.asarray(x, dtype=float)
+    x = _array_arg(x, "x", dtype=float, finite=False)
     h_prev = np.ones_like(x)
     if j == 0:
         return h_prev
@@ -215,7 +214,8 @@ class GridSampled:
     table: np.ndarray  # a read-only float or complex copy of the caller's table
 
     def __post_init__(self):
-        table = _float_or_complex(np.array(self.table))
+        # a cell that is not finite is discretize's to name, with its node pair
+        table = _array_arg(self.table, "table", (None, None), dtype=None, finite=False).copy()
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -245,6 +245,9 @@ class Kernel:
             raise InvalidArgumentError(f"block shape must be two positive integers: {shape!r}")
         s1, s2 = (_count_arg(s, "block shape entry", 1) for s in shape)
         object.__setattr__(self, "shape", (s1, s2))
+        if not isinstance(body, (ClosedForm, FiniteRank, GridSampled)):
+            raise InvalidArgumentError("a kernel body is a ClosedForm, FiniteRank or "
+                                       f"GridSampled, got {type(body).__name__}")
         if isinstance(body, FiniteRank) and len(body.terms) < 1:
             raise InvalidArgumentError("a finite-rank kernel needs >= 1 term")
         if isinstance(body, GridSampled):
@@ -289,9 +292,10 @@ def separable_kernel(coeffs, rights, lefts, shape=(1, 1)):
 
     The induced operator has at most len(coeffs) nonzero eigenvalues.
     """
-    if not (len(coeffs) == len(rights) == len(lefts)):
+    coeffs = _array_arg(coeffs, "coeffs", (None,))
+    if not (coeffs.size == len(rights) == len(lefts)):
         raise InvalidArgumentError("coeffs, rights, lefts must have equal length")
-    terms = tuple((complex(c), r, l) for c, r, l in zip(coeffs, rights, lefts))
+    terms = tuple(zip(coeffs.tolist(), rights, lefts))
     return Kernel(shape=shape, body=FiniteRank(terms))
 
 
@@ -302,12 +306,10 @@ def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     finite number >= 0; the operator then acts on span{e_a} exactly as the
     matrix C.
     """
-    if not (isinstance(gram_tol, numbers.Real) and 0 <= gram_tol <= sys.float_info.max):
+    if not (_is_number(gram_tol, real=True) and 0 <= gram_tol <= float(np.finfo(float).max)):
         raise InvalidArgumentError(f"gram_tol must be a finite number >= 0, got {gram_tol!r}")
-    C = np.asarray(coeff_matrix, dtype=complex)
     m = len(basis)
-    if C.shape != (m, m):
-        raise InvalidArgumentError("coefficient matrix shape must match basis size")
+    C = _array_arg(coeff_matrix, "coeff_matrix", (m, m))
     E = np.column_stack([_node_values(e, rule.nodes, 1) for e in basis])
     gram = E.conj().T @ (rule.weights[:, None] * E)
     resid = float(np.max(np.abs(gram - np.eye(m))))
@@ -315,14 +317,9 @@ def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
         raise PreconditionViolationError(
             f"basis is not orthonormal under the rule: worst Gram residual {resid:.3e}"
         )
-    terms = []
-    for a in range(m):
-        for b in range(m):
-            if C[a, b] != 0:
-                terms.append((complex(C[a, b]), basis[a], basis[b]))
-    if not terms:
-        terms.append((0j, basis[0], basis[0]))
-    return Kernel(shape=(1, 1), body=FiniteRank(tuple(terms)))
+    terms = [(c, basis[a], basis[b]) for a, row in enumerate(C.tolist())
+             for b, c in enumerate(row) if c != 0]
+    return Kernel(shape=(1, 1), body=FiniteRank(tuple(terms or [(0j, basis[0], basis[0])])))
 
 
 def defective_kernel(lam, m, basis, rule):

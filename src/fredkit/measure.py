@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidArgumentError, _count_arg, _number_arg
+from .errors import InvalidArgumentError, _array_arg, _count_arg, _number_arg
 
 MAX_RULE_SIZE = 1024
 
@@ -42,22 +42,11 @@ class QuadratureRule:
     interval: tuple = None
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = _array_arg(self.nodes, "nodes", (None,), dtype=float)
+        weights = _array_arg(self.weights, "weights", nodes.shape, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or weights.ndim != 1:
-            raise InvalidArgumentError("nodes and weights must be 1-d")
-        if nodes.size != weights.size:
-            raise InvalidArgumentError("nodes and weights must have equal length")
-        if nodes.size < 1:
-            raise InvalidArgumentError("a rule needs at least one node")
-        if nodes.size > MAX_RULE_SIZE:
-            raise InvalidArgumentError(
-                f"rule size {nodes.size} exceeds the cap of {MAX_RULE_SIZE}"
-            )
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise InvalidArgumentError("nodes and weights must be finite")
+        _count_arg(nodes.size, "rule size", 1, MAX_RULE_SIZE)
         if np.any(np.diff(nodes) <= 0):
             raise InvalidArgumentError("nodes must be strictly increasing")
         if np.any(weights <= 0):
@@ -83,16 +72,6 @@ class QuadratureRule:
         if self.interval is not None:
             d["interval"] = list(self.interval)
         return d
-
-    @staticmethod
-    def from_dict(d):
-        interval = tuple(d["interval"]) if d.get("interval") is not None else None
-        return QuadratureRule(
-            np.asarray(d["nodes"], dtype=float),
-            np.asarray(d["weights"], dtype=float),
-            kind=d.get("kind", KIND_CUSTOM),
-            interval=interval,
-        )
 
 
 def _golub_welsch(offdiag, mu0):
@@ -174,10 +153,8 @@ def discrete_measure(points, weights):
     Points may arrive in any order; they are sorted (weights carried along)
     and must be pairwise distinct with positive weights.
     """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if points.ndim != 1 or weights.ndim != 1 or points.size != weights.size:
-        raise InvalidArgumentError("points and weights must be equal-length 1-d")
+    points = _array_arg(points, "points", (None,), dtype=float)
+    weights = _array_arg(weights, "weights", points.shape, dtype=float)
     order = np.argsort(points)
     points = points[order]
     weights = weights[order]

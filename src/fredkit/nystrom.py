@@ -35,7 +35,7 @@ from .errors import (
     InvalidArgumentError,
     NontrivialityWarning,
     ZeroDivisionSignal,
-    _count_arg, _number_arg, _samples_arg,
+    _array_arg, _count_arg, _number_arg,
 )
 from .kernels import Kernel, _real_point
 from .measure import QuadratureRule
@@ -360,12 +360,12 @@ def _check_finite(K, rule, s1, s2):
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:
     """Nystrom image of the operator on node samples: A @ f = K (w f)."""
-    return _apply_A(op, _samples_arg(f, op.K.shape[1], "f"))
+    return _apply_A(op, _array_arg(f, "f", (op.K.shape[1],)))
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
     """Node samples of the adjoint image: (W K)^* p = K^H (w * p)."""
-    return _apply_adjoint(op, _samples_arg(p, op.K.shape[0], "p"))
+    return _apply_adjoint(op, _array_arg(p, "p", (op.K.shape[0],)))
 
 
 def _apply_adjoint(op, X):
@@ -423,7 +423,7 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
     s1, s2 = kernel.shape
-    p = _samples_arg(eig_samples, rule.count * s2, "eig_samples")
+    p = _array_arg(eig_samples, "eig_samples", (rule.count * s2,))
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
     acc = _matvec(row, np.repeat(rule.weights, s2) * p) / nu
     return complex(acc[0]) if s1 == 1 else acc

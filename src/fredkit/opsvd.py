@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _count_arg, _samples_arg
+from .errors import InvalidArgumentError, _array_arg, _count_arg
 from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec
 from .spectral import _retained_count, hermitian_eig
 
@@ -124,7 +124,7 @@ def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
     n = _count_arg(n, "iterate")
     V = _side_matrix(svd, side)
     w = svd.w_rows if side == "left" else svd.w_cols
-    f = _samples_arg(f, V.shape[0], "f")
+    f = _array_arg(f, "f", (V.shape[0],))
     r = svd.rank_numerical
     coeffs = _matvec(V[:, :r].conj().T, w * f)
     theta = svd.singular_values[:r]

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolationError,
     StartingVectorError,
     UnsupportedProfileError,
-    _count_arg, _number_arg, _samples_arg,
+    _array_arg, _count_arg, _number_arg,
 )
 from .kernels import Kernel
 from .nystrom import (
@@ -54,7 +54,7 @@ def _unit_scaled(f):
 
 def _start(w, f, name):
     """f, checked, _unit_scaled and of unit W-norm; StartingVectorError if zero."""
-    f = _unit_scaled(_samples_arg(f, w.size, name))
+    f = _unit_scaled(_array_arg(f, name, (w.size,)))
     nf = _wnorm(w, f)
     if nf == 0.0:
         raise StartingVectorError(f"starting vector {name} is zero")
@@ -113,7 +113,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     tol = _number_arg(tol, "tol", real=True)
     w = op.w_rows
     h = _start(w, f, "f")
-    g = _unit_scaled(_samples_arg(probe, w.size, "probe")) if probe is not None else h.copy()
+    g = _unit_scaled(_array_arg(probe, "probe", (w.size,))) if probe is not None else h.copy()
     collapse_test = _collapse_test(op)
     iterates, scales, ratios, pointwise = [], [], [], []
     converged = False
@@ -255,8 +255,8 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     op._require_square("deflation")
     try:
         nu1 = _number_arg(nu1, "nu1")
-        p1 = _samples_arg(p1, op.K.shape[0], "p1")
-        q1 = _samples_arg(q1, op.K.shape[0], "q1")
+        p1 = _array_arg(p1, "p1", (op.K.shape[0],))
+        q1 = _array_arg(q1, "q1", (op.K.shape[0],))
     except InvalidArgumentError as exc:
         raise PreconditionViolationError(f"deflation needs a finite pair: {exc}") from None
     pairing = _winner(op.w_rows, q1, p1)

@@ -9,11 +9,11 @@ Real and complex float ndarrays take a fast path: nested brackets are
 folded from the innermost axis outwards into one template, instead of one
 recursive call per number, and each distinct value is formatted once (a
 complex matrix with zero imaginary parts repeats 0.0 in half its numbers).
-Float and complex scalars are formatted as a 0-d array's entry.  The
-bytes are the same as the per-number rendering of the array's nested
-lists; other values (dicts, lists, ints, bools, strings, integer arrays)
-are written recursively.  The CLI writes the text to a file as UTF-8
-bytes.
+The bytes are the same as the per-number rendering of the array's nested
+lists.  Float and complex scalars go straight to ``_number``, a complex
+one's imaginary part first as in an array; other values (dicts, lists,
+ints, bools, strings, integer arrays) are written recursively.  The CLI
+writes the text to a file as UTF-8 bytes.
 """
 import csv
 import io
@@ -143,7 +143,7 @@ def _dump(obj, indent, level):
         return _string(obj)
     if isinstance(obj, (float, np.floating)):
         return _number(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):  # as a 0-d array's entry
+    if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
         im = _number(z.imag)  # checked first, as in an array
         return f'{{{pad}"im": {im},{pad}"re": {_number(z.real)}{end}}}'

@@ -5,11 +5,13 @@ runtime warning.
 Each row of ROWS names a public callable, builds good arguments for it and
 lists the arguments to spoil, each with the kind of its spoiled values:
 a count gets 2.5, True and -1; a number NaN, inf, 10**400, True and the
-text "0.5"; a sample vector a wrong length and a NaN entry; an operator a
-(1, 2)-block one.
+text "0.5"; a sample vector a wrong length and a NaN entry; an array a text
+entry, a bool entry, a complex entry where it is real, ragged nesting, one
+axis too many and a NaN entry where it is finite; an operator a (1, 2)-block
+one.
 test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
-function taking an operator, a decomposition, a count or a sample vector
-cannot ship without rows here.
+function taking an operator, a decomposition, a count, a sample vector or
+an array argument cannot ship without rows here.
 """
 import dataclasses
 import functools
@@ -55,17 +57,67 @@ COUNT = {"2.5": lambda v: 2.5, "True": lambda v: True, "-1": lambda v: -1}
 NUMBER = {"nan": lambda v: float("nan"), "inf": lambda v: float("inf"),
           "1e400": lambda v: 10 ** 400, "True": lambda v: True, "text": lambda v: "0.5"}
 VECTOR = {"short": lambda v: np.asarray(v)[:-1], "nan-entry": _nan_entry}
+
+
+def _first_entry(new):
+    """Spoil: the array as nested lists with its first entry replaced by `new`."""
+    def spoil(v):
+        entries = np.array(v, dtype=object)
+        entries.flat[0] = new
+        return entries.tolist()
+    return spoil
+
+
+def _ragged(v):
+    """The array as nested lists whose last row is one entry short (of a
+    vector: whose last entry is wrapped in a list)."""
+    rows = np.asarray(v).tolist()
+    rows[-1] = rows[-1][:-1] if isinstance(rows[-1], list) else [rows[-1]]
+    return rows
+
+
+# an array of finite numbers; REAL_ARRAY one of finite real numbers
+ARRAY = {"text": _first_entry("0.5"), "bool": _first_entry(True), "ragged": _ragged,
+         "rank": lambda v: [np.asarray(v).tolist()], "nan-entry": _first_entry(float("nan"))}
+REAL_ARRAY = dict(ARRAY, complex=_first_entry(0.5 + 1j))
+# a grid table may hold a cell that is not finite (discretize names its node
+# pair), and hermite_he evaluates at any array of real numbers, of any rank
+TABLE = {k: ARRAY[k] for k in ("text", "bool", "ragged", "rank")}
+POINTS = {k: REAL_ARRAY[k] for k in ("text", "bool", "complex", "ragged")}
 OPERATOR = {"block-1x2": lambda v: env()["wide"]}
 PAIR = {"end-" + k: (lambda s: lambda v: (0.0, s(v)))(s) for k, s in NUMBER.items()}
 PAIR.update({"scalar": lambda v: 0.5, "triple": lambda v: (0.0, 0.5, 1.0)})
+BLOCKS = {"scalar-block": lambda v: [0.5], "triple-block": lambda v: [(0.5, 2, 1)],
+          "scalar": lambda v: 0.5}
+BODY = {"none": lambda v: None, "function": lambda v: (lambda y, z: y * z)}
 
 # name -> (callable, good keyword arguments from env(), {argument: spoils})
 ROWS = {
+    "QuadratureRule": (fk.QuadratureRule,
+                       lambda e: dict(nodes=[0.0, 0.5, 1.0], weights=[0.25, 0.5, 0.25]),
+                       {"nodes": REAL_ARRAY, "weights": REAL_ARRAY}),
+    "discrete_measure": (fk.discrete_measure,
+                         lambda e: dict(points=[1.0, 0.0, 0.5], weights=[0.25, 0.5, 0.25]),
+                         {"points": REAL_ARRAY, "weights": REAL_ARRAY}),
+    "Kernel": (fk.Kernel, lambda e: dict(shape=(1, 1), body=e["kernel"].body), {"body": BODY}),
+    "separable_kernel": (fk.separable_kernel,
+                         lambda e: dict(coeffs=[0.5, 0.2], rights=e["basis"], lefts=e["basis"]),
+                         {"coeffs": ARRAY}),
+    "basis_kernel": (fk.basis_kernel,
+                     lambda e: dict(coeff_matrix=np.eye(2), basis=e["basis"], rule=e["rule"],
+                                    gram_tol=1e-10),
+                     {"coeff_matrix": ARRAY, "gram_tol": NUMBER}),
+    "grid_kernel": (fk.grid_kernel, lambda e: dict(rule=e["rule"], table=np.eye(8)),
+                    {"table": TABLE}),
+    "lift_to_kernel": (fk.lift_to_kernel,
+                       lambda e: dict(blocks=[(0.5, 2)], basis=e["basis"], rule=e["rule"]),
+                       {"blocks": BLOCKS}),
     "gauss_legendre": (fk.gauss_legendre, lambda e: dict(n=8, a=0.0, b=1.0),
                        {"n": COUNT, "a": NUMBER, "b": NUMBER}),
     "gauss_hermite_prob": (fk.gauss_hermite_prob, lambda e: dict(n=8), {"n": COUNT}),
     "HermitePair": (fk.HermitePair, lambda e: dict(degree=2), {"degree": COUNT}),
-    "hermite_he": (fk.hermite_he, lambda e: dict(j=2, x=[0.1, 0.2]), {"j": COUNT}),
+    "hermite_he": (fk.hermite_he, lambda e: dict(j=2, x=[0.1, 0.2]),
+                   {"j": COUNT, "x": POINTS}),
     "mehler_kernel": (fk.mehler_kernel, lambda e: dict(r=0.5), {"r": NUMBER}),
     "defective_kernel": (fk.defective_kernel,
                          lambda e: dict(lam=0.5, m=2, basis=e["basis"], rule=e["rule"]),
@@ -94,7 +146,7 @@ ROWS = {
                            {"lam": NUMBER, "m": COUNT, "n": COUNT}),
     "jordan_decompose": (fk.jordan_decompose,
                          lambda e: dict(N=np.diag([0.5, 0.2]), cluster_tol=1e-7),
-                         {"cluster_tol": NUMBER}),
+                         {"N": ARRAY, "cluster_tol": NUMBER}),
     "matrix_power_via_jordan": (fk.matrix_power_via_jordan, lambda e: dict(jf=e["jf"], n=3),
                                 {"n": COUNT}),
     "defective_asymptotic": (fk.defective_asymptotic,
@@ -174,6 +226,7 @@ GATED_TYPES = (fk.DiscreteOperator, fk.BiSpectralDecomposition, fk.OperatorSVD, 
 OPERATOR_NAMES = {"op", "target", "d", "svd", "jf"}
 COUNT_NAMES = {"n", "k", "m", "M", "count", "steps", "n_max", "degree", "j"}
 VECTOR_NAMES = {"f", "g", "p", "p1", "q1", "probe", "eig_samples"}
+ARRAY_NAMES = {"nodes", "weights", "points", "table", "coeffs", "coeff_matrix", "N", "x"}
 # an SVD exists for every block shape, so there is no argument to spoil
 NOTHING_TO_SPOIL = {"operator_svd"}
 
@@ -181,13 +234,13 @@ NOTHING_TO_SPOIL = {"operator_svd"}
 def _gated_arguments(obj):
     params = inspect.signature(obj).parameters.values()
     return {p.name for p in params if p.annotation in GATED_TYPES
-            or p.name in OPERATOR_NAMES | COUNT_NAMES | VECTOR_NAMES}
+            or p.name in OPERATOR_NAMES | COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES}
 
 
 def test_every_entry_point_has_rows():
     """A public function (or a class that is not a record) taking an
-    operator, a decomposition, a count or a sample vector has a row, and the
-    row spoils each of its counts and sample vectors."""
+    operator, a decomposition, a count, a sample vector or an array has a
+    row, and the row spoils each of its counts, sample vectors and arrays."""
     missing = []
     for name in fk.__all__:
         obj = getattr(fk, name)
@@ -198,7 +251,7 @@ def test_every_entry_point_has_rows():
         if not gated or name in NOTHING_TO_SPOIL:
             continue
         spoiled = set(ROWS[name][2]) if name in ROWS else set()
-        unspoiled = (gated & (COUNT_NAMES | VECTOR_NAMES)) - spoiled
+        unspoiled = (gated & (COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES)) - spoiled
         if name not in ROWS or unspoiled:
             missing.append(f"{name} {sorted(unspoiled or gated)}")
     assert not missing, f"public entry points without rows: {missing}"

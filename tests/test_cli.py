@@ -435,6 +435,28 @@ MALFORMED = [
                             "measure": GL8}, 1, "kernel.lam:"),
     ("iterate-n-infinite", {"command": "iterate", "params": {"n": float("inf")}},
      1, "params.n:"),
+    # each field is read by the library's own check: a number or an array
+    # of numbers holds no bool or string, and a count is never truncated
+    ("mehler-r-numeric-text", {"kernel": {"name": "mehler", "r": "0.5"}}, 1, "kernel.r:"),
+    ("legendre-a-true-b-text", {"measure": dict(GL8, a=True, b="2")}, 1, "measure.a:"),
+    ("legendre-b-numeric-text", {"measure": dict(GL8, b="2")}, 1, "measure.b:"),
+    ("powerit-tol-numeric-text", {"command": "powerit", "params": {"tol": "1e-9"}},
+     1, "params.tol:"),
+    ("powerit-tol-true", {"command": "powerit", "params": {"tol": True}}, 1, "params.tol:"),
+    ("jordan-cluster-tol-text", {"command": "jordan", "params": {"cluster_tol": "1e-4"}},
+     1, "params.cluster_tol:"),
+    ("powerit-k-true", {"command": "powerit", "params": {"k": True}}, 1, "params.k:"),
+    ("inline-nodes-numeric-text", {"measure": {"nodes": ["0", "1"], "weights": [0.5, 0.5]}},
+     1, "measure.nodes:"),
+    ("inline-weights-true", {"measure": {"nodes": [0.0, 1.0], "weights": [True, 0.5]}},
+     1, "measure.weights:"),
+    ("discrete-points-true", {"measure": {"kind": "discrete", "points": [0.0, True],
+                                          "weights": [0.5, 0.5]}}, 1, "measure.points:"),
+    ("iterate-n-fraction", {"command": "iterate", "params": {"n": 2.7}}, 1, "params.n:"),
+    ("powerit-nmax-fraction", {"command": "powerit", "params": {"nmax": 2.9}},
+     1, "params.nmax:"),
+    ("defective-m-fraction", {"kernel": {"name": "defective", "lam": 0.5, "m": 2.9},
+                              "measure": GL8}, 1, "kernel.m:"),
     ("trace-n-negative", {"command": "trace", "params": {"n": -1}}, 1, "params.n:"),
     ("params-not-object", {"params": "x"}, 2, "params:"),
     ("destination-not-path", {"output": {"format": "json", "destination": 5}},
