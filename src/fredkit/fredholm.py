@@ -33,9 +33,9 @@ carries it as ``nearest``, with ``gap``.
 The proximity guards and the product determinant read eigenvalues from
 DiscreteOperator.spectrum, which is computed once per operator and cached
 (the operator's matrices are read-only), and keep its retained part, cut
-as the decompositions cut theirs (spectral._retained), so sweeping lambda
+as the decompositions cut theirs (nystrom._retained), so sweeping lambda
 over one operator -- resolvent solves, product determinants, log-derivative
-paths -- pays for one eigensolve, the shared eigh on the Hermitian route.
+paths -- pays for one eigensolve, the Hermitian route's one eigen-family.
 """
 from dataclasses import dataclass
 
@@ -50,9 +50,9 @@ from .errors import (
     _array_arg, _count_arg, _number_arg,
 )
 from .nystrom import (
-    DiscreteOperator, _apply_A, _matvec, _on_float_view, _pow2_scale, _read_only,
+    DiscreteOperator, _apply_A, _matvec, _on_float_view, _pow2_scale, _read_only, _retained,
 )
-from .spectral import BiSpectralDecomposition, _retained, djf_eig, hermitian_eig
+from .spectral import BiSpectralDecomposition, djf_eig, hermitian_eig
 
 # relative pole distances below which lambda is refused (_guard_pole)
 GAP_RTOL = 1e-8           # direct solves and resolvent kernels

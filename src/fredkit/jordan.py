@@ -7,7 +7,7 @@ linkage, the Weyr staircase is read off singular-value ranks of powers of
 (N - lambda I), eigenvectors of each block are taken from
 ker(S) intersect range(S^{size-1}), and chains extend by minimum-norm
 least-squares solves of S p_k = p_{k-1}.  Blocks are listed in the order
-the spectral decompositions list eigenvalues (spectral._sort_order):
+the spectral decompositions list eigenvalues (nystrom._sort_order):
 descending modulus, near-ties by descending phase.  Powers that overflow
 are refused with InvalidArgumentError naming n.
 """
@@ -24,9 +24,8 @@ from .errors import (
     UnsupportedProfileError,
     _array_arg, _count_arg, _number_arg,
 )
-from .kernels import basis_kernel
-from .nystrom import _anchor_phase, _finite_power
-from .spectral import _sort_order
+from .kernels import _callables_arg, basis_kernel
+from .nystrom import _anchor_phase, _finite_power, _sort_order
 
 DESK_DIM_LIMIT = 64
 RANK_RTOL = 1e-10
@@ -133,7 +132,7 @@ def jordan_decompose(N, cluster_tol=1e-7):
     """Numerical Jordan form of a small dense matrix.
 
     Blocks are grouped by eigenvalue cluster, the clusters in the order
-    spectral._sort_order gives their centres, longest blocks first within a
+    nystrom._sort_order gives their centres, longest blocks first within a
     cluster.
 
     Parameters
@@ -388,7 +387,7 @@ def lift_to_kernel(blocks, basis, rule):
         raise InvalidArgumentError(f"blocks must be a list of (lam, m) pairs, got {blocks!r}")
     blocks = [(_number_arg(lam, "lam"), _count_arg(m, "block size", 1)) for lam, m in blocks]
     total = sum(m for _, m in blocks)
-    if total != len(basis):
+    if total != len(_callables_arg(basis, "basis")):
         raise InvalidArgumentError(
             f"basis length {len(basis)} must equal the total block size {total}"
         )

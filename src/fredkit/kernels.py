@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedKernelError,
     _array_arg, _count_arg, _is_number, _number_arg,
 )
-from .measure import QuadratureRule
+from .measure import QuadratureRule, _rule_arg
 
 
 def hermite_he(j, x):
@@ -137,6 +137,14 @@ def _node_values(fn, xs, s):
     return out
 
 
+def _callables_arg(fns, name):
+    """fns as a tuple; InvalidArgumentError unless it is a list or tuple of
+    callables."""
+    if not (isinstance(fns, (list, tuple)) and all(callable(f) for f in fns)):
+        raise InvalidArgumentError(f"{name} must be a list or tuple of callables")
+    return tuple(fns)
+
+
 def _real_point(v, name):
     """[v] as a float array; v must be a finite real number."""
     return np.array([_number_arg(v, name, real=True)])
@@ -214,6 +222,7 @@ class GridSampled:
     table: np.ndarray  # a read-only float or complex copy of the caller's table
 
     def __post_init__(self):
+        _rule_arg(self.rule)
         # a cell that is not finite is discretize's to name, with its node pair
         table = _array_arg(self.table, "table", (None, None), dtype=None, finite=False).copy()
         table.setflags(write=False)
@@ -248,8 +257,15 @@ class Kernel:
         if not isinstance(body, (ClosedForm, FiniteRank, GridSampled)):
             raise InvalidArgumentError("a kernel body is a ClosedForm, FiniteRank or "
                                        f"GridSampled, got {type(body).__name__}")
-        if isinstance(body, FiniteRank) and len(body.terms) < 1:
-            raise InvalidArgumentError("a finite-rank kernel needs >= 1 term")
+        if isinstance(body, FiniteRank):
+            if not (isinstance(body.terms, (list, tuple)) and len(body.terms) >= 1):
+                raise InvalidArgumentError("a finite-rank kernel needs >= 1 term")
+            for term in body.terms:
+                if not (isinstance(term, (list, tuple)) and len(term) == 3
+                        and callable(term[1]) and callable(term[2])):
+                    raise InvalidArgumentError(
+                        f"a finite-rank term is a (number, callable, callable) triple: {term!r}")
+                _number_arg(term[0], "finite-rank coefficient")
         if isinstance(body, GridSampled):
             n = body.rule.count
             if body.table.shape != (n * s1, n * s2):
@@ -293,6 +309,7 @@ def separable_kernel(coeffs, rights, lefts, shape=(1, 1)):
     The induced operator has at most len(coeffs) nonzero eigenvalues.
     """
     coeffs = _array_arg(coeffs, "coeffs", (None,))
+    rights, lefts = _callables_arg(rights, "rights"), _callables_arg(lefts, "lefts")
     if not (coeffs.size == len(rights) == len(lefts)):
         raise InvalidArgumentError("coeffs, rights, lefts must have equal length")
     terms = tuple(zip(coeffs.tolist(), rights, lefts))
@@ -308,6 +325,7 @@ def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     """
     if not (_is_number(gram_tol, real=True) and 0 <= gram_tol <= float(np.finfo(float).max)):
         raise InvalidArgumentError(f"gram_tol must be a finite number >= 0, got {gram_tol!r}")
+    basis, rule = _callables_arg(basis, "basis"), _rule_arg(rule)
     m = len(basis)
     C = _array_arg(coeff_matrix, "coeff_matrix", (m, m))
     E = np.column_stack([_node_values(e, rule.nodes, 1) for e in basis])
@@ -329,7 +347,7 @@ def defective_kernel(lam, m, basis, rule):
     so its restriction is exactly the Jordan block with eigenvalue `lam`.
     """
     m = _count_arg(m, "block size", 2)
-    if len(basis) != m:
+    if len(_callables_arg(basis, "basis")) != m:
         raise InvalidArgumentError("basis length must equal the block size")
     J = np.eye(m, dtype=complex) * _number_arg(lam, "lam") + np.diag(np.ones(m - 1), 1)
     return basis_kernel(J, basis, rule)
@@ -348,7 +366,7 @@ def orthonormal_poly_basis(rule, count):
     for stability.  For Gauss-Legendre rules this yields scaled shifted
     Legendre polynomials; for Gauss-Hermite the normalized He_j family.
     """
-    count = _count_arg(count, "count", 1, rule.count)
+    count = _count_arg(count, "count", 1, _rule_arg(rule).count)
     x = rule.nodes
     w = rule.weights
     Poly = np.polynomial.Polynomial

@@ -74,6 +74,14 @@ class QuadratureRule:
         return d
 
 
+def _rule_arg(rule):
+    """rule; InvalidArgumentError unless it is a QuadratureRule, the one
+    check of every entry point's rule argument."""
+    if not isinstance(rule, QuadratureRule):
+        raise InvalidArgumentError(f"rule must be a QuadratureRule, got {type(rule).__name__}")
+    return rule
+
+
 def _golub_welsch(offdiag, mu0):
     """Nodes/weights from the symmetric tridiagonal Jacobi matrix.
 

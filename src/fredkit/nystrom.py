@@ -7,12 +7,12 @@ B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
 orthonormality of eigenfunction samples into Euclidean orthonormality.
 Every product with A is K (w x), through one helper (_apply_A), so A
 itself is formed only when a caller reads DiscreteOperator.A.
-B's Hermitian defect, the eigh of its Hermitian part (hermitian_eigh) and
+B's Hermitian defect, the one eigen-family of its Hermitian part
+(hermitian_family: one eigh, sorted, cut, polished and anchored here) and
 A's eigenvalues (spectrum) are computed at most once per operator, on first
 use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
-gate of every Hermitian shortcut) the spectrum is that eigh's values, so
-one eigh serves the decompositions, the SVD and the resolvent.  That eigh
-runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one there:
+gate of every Hermitian shortcut) the spectrum is that family's values.
+Its eigh runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one:
 divide and conquer (dsyevd) for a real B, MRRR (zheevr) for a complex one.
 K and B (and A, once read) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
@@ -38,7 +38,7 @@ from .errors import (
     _array_arg, _count_arg, _number_arg,
 )
 from .kernels import Kernel, _real_point
-from .measure import QuadratureRule
+from .measure import QuadratureRule, _rule_arg
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
@@ -50,6 +50,12 @@ UNIT = np.finfo(float).eps / 2  # unit roundoff u
 # and 1024, while zheevr takes 0.94x zheevd's at N = 128, 0.71x at 256 and
 # 0.44x at 1024, for the same full orthonormal family.
 EIGH_DRIVER = {"f": "evd", "c": "evr"}
+
+RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
+TIE_RTOL = 1e-10          # moduli this close (relative) sort as tied, by phase
+REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
+                          # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
+                          # which must stay below the orthonormality budget
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class DiscreteOperator:
     calls.  Values that are complex by contract stay complex: the
     spectrum, djf_eig's pairs and solves at complex lambda.
     K and B are made read-only on construction, so nothing cached from
-    them can go stale: A, the Hermitian defect, ``hermitian_eigh`` and the
+    them can go stale: A, the Hermitian defect, ``hermitian_family`` and the
     spectrum, each computed on first read (never eagerly) and read-only, and
     what fredholm keeps: K and the weights permuted to its elimination
     order, once, and the LU of I - lambda*A for the last lambda.
@@ -82,9 +88,9 @@ class DiscreteOperator:
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
     by one eigh of its Hermitian part S = (B + B^H) / 2 (LAPACK's dsyevd
-    for a real B, zheevr for a complex one; see EIGH_DRIVER), which
-    replaces the eig of djf_eig, the svd of operator_svd and the eigvals
-    of the spectrum.
+    for a real B, zheevr for a complex one; see EIGH_DRIVER), polished once
+    into hermitian_family, which replaces the eig of djf_eig, the svd of
+    operator_svd and the eigvals of the spectrum.
     S is within ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F of B,
     inside the backward error those calls commit (eigvals(A) also carries
     the sqrt(max w / min w) condition of W^{-1/2}), so every answer keeps an
@@ -115,11 +121,11 @@ class DiscreteOperator:
     @cached_property
     def spectrum(self):
         """All eigenvalues of A, complex, computed once and read-only:
-        hermitian_eigh's, ascending, when hermitian_to_roundoff() holds, else
-        one eigvals(A)'s in LAPACK order (ConvergenceError, caching nothing,
-        when it does not converge)."""
+        hermitian_family's eigh values, ascending, when hermitian_to_roundoff()
+        holds, else one eigvals(A)'s in LAPACK order (ConvergenceError,
+        caching nothing, when it does not converge)."""
         if self.hermitian_to_roundoff():
-            return _read_only(self.hermitian_eigh[0].astype(complex))
+            return _read_only(self.hermitian_family[0].astype(complex))
         self._require_square("a spectrum")
         return _read_only(_linalg("eigvals", self.A).astype(complex, copy=False))
 
@@ -159,7 +165,7 @@ class DiscreteOperator:
     def _defect(self):
         self._require_square("a Hermitian defect")
         S, defect = _hermitian_part(self.B)
-        if defect <= self.B.shape[0] * UNIT:  # on the route: hermitian_eigh takes S
+        if defect <= self.B.shape[0] * UNIT:  # on the route: _hermitian_eigh takes S
             self.__dict__["_hermitian_S"] = S
         return defect
 
@@ -169,31 +175,50 @@ class DiscreteOperator:
         return self.is_square_block and self.hermitian_defect() <= self.B.shape[0] * UNIT
 
     @cached_property
-    def hermitian_eigh(self):
-        """(vals, vecs) of ``scipy.linalg.eigh`` on B's Hermitian part
-        (B + B^H) / 2: real eigenvalues ascending, orthonormal columns of B's
-        dtype.  Computed on first use, once, and read-only.
+    def hermitian_family(self):
+        """(values, eigenvalues, P, retained, biorth_residual): the one
+        W-orthonormal eigen-family of B's Hermitian part (B + B^H) / 2, built
+        on first read, once, and read-only; hermitian_eig wraps it.
 
-        The LAPACK driver follows the dtype (EIGH_DRIVER): dsyevd, numpy's eigh,
-        for a real B and the MRRR solver zheevr for a complex one, which
-        takes under half of zheevd's time at N = 1024 and returns the same
-        full orthonormal family.  The Hermitian part is built once, here or
-        (on the Hermitian route) by the defect, handed to LAPACK to
-        overwrite and dropped.  Raises InvalidArgumentError when that part
-        has an entry that is not finite (zheevr would answer without an
-        error) and ConvergenceError when eigh does not converge, caching
-        nothing.
+        values are eigh's, real and ascending (the spectrum's order), and
+        eigenvalues the same, complex, in _sort_order.  P holds the node
+        samples v / sqrt(w) of eigh's vectors in that order, in B's dtype:
+        one Nystrom pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL
+        |nu_1|, then each gets unit W-norm and a real-positive anchor.
+        retained counts the retained cut (_retained), and biorth_residual is
+        max |<p_j, p_k>_W - delta_jk| over it.  eigh's own vectors are
+        dropped once sorted.  Raises as _hermitian_eigh does, caching nothing.
         """
-        self._require_square("a Hermitian eigendecomposition")
-        S = self.__dict__.pop("_hermitian_S", None)
-        if S is None:
-            S, defect = _hermitian_part(self.B)
-            self.__dict__.setdefault("_defect", defect)
-            if not np.isfinite(defect):  # finite exactly when S is
-                raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
-        vals, vecs = _linalg("eigh", S, lib=scipy.linalg, driver=EIGH_DRIVER[S.dtype.kind],
-                             overwrite_a=True, check_finite=False)
-        return _read_only(vals), _read_only(vecs)
+        vals, P = _hermitian_eigh(self)
+        order = _sort_order(vals)  # real vals sort as their complex form does
+        nu, P = vals[order], P[:, order]
+        w = self.w_rows
+        P /= np.sqrt(w)[:, None]
+        retained = _retained_count(nu)
+        if retained:
+            sel = np.flatnonzero(np.abs(nu) >= REFINE_RTOL * np.abs(nu[0]))
+            P[:, sel] = _apply_A(self, P[:, sel]) / nu[sel]
+        P *= _unit_anchored(w, P)
+        return (_read_only(vals), _read_only(nu.astype(complex)), _read_only(P), retained,
+                _biorth_residual(w, P, P, retained))
+
+
+def _hermitian_eigh(op):
+    """(vals ascending, vecs in B's dtype) of scipy.linalg.eigh, with B's
+    EIGH_DRIVER, on B's Hermitian part, built here or (on the Hermitian
+    route) by the defect and handed to LAPACK to overwrite.  Raises
+    InvalidArgumentError when that part has an entry that is not finite
+    (zheevr would answer without an error) and ConvergenceError when eigh
+    does not converge."""
+    op._require_square("a Hermitian eigendecomposition")
+    S = op.__dict__.pop("_hermitian_S", None)
+    if S is None:
+        S, defect = _hermitian_part(op.B)
+        op.__dict__.setdefault("_defect", defect)
+        if not np.isfinite(defect):  # finite exactly when S is
+            raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
+    return _linalg("eigh", S, lib=scipy.linalg, driver=EIGH_DRIVER[S.dtype.kind],
+                   overwrite_a=True, check_finite=False)
 
 
 def _hermitian_part(B):
@@ -323,6 +348,65 @@ def _anchor_phase(U):
     return np.hypot(ua.real, ua.imag) / ua
 
 
+def _roundoff_floor(vals):
+    """N * eps * |nu_1|: eigenvalues closer than this are not resolved."""
+    return vals.size * np.finfo(float).eps * max(float(np.max(np.abs(vals))), 1e-300)
+
+
+def _sort_order(vals):
+    """Descending modulus with ties broken by descending phase in (-pi, pi].
+
+    Moduli within TIE_RTOL of the group leader, or within the roundoff
+    floor N * eps * |nu_1|, count as tied, so the ordering agrees across
+    eig/eigh paths whose roundoff differs while resolved small moduli keep
+    their order; phases hugging the -pi seam are wrapped to +pi (a
+    negative real eigenvalue must not flip sides on 1e-17 imaginary noise).
+    jordan_decompose orders its blocks by it too.
+    """
+    if vals.size == 0:
+        return np.arange(0)
+    mods = np.abs(vals)
+    phases = np.angle(vals)
+    phases = np.where(phases <= -np.pi + 1e-9, phases + 2.0 * np.pi, phases)
+    order = list(np.lexsort((-phases, -mods)))
+    floor = _roundoff_floor(vals)
+    i = 0
+    while i < len(order):
+        tol = max(TIE_RTOL * mods[order[i]], floor)
+        j = i + 1
+        while j < len(order) and mods[order[i]] - mods[order[j]] <= tol:
+            j += 1
+        order[i:j] = sorted(order[i:j], key=lambda t: -phases[t])
+        i = j
+    return np.array(order)
+
+
+def _retained(vals):
+    """The retained cut, as a mask: |nu| > RETAIN_RTOL * max |nu|, so nothing
+    is retained when that max is 0.  Shared by the decompositions, the
+    operator SVD's numerical rank and the resolvent's pole guards."""
+    mods = np.abs(vals)
+    return mods > RETAIN_RTOL * np.max(mods, initial=0.0)
+
+
+def _retained_count(vals):
+    return int(np.count_nonzero(_retained(vals)))
+
+
+def _biorth_residual(w, P, Q, retained):
+    if retained == 0:
+        return 0.0
+    G = Q[:, :retained].conj().T @ (w[:, None] * P[:, :retained])
+    return float(np.max(np.abs(G - np.eye(retained))))
+
+
+def _unit_anchored(w, P):
+    """Per-column factors giving each nonzero column of P unit W-norm and a
+    real-positive first maximal entry (1 for a zero column)."""
+    nrm = _wnorm(w, P)
+    return _anchor_phase(P) / np.where(nrm > 0, nrm, 1.0)
+
+
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
     """Sample a kernel on a rule and assemble K and B.
 
@@ -331,7 +415,7 @@ def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
     named.  Emits NontrivialityWarning when the sampled kernel is
     numerically zero (useful as a fixture, but no spectral content).
     """
-    K = kernel.sample_matrix(rule)
+    K = kernel.sample_matrix(_rule_arg(rule))
     s1, s2 = kernel.shape
     _check_finite(K, rule, s1, s2)
     op = DiscreteOperator(rule=rule, shape=(s1, s2), K=K)
@@ -423,7 +507,7 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
     s1, s2 = kernel.shape
-    p = _array_arg(eig_samples, "eig_samples", (rule.count * s2,))
+    p = _array_arg(eig_samples, "eig_samples", (_rule_arg(rule).count * s2,))
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
     acc = _matvec(row, np.repeat(rule.weights, s2) * p) / nu
     return complex(acc[0]) if s1 == 1 else acc

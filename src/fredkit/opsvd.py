@@ -8,9 +8,10 @@ trace power sums, and truncation follow from the triples alone; a power
 whose result overflows raises InvalidArgumentError naming n.
 
 When B is Hermitian to roundoff (hermitian_defect() <= n u, see
-DiscreteOperator.hermitian_to_roundoff) the triples come from hermitian_eig
-instead of an svd: theta_j = |nu_j| in a stable descending sort, p_j its
-polished, anchored samples and q_j = sign(nu_j) p_j with sign(0) = +1.
+DiscreteOperator.hermitian_to_roundoff) the triples come from the family
+hermitian_eig wraps (hermitian_family) instead of an svd: theta_j = |nu_j|
+in a stable descending sort, p_j its polished, anchored samples and
+q_j = sign(nu_j) p_j with sign(0) = +1.
 Its eigh of B's Hermitian part moves B by (defect / 2) ||B||_F, within the
 backward error the svd would commit.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, _array_arg, _count_arg
-from .nystrom import DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec
-from .spectral import _retained_count, hermitian_eig
+from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec,
+                      _retained_count)
 
 
 @dataclass(frozen=True)
@@ -49,19 +50,18 @@ class OperatorSVD:
 
 
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
-    """Singular triples of the operator via the dense SVD of B, or from
-    hermitian_eig when B is Hermitian to roundoff (see the module docstring).
+    """Singular triples of the operator via the dense SVD of B, or from its
+    eigen-family when B is Hermitian to roundoff (see the module docstring).
 
     From the SVD, samples are un-weighted back from the singular vectors
     (division by sqrt(w)); each p_j gets a real-positive anchor entry and
     q_j inherits the same rotation, so A q_j = theta_j p_j is preserved.
     """
     if op.hermitian_to_roundoff():
-        d = hermitian_eig(op)
-        nu = d.eigenvalues.real
+        nu, P = op.hermitian_family[1].real, op.hermitian_family[2]
         order = np.argsort(-np.abs(nu), kind="stable")
         s = np.abs(nu[order])
-        P = d.right[:, order]
+        P = P[:, order]
         Q = P * np.where(nu[order] < 0, -1.0, 1.0)
     else:
         U, s, Vh = _linalg("svd", op.B, full_matrices=False)

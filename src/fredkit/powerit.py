@@ -32,11 +32,11 @@ from .nystrom import (
     DiscreteOperator,
     _anchor_phase,
     _apply_A,
+    _apply_adjoint,
     _norm,
     _pow2_scale,
     _winner,
     _wnorm,
-    apply_adjoint,
     discretize,
 )
 from .spectral import djf_eig
@@ -134,7 +134,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
         ratios.append(ratio)
         pointwise.append(pw)
         h = y / ny
-        iterates.append(h.copy())
+        iterates.append(h)  # a fresh array each step
         scales.append(ny)
         if len(ratios) >= 2:
             prev = ratios[-2]
@@ -211,7 +211,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     res_p = res_q = np.inf
     for _ in range(n):
         yp = _apply_A(op, p) / nu1
-        yq = apply_adjoint(op, q) / np.conj(nu1)
+        yq = _apply_adjoint(op, q) / np.conj(nu1)
         np_, nq_ = _wnorm(w, yp), _wnorm(w, yq)
         collapse_test(abs(nu1) * min(np_, nq_))  # the images' norms, to rounding
         res_p = abs(nu1) * _wnorm(w, yp - p * (_winner(w, p, yp)))
@@ -221,7 +221,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         if max(res_p, res_q) <= 0.1 * target:
             break
     res_p = _wnorm(w, _apply_A(op, p) - nu1 * p)
-    res_q = _wnorm(w, apply_adjoint(op, q) - np.conj(nu1) * q)
+    res_q = _wnorm(w, _apply_adjoint(op, q) - np.conj(nu1) * q)
     if max(res_p, res_q) > target:
         raise ConvergenceError(
             f"eigen-residual {max(res_p, res_q):.3e} stagnates above "

@@ -16,13 +16,13 @@ node samples, then polish retained eigenvectors with one Nystrom pass
 pass leaves the samples at the smallest weights of a wide rule unresolved
 (ROADMAP item 2).
 
-hermitian_eig reads the eigh of B's Hermitian part that the operator
-computes once (DiscreteOperator.hermitian_eigh): LAPACK's dsyevd for a real
-B and the MRRR solver zheevr for a complex one, which at N = 1024 takes
-under half of zheevd's time for the same orthonormal family
-(nystrom.EIGH_DRIVER).  djf_eig returns that same decomposition, upcast
-to complex, and operator_svd its sorted, sign-folded form (so the SVD is
-polished too), when B is Hermitian to roundoff
+hermitian_eig wraps the one eigen-family each operator builds once
+(DiscreteOperator.hermitian_family): the eigh of B's Hermitian part, by
+dsyevd for a real B and zheevr for a complex one (nystrom.EIGH_DRIVER),
+sorted, cut, polished and anchored by the helpers both routes share
+(nystrom._sort_order, _retained, REFINE_RTOL).  djf_eig returns that same
+decomposition, upcast to complex, and operator_svd its sorted, sign-folded
+form (so the SVD is polished too), when B is Hermitian to roundoff
 (hermitian_defect() <= n u, DiscreteOperator.hermitian_to_roundoff): eigh
 of the Hermitian part then answers within the backward error a general eig
 commits, at a fraction of its cost, and its vectors are orthonormal, so
@@ -39,15 +39,11 @@ from .errors import (
     _count_arg, _number_arg,
 )
 from .nystrom import (
-    UNIT, DiscreteOperator, _anchor_phase, _apply_A, _apply_adjoint, _finite_power, _linalg,
-    _matvec, _norm, _winner, _wnorm,
+    REFINE_RTOL, UNIT, DiscreteOperator, _apply_A, _apply_adjoint, _biorth_residual,
+    _finite_power, _linalg, _matvec, _norm, _retained_count, _roundoff_floor, _sort_order,
+    _unit_anchored, _winner, _wnorm,
 )
 
-RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
-TIE_RTOL = 1e-10          # moduli this close (relative) sort as tied, by phase
-REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
-                          # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
-                          # which must stay below the orthonormality budget
 HERMITIAN_RTOL = 1e-10    # hermitian_eig's refusal only: its caller asks for B's
                           # Hermitian part, which may be further than n u from B
 DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspace
@@ -102,72 +98,14 @@ class AsymptoticProfile:
         return (self.p_top * rot[None, :]) @ self.q_top.conj().T
 
 
-def _roundoff_floor(vals):
-    """N * eps * |nu_1|: eigenvalues closer than this are not resolved."""
-    return vals.size * np.finfo(float).eps * max(float(np.max(np.abs(vals))), 1e-300)
-
-
-def _sort_order(vals):
-    """Descending modulus with ties broken by descending phase in (-pi, pi].
-
-    Moduli within TIE_RTOL of the group leader, or within the roundoff
-    floor N * eps * |nu_1|, count as tied, so the ordering agrees across
-    eig/eigh paths whose roundoff differs while resolved small moduli keep
-    their order; phases hugging the -pi seam are wrapped to +pi (a
-    negative real eigenvalue must not flip sides on 1e-17 imaginary noise).
-    jordan_decompose orders its blocks by it too.
-    """
-    if vals.size == 0:
-        return np.arange(0)
-    mods = np.abs(vals)
-    phases = np.angle(vals)
-    phases = np.where(phases <= -np.pi + 1e-9, phases + 2.0 * np.pi, phases)
-    order = list(np.lexsort((-phases, -mods)))
-    floor = _roundoff_floor(vals)
-    i = 0
-    while i < len(order):
-        tol = max(TIE_RTOL * mods[order[i]], floor)
-        j = i + 1
-        while j < len(order) and mods[order[i]] - mods[order[j]] <= tol:
-            j += 1
-        order[i:j] = sorted(order[i:j], key=lambda t: -phases[t])
-        i = j
-    return np.array(order)
-
-
-def _retained(vals):
-    """The retained cut, as a mask: |nu| > RETAIN_RTOL * max |nu|, so nothing
-    is retained when that max is 0.  Shared by the decompositions, the
-    operator SVD's numerical rank and the resolvent's pole guards."""
-    mods = np.abs(vals)
-    return mods > RETAIN_RTOL * np.max(mods, initial=0.0)
-
-
-def _retained_count(vals):
-    return int(np.count_nonzero(_retained(vals)))
-
-
-def _biorth_residual(w, P, Q, retained):
-    if retained == 0:
-        return 0.0
-    G = Q[:, :retained].conj().T @ (w[:, None] * P[:, :retained])
-    return float(np.max(np.abs(G - np.eye(retained))))
-
-
-def _unit_anchored(w, P):
-    """Per-column factors giving each nonzero column of P unit W-norm and a
-    real-positive first maximal entry (1 for a zero column)."""
-    nrm = _wnorm(w, P)
-    return _anchor_phase(P) / np.where(nrm > 0, nrm, 1.0)
-
-
 def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
     Eigenvalues are real; the single eigenvector family is orthonormal in
     the weighted inner product and serves as both right and left family.
-    The eigh of B's Hermitian part comes from the operator's cache
-    (DiscreteOperator.hermitian_eigh), so it runs once per operator.
+    It wraps the operator's one eigen-family (DiscreteOperator.hermitian_family):
+    the eigh of B's Hermitian part, sorted, polished and anchored once per
+    operator, whose read-only arrays every call shares.
 
     Raises
     ------
@@ -181,27 +119,9 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         raise WrongDecompositionError(
             f"kernel is not Hermitian (relative defect {defect:.3e}); use djf_eig"
         )
-    vals, vecs = op.hermitian_eigh
-    eigenvalues = vals.astype(complex)
-    order = _sort_order(eigenvalues)
-    vals, eigenvalues, vecs = vals[order], eigenvalues[order], vecs[:, order]
-    w = op.w_rows
-    P = vecs / np.sqrt(w)[:, None]
-    retained = _retained_count(eigenvalues)
-    if retained:
-        sel = np.flatnonzero(np.abs(vals) >= REFINE_RTOL * np.abs(vals[0]))
-        P[:, sel] = _apply_A(op, P[:, sel]) / vals[sel]
-    P *= _unit_anchored(w, P)
-    resid = _biorth_residual(w, P, P, retained)
-    return BiSpectralDecomposition(
-        eigenvalues=eigenvalues,
-        right=P,
-        left=P,
-        biorth_residual=resid,
-        hermitian=True,
-        retained=retained,
-        operator=op,
-    )
+    _vals, eigenvalues, P, retained, resid = op.hermitian_family
+    return BiSpectralDecomposition(eigenvalues=eigenvalues, right=P, left=P, biorth_residual=resid,
+                                   hermitian=True, retained=retained, operator=op)
 
 
 def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
@@ -217,8 +137,8 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     u = eps / 2), this is hermitian_eig's decomposition with its eigenvalues
     and vectors upcast once to complex; one array serves as right and left
     family.  Symmetrizing moves B by (defect / 2) ||B||_F, no more than the
-    backward error eig commits, and the operator's cached eigh is shared
-    with hermitian_eig and operator_svd.
+    backward error eig commits, and the operator's one eigen-family is
+    shared with hermitian_eig and operator_svd.
 
     Otherwise eig runs on B in its own dtype (real LAPACK for a real
     operator), the polish on K and the weights, and the pairs are complex.

@@ -8,10 +8,12 @@ a count gets 2.5, True and -1; a number NaN, inf, 10**400, True and the
 text "0.5"; a sample vector a wrong length and a NaN entry; an array a text
 entry, a bool entry, a complex entry where it is real, ragged nesting, one
 axis too many and a NaN entry where it is finite; an operator a (1, 2)-block
-one.
+one; a quadrature rule None, a string or an array; a list of functions a
+number, None or a list with a number in it; a finite-rank body terms that
+are not (number, callable, callable) triples.
 test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
-function taking an operator, a decomposition, a count, a sample vector or
-an array argument cannot ship without rows here.
+function taking an operator, a decomposition, a count, a sample vector, an
+array, a rule or a list of functions cannot ship without rows here.
 """
 import dataclasses
 import functools
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
-from fredkit.kernels import ClosedForm
+from fredkit.kernels import ClosedForm, FiniteRank
 
 
 @functools.cache
@@ -89,7 +91,14 @@ PAIR = {"end-" + k: (lambda s: lambda v: (0.0, s(v)))(s) for k, s in NUMBER.item
 PAIR.update({"scalar": lambda v: 0.5, "triple": lambda v: (0.0, 0.5, 1.0)})
 BLOCKS = {"scalar-block": lambda v: [0.5], "triple-block": lambda v: [(0.5, 2, 1)],
           "scalar": lambda v: 0.5}
-BODY = {"none": lambda v: None, "function": lambda v: (lambda y, z: y * z)}
+BODY = {"none": lambda v: None, "function": lambda v: (lambda y, z: y * z),
+        "terms-none": lambda v: FiniteRank(None),
+        "term-pair": lambda v: FiniteRank((v.terms[0][:2],)),
+        "term-text-coeff": lambda v: FiniteRank((("0.5", *v.terms[0][1:]),)),
+        "term-nan-coeff": lambda v: FiniteRank(((float("nan"), *v.terms[0][1:]),)),
+        "term-not-callable": lambda v: FiniteRank(((v.terms[0][0], 5, v.terms[0][2]),))}
+RULE = {"none": lambda v: None, "text": lambda v: "x", "nodes": lambda v: v.nodes}
+FUNCTIONS = {"number": lambda v: 5, "none": lambda v: None, "entry": lambda v: [5, *v[1:]]}
 
 # name -> (callable, good keyword arguments from env(), {argument: spoils})
 ROWS = {
@@ -102,16 +111,17 @@ ROWS = {
     "Kernel": (fk.Kernel, lambda e: dict(shape=(1, 1), body=e["kernel"].body), {"body": BODY}),
     "separable_kernel": (fk.separable_kernel,
                          lambda e: dict(coeffs=[0.5, 0.2], rights=e["basis"], lefts=e["basis"]),
-                         {"coeffs": ARRAY}),
+                         {"coeffs": ARRAY, "rights": FUNCTIONS, "lefts": FUNCTIONS}),
     "basis_kernel": (fk.basis_kernel,
                      lambda e: dict(coeff_matrix=np.eye(2), basis=e["basis"], rule=e["rule"],
                                     gram_tol=1e-10),
-                     {"coeff_matrix": ARRAY, "gram_tol": NUMBER}),
+                     {"coeff_matrix": ARRAY, "gram_tol": NUMBER, "basis": FUNCTIONS,
+                      "rule": RULE}),
     "grid_kernel": (fk.grid_kernel, lambda e: dict(rule=e["rule"], table=np.eye(8)),
-                    {"table": TABLE}),
+                    {"table": TABLE, "rule": RULE}),
     "lift_to_kernel": (fk.lift_to_kernel,
                        lambda e: dict(blocks=[(0.5, 2)], basis=e["basis"], rule=e["rule"]),
-                       {"blocks": BLOCKS}),
+                       {"blocks": BLOCKS, "basis": FUNCTIONS, "rule": RULE}),
     "gauss_legendre": (fk.gauss_legendre, lambda e: dict(n=8, a=0.0, b=1.0),
                        {"n": COUNT, "a": NUMBER, "b": NUMBER}),
     "gauss_hermite_prob": (fk.gauss_hermite_prob, lambda e: dict(n=8), {"n": COUNT}),
@@ -121,9 +131,12 @@ ROWS = {
     "mehler_kernel": (fk.mehler_kernel, lambda e: dict(r=0.5), {"r": NUMBER}),
     "defective_kernel": (fk.defective_kernel,
                          lambda e: dict(lam=0.5, m=2, basis=e["basis"], rule=e["rule"]),
-                         {"lam": NUMBER, "m": COUNT}),
+                         {"lam": NUMBER, "m": COUNT, "basis": FUNCTIONS, "rule": RULE}),
     "orthonormal_poly_basis": (fk.orthonormal_poly_basis,
-                               lambda e: dict(rule=e["rule"], count=3), {"count": COUNT}),
+                               lambda e: dict(rule=e["rule"], count=3),
+                               {"count": COUNT, "rule": RULE}),
+    "discretize": (fk.discretize, lambda e: dict(kernel=e["kernel"], rule=e["rule"]),
+                   {"rule": RULE}),
     "apply": (fk.apply, lambda e: dict(op=e["op"], f=e["ones"]), {"f": VECTOR}),
     "apply_adjoint": (fk.apply_adjoint, lambda e: dict(op=e["op"], p=e["ones"]),
                       {"p": VECTOR}),
@@ -132,7 +145,7 @@ ROWS = {
     "nystrom_extend": (fk.nystrom_extend,
                        lambda e: dict(kernel=e["kernel"], rule=e["rule"], eig_samples=e["p"],
                                       nu=e["nu"], y=0.3),
-                       {"eig_samples": VECTOR, "nu": NUMBER, "y": NUMBER}),
+                       {"eig_samples": VECTOR, "nu": NUMBER, "y": NUMBER, "rule": RULE}),
     "hermitian_eig": (fk.hermitian_eig, lambda e: dict(op=e["hermitian"]), {"op": OPERATOR}),
     "djf_eig": (fk.djf_eig, lambda e: dict(op=e["op"]), {"op": OPERATOR}),
     "asymptotic_profile": (fk.asymptotic_profile, lambda e: dict(d=e["d"], cluster_tol=1e-8),
@@ -188,8 +201,10 @@ ROWS = {
                                             n=200, resid_rtol=1e-6),
                              {"op": OPERATOR, "nu1": NUMBER, "f": VECTOR, "g": VECTOR,
                               "n": COUNT, "resid_rtol": NUMBER}),
-    "deflate": (fk.deflate, lambda e: dict(target=e["op"], nu1=e["nu"], p1=e["p"], q1=e["q"]),
-                {"target": OPERATOR, "nu1": NUMBER, "p1": VECTOR, "q1": VECTOR}),
+    # a kernel target, which deflate discretizes on the rule
+    "deflate": (fk.deflate, lambda e: dict(target=e["kernel"], nu1=e["nu"], p1=e["p"], q1=e["q"],
+                                           rule=e["rule"]),
+                {"target": OPERATOR, "nu1": NUMBER, "p1": VECTOR, "q1": VECTOR, "rule": RULE}),
     "sequential_spectrum": (fk.sequential_spectrum,
                             lambda e: dict(op=e["op"], k=1, n_max=200, tol=1e-10),
                             {"op": OPERATOR, "k": COUNT, "n_max": COUNT, "tol": NUMBER}),
@@ -227,6 +242,9 @@ OPERATOR_NAMES = {"op", "target", "d", "svd", "jf"}
 COUNT_NAMES = {"n", "k", "m", "M", "count", "steps", "n_max", "degree", "j"}
 VECTOR_NAMES = {"f", "g", "p", "p1", "q1", "probe", "eig_samples"}
 ARRAY_NAMES = {"nodes", "weights", "points", "table", "coeffs", "coeff_matrix", "N", "x"}
+RULE_NAMES = {"rule"}
+FUNCTIONS_NAMES = {"rights", "lefts", "basis"}
+SPOILED_NAMES = COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES | RULE_NAMES | FUNCTIONS_NAMES
 # an SVD exists for every block shape, so there is no argument to spoil
 NOTHING_TO_SPOIL = {"operator_svd"}
 
@@ -234,13 +252,14 @@ NOTHING_TO_SPOIL = {"operator_svd"}
 def _gated_arguments(obj):
     params = inspect.signature(obj).parameters.values()
     return {p.name for p in params if p.annotation in GATED_TYPES
-            or p.name in OPERATOR_NAMES | COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES}
+            or p.name in OPERATOR_NAMES | SPOILED_NAMES}
 
 
 def test_every_entry_point_has_rows():
     """A public function (or a class that is not a record) taking an
-    operator, a decomposition, a count, a sample vector or an array has a
-    row, and the row spoils each of its counts, sample vectors and arrays."""
+    operator, a decomposition, a count, a sample vector, an array, a rule or
+    a list of functions has a row, and the row spoils each of its counts,
+    sample vectors, arrays, rules and lists of functions."""
     missing = []
     for name in fk.__all__:
         obj = getattr(fk, name)
@@ -251,7 +270,7 @@ def test_every_entry_point_has_rows():
         if not gated or name in NOTHING_TO_SPOIL:
             continue
         spoiled = set(ROWS[name][2]) if name in ROWS else set()
-        unspoiled = (gated & (COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES)) - spoiled
+        unspoiled = (gated & SPOILED_NAMES) - spoiled
         if name not in ROWS or unspoiled:
             missing.append(f"{name} {sorted(unspoiled or gated)}")
     assert not missing, f"public entry points without rows: {missing}"

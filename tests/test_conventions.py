@@ -31,7 +31,7 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import spectral
+from fredkit import nystrom, spectral
 from fredkit.errors import DefectiveSuspectedError
 from fredkit.kernels import ClosedForm
 from fredkit.nystrom import EIGH_DRIVER, _anchor_phase, _winner, _wnorm
@@ -208,7 +208,7 @@ def column_at_a_time(op, method):
     if method == "svd" and op.hermitian_to_roundoff():
         P, _ = column_at_a_time(op, "eig")
         vals = hermitian_eigh(op)[0]
-        vals = vals[spectral._sort_order(vals.astype(complex))]
+        vals = vals[nystrom._sort_order(vals.astype(complex))]
         order = np.argsort(-np.abs(vals), kind="stable")
         P = P[:, order]
         return P, P * np.where(vals[order] < 0, -1.0, 1.0)
@@ -222,19 +222,19 @@ def column_at_a_time(op, method):
         return P, Q
     if method == "eig":
         vals, vecs = hermitian_eigh(op)
-        order = spectral._sort_order(vals.astype(complex))
+        order = nystrom._sort_order(vals.astype(complex))
         vals, P = vals[order], vecs[:, order] / np.sqrt(w)[:, None]
         for j in range(P.shape[1]):
             col = P[:, j]
-            if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]):
+            if abs(vals[j]) >= nystrom.REFINE_RTOL * abs(vals[0]):
                 col = weighted(op.K, op.w_cols, col) / vals[j]
             P[:, j] = col * (anchor_phase(col) / wnorm(w, col))
         return P, P
     vals, V = np.linalg.eig(op.B)  # real LAPACK for a real B; the pairs are complex
     vals, V = vals.astype(complex), V.astype(complex)
-    order = spectral._sort_order(vals)
+    order = nystrom._sort_order(vals)
     vals, V = vals[order], V[:, order]
-    r = spectral._retained_count(vals)
+    r = nystrom._retained_count(vals)
     spectral._rebasis_degenerate(vals, V, r)
     # the tail becomes Q_t of the complete QR Z = [Q_t, Q_perp] of itself
     n = V.shape[0]
@@ -252,7 +252,7 @@ def column_at_a_time(op, method):
     # the pass runs where REFINE_RTOL |nu_1| times the largest retained ||q_j||_W fits
     kappa_max = max([1.0] + [wnorm(w, Q[:, j]) for j in range(r)])
     for j in range(r):
-        if abs(vals[j]) >= spectral.REFINE_RTOL * abs(vals[0]) * kappa_max:
+        if abs(vals[j]) >= nystrom.REFINE_RTOL * abs(vals[0]) * kappa_max:
             p = weighted(op.K, op.w_cols, P[:, j]) / vals[j]
             p *= anchor_phase(p) / wnorm(w, p)
             q = weighted(op.K.conj().T, w, Q[:, j]) / np.conj(vals[j])

@@ -29,7 +29,7 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import fredholm, spectral
+from fredkit import fredholm, nystrom, spectral
 from fredkit.errors import DefectiveSuspectedError
 
 from test_conventions import (
@@ -85,8 +85,8 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     # within the polish bound, and the pairs the pass left alone within kappa n u
     G = Q.conj().T @ (w[:, None] * P) - np.eye(n)
     assert d.biorth_residual == pytest.approx(np.max(np.abs(G[:r, :r])), rel=n * UNIT)
-    assert np.max(np.abs(G)) <= kappa * n * UNIT / spectral.REFINE_RTOL
-    untouched = np.abs(nu) < spectral.REFINE_RTOL * nu1
+    assert np.max(np.abs(G)) <= kappa * n * UNIT / nystrom.REFINE_RTOL
+    untouched = np.abs(nu) < nystrom.REFINE_RTOL * nu1
     assert np.max(np.abs(G[np.ix_(untouched, untouched)])) <= kappa * n * UNIT
 
     assert_eigen_residuals(op, d)
@@ -168,7 +168,7 @@ def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenv
         assert margin <= 0.5 or margin >= 2.0
         if d is not None:
             # within 1e-8, and within the kappa n u / REFINE_RTOL the pass threshold keeps
-            assert d.biorth_residual <= min(1e-8, kappa * n * UNIT / spectral.REFINE_RTOL)
+            assert d.biorth_residual <= min(1e-8, kappa * n * UNIT / nystrom.REFINE_RTOL)
             assert_eigen_residuals(op, d)
             # the matrix's eigenvalues by descending modulus, then the retained noise
             r, nu = d.retained, d.eigenvalues

@@ -181,7 +181,7 @@ class TestRealAgreesWithComplex:
         op, opc, nu = pair
         a, b = fk.hermitian_eig(op), fk.hermitian_eig(opc)
         w = op.w_rows
-        k = int(np.sum(np.abs(nu) >= fk.spectral.REFINE_RTOL * nu[0]))
+        k = int(np.sum(np.abs(nu) >= fk.nystrom.REFINE_RTOL * nu[0]))
         gaps = np.array([np.min(np.abs(np.delete(nu, j) - nu[j])) for j in range(k)])
         P, Q = a.right[:, :k], b.right[:, :k]
         inner = np.sum(w[:, None] * np.conj(Q) * P, axis=0)

@@ -3,8 +3,8 @@
 * the pole rule (fredholm._guard_pole): lambda is refused when its gap to the
   nearest Fredholm eigenvalue is at most rtol times that eigenvalue, with
   rtol 1e-8 for solves, 1e-12 for eigen-series and 1e-3 for paths;
-* the retained cut (spectral._retained): |nu| > 1e-12 max |nu|;
-* the eigenvalue order (spectral._sort_order), Jordan blocks included;
+* the retained cut (nystrom._retained): |nu| > 1e-12 max |nu|;
+* the eigenvalue order (nystrom._sort_order), Jordan blocks included;
 * power iteration's start and collapse test, which scale with the kernel;
 
 and the refusals of results that overflow: deflation updates and powers.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
-from fredkit import fredholm, powerit, spectral
+from fredkit import fredholm, nystrom, powerit
 from fredkit.errors import (
     EigenvalueProximityError,
     InvalidArgumentError,
@@ -105,8 +105,8 @@ class TestRetainedCut:
         assert fredholm._fredholm_lambdas(op).size == 2
 
     def test_zero_spectrum_keeps_nothing(self):
-        assert not spectral._retained(np.zeros(4)).any()
-        assert spectral._retained_count(np.zeros(0)) == 0
+        assert not nystrom._retained(np.zeros(4)).any()
+        assert nystrom._retained_count(np.zeros(0)) == 0
 
 
 def pm_similar(seed):
@@ -120,7 +120,7 @@ class TestJordanOrder:
     def test_blocks_follow_the_eigenvalue_order(self):
         for seed in range(200):
             lams = np.array([lam for lam, _m in fk.jordan_decompose(pm_similar(seed)).blocks])
-            assert np.array_equal(spectral._sort_order(lams), np.arange(4)), seed
+            assert np.array_equal(nystrom._sort_order(lams), np.arange(4)), seed
             # within the default linkage radius 1e-7 rho of the true values
             assert lams.real == pytest.approx([-0.5, 0.5, -0.25, 0.25], abs=1e-7 * 0.5)
 

@@ -1,12 +1,17 @@
-"""The Hermitian route: one eigh per operator.
+"""The Hermitian route: one eigen-family per operator.
 
 An operator whose B is Hermitian to roundoff, hermitian_defect() <= n u
 (n = B.shape[0], u = eps / 2), is decomposed by one eigh of B's Hermitian
-part, cached on the operator; hermitian_eig, djf_eig and operator_svd all
-answer from it.  The bounds are those perfbench/README.md sets for the
-spectra-n1024 workload: sum theta^2 = ||B||_F^2 within N u, weighted
-orthonormality within 1e-10, and A q = theta p within 1e-9 theta_1.
+part, sorted and polished once into the family cached on the operator
+(hermitian_family); hermitian_eig, djf_eig, operator_svd, first_kind_solve
+and the spectrum all answer from it.  The bounds are those
+perfbench/README.md sets for the spectra-n1024 workload: sum theta^2 =
+||B||_F^2 within N u, weighted orthonormality within 1e-10, and
+A q = theta p within 1e-9 theta_1.
 """
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -44,6 +49,20 @@ def spy_on(monkeypatch, names, fail=None):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(library(name), name, spy)
+    return calls
+
+
+def spy_on_polish(monkeypatch):
+    """Record the shape of each polish product, _apply_A on a matrix of
+    columns, in every fredkit module that binds _apply_A."""
+    calls = []
+    for module in (nystrom, spectral, fk.fredholm, fk.powerit):
+        def spy(op, X, _real=module._apply_A):
+            if X.ndim == 2:
+                calls.append(X.shape)
+            return _real(op, X)
+
+        monkeypatch.setattr(module, "_apply_A", spy)
     return calls
 
 
@@ -130,7 +149,7 @@ def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
     assert np.array_equal(sv.left, h.right[:, order])
     assert np.array_equal(sv.right, h.right[:, order] * np.where(nu[order] < 0, -1.0, 1.0))
     assert sv.left.dtype == sv.right.dtype == h.right.dtype
-    vals = np.abs(op.hermitian_eigh[0])
+    vals = np.abs(op.hermitian_family[0])
     assert np.array_equal(sv.singular_values, vals[np.argsort(-vals, kind="stable")])
 
 
@@ -141,7 +160,7 @@ def test_vector_samples_are_the_hermite_functions(gh40):
     largest sample, within the polish budget n u / REFINE_RTOL."""
     op = fk.discretize(fk.mehler_kernel(0.5), gh40)
     x = gh40.nodes
-    bound = x.size * UNIT / spectral.REFINE_RTOL
+    bound = x.size * UNIT / nystrom.REFINE_RTOL
     for P in (fk.hermitian_eig(op).right, fk.operator_svd(op).left):
         for j in range(8):
             ref = fk.HermitePair(j)(x)
@@ -150,15 +169,24 @@ def test_vector_samples_are_the_hermite_functions(gh40):
 
 
 def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
+    """One eigh and one polish product (on the columns above REFINE_RTOL
+    |nu_1|) serve every reader, and each hermitian_eig wraps the family's
+    read-only arrays."""
     calls = spy_on(monkeypatch, ("eigh", "eig", "svd"))
+    polishes = spy_on_polish(monkeypatch)
     op = fk.discretize(twin_kernel(0.8), gh40)
-    fk.hermitian_eig(op)
+    first = fk.hermitian_eig(op)
     fk.djf_eig(op)
     fk.operator_svd(op)
-    fk.hermitian_eig(op)
+    fk.first_kind_solve(op, 1.0, 1e-8)
+    again = fk.hermitian_eig(op)
+    op.spectrum
     assert calls == ["eigh"]
-    vals, vecs = op.hermitian_eigh
-    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert len(polishes) == 1 and polishes[0][0] == 40
+    vals, nu, P = op.hermitian_family[:3]
+    assert not (vals.flags.writeable or nu.flags.writeable or P.flags.writeable)
+    for d in (first, again):
+        assert d.eigenvalues is nu and d.right is d.left is P
 
 
 def lambda_path(op):
@@ -179,13 +207,16 @@ def square_arrays(op):
 
 
 @pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
-                                   "hermitian_eigh", "lambda_path"])
+                                   "first_kind_solve", "hermitian_family", "lambda_path"])
 def test_one_hermitian_part_per_operator(monkeypatch, first):
-    """B's Hermitian part is built once on GH256 Mehler, whichever reader
-    comes first.  Of the operator's matrices only K and B are stored: after
-    every reader, the other N x N arrays are the eigh's vectors,
-    _elimination's K_e and the last lambda's LU factors.  A is formed on
-    its first read, K * w_cols bit for bit, and kept read-only."""
+    """B's Hermitian part is built once on GH256 Mehler, and one eigh and one
+    polish product run, whichever reader comes first.  Of the operator's
+    matrices only K and B are stored: after every reader, the other N x N
+    arrays are the family's samples, _elimination's K_e and the last
+    lambda's LU factors.  A is formed on its first read, K * w_cols bit for
+    bit, and kept read-only."""
+    eighs = spy_on(monkeypatch, ("eigh",))
+    polishes = spy_on_polish(monkeypatch)
     calls = []
     build = nystrom._hermitian_part
 
@@ -195,18 +226,19 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
 
     monkeypatch.setattr(nystrom, "_hermitian_part", spy)
     op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
-    readers = {"spectrum": lambda: op.spectrum, "hermitian_eigh": lambda: op.hermitian_eigh,
+    readers = {"spectrum": lambda: op.spectrum, "hermitian_family": lambda: op.hermitian_family,
                "lambda_path": lambda: lambda_path(op),
+               "first_kind_solve": lambda: fk.first_kind_solve(op, 1.0, 1e-8),
                **{name: (lambda f=getattr(fk, name): f(op))
                   for name in ("hermitian_eig", "djf_eig", "operator_svd")}}
     readers.pop(first)()
     for read in readers.values():
         read()
     assert op.hermitian_to_roundoff()
-    assert calls == [(256, 256)]
+    assert calls == [(256, 256)] and eighs == ["eigh"] and len(polishes) == 1
     assert sorted(k for k, v in vars(op).items()
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["B", "K"]
-    assert square_arrays(op) == ["B", "K", "_elimination[1]", "_lu[1]", "hermitian_eigh[1]"]
+    assert square_arrays(op) == ["B", "K", "_elimination[1]", "_lu[1]", "hermitian_family[2]"]
     order, Ke, we = vars(op)["_elimination"]
     assert np.array_equal(Ke, op.K[np.ix_(order, order)]) and np.array_equal(we, op.w_cols[order])
     assert "A" not in vars(op)
@@ -220,16 +252,17 @@ def test_mrrr_family_is_orthonormal_through_clusters():
     """zheevr, MRRR, where it is weakest: a complex Hermitian kernel acting
     as diag(1, 1, 1, -1/2, -1/2, 1/4) on six basis functions that carry
     e^{0.7ix}, on Gauss-Legendre 256 over [0, 1].  Its spectrum holds 1
-    three times, -1/2 twice and a zero cluster of n - 6.  All n columns of the
-    cached eigh are orthonormal within ORTH_TOL, each has an eigen-residual
-    within the backward error n u ||B||_F (far inside RESID_RTOL |nu_1|),
+    three times, -1/2 twice and a zero cluster of n - 6.  All n columns of
+    the eigh the family is built from are orthonormal within ORTH_TOL, each
+    has an eigen-residual within the backward error n u ||B||_F (far inside
+    RESID_RTOL |nu_1|),
     and the eigenvalues are within (kappa + 1) n u ||B||_F, kappa = 1, of
     the matrix's, as test_djf_general bounds them."""
     C = np.diag([1.0, 1.0, 1.0, -0.5, -0.5, 0.25])
     op = basis_operator(C, 0.7, 256)
     n = op.B.shape[0]
     assert op.B.dtype == np.complex128 and op.hermitian_to_roundoff()
-    vals, V = op.hermitian_eigh
+    vals, V = nystrom._hermitian_eigh(op)
     backward = n * UNIT * np.linalg.norm(op.B)
     assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= ORTH_TOL
     S = 0.5 * (op.B + op.B.conj().T)
@@ -284,7 +317,7 @@ def test_eigh_failure_is_cached_nowhere(monkeypatch, gh40):
                 read(op)
             assert err.value.__cause__ is failure
         assert calls == ["eigh"] * 4
-        assert not {"hermitian_eigh", "spectrum"} & set(vars(op))
+        assert not {"hermitian_family", "spectrum"} & set(vars(op))
         monkeypatch.undo()
         assert fk.hermitian_eig(op).retained > 0
 
@@ -298,11 +331,11 @@ def test_non_finite_hermitian_part_is_refused_before_lapack(monkeypatch, gl8, dt
     op = fk.DiscreteOperator(rule=gl8, shape=(1, 1), K=K)
     assert op.K.dtype == dtype
     calls = spy_on(monkeypatch, ("eigh",))
-    for read in (fk.hermitian_eig, lambda op: op.hermitian_eigh):
+    for read in (fk.hermitian_eig, lambda op: op.hermitian_family):
         with pytest.raises(fk.InvalidArgumentError, match="Hermitian part has an entry"):
             read(op)
     assert calls == []
-    assert "hermitian_eigh" not in vars(op)
+    assert "hermitian_family" not in vars(op)
 
 
 def test_eigvals_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):
@@ -324,3 +357,22 @@ def test_eigvals_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):
     assert "spectrum" not in vars(op)
     monkeypatch.undo()
     assert fk.fredholm_determinant(op, 1.0, "product").value == pytest.approx(0.75, rel=1e-14)
+
+
+def test_dropped_operator_is_freed_without_the_collector(gh40):
+    """The family holds arrays and numbers only, never a decomposition, which
+    references its operator: with the cycle collector off, an operator that
+    every reader has used is freed once it and its results are dropped."""
+    for kernel in (fk.mehler_kernel(0.5), twin_kernel(0.8)):
+        gc.disable()
+        try:
+            op = fk.discretize(kernel, gh40)
+            results = [fk.hermitian_eig(op), fk.djf_eig(op), fk.operator_svd(op), op.spectrum,
+                       fk.first_kind_solve(op, 1.0, 1e-8)]
+            lambda_path(op)
+            assert "hermitian_family" in vars(op)
+            ref = weakref.ref(op)
+            del op, results
+            assert ref() is None
+        finally:
+            gc.enable()
