@@ -1,7 +1,9 @@
 """Exception and warning types shared across fredkit, and the argument checks
 every public entry point runs, one per kind of value: a count is an integer
 in range, a number is finite, an array holds numbers in the shape asked for
-(a sample vector has the operator's length) and, as a rule, finite ones.
+(a sample vector has the operator's length) and, as a rule, finite ones,
+and an object (a rule, a kernel, an operator, a decomposition, an SVD) is
+one of its class.
 """
 import numbers
 import sys
@@ -78,6 +80,15 @@ def _array_arg(value, name, shape=None, dtype=complex, finite=True):
     if finite and not np.isfinite(array).all():
         raise InvalidArgumentError(f"{name} has an entry that is not finite")
     return array
+
+
+def _instance_arg(value, cls, name):
+    """value; InvalidArgumentError unless it is a `cls`, the one check behind
+    each kind of object an entry point takes (measure._rule_arg,
+    kernels._kernel_arg, nystrom._operator_arg, ...)."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 class PreconditionViolationError(FredkitError):

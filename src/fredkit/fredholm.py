@@ -50,9 +50,10 @@ from .errors import (
     _array_arg, _count_arg, _number_arg,
 )
 from .nystrom import (
-    DiscreteOperator, _apply_A, _matvec, _on_float_view, _pow2_scale, _read_only, _retained,
+    DiscreteOperator, _apply_A, _matvec, _on_float_view, _operator_arg, _pow2_scale, _read_only,
+    _retained,
 )
-from .spectral import BiSpectralDecomposition, djf_eig, hermitian_eig
+from .spectral import BiSpectralDecomposition, _decomposition_arg, djf_eig, hermitian_eig
 
 # relative pole distances below which lambda is refused (_guard_pole)
 GAP_RTOL = 1e-8           # direct solves and resolvent kernels
@@ -262,7 +263,7 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     raises InvalidArgumentError; where only the norms of f and the residual
     overflow, both are scaled by a power of two.
     """
-    op._require_square("a resolvent solve")
+    _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
     f = _array_arg(f, "f", (op.K.shape[0],))
     p, gap = _guarded_solve(op, lam, f)
@@ -288,7 +289,7 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
     with the same one LU per operator and lambda; real at a real lambda on
     a real operator.
     """
-    op._require_square("a resolvent kernel")
+    _operator_arg(op)._require_square("a resolvent kernel")
     NL, _gap = _guarded_solve(op, _number_arg(lam, "lambda"), op.K)
     return NL
 
@@ -307,7 +308,7 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
     of the k Fredholm eigenvalues.
     """
     lam = _number_arg(lam, "lambda")
-    lambdas = _series_lambdas(d, k, lam)
+    lambdas = _series_lambdas(_decomposition_arg(d), k, lam)
     if k == 0:
         return np.zeros(d.operator.K.shape, dtype=complex)
     coeffs = 1.0 / (lambdas - lam)
@@ -320,7 +321,7 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     pairs beyond k get one Neumann term.  A's weights do not hide samples the
     polish left unresolved (ROADMAP item 2).  Guarded as resolvent_series is."""
     lam = _number_arg(lam, "lambda")
-    f = _array_arg(f, "f", (d.right.shape[0],))
+    f = _array_arg(f, "f", (_decomposition_arg(d).right.shape[0],))
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
     s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
@@ -367,7 +368,7 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
     eigenvalues.  A non-finite lambda or D(lambda) raises InvalidArgumentError.
     """
-    op._require_square("a determinant")
+    _operator_arg(op)._require_square("a determinant")
     lam = _number_arg(lam, "lambda")
     method = _determinant_method(method)
     value = _DETERMINANTS[method](op, lam)
@@ -397,7 +398,7 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     a, b = (_number_arg(t, "lambda_path end", real=True) for t in lambda_path)
     steps = _count_arg(steps, "steps", 1)
     grid = np.linspace(a, b, steps + 1)
-    lambdas = _fredholm_lambdas(op)
+    lambdas = _fredholm_lambdas(_operator_arg(op))
     for t in grid:
         _guard_pole(t, lambdas, PATH_RTOL, PoleError, "path point lambda")
 
@@ -431,7 +432,7 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     """
     lam = _number_arg(lambda_j, "lambda_j")
     tol = _number_arg(tol, "tol", real=True)
-    d = hermitian_eig(op) if op.hermitian_to_roundoff() else djf_eig(op)
+    d = hermitian_eig(op) if _operator_arg(op).hermitian_to_roundoff() else djf_eig(op)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:
         raise NoSolutionError(

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     NoSpectrumError,
     UnsupportedProfileError,
-    _array_arg, _count_arg, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg,
 )
 from .kernels import _callables_arg, basis_kernel
 from .nystrom import _anchor_phase, _finite_power, _sort_order
@@ -322,6 +322,7 @@ def matrix_power_via_jordan(jf: JordanForm, n: int) -> np.ndarray:
     """N^n = P J^n Q^* assembled from per-block binomial powers; a power
     that overflows raises InvalidArgumentError naming n."""
     n = _count_arg(n, "exponent")
+    jf = _instance_arg(jf, JordanForm, "jf")
     return _finite_power(n, "exponent", lambda: jf.P @ jf.assemble_j(n) @ jf.Q.conj().T)
 
 
@@ -341,7 +342,7 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
     """
     n = _count_arg(n, "iterate", 1)
     tier_rtol = _number_arg(tier_rtol, "tier_rtol", real=True)
-    mods = [abs(lam) for lam, _ in jf.blocks]
+    mods = [abs(lam) for lam, _ in _instance_arg(jf, JordanForm, "jf").blocks]
     r1 = max(mods)
     if r1 == 0.0:
         raise NoSpectrumError("all eigenvalues are zero; no growth envelope")

@@ -40,7 +40,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
-    _array_arg, _count_arg, _is_number, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _is_number, _number_arg,
 )
 from .measure import QuadratureRule, _rule_arg
 
@@ -280,6 +280,12 @@ class Kernel:
     def sample_matrix(self, rule):
         """Raw sample matrix K with block (i, j) = N(x_i, x_j), node-major."""
         return self.body._samples(self.shape, rule.nodes, rule.nodes)
+
+
+def _kernel_arg(kernel):
+    """kernel; InvalidArgumentError unless it is a Kernel, the one check of
+    every entry point's kernel argument."""
+    return _instance_arg(kernel, Kernel, "kernel")
 
 
 def mehler_kernel(r):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import InvalidArgumentError, _array_arg, _count_arg, _number_arg
+from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg, _number_arg
 
 MAX_RULE_SIZE = 1024
 
@@ -77,9 +77,7 @@ class QuadratureRule:
 def _rule_arg(rule):
     """rule; InvalidArgumentError unless it is a QuadratureRule, the one
     check of every entry point's rule argument."""
-    if not isinstance(rule, QuadratureRule):
-        raise InvalidArgumentError(f"rule must be a QuadratureRule, got {type(rule).__name__}")
-    return rule
+    return _instance_arg(rule, QuadratureRule, "rule")
 
 
 def _golub_welsch(offdiag, mu0):

@@ -2,11 +2,14 @@
 
 Replacing the integral by a quadrature sum turns the operator into the
 dense matrix A = K W with block entry A[i, j] = N(x_i, x_j) * w_j.  An
-operator stores two matrices: the raw samples K and the symmetrized form
-B = W^{1/2} K W^{1/2}, which shares A's eigenvalues and turns weighted
-orthonormality of eigenfunction samples into Euclidean orthonormality.
-Every product with A is K (w x), through one helper (_apply_A), so A
-itself is formed only when a caller reads DiscreteOperator.A.
+operator stores one matrix, the raw samples K.  Every product with A is
+K (w x), through one helper (_apply_A), so A itself is formed only when a
+caller reads DiscreteOperator.A.  The symmetrized form B = W^{1/2} K W^{1/2},
+which shares A's eigenvalues and turns weighted orthonormality of
+eigenfunction samples into Euclidean orthonormality, is formed by one helper
+(_form_B) for the one reader that needs it, and that reader may overwrite
+it: hs_norm, the Hermitian defect (and part), djf_eig's general path and
+operator_svd's svd.
 B's Hermitian defect, the one eigen-family of its Hermitian part
 (hermitian_family: one eigh, sorted, cut, polished and anchored here) and
 A's eigenvalues (spectrum) are computed at most once per operator, on first
@@ -14,7 +17,7 @@ use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
 gate of every Hermitian shortcut) the spectrum is that family's values.
 Its eigh runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one:
 divide and conquer (dsyevd) for a real B, MRRR (zheevr) for a complex one.
-K and B (and A, once read) are float64 for a real kernel and complex128
+K (and A and B, once formed) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
 
@@ -23,7 +26,7 @@ block samples are node-major (entry i*s + c is component c at node i), each
 node weight repeated over the block's components (w_rows / w_cols).
 """
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +38,9 @@ from .errors import (
     InvalidArgumentError,
     NontrivialityWarning,
     ZeroDivisionSignal,
-    _array_arg, _count_arg, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg,
 )
-from .kernels import Kernel, _real_point
+from .kernels import Kernel, _kernel_arg, _real_point
 from .measure import QuadratureRule, _rule_arg
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
@@ -67,48 +70,48 @@ class DiscreteOperator:
     rule : QuadratureRule
     shape : (s1, s2) kernel block shape
     K : raw kernel samples, (n*s1) x (n*s2), node-major blocks
-    B : W^{1/2}-symmetrized samples (drives Hermitian/SVD paths)
     A : K with columns scaled by the node weights, K * w_cols, formed on
         first read; fredkit's own products with A are K (w x) (_apply_A)
+    B : W^{1/2}-symmetrized samples, formed on first read for callers;
+        fredkit's own readers (hs_norm, the Hermitian defect, djf_eig's
+        general path, operator_svd's svd) form a transient B each (_form_B)
     spectrum : eigenvalues of A (square block shapes only), computed lazily
 
-    An operator is built from (rule, shape, K) alone; B is derived from
-    them on construction, the one place that knows its layout, and it
-    stores K and B only.  The dtype follows the kernel: a complex K whose
-    imaginary part is exactly zero is stored as its float64 real part, and
-    B and A follow K, so a real kernel gets real arrays and real LAPACK
-    calls.  Values that are complex by contract stay complex: the
-    spectrum, djf_eig's pairs and solves at complex lambda.
-    K and B are made read-only on construction, so nothing cached from
-    them can go stale: A, the Hermitian defect, ``hermitian_family`` and the
+    An operator is built from (rule, shape, K) and stores K only.  The
+    dtype follows the kernel: a complex K whose imaginary part is exactly
+    zero is stored as its float64 real part, and A and B follow K, so a
+    real kernel gets real arrays and real LAPACK calls.  Values that are
+    complex by contract stay complex: the spectrum, djf_eig's pairs and
+    solves at complex lambda.
+    K is made read-only on construction, so nothing cached from it can go
+    stale: A, B, the Hermitian defect, ``hermitian_family`` and the
     spectrum, each computed on first read (never eagerly) and read-only, and
     what fredholm keeps: K and the weights permuted to its elimination
     order, once, and the LU of I - lambda*A for the last lambda.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
-    (n = B.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
+    (n = K.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
     by one eigh of its Hermitian part S = (B + B^H) / 2 (LAPACK's dsyevd
     for a real B, zheevr for a complex one; see EIGH_DRIVER), polished once
     into hermitian_family, which replaces the eig of djf_eig, the svd of
     operator_svd and the eigvals of the spectrum.
     S is within ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F of B,
-    inside the backward error those calls commit (eigvals(A) also carries
-    the sqrt(max w / min w) condition of W^{-1/2}), so every answer keeps an
-    a priori bound.
+    inside the backward error those calls commit, so every answer keeps an
+    a priori bound.  Off the route, eigvals(A)'s a priori bound carries the
+    condition sqrt(max w / min w) of the similarity W^{-1/2} (5e104 on
+    GH256), which LAPACK's balancing absorbs in practice: on the skew kernel
+    e^{0.2y} M(y, z) e^{-0.2z} its eigenvalues are within 1.2e-15, 1.6e-15
+    and 4.7e-16 |nu_1| of Mehler's on GH256, GL256 and GL1024.
     """
 
     rule: QuadratureRule
     shape: tuple
     K: np.ndarray
-    B: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.K.dtype.kind == "c" and not self.K.imag.any():
             object.__setattr__(self, "K", self.K.real.copy())
-        wr, wc = self.w_rows, self.w_cols
-        object.__setattr__(self, "B", np.sqrt(wr)[:, None] * self.K * np.sqrt(wc)[None, :])
-        for M in (self.K, self.B):
-            M.setflags(write=False)
+        self.K.setflags(write=False)
 
     @cached_property
     def A(self):
@@ -117,6 +120,13 @@ class DiscreteOperator:
         for eigvals off the Hermitian route (spectrum) and for its CLI
         (jordan, --dump-operator); every product with A is K (w x)."""
         return _read_only(self.K * self.w_cols)
+
+    @cached_property
+    def B(self):
+        """W^{1/2} K W^{1/2}, formed on first read (as _form_B forms it, bit
+        for bit) and read-only.  No fredkit path reads it: each of its
+        readers forms its own transient B."""
+        return _read_only(_form_B(self))
 
     @cached_property
     def spectrum(self):
@@ -151,9 +161,10 @@ class DiscreteOperator:
     def hs_norm(self):
         """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2.
 
-        Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F.
+        Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F, on a
+        transient B.
         """
-        return float(_norm(self.B))
+        return float(_norm(_form_B(self)))
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
@@ -164,15 +175,15 @@ class DiscreteOperator:
     @cached_property
     def _defect(self):
         self._require_square("a Hermitian defect")
-        S, defect = _hermitian_part(self.B)
-        if defect <= self.B.shape[0] * UNIT:  # on the route: _hermitian_eigh takes S
+        S, defect = _hermitian_part(_form_B(self))
+        if defect <= self.K.shape[0] * UNIT:  # on the route: _hermitian_eigh takes S
             self.__dict__["_hermitian_S"] = S
         return defect
 
     def hermitian_to_roundoff(self):
         """Whether the Hermitian route applies: a square block shape and
-        hermitian_defect() <= n u, n = B.shape[0], u = eps / 2."""
-        return self.is_square_block and self.hermitian_defect() <= self.B.shape[0] * UNIT
+        hermitian_defect() <= n u, n = K.shape[0], u = eps / 2."""
+        return self.is_square_block and self.hermitian_defect() <= self.K.shape[0] * UNIT
 
     @cached_property
     def hermitian_family(self):
@@ -203,17 +214,29 @@ class DiscreteOperator:
                 _biorth_residual(w, P, P, retained))
 
 
+def _operator_arg(op):
+    """op; InvalidArgumentError unless it is a DiscreteOperator, the one
+    check of every entry point's operator argument."""
+    return _instance_arg(op, DiscreteOperator, "operator")
+
+
+def _form_B(op):
+    """B = W^{1/2} K W^{1/2}, formed afresh for the one reader that needs it,
+    which may overwrite it: the operator stores K only."""
+    return np.sqrt(op.w_rows)[:, None] * op.K * np.sqrt(op.w_cols)[None, :]
+
+
 def _hermitian_eigh(op):
     """(vals ascending, vecs in B's dtype) of scipy.linalg.eigh, with B's
-    EIGH_DRIVER, on B's Hermitian part, built here or (on the Hermitian
-    route) by the defect and handed to LAPACK to overwrite.  Raises
-    InvalidArgumentError when that part has an entry that is not finite
-    (zheevr would answer without an error) and ConvergenceError when eigh
-    does not converge."""
+    EIGH_DRIVER, on B's Hermitian part, built here from a transient B or
+    (on the Hermitian route) by the defect, and handed to LAPACK to
+    overwrite.  Raises InvalidArgumentError when that part has an entry
+    that is not finite (zheevr would answer without an error) and
+    ConvergenceError when eigh does not converge."""
     op._require_square("a Hermitian eigendecomposition")
     S = op.__dict__.pop("_hermitian_S", None)
     if S is None:
-        S, defect = _hermitian_part(op.B)
+        S, defect = _hermitian_part(_form_B(op))
         op.__dict__.setdefault("_defect", defect)
         if not np.isfinite(defect):  # finite exactly when S is
             raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
@@ -222,13 +245,16 @@ def _hermitian_eigh(op):
 
 
 def _hermitian_part(B):
-    """(S, defect) for a square B: its Hermitian part S = (B + B^H) / 2 and
-    ||B - B^H||_F / ||B||_F, read off S as 2 ||B - S||_F / ||B||_F since
-    B - B^H = 2 (B - S), so no N x N copy of B^H outlives the sum."""
+    """(S, defect) for a square, transient B: its Hermitian part
+    S = (B + B^H) / 2 and ||B - B^H||_F / ||B||_F, read off S as
+    2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S), with B - S taken in
+    B's own buffer, so no N x N copy of B^H outlives the sum and B is
+    overwritten."""
     S = B + B.conj().T
     S *= 0.5
     scale = max(float(_norm(B)), 1e-300)
-    return S, 2.0 * float(_norm(B - S)) / scale
+    B -= S
+    return S, 2.0 * float(_norm(B)) / scale
 
 
 def _pow2_scale(X):
@@ -408,14 +434,14 @@ def _unit_anchored(w, P):
 
 
 def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
-    """Sample a kernel on a rule and assemble K and B.
+    """Sample a kernel on a rule into the operator's K.
 
     Raises EvaluationError, with ``pair`` set to the node pair (y, z), when
     a sample is not finite: the first such entry in row-major order is
     named.  Emits NontrivialityWarning when the sampled kernel is
     numerically zero (useful as a fixture, but no spectral content).
     """
-    K = kernel.sample_matrix(_rule_arg(rule))
+    K = _kernel_arg(kernel).sample_matrix(_rule_arg(rule))
     s1, s2 = kernel.shape
     _check_finite(K, rule, s1, s2)
     op = DiscreteOperator(rule=rule, shape=(s1, s2), K=K)
@@ -444,12 +470,12 @@ def _check_finite(K, rule, s1, s2):
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:
     """Nystrom image of the operator on node samples: A @ f = K (w f)."""
-    return _apply_A(op, _array_arg(f, "f", (op.K.shape[1],)))
+    return _apply_A(op, _array_arg(f, "f", (_operator_arg(op).K.shape[1],)))
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
     """Node samples of the adjoint image: (W K)^* p = K^H (w * p)."""
-    return _apply_adjoint(op, _array_arg(p, "p", (op.K.shape[0],)))
+    return _apply_adjoint(op, _array_arg(p, "p", (_operator_arg(op).K.shape[0],)))
 
 
 def _apply_adjoint(op, X):
@@ -480,7 +506,7 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     Requires a square block shape.  Raises InvalidArgumentError when an
     entry of the iterate is not finite (overflow).
     """
-    op._require_square("an iterated kernel")
+    _operator_arg(op)._require_square("an iterated kernel")
     n = _count_arg(n, "iterate", 1)
 
     def doubling():
@@ -506,7 +532,7 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     nu = _number_arg(nu, "nu")
     if nu == 0:
         raise ZeroDivisionSignal("cannot extend an eigenfunction with nu = 0")
-    s1, s2 = kernel.shape
+    s1, s2 = _kernel_arg(kernel).shape
     p = _array_arg(eig_samples, "eig_samples", (_rule_arg(rule).count * s2,))
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
     acc = _matvec(row, np.repeat(rule.weights, s2) * p) / nu

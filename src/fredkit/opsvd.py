@@ -1,6 +1,7 @@
 """Singular value decomposition of discretized integral operators.
 
-The SVD is computed on the symmetrized matrix B = W^{1/2} K W^{1/2}, so
+The SVD is computed on the symmetrized matrix B = W^{1/2} K W^{1/2}
+(formed for that one svd call, nystrom._form_B), so
 Euclidean orthonormality of the singular vectors becomes weighted
 orthonormality of the node samples: <p_j, p_k>_W = <q_j, q_k>_W = delta_jk.
 Iterated Gram-operator kernels (N N^*)^n and their odd-power variants, the
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _array_arg, _count_arg
-from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec,
-                      _retained_count)
+from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg
+from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _form_B, _linalg, _matvec,
+                      _operator_arg, _retained_count)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,12 @@ class OperatorSVD:
         return self.operator.w_cols
 
 
+def _svd_arg(svd):
+    """svd; InvalidArgumentError unless it is an OperatorSVD, the one check
+    of every entry point's SVD argument."""
+    return _instance_arg(svd, OperatorSVD, "svd")
+
+
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     """Singular triples of the operator via the dense SVD of B, or from its
     eigen-family when B is Hermitian to roundoff (see the module docstring).
@@ -57,14 +64,14 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     (division by sqrt(w)); each p_j gets a real-positive anchor entry and
     q_j inherits the same rotation, so A q_j = theta_j p_j is preserved.
     """
-    if op.hermitian_to_roundoff():
+    if _operator_arg(op).hermitian_to_roundoff():
         nu, P = op.hermitian_family[1].real, op.hermitian_family[2]
         order = np.argsort(-np.abs(nu), kind="stable")
         s = np.abs(nu[order])
         P = P[:, order]
         Q = P * np.where(nu[order] < 0, -1.0, 1.0)
     else:
-        U, s, Vh = _linalg("svd", op.B, full_matrices=False)
+        U, s, Vh = _linalg("svd", _form_B(op), full_matrices=False)
         P = U / np.sqrt(op.w_rows)[:, None]
         Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
         ph = _anchor_phase(P)
@@ -81,6 +88,7 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
 
 
 def _side_matrix(svd, side):
+    svd = _svd_arg(svd)
     if side == "left":
         return svd.left
     if side == "right":
@@ -137,6 +145,7 @@ def trace_power(svd: OperatorSVD, n: int) -> float:
     Equals the quadrature of trace[N^* (N N^*)^n N](x, x) over the measure.
     """
     n = _count_arg(n, "iterate")
+    svd = _svd_arg(svd)
     return _finite_power(n, "iterate", lambda: float(np.sum(svd.singular_values ** (2 * n + 2))))
 
 
@@ -146,7 +155,7 @@ def svd_truncate(svd: OperatorSVD, M: int):
     The tail bound drives the O(theta_{M+1}^{2n}) error of truncated
     iterated Gram kernels.
     """
-    M = _count_arg(M, "kept count", 1, svd.rank_numerical)
+    M = _count_arg(M, "kept count", 1, _svd_arg(svd).rank_numerical)
     tail = float(svd.singular_values[M]) if M < svd.singular_values.size else 0.0
     trunc = OperatorSVD(
         singular_values=svd.singular_values[:M].copy(),

@@ -34,6 +34,7 @@ from .nystrom import (
     _apply_A,
     _apply_adjoint,
     _norm,
+    _operator_arg,
     _pow2_scale,
     _winner,
     _wnorm,
@@ -108,7 +109,7 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     Raises StartingVectorError when the iterate collapses to numerical
     zero, i.e. f lies in the operator's null space.
     """
-    op._require_square("power iteration")
+    _operator_arg(op)._require_square("power iteration")
     n_max = _count_arg(n_max, "n_max", 1)
     tol = _number_arg(tol, "tol", real=True)
     w = op.w_rows
@@ -198,7 +199,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         as happens for a defective dominant eigenvalue; the jordan module
         handles that structure.
     """
-    op._require_square("power iteration")
+    _operator_arg(op)._require_square("power iteration")
     nu1 = _number_arg(nu1, "nu1")
     if nu1 == 0:
         raise InvalidArgumentError("nu1 must be nonzero")
@@ -320,7 +321,7 @@ def sequential_spectrum(op: DiscreteOperator, k: int, n_max: int, tol: float):
     k = _count_arg(k, "stages", 1)
     result = SequentialSpectrumResult()
     current = op
-    w = op.w_rows
+    w = _operator_arg(op).w_rows
     n = op.K.shape[0]
     for stage in range(1, k + 1):
         trace = None

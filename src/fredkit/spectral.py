@@ -36,12 +36,12 @@ from .errors import (
     DefectiveSuspectedError,
     NoSpectrumError,
     WrongDecompositionError,
-    _count_arg, _number_arg,
+    _count_arg, _instance_arg, _number_arg,
 )
 from .nystrom import (
     REFINE_RTOL, UNIT, DiscreteOperator, _apply_A, _apply_adjoint, _biorth_residual,
-    _finite_power, _linalg, _matvec, _norm, _retained_count, _roundoff_floor, _sort_order,
-    _unit_anchored, _winner, _wnorm,
+    _finite_power, _form_B, _linalg, _matvec, _norm, _operator_arg, _retained_count,
+    _roundoff_floor, _sort_order, _unit_anchored, _winner, _wnorm,
 )
 
 HERMITIAN_RTOL = 1e-10    # hermitian_eig's refusal only: its caller asks for B's
@@ -72,6 +72,12 @@ class BiSpectralDecomposition:
     @property
     def weights(self):
         return self.operator.w_rows
+
+
+def _decomposition_arg(d):
+    """d; InvalidArgumentError unless it is a BiSpectralDecomposition, the
+    one check of every entry point's decomposition argument."""
+    return _instance_arg(d, BiSpectralDecomposition, "decomposition")
 
 
 @dataclass(frozen=True)
@@ -113,7 +119,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         If B departs from Hermitian symmetry by more than 1e-10 relative;
         use djf_eig for non-Hermitian kernels.
     """
-    op._require_square("an eigendecomposition")
+    _operator_arg(op)._require_square("an eigendecomposition")
     defect = op.hermitian_defect()
     if defect > HERMITIAN_RTOL:
         raise WrongDecompositionError(
@@ -133,15 +139,16 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     with a real-positive anchor entry, which pins down the free constant
     multipliers; the left vectors then have no freedom left.
 
-    When B is Hermitian to roundoff (hermitian_defect() <= n u, n = B.shape[0],
+    When B is Hermitian to roundoff (hermitian_defect() <= n u, n = K.shape[0],
     u = eps / 2), this is hermitian_eig's decomposition with its eigenvalues
     and vectors upcast once to complex; one array serves as right and left
     family.  Symmetrizing moves B by (defect / 2) ||B||_F, no more than the
     backward error eig commits, and the operator's one eigen-family is
     shared with hermitian_eig and operator_svd.
 
-    Otherwise eig runs on B in its own dtype (real LAPACK for a real
-    operator), the polish on K and the weights, and the pairs are complex.
+    Otherwise eig runs on a B formed once for this call (nystrom._form_B),
+    in its own dtype (real LAPACK for a real operator), the polish on K and
+    the weights, and the pairs are complex.
     The r retained eigenvectors V_r keep their span; the rest, a numerical
     null space, become Q_t of one complete QR [Q_t, Q_perp] of themselves, and
     U = V^{-H} and the exact condition kappa of V = [V_r, Q_t] come from
@@ -164,12 +171,13 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         that rule reaches, raise it too: a retained eigen-residual above
         1e-9 |nu_1| and a bi-orthogonality residual above 1e-8.
     """
-    op._require_square("an eigendecomposition")
+    _operator_arg(op)._require_square("an eigendecomposition")
     if op.hermitian_to_roundoff():
         d = hermitian_eig(op)
         P = d.right.astype(complex, copy=False)
         return replace(d, right=P, left=P)
-    vals, V = _linalg("eig", op.B)
+    B = _form_B(op)  # read twice: by eig and by the eigen-residual
+    vals, V = _linalg("eig", B)
     vals, V = vals.astype(complex, copy=False), V.astype(complex, copy=False)
     order = _sort_order(vals)
     vals, V = vals[order], V[:, order]
@@ -191,7 +199,7 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
             f"{1e-8 / (n * UNIT):.3e}; the operator looks defective -- use the jordan module")
     top = np.abs(vals[0]) if vals.size else 0.0
     Vr = V[:, :retained]
-    resid = _norm(_matvec(op.B, Vr) - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
+    resid = _norm(_matvec(B, Vr) - Vr * vals[:retained], axis=0) / np.linalg.norm(Vr, axis=0)
     bad = np.flatnonzero(resid > 1e-9 * top)
     if bad.size:
         raise DefectiveSuspectedError(
@@ -275,7 +283,7 @@ def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> Asymptot
     spectrum).
     """
     cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
-    if d.retained == 0:
+    if _decomposition_arg(d).retained == 0:
         raise NoSpectrumError("all eigenvalues are numerically zero")
     vals = d.eigenvalues[: d.retained]
     r1 = float(np.abs(vals[0]))
@@ -304,6 +312,7 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
     overflows raises InvalidArgumentError naming n.
     """
     n = _count_arg(n, "iterate", 1)
+    d, profile = _decomposition_arg(d), _instance_arg(profile, AsymptoticProfile, "profile")
     scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R : d.retained])))
     approx = _finite_power(n, "iterate", lambda: (profile.r1 ** n) * profile.coefficient_matrix(n))
     bound = _finite_power(n, "iterate", lambda: (profile.r0 ** n) * scale)
@@ -312,7 +321,7 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
 
 def reconstruct(d: BiSpectralDecomposition, k: int) -> np.ndarray:
     """Partial kernel reconstruction sum_{j<=k} nu_j p_j q_j^* at node pairs."""
-    k = _count_arg(k, "rank", 0, d.eigenvalues.size)
+    k = _count_arg(k, "rank", 0, _decomposition_arg(d).eigenvalues.size)
     if k == 0:
         return np.zeros(d.operator.K.shape, dtype=complex)
     P = d.right[:, :k]

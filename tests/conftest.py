@@ -72,6 +72,13 @@ def defective_op(gl8):
     return fk.discretize(kern, gl8)
 
 
+def symmetrized(op):
+    """B = W^{1/2} K W^{1/2}, derived from op's K and weights by the
+    expression fredkit forms it with, so equal to op.B bit for bit; reading
+    op.B instead would cache it on the operator."""
+    return np.sqrt(op.w_rows)[:, None] * op.K * np.sqrt(op.w_cols)[None, :]
+
+
 def wfro(op, X):
     """Weighted Frobenius norm matching the L2(mu x mu) geometry."""
     sr = np.sqrt(op.w_rows)[:, None]

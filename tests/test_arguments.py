@@ -7,13 +7,16 @@ lists the arguments to spoil, each with the kind of its spoiled values:
 a count gets 2.5, True and -1; a number NaN, inf, 10**400, True and the
 text "0.5"; a sample vector a wrong length and a NaN entry; an array a text
 entry, a bool entry, a complex entry where it is real, ragged nesting, one
-axis too many and a NaN entry where it is finite; an operator a (1, 2)-block
-one; a quadrature rule None, a string or an array; a list of functions a
-number, None or a list with a number in it; a finite-rank body terms that
-are not (number, callable, callable) triples.
+axis too many and a NaN entry where it is finite; a kernel, an operator,
+a decomposition, an SVD, a Jordan form or a profile None or a string, and
+an operator where a square block shape is needed a (1, 2)-block one too; a
+quadrature rule None, a string or an array; a list of functions a number,
+None or a list with a number in it; a finite-rank body terms that are not
+(number, callable, callable) triples.
 test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
-function taking an operator, a decomposition, a count, a sample vector, an
-array, a rule or a list of functions cannot ship without rows here.
+function taking an object (a kernel, an operator, a decomposition, ...), a
+count, a sample vector, an array, a rule or a list of functions cannot ship
+without rows here.
 """
 import dataclasses
 import functools
@@ -86,7 +89,10 @@ REAL_ARRAY = dict(ARRAY, complex=_first_entry(0.5 + 1j))
 # pair), and hermite_he evaluates at any array of real numbers, of any rank
 TABLE = {k: ARRAY[k] for k in ("text", "bool", "ragged", "rank")}
 POINTS = {k: REAL_ARRAY[k] for k in ("text", "bool", "complex", "ragged")}
-OPERATOR = {"block-1x2": lambda v: env()["wide"]}
+# an object argument (kernel, operator, decomposition, ...); an operator
+# where a square block shape is needed
+OBJECT = {"none": lambda v: None, "text": lambda v: "op"}
+OPERATOR = dict(OBJECT, **{"block-1x2": lambda v: env()["wide"]})
 PAIR = {"end-" + k: (lambda s: lambda v: (0.0, s(v)))(s) for k, s in NUMBER.items()}
 PAIR.update({"scalar": lambda v: 0.5, "triple": lambda v: (0.0, 0.5, 1.0)})
 BLOCKS = {"scalar-block": lambda v: [0.5], "triple-block": lambda v: [(0.5, 2, 1)],
@@ -136,23 +142,26 @@ ROWS = {
                                lambda e: dict(rule=e["rule"], count=3),
                                {"count": COUNT, "rule": RULE}),
     "discretize": (fk.discretize, lambda e: dict(kernel=e["kernel"], rule=e["rule"]),
-                   {"rule": RULE}),
-    "apply": (fk.apply, lambda e: dict(op=e["op"], f=e["ones"]), {"f": VECTOR}),
+                   {"kernel": OBJECT, "rule": RULE}),
+    # apply, its adjoint and the SVD take any block shape
+    "apply": (fk.apply, lambda e: dict(op=e["op"], f=e["ones"]), {"op": OBJECT, "f": VECTOR}),
     "apply_adjoint": (fk.apply_adjoint, lambda e: dict(op=e["op"], p=e["ones"]),
-                      {"p": VECTOR}),
+                      {"op": OBJECT, "p": VECTOR}),
     "iterated_kernel": (fk.iterated_kernel, lambda e: dict(op=e["op"], n=3),
                         {"op": OPERATOR, "n": COUNT}),
     "nystrom_extend": (fk.nystrom_extend,
                        lambda e: dict(kernel=e["kernel"], rule=e["rule"], eig_samples=e["p"],
                                       nu=e["nu"], y=0.3),
-                       {"eig_samples": VECTOR, "nu": NUMBER, "y": NUMBER, "rule": RULE}),
+                       {"kernel": OBJECT, "eig_samples": VECTOR, "nu": NUMBER, "y": NUMBER,
+                        "rule": RULE}),
     "hermitian_eig": (fk.hermitian_eig, lambda e: dict(op=e["hermitian"]), {"op": OPERATOR}),
     "djf_eig": (fk.djf_eig, lambda e: dict(op=e["op"]), {"op": OPERATOR}),
     "asymptotic_profile": (fk.asymptotic_profile, lambda e: dict(d=e["d"], cluster_tol=1e-8),
-                           {"cluster_tol": NUMBER}),
+                           {"d": OBJECT, "cluster_tol": NUMBER}),
     "power_approx": (fk.power_approx,
-                     lambda e: dict(d=e["d"], profile=e["profile"], n=3), {"n": COUNT}),
-    "reconstruct": (fk.reconstruct, lambda e: dict(d=e["d"], k=2), {"k": COUNT}),
+                     lambda e: dict(d=e["d"], profile=e["profile"], n=3),
+                     {"d": OBJECT, "profile": OBJECT, "n": COUNT}),
+    "reconstruct": (fk.reconstruct, lambda e: dict(d=e["d"], k=2), {"d": OBJECT, "k": COUNT}),
     "jordan_block": (fk.jordan_block, lambda e: dict(lam=0.5, m=2),
                      {"lam": NUMBER, "m": COUNT}),
     "jordan_block_power": (fk.jordan_block_power, lambda e: dict(lam=0.5, m=2, n=3),
@@ -161,26 +170,30 @@ ROWS = {
                          lambda e: dict(N=np.diag([0.5, 0.2]), cluster_tol=1e-7),
                          {"N": ARRAY, "cluster_tol": NUMBER}),
     "matrix_power_via_jordan": (fk.matrix_power_via_jordan, lambda e: dict(jf=e["jf"], n=3),
-                                {"n": COUNT}),
+                                {"jf": OBJECT, "n": COUNT}),
     "defective_asymptotic": (fk.defective_asymptotic,
                              lambda e: dict(jf=e["jf"], n=3, tier_rtol=1e-8),
-                             {"n": COUNT, "tier_rtol": NUMBER}),
-    "iterated_gram": (fk.iterated_gram, lambda e: dict(svd=e["svd"], n=2), {"n": COUNT}),
+                             {"jf": OBJECT, "n": COUNT, "tier_rtol": NUMBER}),
+    "operator_svd": (fk.operator_svd, lambda e: dict(op=e["op"]), {"op": OBJECT}),
+    "iterated_gram": (fk.iterated_gram, lambda e: dict(svd=e["svd"], n=2),
+                      {"svd": OBJECT, "n": COUNT}),
     "iterated_gram_with_kernel": (fk.iterated_gram_with_kernel,
-                                  lambda e: dict(svd=e["svd"], n=1), {"n": COUNT}),
+                                  lambda e: dict(svd=e["svd"], n=1), {"svd": OBJECT, "n": COUNT}),
     "gram_apply": (fk.gram_apply, lambda e: dict(svd=e["svd"], n=1, f=e["ones"]),
-                   {"n": COUNT, "f": VECTOR}),
-    "trace_power": (fk.trace_power, lambda e: dict(svd=e["svd"], n=1), {"n": COUNT}),
-    "svd_truncate": (fk.svd_truncate, lambda e: dict(svd=e["svd"], M=1), {"M": COUNT}),
+                   {"svd": OBJECT, "n": COUNT, "f": VECTOR}),
+    "trace_power": (fk.trace_power, lambda e: dict(svd=e["svd"], n=1),
+                    {"svd": OBJECT, "n": COUNT}),
+    "svd_truncate": (fk.svd_truncate, lambda e: dict(svd=e["svd"], M=1),
+                     {"svd": OBJECT, "M": COUNT}),
     "resolvent_solve": (fk.resolvent_solve, lambda e: dict(op=e["op"], lam=0.3, f=e["ones"]),
                         {"op": OPERATOR, "lam": NUMBER, "f": VECTOR}),
     "resolvent_kernel": (fk.resolvent_kernel, lambda e: dict(op=e["op"], lam=0.3),
                          {"op": OPERATOR, "lam": NUMBER}),
     "resolvent_series": (fk.resolvent_series, lambda e: dict(d=e["d"], lam=0.3, k=2),
-                         {"lam": NUMBER, "k": COUNT}),
+                         {"d": OBJECT, "lam": NUMBER, "k": COUNT}),
     "second_kind_solve_series": (fk.second_kind_solve_series,
                                  lambda e: dict(d=e["d"], lam=0.3, f=e["ones"], k=2),
-                                 {"lam": NUMBER, "f": VECTOR, "k": COUNT}),
+                                 {"d": OBJECT, "lam": NUMBER, "f": VECTOR, "k": COUNT}),
     "fredholm_determinant": (fk.fredholm_determinant, lambda e: dict(op=e["op"], lam=0.3),
                              {"op": OPERATOR, "lam": NUMBER}),
     "determinant_log_derivative_check": (
@@ -238,28 +251,26 @@ def test_spoiled_argument_refused(row, arg, spoil):
 # arguments that make an entry point gated: by annotation or by name
 GATED_TYPES = (fk.DiscreteOperator, fk.BiSpectralDecomposition, fk.OperatorSVD, fk.JordanForm,
                int)
-OPERATOR_NAMES = {"op", "target", "d", "svd", "jf"}
+OBJECT_NAMES = {"op", "target", "d", "svd", "jf", "kernel", "profile"}
 COUNT_NAMES = {"n", "k", "m", "M", "count", "steps", "n_max", "degree", "j"}
 VECTOR_NAMES = {"f", "g", "p", "p1", "q1", "probe", "eig_samples"}
 ARRAY_NAMES = {"nodes", "weights", "points", "table", "coeffs", "coeff_matrix", "N", "x"}
 RULE_NAMES = {"rule"}
 FUNCTIONS_NAMES = {"rights", "lefts", "basis"}
-SPOILED_NAMES = COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES | RULE_NAMES | FUNCTIONS_NAMES
-# an SVD exists for every block shape, so there is no argument to spoil
-NOTHING_TO_SPOIL = {"operator_svd"}
+SPOILED_NAMES = (OBJECT_NAMES | COUNT_NAMES | VECTOR_NAMES | ARRAY_NAMES | RULE_NAMES
+                 | FUNCTIONS_NAMES)
 
 
 def _gated_arguments(obj):
     params = inspect.signature(obj).parameters.values()
     return {p.name for p in params if p.annotation in GATED_TYPES
-            or p.name in OPERATOR_NAMES | SPOILED_NAMES}
+            or p.name in SPOILED_NAMES}
 
 
 def test_every_entry_point_has_rows():
     """A public function (or a class that is not a record) taking an
-    operator, a decomposition, a count, a sample vector, an array, a rule or
-    a list of functions has a row, and the row spoils each of its counts,
-    sample vectors, arrays, rules and lists of functions."""
+    object, a count, a sample vector, an array, a rule or a list of
+    functions has a row, and the row spoils each of these arguments."""
     missing = []
     for name in fk.__all__:
         obj = getattr(fk, name)
@@ -267,7 +278,7 @@ def test_every_entry_point_has_rows():
                 dataclasses.is_dataclass(obj) or issubclass(obj, (Exception, Warning)))):
             continue
         gated = _gated_arguments(obj)
-        if not gated or name in NOTHING_TO_SPOIL:
+        if not gated:
             continue
         spoiled = set(ROWS[name][2]) if name in ROWS else set()
         unspoiled = (gated & SPOILED_NAMES) - spoiled

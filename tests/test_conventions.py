@@ -36,6 +36,8 @@ from fredkit.errors import DefectiveSuspectedError
 from fredkit.kernels import ClosedForm
 from fredkit.nystrom import EIGH_DRIVER, _anchor_phase, _winner, _wnorm
 
+from conftest import symmetrized
+
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
 
@@ -188,7 +190,8 @@ def test_outputs_keep_the_conventions(name, n, method):
 def hermitian_eigh(op):
     """The eigh fredkit makes of op's Hermitian part: LAPACK's dsyevd for a
     real B and zheevr for a complex one (nystrom.EIGH_DRIVER)."""
-    S = 0.5 * (op.B + op.B.conj().T)
+    B = symmetrized(op)
+    S = 0.5 * (B + B.conj().T)
     return scipy.linalg.eigh(S, driver=EIGH_DRIVER[S.dtype.kind], overwrite_a=True,
                              check_finite=False)
 
@@ -213,7 +216,7 @@ def column_at_a_time(op, method):
         P = P[:, order]
         return P, P * np.where(vals[order] < 0, -1.0, 1.0)
     if method == "svd":
-        U, s, Vh = np.linalg.svd(op.B, full_matrices=False)
+        U, s, Vh = np.linalg.svd(symmetrized(op), full_matrices=False)
         P, Q = U / np.sqrt(w)[:, None], Vh.conj().T / np.sqrt(op.w_cols)[:, None]
         for j in range(P.shape[1]):
             ph = anchor_phase(P[:, j])
@@ -230,7 +233,7 @@ def column_at_a_time(op, method):
                 col = weighted(op.K, op.w_cols, col) / vals[j]
             P[:, j] = col * (anchor_phase(col) / wnorm(w, col))
         return P, P
-    vals, V = np.linalg.eig(op.B)  # real LAPACK for a real B; the pairs are complex
+    vals, V = np.linalg.eig(symmetrized(op))  # real LAPACK for a real B; the pairs are complex
     vals, V = vals.astype(complex), V.astype(complex)
     order = nystrom._sort_order(vals)
     vals, V = vals[order], V[:, order]

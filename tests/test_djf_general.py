@@ -72,7 +72,7 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     rule = fk.gauss_legendre(n, -4.0, 4.0)
     op = fk.discretize(skew_kernel(0.2 + 1j * a if a else 0.2), rule)
     assert not op.hermitian_to_roundoff()
-    assert op.B.dtype == (np.float64 if a == 0 else np.complex128)
+    assert op.K.dtype == (np.float64 if a == 0 else np.complex128)
     seen = kappa_spy(monkeypatch)
     d = fk.djf_eig(op)
     (kappa,) = seen
@@ -95,7 +95,7 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     assert abs(np.sum(nu) - np.sum(w * np.diag(op.K))) <= n * UNIT * np.sum(np.abs(nu))
     mehler = np.sort(fk.hermitian_eig(fk.discretize(fk.mehler_kernel(0.5), rule)).eigenvalues.real)
     ref = mehler[::-1][:r]
-    assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * np.linalg.norm(op.B)
+    assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * op.hs_norm()
 
     # the retained left vectors against this test's own inverse of V = W^{1/2} P:
     # U - V^{-H} = V^{-H} G^H, so column j moves by at most ||V^{-1}|| ||G[j, :]||,
@@ -158,8 +158,8 @@ def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenv
     seen = kappa_spy(monkeypatch)
     for a, dtype in ((0.0, np.float64), (A_TWIN, np.complex128)):
         op = make(a)
-        n = op.B.shape[0]
-        assert op.B.dtype == dtype and not op.hermitian_to_roundoff()
+        n = op.K.shape[0]
+        assert op.K.dtype == dtype and not op.hermitian_to_roundoff()
         seen.clear()
         taken, d = _branch(op)
         assert taken == branch
@@ -174,7 +174,7 @@ def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenv
             r, nu = d.retained, d.eigenvalues
             ref = np.zeros(r, dtype=complex)
             ref[:eigenvalues.size] = eigenvalues[np.argsort(-np.abs(eigenvalues))]
-            assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * np.linalg.norm(op.B)
+            assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * op.hs_norm()
 
 
 def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):

@@ -16,6 +16,7 @@ import fredkit as fk
 from fredkit.kernels import ClosedForm
 from fredkit.nystrom import _apply_A, _apply_adjoint, _matvec, _read_only
 
+from conftest import symmetrized
 from test_hermitian_route import library
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -158,7 +159,7 @@ def pair():
     forced to complex, with its spectrum nu (descending) from eigvalsh."""
     rule = fk.gauss_legendre(N, -4.0, 4.0)
     op = fk.discretize(fk.mehler_kernel(0.5), rule)
-    nu = np.linalg.eigvalsh(op.B)[::-1]
+    nu = np.linalg.eigvalsh(symmetrized(op))[::-1]
     return op, forced_complex(op), nu
 
 

@@ -1,7 +1,7 @@
 """The Hermitian route: one eigen-family per operator.
 
 An operator whose B is Hermitian to roundoff, hermitian_defect() <= n u
-(n = B.shape[0], u = eps / 2), is decomposed by one eigh of B's Hermitian
+(n = K.shape[0], u = eps / 2), is decomposed by one eigh of B's Hermitian
 part, sorted and polished once into the family cached on the operator
 (hermitian_family); hermitian_eig, djf_eig, operator_svd, first_kind_solve
 and the spectrum all answer from it.  The bounds are those
@@ -10,6 +10,8 @@ perfbench/README.md sets for the spectra-n1024 workload: sum theta^2 =
 A q = theta p within 1e-9 theta_1.
 """
 import gc
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,7 +21,8 @@ import scipy.linalg
 import fredkit as fk
 from fredkit import nystrom, spectral
 
-from test_conventions import basis_operator, twin_kernel
+from conftest import symmetrized
+from test_conventions import basis_operator, skew_kernel, twin_kernel
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 ORTH_TOL = 1e-10
@@ -68,10 +71,11 @@ def spy_on_polish(monkeypatch):
 
 def check_svd_bounds(op, sv):
     """The spectra-n1024 SVD checks, on the operator's own B."""
-    n = op.B.shape[0]
+    B = symmetrized(op)
+    n = B.shape[0]
     theta = sv.singular_values
     assert theta.dtype == np.float64 and np.all(np.diff(theta) <= 0)
-    hs2 = float(np.sum(np.abs(op.B) ** 2))
+    hs2 = float(np.sum(np.abs(B) ** 2))
     assert abs(float(np.sum(theta ** 2)) - hs2) <= n * UNIT * hs2
     r, w = sv.rank_numerical, op.w_rows
     P, Q = sv.left[:, :r], sv.right[:, :r]
@@ -211,10 +215,11 @@ def square_arrays(op):
 def test_one_hermitian_part_per_operator(monkeypatch, first):
     """B's Hermitian part is built once on GH256 Mehler, and one eigh and one
     polish product run, whichever reader comes first.  Of the operator's
-    matrices only K and B are stored: after every reader, the other N x N
-    arrays are the family's samples, _elimination's K_e and the last
-    lambda's LU factors.  A is formed on its first read, K * w_cols bit for
-    bit, and kept read-only."""
+    matrices only K is stored; B is formed for each reader and dropped, so
+    it is not among them: after every reader, the other N x N arrays are
+    the family's samples, _elimination's K_e and the last lambda's LU
+    factors.  A is formed on its first read, K * w_cols bit for bit, and
+    kept read-only."""
     eighs = spy_on(monkeypatch, ("eigh",))
     polishes = spy_on_polish(monkeypatch)
     calls = []
@@ -237,8 +242,8 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     assert op.hermitian_to_roundoff()
     assert calls == [(256, 256)] and eighs == ["eigh"] and len(polishes) == 1
     assert sorted(k for k, v in vars(op).items()
-                  if isinstance(v, np.ndarray) and v.ndim == 2) == ["B", "K"]
-    assert square_arrays(op) == ["B", "K", "_elimination[1]", "_lu[1]", "hermitian_family[2]"]
+                  if isinstance(v, np.ndarray) and v.ndim == 2) == ["K"]
+    assert square_arrays(op) == ["K", "_elimination[1]", "_lu[1]", "hermitian_family[2]"]
     order, Ke, we = vars(op)["_elimination"]
     assert np.array_equal(Ke, op.K[np.ix_(order, order)]) and np.array_equal(we, op.w_cols[order])
     assert "A" not in vars(op)
@@ -260,12 +265,13 @@ def test_mrrr_family_is_orthonormal_through_clusters():
     the matrix's, as test_djf_general bounds them."""
     C = np.diag([1.0, 1.0, 1.0, -0.5, -0.5, 0.25])
     op = basis_operator(C, 0.7, 256)
-    n = op.B.shape[0]
-    assert op.B.dtype == np.complex128 and op.hermitian_to_roundoff()
+    B = symmetrized(op)
+    n = B.shape[0]
+    assert B.dtype == np.complex128 and op.hermitian_to_roundoff()
     vals, V = nystrom._hermitian_eigh(op)
-    backward = n * UNIT * np.linalg.norm(op.B)
+    backward = n * UNIT * np.linalg.norm(B)
     assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= ORTH_TOL
-    S = 0.5 * (op.B + op.B.conj().T)
+    S = 0.5 * (B + B.conj().T)
     resid = np.linalg.norm(S @ V - V * vals, axis=0)
     assert np.max(resid) <= min(backward, RESID_RTOL * np.max(np.abs(vals)))
     ref = np.sort(np.concatenate((np.diag(C), np.zeros(n - 6))))
@@ -279,7 +285,7 @@ def band_operator(op):
     E = np.random.default_rng(12).standard_normal(op.K.shape)
     E -= E.T
     sw = np.sqrt(op.w_rows)
-    E *= 0.5e-12 * np.linalg.norm(op.B) / np.linalg.norm(sw[:, None] * E * sw[None, :])
+    E *= 0.5e-12 * op.hs_norm() / np.linalg.norm(sw[:, None] * E * sw[None, :])
     return fk.DiscreteOperator(rule=op.rule, shape=op.shape, K=op.K + E)
 
 
@@ -288,9 +294,10 @@ def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
     runs eig, operator_svd runs svd and the spectrum eigvals, and djf_eig's
     decomposition is not marked Hermitian; hermitian_eig still accepts it."""
     skewed = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(256, -4.0, 4.0)))
-    n = skewed.B.shape[0]
+    B = symmetrized(skewed)
+    n = B.shape[0]
     defect = skewed.hermitian_defect()
-    direct = np.linalg.norm(skewed.B - skewed.B.conj().T) / np.linalg.norm(skewed.B)
+    direct = np.linalg.norm(B - B.conj().T) / np.linalg.norm(B)
     assert abs(defect - direct) <= 4 * UNIT + n * UNIT * direct
     assert n * UNIT < defect <= fk.spectral.HERMITIAN_RTOL
     assert not skewed.hermitian_to_roundoff()
@@ -376,3 +383,79 @@ def test_dropped_operator_is_freed_without_the_collector(gh40):
             assert ref() is None
         finally:
             gc.enable()
+
+
+def spy_on_form_B(monkeypatch):
+    """Record the name of the function that forms each B, through _form_B
+    in every fredkit module that binds it."""
+    calls = []
+    for module in (nystrom, spectral, fk.opsvd):
+        def spy(op, _real=module._form_B):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return _real(op)
+
+        monkeypatch.setattr(module, "_form_B", spy)
+    return calls
+
+
+def formed_by(calls, read):
+    """The functions that formed a B while read() ran, in order."""
+    del calls[:]
+    read()
+    return list(calls)
+
+
+@pytest.mark.parametrize("kernel, n", [(fk.mehler_kernel(0.5), 1024), (twin_kernel(0.8), 256)],
+                         ids=["mehler-gl1024", "twin-gl256"])
+def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
+    """The spectra-n1024 calls, on real Mehler and on its complex twin:
+    discretizing forms B once (hs_norm) and the readers once more (the
+    Hermitian defect), and none keeps it.  Afterwards the operator's only
+    N x N arrays are K and the family's samples.  An outside read of op.B
+    forms it as the expression does, bit for bit, read-only and once."""
+    calls = spy_on_form_B(monkeypatch)
+    op = fk.discretize(kernel, fk.gauss_legendre(n, -4.0, 4.0))
+    assert calls == ["hs_norm"]
+    assert formed_by(calls, lambda: fk.hermitian_eig(op)) == ["_defect"]
+    for read in (lambda: fk.djf_eig(op), lambda: fk.operator_svd(op),
+                 lambda: fk.iterated_kernel(op, 20), lambda: op.spectrum):
+        assert formed_by(calls, read) == []
+    assert square_arrays(op) == ["K", "hermitian_family[2]"]
+    B = formed_by(calls, lambda: op.B)
+    assert B == ["B"] and op.B is vars(op)["B"] and calls == ["B"]
+    assert not op.B.flags.writeable and op.B.dtype == op.K.dtype
+    assert np.array_equal(op.B.view(np.uint64), symmetrized(op).view(np.uint64))
+
+
+def test_each_reader_forms_b_at_most_once_per_call(monkeypatch):
+    """Off the Hermitian route every reader of B forms its own, once per
+    call: on the skew kernel of test_djf_general, djf_eig's eig and its
+    eigen-residual share one B, and operator_svd's svd forms one; on a
+    perturbed twin within hermitian_eig's 1e-10, the eigh of the Hermitian
+    part forms one, since the defect (which forms its own) keeps its
+    Hermitian part only on the route."""
+    calls = spy_on_form_B(monkeypatch)
+    skew = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0))
+    assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["_defect", "djf_eig"]
+    assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["djf_eig"]
+    assert formed_by(calls, lambda: fk.operator_svd(skew)) == ["operator_svd"]
+    assert formed_by(calls, lambda: skew.spectrum) == []
+    band = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(64, -4.0, 4.0)))
+    assert formed_by(calls, lambda: fk.hermitian_eig(band)) == ["_defect", "_hermitian_eigh"]
+    assert formed_by(calls, lambda: fk.hermitian_eig(band)) == []
+    assert "B" not in vars(skew) and "B" not in vars(band)
+
+
+def test_defect_takes_b_minus_s_in_the_transient_b():
+    """The defect of a real GL256 Mehler operator forms B, builds
+    S = (B + B^T) / 2 and takes B - S in B's buffer, so at most two N x N
+    float64 arrays are alive at once; B - S in a fresh array would make
+    three.  (A complex B's conjugate is a copy, so there the peak is three.)"""
+    op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_legendre(256, -4.0, 4.0))
+    op.w_rows, op.w_cols  # cached before the count
+    tracemalloc.start()
+    op.hermitian_defect()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert op.hermitian_to_roundoff()
+    assert peak < 2.5 * op.K.nbytes

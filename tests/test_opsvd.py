@@ -6,7 +6,7 @@ import pytest
 import fredkit as fk
 from fredkit.errors import InvalidArgumentError
 
-from conftest import wfro
+from conftest import symmetrized, wfro
 from test_conventions import UNIT, skew_kernel
 
 
@@ -74,7 +74,8 @@ class TestOperatorSVD:
 
     def test_gram_eigen_consistency(self, two_term_op):
         sv = fk.operator_svd(two_term_op)
-        G = two_term_op.B @ two_term_op.B.conj().T
+        B = symmetrized(two_term_op)
+        G = B @ B.conj().T
         evals = np.sort(np.linalg.eigvalsh(G))[::-1]
         theta2 = np.sort(sv.singular_values ** 2)[::-1]
         assert np.max(np.abs(evals - theta2)) <= 1e-9 * max(theta2[0], 1e-300)
@@ -252,7 +253,8 @@ def test_trace_identities_at_benchmark_scale(case):
     sum_j m (mu_j + eta)^(m-1) eta, and each side rounds by (m + n) u of it.
     """
     op = TRACE_OPERATORS[case]()
-    B, n = op.B, op.B.shape[0]
+    B = symmetrized(op)
+    n = B.shape[0]
     hermitian = op.hermitian_to_roundoff()
     assert hermitian == case.startswith("mehler")
     sv = fk.operator_svd(op)
