@@ -8,19 +8,16 @@ lambda-path (_lu): resolvent solves, resolvent kernels, the direct
 determinant, read off its diagonal and pivots, and each log-derivative path
 point.  It is real for a real lambda on a real operator, and the last
 lambda's is kept on the operator, so a solve and a determinant at one
-lambda pay for one LU (the determinant and the resolvent come from one
-factorization; Bornemann, Math. Comp. 79 (2010)).  It factors the
-symmetrically permuted system P (I - lambda*A) P^T that eliminates the
-nodes by decreasing weight (_elimination): in the listed order a rule whose
-weights span hundreds of decades, Gauss-Hermite above all, eliminates its
-lightest nodes first and the factorization runs in subnormal arithmetic.
-That system is built from K and the weights permuted to this order
-(K_e, w_e), as I - K_e (lambda w_e), so A is never formed for it.
-The permutation keeps the determinant, the 1-norm and the condition
-estimate, so every guard and error keeps its meaning.  Fredholm convention
-throughout: the "eigenvalues" lambda_j are the reciprocals 1/nu_j of the
-operator eigenvalues, and the determinant D(lambda) vanishes exactly
-there.
+lambda pay for one LU (Bornemann, Math. Comp. 79 (2010)).  It factors
+P (I - lambda*A) P^T = I - K_e (lambda w_e), built from K and the weights
+permuted so that the nodes are eliminated by decreasing weight
+(_elimination): in the listed order a rule whose weights span hundreds of
+decades, Gauss-Hermite above all, eliminates its lightest nodes first and
+the factorization runs in subnormal arithmetic.  The permutation keeps the
+determinant, the 1-norm and the condition estimate, so every guard and
+error keeps its meaning.  Fredholm convention throughout: the "eigenvalues"
+lambda_j are the reciprocals 1/nu_j of the operator eigenvalues, and the
+determinant D(lambda) vanishes exactly there.
 
 One pole rule (_guard_pole) decides every refusal near the spectrum:
 lambda is too near when its gap to the Fredholm eigenvalue nearest it in
@@ -31,11 +28,11 @@ each log-derivative path point.  The error raised names the eigenvalue and
 carries it as ``nearest``, with ``gap``.
 
 The proximity guards and the product determinant read eigenvalues from
-DiscreteOperator.spectrum, which is computed once per operator and cached
-(the operator's matrices are read-only), and keep its retained part, cut
-as the decompositions cut theirs (nystrom._retained), so sweeping lambda
-over one operator -- resolvent solves, product determinants, log-derivative
-paths -- pays for one eigensolve, the Hermitian route's one eigen-family.
+DiscreteOperator.spectrum, the values of the operator's one eigen-family
+(the Hermitian family's eigh, else the general family's Schur form), and
+keep its retained part, cut as the decompositions cut theirs
+(nystrom._retained), so sweeping lambda over one operator, and decomposing
+it, pays for one eigensolve.
 """
 from dataclasses import dataclass
 
@@ -107,20 +104,13 @@ def _elimination(op):
     """(order, K_e, w_e): the elimination order of every LU of
     I - lambda*A, the nodes by decreasing weight (a stable argsort of
     -w_cols, so a block's components stay together and ties keep their
-    listing), with K permuted symmetrically to it, K_e = P K P^T =
-    K[order][:, order], and the weights w_e = w_cols[order], so that
-    P A P^T = K_e W_e.  Computed once per operator and read-only, so no
-    lambda pays for a gather.
-
-    The heaviest nodes go first because the listed order of a rule whose
-    weights span many decades eliminates the lightest first: on
-    Gauss-Hermite 256 (weights down to 3e-211) each of those steps updates
-    the trailing matrix with products that underflow, the factors hold
-    hundreds of subnormal numbers and getrf runs at a quarter of its
-    speed.  Any symmetric permutation keeps det M, M's 1-norm and gecon's
-    estimate, and Gaussian elimination with partial pivoting is backward
-    stable in any column order (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 9)."""
+    listing), K_e = P K P^T = K[order][:, order] and w_e = w_cols[order], so
+    that P A P^T = K_e W_e; computed once per operator and read-only.  On
+    Gauss-Hermite 256 (weights down to 3e-211) the listed order's first
+    steps update the trailing matrix with products that underflow, and
+    getrf runs at a quarter of its speed.  Gaussian elimination with partial
+    pivoting is backward stable in any column order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 9)."""
     cached = op.__dict__.get("_elimination")
     if cached is None:
         order = np.argsort(-op.w_cols, kind="stable")

@@ -2,21 +2,16 @@
 
 Replacing the integral by a quadrature sum turns the operator into the
 dense matrix A = K W with block entry A[i, j] = N(x_i, x_j) * w_j.  An
-operator stores one matrix, the raw samples K.  Every product with A is
-K (w x), through one helper (_apply_A), so A itself is formed only when a
-caller reads DiscreteOperator.A.  The symmetrized form B = W^{1/2} K W^{1/2},
-which shares A's eigenvalues and turns weighted orthonormality of
-eigenfunction samples into Euclidean orthonormality, is formed by one helper
-(_form_B) for the one reader that needs it, and that reader may overwrite
-it: hs_norm, the Hermitian defect (and part), djf_eig's general path and
-operator_svd's svd.
-B's Hermitian defect, the one eigen-family of its Hermitian part
-(hermitian_family: one eigh, sorted, cut, polished and anchored here) and
-A's eigenvalues (spectrum) are computed at most once per operator, on first
-use; on an operator Hermitian to roundoff (hermitian_to_roundoff, the one
-gate of every Hermitian shortcut) the spectrum is that family's values.
-Its eigh runs the LAPACK driver EIGH_DRIVER picks by dtype, the faster one:
-divide and conquer (dsyevd) for a real B, MRRR (zheevr) for a complex one.
+operator stores one matrix, the raw samples K; every product with A is
+K (w x) (_apply_A).  The symmetrized form B = W^{1/2} K W^{1/2}, which
+shares A's eigenvalues and turns weighted orthonormality of eigenfunction
+samples into Euclidean orthonormality, is formed by one helper (_form_B)
+for the one reader that needs it, which may overwrite it.
+B's Hermitian defect and one eigen-family per operator are computed once,
+on first use: hermitian_family, from one eigh of B's Hermitian part, on an
+operator Hermitian to roundoff (hermitian_to_roundoff, the one gate of
+every Hermitian shortcut), else general_family, from one sorted Schur form
+of B.  The spectrum is that family's values.
 K (and A and B, once formed) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
@@ -31,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceError,
@@ -56,6 +52,7 @@ EIGH_DRIVER = {"f": "evd", "c": "evr"}
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 TIE_RTOL = 1e-10          # moduli this close (relative) sort as tied, by phase
+DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspace
 REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
                           # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
                           # which must stay below the orthonormality budget
@@ -70,38 +67,30 @@ class DiscreteOperator:
     rule : QuadratureRule
     shape : (s1, s2) kernel block shape
     K : raw kernel samples, (n*s1) x (n*s2), node-major blocks
-    A : K with columns scaled by the node weights, K * w_cols, formed on
-        first read; fredkit's own products with A are K (w x) (_apply_A)
+    A : K * w_cols, formed on first read (fredkit's CLI reads it for jordan
+        and --dump-operator; its own products with A are K (w x))
     B : W^{1/2}-symmetrized samples, formed on first read for callers;
-        fredkit's own readers (hs_norm, the Hermitian defect, djf_eig's
-        general path, operator_svd's svd) form a transient B each (_form_B)
-    spectrum : eigenvalues of A (square block shapes only), computed lazily
+        fredkit's own readers form a transient B each (_form_B)
+    spectrum : eigenvalues of A (square block shapes only), the values of
+        the operator's one eigen-family, computed lazily
 
     An operator is built from (rule, shape, K) and stores K only.  The
     dtype follows the kernel: a complex K whose imaginary part is exactly
     zero is stored as its float64 real part, and A and B follow K, so a
     real kernel gets real arrays and real LAPACK calls.  Values that are
     complex by contract stay complex: the spectrum, djf_eig's pairs and
-    solves at complex lambda.
-    K is made read-only on construction, so nothing cached from it can go
-    stale: A, B, the Hermitian defect, ``hermitian_family`` and the
-    spectrum, each computed on first read (never eagerly) and read-only, and
-    what fredholm keeps: K and the weights permuted to its elimination
-    order, once, and the LU of I - lambda*A for the last lambda.
+    solves at complex lambda.  K is read-only, so nothing cached from it (on
+    first read, read-only) can go stale: A, B, the Hermitian defect, the
+    family, the spectrum, and fredholm's elimination order and last LU.
 
     The Hermitian route.  An operator with hermitian_defect() <= n u
     (n = K.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
-    by one eigh of its Hermitian part S = (B + B^H) / 2 (LAPACK's dsyevd
-    for a real B, zheevr for a complex one; see EIGH_DRIVER), polished once
-    into hermitian_family, which replaces the eig of djf_eig, the svd of
-    operator_svd and the eigvals of the spectrum.
-    S is within ||B - S||_F = (defect / 2) ||B||_F <= (n u / 2) ||B||_F of B,
-    inside the backward error those calls commit, so every answer keeps an
-    a priori bound.  Off the route, eigvals(A)'s a priori bound carries the
-    condition sqrt(max w / min w) of the similarity W^{-1/2} (5e104 on
-    GH256), which LAPACK's balancing absorbs in practice: on the skew kernel
-    e^{0.2y} M(y, z) e^{-0.2z} its eigenvalues are within 1.2e-15, 1.6e-15
-    and 4.7e-16 |nu_1| of Mehler's on GH256, GL256 and GL1024.
+    by one eigh of its Hermitian part S = (B + B^H) / 2 (EIGH_DRIVER) into
+    hermitian_family, which replaces the Schur form of general_family and
+    the svd of operator_svd: S is within (defect / 2) ||B||_F <=
+    (n u / 2) ||B||_F of B, inside the backward error those calls commit.
+    Off the route every eigenvalue comes from one backward-stable Schur form
+    of B = W^{1/2} A W^{-1/2}, within its condition times n u ||B||_F.
     """
 
     rule: QuadratureRule
@@ -117,8 +106,8 @@ class DiscreteOperator:
     def A(self):
         """The Nystrom matrix K * w_cols, K's columns scaled by the node
         weights, formed on first read and read-only.  fredkit forms it only
-        for eigvals off the Hermitian route (spectrum) and for its CLI
-        (jordan, --dump-operator); every product with A is K (w x)."""
+        for its CLI (jordan, --dump-operator); every product with A is
+        K (w x)."""
         return _read_only(self.K * self.w_cols)
 
     @cached_property
@@ -130,14 +119,14 @@ class DiscreteOperator:
 
     @cached_property
     def spectrum(self):
-        """All eigenvalues of A, complex, computed once and read-only:
-        hermitian_family's eigh values, ascending, when hermitian_to_roundoff()
-        holds, else one eigvals(A)'s in LAPACK order (ConvergenceError,
-        caching nothing, when it does not converge)."""
+        """All eigenvalues of A, complex, computed once and read-only: the
+        values of hermitian_family when hermitian_to_roundoff() holds, else
+        those of general_family (ConvergenceError, caching nothing, when its
+        Schur form does not converge)."""
+        self._require_square("a spectrum")
         if self.hermitian_to_roundoff():
             return _read_only(self.hermitian_family[0].astype(complex))
-        self._require_square("a spectrum")
-        return _read_only(_linalg("eigvals", self.A).astype(complex, copy=False))
+        return self.general_family[0]
 
     @cached_property
     def w_rows(self):
@@ -159,25 +148,27 @@ class DiscreteOperator:
             raise InvalidArgumentError(f"{what} needs a square block shape, got {self.shape}")
 
     def hs_norm(self):
-        """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2.
-
-        Computed as sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F, on a
-        transient B.
-        """
+        """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2:
+        sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F, on a transient B."""
         return float(_norm(_form_B(self)))
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
         ||B - B^H||_F / ||B||_F, computed once.  Raises InvalidArgumentError
         for a block shape that is not square."""
-        return self._defect
+        return self._hermitian_defect(self.K.shape[0] * UNIT)
 
-    @cached_property
-    def _defect(self):
-        self._require_square("a Hermitian defect")
-        S, defect = _hermitian_part(_form_B(self))
-        if defect <= self.K.shape[0] * UNIT:  # on the route: _hermitian_eigh takes S
-            self.__dict__["_hermitian_S"] = S
+    def _hermitian_defect(self, keep):
+        """hermitian_defect(), computed once; the Hermitian part it builds is
+        kept for _hermitian_eigh when the defect is at most `keep` (n u, or
+        hermitian_eig's limit when the family build follows in its call)."""
+        defect = self.__dict__.get("_defect")
+        if defect is None:
+            self._require_square("a Hermitian defect")
+            S, defect = _hermitian_part(_form_B(self))
+            if defect <= keep:
+                self.__dict__["_hermitian_S"] = S
+            self.__dict__["_defect"] = defect
         return defect
 
     def hermitian_to_roundoff(self):
@@ -197,9 +188,8 @@ class DiscreteOperator:
         one Nystrom pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL
         |nu_1|, then each gets unit W-norm and a real-positive anchor.
         retained counts the retained cut (_retained), and biorth_residual is
-        max |<p_j, p_k>_W - delta_jk| over it.  eigh's own vectors are
-        dropped once sorted.  Raises as _hermitian_eigh does, caching nothing.
-        """
+        max |<p_j, p_k>_W - delta_jk| over it.  Raises as _hermitian_eigh
+        does, caching nothing."""
         vals, P = _hermitian_eigh(self)
         order = _sort_order(vals)  # real vals sort as their complex form does
         nu, P = vals[order], P[:, order]
@@ -212,6 +202,26 @@ class DiscreteOperator:
         P *= _unit_anchored(w, P)
         return (_read_only(vals), _read_only(nu.astype(complex)), _read_only(P), retained,
                 _biorth_residual(w, P, P, retained))
+
+    @cached_property
+    def general_family(self):
+        """(values, eigenvalues, P, Q, retained, biorth_residual, refusal):
+        the one bi-orthogonal eigen-family of B off the Hermitian route, built
+        on first read, once, and read-only; djf_eig wraps it.
+
+        One Schur form B = Z T Z^H in B's dtype, reordered by LAPACK's trsen
+        so that the m eigenvalues outside the retained cut come first
+        (T = [[T11, T12], [0, T22]], T22 r x r, Z = [Q_t, Q_perp]; Golub & Van
+        Loan, Matrix Computations, 4th ed., sec. 7.6; Bai & Demmel, Linear
+        Algebra Appl. 186 (1993)), one Sylvester solve T11 Y - Y T22 = -T12
+        (trsyl) and the r x r eig T22 G = G Lambda give V_r = Z [Y G; G], so
+        V = [V_r, Q_t] = Z M with M = [[A, I], [C, 0]], A = Y G and C = G up
+        to V_r's column scaling.  values, the spectrum, are the n eigenvalues
+        in T's order; eigenvalues, P and Q are djf_eig's, or P and Q are None
+        when refusal holds its DefectiveSuspectedError's message.  Raises
+        InvalidArgumentError for a B that is not finite and ConvergenceError
+        when the Schur form or its reordering fails, caching nothing."""
+        return _general_family(self)
 
 
 def _operator_arg(op):
@@ -228,10 +238,9 @@ def _form_B(op):
 
 def _hermitian_eigh(op):
     """(vals ascending, vecs in B's dtype) of scipy.linalg.eigh, with B's
-    EIGH_DRIVER, on B's Hermitian part, built here from a transient B or
-    (on the Hermitian route) by the defect, and handed to LAPACK to
-    overwrite.  Raises InvalidArgumentError when that part has an entry
-    that is not finite (zheevr would answer without an error) and
+    EIGH_DRIVER, on B's Hermitian part, built here or kept by the defect
+    (_hermitian_defect), for LAPACK to overwrite.  Raises InvalidArgumentError
+    when that part is not finite (zheevr would answer without an error) and
     ConvergenceError when eigh does not converge."""
     op._require_square("a Hermitian eigendecomposition")
     S = op.__dict__.pop("_hermitian_S", None)
@@ -257,6 +266,125 @@ def _hermitian_part(B):
     return S, 2.0 * float(_norm(B)) / scale
 
 
+def _general_family(op):
+    """DiscreteOperator.general_family's build, on a square operator."""
+    B = _form_B(op)
+    if not np.isfinite(B).all():
+        raise InvalidArgumentError("B has an entry that is not finite")
+    T, Z = _linalg("schur", B, lib=scipy.linalg, output={"f": "real", "c": "complex"}[B.dtype.kind],
+                   overwrite_a=True, check_finite=False)
+    del B
+    out = get_lapack_funcs("trsen", (T,))(~_retained(_schur_moduli(T)), T, Z, job="N",
+                                           overwrite_t=1, overwrite_q=1)
+    if out[-1] != 0:
+        raise ConvergenceError(f"trsen did not converge: it could not reorder T (info {out[-1]})")
+    T, Z, m = out[0], out[1], out[-4]
+    n, r = T.shape[0], T.shape[0] - m
+    lam, G = _linalg("eig", T[m:, m:])
+    Y = np.zeros((m, r), dtype=T.dtype)
+    if m and r:  # trsyl's warning that it perturbed close eigenvalues is kappa's to judge
+        Y, scale, _info = get_lapack_funcs("trsyl", (T,))(T[:m, :m], T[m:, m:], -T[:m, m:], isgn=-1)
+        Y /= scale
+    X = np.vstack((_matvec(Y, G), G))
+    del T, Y
+    values = np.concatenate(((out[2] if Z.dtype.kind == "c" else out[2] + 1j * out[3])[:m], lam))
+    order = _sort_order(values)
+    order = order[np.argsort(order < m, kind="stable")]  # T22's eigenvalues lead
+    nu, X = values[order], X[:, order[:r] - m]
+    _rebasis_degenerate(nu, X, r)
+    w = op.w_rows
+    sqw = np.sqrt(w)[:, None]
+    # p = v / sqrt(w) gets unit weighted norm and a real-positive anchor entry,
+    # and the tail Q_t, orthonormal already, a phase; A and C follow
+    Pr = _matvec(Z, X) / sqw
+    scale = _unit_anchored(w, Pr)
+    Pr *= scale
+    X *= scale
+    phase = _unit_anchored(w, Z[:, :m] / sqw)
+    Qt = Z[:, :m] * phase
+    U, kappa = _inverse_adjoint(np.conj(phase)[:, None] * X[:m], X[m:], Qt, Z[:, m:])
+    del Z, X
+
+    def refused(message):
+        return _read_only(values), _read_only(nu), None, None, r, None, message
+
+    if not kappa * n * UNIT <= 1e-8:
+        return refused(f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / (n u) = "
+                       f"{1e-8 / (n * UNIT):.3e}; the operator looks defective -- "
+                       "use the jordan module")
+    top = np.abs(nu[0]) if n else 0.0
+    APr = _apply_A(op, Pr)
+    resid = _wnorm(w, APr - Pr * nu[:r])  # ||B v - nu v|| / ||v||, since ||p||_W = 1
+    bad = np.flatnonzero(resid > 1e-9 * top)
+    if bad.size:
+        return refused(f"eigen-residual {resid[bad[0]]:.3e} for nu={nu[bad[0]]:.6g} exceeds "
+                       "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module")
+    P = np.empty((n, n), dtype=complex)
+    P[:, :r], P[:, r:] = Pr, Qt / sqw
+    Q = (U / sqw).astype(complex, copy=False)
+    # the Nystrom pass on the retained pairs whose rounding fits (djf_eig),
+    # then q rescaled to <q, p>_W = 1
+    kappa_max = np.max(_wnorm(w, Q[:, :r]), initial=1.0)
+    sel = np.flatnonzero(np.abs(nu[:r]) >= REFINE_RTOL * top * kappa_max)
+    Ps = APr[:, sel] / nu[sel]
+    Ps *= _unit_anchored(w, Ps)
+    Qs = _apply_adjoint(op, Q[:, sel]) / np.conj(nu[sel])
+    Qs /= np.conj(_winner(w, Qs, Ps))
+    P[:, sel], Q[:, sel] = Ps, Qs
+    resid = _biorth_residual(w, P, Q, r)
+    if resid > 1e-8:
+        return refused(f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the operator "
+                       "looks defective -- use the jordan module")
+    return _read_only(values), _read_only(nu), _read_only(P), _read_only(Q), r, resid, None
+
+
+def _schur_moduli(T):
+    """|nu| of each eigenvalue of a Schur factor T, in T's order; a real T's
+    2 x 2 block [[a, b], [c, a]] holds a +- i sqrt|b| sqrt|c|, as trsen reads it."""
+    mods = np.abs(T.diagonal())
+    if T.dtype.kind == "f":
+        k = np.flatnonzero(T.diagonal(-1))
+        im = np.sqrt(np.abs(T[k, k + 1])) * np.sqrt(np.abs(T[k + 1, k]))
+        mods[k] = mods[k + 1] = np.hypot(T[k, k], im)
+    return mods
+
+
+def _inverse_adjoint(A, C, Qt, Qp):
+    """(U, kappa) with U = V^{-H} for V = [V_r, Q_t] = [Q_t, Q_perp] M,
+    M = [[A, I], [C, 0]], where [Q_t, Q_perp] is unitary (each column of Q_t
+    may carry a phase), A = Q_t^H V_r and C = Q_perp^H V_r (r x r):
+    M^{-1} = [[0, C^{-1}], [I, -A C^{-1}]], so U = [Q_perp C^{-H},
+    Q_t - Q_perp C^{-H} A^H] and kappa = ||M||_1 ||M^{-1}||_1 exactly; kappa
+    is inf when C is singular (U None) or when it does not come out finite."""
+    try:
+        Cinv = np.linalg.inv(C)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the columns of M are [A; C] and those of M^{-1} [C^{-1}; -A C^{-1}],
+        # next to identity columns of 1-norm 1 (none when Q_t is empty)
+        kappa = float(np.prod([np.max(np.abs(np.vstack(X)).sum(axis=0),
+                                      initial=float(A.shape[0] > 0))
+                               for X in ((A, C), (Cinv, A @ Cinv))]))
+        Ur = _matvec(Qp, Cinv.conj().T)
+        U = np.hstack((Ur, Qt - Ur @ A.conj().T))
+    return U, kappa if np.isfinite(kappa) else np.inf
+
+
+def _rebasis_degenerate(vals, V, retained):
+    """Orthonormalize V's columns over each group of (numerically) equal
+    retained eigenvalues, within DEGENERATE_RTOL of the larger modulus or the
+    roundoff floor N eps |nu_1|: LAPACK's basis of a repeated semisimple
+    eigenvalue is arbitrary, and a QR basis leaves the inversion and the
+    condition check to the geometry between eigenspaces."""
+    mods = np.abs(vals[:retained])
+    gap = np.maximum(DEGENERATE_RTOL * np.maximum(mods[:-1], mods[1:]), _roundoff_floor(vals))
+    edges = [0, *(np.flatnonzero(np.abs(np.diff(vals[:retained])) > gap) + 1), retained]
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a >= 2:
+            V[:, a:b] = np.linalg.qr(V[:, a:b])[0]
+
+
 def _pow2_scale(X):
     """The power of two s with max |X s| in [1/2, 1), 1 for a zero or
     non-finite X: multiplying by it is exact for every entry that stays in
@@ -278,9 +406,9 @@ def _no_overflow(norm, X):
     return np.where(np.isfinite(nrm), nrm, norm(X * s) / s)
 
 
-def _norm(X, axis=None):
-    """np.linalg.norm(X, axis=axis), through _no_overflow."""
-    return _no_overflow(lambda Y: np.linalg.norm(Y, axis=axis), X)
+def _norm(X):
+    """np.linalg.norm(X), through _no_overflow."""
+    return _no_overflow(np.linalg.norm, X)
 
 
 def _finite_power(n, name, power):

@@ -1,12 +1,14 @@
 """djf_eig's general path: operators that are not Hermitian to roundoff.
 
-There eig runs in the operator's dtype, the non-retained tail of
-eigenvectors is replaced by an orthonormal basis of its span from one
-complete QR, and the left family and the condition kappa = cond_1(M) of
-V = Z M come from r x r algebra on the r retained right vectors (see
-djf_eig).  The one refusal rule is kappa n u <= 1e-8, tested first; the
-eigen-residual and bi-orthogonality checks after it are output assertions
-that only the fault-injection tests at the end reach.
+There one Schur form B = Z T Z^H runs in the operator's dtype, reordered so
+that the eigenvalues outside the retained cut lead; its first n - r Schur
+vectors are the tail Q_t, a Sylvester solve and an r x r eig give the r
+retained right vectors, and the left family and the condition
+kappa = cond_1(M) of V = Z M come from r x r algebra (see
+DiscreteOperator.general_family).  The one refusal rule is
+kappa n u <= 1e-8, tested first; the eigen-residual and bi-orthogonality
+checks after it are output assertions that only the fault-injection tests
+at the end reach.
 
 Invariants are checked at the benchmark's sizes on the real skew kernel
 e^{0.2y} M(y, z) e^{-0.2z} (M Mehler's, r = 0.5) and its complex twin
@@ -29,7 +31,7 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import fredholm, nystrom, spectral
+from fredkit import fredholm, nystrom
 from fredkit.errors import DefectiveSuspectedError
 
 from test_conventions import (
@@ -46,14 +48,14 @@ def _wnorms(w, X):
 def kappa_spy(monkeypatch):
     """A list that collects kappa from every _inverse_adjoint call."""
     seen = []
-    inverse_adjoint = spectral._inverse_adjoint
+    inverse_adjoint = nystrom._inverse_adjoint
 
-    def spy(V, Z, r):
-        U, kappa = inverse_adjoint(V, Z, r)
+    def spy(*args):
+        U, kappa = inverse_adjoint(*args)
         seen.append(kappa)
         return U, kappa
 
-    monkeypatch.setattr(spectral, "_inverse_adjoint", spy)
+    monkeypatch.setattr(nystrom, "_inverse_adjoint", spy)
     return seen
 
 
@@ -149,10 +151,11 @@ def _matrix_row(C, branch):
         "jordan-1e-3", "jordan-1e-2", "defective-2", "defective-3", "polish-noise",
         "near-equal", "offdiag-1e5", "offdiag-1e7"])
 def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenvalues):
-    """Each row takes the same branch on the real operator (real eig) and on
-    its complex twin, whose basis functions carry e^{iax} (complex eig), and
-    kappa n u sits a factor 2 or more from 1e-8, so neither the eig flavour
-    nor the rounding of a BLAS thread count can flip a decision.  The one
+    """Each row takes the same branch on the real operator (real Schur form)
+    and on its complex twin, whose basis functions carry e^{iax} (complex
+    Schur form), and kappa n u sits a factor 2 or more from 1e-8, so neither
+    the Schur flavour nor the rounding of a BLAS thread count can flip a
+    decision.  The one
     refusal is the condition rule; an accepted row meets the bounds of
     test_invariants_at_benchmark_scale against the eigenvalues of its matrix."""
     seen = kappa_spy(monkeypatch)
@@ -177,9 +180,11 @@ def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenv
             assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * op.hs_norm()
 
 
-def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):
-    """On a non-Hermitian operator no LU, gecon, solve or inverse runs on an
-    n x n matrix, and a real B goes to eig as float64."""
+def test_one_real_schur_form_and_no_n_by_n_eig(monkeypatch):
+    """On a non-Hermitian operator one Schur form runs, on a float64 B for a
+    real operator, and no eig, eigvals, LU, gecon, solve, inverse or
+    complete QR runs on an n x n matrix: the one eig is T22's and the one
+    inverse C's, both r x r."""
     n = 256
     op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(n, -4.0, 4.0))
     calls = []
@@ -187,39 +192,41 @@ def test_no_n_by_n_factorization_and_a_real_eig(monkeypatch):
     def spying(name, fn):
         def spy(*args, **kwargs):
             calls.append((name, np.shape(args[0]) if args and hasattr(args[0], "shape")
-                          else args[:1], np.asarray(args[0]).dtype if name == "eig" else None))
+                          else args[:1], np.asarray(args[0]).dtype if name == "schur" else None,
+                          kwargs.get("mode")))
             return fn(*args, **kwargs)
         return spy
 
-    scipy_names = ("lu_factor", "lu_solve", "inv", "solve", "get_lapack_funcs")
-    # and any binding spectral holds, and fredholm's getrf seam and LAPACK lookup
-    for module, names in ((np.linalg, ("eig", "inv", "solve")), (scipy.linalg, scipy_names),
-                          (spectral, scipy_names), (fredholm, ("_getrf", "get_lapack_funcs"))):
+    scipy_names = ("schur", "eig", "eigvals", "lu_factor", "lu_solve", "inv", "solve", "qr")
+    # and fredholm's getrf seam and every LAPACK lookup
+    for module, names in ((np.linalg, ("eig", "eigvals", "inv", "solve", "qr")),
+                          (scipy.linalg, scipy_names), (fredholm, ("_getrf", "get_lapack_funcs"))):
         for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
+            monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
     d = fk.djf_eig(op)
-    assert ("eig", (n, n), np.float64) in calls
-    assert [c for c in calls if c[0] == "eig"] == [("eig", (n, n), np.float64)]
-    # the one inverse is C's, r x r
-    assert [c for c in calls if c[0] != "eig"] == [("inv", (d.retained, d.retained), None)]
+    r = d.retained
+    assert [c for c in calls if c[0] == "schur"] == [("schur", (n, n), np.float64, None)]
+    assert [c[:2] for c in calls if c[0] != "schur"] == [("eig", (r, r)), ("inv", (r, r))]
     assert d.right.dtype == d.left.dtype == d.eigenvalues.dtype == np.complex128
 
 
 def test_eigen_residual_check_refuses_a_wrong_eigenvalue(monkeypatch):
-    """An eig whose top eigenvalue is off by 1e-6 relative leaves kappa and
-    the bi-orthogonality as they were, so only the eigen-residual check can
-    refuse it."""
+    """An r x r eig of T22 whose top eigenvalue is off by 1e-6 relative
+    leaves kappa and the bi-orthogonality as they were, so only the
+    eigen-residual check can refuse it."""
     op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0))
-    linalg = spectral._linalg
+    linalg = nystrom._linalg
 
-    def spoiled(name, *args):
-        vals, V = linalg(name, *args)
+    def spoiled(name, *args, **kwargs):
+        out = linalg(name, *args, **kwargs)
+        if name != "eig":
+            return out
+        vals, V = out
         vals = vals.copy()
         vals[np.argmax(np.abs(vals))] *= 1.0 + 1e-6
         return vals, V
 
-    monkeypatch.setattr(spectral, "_linalg", spoiled)
+    monkeypatch.setattr(nystrom, "_linalg", spoiled)
     with pytest.raises(DefectiveSuspectedError,
                        match=r"^eigen-residual \S+ for nu=\S+ exceeds 1e-9 \|nu_1\|"):
         fk.djf_eig(op)
@@ -230,13 +237,14 @@ def test_biorthogonality_check_refuses_a_spoiled_left_family(monkeypatch):
     the pass leaves alone, keeps kappa and the right pairs, so only the
     bi-orthogonality check can refuse it."""
     op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0))
-    inverse_adjoint = spectral._inverse_adjoint
+    inverse_adjoint = nystrom._inverse_adjoint
 
-    def spoiled(V, Z, r):
-        U, kappa = inverse_adjoint(V, Z, r)
+    def spoiled(A, C, Qt, Qp):
+        U, kappa = inverse_adjoint(A, C, Qt, Qp)
+        r = C.shape[0]
         U[:, r - 1] += 1e-6 * U[:, 0]
         return U, kappa
 
-    monkeypatch.setattr(spectral, "_inverse_adjoint", spoiled)
+    monkeypatch.setattr(nystrom, "_inverse_adjoint", spoiled)
     with pytest.raises(DefectiveSuspectedError, match=r"^bi-orthogonality residual \S+e-0[67] "):
         fk.djf_eig(op)

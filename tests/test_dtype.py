@@ -17,6 +17,7 @@ from fredkit.kernels import ClosedForm
 from fredkit.nystrom import _apply_A, _apply_adjoint, _matvec, _read_only
 
 from conftest import symmetrized
+from test_conventions import skew_kernel
 from test_hermitian_route import library
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -211,30 +212,40 @@ class TestRealAgreesWithComplex:
         assert np.all(np.abs(a - b) <= 2 * c / (1 - c) * M)
 
     def test_spectrum(self, pair):
-        """Eigenvalues of A = W^{-1/2} B W^{1/2}: the eigenvector matrix
-        W^{-1/2} V has condition at most sqrt(max w / min w), so each
-        spectrum lies within that times N u ||A||_2 of the exact one."""
+        """Each spectrum comes from a backward-stable factorization of B
+        itself, within N u ||B||_2 of B, not from an eigensolve of
+        A = W^{-1/2} B W^{1/2}.  Mehler's is the eigh of B's Hermitian part,
+        whose eigenvalues move by at most that (Weyl).  The skew kernel
+        e^{0.2y} M(y, z) e^{-0.2z} on the same rule is off the Hermitian route:
+        its spectrum is its Schur form's, and its B is D B_M D^{-1} for
+        Mehler's symmetric B_M and D = diag(e^{0.2 x_i}), so each eigenvalue
+        has condition at most cond(D) <= e^{1.6} and moves by at most that
+        times N u ||B||_2.  A real and a complex spectrum differ by twice
+        their bound, their real parts sorted; the exact ones are real."""
         op, opc, nu = pair
-        a, b = op.spectrum, opc.spectrum
-        assert a.dtype == b.dtype == np.complex128
-        w = op.rule.weights
-        bound = 2 * np.sqrt(w.max() / w.min()) * N * U * np.linalg.norm(op.A, 2)
-        assert np.max(np.abs(np.sort(a.real) - np.sort(b.real))) <= bound
-        assert np.max(np.abs(a.imag)) <= bound and np.max(np.abs(b.imag)) <= bound
+        skew = fk.discretize(skew_kernel(0.2), op.rule)
+        for a, b, cond in ((op, opc, 1.0), (skew, forced_complex(skew), np.exp(1.6))):
+            assert a.hermitian_to_roundoff() == b.hermitian_to_roundoff() == (cond == 1.0)
+            assert b.K.dtype == np.complex128 and a.K.dtype == np.float64
+            sa, sb = a.spectrum, b.spectrum
+            assert sa.dtype == sb.dtype == np.complex128
+            bound = 2 * cond * N * U * np.linalg.norm(symmetrized(a), 2)
+            assert np.max(np.abs(np.sort(sa.real) - np.sort(sb.real))) <= bound
+            assert np.max(np.abs(sa.imag)) <= bound and np.max(np.abs(sb.imag)) <= bound
 
     @pytest.mark.parametrize("lam", [-2.5, 0.7, 1.5, 0.7 + 0.4j])
     def test_determinants(self, pair, lam):
         """Direct: LU in the real or the complex field, each within
         N u cond of D relative, cond = (1 + |lam| nu_1) / min |1 - lam nu_j|
         (as for lambda-sweep).  Product: every factor 1 - lam nu_j moves by
-        |lam| times the spectrum bound of test_spectrum, over min |1 - lam nu_j|."""
+        |lam| times the spectrum bound of test_spectrum, 2 N u ||B||_2, over
+        min |1 - lam nu_j|."""
         op, opc, nu = pair
         gap = np.min(np.abs(1 - lam * nu))
         cond = (1 + abs(lam) * nu[0]) / gap
         d = fk.fredholm_determinant(op, lam, "direct").value
         assert abs(d - fk.fredholm_determinant(opc, lam, "direct").value) <= 2 * N * cond * U * abs(d)
-        w = op.rule.weights
-        dnu = 2 * np.sqrt(w.max() / w.min()) * N * U * np.linalg.norm(op.A, 2)
+        dnu = 2 * N * U * np.linalg.norm(symmetrized(op), 2)
         p = fk.fredholm_determinant(op, lam, "product").value
         pc = fk.fredholm_determinant(opc, lam, "product").value
         assert abs(p - pc) <= N * (abs(lam) * dnu / gap + 2 * U) * abs(p)

@@ -16,7 +16,7 @@ from fredkit.errors import (
 )
 
 from conftest import wfro
-from test_conventions import twin_kernel
+from test_conventions import skew_kernel, twin_kernel
 from test_hermitian_route import library
 
 
@@ -209,11 +209,11 @@ class TestProductDeterminantTail:
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """The input shapes of the eigvals, eigh, getrf and det calls made
-    while the test runs, by name (np.linalg.eigvals, scipy.linalg.eigh: see
-    library; fredholm._getrf, the seam of every LU fredholm makes;
-    np.linalg.det)."""
-    calls = {"eigvals": [], "eigh": [], "getrf": [], "det": []}
+    """The input shapes of the eigvals, eig, eigh, schur, getrf and det calls
+    made while the test runs, by name (np.linalg.eigvals and eig,
+    scipy.linalg.eigh and schur: see library; fredholm._getrf, the seam of
+    every LU fredholm makes; np.linalg.det)."""
+    calls = {"eigvals": [], "eig": [], "eigh": [], "schur": [], "getrf": [], "det": []}
     for name, seen in calls.items():
         owner, attr = (fredholm, "_getrf") if name == "getrf" else (library(name), name)
         real = getattr(owner, attr)
@@ -228,7 +228,7 @@ def lapack_calls(monkeypatch):
 
 def no_lapack(**calls):
     """lapack_calls' record with the given entries, every other one empty."""
-    return {"eigvals": [], "eigh": [], "getrf": [], "det": [], **calls}
+    return {"eigvals": [], "eig": [], "eigh": [], "schur": [], "getrf": [], "det": [], **calls}
 
 
 class TestSpectrumCache:
@@ -269,15 +269,33 @@ class TestSpectrumCache:
                 call(lam)
         assert lapack_calls == no_lapack(eigh=[(256, 256)], getrf=[(256, 256)] * 5)
 
-    def test_one_eigvals_per_non_hermitian_operator(self, yz2_kernel, gl8, lapack_calls):
-        op = fk.discretize(yz2_kernel, gl8)
+    @pytest.mark.parametrize("make, lambdas, path", [
+        (lambda k: fk.discretize(k, fk.gauss_legendre(8, 0.0, 1.0)), (1.0, 2.0 + 1.0j), (0.0, 1.0)),
+        (lambda k: fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0)),
+         (1e-3, 2.0 + 1.0j), (0.0, 5e-3)),
+    ], ids=["yz2-gl8", "skew-gl256"])
+    def test_one_schur_per_non_hermitian_operator(self, yz2_kernel, lapack_calls, make, lambdas,
+                                                  path):
+        """Off the Hermitian route one Schur form of B, and the r x r eig of
+        its retained block, serve the spectrum, the pole guards, the product
+        determinant, the log-derivative path, djf_eig and first_kind_solve:
+        no eigvals and no n x n eig runs.  (The skew kernel's Fredholm
+        eigenvalues are real and above 0.011.)"""
+        op = make(yz2_kernel)
+        n = op.K.shape[0]
         assert not op.hermitian_to_roundoff()
-        f = np.ones(8, dtype=complex)
-        for lam in (1.0, 2.0 + 1.0j):
+        f = np.ones(n, dtype=complex)
+        for lam in lambdas:
             fk.resolvent_solve(op, lam, f)
             fk.fredholm_determinant(op, lam, "product")
-        fk.determinant_log_derivative_check(op, (0.0, 1.0), 10)
-        assert lapack_calls == no_lapack(eigvals=[(8, 8)], getrf=[(8, 8)] * (2 + 11))
+        fk.determinant_log_derivative_check(op, path, 10)
+        d = fk.djf_eig(op)
+        nus = op.spectrum
+        fk.first_kind_solve(op, 1.0 / nus[np.argmax(np.abs(nus))], 1e-8)
+        r = d.retained
+        assert lapack_calls == no_lapack(schur=[(n, n)], eig=[(r, r)], getrf=[(n, n)] * (2 + 11))
+        assert nus is op.general_family[0]
+        assert np.array_equal(np.sort_complex(d.eigenvalues), np.sort_complex(nus))
 
     def test_deflated_operator_has_its_own(self, gh40, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), gh40)

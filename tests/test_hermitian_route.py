@@ -19,10 +19,10 @@ import pytest
 import scipy.linalg
 
 import fredkit as fk
-from fredkit import nystrom, spectral
+from fredkit import nystrom
 
 from conftest import symmetrized
-from test_conventions import basis_operator, skew_kernel, twin_kernel
+from test_conventions import basis_operator, defective, skew_kernel, twin_kernel
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 ORTH_TOL = 1e-10
@@ -35,8 +35,9 @@ def wnorms(w, X):
 
 def library(name):
     """The module whose <name> fredkit calls: scipy.linalg for eigh, which
-    takes a LAPACK driver per dtype (nystrom.EIGH_DRIVER), else np.linalg."""
-    return scipy.linalg if name == "eigh" else np.linalg
+    takes a LAPACK driver per dtype (nystrom.EIGH_DRIVER), and for the Schur
+    form of the general family, else np.linalg."""
+    return scipy.linalg if name in ("eigh", "schur") else np.linalg
 
 
 def spy_on(monkeypatch, names, fail=None):
@@ -59,7 +60,7 @@ def spy_on_polish(monkeypatch):
     """Record the shape of each polish product, _apply_A on a matrix of
     columns, in every fredkit module that binds _apply_A."""
     calls = []
-    for module in (nystrom, spectral, fk.fredholm, fk.powerit):
+    for module in (nystrom, fk.fredholm, fk.powerit):
         def spy(op, X, _real=module._apply_A):
             if X.ndim == 2:
                 calls.append(X.shape)
@@ -291,7 +292,8 @@ def band_operator(op):
 
 def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
     """A twin with a 1e-12 skew-Hermitian perturbation, above n u: djf_eig
-    runs eig, operator_svd runs svd and the spectrum eigvals, and djf_eig's
+    runs the Schur form of B and the r x r eig of its retained block,
+    operator_svd runs svd, and the spectrum reads djf_eig's family, whose
     decomposition is not marked Hermitian; hermitian_eig still accepts it."""
     skewed = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(256, -4.0, 4.0)))
     B = symmetrized(skewed)
@@ -301,12 +303,12 @@ def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
     assert abs(defect - direct) <= 4 * UNIT + n * UNIT * direct
     assert n * UNIT < defect <= fk.spectral.HERMITIAN_RTOL
     assert not skewed.hermitian_to_roundoff()
-    calls = spy_on(monkeypatch, ("eigh", "eig", "svd", "eigvals"))
+    calls = spy_on(monkeypatch, ("eigh", "eig", "svd", "eigvals", "schur"))
     d = fk.djf_eig(skewed)
     fk.operator_svd(skewed)
     fk.hermitian_eig(skewed)
-    skewed.spectrum
-    assert calls == ["eig", "svd", "eigh", "eigvals"]
+    assert skewed.spectrum is skewed.general_family[0]
+    assert calls == ["schur", "eig", "svd", "eigh"]
     assert not d.hermitian and d.right is not d.left
 
 
@@ -345,42 +347,65 @@ def test_non_finite_hermitian_part_is_refused_before_lapack(monkeypatch, gl8, dt
     assert "hermitian_family" not in vars(op)
 
 
-def test_eigvals_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):
-    """Off the Hermitian route a spectrum that does not converge raises
-    ConvergenceError from every entry point that reads it, caching nothing."""
-    failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+def test_schur_failure_is_cached_nowhere(monkeypatch, yz2_kernel, gl8):
+    """Off the Hermitian route a Schur form that does not converge raises
+    ConvergenceError from every entry point that reads the general family,
+    caching nothing."""
+    failure = np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     op = fk.discretize(yz2_kernel, gl8)
     assert not op.hermitian_to_roundoff()
-    calls = spy_on(monkeypatch, ("eigvals",), fail=failure)
+    calls = spy_on(monkeypatch, ("schur",), fail=failure)
     f = np.ones(8, dtype=complex)
-    for read_spectrum in (lambda: fk.resolvent_solve(op, 1.0, f),
-                          lambda: fk.resolvent_kernel(op, 1.0),
-                          lambda: fk.fredholm_determinant(op, 1.0, "product"),
-                          lambda: fk.determinant_log_derivative_check(op, (0.0, 1.0), 4)):
-        with pytest.raises(fk.ConvergenceError, match="^eigvals did not converge") as err:
-            read_spectrum()
+    for read in (lambda: fk.resolvent_solve(op, 1.0, f),
+                 lambda: fk.resolvent_kernel(op, 1.0),
+                 lambda: fk.fredholm_determinant(op, 1.0, "product"),
+                 lambda: fk.determinant_log_derivative_check(op, (0.0, 1.0), 4),
+                 lambda: fk.djf_eig(op), lambda: fk.first_kind_solve(op, 4.0, 1e-8)):
+        with pytest.raises(fk.ConvergenceError, match="^schur did not converge: Schur") as err:
+            read()
         assert err.value.__cause__ is failure
-    assert calls == ["eigvals"] * 4
-    assert "spectrum" not in vars(op)
+    assert calls == ["schur"] * 6
+    assert not {"general_family", "spectrum"} & set(vars(op))
     monkeypatch.undo()
     assert fk.fredholm_determinant(op, 1.0, "product").value == pytest.approx(0.75, rel=1e-14)
 
 
-def test_dropped_operator_is_freed_without_the_collector(gh40):
-    """The family holds arrays and numbers only, never a decomposition, which
-    references its operator: with the cycle collector off, an operator that
-    every reader has used is freed once it and its results are dropped."""
-    for kernel in (fk.mehler_kernel(0.5), twin_kernel(0.8)):
+OFF_ROUTE = {
+    "skew-gl40": lambda: fk.discretize(skew_kernel(0.2), fk.gauss_legendre(40, -4.0, 4.0)),
+    "skew-twin-gl40": lambda: fk.discretize(skew_kernel(0.2 + 0.7j),
+                                            fk.gauss_legendre(40, -4.0, 4.0)),
+    "defective-3": lambda: defective(3),
+}
+
+
+def test_dropped_operator_is_freed_without_the_collector():
+    """Each family holds arrays, numbers and at most a refusal message, never
+    a decomposition, which references its operator: with the cycle collector
+    off, an operator that every reader has used is freed once it and its
+    results are dropped.  On the route that is the Hermitian family (Mehler
+    and its twin on GH40); off it the general one (the skew kernel on GL40
+    and its complex twin), refused on defective(3), whose spectrum is still
+    read."""
+    cases = {name: ON_ROUTE[name] for name in ("mehler-gh40", "twin-gh40")} | OFF_ROUTE
+    for name, make in cases.items():
         gc.disable()
         try:
-            op = fk.discretize(kernel, gh40)
-            results = [fk.hermitian_eig(op), fk.djf_eig(op), fk.operator_svd(op), op.spectrum,
-                       fk.first_kind_solve(op, 1.0, 1e-8)]
-            lambda_path(op)
-            assert "hermitian_family" in vars(op)
+            op = make()
+            nus = op.spectrum
+            if name == "defective-3":
+                with pytest.raises(fk.DefectiveSuspectedError):
+                    fk.djf_eig(op)
+                results = [fk.operator_svd(op)]
+            else:
+                results = [fk.djf_eig(op), fk.operator_svd(op), nus,
+                           fk.first_kind_solve(op, 1.0 / nus[np.argmax(np.abs(nus))], 1e-8)]
+                lambda_path(op)
+            if name in ON_ROUTE:
+                results.append(fk.hermitian_eig(op))
+            assert ("hermitian_family" if name in ON_ROUTE else "general_family") in vars(op)
             ref = weakref.ref(op)
-            del op, results
-            assert ref() is None
+            del op, results, nus
+            assert ref() is None, name
         finally:
             gc.enable()
 
@@ -389,7 +414,7 @@ def spy_on_form_B(monkeypatch):
     """Record the name of the function that forms each B, through _form_B
     in every fredkit module that binds it."""
     calls = []
-    for module in (nystrom, spectral, fk.opsvd):
+    for module in (nystrom, fk.opsvd):
         def spy(op, _real=module._form_B):
             calls.append(sys._getframe(1).f_code.co_name)
             return _real(op)
@@ -416,7 +441,7 @@ def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
     calls = spy_on_form_B(monkeypatch)
     op = fk.discretize(kernel, fk.gauss_legendre(n, -4.0, 4.0))
     assert calls == ["hs_norm"]
-    assert formed_by(calls, lambda: fk.hermitian_eig(op)) == ["_defect"]
+    assert formed_by(calls, lambda: fk.hermitian_eig(op)) == ["_hermitian_defect"]
     for read in (lambda: fk.djf_eig(op), lambda: fk.operator_svd(op),
                  lambda: fk.iterated_kernel(op, 20), lambda: op.spectrum):
         assert formed_by(calls, read) == []
@@ -429,20 +454,24 @@ def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
 
 def test_each_reader_forms_b_at_most_once_per_call(monkeypatch):
     """Off the Hermitian route every reader of B forms its own, once per
-    call: on the skew kernel of test_djf_general, djf_eig's eig and its
-    eigen-residual share one B, and operator_svd's svd forms one; on a
-    perturbed twin within hermitian_eig's 1e-10, the eigh of the Hermitian
-    part forms one, since the defect (which forms its own) keeps its
-    Hermitian part only on the route."""
+    call, and no N x N array but K and the families is left on the
+    operator.  On the skew kernel of test_djf_general, djf_eig's general
+    family forms one, for its Schur form, once per operator, and
+    operator_svd's svd forms one.  On a perturbed twin within hermitian_eig's
+    1e-10, hermitian_eig forms one: the defect keeps the Hermitian part it
+    builds for the eigh that follows in the same call."""
     calls = spy_on_form_B(monkeypatch)
     skew = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0))
-    assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["_defect", "djf_eig"]
-    assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["djf_eig"]
+    assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["_hermitian_defect", "_general_family"]
+    assert formed_by(calls, lambda: fk.djf_eig(skew)) == []
     assert formed_by(calls, lambda: fk.operator_svd(skew)) == ["operator_svd"]
     assert formed_by(calls, lambda: skew.spectrum) == []
+    assert square_arrays(skew) == ["K", "general_family[2]", "general_family[3]"]
     band = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(64, -4.0, 4.0)))
-    assert formed_by(calls, lambda: fk.hermitian_eig(band)) == ["_defect", "_hermitian_eigh"]
+    assert formed_by(calls, lambda: fk.hermitian_eig(band)) == ["_hermitian_defect"]
     assert formed_by(calls, lambda: fk.hermitian_eig(band)) == []
+    assert not band.hermitian_to_roundoff()
+    assert square_arrays(band) == ["K", "hermitian_family[2]"]
     assert "B" not in vars(skew) and "B" not in vars(band)
 
 

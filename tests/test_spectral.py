@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
-from fredkit import spectral
+from fredkit import nystrom
 from fredkit.errors import (
     DefectiveSuspectedError,
     InvalidArgumentError,
@@ -259,19 +259,21 @@ class TestExpansionInvariants:
 @pytest.mark.parametrize("name, decompose, kernel", [
     ("eigh", fk.hermitian_eig, fk.mehler_kernel(0.5)),
     ("eigh", fk.hermitian_eig, twin_kernel(0.8)),
+    ("schur", fk.djf_eig, None),
     ("eig", fk.djf_eig, None),
-], ids=["eigh-hermitian_eig", "eigh-hermitian_eig-twin", "eig-djf_eig"])
-def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, two_term_op, name,
-                                                       decompose, kernel):
+], ids=["eigh-hermitian_eig", "eigh-hermitian_eig-twin", "schur-djf_eig", "eig-djf_eig"])
+def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, gl8, two_term_kernel,
+                                                       name, decompose, kernel):
     failure = np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def fail(*args, **kwargs):
         raise failure
 
-    # eigh on a fresh Hermitian operator, real (dsyevd) or complex (zheevr),
-    # since a shared one may hold its eigh already; eig on one that is not
-    # Hermitian, where djf_eig runs it
-    op = two_term_op if kernel is None else fk.discretize(kernel, gh40)
+    # on a fresh operator, since a shared one may hold its family already:
+    # eigh on a Hermitian one, real (dsyevd) or complex (zheevr); the Schur
+    # form of B, or the r x r eig of its retained block, on one that is not
+    # Hermitian, where djf_eig runs them
+    op = fk.discretize(two_term_kernel if kernel is None else kernel, gl8 if kernel is None else gh40)
     monkeypatch.setattr(library(name), name, fail)
     with pytest.raises(fk.ConvergenceError, match=f"{name} did not converge") as err:
         decompose(op)
@@ -281,32 +283,33 @@ def test_lapack_non_convergence_is_a_convergence_error(monkeypatch, gh40, two_te
 @pytest.mark.parametrize("case", [1e-4, 1.778e-4, 2.371e-4, 3.2e-4, 1e-3, "defective"], ids=str)
 def test_condition_refusal_agrees_with_two_norm_condition(monkeypatch, case):
     """djf_eig refuses when kappa n u > 1e-8, kappa = ||M||_1 ||M^{-1}||_1 for
-    V = Z' M with Z' = [Q_t, Q_perp] unitary, so cond_2(V) = cond_2(M) and
-    cond_1(M) / n <= cond_2(V) <= n cond_1(M) for any n x n matrix.  kappa
-    is the exact cond_1(M) up to the rounding of M^{-1}, about kappa u
-    relative, and on the near-Jordan kernels that straddle the limit it
-    decides as cond_2(V) would: cond_1 / cond_2 is 1.1 to 1.5 here, while
-    the nearest case sits a factor 2.8 from the limit (delta = 1e-3)."""
+    V = Z M with Z = [Q_t, Q_perp] unitary (the reordered Schur vectors), so
+    cond_2(V) = cond_2(M) and cond_1(M) / n <= cond_2(V) <= n cond_1(M) for
+    any n x n matrix.  kappa is the exact cond_1(M) up to the rounding of
+    M^{-1}, about kappa u relative, and on the near-Jordan kernels that
+    straddle the limit it decides as cond_2(V) would: the nearest case sits
+    a factor 3.7 below the limit (delta = 1e-3) and the next a factor 2.6
+    above it (delta = 3.2e-4)."""
     seen = []
 
-    def spy(V, Z, r):
-        U, kappa = inverse_adjoint(V, Z, r)
-        seen.append((V.copy(), Z.copy(), r, kappa))
+    def spy(A, C, Qt, Qp):
+        U, kappa = inverse_adjoint(A, C, Qt, Qp)
+        seen.append((A.copy(), C.copy(), np.hstack((Qt, Qp)), kappa))
         return U, kappa
 
-    inverse_adjoint = spectral._inverse_adjoint
-    monkeypatch.setattr(spectral, "_inverse_adjoint", spy)
+    inverse_adjoint = nystrom._inverse_adjoint
+    monkeypatch.setattr(nystrom, "_inverse_adjoint", spy)
     op = defective(3) if case == "defective" else jordan_like(3, case)
     try:
         fk.djf_eig(op)
         refused = False
     except DefectiveSuspectedError as exc:
         refused = str(exc).startswith("eigenvector matrix condition ")
-    (V, Z, r, kappa), = seen
-    n = V.shape[0]
-    M = np.hstack((V[:, r:], Z[:, n - r:])).conj().T @ V
+    (A, C, Z, kappa), = seen
+    n, r = Z.shape[0], C.shape[0]
+    M = np.block([[A, np.eye(n - r)], [C, np.zeros((r, n - r))]])
     assert kappa == pytest.approx(np.linalg.cond(M, 1), rel=kappa * n * UNIT)
-    sv = np.linalg.svd(V, compute_uv=False)
+    sv = np.linalg.svd(Z @ M, compute_uv=False)
     cond_2 = sv[0] / sv[-1]
     assert kappa / n <= cond_2 <= n * kappa
     assert refused == (kappa * n * UNIT > 1e-8) == (cond_2 * n * UNIT > 1e-8)
@@ -314,28 +317,27 @@ def test_condition_refusal_agrees_with_two_norm_condition(monkeypatch, case):
 
 
 def test_exactly_singular_eigenvectors_refused(monkeypatch):
-    """A repeated eigenvector column makes V exactly singular: the r x r
-    block C = Q_perp^H V_r is exactly zero, its inverse fails, and djf_eig
-    refuses at condition inf without letting a LinAlgError or a warning
-    through."""
+    """A zero eigenvector of the retained block makes V exactly singular:
+    C = G is exactly zero, its inverse fails, and djf_eig refuses at
+    condition inf without letting a LinAlgError or a warning through, while
+    the operator keeps its spectrum."""
     rule = fk.gauss_legendre(2, 0.0, 1.0)
     x1 = rule.nodes[1]
     # rank one and zero on the second row: B = [[a, b], [0, 0]], not Hermitian,
-    # so djf_eig runs eig; the null column replaced by the top one, [1, 0],
-    # gives V = [[1, 1], [0, 0]]
+    # so djf_eig takes the general path, with r = 1
     op = fk.discretize(fk.separable_kernel([1.0], [lambda y: y - x1], [lambda z: z]), rule)
     assert not op.hermitian_to_roundoff()
     eig = np.linalg.eig
 
-    def duplicate(M):
-        vals, V = eig(M)
-        k = int(np.argmax(np.abs(vals)))
-        V[:, 1 - k] = V[:, k]
-        return vals, V
+    def zero(M):
+        vals, G = eig(M)
+        return vals, np.zeros_like(G)
 
-    monkeypatch.setattr(np.linalg, "eig", duplicate)
+    monkeypatch.setattr(np.linalg, "eig", zero)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DefectiveSuspectedError,
                            match=r"^eigenvector matrix condition inf exceeds 1e-8 / \(n u\)"):
             fk.djf_eig(op)
+    assert op.general_family[2:4] == (None, None)
+    assert np.count_nonzero(op.spectrum) == 1
