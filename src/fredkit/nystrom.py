@@ -56,6 +56,7 @@ DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspac
 REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
                           # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
                           # which must stay below the orthonormality budget
+ITERATE_SLAB = 256        # rows of X W that iterated_kernel's squares form at a time
 
 
 @dataclass(frozen=True)
@@ -395,15 +396,30 @@ def _pow2_scale(X):
 
 
 def _no_overflow(norm, X):
-    """norm(X) without overflow on the way: only the norms that overflow are
-    recomputed, on X * _pow2_scale(X), and scaled back, so every other norm
-    keeps its bits."""
+    """norm(X) without overflow or underflow on the way: the norms that
+    overflow are recomputed on X * _pow2_scale(X) and scaled back, and so are
+    all of them when the square of X's largest entry is below the normal
+    range (max |X| < 2^-511), so the norms of every other array keep their
+    bits."""
+    s = _pow2_scale(X) if _largest_part(X) < 2.0 ** -511 else 1.0
+    if s >= 2.0 ** 511:
+        return norm(X * s) / s
     with np.errstate(over="ignore"):
         nrm = norm(X)
     if np.isfinite(nrm).all():
         return nrm
     s = _pow2_scale(X)
     return np.where(np.isfinite(nrm), nrm, norm(X * s) / s)
+
+
+def _largest_part(X):
+    """The largest |Re x| or |Im x| over X's entries, at least max |X| /
+    sqrt(2), read in place (np.abs(X) would be an array-sized temporary)."""
+    if X.dtype.kind == "c":
+        parts = (X.view(float),) if X.flags.c_contiguous else (X.real, X.imag)
+    else:
+        parts = (X,)
+    return max(max(float(np.max(p, initial=0.0)), -float(np.min(p, initial=0.0))) for p in parts)
 
 
 def _norm(X):
@@ -619,7 +635,14 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     doubling, from X_{a+b} = X_a W X_b: walking the bits of n below the
     leading one, each bit squares, X <- (X W) X, and each 1 bit then steps
     once more, X <- K (W X).  That is floor(log2 n) + popcount(n) - 1
-    matrix products instead of n - 1, with at most three N x N arrays alive.
+    matrix products instead of n - 1.  Two N x N buffers take turns as X and
+    the product: a square fills the other buffer ITERATE_SLAB rows at a time
+    from one slab of X W, and a step scales X by W in place before K (W X),
+    so two N x N arrays and one slab are alive, not three N x N arrays.  Each
+    entry of a slab is the inner product the whole product would form, so
+    the bound below holds as it is; BLAS may still round it otherwise for
+    the smaller call (with OpenBLAS's SkylakeX kernels the bits agree when N
+    is at most ITERATE_SLAB or a multiple of 8, and can differ otherwise).
 
     The iterate has K's dtype: real products for a real operator.
 
@@ -639,11 +662,16 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
 
     def doubling():
         X = op.K.copy()
+        Y = np.empty_like(X)
         w = op.w_cols
         for bit in bin(n)[3:]:
-            X = (X * w) @ X
+            for r in range(0, X.shape[0], ITERATE_SLAB):
+                np.matmul(X[r:r + ITERATE_SLAB] * w, X, out=Y[r:r + ITERATE_SLAB])
+            X, Y = Y, X
             if bit == "1":
-                X = op.K @ (w[:, None] * X)
+                X *= w[:, None]
+                np.matmul(op.K, X, out=Y)
+                X, Y = Y, X
         return X
 
     return _finite_power(n, "iterate", doubling)

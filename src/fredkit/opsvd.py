@@ -12,7 +12,10 @@ When B is Hermitian to roundoff (hermitian_defect() <= n u, see
 DiscreteOperator.hermitian_to_roundoff) the triples come from the family
 hermitian_eig wraps (hermitian_family) instead of an svd: theta_j = |nu_j|
 in a stable descending sort, p_j its polished, anchored samples and
-q_j = sign(nu_j) p_j with sign(0) = +1.
+q_j = sign(nu_j) p_j with sign(0) = +1, where a nu_j at or below the
+roundoff floor N eps |nu_1| (nystrom._roundoff_floor; not resolved) counts
+as 0.  When no resolved nu_j is negative, as on a positive semi-definite
+kernel, whose negative nu_j are noise, right is left: one array.
 Its eigh of B's Hermitian part moves B by (defect / 2) ||B||_F, within the
 backward error the svd would commit.
 """
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg
 from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _form_B, _linalg, _matvec,
-                      _operator_arg, _retained_count)
+                      _operator_arg, _read_only, _retained_count, _roundoff_floor)
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,8 @@ class OperatorSVD:
 
     singular_values are real, non-negative, non-increasing; left holds the
     p_j node samples column-wise, right the q_j samples, both families
-    weighted-orthonormal.  rank_numerical counts theta_j > 1e-12 * theta_1.
+    weighted-orthonormal and read-only; right may be left itself (see the
+    module docstring).  rank_numerical counts theta_j > 1e-12 * theta_1.
     """
 
     singular_values: np.ndarray
@@ -58,18 +62,23 @@ def _svd_arg(svd):
 
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     """Singular triples of the operator via the dense SVD of B, or from its
-    eigen-family when B is Hermitian to roundoff (see the module docstring).
+    eigen-family when B is Hermitian to roundoff (see the module docstring):
+    q_j = sign(nu_j) p_j, with sign = +1 at or below the roundoff floor, and
+    right is left when no resolved nu_j is negative.
 
     From the SVD, samples are un-weighted back from the singular vectors
     (division by sqrt(w)); each p_j gets a real-positive anchor entry and
     q_j inherits the same rotation, so A q_j = theta_j p_j is preserved.
+    Both families are read-only on both routes.
     """
     if _operator_arg(op).hermitian_to_roundoff():
         nu, P = op.hermitian_family[1].real, op.hermitian_family[2]
         order = np.argsort(-np.abs(nu), kind="stable")
-        s = np.abs(nu[order])
+        nu = nu[order]
+        s = np.abs(nu)
         P = P[:, order]
-        Q = P * np.where(nu[order] < 0, -1.0, 1.0)
+        negative = nu < -_roundoff_floor(nu)
+        Q = P * np.where(negative, -1.0, 1.0) if negative.any() else P
     else:
         U, s, Vh = _linalg("svd", _form_B(op), full_matrices=False)
         P = U / np.sqrt(op.w_rows)[:, None]
@@ -79,8 +88,8 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         Q *= ph
     return OperatorSVD(
         singular_values=s,
-        left=P,
-        right=Q,
+        left=_read_only(P),
+        right=_read_only(Q),
         shape=op.shape,
         rank_numerical=_retained_count(s),
         operator=op,
@@ -153,14 +162,16 @@ def svd_truncate(svd: OperatorSVD, M: int):
     """Keep the top M triples; returns (truncated SVD, tail bound theta_{M+1}).
 
     The tail bound drives the O(theta_{M+1}^{2n}) error of truncated
-    iterated Gram kernels.
+    iterated Gram kernels.  The kept columns are copied once, read-only, and
+    right is left when it was so in svd.
     """
     M = _count_arg(M, "kept count", 1, _svd_arg(svd).rank_numerical)
     tail = float(svd.singular_values[M]) if M < svd.singular_values.size else 0.0
+    left = _read_only(svd.left[:, :M].copy())
     trunc = OperatorSVD(
         singular_values=svd.singular_values[:M].copy(),
-        left=svd.left[:, :M].copy(),
-        right=svd.right[:, :M].copy(),
+        left=left,
+        right=left if svd.right is svd.left else _read_only(svd.right[:, :M].copy()),
         shape=svd.shape,
         rank_numerical=M,
         operator=svd.operator,

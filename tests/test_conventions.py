@@ -203,7 +203,8 @@ def column_at_a_time(op, method):
     On an operator Hermitian to roundoff, djf_eig's oracle is the eigh one
     upcast to complex, and the SVD's is the eigh one re-sorted: theta = |nu|
     in a stable descending sort of its eigenvalues, q = sign(nu) p with
-    sign(0) = +1."""
+    sign(nu) = +1 for |nu| at or below the roundoff floor N eps |nu_1| (not
+    resolved, so 0), and q is p itself when no resolved nu is negative."""
     w = op.w_rows
     if method == "djf" and op.hermitian_to_roundoff():
         P, _ = column_at_a_time(op, "eig")
@@ -214,8 +215,9 @@ def column_at_a_time(op, method):
         vals = hermitian_eigh(op)[0]
         vals = vals[nystrom._sort_order(vals.astype(complex))]
         order = np.argsort(-np.abs(vals), kind="stable")
-        P = P[:, order]
-        return P, P * np.where(vals[order] < 0, -1.0, 1.0)
+        P, vals = P[:, order], vals[order]
+        negative = vals < -vals.size * np.finfo(float).eps * np.max(np.abs(vals))
+        return P, P * np.where(negative, -1.0, 1.0) if negative.any() else P
     if method == "svd":
         U, s, Vh = np.linalg.svd(symmetrized(op), full_matrices=False)
         P, Q = U / np.sqrt(w)[:, None], Vh.conj().T / np.sqrt(op.w_cols)[:, None]
@@ -248,6 +250,7 @@ def test_outputs_equal_the_column_at_a_time_ones(name, n, method):
     P_ref, Q_ref = column_at_a_time(op, method)
     assert np.array_equal(P, P_ref)
     assert np.array_equal(Q, Q_ref)
+    assert (Q is P) == (Q_ref is P_ref)
 
 
 @pytest.mark.parametrize("n", [64, 256])

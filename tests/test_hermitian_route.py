@@ -130,6 +130,24 @@ def test_indefinite_kernel_folds_the_sign_into_q():
     assert set(signs) == {-1.0, 1.0}
     assert np.array_equal(sv.singular_values[:r], np.abs(h.eigenvalues[:r]))
     assert np.array_equal(sv.right[:, :r], sv.left[:, :r] * signs)
+    # the null space sits below the roundoff floor N eps |nu_1|: unfolded
+    nu = np.sort(np.abs(h.eigenvalues.real))
+    assert nu[-r - 1] <= nu.size * np.finfo(float).eps * nu[-1]
+    assert np.array_equal(sv.right[:, r:], sv.left[:, r:]) and sv.right is not sv.left
+    check_svd_bounds(op, sv)
+
+
+@pytest.mark.parametrize("name", ["mehler-gh64", "twin-gl1024"])
+def test_psd_operators_share_one_svd_family(name, request):
+    """Every negative nu of a positive semi-definite kernel is noise, at or
+    below the roundoff floor N eps |nu_1|, so it folds no sign: the SVD's
+    right family is its left one, one read-only array."""
+    op = request.getfixturevalue("twin1024") if name == "twin-gl1024" else ON_ROUTE[name]()
+    nu = op.hermitian_family[0]
+    assert 0 < np.count_nonzero(nu < 0)
+    assert -nu.min() <= nu.size * np.finfo(float).eps * np.max(np.abs(nu))
+    sv = fk.operator_svd(op)
+    assert sv.right is sv.left and not sv.left.flags.writeable
     check_svd_bounds(op, sv)
 
 
@@ -145,14 +163,18 @@ ON_ROUTE = {
 def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
     """On the route operator_svd's families are hermitian_eig's, polished and
     anchored, in a stable descending sort by |nu| with q = sign(nu) p, bit for
-    bit; the singular values are |nu| of the cached eigh values in that sort."""
+    bit, where a nu at or below the roundoff floor N eps |nu_1| counts as 0
+    and sign(0) = +1; the singular values are |nu| of the cached eigh values
+    in that sort."""
     op = request.getfixturevalue("twin1024") if name == "twin-gl1024" else ON_ROUTE[name]()
     assert op.hermitian_to_roundoff()
     h, sv = fk.hermitian_eig(op), fk.operator_svd(op)
     nu = h.eigenvalues.real
     order = np.argsort(-np.abs(nu), kind="stable")
+    negative = nu[order] < -nu.size * np.finfo(float).eps * np.max(np.abs(nu))
     assert np.array_equal(sv.left, h.right[:, order])
-    assert np.array_equal(sv.right, h.right[:, order] * np.where(nu[order] < 0, -1.0, 1.0))
+    assert np.array_equal(sv.right, h.right[:, order] * np.where(negative, -1.0, 1.0))
+    assert (sv.right is sv.left) == (not negative.any())
     assert sv.left.dtype == sv.right.dtype == h.right.dtype
     vals = np.abs(op.hermitian_family[0])
     assert np.array_equal(sv.singular_values, vals[np.argsort(-vals, kind="stable")])
@@ -450,6 +472,23 @@ def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
     assert B == ["B"] and op.B is vars(op)["B"] and calls == ["B"]
     assert not op.B.flags.writeable and op.B.dtype == op.K.dtype
     assert np.array_equal(op.B.view(np.uint64), symmetrized(op).view(np.uint64))
+
+
+def test_iterate_holds_two_square_buffers_and_a_slab(twin1024):
+    """iterated_kernel(op, 20) at N = 1024, complex: the iterate and the
+    product it fills take turns in two N x N buffers, and a square forms
+    X W one slab of ITERATE_SLAB rows at a time, so the call's peak is two
+    N x N arrays and one slab (a fresh X W and a fresh product would make
+    three N x N arrays)."""
+    op = twin1024
+    op.w_rows, op.w_cols  # cached before the count
+    assert op.K.dtype == np.complex128 and op.K.shape == (1024, 1024)
+    square, slab = op.K.nbytes, nystrom.ITERATE_SLAB * op.K.shape[1] * op.K.itemsize
+    tracemalloc.start()
+    fk.iterated_kernel(op, 20)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 2 * square + slab + square // 16
 
 
 def test_each_reader_forms_b_at_most_once_per_call(monkeypatch):

@@ -99,8 +99,9 @@ class TestNonFiniteSamples:
 
 class TestScaleSafeNorms:
     """Norms of B square its entries; a B with finite entries above about
-    1e154 is scaled by a power of two first, and only then, so every other
-    operator keeps its bits."""
+    1e154, or whose largest entry is below 2^-511 (its square below the
+    normal range), is scaled by a power of two first, and only then, so
+    every other operator keeps its bits."""
 
     def test_huge_finite_kernel(self, gl8):
         kern = fk.separable_kernel([1e305], [lambda y: 1.0 + 0 * y], [lambda z: z])
@@ -121,6 +122,31 @@ class TestScaleSafeNorms:
                for c in (1.0, 2.0 ** 1000)]
         assert ops[1].hs_norm() == 2.0 ** 1000 * ops[0].hs_norm()
         assert ops[1].hermitian_defect() == ops[0].hermitian_defect()
+
+    def test_rescaling_below_the_normal_range_is_exact(self, gl8):
+        # as above, for a coefficient 2^-600 whose squared samples underflow
+        ops = [fk.discretize(fk.separable_kernel([c], [lambda y: 1.0 + y], [lambda z: z]), gl8)
+               for c in (1.0, 2.0 ** -600)]
+        assert ops[1].hs_norm() == 2.0 ** -600 * ops[0].hs_norm()
+        assert ops[1].hermitian_defect() == ops[0].hermitian_defect()
+
+    def test_tiny_nonzero_kernel(self):
+        """A nonzero kernel of size 1e-170 on GL16 is not numerically zero:
+        its HS norm is the unit kernel's times 1e-170 within n u (n = 16
+        nodes; the kernels differ by the rounding of 1e-170 k(y, z)).  A zero
+        kernel still warns."""
+        rule = fk.gauss_legendre(16, 0.0, 1.0)
+
+        def op(c):
+            return fk.discretize(fk.separable_kernel([c], [lambda y: 1.0 + y], [lambda z: z]), rule)
+
+        ref = 1e-170 * op(1.0).hs_norm()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = op(1e-170)
+        assert abs(tiny.hs_norm() - ref) <= 16 * np.finfo(float).eps / 2 * ref
+        with pytest.warns(fk.NontrivialityWarning):
+            op(0.0)
 
     def test_overflowing_fill_is_an_evaluation_error(self, gl8):
         kern = fk.separable_kernel([1.0], [lambda y: 1e200 + 0 * y], [lambda z: 1e200 + 0 * z])

@@ -55,6 +55,17 @@ class TestOperatorSVD:
         assert np.all(sv.singular_values == 0)
         assert sv.rank_numerical == 0
 
+    @pytest.mark.parametrize("name", ["mehler_op", "pm_half_op", "two_term_op"])
+    def test_families_are_read_only(self, name, request):
+        """On the Hermitian route (Mehler, and +-1/2, whose q folds a sign)
+        and off it (two_term), as every decomposition's families are."""
+        sv = fk.operator_svd(request.getfixturevalue(name))
+        assert (sv.right is sv.left) == (name == "mehler_op")
+        for X in (sv.left, sv.right):
+            assert not X.flags.writeable
+            with pytest.raises(ValueError):
+                X[0, 0] = 0.0
+
     def test_weighted_orthonormality(self, two_term_op):
         sv = fk.operator_svd(two_term_op)
         w = sv.w_rows
@@ -292,6 +303,17 @@ class TestSvdTruncate:
         err = wfro(mehler_op, full - part)
         assert err <= 10.0 * tail ** (2 * n)
         assert err >= 0.1 * tail ** (2 * n)
+
+    @pytest.mark.parametrize("name", ["mehler_op", "pm_half_op", "two_term_op"])
+    def test_copies_once_and_keeps_the_sharing(self, name, request):
+        """The kept columns are copied once, read-only, and the right family
+        is the left one exactly when it was so in the input."""
+        sv = fk.operator_svd(request.getfixturevalue(name))
+        trunc, _ = fk.svd_truncate(sv, sv.rank_numerical)
+        assert (trunc.right is trunc.left) == (sv.right is sv.left)
+        for got, full in ((trunc.left, sv.left), (trunc.right, sv.right)):
+            assert not got.flags.writeable and not np.shares_memory(got, full)
+            assert np.array_equal(got, full[:, : sv.rank_numerical])
 
     def test_out_of_range(self, yz2_op):
         sv = fk.operator_svd(yz2_op)

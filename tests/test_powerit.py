@@ -45,6 +45,17 @@ class TestPowerRatioEstimate:
         with pytest.raises(StartingVectorError):
             fk.power_ratio_estimate(yz_op, f.astype(complex), 10, 1e-10)
 
+    def test_tiny_kernel_does_not_collapse(self, gl8):
+        """Weighted norms of a kernel scaled by 2^-600, whose squares fall
+        below the normal range, are rescaled exactly: the collapse floor is
+        not zero, no iterate collapses, and every ratio is the unit kernel's
+        times 2^-600, bit for bit."""
+        runs = [fk.power_ratio_estimate(
+            fk.discretize(fk.separable_kernel([c], [lambda y: 1.0 + y], [lambda z: z]), gl8),
+            np.ones(8), 50, 1e-12) for c in (1.0, 2.0 ** -600)]
+        assert runs[1].converged
+        assert runs[1].ratios == [2.0 ** -600 * r for r in runs[0].ratios]
+
     def test_equal_modulus_pair_oscillates(self, pm_half_op):
         rng = np.random.default_rng(6)
         f = rng.normal(size=8)
