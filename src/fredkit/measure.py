@@ -3,9 +3,12 @@
 A rule is the pair (nodes, weights) standing in for integration against a
 measure: int f dmu ~= sum_i w_i f(x_i).  Gauss rules are produced by the
 Golub-Welsch route: eigenvalues of the symmetric tridiagonal Jacobi matrix
-of the orthogonal-polynomial recurrence give the nodes, squared first
-eigenvector components (times the zeroth moment) give the weights.
+of the orthogonal-polynomial recurrence give the nodes, Christoffel sums
+(times the zeroth moment) give the weights.  The reference rule of each
+(family, n) is built once per process and shared read-only; the cache holds
+at most 64 rules (about 1 MB at the largest sizes).
 """
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +62,14 @@ class QuadratureRule:
         return self.nodes.size
 
     def integrate(self, values):
-        """Weighted sum of node values (vectorized over trailing axes)."""
-        values = np.asarray(values)
+        """Weighted sum of node values (vectorized over trailing axes).
+
+        InvalidArgumentError unless values is an array of finite numbers
+        whose leading axis has one entry per node."""
+        values = _array_arg(values, "values", dtype=None)
+        if values.ndim == 0 or values.shape[0] != self.count:
+            raise InvalidArgumentError(
+                f"values has shape {values.shape}, expected ({self.count}, ...)")
         return np.tensordot(self.weights, values, axes=(0, 0))
 
     def to_dict(self):
@@ -105,6 +114,27 @@ def _golub_welsch(offdiag, mu0):
     return x, 1.0 / total
 
 
+# 64 rules of at most 1024 nodes, two float64 arrays each: about 1 MB
+_JACOBI_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_JACOBI_CACHE_SIZE)
+def _jacobi_rule(kind, n):
+    """The read-only reference rule (nodes, weights) of `kind` with n nodes,
+    built once per process: Legendre on [-1, 1] with mu0 = 2, or the
+    probabilists' Hermite rule with mu0 = 1.  n is a validated int."""
+    k = np.arange(1.0, n)
+    if kind == KIND_GAUSS_LEGENDRE:
+        # Legendre recurrence on [-1,1]: offdiag_k = k / sqrt(4k^2 - 1), mu0 = 2
+        nodes, weights = _golub_welsch(k / np.sqrt(4.0 * k * k - 1.0), 2.0)
+    else:
+        # probabilists' recurrence He_{k+1} = x He_k - k He_{k-1}: offdiag sqrt(k)
+        nodes, weights = _golub_welsch(np.sqrt(k), 1.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def gauss_legendre(n, a, b):
     """Gauss-Legendre rule with `n` points on [a, b].
 
@@ -113,15 +143,17 @@ def gauss_legendre(n, a, b):
     the nodes, the weights and the moments summed from them carry a few
     units of roundoff: with n = 8 on [0, 1], sum(w * x**2) evaluates to
     1/3 + 1.7e-16 (about 3 ulp).
+
+    The rule on [-1, 1] is built once per process for each n and kept,
+    shared and read-only, in a cache bounded at 64 rules (_jacobi_rule);
+    each call maps it onto [a, b] into new arrays.
     """
     n = _count_arg(n, "count", 1, MAX_RULE_SIZE)
     a = _number_arg(a, "a", real=True)
     b = _number_arg(b, "b", real=True)
     if not a < b:
         raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
-    # Legendre recurrence on [-1,1]: offdiag_k = k / sqrt(4k^2 - 1), mu0 = 2
-    k = np.arange(1.0, n)
-    nodes, weights = _golub_welsch(k / np.sqrt(4.0 * k * k - 1.0), 2.0)
+    nodes, weights = _jacobi_rule(KIND_GAUSS_LEGENDRE, n)
     half = 0.5 * (b - a)
     return QuadratureRule(
         0.5 * (a + b) + half * nodes,
@@ -141,6 +173,10 @@ def gauss_hermite_prob(n):
     against phi(x) = exp(-x^2/2)/sqrt(2*pi).  Sizes are capped at 320: the
     extreme weights decay like exp(-x_max^2/2) and fall out of
     double-precision range soon after.
+
+    Each n is built once per process and kept in a cache bounded at 64
+    rules (_jacobi_rule): every rule of that size shares the same read-only
+    nodes and weights arrays.
     """
     n = _count_arg(n, "count", 1, MAX_RULE_SIZE)
     if n > MAX_HERMITE_SIZE:
@@ -148,8 +184,7 @@ def gauss_hermite_prob(n):
             f"Hermite rules are capped at {MAX_HERMITE_SIZE} nodes; beyond "
             "that the extreme weights underflow double precision"
         )
-    # probabilists' recurrence He_{k+1} = x He_k - k He_{k-1}: offdiag sqrt(k)
-    nodes, weights = _golub_welsch(np.sqrt(np.arange(1.0, n)), 1.0)
+    nodes, weights = _jacobi_rule(KIND_GAUSS_HERMITE_PROB, n)
     return QuadratureRule(nodes, weights, kind=KIND_GAUSS_HERMITE_PROB)
 
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import measure
 from fredkit.errors import InvalidArgumentError
+
+U = np.finfo(float).eps / 2
 
 
 def analytic_moment_legendre(k, a, b):
@@ -124,6 +127,105 @@ class TestGaussHermiteProb:
             fk.gauss_hermite_prob(321)
 
 
+class TestBenchmarkSizes:
+    """Even moments below degree 4 at the sizes the benchmark runs, within
+    N*u relative to the exact value."""
+
+    @pytest.mark.parametrize("n", [64, 96, 128, 200, 256, 320])
+    def test_hermite_even_moments(self, n):
+        r = fk.gauss_hermite_prob(n)
+        for k in (0, 2):
+            exact = analytic_moment_normal(k)
+            assert abs(float(r.integrate(r.nodes ** k)) - exact) <= n * U * exact
+
+    @pytest.mark.parametrize("n,a,b", [(32, 0.0, 1.0), (128, 0.0, 1.0), (48, -1.0, 1.0),
+                                       (1024, -4.0, 4.0)])
+    def test_legendre_even_moments(self, n, a, b):
+        r = fk.gauss_legendre(n, a, b)
+        for k in (0, 2):
+            exact = analytic_moment_legendre(k, a, b)
+            assert abs(float(r.integrate(r.nodes ** k)) - exact) <= n * U * exact
+
+
+def _fresh_legendre(n, a, b):
+    # an uncached build: Golub-Welsch on [-1, 1], mapped onto [a, b] as
+    # gauss_legendre maps it
+    k = np.arange(1.0, n)
+    nodes, weights = measure._golub_welsch(k / np.sqrt(4.0 * k * k - 1.0), 2.0)
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * nodes, half * weights
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestRuleCache:
+    def test_cached_hermite_rules_equal_a_fresh_build(self):
+        for n in range(1, measure.MAX_HERMITE_SIZE + 1):
+            nodes, weights = measure._golub_welsch(np.sqrt(np.arange(1.0, n)), 1.0)
+            for _ in range(2):  # the build and the cached copy
+                r = fk.gauss_hermite_prob(n)
+                assert _same_bits(r.nodes, nodes) and _same_bits(r.weights, weights), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 48, 64, 128, 255, 256, 1023, 1024])
+    def test_cached_legendre_rules_equal_a_fresh_build(self, n):
+        for a, b in [(-1.0, 1.0), (0.0, 1.0), (-4.0, 4.0)]:
+            nodes, weights = _fresh_legendre(n, a, b)
+            for _ in range(2):
+                r = fk.gauss_legendre(n, a, b)
+                assert _same_bits(r.nodes, nodes) and _same_bits(r.weights, weights), (a, b)
+
+    def test_each_kind_and_size_is_built_once(self, monkeypatch):
+        built = []
+        real = measure._golub_welsch
+
+        def spy(offdiag, mu0):
+            built.append((mu0, offdiag.size + 1))
+            return real(offdiag, mu0)
+
+        monkeypatch.setattr(measure, "_golub_welsch", spy)
+        measure._jacobi_rule.cache_clear()
+        rules = [fk.gauss_hermite_prob(64) for _ in range(3)]
+        rules += [fk.gauss_legendre(128, 0.0, 1.0), fk.gauss_legendre(128, -4.0, 4.0)]
+        assert built == [(1.0, 64), (2.0, 128)]
+        assert rules[3].interval == (0.0, 1.0) and rules[4].interval == (-4.0, 4.0)
+        assert float(np.sum(rules[4].weights)) == pytest.approx(8.0, rel=1e-14)
+
+    def test_shared_arrays_are_read_only(self):
+        first, second = fk.gauss_hermite_prob(16), fk.gauss_hermite_prob(16)
+        assert first.nodes is second.nodes and first.weights is second.weights
+        legendre = measure._jacobi_rule(measure.KIND_GAUSS_LEGENDRE, 16)
+        for array in (first.nodes, first.weights) + legendre:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 99.0
+
+    def test_cache_is_bounded(self):
+        info = measure._jacobi_rule.cache_info()
+        # two float64 arrays of at most MAX_RULE_SIZE entries per rule: 1 MB
+        assert info.maxsize * 2 * measure.MAX_RULE_SIZE * 8 <= 2 ** 20
+        measure._jacobi_rule.cache_clear()
+        for n in range(1, info.maxsize + 2):
+            fk.gauss_hermite_prob(n)
+        assert measure._jacobi_rule.cache_info().currsize == info.maxsize
+
+    @pytest.mark.parametrize("kind,n", [
+        ("hermite", 0), ("hermite", 321), ("hermite", 1025), ("hermite", True),
+        ("hermite", 64.0), ("legendre", 0), ("legendre", 1025), ("legendre", True),
+        ("legendre", 64.0),
+    ])
+    def test_invalid_sizes_are_not_cached(self, kind, n):
+        before = measure._jacobi_rule.cache_info()
+        with pytest.raises(InvalidArgumentError):
+            if kind == "hermite":
+                fk.gauss_hermite_prob(n)
+            else:
+                fk.gauss_legendre(n, 0.0, 1.0)
+        after = measure._jacobi_rule.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
 class TestDiscreteMeasure:
     def test_two_point(self):
         r = fk.discrete_measure([0.0, 1.0], [0.5, 0.5])
@@ -161,6 +263,22 @@ class TestRuleObject:
         ]:
             got = float(r.integrate(np.ones(r.count)))
             assert got == pytest.approx(mass, rel=1e-12)
+
+    def test_integrate_vectorizes_over_trailing_axes(self, gl8):
+        values = np.stack([np.ones(8), gl8.nodes, 1j * gl8.nodes ** 2], axis=1)
+        got = gl8.integrate(values)
+        assert got.shape == (3,)
+        assert got == pytest.approx([1.0, 0.5, 1j / 3], abs=1e-15)
+
+    @pytest.mark.parametrize("values", [
+        np.ones(7), np.ones(9), np.ones((7, 2)), 1.0, [], "abcdefgh", None,
+        [1.0] * 7 + [np.nan], [1.0] * 7 + [np.inf], [True] * 8, np.ones(8, dtype=bool),
+        [1.0] * 7 + ["1"],
+    ], ids=["short", "long", "short-2d", "scalar", "empty", "string", "none", "nan", "inf",
+            "bool-list", "bool-array", "string-entry"])
+    def test_integrate_refuses_bad_values(self, gl8, values):
+        with pytest.raises(InvalidArgumentError, match="values"):
+            gl8.integrate(values)
 
     def test_immutable(self, gl8):
         with pytest.raises(ValueError):
