@@ -27,12 +27,10 @@ rtol = GAP_RTOL (1e-8) for solves and resolvent kernels, SERIES_RTOL
 each log-derivative path point.  The error raised names the eigenvalue and
 carries it as ``nearest``, with ``gap``.
 
-The proximity guards and the product determinant read eigenvalues from
-DiscreteOperator.spectrum, the values of the operator's one eigen-family
-(the Hermitian family's eigh, else the general family's Schur form), and
-keep its retained part, cut as the decompositions cut theirs
-(nystrom._retained), so sweeping lambda over one operator, and decomposing
-it, pays for one eigensolve.
+The product determinant reads all the eigenvalues of the operator's one
+eigen-family (DiscreteOperator.family), the guards its first `retained`,
+the pairs the decompositions keep: a lambda sweep over one operator, and
+its decompositions, pay for one eigensolve.
 """
 from dataclasses import dataclass
 
@@ -47,10 +45,9 @@ from .errors import (
     _array_arg, _count_arg, _number_arg,
 )
 from .nystrom import (
-    DiscreteOperator, _apply_A, _matvec, _on_float_view, _operator_arg, _pow2_scale, _read_only,
-    _retained,
+    DiscreteOperator, _apply_A, _matvec, _norm, _on_float_view, _operator_arg, _read_only,
 )
-from .spectral import BiSpectralDecomposition, _decomposition_arg, djf_eig, hermitian_eig
+from .spectral import BiSpectralDecomposition, _decomposition, _decomposition_arg
 
 # relative pole distances below which lambda is refused (_guard_pole)
 GAP_RTOL = 1e-8           # direct solves and resolvent kernels
@@ -80,9 +77,10 @@ class DeterminantEval:
 
 
 def _fredholm_lambdas(op):
-    """lambda_j = 1/nu_j over the retained part of the cached spectrum."""
-    nus = op.spectrum
-    return 1.0 / nus[_retained(nus)]
+    """lambda_j = 1/nu_j over the family's retained pairs, its first
+    `retained`: the guards cut where the decompositions do."""
+    family = op.family
+    return 1.0 / family.eigenvalues[:family.retained]
 
 
 def _guard_pole(lam, lambdas, rtol, error=EigenvalueProximityError, name="lambda"):
@@ -242,16 +240,15 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
 
     Raises EigenvalueProximityError, reporting the nearest Fredholm
     eigenvalue, when lambda sits within 1e-8 relative of the spectrum or
-    the system's condition estimate exceeds 1e10.  The proximity guard
-    reads the operator's cached spectrum, so repeated solves on one
-    operator compute it once, and the LU is the one LU per operator and
-    lambda that resolvent_kernel and the direct determinant share; at a
-    real lambda on a real operator it is real, and solves f on its float
-    view.  That LU eliminates the nodes by decreasing weight: f is permuted
-    to that order once, refined there, and the solution permuted back.  A
-    non-finite lambda or f, or a solution or residual that overflows,
-    raises InvalidArgumentError; where only the norms of f and the residual
-    overflow, both are scaled by a power of two.
+    the system's condition estimate exceeds 1e10.  The guard reads the
+    operator's cached family, and the LU is the one per operator and lambda
+    that resolvent_kernel and the direct determinant share, real at a real
+    lambda on a real operator (f solved on its float view), eliminating the
+    nodes by decreasing weight: f is permuted once, refined, and the
+    solution permuted back.  A non-finite lambda or f, or a solution or
+    residual that overflows, raises InvalidArgumentError.  The residual is
+    ||r|| / ||f|| in nystrom._norm's norms, which neither overflow nor
+    underflow on the way; past the float range both take f and r at 2^-32.
     """
     _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
@@ -259,10 +256,9 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
         r = p - lam * _apply_A(op, p) - f
-        scale, residual = float(np.linalg.norm(f)), float(np.linalg.norm(r))
-        if not (np.isfinite(scale) and np.isfinite(residual)):  # scale both, exactly
-            s = _pow2_scale(f)
-            scale, residual = float(np.linalg.norm(f * s)), float(np.linalg.norm(r * s))
+        scale, residual = float(_norm(f)), float(_norm(r))
+        if scale == np.inf:  # ||f|| past the float range: both norms at 2^-32 scale
+            scale, residual = float(_norm(f * 2.0 ** -32)), float(_norm(r * 2.0 ** -32))
     if not np.isfinite(residual):
         raise InvalidArgumentError(f"the residual at lambda={lam:.6g} overflows")
     if scale > 0:
@@ -418,11 +414,11 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     Returns the bi-orthonormalized right eigenvectors whose Fredholm
     eigenvalues lie within tol of lambda_j; raises NoSolutionError when
     none do (the first-kind equation is solvable only on the spectrum).
-    Decomposed by hermitian_eig when op.hermitian_to_roundoff(), else djf_eig.
+    Read from op.family, in its dtype, raising its refusal as djf_eig does.
     """
     lam = _number_arg(lambda_j, "lambda_j")
     tol = _number_arg(tol, "tol", real=True)
-    d = hermitian_eig(op) if _operator_arg(op).hermitian_to_roundoff() else djf_eig(op)
+    d = _decomposition(op, _operator_arg(op).family)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:
         raise NoSolutionError(

@@ -7,7 +7,7 @@ linkage, the Weyr staircase is read off singular-value ranks of powers of
 (N - lambda I), eigenvectors of each block are taken from
 ker(S) intersect range(S^{size-1}), and chains extend by minimum-norm
 least-squares solves of S p_k = p_{k-1}.  Blocks are listed in the order
-the spectral decompositions list eigenvalues (nystrom._sort_order):
+the decompositions list retained eigenvalues (nystrom._sort_order):
 descending modulus, near-ties by descending phase.  Powers that overflow
 are refused with InvalidArgumentError naming n.
 """

@@ -5,8 +5,8 @@ measure: int f dmu ~= sum_i w_i f(x_i).  Gauss rules are produced by the
 Golub-Welsch route: eigenvalues of the symmetric tridiagonal Jacobi matrix
 of the orthogonal-polynomial recurrence give the nodes, Christoffel sums
 (times the zeroth moment) give the weights.  The reference rule of each
-(family, n) is built once per process and shared read-only; the cache holds
-at most 64 rules (about 1 MB at the largest sizes).
+(family, n) is built once per process and shared frozen (_frozen); the
+cache holds at most 64 rules (about 1 MB at the largest sizes).
 """
 import functools
 from dataclasses import dataclass
@@ -130,9 +130,15 @@ def _jacobi_rule(kind, n):
     else:
         # probabilists' recurrence He_{k+1} = x He_k - k He_{k-1}: offdiag sqrt(k)
         nodes, weights = _golub_welsch(np.sqrt(k), 1.0)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _frozen(nodes), _frozen(weights)
+
+
+def _frozen(a):
+    """A view of a read-only array owning its data (a, else a copy of a),
+    which no holder of the view can make writeable again."""
+    owner = a if a.flags.owndata else a.copy()
+    owner.setflags(write=False)
+    return owner.view()
 
 
 def gauss_legendre(n, a, b):
@@ -145,8 +151,8 @@ def gauss_legendre(n, a, b):
     1/3 + 1.7e-16 (about 3 ulp).
 
     The rule on [-1, 1] is built once per process for each n and kept,
-    shared and read-only, in a cache bounded at 64 rules (_jacobi_rule);
-    each call maps it onto [a, b] into new arrays.
+    shared and frozen, in a cache bounded at 64 rules (_jacobi_rule); each
+    call maps it onto [a, b] into new arrays, frozen too.
     """
     n = _count_arg(n, "count", 1, MAX_RULE_SIZE)
     a = _number_arg(a, "a", real=True)
@@ -156,8 +162,8 @@ def gauss_legendre(n, a, b):
     nodes, weights = _jacobi_rule(KIND_GAUSS_LEGENDRE, n)
     half = 0.5 * (b - a)
     return QuadratureRule(
-        0.5 * (a + b) + half * nodes,
-        half * weights,
+        _frozen(0.5 * (a + b) + half * nodes),
+        _frozen(half * weights),
         kind=KIND_GAUSS_LEGENDRE,
         interval=(a, b),
     )

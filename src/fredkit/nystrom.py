@@ -7,11 +7,11 @@ K (w x) (_apply_A).  The symmetrized form B = W^{1/2} K W^{1/2}, which
 shares A's eigenvalues and turns weighted orthonormality of eigenfunction
 samples into Euclidean orthonormality, is formed by one helper (_form_B)
 for the one reader that needs it, which may overwrite it.
-B's Hermitian defect and one eigen-family per operator are computed once,
-on first use: hermitian_family, from one eigh of B's Hermitian part, on an
-operator Hermitian to roundoff (hermitian_to_roundoff, the one gate of
-every Hermitian shortcut), else general_family, from one sorted Schur form
-of B.  The spectrum is that family's values.
+B's Hermitian defect and one eigen-family record (_EigenFamily) per
+operator are computed once, on first use; DiscreteOperator.family is the
+one dispatch: hermitian_family (one eigh of B's Hermitian part) when
+hermitian_to_roundoff(), the one gate of every Hermitian shortcut, holds,
+else general_family (one sorted Schur form of B).
 K (and A and B, once formed) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
@@ -72,8 +72,7 @@ class DiscreteOperator:
         and --dump-operator; its own products with A are K (w x))
     B : W^{1/2}-symmetrized samples, formed on first read for callers;
         fredkit's own readers form a transient B each (_form_B)
-    spectrum : eigenvalues of A (square block shapes only), the values of
-        the operator's one eigen-family, computed lazily
+    family : the one eigen-family (_EigenFamily); spectrum : its eigenvalues
 
     An operator is built from (rule, shape, K) and stores K only.  The
     dtype follows the kernel: a complex K whose imaginary part is exactly
@@ -82,16 +81,14 @@ class DiscreteOperator:
     complex by contract stay complex: the spectrum, djf_eig's pairs and
     solves at complex lambda.  K is read-only, so nothing cached from it (on
     first read, read-only) can go stale: A, B, the Hermitian defect, the
-    family, the spectrum, and fredholm's elimination order and last LU.
+    families, and fredholm's elimination order and last LU.
 
-    The Hermitian route.  An operator with hermitian_defect() <= n u
-    (n = K.shape[0], u = eps / 2; see hermitian_to_roundoff) is decomposed
-    by one eigh of its Hermitian part S = (B + B^H) / 2 (EIGH_DRIVER) into
-    hermitian_family, which replaces the Schur form of general_family and
-    the svd of operator_svd: S is within (defect / 2) ||B||_F <=
-    (n u / 2) ||B||_F of B, inside the backward error those calls commit.
-    Off the route every eigenvalue comes from one backward-stable Schur form
-    of B = W^{1/2} A W^{-1/2}, within its condition times n u ||B||_F.
+    The Hermitian route.  When hermitian_defect() <= n u (n = K.shape[0],
+    u = eps / 2), one eigh of S = (B + B^H) / 2 (EIGH_DRIVER) replaces the
+    Schur form and operator_svd's svd: S is within (n u / 2) ||B||_F of B,
+    inside the backward error those calls commit.  Off the route every
+    eigenvalue comes from one backward-stable Schur form of
+    B = W^{1/2} A W^{-1/2}, within its condition times n u ||B||_F.
     """
 
     rule: QuadratureRule
@@ -118,16 +115,18 @@ class DiscreteOperator:
         readers forms its own transient B."""
         return _read_only(_form_B(self))
 
-    @cached_property
+    @property
     def spectrum(self):
-        """All eigenvalues of A, complex, computed once and read-only: the
-        values of hermitian_family when hermitian_to_roundoff() holds, else
-        those of general_family (ConvergenceError, caching nothing, when its
-        Schur form does not converge)."""
-        self._require_square("a spectrum")
-        if self.hermitian_to_roundoff():
-            return _read_only(self.hermitian_family[0].astype(complex))
-        return self.general_family[0]
+        """All eigenvalues of A, complex and read-only: family.eigenvalues,
+        in the family's order."""
+        return self.family.eigenvalues
+
+    @property
+    def family(self):
+        """The one dispatch between the routes: hermitian_family when
+        hermitian_to_roundoff() holds, else general_family."""
+        self._require_square("an eigendecomposition")
+        return self.hermitian_family if self.hermitian_to_roundoff() else self.general_family
 
     @cached_property
     def w_rows(self):
@@ -179,50 +178,60 @@ class DiscreteOperator:
 
     @cached_property
     def hermitian_family(self):
-        """(values, eigenvalues, P, retained, biorth_residual): the one
-        W-orthonormal eigen-family of B's Hermitian part (B + B^H) / 2, built
-        on first read, once, and read-only; hermitian_eig wraps it.
-
-        values are eigh's, real and ascending (the spectrum's order), and
-        eigenvalues the same, complex, in _sort_order.  P holds the node
-        samples v / sqrt(w) of eigh's vectors in that order, in B's dtype:
-        one Nystrom pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL
-        |nu_1|, then each gets unit W-norm and a real-positive anchor.
-        retained counts the retained cut (_retained), and biorth_residual is
-        max |<p_j, p_k>_W - delta_jk| over it.  Raises as _hermitian_eigh
-        does, caching nothing."""
+        """The W-orthonormal family (left is right) of B's Hermitian part,
+        built once; hermitian_eig wraps it.  eigh's values, held as complex,
+        and its vectors' node samples v / sqrt(w) in B's dtype: one Nystrom
+        pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL |nu_1|,
+        then each gets unit W-norm and a real-positive anchor.  Raises as
+        _hermitian_eigh does, caching nothing."""
         vals, P = _hermitian_eigh(self)
-        order = _sort_order(vals)  # real vals sort as their complex form does
+        keep = _retained(vals)
+        order = _family_order(vals, keep)  # real vals sort as their complex form does
         nu, P = vals[order], P[:, order]
         w = self.w_rows
         P /= np.sqrt(w)[:, None]
-        retained = _retained_count(nu)
+        retained = int(np.count_nonzero(keep))
         if retained:
             sel = np.flatnonzero(np.abs(nu) >= REFINE_RTOL * np.abs(nu[0]))
             P[:, sel] = _apply_A(self, P[:, sel]) / nu[sel]
         P *= _unit_anchored(w, P)
-        return (_read_only(vals), _read_only(nu.astype(complex)), _read_only(P), retained,
-                _biorth_residual(w, P, P, retained))
+        P = _read_only(P)
+        return _EigenFamily(_read_only(nu.astype(complex)), P, P, retained,
+                            _biorth_residual(w, P, P, retained), hermitian=True)
 
     @cached_property
     def general_family(self):
-        """(values, eigenvalues, P, Q, retained, biorth_residual, refusal):
-        the one bi-orthogonal eigen-family of B off the Hermitian route, built
-        on first read, once, and read-only; djf_eig wraps it.
-
-        One Schur form B = Z T Z^H in B's dtype, reordered by LAPACK's trsen
-        so that the m eigenvalues outside the retained cut come first
-        (T = [[T11, T12], [0, T22]], T22 r x r, Z = [Q_t, Q_perp]; Golub & Van
-        Loan, Matrix Computations, 4th ed., sec. 7.6; Bai & Demmel, Linear
-        Algebra Appl. 186 (1993)), one Sylvester solve T11 Y - Y T22 = -T12
-        (trsyl) and the r x r eig T22 G = G Lambda give V_r = Z [Y G; G], so
-        V = [V_r, Q_t] = Z M with M = [[A, I], [C, 0]], A = Y G and C = G up
-        to V_r's column scaling.  values, the spectrum, are the n eigenvalues
-        in T's order; eigenvalues, P and Q are djf_eig's, or P and Q are None
-        when refusal holds its DefectiveSuspectedError's message.  Raises
-        InvalidArgumentError for a B that is not finite and ConvergenceError
-        when the Schur form or its reordering fails, caching nothing."""
+        """The bi-orthogonal family of B off the Hermitian route, built once;
+        djf_eig wraps it.  One Schur form B = Z T Z^H in B's dtype, reordered
+        by LAPACK's trsen so that the m eigenvalues outside the retained cut
+        come first (T = [[T11, T12], [0, T22]], T22 r x r, Z = [Q_t, Q_perp];
+        Golub & Van Loan, Matrix Computations, 4th ed., sec. 7.6; Bai &
+        Demmel, Linear Algebra Appl. 186 (1993)), one Sylvester solve
+        T11 Y - Y T22 = -T12 (trsyl) and the r x r eig T22 G = G Lambda give
+        V_r = Z [Y G; G], so V = [V_r, Q_t] = Z M with M = [[A, I], [C, 0]],
+        A = Y G and C = G up to V_r's column scaling; T22's eigenvalues are
+        the retained ones.  Raises InvalidArgumentError for a B that is not
+        finite and ConvergenceError when the Schur form or its reordering
+        fails, caching nothing."""
         return _general_family(self)
+
+
+@dataclass(frozen=True)
+class _EigenFamily:
+    """One operator's eigen-family, read-only: eigenvalues (complex, in
+    _family_order: the spectrum, the retained cut's `retained` first), the
+    node samples right (p_j) and left (q_j; left is right when hermitian),
+    None when refusal holds a DefectiveSuspectedError's message, and
+    biorth_residual, max |<q_j, p_k>_W - delta_jk| over the retained pairs.
+    It never holds its operator, so a dropped operator needs no collector."""
+
+    eigenvalues: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    retained: int
+    biorth_residual: float
+    hermitian: bool
+    refusal: str = None
 
 
 def _operator_arg(op):
@@ -289,8 +298,7 @@ def _general_family(op):
     X = np.vstack((_matvec(Y, G), G))
     del T, Y
     values = np.concatenate(((out[2] if Z.dtype.kind == "c" else out[2] + 1j * out[3])[:m], lam))
-    order = _sort_order(values)
-    order = order[np.argsort(order < m, kind="stable")]  # T22's eigenvalues lead
+    order = _family_order(values, np.arange(n) >= m)  # T22's eigenvalues are retained
     nu, X = values[order], X[:, order[:r] - m]
     _rebasis_degenerate(nu, X, r)
     w = op.w_rows
@@ -306,8 +314,10 @@ def _general_family(op):
     U, kappa = _inverse_adjoint(np.conj(phase)[:, None] * X[:m], X[m:], Qt, Z[:, m:])
     del Z, X
 
+    nu = _read_only(nu)
+
     def refused(message):
-        return _read_only(values), _read_only(nu), None, None, r, None, message
+        return _EigenFamily(nu, None, None, r, None, hermitian=False, refusal=message)
 
     if not kappa * n * UNIT <= 1e-8:
         return refused(f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / (n u) = "
@@ -336,7 +346,7 @@ def _general_family(op):
     if resid > 1e-8:
         return refused(f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the operator "
                        "looks defective -- use the jordan module")
-    return _read_only(values), _read_only(nu), _read_only(P), _read_only(Q), r, resid, None
+    return _EigenFamily(nu, _read_only(P), _read_only(Q), r, resid, hermitian=False)
 
 
 def _schur_moduli(T):
@@ -419,7 +429,7 @@ def _largest_part(X):
         parts = (X.view(float),) if X.flags.c_contiguous else (X.real, X.imag)
     else:
         parts = (X,)
-    return max(max(float(np.max(p, initial=0.0)), -float(np.min(p, initial=0.0))) for p in parts)
+    return max(max(float(p.max(initial=0.0)), -float(p.min(initial=0.0))) for p in parts)
 
 
 def _norm(X):
@@ -551,6 +561,13 @@ def _sort_order(vals):
     return np.array(order)
 
 
+def _family_order(vals, retained):
+    """_sort_order, then the retained pairs (the mask `retained`) moved to
+    the front, stable: the one order of both eigen-families."""
+    order = _sort_order(vals)
+    return order[np.argsort(~retained[order], kind="stable")]
+
+
 def _retained(vals):
     """The retained cut, as a mask: |nu| > RETAIN_RTOL * max |nu|, so nothing
     is retained when that max is 0.  Shared by the decompositions, the
@@ -582,14 +599,14 @@ def discretize(kernel: Kernel, rule: QuadratureRule) -> DiscreteOperator:
 
     Raises EvaluationError, with ``pair`` set to the node pair (y, z), when
     a sample is not finite: the first such entry in row-major order is
-    named.  Emits NontrivialityWarning when the sampled kernel is
-    numerically zero (useful as a fixture, but no spectral content).
+    named.  Emits NontrivialityWarning when every sample is 0 (useful as a
+    fixture, but no spectral content).
     """
     K = _kernel_arg(kernel).sample_matrix(_rule_arg(rule))
     s1, s2 = kernel.shape
     _check_finite(K, rule, s1, s2)
     op = DiscreteOperator(rule=rule, shape=(s1, s2), K=K)
-    if op.hs_norm() == 0.0:
+    if not op.K.any():  # read off K: no B is formed
         warnings.warn(
             "discretized kernel is numerically zero (||N||_2 = 0)",
             NontrivialityWarning,

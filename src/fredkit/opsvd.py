@@ -1,23 +1,19 @@
 """Singular value decomposition of discretized integral operators.
 
-The SVD is computed on the symmetrized matrix B = W^{1/2} K W^{1/2}
-(formed for that one svd call, nystrom._form_B), so
-Euclidean orthonormality of the singular vectors becomes weighted
-orthonormality of the node samples: <p_j, p_k>_W = <q_j, q_k>_W = delta_jk.
+The SVD is computed on B = W^{1/2} K W^{1/2}, formed for that one svd
+call (nystrom._form_B), so Euclidean orthonormality of the singular vectors
+becomes weighted orthonormality of the node samples.
 Iterated Gram-operator kernels (N N^*)^n and their odd-power variants, the
 trace power sums, and truncation follow from the triples alone; a power
 whose result overflows raises InvalidArgumentError naming n.
 
-When B is Hermitian to roundoff (hermitian_defect() <= n u, see
-DiscreteOperator.hermitian_to_roundoff) the triples come from the family
-hermitian_eig wraps (hermitian_family) instead of an svd: theta_j = |nu_j|
-in a stable descending sort, p_j its polished, anchored samples and
-q_j = sign(nu_j) p_j with sign(0) = +1, where a nu_j at or below the
-roundoff floor N eps |nu_1| (nystrom._roundoff_floor; not resolved) counts
-as 0.  When no resolved nu_j is negative, as on a positive semi-definite
-kernel, whose negative nu_j are noise, right is left: one array.
-Its eigh of B's Hermitian part moves B by (defect / 2) ||B||_F, within the
-backward error the svd would commit.
+When B is Hermitian to roundoff (DiscreteOperator.hermitian_to_roundoff)
+the triples are read by name from hermitian_family instead of an svd:
+theta_j = |nu_j| in a stable descending sort, p_j its polished, anchored
+samples and q_j = sign(nu_j) p_j, where a nu_j at or below the roundoff
+floor N eps |nu_1| (nystrom._roundoff_floor) counts as 0 and sign(0) = +1.
+When no resolved nu_j is negative, as on a positive semi-definite kernel,
+right is left: one array.
 """
 from dataclasses import dataclass
 
@@ -62,21 +58,20 @@ def _svd_arg(svd):
 
 def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     """Singular triples of the operator via the dense SVD of B, or from its
-    eigen-family when B is Hermitian to roundoff (see the module docstring):
-    q_j = sign(nu_j) p_j, with sign = +1 at or below the roundoff floor, and
-    right is left when no resolved nu_j is negative.
-
-    From the SVD, samples are un-weighted back from the singular vectors
-    (division by sqrt(w)); each p_j gets a real-positive anchor entry and
-    q_j inherits the same rotation, so A q_j = theta_j p_j is preserved.
-    Both families are read-only on both routes.
+    Hermitian family on the route (see the module docstring; op.family
+    would build a Schur form off it).  From the SVD, samples are
+    un-weighted back from the singular vectors (division by sqrt(w)); each
+    p_j gets a real-positive anchor entry and q_j inherits the same
+    rotation, so A q_j = theta_j p_j is preserved.  Both families are
+    read-only on both routes.
     """
     if _operator_arg(op).hermitian_to_roundoff():
-        nu, P = op.hermitian_family[1].real, op.hermitian_family[2]
+        family = op.hermitian_family
+        nu = family.eigenvalues.real
         order = np.argsort(-np.abs(nu), kind="stable")
         nu = nu[order]
         s = np.abs(nu)
-        P = P[:, order]
+        P = family.right[:, order]
         negative = nu < -_roundoff_floor(nu)
         Q = P * np.where(negative, -1.0, 1.0) if negative.any() else P
     else:

@@ -6,18 +6,16 @@
   eigenfunction families with <q_j, p_k>_W = delta_jk.  It refuses by one
   rule, on the condition of the eigenvector matrix: kappa n u <= 1e-8.
 
-Both wrap the one eigen-family each operator builds once from the
-symmetrized B = W^{1/2} K W^{1/2}, whose Euclidean orthonormality maps onto
-weighted orthonormality of node samples: sorted, cut, polished by one
-Nystrom pass (p <- A p / nu = K (w p) / nu) where its rounding fits the
-budget, which leaves the samples at the smallest weights of a wide rule
-unresolved (ROADMAP item 2), and anchored.  When B is Hermitian to roundoff
-(DiscreteOperator.hermitian_to_roundoff) that is hermitian_family, one eigh
-of B's Hermitian part: djf_eig returns it upcast to complex, and
-operator_svd its sorted, sign-folded form.  Otherwise djf_eig wraps
+Both wrap, through one constructor (_decomposition), the one eigen-family
+each operator builds once from B = W^{1/2} K W^{1/2} (nystrom._EigenFamily):
+sorted with the retained pairs first, polished by one Nystrom pass
+(p <- A p / nu = K (w p) / nu) where its rounding fits the budget, which
+leaves the samples at the smallest weights of a wide rule unresolved
+(ROADMAP item 2), and anchored.  djf_eig reads DiscreteOperator.family:
+hermitian_family, upcast to complex, when B is Hermitian to roundoff, else
 general_family, from one sorted Schur form of B in its dtype.
 """
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,16 +89,11 @@ class AsymptoticProfile:
 def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
-    Eigenvalues are real; the single eigenvector family is orthonormal in
-    the weighted inner product and serves as both right and left family.
-    It wraps the operator's one eigen-family, whose read-only arrays every
-    call shares (DiscreteOperator.hermitian_family).
+    Eigenvalues are real; the one W-orthonormal eigenvector family serves
+    as right and left family: DiscreteOperator.hermitian_family's arrays.
 
-    Raises
-    ------
-    WrongDecompositionError
-        If B departs from Hermitian symmetry by more than 1e-10 relative;
-        use djf_eig for non-Hermitian kernels.
+    Raises WrongDecompositionError if B departs from Hermitian symmetry by
+    more than 1e-10 relative; use djf_eig for non-Hermitian kernels.
     """
     _operator_arg(op)._require_square("an eigendecomposition")
     defect = op._hermitian_defect(HERMITIAN_RTOL)  # its Hermitian part goes on to the family
@@ -108,24 +101,18 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         raise WrongDecompositionError(
             f"kernel is not Hermitian (relative defect {defect:.3e}); use djf_eig"
         )
-    _vals, eigenvalues, P, retained, resid = op.hermitian_family
-    return BiSpectralDecomposition(eigenvalues=eigenvalues, right=P, left=P, biorth_residual=resid,
-                                   hermitian=True, retained=retained, operator=op)
+    return _decomposition(op, op.hermitian_family)
 
 
 def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Bi-orthogonal eigendecomposition for diagonalizable kernels.
 
     The left family is the inverse-adjoint of the right one, so
-    <q_j, p_k>_W = delta_jk holds globally.  Right vectors have unit weighted
-    norm and a real-positive anchor entry; the left vectors then have no
-    freedom left.
-
-    When B is Hermitian to roundoff (hermitian_defect() <= n u, n = K.shape[0],
-    u = eps / 2), this is hermitian_eig's decomposition upcast once to
-    complex, one array serving as right and left family: symmetrizing moves B
-    by (defect / 2) ||B||_F, no more than the backward error of a general
-    factorization.  Otherwise it wraps general_family: V = [V_r, Q_t] = Z M
+    <q_j, p_k>_W = delta_jk holds globally; right vectors have unit weighted
+    norm and a real-positive anchor entry.  It wraps op.family: when B is
+    Hermitian to roundoff that is hermitian_eig's family upcast once to
+    complex, one array serving as right and left family.  Otherwise it is
+    general_family: V = [V_r, Q_t] = Z M
     from one sorted Schur form, U = V^{-H} and the exact condition kappa of
     M from r x r algebra (nystrom._inverse_adjoint).  An inverse of
     condition kappa is bi-orthogonal to about kappa n u (Higham, Accuracy and
@@ -146,16 +133,20 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         that rule reaches, raise it too: a retained eigen-residual above
         1e-9 |nu_1| and a bi-orthogonality residual above 1e-8.
     """
-    _operator_arg(op)._require_square("an eigendecomposition")
-    if op.hermitian_to_roundoff():
-        d = hermitian_eig(op)
-        P = d.right.astype(complex, copy=False)
-        return replace(d, right=P, left=P)
-    _values, eigenvalues, P, Q, retained, resid, refusal = op.general_family
-    if refusal is not None:
-        raise DefectiveSuspectedError(refusal)
-    return BiSpectralDecomposition(eigenvalues=eigenvalues, right=P, left=Q, biorth_residual=resid,
-                                   hermitian=False, retained=retained, operator=op)
+    return _decomposition(_operator_arg(op), op.family, complex)
+
+
+def _decomposition(op, family, dtype=None):
+    """The BiSpectralDecomposition of op's `family`, its vectors cast to
+    `dtype` if given (left is right stays so); raises the family's refusal
+    as DefectiveSuspectedError.  The one constructor of decompositions."""
+    if family.refusal is not None:
+        raise DefectiveSuspectedError(family.refusal)
+    P = family.right if dtype is None else family.right.astype(dtype, copy=False)
+    Q = P if family.left is family.right else family.left
+    return BiSpectralDecomposition(eigenvalues=family.eigenvalues, right=P, left=Q,
+                                   biorth_residual=family.biorth_residual, operator=op,
+                                   hermitian=family.hermitian, retained=family.retained)
 
 
 def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> AsymptoticProfile:

@@ -250,7 +250,7 @@ class TestSpectrumCache:
         fk.operator_svd(op)
         # one LU per lambda and per path point; the pole refusal needs none
         assert lapack_calls == no_lapack(eigh=[(256, 256)], getrf=[(256, 256)] * (5 + 21))
-        assert op.spectrum.tobytes() == op.hermitian_family[0].astype(complex).tobytes()
+        assert op.spectrum is op.family.eigenvalues is op.hermitian_family.eigenvalues
         fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         fk.fredholm_determinant(fresh, 1.0, "product")
         assert lapack_calls == no_lapack(eigh=[(256, 256)] * 2, getrf=[(256, 256)] * 26)
@@ -294,8 +294,8 @@ class TestSpectrumCache:
         fk.first_kind_solve(op, 1.0 / nus[np.argmax(np.abs(nus))], 1e-8)
         r = d.retained
         assert lapack_calls == no_lapack(schur=[(n, n)], eig=[(r, r)], getrf=[(n, n)] * (2 + 11))
-        assert nus is op.general_family[0]
-        assert np.array_equal(np.sort_complex(d.eigenvalues), np.sort_complex(nus))
+        assert nus is op.general_family.eigenvalues is op.family.eigenvalues
+        assert d.eigenvalues is nus
 
     def test_deflated_operator_has_its_own(self, gh40, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), gh40)
@@ -305,8 +305,7 @@ class TestSpectrumCache:
         fk.fredholm_determinant(deflated, 1.0, "product")
         assert lapack_calls == no_lapack(eigh=[(40, 40)] * 2)
         assert np.min(np.abs(deflated.spectrum - 1.0)) > 0.4  # nu_1 = 1 removed
-        values = deflated.hermitian_family[0]
-        assert deflated.spectrum.tobytes() == values.astype(complex).tobytes()
+        assert deflated.spectrum is deflated.hermitian_family.eigenvalues
         assert len(lapack_calls["eigh"]) == 2
 
     def test_other_paths_never_compute_it(self, gh40, lapack_calls):
@@ -317,7 +316,7 @@ class TestSpectrumCache:
         fk.iterated_kernel(op, 5)
         fk.sequential_spectrum(op, 2, 200, 1e-10)
         assert lapack_calls["eigvals"] == []
-        assert "spectrum" not in vars(op)
+        assert "general_family" not in vars(op)  # op.spectrum is the Hermitian family's
 
     def test_cached_spectrum_is_read_only(self, yz_op):
         nus = yz_op.spectrum
@@ -514,7 +513,8 @@ class TestNonFiniteLambda:
 class TestOverflowingSolve:
     """lambda and the right-hand side are finite, but the solution or the
     residual norm is not: refused as invalid, naming lambda, with no numpy
-    warning and no raw error from lu_solve."""
+    warning and no raw error from lu_solve.  A right-hand side near either
+    end of the float range gets the relative residual of its unit scale."""
 
     def test_overflowing_rhs_refused(self, gl8):
         op = fk.discretize(fk.mehler_kernel(0.5), gl8)
@@ -534,6 +534,22 @@ class TestOverflowingSolve:
         assert np.isfinite(sol.residual)
         assert sol.residual <= 8 * ref.residual + 8 * np.finfo(float).eps
         assert np.max(np.abs(sol.solution / 1e200 - ref.solution)) <= 1e-15
+
+    def test_tiny_rhs_gives_the_residual_of_its_unit_scale(self):
+        """||r||^2 underflows below about 1e-150: the residual read 0.0 there.
+        Through nystrom._norm it stays within 4x of the unscaled one, on
+        Mehler GH64 with f = cos(x) scaled by 1e-150 and 1e-200, and the
+        unscaled one keeps the bits of the plain norms."""
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(64))
+        f = np.cos(op.rule.nodes)
+        ref = fk.resolvent_solve(op, 0.5, f)
+        r = ref.solution - 0.5 * fk.apply(op, ref.solution) - f
+        assert ref.residual == float(np.linalg.norm(r)) / float(np.linalg.norm(f)) > 0.0
+        for scale in (1e-150, 1e-200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                residual = fk.resolvent_solve(op, 0.5, f * scale).residual
+            assert ref.residual / 4 <= residual <= 4 * ref.residual, scale
 
     def test_ordinary_residual_is_the_plain_one(self, gl8):
         op = fk.discretize(fk.mehler_kernel(0.5), gl8)

@@ -23,6 +23,7 @@ from fredkit.errors import (
 )
 
 from conftest import wfro
+from test_conventions import basis_operator
 
 UNIT = np.finfo(float).eps / 2  # unit roundoff u
 
@@ -107,6 +108,34 @@ class TestRetainedCut:
     def test_zero_spectrum_keeps_nothing(self):
         assert not nystrom._retained(np.zeros(4)).any()
         assert nystrom._retained_count(np.zeros(0)) == 0
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.5], ids=["hermitian", "general"])
+    def test_retained_pairs_lead_across_a_straddling_tie(self, coupling):
+        """nu = 1, 1.01e-12, -0.995e-12 on GL256: the two small moduli tie
+        within the roundoff floor N eps |nu_1|, where the sort puts the
+        negative one first, but only 1.01e-12 is above the cut.  Both
+        families move the retained pairs to the front, so eigenvalues[:retained]
+        are the pairs the cut keeps, on the Hermitian route (hermitian_eig and
+        djf_eig) and off it (coupling 1 to 1.01e-12 makes B non-Hermitian),
+        and the profile, the first-kind solve and the pole guards read them."""
+        C = np.diag([1.0, 1.01e-12, -0.995e-12])
+        C[0, 1] = coupling
+        op = basis_operator(C, 0.0, 256)
+        assert op.hermitian_to_roundoff() == (coupling == 0.0)
+        decompose = [fk.djf_eig] + ([fk.hermitian_eig] if coupling == 0.0 else [])
+        for d in (f(op) for f in decompose):
+            nu = d.eigenvalues
+            assert d.retained == 2
+            assert np.array_equal(nystrom._retained(nu), np.arange(nu.size) < 2)
+            assert nu[:2].real == pytest.approx([1.0, 1.01e-12], rel=1e-4)
+            assert fk.asymptotic_profile(d).r0 == abs(nu[1])
+            lam = 1.0 / nu[1]
+            got = fk.first_kind_solve(op, lam, 1e-6 * abs(lam))
+            assert len(got) == 1 and np.array_equal(got[0], d.right[:, 1])
+            with pytest.raises(fk.NoSolutionError):
+                fk.first_kind_solve(op, 1.0 / -0.995e-12, 1e-3 / 0.995e-12)
+        assert op.spectrum is op.family.eigenvalues is d.eigenvalues
+        assert np.array_equal(fredholm._fredholm_lambdas(op), 1.0 / nu[:2])
 
 
 def pm_similar(seed):

@@ -9,6 +9,7 @@ perfbench/README.md sets for the spectra-n1024 workload: sum theta^2 =
 ||B||_F^2 within N u, weighted orthonormality within 1e-10, and
 A q = theta p within 1e-9 theta_1.
 """
+import dataclasses
 import gc
 import sys
 import tracemalloc
@@ -143,7 +144,7 @@ def test_psd_operators_share_one_svd_family(name, request):
     below the roundoff floor N eps |nu_1|, so it folds no sign: the SVD's
     right family is its left one, one read-only array."""
     op = request.getfixturevalue("twin1024") if name == "twin-gl1024" else ON_ROUTE[name]()
-    nu = op.hermitian_family[0]
+    nu = op.hermitian_family.eigenvalues.real
     assert 0 < np.count_nonzero(nu < 0)
     assert -nu.min() <= nu.size * np.finfo(float).eps * np.max(np.abs(nu))
     sv = fk.operator_svd(op)
@@ -176,7 +177,7 @@ def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
     assert np.array_equal(sv.right, h.right[:, order] * np.where(negative, -1.0, 1.0))
     assert (sv.right is sv.left) == (not negative.any())
     assert sv.left.dtype == sv.right.dtype == h.right.dtype
-    vals = np.abs(op.hermitian_family[0])
+    vals = np.abs(op.hermitian_family.eigenvalues)
     assert np.array_equal(sv.singular_values, vals[np.argsort(-vals, kind="stable")])
 
 
@@ -210,8 +211,9 @@ def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
     op.spectrum
     assert calls == ["eigh"]
     assert len(polishes) == 1 and polishes[0][0] == 40
-    vals, nu, P = op.hermitian_family[:3]
-    assert not (vals.flags.writeable or nu.flags.writeable or P.flags.writeable)
+    family = op.hermitian_family
+    nu, P = family.eigenvalues, family.right
+    assert family.left is P and not (nu.flags.writeable or P.flags.writeable)
     for d in (first, again):
         assert d.eigenvalues is nu and d.right is d.left is P
 
@@ -226,11 +228,21 @@ def lambda_path(op):
 
 
 def square_arrays(op):
-    """Where op keeps an N x N array: an attribute, or entry i of a cached tuple."""
-    return sorted(f"{k}[{i}]" if isinstance(v, tuple) else k
-                  for k, v in vars(op).items()
-                  for i, x in (enumerate(v) if isinstance(v, tuple) else [(None, v)])
-                  if isinstance(x, np.ndarray) and x.ndim == 2)
+    """Where op keeps an N x N array: an attribute, entry i of a cached tuple
+    or a field of an eigen-family, each array named once (a Hermitian
+    family's left is its right)."""
+    named = {}
+    for k, v in vars(op).items():
+        if isinstance(v, tuple):
+            items = [(f"{k}[{i}]", x) for i, x in enumerate(v)]
+        elif isinstance(v, nystrom._EigenFamily):
+            items = [(f"{k}.{f.name}", getattr(v, f.name)) for f in dataclasses.fields(v)]
+        else:
+            items = [(k, v)]
+        for name, x in items:
+            if isinstance(x, np.ndarray) and x.ndim == 2:
+                named.setdefault(id(x), name)
+    return sorted(named.values())
 
 
 @pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
@@ -266,7 +278,7 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     assert calls == [(256, 256)] and eighs == ["eigh"] and len(polishes) == 1
     assert sorted(k for k, v in vars(op).items()
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["K"]
-    assert square_arrays(op) == ["K", "_elimination[1]", "_lu[1]", "hermitian_family[2]"]
+    assert square_arrays(op) == ["K", "_elimination[1]", "_lu[1]", "hermitian_family.right"]
     order, Ke, we = vars(op)["_elimination"]
     assert np.array_equal(Ke, op.K[np.ix_(order, order)]) and np.array_equal(we, op.w_cols[order])
     assert "A" not in vars(op)
@@ -329,7 +341,7 @@ def test_skew_above_roundoff_takes_the_general_path(monkeypatch):
     d = fk.djf_eig(skewed)
     fk.operator_svd(skewed)
     fk.hermitian_eig(skewed)
-    assert skewed.spectrum is skewed.general_family[0]
+    assert skewed.spectrum is skewed.general_family.eigenvalues
     assert calls == ["schur", "eig", "svd", "eigh"]
     assert not d.hermitian and d.right is not d.left
 
@@ -456,18 +468,18 @@ def formed_by(calls, read):
                          ids=["mehler-gl1024", "twin-gl256"])
 def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
     """The spectra-n1024 calls, on real Mehler and on its complex twin:
-    discretizing forms B once (hs_norm) and the readers once more (the
-    Hermitian defect), and none keeps it.  Afterwards the operator's only
+    discretizing forms no B (its zero-kernel check reads K), the readers
+    form it once (the Hermitian defect), and none keeps it.  Afterwards the operator's only
     N x N arrays are K and the family's samples.  An outside read of op.B
     forms it as the expression does, bit for bit, read-only and once."""
     calls = spy_on_form_B(monkeypatch)
     op = fk.discretize(kernel, fk.gauss_legendre(n, -4.0, 4.0))
-    assert calls == ["hs_norm"]
+    assert calls == []
     assert formed_by(calls, lambda: fk.hermitian_eig(op)) == ["_hermitian_defect"]
     for read in (lambda: fk.djf_eig(op), lambda: fk.operator_svd(op),
                  lambda: fk.iterated_kernel(op, 20), lambda: op.spectrum):
         assert formed_by(calls, read) == []
-    assert square_arrays(op) == ["K", "hermitian_family[2]"]
+    assert square_arrays(op) == ["K", "hermitian_family.right"]
     B = formed_by(calls, lambda: op.B)
     assert B == ["B"] and op.B is vars(op)["B"] and calls == ["B"]
     assert not op.B.flags.writeable and op.B.dtype == op.K.dtype
@@ -505,12 +517,12 @@ def test_each_reader_forms_b_at_most_once_per_call(monkeypatch):
     assert formed_by(calls, lambda: fk.djf_eig(skew)) == []
     assert formed_by(calls, lambda: fk.operator_svd(skew)) == ["operator_svd"]
     assert formed_by(calls, lambda: skew.spectrum) == []
-    assert square_arrays(skew) == ["K", "general_family[2]", "general_family[3]"]
+    assert square_arrays(skew) == ["K", "general_family.left", "general_family.right"]
     band = band_operator(fk.discretize(twin_kernel(0.8), fk.gauss_legendre(64, -4.0, 4.0)))
     assert formed_by(calls, lambda: fk.hermitian_eig(band)) == ["_hermitian_defect"]
     assert formed_by(calls, lambda: fk.hermitian_eig(band)) == []
     assert not band.hermitian_to_roundoff()
-    assert square_arrays(band) == ["K", "hermitian_family[2]"]
+    assert square_arrays(band) == ["K", "hermitian_family.right"]
     assert "B" not in vars(skew) and "B" not in vars(band)
 
 

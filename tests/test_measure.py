@@ -201,6 +201,20 @@ class TestRuleCache:
             with pytest.raises(ValueError):
                 array[0] = 99.0
 
+    def test_cached_rules_cannot_be_made_writeable(self):
+        """Each rule hands out views of arrays frozen in their owner, so the
+        write flag cannot be set again and no later rule of that (kind, n)
+        can change, cached (Hermite, the Legendre reference) or mapped."""
+        rules = [fk.gauss_hermite_prob(16), fk.gauss_hermite_prob(16),
+                 fk.gauss_legendre(16, 0.0, 1.0)]
+        arrays = [a for r in rules for a in (r.nodes, r.weights)]
+        arrays += measure._jacobi_rule(measure.KIND_GAUSS_LEGENDRE, 16)
+        for array in arrays:
+            assert array.base is not None and not array.base.flags.writeable
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        assert _same_bits(rules[0].nodes, fk.gauss_hermite_prob(16).nodes)
+
     def test_cache_is_bounded(self):
         info = measure._jacobi_rule.cache_info()
         # two float64 arrays of at most MAX_RULE_SIZE entries per rule: 1 MB
