@@ -51,9 +51,19 @@ def _number_arg(value, name, real=False):
     return float(value) if real else complex(value)
 
 
-def _array_arg(value, name, shape=None, dtype=complex, finite=True):
-    """value as a float64 (dtype float) or complex128 (dtype complex) array,
-    not copied when it is one; dtype None keeps real entries float64.
+def _tolerance_arg(value, name, below=None):
+    """float(value); InvalidArgumentError unless value is a real number in
+    [0, below), or a finite one >= 0 when below is None: every tolerance's check."""
+    high = sys.float_info.max if below is None else below
+    if not (_is_number(value, real=True) and 0 <= value <= high and value != below):
+        bound = ">= 0" if below is None else f"in [0, {below:g})"
+        raise InvalidArgumentError(f"{name} must be a finite number {bound}, got {value!r}")
+    return float(value)
+
+
+def _array_arg(value, name, shape=None, dtype=None, finite=True):
+    """value as a float64 (dtype float, or real entries) or complex128 array,
+    not copied when it is one, so a real sample vector stays real.
     InvalidArgumentError unless value is an array or evenly nested sequence
     of numbers (real ones for dtype float; a bool or a string is not one),
     of `shape` (None: any length, or any shape) and, when finite, finite."""

@@ -42,7 +42,7 @@ from .errors import (
     InvalidArgumentError,
     NoSolutionError,
     PoleError,
-    _array_arg, _count_arg, _number_arg,
+    _array_arg, _count_arg, _number_arg, _tolerance_arg,
 )
 from .nystrom import (
     DiscreteOperator, _apply_A, _matvec, _norm, _on_float_view, _operator_arg, _read_only,
@@ -168,11 +168,8 @@ def _getrs(lu, piv, b):
 
 
 def _lu_solve(lu, piv, rhs):
-    """M^{-1} rhs from M's LU; a real LU solves complex right-hand sides on
-    their float view, as _matvec applies a real matrix."""
-    if lu.dtype.kind == "f" and rhs.dtype.kind == "c":
-        return _on_float_view(lambda y: _getrs(lu, piv, y), rhs)
-    return _getrs(lu, piv, rhs)
+    """M^{-1} rhs from M's LU, a real LU on a complex rhs's float view."""
+    return _on_float_view(lu, lambda y: _getrs(lu, piv, y), rhs)
 
 
 def _slogdet(lu, piv):
@@ -243,12 +240,13 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     the system's condition estimate exceeds 1e10.  The guard reads the
     operator's cached family, and the LU is the one per operator and lambda
     that resolvent_kernel and the direct determinant share, real at a real
-    lambda on a real operator (f solved on its float view), eliminating the
-    nodes by decreasing weight: f is permuted once, refined, and the
-    solution permuted back.  A non-finite lambda or f, or a solution or
-    residual that overflows, raises InvalidArgumentError.  The residual is
-    ||r|| / ||f|| in nystrom._norm's norms, which neither overflow nor
-    underflow on the way; past the float range both take f and r at 2^-32.
+    lambda on a real operator, where p is real for a real f and a complex f
+    is solved on its float view, eliminating the nodes by decreasing weight:
+    f is permuted once, refined, and the solution permuted back.  A
+    non-finite lambda or f, or a solution or residual that overflows,
+    raises InvalidArgumentError.  The residual is ||r|| / ||f|| in
+    nystrom._norm's norms, which neither overflow nor underflow on the way;
+    past the float range both take f and r at 2^-32.
     """
     _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
@@ -295,8 +293,6 @@ def resolvent_series(d: BiSpectralDecomposition, lam, k: int) -> np.ndarray:
     """
     lam = _number_arg(lam, "lambda")
     lambdas = _series_lambdas(_decomposition_arg(d), k, lam)
-    if k == 0:
-        return np.zeros(d.operator.K.shape, dtype=complex)
     coeffs = 1.0 / (lambdas - lam)
     return (d.right[:, :k] * coeffs[None, :]) @ d.left[:, :k].conj().T
 
@@ -413,11 +409,12 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
 
     Returns the bi-orthonormalized right eigenvectors whose Fredholm
     eigenvalues lie within tol of lambda_j; raises NoSolutionError when
-    none do (the first-kind equation is solvable only on the spectrum).
-    Read from op.family, in its dtype, raising its refusal as djf_eig does.
+    none do (the first-kind equation is solvable only on the spectrum); tol
+    is a finite number >= 0.  Read from op.family, in its dtype, raising its
+    refusal as djf_eig does.
     """
     lam = _number_arg(lambda_j, "lambda_j")
-    tol = _number_arg(tol, "tol", real=True)
+    tol = _tolerance_arg(tol, "tol")
     d = _decomposition(op, _operator_arg(op).family)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     NoSpectrumError,
     UnsupportedProfileError,
-    _array_arg, _count_arg, _instance_arg, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg, _tolerance_arg,
 )
 from .kernels import _callables_arg, basis_kernel
 from .nystrom import _anchor_phase, _finite_power, _sort_order
@@ -46,9 +46,7 @@ def binomial(n, a):
 def jordan_block(lam, m):
     """m x m block: lam on the diagonal, 1 on the superdiagonal."""
     m = _count_arg(m, "block size", 1)
-    return _number_arg(lam, "lam") * np.eye(m, dtype=complex) + np.diag(
-        np.ones(m - 1, dtype=complex), 1
-    )
+    return _number_arg(lam, "lam") * np.eye(m, dtype=complex) + np.diag(np.ones(m - 1), 1)
 
 
 def jordan_block_power(lam, m, n):
@@ -160,11 +158,11 @@ def jordan_decompose(N, cluster_tol=1e-7):
     InvalidArgumentError
         When N is not a square array of numbers, exceeds desk scale or has
         an entry that is not finite (checked before any LAPACK call), when
-        cluster_tol is not a finite real number, or when a power
+        cluster_tol is not a finite real number >= 0, or when a power
         ||N - lambda I||^k the rank staircase needs overflows.
     """
-    cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
-    N = _array_arg(N, "N", (None, None))
+    cluster_tol = _tolerance_arg(cluster_tol, "cluster_tol")
+    N = _array_arg(N, "N", (None, None), dtype=complex)
     if N.shape[0] != N.shape[1]:
         raise InvalidArgumentError(f"N has shape {N.shape}, need a square matrix")
     if N.shape[0] > DESK_DIM_LIMIT:
@@ -338,10 +336,10 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
     Raises UnsupportedProfileError when one top-tier eigenvalue carries
     several maximal blocks: the per-eigenvalue enumeration behind the
     asymptotic form breaks down there, and InvalidArgumentError naming n
-    when the envelope overflows.
+    when the envelope overflows, or for a tier_rtol outside [0, 1).
     """
     n = _count_arg(n, "iterate", 1)
-    tier_rtol = _number_arg(tier_rtol, "tier_rtol", real=True)
+    tier_rtol = _tolerance_arg(tier_rtol, "tier_rtol", below=1.0)
     mods = [abs(lam) for lam, _ in _instance_arg(jf, JordanForm, "jf").blocks]
     r1 = max(mods)
     if r1 == 0.0:

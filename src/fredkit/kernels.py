@@ -40,7 +40,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
-    _array_arg, _count_arg, _instance_arg, _is_number, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg, _tolerance_arg,
 )
 from .measure import QuadratureRule, _rule_arg
 
@@ -224,7 +224,7 @@ class GridSampled:
     def __post_init__(self):
         _rule_arg(self.rule)
         # a cell that is not finite is discretize's to name, with its node pair
-        table = _array_arg(self.table, "table", (None, None), dtype=None, finite=False).copy()
+        table = _array_arg(self.table, "table", (None, None), finite=False).copy()
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -329,8 +329,7 @@ def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     finite number >= 0; the operator then acts on span{e_a} exactly as the
     matrix C.
     """
-    if not (_is_number(gram_tol, real=True) and 0 <= gram_tol <= float(np.finfo(float).max)):
-        raise InvalidArgumentError(f"gram_tol must be a finite number >= 0, got {gram_tol!r}")
+    gram_tol = _tolerance_arg(gram_tol, "gram_tol")
     basis, rule = _callables_arg(basis, "basis"), _rule_arg(rule)
     m = len(basis)
     C = _array_arg(coeff_matrix, "coeff_matrix", (m, m))

@@ -66,7 +66,7 @@ class QuadratureRule:
 
         InvalidArgumentError unless values is an array of finite numbers
         whose leading axis has one entry per node."""
-        values = _array_arg(values, "values", dtype=None)
+        values = _array_arg(values, "values")
         if values.ndim == 0 or values.shape[0] != self.count:
             raise InvalidArgumentError(
                 f"values has shape {values.shape}, expected ({self.count}, ...)")

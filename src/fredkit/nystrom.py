@@ -77,11 +77,11 @@ class DiscreteOperator:
     An operator is built from (rule, shape, K) and stores K only.  The
     dtype follows the kernel: a complex K whose imaginary part is exactly
     zero is stored as its float64 real part, and A and B follow K, so a
-    real kernel gets real arrays and real LAPACK calls.  Values that are
-    complex by contract stay complex: the spectrum, djf_eig's pairs and
-    solves at complex lambda.  K is read-only, so nothing cached from it (on
-    first read, read-only) can go stale: A, B, the Hermitian defect, the
-    families, and fredholm's elimination order and last LU.
+    real kernel, and a real sample vector with it, gets real arrays, products
+    and LAPACK calls.  Complex by contract are the spectrum, the general
+    family's pairs, Jordan forms and power iteration.  K is read-only, so
+    nothing cached from it (on first read, read-only) can go stale: A, B, the
+    Hermitian defect, the families, and fredholm's elimination order and LU.
 
     The Hermitian route.  When hermitian_defect() <= n u (n = K.shape[0],
     u = eps / 2), one eigh of S = (B + B^H) / 2 (EIGH_DRIVER) replaces the
@@ -467,19 +467,19 @@ def _linalg(name, *args, lib=np.linalg, **kwargs):
 
 
 def _matvec(M, x):
-    """M @ x for a vector, a matrix or a stack of matrices x.  A real M times
-    a complex x is one real product on x's float view (_on_float_view):
-    numpy's mixed product would first copy M to complex, on every call."""
-    if M.dtype.kind == "f" and x.dtype.kind == "c":
-        return _on_float_view(lambda y: M @ y, x)
-    return M @ x
+    """M @ x for a vector, a matrix or a stack of matrices x (_on_float_view)."""
+    return _on_float_view(M, lambda y: M @ y, x)
 
 
-def _on_float_view(apply, x):
-    """apply(x) for a real linear map `apply` of matrices and a complex
-    vector, matrix or stack x, as one real call on x's float view: (n, 2)
-    for a vector, (n, 2m) for an n x m matrix and (b, n, 2m) for a stack,
-    whose real and imaginary columns the map keeps apart."""
+def _on_float_view(M, apply, x):
+    """apply(x) for the linear map `apply` of matrices that M (a matrix or
+    its factors) defines and a vector, matrix or stack x.  A real M's map of
+    a complex x is one real call on x's float view: (n, 2) for a vector,
+    (n, 2m) for an n x m matrix and (b, n, 2m) for a stack, whose real and
+    imaginary columns the map keeps apart; numpy's mixed product, or a
+    complex LAPACK call, would first copy M to complex, on every call."""
+    if not (M.dtype.kind == "f" and x.dtype.kind == "c"):
+        return apply(x)
     x = np.ascontiguousarray(x)
     y = np.ascontiguousarray(apply((x[:, None] if x.ndim == 1 else x).view(float)))
     y = y.view(complex)

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolationError,
     StartingVectorError,
     UnsupportedProfileError,
-    _array_arg, _count_arg, _number_arg,
+    _array_arg, _count_arg, _number_arg, _tolerance_arg,
 )
 from .kernels import Kernel
 from .nystrom import (
@@ -45,17 +45,18 @@ from .spectral import djf_eig
 COLLAPSE_RTOL = 1e-14
 
 
-def _unit_scaled(f):
-    """f times the power of two that brings its largest entry into [1/2, 1).
-    A starting vector or probe is scale-free, and the scaling is exact: f's
-    squared entries cannot overflow, while f / ||f||_W and every ratio
-    against a probe keep their bits."""
+def _unit_scaled(f, name, size):
+    """f, checked, as complex128 (as every iterate), times the power of two
+    that brings its largest entry into [1/2, 1).  A starting vector or probe
+    is scale-free, and the scaling is exact: f's squared entries cannot
+    overflow, while f / ||f||_W and every ratio against a probe keep their bits."""
+    f = _array_arg(f, name, (size,), dtype=complex)
     return f * _pow2_scale(f)
 
 
 def _start(w, f, name):
     """f, checked, _unit_scaled and of unit W-norm; StartingVectorError if zero."""
-    f = _unit_scaled(_array_arg(f, name, (w.size,)))
+    f = _unit_scaled(f, name, w.size)
     nf = _wnorm(w, f)
     if nf == 0.0:
         raise StartingVectorError(f"starting vector {name} is zero")
@@ -101,7 +102,7 @@ class PowerTrace:
 def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=None):
     """Dominant-eigenvalue estimate from successive operator applications.
 
-    Converges when two successive ratios agree to `tol` relative.  A
+    Converges when two successive ratios agree to `tol` (>= 0) relative.  A
     non-converged run is returned (converged=False) with a multiplicity
     warning: oscillating ratios indicate several eigenvalues sharing the
     top modulus.
@@ -111,10 +112,10 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     """
     _operator_arg(op)._require_square("power iteration")
     n_max = _count_arg(n_max, "n_max", 1)
-    tol = _number_arg(tol, "tol", real=True)
+    tol = _tolerance_arg(tol, "tol")
     w = op.w_rows
     h = _start(w, f, "f")
-    g = _unit_scaled(_array_arg(probe, "probe", (w.size,))) if probe is not None else h.copy()
+    g = _unit_scaled(probe, "probe", w.size) if probe is not None else h.copy()
     collapse_test = _collapse_test(op)
     iterates, scales, ratios, pointwise = [], [], [], []
     converged = False
@@ -188,7 +189,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     Iterates (nu1^{-1} A)^n f and the adjoint analogue on g, then applies
     the usual normalization (unit weighted norm, real-positive anchor for
     p; <q, p>_W = 1 fixes q).  Stops early once both eigen-residuals drop
-    below 0.1 * resid_rtol * |nu1|.
+    below 0.1 * resid_rtol * |nu1|, resid_rtol >= 0.
 
     Raises
     ------
@@ -204,7 +205,7 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
     if nu1 == 0:
         raise InvalidArgumentError("nu1 must be nonzero")
     n = _count_arg(n, "iterations", 1)
-    resid_rtol = _number_arg(resid_rtol, "resid_rtol", real=True)
+    resid_rtol = _tolerance_arg(resid_rtol, "resid_rtol")
     w = op.w_rows
     p, q = _start(w, f, "f"), _start(w, g, "g")
     collapse_test = _collapse_test(op)
@@ -256,8 +257,8 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     op._require_square("deflation")
     try:
         nu1 = _number_arg(nu1, "nu1")
-        p1 = _array_arg(p1, "p1", (op.K.shape[0],))
-        q1 = _array_arg(q1, "q1", (op.K.shape[0],))
+        p1 = _array_arg(p1, "p1", (op.K.shape[0],), dtype=complex)
+        q1 = _array_arg(q1, "q1", (op.K.shape[0],), dtype=complex)
     except InvalidArgumentError as exc:
         raise PreconditionViolationError(f"deflation needs a finite pair: {exc}") from None
     pairing = _winner(op.w_rows, q1, p1)

@@ -12,8 +12,9 @@ sorted with the retained pairs first, polished by one Nystrom pass
 (p <- A p / nu = K (w p) / nu) where its rounding fits the budget, which
 leaves the samples at the smallest weights of a wide rule unresolved
 (ROADMAP item 2), and anchored.  djf_eig reads DiscreteOperator.family:
-hermitian_family, upcast to complex, when B is Hermitian to roundoff, else
-general_family, from one sorted Schur form of B in its dtype.
+hermitian_family when B is Hermitian to roundoff, else general_family, from
+one sorted Schur form of B in its dtype.  A decomposition holds its family's
+own read-only arrays, real vectors only for a real B on the Hermitian route.
 """
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .errors import (
     DefectiveSuspectedError,
     NoSpectrumError,
     WrongDecompositionError,
-    _count_arg, _instance_arg, _number_arg,
+    _count_arg, _instance_arg, _tolerance_arg,
 )
 from .nystrom import DiscreteOperator, _finite_power, _operator_arg, _wnorm
 
@@ -110,14 +111,14 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     The left family is the inverse-adjoint of the right one, so
     <q_j, p_k>_W = delta_jk holds globally; right vectors have unit weighted
     norm and a real-positive anchor entry.  It wraps op.family: when B is
-    Hermitian to roundoff that is hermitian_eig's family upcast once to
-    complex, one array serving as right and left family.  Otherwise it is
-    general_family: V = [V_r, Q_t] = Z M
-    from one sorted Schur form, U = V^{-H} and the exact condition kappa of
-    M from r x r algebra (nystrom._inverse_adjoint).  An inverse of
-    condition kappa is bi-orthogonal to about kappa n u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 14), so kappa n u <= 1e-8
-    is the one refusal rule, tested first.  The pass p <- A p / nu, q <- K^H (w q) /
+    Hermitian to roundoff that is hermitian_eig's family, its arrays shared
+    (in B's dtype, one array serving as right and left family).  Otherwise
+    it is general_family: V = [V_r, Q_t] = Z M from one sorted Schur form,
+    U = V^{-H} and the exact condition kappa of M from r x r algebra
+    (nystrom._inverse_adjoint).  An inverse of condition kappa is
+    bi-orthogonal to about kappa n u (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 14), so kappa n u <= 1e-8 is the one
+    refusal rule, tested first.  The pass p <- A p / nu, q <- K^H (w q) /
     conj(nu) moves <q_k, p_j>_W by up to u ||B|| kappa_max / |nu_j|,
     kappa_max = max_j ||q_j||_W >= 1 over the retained pairs, so it runs
     where |nu_j| >= REFINE_RTOL kappa_max |nu_1|, within hermitian_eig's
@@ -133,20 +134,19 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         that rule reaches, raise it too: a retained eigen-residual above
         1e-9 |nu_1| and a bi-orthogonality residual above 1e-8.
     """
-    return _decomposition(_operator_arg(op), op.family, complex)
+    return _decomposition(_operator_arg(op), op.family)
 
 
-def _decomposition(op, family, dtype=None):
-    """The BiSpectralDecomposition of op's `family`, its vectors cast to
-    `dtype` if given (left is right stays so); raises the family's refusal
-    as DefectiveSuspectedError.  The one constructor of decompositions."""
+def _decomposition(op, family):
+    """The BiSpectralDecomposition of op's `family`, holding the family's
+    own read-only arrays; raises the family's refusal as
+    DefectiveSuspectedError.  The one constructor of decompositions."""
     if family.refusal is not None:
         raise DefectiveSuspectedError(family.refusal)
-    P = family.right if dtype is None else family.right.astype(dtype, copy=False)
-    Q = P if family.left is family.right else family.left
-    return BiSpectralDecomposition(eigenvalues=family.eigenvalues, right=P, left=Q,
-                                   biorth_residual=family.biorth_residual, operator=op,
-                                   hermitian=family.hermitian, retained=family.retained)
+    return BiSpectralDecomposition(eigenvalues=family.eigenvalues, right=family.right,
+                                   left=family.left, biorth_residual=family.biorth_residual,
+                                   hermitian=family.hermitian, retained=family.retained,
+                                   operator=op)
 
 
 def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> AsymptoticProfile:
@@ -154,9 +154,9 @@ def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> Asymptot
 
     R counts eigenvalues with |nu| >= (1 - cluster_tol) |nu_1|; r0 is the
     largest modulus below the tier (0 if the tier exhausts the retained
-    spectrum).
+    spectrum).  cluster_tol must lie in [0, 1).
     """
-    cluster_tol = _number_arg(cluster_tol, "cluster_tol", real=True)
+    cluster_tol = _tolerance_arg(cluster_tol, "cluster_tol", below=1.0)
     if _decomposition_arg(d).retained == 0:
         raise NoSpectrumError("all eigenvalues are numerically zero")
     vals = d.eigenvalues[: d.retained]
@@ -196,8 +196,4 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
 def reconstruct(d: BiSpectralDecomposition, k: int) -> np.ndarray:
     """Partial kernel reconstruction sum_{j<=k} nu_j p_j q_j^* at node pairs."""
     k = _count_arg(k, "rank", 0, _decomposition_arg(d).eigenvalues.size)
-    if k == 0:
-        return np.zeros(d.operator.K.shape, dtype=complex)
-    P = d.right[:, :k]
-    Q = d.left[:, :k]
-    return (P * d.eigenvalues[None, :k]) @ Q.conj().T
+    return (d.right[:, :k] * d.eigenvalues[None, :k]) @ d.left[:, :k].conj().T

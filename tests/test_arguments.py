@@ -287,6 +287,37 @@ def test_every_entry_point_has_rows():
     assert not missing, f"public entry points without rows: {missing}"
 
 
+# each tolerance an entry point takes: a call with it and good arguments, one
+# value in range and the values out of it (a tier tolerance lies in [0, 1),
+# any other is >= 0), each of which the check refuses before any arithmetic
+def _mehler_gh16():
+    return fk.hermitian_eig(fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(16)))
+
+
+TOLERANCES = {
+    "asymptotic_profile": (lambda t: fk.asymptotic_profile(_mehler_gh16(), cluster_tol=t),
+                           0.0, [-0.5, 1.0]),
+    "defective_asymptotic": (lambda t: fk.defective_asymptotic(env()["jf"], 5, tier_rtol=t),
+                             0.0, [-1e-8, 1.0]),
+    "jordan_decompose": (lambda t: fk.jordan_decompose(np.array([[0.5, 1.0], [0.0, 0.5]]),
+                                                       cluster_tol=t), 0.0, [-1e-7]),
+    "first_kind_solve": (lambda t: fk.first_kind_solve(env()["op"], 2.0, tol=t), 1e-8, [-1.0]),
+    "power_ratio_estimate": (lambda t: fk.power_ratio_estimate(env()["op"], env()["ones"], 200, t),
+                             1e-10, [-1e-10]),
+    "extract_leading_pair": (lambda t: fk.extract_leading_pair(
+        env()["op"], env()["nu"], env()["ones"], env()["ones"], 200, resid_rtol=t), 1e-6, [-1e-6]),
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_tolerance_out_of_range_refused(name):
+    call, good, bad = TOLERANCES[name]
+    call(good)
+    for value in bad:
+        with pytest.raises(fk.InvalidArgumentError, match="must be a finite number"):
+            call(value)
+
+
 def test_rows_name_public_callables():
     for name, (fn, _good, spoils) in ROWS.items():
         assert getattr(fk, name) is fn and name in fk.__all__

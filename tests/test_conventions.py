@@ -13,7 +13,7 @@ checked against invariants in test_djf_general.py.
 
 mehler, twin and basis are Hermitian to roundoff, so djf_eig and
 operator_svd answer from the eigh of B's Hermitian part there: their oracles
-are the eigh one, upcast to complex for djf_eig, and the same one sorted by
+are the eigh one, in its dtype, for djf_eig, and the same one sorted by
 modulus and sign-folded for the SVD.  That eigh is the call fredkit makes,
 dsyevd for real mehler and basis and zheevr for twin, so the oracle sees
 the same bits.
@@ -200,16 +200,14 @@ def hermitian_eigh(op):
 def column_at_a_time(op, method):
     """The decompositions' outputs as the scalar helpers made them, one column
     at a time; the LAPACK calls, sort and refusal checks are fredkit's own.
-    On an operator Hermitian to roundoff, djf_eig's oracle is the eigh one
-    upcast to complex, and the SVD's is the eigh one re-sorted: theta = |nu|
+    On an operator Hermitian to roundoff, djf_eig's oracle is the eigh one,
+    in its dtype, and the SVD's is the eigh one re-sorted: theta = |nu|
     in a stable descending sort of its eigenvalues, q = sign(nu) p with
     sign(nu) = +1 for |nu| at or below the roundoff floor N eps |nu_1| (not
     resolved, so 0), and q is p itself when no resolved nu is negative."""
     w = op.w_rows
     if method == "djf" and op.hermitian_to_roundoff():
-        P, _ = column_at_a_time(op, "eig")
-        P = P.astype(complex)
-        return P, P
+        return column_at_a_time(op, "eig")
     if method == "svd" and op.hermitian_to_roundoff():
         P, _ = column_at_a_time(op, "eig")
         vals = hermitian_eigh(op)[0]
@@ -248,6 +246,7 @@ def test_outputs_equal_the_column_at_a_time_ones(name, n, method):
     op = operator(name, n)
     assert op.hermitian_to_roundoff() == HERMITIAN[name]
     P_ref, Q_ref = column_at_a_time(op, method)
+    assert P.dtype == P_ref.dtype and Q.dtype == Q_ref.dtype
     assert np.array_equal(P, P_ref)
     assert np.array_equal(Q, Q_ref)
     assert (Q is P) == (Q_ref is P_ref)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import nystrom
 from fredkit.kernels import ClosedForm
 from fredkit.nystrom import _apply_A, _apply_adjoint, _matvec, _read_only
 
@@ -105,9 +106,9 @@ class TestDtypeFollowsKernel:
     def test_real_lapack_on_a_real_operator(self, monkeypatch, gl8):
         """The Hermitian, SVD and spectrum paths hand real matrices to LAPACK.
         On a Hermitian operator one real eigh serves hermitian_eig,
-        operator_svd, the spectrum and djf_eig, which upcasts its pairs to
-        complex; on one that is not, operator_svd runs a real svd and djf_eig
-        a real eig, and djf_eig's pairs are complex either way."""
+        operator_svd, the spectrum and djf_eig, whose pairs are that eigh's
+        float64 family; on one that is not, operator_svd runs a real svd and
+        djf_eig a real eig, and djf_eig's pairs are complex there."""
         seen = []
         for name in ("eigh", "svd", "eigvals", "eig"):
             real = getattr(library(name), name)
@@ -125,7 +126,8 @@ class TestDtypeFollowsKernel:
         assert seen == [("eigh", np.float64)]
         assert d.right.dtype == svd.left.dtype == svd.right.dtype == np.float64
         assert fk.iterated_kernel(op, 5).dtype == np.float64
-        assert d.eigenvalues.dtype == dj.right.dtype == dj.left.dtype == np.complex128
+        assert d.eigenvalues.dtype == dj.eigenvalues.dtype == np.complex128
+        assert dj.right.dtype == dj.left.dtype == np.float64
         skew = fk.discretize(fk.separable_kernel([1.0], [lambda y: y], [lambda z: z * z]), gl8)
         skew_svd = fk.operator_svd(skew)
         skew_dj = fk.djf_eig(skew)
@@ -406,3 +408,97 @@ class TestRealAwarePaths:
         assert Y.dtype == np.complex128 and Y.shape == X.shape
         for j in range(X.shape[1]):
             assert np.array_equal(Y[:, j], product(op, X[:, j]))
+
+
+@pytest.fixture(scope="module")
+def gh64_pair():
+    """Real Mehler r = 0.5 on Gauss-Hermite 64 and its complex twin, both
+    Hermitian to roundoff; Mehler's noise eigenvalues below the roundoff
+    floor are negative."""
+    rule = fk.gauss_hermite_prob(64)
+    return fk.discretize(fk.mehler_kernel(0.5), rule), fk.discretize(twin_kernel(0.5, 0.8), rule)
+
+
+class TestDecompositionsShareTheFamily:
+    """Every decomposition of an operator holds its one family record's own
+    read-only arrays, in the family's dtype: nothing is cast or copied."""
+
+    @pytest.mark.parametrize("which, dtype", [(0, np.float64), (1, np.complex128)],
+                             ids=["mehler", "twin"])
+    def test_djf_eig_is_hermitian_eig_on_the_route(self, gh64_pair, which, dtype):
+        op = gh64_pair[which]
+        assert op.hermitian_to_roundoff()
+        family = op.family
+        assert family.right.dtype == dtype and not family.right.flags.writeable
+        for d in (fk.hermitian_eig(op), fk.djf_eig(op), fk.djf_eig(op)):
+            assert d.right is d.left is family.right
+            assert d.eigenvalues is family.eigenvalues
+
+    def test_vectors_read_off_a_real_family_are_real(self, gh64_pair):
+        """first_kind_solve's basis and variational_estimate's pair are the
+        family's columns, float64 on a real operator on the route."""
+        op = gh64_pair[0]
+        P = op.family.right
+        (p,) = fk.first_kind_solve(op, 1.0, 1e-8)
+        value, g, h = fk.variational_estimate(op)
+        for v in (p, g, h):
+            assert v.dtype == np.float64
+            assert np.array_equal(v, P[:, 0])
+        assert value == op.family.eigenvalues[0].real
+
+
+def spy_on_float_view(monkeypatch):
+    """Record the shape of each complex sample array a real map takes on its
+    float view, in every fredkit module that binds _on_float_view."""
+    calls = []
+    for module in (nystrom, fk.fredholm):
+        def spy(M, apply, x, _real=module._on_float_view):
+            if M.dtype.kind == "f" and x.dtype.kind == "c":
+                calls.append(x.shape)
+            return _real(M, apply, x)
+
+        monkeypatch.setattr(module, "_on_float_view", spy)
+    return calls
+
+
+class TestRealSamples:
+    """A sample vector keeps its kind (errors._array_arg): a real f meets a
+    real operator in real products, takes no float view and gives a float64
+    result, bit for bit the formula in real numpy products; the complex f
+    with the same values still takes the float view and stays complex128,
+    within TestRealAwareMatvec's bound of it.  nystrom_extend divides by a
+    complex nu, so its value stays complex."""
+
+    def calls(self, op):
+        sv = fk.operator_svd(op)
+        w, r = op.w_rows, sv.rank_numerical
+        V = sv.left[:, :r]
+        row = op.rule.nodes[3]
+        return {
+            "apply": (lambda f: fk.apply(op, f), lambda f: op.K @ (w * f), op.K),
+            "apply_adjoint": (lambda f: fk.apply_adjoint(op, f), lambda f: op.K.T @ (w * f),
+                              op.K.T),
+            "gram_apply": (lambda f: fk.gram_apply(sv, 1, f),
+                           lambda f: V @ (sv.singular_values[:r] ** 2 * (V.T @ (w * f))), None),
+            "nystrom_extend": (
+                lambda f: fk.nystrom_extend(fk.mehler_kernel(0.5), op.rule, f, 0.5, row),
+                lambda f: complex((op.K[3] @ (w * f)) / 0.5), None),
+        }
+
+    @pytest.mark.parametrize("name", ["apply", "apply_adjoint", "gram_apply", "nystrom_extend"])
+    def test_real_f_takes_real_products(self, gh64_pair, monkeypatch, name):
+        op = gh64_pair[0]
+        call, formula, M = self.calls(op)[name]
+        f = np.cos(op.rule.nodes)
+        views = spy_on_float_view(monkeypatch)
+        got = call(f)
+        assert views == []
+        if name == "nystrom_extend":
+            assert got == formula(f)
+            return
+        assert got.dtype == np.float64 and np.array_equal(got, formula(f))
+        ref = call(f.astype(complex))
+        assert ref.dtype == np.complex128 and views
+        if M is not None:
+            v = op.w_rows * f
+            assert np.all(np.abs(got - ref) <= (gamma(N) + gamma(2 * N)) * (np.abs(M) @ np.abs(v)))

@@ -100,7 +100,7 @@ def test_djf_is_hermitian_eig_at_benchmark_scale(twin1024):
     for name in ("eigenvalues", "right", "left"):
         got = getattr(d, name)
         assert got.dtype == np.complex128
-        assert np.array_equal(got, getattr(h, name).astype(complex))
+        assert got is getattr(h, name)
     assert d.right is d.left
     assert np.all(d.eigenvalues.imag == 0.0)
     assert (d.retained, d.biorth_residual, d.hermitian) == (h.retained, h.biorth_residual, True)

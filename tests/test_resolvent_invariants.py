@@ -48,6 +48,7 @@ from fredkit.nystrom import RETAIN_RTOL
 
 from conftest import wfro
 from test_conventions import twin_kernel
+from test_dtype import spy_on_float_view
 from test_hermitian_route import RESID_RTOL, band_operator, spy_on
 
 U = np.finfo(float).eps / 2  # unit roundoff u
@@ -259,6 +260,31 @@ def test_no_eigvals_on_the_hermitian_route(monkeypatch, n):
             decompose(op)
         assert op.spectrum is op.family.eigenvalues is op.hermitian_family.eigenvalues
     assert calls == ["eigh", "eigh"]
+
+
+def test_real_rhs_is_solved_in_real_arithmetic(operators, monkeypatch):
+    """A real f at the real lambda = 0.9 on real Mehler: the LU is real and f
+    keeps its kind, so the solve, its refinement pass and the residual's
+    product take no float view, and p is float64.  p meets the backward
+    bound of the left identity above, ||p - lambda A p - f||_W <= N u ||M||
+    ||p||_W, and lies within twice the forward bound, 2 cond N u ||p||_W, of
+    the solve of the same f stored as complex, which takes the float view
+    and stays complex128."""
+    op, lam = operators[0], 0.9
+    n, nus = op.A.shape[0], mehler_nus(fredholm_det(lam)[1])
+    calls = spy_on_float_view(monkeypatch)
+    f = np.cos(op.rule.nodes)
+    p = fk.resolvent_solve(op, lam, f).solution
+    assert p.dtype == np.float64 and calls == []
+    pc = fk.resolvent_solve(op, lam, f.astype(complex)).solution
+    assert pc.dtype == np.complex128 and calls
+
+    def wnorm(v):
+        return math.sqrt(float(np.sum(op.w_rows * np.abs(v) ** 2)))
+
+    size = wnorm(p)
+    assert wnorm(p - lam * (op.A @ p) - f) <= n * U * system_norm(lam, nus) * size
+    assert wnorm(p - pc) <= 2 * cond(lam, nus) * n * U * size
 
 
 @pytest.mark.parametrize("j", range(6))
