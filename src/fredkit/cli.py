@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
-from .errors import FredkitError, InvalidArgumentError, _array_arg, _count_arg, _number_arg
+from .errors import (FredkitError, InvalidArgumentError, _array_arg, _count_arg, _number_arg,
+                     _tolerance_arg)
 from .serialize import (
     csv_text,
     decomposition_to_obj,
@@ -127,10 +128,11 @@ def _build(section, constructor, spec, **converters):
 # the library's checks, one per kind of field.  _rule_size also caps a lambda
 # grid (an LU a step); a vector's values are its constructor's to check
 _real = functools.partial(_number_arg, name="value", real=True)
+_tolerance = functools.partial(_tolerance_arg, name="value")
 _count = functools.partial(_count_arg, name="count")
 _positive_count = functools.partial(_count_arg, name="count", low=1)
 _rule_size = functools.partial(_count_arg, name="count", low=1, high=measure.MAX_RULE_SIZE)
-_vector = functools.partial(_array_arg, name="value", shape=(None,), dtype=float, finite=False)
+_vector = functools.partial(_array_arg, name="value", shape=(None,), real=True, finite=False)
 
 
 def build_rule(spec):
@@ -150,10 +152,7 @@ def build_rule(spec):
 
 
 def _poly(coeffs):
-    vals = [obj_to_complex(c) for c in coeffs]
-    if all(v.imag == 0 for v in vals):
-        vals = [v.real for v in vals]
-    return np.polynomial.Polynomial(vals)
+    return np.polynomial.Polynomial([nystrom._narrowed(obj_to_complex(c)) for c in coeffs])
 
 
 def build_kernel(spec, rule):
@@ -225,7 +224,7 @@ def _rhs(value):
 
 # command -> {param: (converter, default)}; _REQUIRED marks a required param
 PARAMS = {
-    "jordan": {"cluster_tol": (_real, 1e-7)},
+    "jordan": {"cluster_tol": (_tolerance, 1e-7)},
     "solve": {"lambda": (_lambda, _REQUIRED), "rhs": (_rhs, None)},
     "det": {"lambda": (_lambda, 0j), "lambda_grid": (_lambda_grid, None),
             "method": (_det_method, "direct")},

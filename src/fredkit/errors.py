@@ -61,13 +61,12 @@ def _tolerance_arg(value, name, below=None):
     return float(value)
 
 
-def _array_arg(value, name, shape=None, dtype=None, finite=True):
-    """value as a float64 (dtype float, or real entries) or complex128 array,
-    not copied when it is one, so a real sample vector stays real.
+def _array_arg(value, name, shape=None, real=False, finite=True):
+    """value as a float64 (real or integer entries) or complex128 array, not
+    copied when it is one, so a sample keeps its kind: a real one stays real.
     InvalidArgumentError unless value is an array or evenly nested sequence
-    of numbers (real ones for dtype float; a bool or a string is not one),
-    of `shape` (None: any length, or any shape) and, when finite, finite."""
-    real = dtype is float
+    of numbers (real ones when real; a bool or a string is not one), of
+    `shape` (None: any length, or any shape) and, when finite, finite."""
     try:
         array = np.asarray(value)
         if isinstance(value, (np.ndarray, np.generic)):
@@ -82,7 +81,7 @@ def _array_arg(value, name, shape=None, dtype=None, finite=True):
         ok = False
     if not ok:
         raise InvalidArgumentError(f"{name} is not an array of {'real ' if real else ''}numbers")
-    array = array.astype(dtype or (complex if array.dtype.kind == "c" else float), copy=False)
+    array = array.astype(complex if array.dtype.kind == "c" else float, copy=False)
     if shape is not None and (array.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, array.shape))):
         expected = str(tuple(shape)).replace("None", "any")

@@ -45,7 +45,8 @@ from .errors import (
     _array_arg, _count_arg, _number_arg, _tolerance_arg,
 )
 from .nystrom import (
-    DiscreteOperator, _apply_A, _matvec, _norm, _on_float_view, _operator_arg, _read_only,
+    DiscreteOperator, _apply_A, _matvec, _narrowed, _norm, _on_float_view, _operator_arg,
+    _read_only,
 )
 from .spectral import BiSpectralDecomposition, _decomposition, _decomposition_arg
 
@@ -124,10 +125,9 @@ def _system(op, lam):
     and K: real for a real lambda on a real operator.  The one expression
     every LU and every refinement residual builds, so a rebuilt system has
     the bits the factored one had."""
-    shift = lam.real if lam.imag == 0 else lam
     _order, Ke, we = _elimination(op)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = Ke * ((-shift) * we)
+        M = Ke * ((-_narrowed(lam)) * we)
         M.reshape(-1)[:: M.shape[0] + 1] += 1.0  # the diagonal
     return M
 
@@ -253,7 +253,7 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     f = _array_arg(f, "f", (op.K.shape[0],))
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = p - lam * _apply_A(op, p) - f
+        r = p - _narrowed(lam) * _apply_A(op, p) - f
         scale, residual = float(_norm(f)), float(_norm(r))
         if scale == np.inf:  # ||f|| past the float range: both norms at 2^-32 scale
             scale, residual = float(_norm(f * 2.0 ** -32)), float(_norm(r * 2.0 ** -32))

@@ -14,6 +14,7 @@ are refused with InvalidArgumentError naming n.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import (
     ClusteringError,
@@ -99,13 +100,7 @@ class JordanForm:
 
     def assemble_j(self, n=1):
         """Block-diagonal J^n (n = 1 gives J itself)."""
-        s = self.dim
-        J = np.zeros((s, s), dtype=complex)
-        i = 0
-        for lam, m in self.blocks:
-            J[i : i + m, i : i + m] = jordan_block_power(lam, m, n)
-            i += m
-        return J
+        return block_diag(*(jordan_block_power(lam, m, n) for lam, m in self.blocks))
 
 
 def _cluster_eigenvalues(eigs, delta):
@@ -135,7 +130,8 @@ def jordan_decompose(N, cluster_tol=1e-7):
 
     Parameters
     ----------
-    N : square complex matrix, dimension <= 64
+    N : square matrix, dimension <= 64, read as complex128: real LAPACK rounds
+        ties otherwise, and can list the blocks out of order (README)
     cluster_tol : float
         Relative linkage radius for grouping computed eigenvalues; clusters
         must then stay separated by more than 10x this radius.  Perturbed
@@ -162,7 +158,7 @@ def jordan_decompose(N, cluster_tol=1e-7):
         ||N - lambda I||^k the rank staircase needs overflows.
     """
     cluster_tol = _tolerance_arg(cluster_tol, "cluster_tol")
-    N = _array_arg(N, "N", (None, None), dtype=complex)
+    N = _array_arg(N, "N", (None, None)).astype(complex, copy=False)
     if N.shape[0] != N.shape[1]:
         raise InvalidArgumentError(f"N has shape {N.shape}, need a square matrix")
     if N.shape[0] > DESK_DIM_LIMIT:
@@ -390,9 +386,4 @@ def lift_to_kernel(blocks, basis, rule):
         raise InvalidArgumentError(
             f"basis length {len(basis)} must equal the total block size {total}"
         )
-    J = np.zeros((total, total), dtype=complex)
-    i = 0
-    for lam, m in blocks:
-        J[i : i + m, i : i + m] = jordan_block(lam, m)
-        i += m
-    return basis_kernel(J, basis, rule)
+    return basis_kernel(block_diag(*(jordan_block(lam, m) for lam, m in blocks)), basis, rule)

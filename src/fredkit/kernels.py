@@ -52,7 +52,7 @@ def hermite_he(j, x):
     Recurrence: He_{j+1}(x) = x He_j(x) - j He_{j-1}(x), He_0 = 1, He_1 = x.
     """
     j = _count_arg(j, "degree")
-    x = _array_arg(x, "x", dtype=float, finite=False)
+    x = _array_arg(x, "x", real=True, finite=False)
     h_prev = np.ones_like(x)
     if j == 0:
         return h_prev

@@ -45,8 +45,8 @@ class QuadratureRule:
     interval: tuple = None
 
     def __post_init__(self):
-        nodes = _array_arg(self.nodes, "nodes", (None,), dtype=float)
-        weights = _array_arg(self.weights, "weights", nodes.shape, dtype=float)
+        nodes = _array_arg(self.nodes, "nodes", (None,), real=True)
+        weights = _array_arg(self.weights, "weights", nodes.shape, real=True)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         _count_arg(nodes.size, "rule size", 1, MAX_RULE_SIZE)
@@ -200,8 +200,8 @@ def discrete_measure(points, weights):
     Points may arrive in any order; they are sorted (weights carried along)
     and must be pairwise distinct with positive weights.
     """
-    points = _array_arg(points, "points", (None,), dtype=float)
-    weights = _array_arg(weights, "weights", points.shape, dtype=float)
+    points = _array_arg(points, "points", (None,), real=True)
+    weights = _array_arg(weights, "weights", points.shape, real=True)
     order = np.argsort(points)
     points = points[order]
     weights = weights[order]

@@ -77,9 +77,9 @@ class DiscreteOperator:
     An operator is built from (rule, shape, K) and stores K only.  The
     dtype follows the kernel: a complex K whose imaginary part is exactly
     zero is stored as its float64 real part, and A and B follow K, so a
-    real kernel, and a real sample vector with it, gets real arrays, products
-    and LAPACK calls.  Complex by contract are the spectrum, the general
-    family's pairs, Jordan forms and power iteration.  K is read-only, so
+    real kernel, and a real sample vector or power-iteration start with it,
+    gets real arrays, products and LAPACK calls.  Complex by contract are the
+    spectrum, the general family's pairs and Jordan forms.  K is read-only, so
     nothing cached from it (on first read, read-only) can go stale: A, B, the
     Hermitian defect, the families, and fredholm's elimination order and LU.
 
@@ -505,10 +505,17 @@ def _apply_A(op, X):
 
 
 def _winner(w, U, V):
-    """<u, v>_W for vectors, else per column pair; each sum runs along a
-    contiguous row, so a column pair rounds exactly as the lone vectors do."""
+    """<u, v>_W for vectors, in their kind, else per column pair; each sum runs
+    along a contiguous row, so a column pair rounds exactly as the lone vectors do."""
     g = np.sum(np.ascontiguousarray(w * np.conj(U.T) * V.T), axis=-1)
-    return complex(g) if U.ndim == 1 else g
+    return g.item() if U.ndim == 1 else g
+
+
+def _narrowed(z):
+    """z.real when the scalar z has an exactly zero imaginary part, else z: the
+    one rule by which a complex scalar is used as a real one, keeping real
+    samples real (numpy promotes it back to z.real + 0j against complex ones)."""
+    return z.real if z.imag == 0 else z
 
 
 def _wnorm(w, U):

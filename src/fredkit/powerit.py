@@ -12,6 +12,10 @@ power of two and then to unit weighted norm (_start), an iterate has
 collapsed when its image A h, before any division, has weighted norm at
 most 1e-14 ||A||_F (_collapse_test), and weighted norms that would overflow are
 taken after an exact power-of-two scaling (nystrom._no_overflow).
+
+Power iteration follows the kernel: a real start on a real operator runs in
+real products (real ratios, float64 iterates, pairs and deflated K), and a
+complex start, or any start on a complex operator, in complex128 (_unit_scaled).
 """
 import warnings
 from dataclasses import dataclass, field
@@ -33,6 +37,7 @@ from .nystrom import (
     _anchor_phase,
     _apply_A,
     _apply_adjoint,
+    _narrowed,
     _norm,
     _operator_arg,
     _pow2_scale,
@@ -45,19 +50,19 @@ from .spectral import djf_eig
 COLLAPSE_RTOL = 1e-14
 
 
-def _unit_scaled(f, name, size):
-    """f, checked, as complex128 (as every iterate), times the power of two
-    that brings its largest entry into [1/2, 1).  A starting vector or probe
-    is scale-free, and the scaling is exact: f's squared entries cannot
-    overflow, while f / ||f||_W and every ratio against a probe keep their bits."""
-    f = _array_arg(f, name, (size,), dtype=complex)
-    return f * _pow2_scale(f)
+def _unit_scaled(op, f, name):
+    """f, checked, in the kind of f and op.K together, as every iterate, times
+    the power of two that brings its largest entry into [1/2, 1).  A starting
+    vector or probe is scale-free, and the scaling is exact: f's squared entries
+    cannot overflow, while f / ||f||_W and every ratio against a probe keep their bits."""
+    f = _array_arg(f, name, (op.K.shape[0],))
+    return f.astype(np.result_type(f, op.K), copy=False) * _pow2_scale(f)
 
 
-def _start(w, f, name):
+def _start(op, f, name):
     """f, checked, _unit_scaled and of unit W-norm; StartingVectorError if zero."""
-    f = _unit_scaled(f, name, w.size)
-    nf = _wnorm(w, f)
+    f = _unit_scaled(op, f, name)
+    nf = _wnorm(op.w_rows, f)
     if nf == 0.0:
         raise StartingVectorError(f"starting vector {name} is zero")
     return f / nf
@@ -88,6 +93,8 @@ class PowerTrace:
     n-th iterate is iterates[n-1] times the product of scales[:n].
     ratios[k] approximates nu_1 (= 1/lambda_1); pointwise_ratios mirrors
     them at the node where the previous iterate is largest in modulus.
+    For a real operator and a real start (and probe) the iterates are
+    float64 and the ratios and estimate real; otherwise they are complex.
     """
 
     iterates: list
@@ -114,8 +121,8 @@ def power_ratio_estimate(op: DiscreteOperator, f, n_max: int, tol: float, probe=
     n_max = _count_arg(n_max, "n_max", 1)
     tol = _tolerance_arg(tol, "tol")
     w = op.w_rows
-    h = _start(w, f, "f")
-    g = _unit_scaled(probe, "probe", w.size) if probe is not None else h.copy()
+    h = _start(op, f, "f")
+    g = _unit_scaled(op, probe, "probe") if probe is not None else h.copy()
     collapse_test = _collapse_test(op)
     iterates, scales, ratios, pointwise = [], [], [], []
     converged = False
@@ -201,16 +208,15 @@ def extract_leading_pair(op: DiscreteOperator, nu1, f, g, n: int, resid_rtol=1e-
         handles that structure.
     """
     _operator_arg(op)._require_square("power iteration")
-    nu1 = _number_arg(nu1, "nu1")
+    nu1 = _narrowed(_number_arg(nu1, "nu1"))
     if nu1 == 0:
         raise InvalidArgumentError("nu1 must be nonzero")
     n = _count_arg(n, "iterations", 1)
     resid_rtol = _tolerance_arg(resid_rtol, "resid_rtol")
     w = op.w_rows
-    p, q = _start(w, f, "f"), _start(w, g, "g")
+    p, q = _start(op, f, "f"), _start(op, g, "g")
     collapse_test = _collapse_test(op)
     target = resid_rtol * abs(nu1)
-    res_p = res_q = np.inf
     for _ in range(n):
         yp = _apply_A(op, p) / nu1
         yq = _apply_adjoint(op, q) / np.conj(nu1)
@@ -256,9 +262,9 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     op = target
     op._require_square("deflation")
     try:
-        nu1 = _number_arg(nu1, "nu1")
-        p1 = _array_arg(p1, "p1", (op.K.shape[0],), dtype=complex)
-        q1 = _array_arg(q1, "q1", (op.K.shape[0],), dtype=complex)
+        nu1 = _narrowed(_number_arg(nu1, "nu1"))
+        p1 = _array_arg(p1, "p1", (op.K.shape[0],))
+        q1 = _array_arg(q1, "q1", (op.K.shape[0],))
     except InvalidArgumentError as exc:
         raise PreconditionViolationError(f"deflation needs a finite pair: {exc}") from None
     pairing = _winner(op.w_rows, q1, p1)
@@ -267,12 +273,7 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
             f"pair is not bi-orthonormalized: <q1, p1>_W = {pairing:.12g}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        if op.K.dtype.kind == "f" and not (nu1.imag or p1.imag.any() or q1.imag.any()):
-            # a real pair keeps a real operator's update real: the real part of
-            # the complex one, whose imaginary part the constructor would drop
-            K1 = op.K - nu1.real * np.outer(p1.real, q1.real)
-        else:
-            K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
+        K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
     if not np.isfinite(K1).all():
         raise InvalidArgumentError(
             f"deflating by nu1={nu1:.6g} overflows: the updated kernel samples are not finite")

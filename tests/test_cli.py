@@ -445,6 +445,8 @@ MALFORMED = [
     ("powerit-tol-true", {"command": "powerit", "params": {"tol": True}}, 1, "params.tol:"),
     ("jordan-cluster-tol-text", {"command": "jordan", "params": {"cluster_tol": "1e-4"}},
      1, "params.cluster_tol:"),
+    ("jordan-cluster-tol-negative", {"command": "jordan", "params": {"cluster_tol": -1e-4}},
+     1, "params.cluster_tol:"),
     ("powerit-k-true", {"command": "powerit", "params": {"k": True}}, 1, "params.k:"),
     ("inline-nodes-numeric-text", {"measure": {"nodes": ["0", "1"], "weights": [0.5, 0.5]}},
      1, "measure.nodes:"),

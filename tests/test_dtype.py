@@ -461,6 +461,44 @@ def spy_on_float_view(monkeypatch):
     return calls
 
 
+class TestRealPowerIteration:
+    """Power iteration follows the kernel: a real start on a real operator
+    runs in real products, with no float view, and gives float64 iterates,
+    pairs and deflated samples, and real estimates; a complex start there
+    still takes the float view and stays complex.  On a complex operator a
+    real start is read as complex, so it gives the complex start's bits."""
+
+    def runs(self, op, f):
+        trace = fk.power_ratio_estimate(op, f, 60, 1e-12)
+        p, q = fk.extract_leading_pair(op, trace.estimate, f, f, 400, 1e-8)
+        d = fk.djf_eig(op)  # complex eigenvalues, a real one narrowed by deflate
+        deflated = fk.deflate(op, d.eigenvalues[0], d.right[:, 0], d.left[:, 0])
+        return trace, p, q, deflated, fk.sequential_spectrum(op, 2, 400, 1e-10)
+
+    def test_real_start_on_a_real_operator(self, gh64_pair, monkeypatch):
+        op = gh64_pair[0]
+        f = np.cos(op.rule.nodes)
+        views = spy_on_float_view(monkeypatch)
+        trace, p, q, deflated, res = self.runs(op, f)
+        assert views == []
+        assert all(h.dtype == np.float64 for h in trace.iterates)
+        assert all(isinstance(r, float) for r in [trace.estimate, *trace.ratios])
+        assert p.dtype == q.dtype == deflated.K.dtype == np.float64
+        assert all(isinstance(nu, float) and p.dtype == q.dtype == np.float64 for nu, p, q in res)
+        trace_c, p_c, _q_c, _deflated, _res = self.runs(op, f.astype(complex))
+        assert views and trace_c.iterates[-1].dtype == p_c.dtype == np.complex128
+        assert abs(trace_c.estimate - trace.estimate) <= 1e-12 * abs(trace.estimate)
+
+    def test_real_start_on_a_complex_operator(self, gh64_pair):
+        op = gh64_pair[1]
+        f = np.cos(op.rule.nodes)
+        trace, p, q, _deflated, _res = self.runs(op, f)
+        trace_c, p_c, q_c, _deflated, _res = self.runs(op, f.astype(complex))
+        assert trace.ratios == trace_c.ratios and trace.scales == trace_c.scales
+        assert all(np.array_equal(h, h_c) for h, h_c in zip(trace.iterates, trace_c.iterates))
+        assert np.array_equal(p, p_c) and np.array_equal(q, q_c)
+
+
 class TestRealSamples:
     """A sample vector keeps its kind (errors._array_arg): a real f meets a
     real operator in real products, takes no float view and gives a float64

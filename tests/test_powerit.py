@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 import warnings
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import powerit
 from fredkit.errors import (
     ConvergenceError,
     PreconditionViolationError,
     StartingVectorError,
     UnsupportedProfileError,
 )
+
+from test_dtype import gamma, spy_on_float_view
 
 
 class TestPowerRatioEstimate:
@@ -287,3 +291,91 @@ class TestSequentialSpectrum:
         res = fk.sequential_spectrum(two_term_op, 2, 200, 1e-12)
         assert len(res.traces) == 2
         assert all(t.converged for t in res.traces)
+
+
+class TestBenchmarkScale:
+    """sequential_spectrum(op, 3, 400, 1e-10) on the benchmark's block shape:
+    a real 2 x 2 block operator on Gauss-Hermite 256 (N = 512) whose block at
+    each node pair is S diag(M_0.6, 0.8 M_-0.5) S^-1, so its top eigenvalues
+    are 1, 0.8 and 0.6.  K is built from Mehler samples with numpy, not by a
+    point-pair sampling loop."""
+
+    S = np.array([[1.8, 0.4], [-0.3, 1.2]])
+
+    @pytest.fixture(scope="class")
+    def block_op(self):
+        rule = fk.gauss_hermite_prob(256)
+        M = np.stack([fk.discretize(fk.mehler_kernel(0.6), rule).K,
+                      0.8 * fk.discretize(fk.mehler_kernel(-0.5), rule).K])
+        K = np.einsum("ak,kij,kb->iajb", self.S, M, np.linalg.inv(self.S)).reshape(512, 512)
+        return fk.DiscreteOperator(rule=rule, shape=(2, 2), K=K)
+
+    @staticmethod
+    def run(monkeypatch, op, complex_start):
+        """(result, operator applications): sequential_spectrum with each
+        stage's starting vector as drawn, or cast to complex128."""
+        counts = collections.Counter()
+        with monkeypatch.context() as m:
+            for name in ("_apply_A", "_apply_adjoint"):
+                def counted(o, x, _apply=getattr(powerit, name), _name=name):
+                    counts[_name] += 1
+                    return _apply(o, x)
+                m.setattr(powerit, name, counted)
+            if complex_start:
+                m.setattr(powerit, "power_ratio_estimate",
+                          lambda o, f, *args: fk.power_ratio_estimate(o, f.astype(complex), *args))
+            res = fk.sequential_spectrum(op, 3, 400, 1e-10)
+        return res, counts
+
+    def test_real_triples_and_invariants(self, monkeypatch, block_op):
+        views = spy_on_float_view(monkeypatch)
+        res, applications = self.run(monkeypatch, block_op, complex_start=False)
+        assert views == [] and res.stages_completed == 3
+        for nu, p, q in res:
+            assert isinstance(nu, float) and p.dtype == q.dtype == np.float64
+        assert np.max(np.abs(np.array(res.eigenvalues) - [1.0, 0.8, 0.6])) <= 1e-8
+        w = block_op.w_rows
+        P = np.column_stack([p for _, p, _ in res])
+        Q = np.column_stack([q for _, _, q in res])
+        assert np.max(np.abs(Q.T @ (w[:, None] * P) - np.eye(3))) <= 1e-8
+
+        ref, ref_applications = self.run(monkeypatch, block_op, complex_start=True)
+        assert views and all(p.dtype == np.complex128 for _, p, _ in ref)
+        # The same applications in both runs, so they differ by rounding only.
+        # One product K (w h), in real arithmetic or on the float view, lies
+        # within gamma(2N) |K| (w |h|) of the exact one, so the two runs' images
+        # of a pair's p_j differ by at most e relative, in the W-norm.  To first
+        # order the differences of T applications add up, grown at most by the
+        # eigenbasis' condition cond(S) (A is, node by node, a similarity by S
+        # of a W-self-adjoint operator) and, through each deflation, by one
+        # over the smallest relative gap, 0.2 between 1 and 0.8.
+        assert [len(t.ratios) for t in ref.traces] == [len(t.ratios) for t in res.traces]
+        assert ref_applications == applications
+        K, n = block_op.K, block_op.K.shape[0]
+
+        def wnorm(x):
+            return np.sqrt(np.sum(w * np.abs(x) ** 2))
+
+        e = 2 * gamma(2 * n) * max(wnorm(np.abs(K) @ (w * np.abs(p))) / abs(nu) for nu, p, _ in res)
+        bound = np.linalg.cond(self.S) * sum(applications.values()) * e / 0.2
+        assert bound < 1e-8  # finer than the checks above
+        for (nu, p, q), (nu_c, p_c, q_c) in zip(res, ref):
+            assert wnorm(p - p_c) <= bound and wnorm(q - q_c) <= bound * wnorm(q)
+            assert abs(nu - nu_c) <= abs(nu) * (1 + wnorm(q)) * bound
+
+    def test_complex_operator_keeps_its_bits(self, monkeypatch, block_op):
+        """The twin's shape, e^{iay} K e^{-iaz} node by node: a real start is
+        read as complex on a complex operator, so every triple and trace has
+        the bits of the complex start's run."""
+        D = np.repeat(np.exp(0.8j * block_op.rule.nodes), 2)
+        twin = fk.DiscreteOperator(rule=block_op.rule, shape=(2, 2),
+                                   K=D[:, None] * block_op.K * np.conj(D))
+        res, applications = self.run(monkeypatch, twin, complex_start=False)
+        ref, ref_applications = self.run(monkeypatch, twin, complex_start=True)
+        assert res.stages_completed == ref.stages_completed == 3
+        assert applications == ref_applications
+        for (nu, p, q), (nu_c, p_c, q_c) in zip(res, ref):
+            assert nu == nu_c and np.array_equal(p, p_c) and np.array_equal(q, q_c)
+        for t, t_c in zip(res.traces, ref.traces):
+            assert t.ratios == t_c.ratios and t.scales == t_c.scales
+            assert all(np.array_equal(h, h_c) for h, h_c in zip(t.iterates, t_c.iterates))
