@@ -46,9 +46,9 @@ from .errors import (
 )
 from .nystrom import (
     DiscreteOperator, _apply_A, _matvec, _narrowed, _norm, _on_float_view, _operator_arg,
-    _read_only,
+    _read_only, _weighted_products,
 )
-from .spectral import BiSpectralDecomposition, _decomposition, _decomposition_arg
+from .spectral import BiSpectralDecomposition, _decomposition_arg, _unrefused
 
 # relative pole distances below which lambda is refused (_guard_pole)
 GAP_RTOL = 1e-8           # direct solves and resolvent kernels
@@ -307,7 +307,7 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     lambdas = _series_lambdas(d, k, lam)
     proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
     s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
-    return f + lam * _apply_A(d.operator, s)
+    return f + lam * _weighted_products(d.K, d.weights, s)
 
 
 def _det_direct(op, lam):
@@ -415,7 +415,7 @@ def first_kind_solve(op: DiscreteOperator, lambda_j, tol):
     """
     lam = _number_arg(lambda_j, "lambda_j")
     tol = _tolerance_arg(tol, "tol")
-    d = _decomposition(op, _operator_arg(op).family)
+    d = _unrefused(_operator_arg(op).family)
     near = np.flatnonzero(np.abs(1.0 / d.eigenvalues[: d.retained] - lam) <= tol)
     if not near.size:
         raise NoSolutionError(

@@ -325,13 +325,15 @@ def separable_kernel(coeffs, rights, lefts, shape=(1, 1)):
 def basis_kernel(coeff_matrix, basis, rule, gram_tol=1e-10):
     """Scalar kernel N(y,z) = sum_ab C[a,b] e_a(y) e_b(z)^* on a checked basis.
 
-    The basis functions must be orthonormal under `rule` to `gram_tol`, a
-    finite number >= 0; the operator then acts on span{e_a} exactly as the
-    matrix C.
+    The basis, one function or more, must be orthonormal under `rule` to
+    `gram_tol`, a finite number >= 0; the operator then acts on span{e_a}
+    exactly as the matrix C.
     """
     gram_tol = _tolerance_arg(gram_tol, "gram_tol")
     basis, rule = _callables_arg(basis, "basis"), _rule_arg(rule)
     m = len(basis)
+    if not m:
+        raise InvalidArgumentError("basis is empty: a basis kernel needs one function or more")
     C = _array_arg(coeff_matrix, "coeff_matrix", (m, m))
     E = np.column_stack([_node_values(e, rule.nodes, 1) for e in basis])
     gram = E.conj().T @ (rule.weights[:, None] * E)

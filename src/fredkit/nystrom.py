@@ -7,8 +7,8 @@ K (w x) (_apply_A).  The symmetrized form B = W^{1/2} K W^{1/2}, which
 shares A's eigenvalues and turns weighted orthonormality of eigenfunction
 samples into Euclidean orthonormality, is formed by one helper (_form_B)
 for the one reader that needs it, which may overwrite it.
-B's Hermitian defect and one eigen-family record (_EigenFamily) per
-operator are computed once, on first use; DiscreteOperator.family is the
+B's Hermitian defect and one eigen-family record (BiSpectralDecomposition)
+per operator are computed once, on first use; DiscreteOperator.family is the
 one dispatch: hermitian_family (one eigh of B's Hermitian part) when
 hermitian_to_roundoff(), the one gate of every Hermitian shortcut, holds,
 else general_family (one sorted Schur form of B).
@@ -56,6 +56,12 @@ DEGENERATE_RTOL = 1e-9    # eigenvalues this close (relative) share an eigenspac
 REFINE_RTOL = 1e-5        # Nystrom pass only above this (times max ||q_j||_W in
                           # djf_eig): it injects eps*||A||*||q_j||_W/|nu| noise,
                           # which must stay below the orthonormality budget
+# _no_overflow keeps a norm at or above this as it is.  A norm of m entries
+# (or of weights summing to m, for _wnorm) is at most sqrt(m) max|x|, so for
+# m <= 2^22 (N x N, N <= 2048) it has max|x| >= 2^-511, whose square is
+# normal, and the squares that underflow move it by at most
+# m 2^-1075 / 2^-1000 <= u relative
+NORM_FLOOR = 2.0 ** -500
 ITERATE_SLAB = 256        # rows of X W that iterated_kernel's squares form at a time
 
 
@@ -72,7 +78,8 @@ class DiscreteOperator:
         and --dump-operator; its own products with A are K (w x))
     B : W^{1/2}-symmetrized samples, formed on first read for callers;
         fredkit's own readers form a transient B each (_form_B)
-    family : the one eigen-family (_EigenFamily); spectrum : its eigenvalues
+    family : the one eigen-family (BiSpectralDecomposition); spectrum : its
+        eigenvalues
 
     An operator is built from (rule, shape, K) and stores K only.  The
     dtype follows the kernel: a complex K whose imaginary part is exactly
@@ -179,7 +186,7 @@ class DiscreteOperator:
     @cached_property
     def hermitian_family(self):
         """The W-orthonormal family (left is right) of B's Hermitian part,
-        built once; hermitian_eig wraps it.  eigh's values, held as complex,
+        built once; hermitian_eig returns it.  eigh's values, held as complex,
         and its vectors' node samples v / sqrt(w) in B's dtype: one Nystrom
         pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL |nu_1|,
         then each gets unit W-norm and a real-positive anchor.  Raises as
@@ -196,13 +203,14 @@ class DiscreteOperator:
             P[:, sel] = _apply_A(self, P[:, sel]) / nu[sel]
         P *= _unit_anchored(w, P)
         P = _read_only(P)
-        return _EigenFamily(_read_only(nu.astype(complex)), P, P, retained,
-                            _biorth_residual(w, P, P, retained), hermitian=True)
+        return BiSpectralDecomposition(_read_only(nu.astype(complex)), P, P,
+                                       _biorth_residual(w, P, P, retained), hermitian=True,
+                                       retained=retained, weights=w, K=self.K)
 
     @cached_property
     def general_family(self):
         """The bi-orthogonal family of B off the Hermitian route, built once;
-        djf_eig wraps it.  One Schur form B = Z T Z^H in B's dtype, reordered
+        djf_eig returns it.  One Schur form B = Z T Z^H in B's dtype, reordered
         by LAPACK's trsen so that the m eigenvalues outside the retained cut
         come first (T = [[T11, T12], [0, T22]], T22 r x r, Z = [Q_t, Q_perp];
         Golub & Van Loan, Matrix Computations, 4th ed., sec. 7.6; Bai &
@@ -217,20 +225,33 @@ class DiscreteOperator:
 
 
 @dataclass(frozen=True)
-class _EigenFamily:
-    """One operator's eigen-family, read-only: eigenvalues (complex, in
-    _family_order: the spectrum, the retained cut's `retained` first), the
-    node samples right (p_j) and left (q_j; left is right when hermitian),
-    None when refusal holds a DefectiveSuspectedError's message, and
-    biorth_residual, max |<q_j, p_k>_W - delta_jk| over the retained pairs.
-    It never holds its operator, so a dropped operator needs no collector."""
+class BiSpectralDecomposition:
+    """Eigenvalues with right/left eigenvector node samples: one operator's
+    eigen-family, built once (DiscreteOperator.family) and read-only.
+
+    Eigenvalues are complex, sorted by descending modulus, ties by
+    descending phase in (-pi, pi], with the `retained` pairs first
+    (_family_order).  Right vectors p_j have unit weighted norm with a
+    real-positive anchor entry; left vectors q_j are fixed by
+    bi-orthogonality <q_j, p_k>_W = delta_jk, and biorth_residual is
+    max |<q_j, p_k>_W - delta_jk| over the retained pairs.  Pairs with
+    |nu_j| <= 1e-12 |nu_1| are reported but not scored.  ``hermitian`` is
+    True exactly when the pairs come from the eigh of B's Hermitian part
+    (left is right).  weights are the operator's w_rows and K its samples,
+    for the Nystrom step of second_kind_solve_series.  right, left and
+    biorth_residual are None when refusal holds a DefectiveSuspectedError's
+    message.  It never holds its operator, so a dropped operator needs no
+    collector.
+    """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    retained: int
     biorth_residual: float
     hermitian: bool
+    retained: int
+    weights: np.ndarray
+    K: np.ndarray
     refusal: str = None
 
 
@@ -316,20 +337,22 @@ def _general_family(op):
 
     nu = _read_only(nu)
 
-    def refused(message):
-        return _EigenFamily(nu, None, None, r, None, hermitian=False, refusal=message)
+    def family(P=None, Q=None, resid=None, refusal=None):
+        return BiSpectralDecomposition(nu, P, Q, resid, hermitian=False, retained=r, weights=w,
+                                       K=op.K, refusal=refusal)
 
     if not kappa * n * UNIT <= 1e-8:
-        return refused(f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / (n u) = "
-                       f"{1e-8 / (n * UNIT):.3e}; the operator looks defective -- "
-                       "use the jordan module")
+        return family(refusal=f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / "
+                              f"(n u) = {1e-8 / (n * UNIT):.3e}; the operator looks "
+                              "defective -- use the jordan module")
     top = np.abs(nu[0]) if n else 0.0
     APr = _apply_A(op, Pr)
     resid = _wnorm(w, APr - Pr * nu[:r])  # ||B v - nu v|| / ||v||, since ||p||_W = 1
     bad = np.flatnonzero(resid > 1e-9 * top)
     if bad.size:
-        return refused(f"eigen-residual {resid[bad[0]]:.3e} for nu={nu[bad[0]]:.6g} exceeds "
-                       "1e-9 |nu_1|; the eigenspace is deficient -- use the jordan module")
+        return family(refusal=f"eigen-residual {resid[bad[0]]:.3e} for nu={nu[bad[0]]:.6g} "
+                              "exceeds 1e-9 |nu_1|; the eigenspace is deficient -- use the "
+                              "jordan module")
     P = np.empty((n, n), dtype=complex)
     P[:, :r], P[:, r:] = Pr, Qt / sqw
     Q = (U / sqw).astype(complex, copy=False)
@@ -344,9 +367,9 @@ def _general_family(op):
     P[:, sel], Q[:, sel] = Ps, Qs
     resid = _biorth_residual(w, P, Q, r)
     if resid > 1e-8:
-        return refused(f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the operator "
-                       "looks defective -- use the jordan module")
-    return _EigenFamily(nu, _read_only(P), _read_only(Q), r, resid, hermitian=False)
+        return family(refusal=f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the "
+                              "operator looks defective -- use the jordan module")
+    return family(_read_only(P), _read_only(Q), resid)
 
 
 def _schur_moduli(T):
@@ -406,30 +429,18 @@ def _pow2_scale(X):
 
 
 def _no_overflow(norm, X):
-    """norm(X) without overflow or underflow on the way: the norms that
-    overflow are recomputed on X * _pow2_scale(X) and scaled back, and so are
-    all of them when the square of X's largest entry is below the normal
-    range (max |X| < 2^-511), so the norms of every other array keep their
-    bits."""
-    s = _pow2_scale(X) if _largest_part(X) < 2.0 ** -511 else 1.0
-    if s >= 2.0 ** 511:
-        return norm(X * s) / s
+    """norm(X) without overflow or underflow on the way: when X's largest
+    entry is below 1/2 the norms below NORM_FLOOR, and when it is 1 or more
+    those that overflow, are recomputed on X * _pow2_scale(X) and scaled
+    back; scaling down would push a small norm's squares further below the
+    normal range.  The others are norm(X) itself."""
     with np.errstate(over="ignore"):
         nrm = norm(X)
-    if np.isfinite(nrm).all():
+    if ((nrm >= NORM_FLOOR) & (nrm < np.inf)).all():
         return nrm
     s = _pow2_scale(X)
-    return np.where(np.isfinite(nrm), nrm, norm(X * s) / s)
-
-
-def _largest_part(X):
-    """The largest |Re x| or |Im x| over X's entries, at least max |X| /
-    sqrt(2), read in place (np.abs(X) would be an array-sized temporary)."""
-    if X.dtype.kind == "c":
-        parts = (X.view(float),) if X.flags.c_contiguous else (X.real, X.imag)
-    else:
-        parts = (X,)
-    return max(max(float(p.max(initial=0.0)), -float(p.min(initial=0.0))) for p in parts)
+    redo = nrm < NORM_FLOOR if s > 1.0 else nrm == np.inf
+    return np.where(redo, norm(X * s) / s, nrm) if redo.any() else nrm
 
 
 def _norm(X):

@@ -15,7 +15,7 @@ floor N eps |nu_1| (nystrom._roundoff_floor) counts as 0 and sign(0) = +1.
 When no resolved nu_j is negative, as on a positive semi-definite kernel,
 right is left: one array.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class OperatorSVD:
     p_j node samples column-wise, right the q_j samples, both families
     weighted-orthonormal and read-only; right may be left itself (see the
     module docstring).  rank_numerical counts theta_j > 1e-12 * theta_1.
+    w_rows and w_cols are the operator's read-only weights; the SVD never
+    holds its operator.
     """
 
     singular_values: np.ndarray
@@ -39,15 +41,8 @@ class OperatorSVD:
     right: np.ndarray
     shape: tuple
     rank_numerical: int
-    operator: DiscreteOperator
-
-    @property
-    def w_rows(self):
-        return self.operator.w_rows
-
-    @property
-    def w_cols(self):
-        return self.operator.w_cols
+    w_rows: np.ndarray
+    w_cols: np.ndarray
 
 
 def _svd_arg(svd):
@@ -87,7 +82,8 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         right=_read_only(Q),
         shape=op.shape,
         rank_numerical=_retained_count(s),
-        operator=op,
+        w_rows=op.w_rows,
+        w_cols=op.w_cols,
     )
 
 
@@ -163,12 +159,11 @@ def svd_truncate(svd: OperatorSVD, M: int):
     M = _count_arg(M, "kept count", 1, _svd_arg(svd).rank_numerical)
     tail = float(svd.singular_values[M]) if M < svd.singular_values.size else 0.0
     left = _read_only(svd.left[:, :M].copy())
-    trunc = OperatorSVD(
+    trunc = replace(
+        svd,
         singular_values=svd.singular_values[:M].copy(),
         left=left,
         right=left if svd.right is svd.left else _read_only(svd.right[:, :M].copy()),
-        shape=svd.shape,
         rank_numerical=M,
-        operator=svd.operator,
     )
     return trunc, tail

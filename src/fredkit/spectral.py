@@ -6,15 +6,16 @@
   eigenfunction families with <q_j, p_k>_W = delta_jk.  It refuses by one
   rule, on the condition of the eigenvector matrix: kappa n u <= 1e-8.
 
-Both wrap, through one constructor (_decomposition), the one eigen-family
-each operator builds once from B = W^{1/2} K W^{1/2} (nystrom._EigenFamily):
-sorted with the retained pairs first, polished by one Nystrom pass
-(p <- A p / nu = K (w p) / nu) where its rounding fits the budget, which
-leaves the samples at the smallest weights of a wide rule unresolved
+Both return, as it is, the one eigen-family each operator builds once from
+B = W^{1/2} K W^{1/2} and caches (BiSpectralDecomposition, defined in
+nystrom): sorted with the retained pairs first, polished by one Nystrom
+pass (p <- A p / nu = K (w p) / nu) where its rounding fits the budget,
+which leaves the samples at the smallest weights of a wide rule unresolved
 (ROADMAP item 2), and anchored.  djf_eig reads DiscreteOperator.family:
 hermitian_family when B is Hermitian to roundoff, else general_family, from
-one sorted Schur form of B in its dtype.  A decomposition holds its family's
-own read-only arrays, real vectors only for a real B on the Hermitian route.
+one sorted Schur form of B in its dtype.  Its arrays are read-only, real
+vectors only for a real B on the Hermitian route, and it holds the
+operator's weights and samples, never the operator.
 """
 from dataclasses import dataclass
 
@@ -26,35 +27,11 @@ from .errors import (
     WrongDecompositionError,
     _count_arg, _instance_arg, _tolerance_arg,
 )
-from .nystrom import DiscreteOperator, _finite_power, _operator_arg, _wnorm
+from .nystrom import (BiSpectralDecomposition, DiscreteOperator, _finite_power, _operator_arg,
+                      _wnorm)
 
 HERMITIAN_RTOL = 1e-10    # hermitian_eig's refusal only: its caller asks for B's
                           # Hermitian part, which may be further than n u from B
-
-
-@dataclass(frozen=True)
-class BiSpectralDecomposition:
-    """Eigenvalues with right/left eigenvector node samples.
-
-    Eigenvalues are sorted by descending modulus, ties by descending phase
-    in (-pi, pi].  Right vectors have unit weighted norm with a
-    real-positive anchor entry; left vectors are fixed by bi-orthogonality
-    <q_j, p_k>_W = delta_jk.  Pairs with |nu_j| <= 1e-12 |nu_1| are
-    reported but not scored.  ``hermitian`` is True exactly when the pairs
-    come from the eigh of B's Hermitian part (right is left).
-    """
-
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    biorth_residual: float
-    hermitian: bool
-    retained: int
-    operator: DiscreteOperator
-
-    @property
-    def weights(self):
-        return self.operator.w_rows
 
 
 def _decomposition_arg(d):
@@ -91,7 +68,8 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Spectral decomposition of a Hermitian kernel's discretization.
 
     Eigenvalues are real; the one W-orthonormal eigenvector family serves
-    as right and left family: DiscreteOperator.hermitian_family's arrays.
+    as right and left family: it returns DiscreteOperator.hermitian_family
+    itself.
 
     Raises WrongDecompositionError if B departs from Hermitian symmetry by
     more than 1e-10 relative; use djf_eig for non-Hermitian kernels.
@@ -102,7 +80,7 @@ def hermitian_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         raise WrongDecompositionError(
             f"kernel is not Hermitian (relative defect {defect:.3e}); use djf_eig"
         )
-    return _decomposition(op, op.hermitian_family)
+    return _unrefused(op.hermitian_family)
 
 
 def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
@@ -110,9 +88,9 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
 
     The left family is the inverse-adjoint of the right one, so
     <q_j, p_k>_W = delta_jk holds globally; right vectors have unit weighted
-    norm and a real-positive anchor entry.  It wraps op.family: when B is
-    Hermitian to roundoff that is hermitian_eig's family, its arrays shared
-    (in B's dtype, one array serving as right and left family).  Otherwise
+    norm and a real-positive anchor entry.  It returns op.family itself: when
+    B is Hermitian to roundoff that is hermitian_eig's family (in B's dtype,
+    one array serving as right and left family).  Otherwise
     it is general_family: V = [V_r, Q_t] = Z M from one sorted Schur form,
     U = V^{-H} and the exact condition kappa of M from r x r algebra
     (nystrom._inverse_adjoint).  An inverse of condition kappa is
@@ -134,19 +112,15 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
         that rule reaches, raise it too: a retained eigen-residual above
         1e-9 |nu_1| and a bi-orthogonality residual above 1e-8.
     """
-    return _decomposition(_operator_arg(op), op.family)
+    return _unrefused(_operator_arg(op).family)
 
 
-def _decomposition(op, family):
-    """The BiSpectralDecomposition of op's `family`, holding the family's
-    own read-only arrays; raises the family's refusal as
-    DefectiveSuspectedError.  The one constructor of decompositions."""
+def _unrefused(family):
+    """The operator's cached `family` itself; raises its refusal as
+    DefectiveSuspectedError."""
     if family.refusal is not None:
         raise DefectiveSuspectedError(family.refusal)
-    return BiSpectralDecomposition(eigenvalues=family.eigenvalues, right=family.right,
-                                   left=family.left, biorth_residual=family.biorth_residual,
-                                   hermitian=family.hermitian, retained=family.retained,
-                                   operator=op)
+    return family
 
 
 def asymptotic_profile(d: BiSpectralDecomposition, cluster_tol=1e-8) -> AsymptoticProfile:

@@ -318,6 +318,17 @@ def test_tolerance_out_of_range_refused(name):
             call(value)
 
 
+def test_empty_basis_refused():
+    """An empty basis is refused before its coefficient matrix is read, by
+    basis_kernel and by lift_to_kernel with no blocks alike."""
+    rule = env()["rule"]
+    for call in (lambda: fk.basis_kernel(np.zeros((0, 0)), [], rule),
+                 lambda: fk.lift_to_kernel([], [], rule)):
+        with pytest.raises(fk.InvalidArgumentError, match="^basis is empty: a basis kernel "
+                                                          "needs one function or more$"):
+            _call(call, {})
+
+
 def test_rows_name_public_callables():
     for name, (fn, _good, spoils) in ROWS.items():
         assert getattr(fk, name) is fn and name in fk.__all__

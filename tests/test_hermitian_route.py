@@ -235,7 +235,7 @@ def square_arrays(op):
     for k, v in vars(op).items():
         if isinstance(v, tuple):
             items = [(f"{k}[{i}]", x) for i, x in enumerate(v)]
-        elif isinstance(v, nystrom._EigenFamily):
+        elif isinstance(v, fk.BiSpectralDecomposition):
             items = [(f"{k}.{f.name}", getattr(v, f.name)) for f in dataclasses.fields(v)]
         else:
             items = [(k, v)]
@@ -413,13 +413,13 @@ OFF_ROUTE = {
 
 
 def test_dropped_operator_is_freed_without_the_collector():
-    """Each family holds arrays, numbers and at most a refusal message, never
-    a decomposition, which references its operator: with the cycle collector
-    off, an operator that every reader has used is freed once it and its
-    results are dropped.  On the route that is the Hermitian family (Mehler
-    and its twin on GH40); off it the general one (the skew kernel on GL40
-    and its complex twin), refused on defective(3), whose spectrum is still
-    read."""
+    """Each family is a BiSpectralDecomposition, which holds arrays (the
+    operator's K and weights among them), numbers and at most a refusal
+    message, never its operator: with the cycle collector off, an operator
+    that every reader has used is freed once it and its results are dropped.
+    On the route that is the Hermitian family (Mehler and its twin on GH40);
+    off it the general one (the skew kernel on GL40 and its complex twin),
+    refused on defective(3), whose spectrum is still read."""
     cases = {name: ON_ROUTE[name] for name in ("mehler-gh40", "twin-gh40")} | OFF_ROUTE
     for name, make in cases.items():
         gc.disable()
@@ -442,6 +442,47 @@ def test_dropped_operator_is_freed_without_the_collector():
             assert ref() is None, name
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("name", ["mehler-gh40", "twin-gh40", "skew-gl40", "skew-twin-gl40"])
+def test_decompositions_are_the_cached_family(name):
+    """djf_eig returns op.family itself, and hermitian_eig on the route
+    op.hermitian_family, the same record; first_kind_solve reads it."""
+    op = (ON_ROUTE | OFF_ROUTE)[name]()
+    d = fk.djf_eig(op)
+    assert d is op.family and d.weights is op.w_rows and d.K is op.K
+    if name in ON_ROUTE:
+        assert fk.hermitian_eig(op) is op.hermitian_family is d
+    basis = fk.first_kind_solve(op, 1.0 / d.eigenvalues[0], 1e-8)
+    assert np.array_equal(basis[0], d.right[:, 0])
+
+
+@pytest.mark.parametrize("name", ["mehler-gh40", "twin-gh40", "skew-gl40", "skew-twin-gl40"])
+def test_results_do_not_keep_their_operator(name):
+    """A decomposition and the operator SVD hold the operator's weights (and
+    the decomposition its samples K), never the operator: with the cycle
+    collector off, an operator is freed once it is dropped while its
+    djf_eig, hermitian_eig (on the route) and operator_svd results are
+    held, and those results read the same after the drop,
+    second_kind_solve_series's Nystrom step bit for bit."""
+    gc.disable()
+    try:
+        op = (ON_ROUTE | OFF_ROUTE)[name]()
+        d, sv = fk.djf_eig(op), fk.operator_svd(op)
+        h = fk.hermitian_eig(op) if name in ON_ROUTE else d
+        weights = [op.w_rows.copy(), op.w_cols.copy()]
+        f = np.cos(op.rule.nodes) + 0.5j * op.rule.nodes
+        lam = 0.5 / d.eigenvalues[0]
+        series = fk.second_kind_solve_series(d, lam, f, d.retained)
+        ref = weakref.ref(op)
+        del op
+        assert ref() is None
+        assert np.array_equal(d.weights, weights[0])
+        assert np.array_equal(sv.w_rows, weights[0]) and np.array_equal(sv.w_cols, weights[1])
+        assert np.array_equal(fk.second_kind_solve_series(d, lam, f, d.retained), series)
+        assert h is d
+    finally:
+        gc.enable()
 
 
 def spy_on_form_B(monkeypatch):

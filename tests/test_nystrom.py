@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fredkit as fk
+from fredkit import nystrom
 from fredkit.errors import (
     EvaluationError,
     InvalidArgumentError,
@@ -98,10 +99,40 @@ class TestNonFiniteSamples:
 
 
 class TestScaleSafeNorms:
-    """Norms of B square its entries; a B with finite entries above about
-    1e154, or whose largest entry is below 2^-511 (its square below the
-    normal range), is scaled by a power of two first, and only then, so
-    every other operator keeps its bits."""
+    """Norms square their entries; a norm that overflows (entries above
+    about 1e154) is recomputed on the array scaled down by a power of two,
+    one below nystrom.NORM_FLOOR = 2^-500 in an array whose largest entry
+    is below 1/2 on the array scaled up, and only such a norm, so every
+    other one is the plain norm, taken once."""
+
+    def test_norm_below_the_floor_is_rescaled_exactly(self, monkeypatch):
+        """A unit entry and 4095 entries of 2^-30.3, scaled by 2^-505: the
+        norms are below the floor and the largest entry above 2^-511, and
+        they are the unscaled array's times 2^-505, bit for bit (unscaled, the
+        small entries' squares are subnormal).  A norm at or above the floor,
+        or below it in an array whose largest entry is 1, is the plain one,
+        with no rescaling pass."""
+        Y = np.full(4096, 2.0 ** -30.3)
+        Y[7] = 1.0
+        w = np.linspace(0.5, 1.5, Y.size) / Y.size
+        for V in (Y, Y * np.exp(0.3j)):
+            X = V * 2.0 ** -505
+            assert nystrom._norm(X) < nystrom.NORM_FLOOR and np.max(np.abs(X)) > 2.0 ** -511
+            assert nystrom._norm(X) == nystrom._norm(V) * 2.0 ** -505
+            assert nystrom._wnorm(w, X) == nystrom._wnorm(w, V) * 2.0 ** -505
+            assert np.array_equal(nystrom._wnorm(w, np.column_stack((X, 2.0 * X))),
+                                  nystrom._wnorm(w, V) * np.array([2.0 ** -505, 2.0 ** -504]))
+            # beside a unit column the array is not scaled down, which would push
+            # the small column's squares further below the normal range
+            M = np.column_stack((V * 2.0 ** -530, V))
+            assert np.array_equal(nystrom._wnorm(w, M),
+                                  [np.sqrt(np.sum(w * np.abs(c) ** 2)) for c in M.T])
+        scales = []
+        monkeypatch.setattr(nystrom, "_pow2_scale", lambda X: scales.append(X) or 1.0)
+        for V in (Y, Y * np.exp(0.3j), np.ones(4096) * 2.0 ** -499):
+            assert nystrom._norm(V) == np.linalg.norm(V)
+            assert nystrom._wnorm(w, V) == np.sqrt(np.sum(w * np.abs(V) ** 2))
+        assert not scales
 
     def test_huge_finite_kernel(self, gl8):
         kern = fk.separable_kernel([1e305], [lambda y: 1.0 + 0 * y], [lambda z: z])
