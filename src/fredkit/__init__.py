@@ -5,27 +5,7 @@ Hermitian and bi-orthogonal eigendecompositions, Jordan chains for
 defective spectra, operator SVD with iterated Gram identities, resolvent
 solves with Fredholm determinants, and power iteration with deflation.
 """
-import os as _os
-
-
-def _thread_cap():
-    """FREDKIT_THREADS, the cap on BLAS threads (0 means serial, as 1 does),
-    or None when unset or not an integer."""
-    raw = _os.environ.get("FREDKIT_THREADS")
-    try:
-        return None if raw is None else max(1, int(raw))
-    except ValueError:
-        return None
-
-
-# The common BLAS env vars only take effect before numpy spins up its pools,
-# so this must run before the submodule imports below.
-_n = _thread_cap()
-if _n is not None:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, str(_n))
-
-from .errors import (  # noqa: E402
+from .errors import (
     ClusteringError,
     ConvergenceError,
     DefectiveSuspectedError,
@@ -45,13 +25,13 @@ from .errors import (  # noqa: E402
     WrongDecompositionError,
     ZeroDivisionSignal,
 )
-from .measure import (  # noqa: E402
+from .measure import (
     QuadratureRule,
     discrete_measure,
     gauss_hermite_prob,
     gauss_legendre,
 )
-from .kernels import (  # noqa: E402
+from .kernels import (
     HermitePair,
     Kernel,
     basis_kernel,
@@ -62,7 +42,7 @@ from .kernels import (  # noqa: E402
     orthonormal_poly_basis,
     separable_kernel,
 )
-from .nystrom import (  # noqa: E402
+from .nystrom import (
     DiscreteOperator,
     apply,
     apply_adjoint,
@@ -70,7 +50,7 @@ from .nystrom import (  # noqa: E402
     iterated_kernel,
     nystrom_extend,
 )
-from .spectral import (  # noqa: E402
+from .spectral import (
     AsymptoticProfile,
     BiSpectralDecomposition,
     asymptotic_profile,
@@ -79,7 +59,7 @@ from .spectral import (  # noqa: E402
     power_approx,
     reconstruct,
 )
-from .jordan import (  # noqa: E402
+from .jordan import (
     JordanForm,
     defective_asymptotic,
     jordan_block,
@@ -88,7 +68,7 @@ from .jordan import (  # noqa: E402
     lift_to_kernel,
     matrix_power_via_jordan,
 )
-from .opsvd import (  # noqa: E402
+from .opsvd import (
     OperatorSVD,
     gram_apply,
     iterated_gram,
@@ -97,7 +77,7 @@ from .opsvd import (  # noqa: E402
     svd_truncate,
     trace_power,
 )
-from .fredholm import (  # noqa: E402
+from .fredholm import (
     DeterminantEval,
     ResolventSolve,
     determinant_log_derivative_check,
@@ -108,7 +88,7 @@ from .fredholm import (  # noqa: E402
     resolvent_solve,
     second_kind_solve_series,
 )
-from .powerit import (  # noqa: E402
+from .powerit import (
     PowerTrace,
     SequentialSpectrumResult,
     deflate,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _thread_cap, fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
+from . import fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
 from .errors import (FredkitError, InvalidArgumentError, _array_arg, _count_arg, _number_arg,
                      _tolerance_arg)
 from .serialize import (
@@ -369,18 +369,6 @@ def _render_csv(command, rows):
     return csv_text(rows)
 
 
-def _cap_threads():
-    n = _thread_cap()
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass  # env vars set by fredkit.__init__ cover fresh interpreters
-
-
 @functools.cache
 def _parser():
     """The argument parser, built once per process."""
@@ -413,7 +401,6 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    _cap_threads()
 
     import json
 

@@ -1,9 +1,9 @@
 """Exception and warning types shared across fredkit, and the argument checks
 every public entry point runs, one per kind of value: a count is an integer
-in range, a number is finite, an array holds numbers in the shape asked for
-(a sample vector has the operator's length) and, as a rule, finite ones,
-and an object (a rule, a kernel, an operator, a decomposition, an SVD) is
-one of its class.
+in range, a block shape two positive ones, a number is finite, an array
+holds numbers in the shape asked for (a sample vector has the operator's
+length) and, as a rule, finite ones, and an object (a rule, a kernel, an
+operator, a decomposition, an SVD) is one of its class.
 """
 import numbers
 import sys
@@ -29,6 +29,14 @@ def _count_arg(value, name, low=0, high=None):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise InvalidArgumentError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def _shape_arg(shape):
+    """(s1, s2) as ints; InvalidArgumentError unless shape is a tuple or list
+    of two positive integers, the one check of a block shape."""
+    if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
+        raise InvalidArgumentError(f"block shape must be two positive integers: {shape!r}")
+    return tuple(_count_arg(s, "block shape entry", 1) for s in shape)
 
 
 def _is_number(value, real=False):

@@ -58,7 +58,7 @@ COND_LIMIT = 1e10
 TAIL_CUTOFF = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolventSolve:
     """Solution record of (I - lambda*N) p = f."""
 

@@ -78,7 +78,7 @@ def jordan_block_power(lam, m, n):
     return _finite_power(n, "exponent", power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanForm:
     """Blocks with chain vectors: N = P J Q^* with Q^* = P^{-1}.
 
@@ -130,7 +130,7 @@ def jordan_decompose(N, cluster_tol=1e-7):
 
     Parameters
     ----------
-    N : square matrix, dimension <= 64, read as complex128: real LAPACK rounds
+    N : square matrix, dimension 1..64, read as complex128: real LAPACK rounds
         ties otherwise, and can list the blocks out of order (README)
     cluster_tol : float
         Relative linkage radius for grouping computed eigenvalues; clusters
@@ -159,8 +159,8 @@ def jordan_decompose(N, cluster_tol=1e-7):
     """
     cluster_tol = _tolerance_arg(cluster_tol, "cluster_tol")
     N = _array_arg(N, "N", (None, None)).astype(complex, copy=False)
-    if N.shape[0] != N.shape[1]:
-        raise InvalidArgumentError(f"N has shape {N.shape}, need a square matrix")
+    if N.shape[0] != N.shape[1] or N.size == 0:
+        raise InvalidArgumentError(f"N has shape {N.shape}, need a square matrix of size >= 1")
     if N.shape[0] > DESK_DIM_LIMIT:
         raise InvalidArgumentError(f"dimension {N.shape[0]} exceeds desk scale {DESK_DIM_LIMIT}")
     try:

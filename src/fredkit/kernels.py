@@ -40,7 +40,7 @@ from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     UnsupportedKernelError,
-    _array_arg, _count_arg, _instance_arg, _number_arg, _tolerance_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg, _shape_arg, _tolerance_arg,
 )
 from .measure import QuadratureRule, _rule_arg
 
@@ -216,7 +216,7 @@ class FiniteRank:
         return K
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSampled:
     rule: QuadratureRule
     table: np.ndarray  # a read-only float or complex copy of the caller's table
@@ -249,11 +249,9 @@ class Kernel:
     body: object
 
     def __post_init__(self):
-        shape, body = self.shape, self.body
-        if not (isinstance(shape, (tuple, list)) and len(shape) == 2):
-            raise InvalidArgumentError(f"block shape must be two positive integers: {shape!r}")
-        s1, s2 = (_count_arg(s, "block shape entry", 1) for s in shape)
-        object.__setattr__(self, "shape", (s1, s2))
+        body = self.body
+        s1, s2 = shape = _shape_arg(self.shape)
+        object.__setattr__(self, "shape", shape)
         if not isinstance(body, (ClosedForm, FiniteRank, GridSampled)):
             raise InvalidArgumentError("a kernel body is a ClosedForm, FiniteRank or "
                                        f"GridSampled, got {type(body).__name__}")

@@ -24,7 +24,7 @@ KIND_DISCRETE = "discrete"
 KIND_CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Immutable quadrature rule: finite, strictly increasing nodes and
     finite positive weights.

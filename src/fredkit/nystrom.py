@@ -34,7 +34,7 @@ from .errors import (
     InvalidArgumentError,
     NontrivialityWarning,
     ZeroDivisionSignal,
-    _array_arg, _count_arg, _instance_arg, _number_arg,
+    _array_arg, _count_arg, _instance_arg, _number_arg, _shape_arg,
 )
 from .kernels import Kernel, _kernel_arg, _real_point
 from .measure import QuadratureRule, _rule_arg
@@ -65,7 +65,7 @@ NORM_FLOOR = 2.0 ** -500
 ITERATE_SLAB = 256        # rows of X W that iterated_kernel's squares form at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Discretized integral operator on one quadrature rule.
 
@@ -81,8 +81,10 @@ class DiscreteOperator:
     family : the one eigen-family (BiSpectralDecomposition); spectrum : its
         eigenvalues
 
-    An operator is built from (rule, shape, K) and stores K only.  The
-    dtype follows the kernel: a complex K whose imaginary part is exactly
+    An operator is built from (rule, shape, K), each checked: a
+    QuadratureRule, two positive integers and an array of numbers of shape
+    (n*s1, n*s2), not copied when float64 or complex128.  It stores K only.
+    The dtype follows the kernel: a complex K whose imaginary part is exactly
     zero is stored as its float64 real part, and A and B follow K, so a
     real kernel, and a real sample vector or power-iteration start with it,
     gets real arrays, products and LAPACK calls.  Complex by contract are the
@@ -103,9 +105,15 @@ class DiscreteOperator:
     K: np.ndarray
 
     def __post_init__(self):
-        if self.K.dtype.kind == "c" and not self.K.imag.any():
-            object.__setattr__(self, "K", self.K.real.copy())
-        self.K.setflags(write=False)
+        n = _rule_arg(self.rule).count
+        s1, s2 = shape = _shape_arg(self.shape)
+        object.__setattr__(self, "shape", shape)
+        # a sample that is not finite is its reader's to refuse: discretize names its node pair
+        K = _array_arg(self.K, "K", (n * s1, n * s2), finite=False)
+        if K.dtype.kind == "c" and not K.imag.any():
+            K = K.real.copy()
+        K.setflags(write=False)
+        object.__setattr__(self, "K", K)
 
     @cached_property
     def A(self):
@@ -224,7 +232,7 @@ class DiscreteOperator:
         return _general_family(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiSpectralDecomposition:
     """Eigenvalues with right/left eigenvector node samples: one operator's
     eigen-family, built once (DiscreteOperator.family) and read-only.

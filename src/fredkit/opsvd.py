@@ -24,7 +24,7 @@ from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _form_B, _
                       _operator_arg, _read_only, _retained_count, _roundoff_floor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSVD:
     """Singular triples (theta_j, p_j, q_j) of a discretized operator.
 

@@ -84,7 +84,7 @@ def _collapse_test(op):
     return test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerTrace:
     """Record of one power-ratio run.
 
@@ -280,7 +280,7 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
     return DiscreteOperator(rule=op.rule, shape=op.shape, K=K1)
 
 
-@dataclass
+@dataclass(eq=False)
 class SequentialSpectrumResult:
     """Eigen-triples recovered stage by stage, with failure diagnostics.
 

@@ -40,7 +40,7 @@ def _decomposition_arg(d):
     return _instance_arg(d, BiSpectralDecomposition, "decomposition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticProfile:
     """Leading-tier data for large-n power behaviour.
 

@@ -12,12 +12,16 @@ a decomposition, an SVD, a Jordan form or a profile None or a string, and
 an operator where a square block shape is needed a (1, 2)-block one too; a
 quadrature rule None, a string or an array; a list of functions a number,
 None or a list with a number in it; a finite-rank body terms that are not
-(number, callable, callable) triples.
+(number, callable, callable) triples; a block shape None, a number, text,
+a triple and a zero or fractional entry; an operator's samples K those of
+an array (K may hold a sample that is not finite) and a wrong shape; a
+matrix to put in Jordan form an empty one.
 test_every_entry_point_has_rows walks ``fredkit.__all__`` so that a public
 function taking an object (a kernel, an operator, a decomposition, ...), a
 count, a sample vector, an array, a rule or a list of functions cannot ship
 without rows here.
 """
+import copy
 import dataclasses
 import functools
 import inspect
@@ -103,6 +107,9 @@ BODY = {"none": lambda v: None, "function": lambda v: (lambda y, z: y * z),
         "term-text-coeff": lambda v: FiniteRank((("0.5", *v.terms[0][1:]),)),
         "term-nan-coeff": lambda v: FiniteRank(((float("nan"), *v.terms[0][1:]),)),
         "term-not-callable": lambda v: FiniteRank(((v.terms[0][0], 5, v.terms[0][2]),))}
+SHAPE = {"none": lambda v: None, "number": lambda v: 1, "text": lambda v: "11",
+         "triple": lambda v: (1, 1, 1), "zero": lambda v: (0, 1), "fraction": lambda v: (1.5, 1)}
+SAMPLES = dict(TABLE, **{"wrong-shape": lambda v: np.ones((7, 7))})
 RULE = {"none": lambda v: None, "text": lambda v: "x", "nodes": lambda v: v.nodes}
 FUNCTIONS = {"number": lambda v: 5, "none": lambda v: None, "entry": lambda v: [5, *v[1:]]}
 
@@ -114,7 +121,11 @@ ROWS = {
     "discrete_measure": (fk.discrete_measure,
                          lambda e: dict(points=[1.0, 0.0, 0.5], weights=[0.25, 0.5, 0.25]),
                          {"points": REAL_ARRAY, "weights": REAL_ARRAY}),
-    "Kernel": (fk.Kernel, lambda e: dict(shape=(1, 1), body=e["kernel"].body), {"body": BODY}),
+    "Kernel": (fk.Kernel, lambda e: dict(shape=(1, 1), body=e["kernel"].body),
+               {"shape": SHAPE, "body": BODY}),
+    "DiscreteOperator": (fk.DiscreteOperator,
+                         lambda e: dict(rule=e["rule"], shape=(1, 1), K=e["op"].K),
+                         {"rule": RULE, "shape": SHAPE, "K": SAMPLES}),
     "separable_kernel": (fk.separable_kernel,
                          lambda e: dict(coeffs=[0.5, 0.2], rights=e["basis"], lefts=e["basis"]),
                          {"coeffs": ARRAY, "rights": FUNCTIONS, "lefts": FUNCTIONS}),
@@ -168,7 +179,8 @@ ROWS = {
                            {"lam": NUMBER, "m": COUNT, "n": COUNT}),
     "jordan_decompose": (fk.jordan_decompose,
                          lambda e: dict(N=np.diag([0.5, 0.2]), cluster_tol=1e-7),
-                         {"N": ARRAY, "cluster_tol": NUMBER}),
+                         {"N": dict(ARRAY, empty=lambda v: np.zeros((0, 0))),
+                          "cluster_tol": NUMBER}),
     "matrix_power_via_jordan": (fk.matrix_power_via_jordan, lambda e: dict(jf=e["jf"], n=3),
                                 {"jf": OBJECT, "n": COUNT}),
     "defective_asymptotic": (fk.defective_asymptotic,
@@ -333,3 +345,36 @@ def test_rows_name_public_callables():
     for name, (fn, _good, spoils) in ROWS.items():
         assert getattr(fk, name) is fn and name in fk.__all__
         assert set(spoils) <= set(inspect.signature(fn).parameters)
+
+
+# record class -> a record of it, built from env(); each holds arrays
+RECORDS = {
+    "QuadratureRule": lambda e: e["rule"],
+    "GridSampled": lambda e: fk.grid_kernel(e["rule"], np.eye(8)).body,
+    "DiscreteOperator": lambda e: e["op"],
+    "BiSpectralDecomposition": lambda e: e["d"],
+    "AsymptoticProfile": lambda e: e["profile"],
+    "JordanForm": lambda e: e["jf"],
+    "OperatorSVD": lambda e: e["svd"],
+    "ResolventSolve": lambda e: fk.resolvent_solve(e["op"], 0.3, e["ones"]),
+    "PowerTrace": lambda e: fk.power_ratio_estimate(e["op"], e["ones"], 200, 1e-10),
+    "SequentialSpectrumResult": lambda e: fk.sequential_spectrum(e["op"], 1, 200, 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_by_identity(name):
+    """A record holding arrays equals itself and not a distinct record with
+    equal contents, and hashes: no comparison reaches an array's ambiguous
+    truth value."""
+    record = RECORDS[name](env())
+    twin = copy.deepcopy(record)
+    assert type(record).__name__ == name
+    assert record == record and not record != record
+    assert record != twin and not record == twin
+    assert hash(record) == hash(record) and len({record, twin}) == 2
+
+
+def test_determinants_compare_by_value():
+    op = env()["op"]
+    assert fk.fredholm_determinant(op, 0.3) == fk.fredholm_determinant(op, 0.3)

@@ -597,12 +597,29 @@ def test_lapack_failure_exits_1(tmp_path, capsys, monkeypatch):
             assert capsys.readouterr().err.startswith("ConvergenceError: eigh did not converge")
 
 
-@pytest.mark.parametrize("raw, cap", [(None, None), ("0", 1), ("1", 1), ("3", 3), ("many", None)])
-def test_thread_cap_parse(monkeypatch, raw, cap):
-    from fredkit import _thread_cap
+def test_fredkit_leaves_the_environment_as_it_found_it(tmp_path):
+    """Importing fredkit and running the CLI read and write no environment
+    variable: with the retired FREDKIT_THREADS set and no BLAS thread
+    variable, os.environ is the same afterwards."""
+    import os
+    import subprocess
+    import sys
 
-    if raw is None:
-        monkeypatch.delenv("FREDKIT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("FREDKIT_THREADS", raw)
-    assert _thread_cap() == cap
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict(MEHLER_EIG, command="validate")))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["FREDKIT_THREADS"] = "3"
+    script = """if True:
+        import os, sys
+        before = dict(os.environ)
+        import fredkit, fredkit.cli
+        code = fredkit.cli.main(["-c", sys.argv[1], "--output", sys.argv[2]])
+        assert code == 0, code
+        changed = sorted(set(before.items()) ^ set(os.environ.items()))
+        assert not changed, changed
+        """
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out.txt")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out.txt").read_text()) == {"violations": []}
