@@ -4,7 +4,10 @@ A rule is the pair (nodes, weights) standing in for integration against a
 measure: int f dmu ~= sum_i w_i f(x_i).  Gauss rules are produced by the
 Golub-Welsch route: eigenvalues of the symmetric tridiagonal Jacobi matrix
 of the orthogonal-polynomial recurrence give the nodes, Christoffel sums
-(times the zeroth moment) give the weights.  The reference rule of each
+(times the zeroth moment) give the weights.  Each rule is built as its
+nonnegative half and then reflected, so every Gauss-Hermite rule, and every
+Gauss-Legendre rule on an interval symmetric about 0, is mirror-symmetric in
+its bits (nystrom's reflection route needs that).  The reference rule of each
 (family, n) is built once per process and shared frozen (_frozen); the
 cache holds at most 64 rules (about 1 MB at the largest sizes).
 """
@@ -98,20 +101,26 @@ def _golub_welsch(offdiag, mu0):
     orthonormal-polynomial recurrence.  That sum stays accurate where the
     eigenvector route loses the extreme components to underflow (the
     squared first components drop below ~1e-45 for large Hermite rules).
+    The rule is symmetric about 0, so only its nonnegative half is kept
+    (the middle node of an odd n set to 0.0), weighted, and reflected:
+    nodes == -nodes[::-1] and weights == weights[::-1] bit for bit.
     """
     n = offdiag.size + 1
     if n == 1:
         return np.array([0.0]), np.array([mu0])
-    x = eigh_tridiagonal(np.zeros(n), offdiag, eigvals_only=True)
+    x = eigh_tridiagonal(np.zeros(n), offdiag, eigvals_only=True)[n // 2:]
+    if n % 2:
+        x[0] = 0.0
     # beta_k ptilde_{k+1} = x ptilde_k - beta_{k-1} ptilde_{k-1}, alpha_k = 0
-    p_prev = np.zeros(n)
-    p = np.full(n, 1.0 / np.sqrt(mu0))
+    p_prev = np.zeros(x.size)
+    p = np.full(x.size, 1.0 / np.sqrt(mu0))
     total = p * p
     for k in range(n - 1):
         beta_prev = offdiag[k - 1] if k > 0 else 0.0
         p_prev, p = p, (x * p - beta_prev * p_prev) / offdiag[k]
         total += p * p
-    return x, 1.0 / total
+    w = 1.0 / total
+    return np.concatenate((-x[::-1][:n // 2], x)), np.concatenate((w[::-1][:n // 2], w))
 
 
 # 64 rules of at most 1024 nodes, two float64 arrays each: about 1 MB

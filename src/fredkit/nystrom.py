@@ -12,6 +12,13 @@ per operator are computed once, on first use; DiscreteOperator.family is the
 one dispatch: hermitian_family (one eigh of B's Hermitian part) when
 hermitian_to_roundoff(), the one gate of every Hermitian shortcut, holds,
 else general_family (one sorted Schur form of B).
+The reflection route.  On a reflection-symmetric operator (a 1 x 1 block,
+mirrored weights and J K J == K, or == conj(K) for a complex K, J reversing
+the node order; DiscreteOperator.reflection_symmetric, read off K), that eigh
+is two half-size real eighs or one real eigh of the real form
+(_reflected_eigh), and iterated_kernel forms the top ceil(N/2) rows of each
+product and fills the bottom ones by the exact reflection J X J (conjugated
+for a complex X).
 K (and A and B, once formed) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
@@ -49,6 +56,9 @@ UNIT = np.finfo(float).eps / 2  # unit roundoff u
 # and 1024, while zheevr takes 0.94x zheevd's at N = 128, 0.71x at 256 and
 # 0.44x at 1024, for the same full orthonormal family.
 EIGH_DRIVER = {"f": "evd", "c": "evr"}
+# BiSpectralDecomposition.route of a reflection-symmetric Hermitian family, by
+# B's dtype kind: two half-size real eighs, or one real eigh of the real form
+REFLECTED_ROUTE = {"f": "hermitian-split", "c": "hermitian-real"}
 
 RETAIN_RTOL = 1e-12       # eigenpairs below this (relative) are numerical null space
 TIE_RTOL = 1e-10          # moduli this close (relative) sort as tied, by phase
@@ -90,14 +100,21 @@ class DiscreteOperator:
     gets real arrays, products and LAPACK calls.  Complex by contract are the
     spectrum, the general family's pairs and Jordan forms.  K is read-only, so
     nothing cached from it (on first read, read-only) can go stale: A, B, the
-    Hermitian defect, the families, and fredholm's elimination order and LU.
+    Hermitian defect, the reflection gate, the families, and fredholm's
+    elimination order and LU.  A float64 or complex128 K is the caller's own
+    array, made read-only in place: a read-only view would leave the caller
+    free to write the samples under those caches, and a copy would cost
+    8-16 MB per discretize at N = 1024.
 
     The Hermitian route.  When hermitian_defect() <= n u (n = K.shape[0],
     u = eps / 2), one eigh of S = (B + B^H) / 2 (EIGH_DRIVER) replaces the
     Schur form and operator_svd's svd: S is within (n u / 2) ||B||_F of B,
     inside the backward error those calls commit.  Off the route every
     eigenvalue comes from one backward-stable Schur form of
-    B = W^{1/2} A W^{-1/2}, within its condition times n u ||B||_F.
+    B = W^{1/2} A W^{-1/2}, within its condition times n u ||B||_F.  On a
+    reflection-symmetric operator S is exactly centrosymmetric (real) or
+    centro-Hermitian (complex), and its eigh splits or turns real
+    (_reflected_eigh) with no further approximation.
     """
 
     rule: QuadratureRule
@@ -192,6 +209,18 @@ class DiscreteOperator:
         return self.is_square_block and self.hermitian_defect() <= self.K.shape[0] * UNIT
 
     @cached_property
+    def reflection_symmetric(self):
+        """Whether the reflection route applies, read off K alone in O(N^2)
+        and cached: a 1 x 1 block, mirrored weights (w == w[::-1]) and K
+        reflection-symmetric in its bits, J K J == K for a real K and
+        J K J == conj(K) for a complex one (J reverses the node order).  B
+        and its Hermitian part then hold the same symmetry exactly."""
+        K, w = self.K, self.rule.weights
+        top = (K.shape[0] + 1) // 2
+        return (self.shape == (1, 1) and np.array_equal(w, w[::-1])
+                and np.array_equal(K[::-1, ::-1][:top], np.conj(K[:top])))
+
+    @cached_property
     def hermitian_family(self):
         """The W-orthonormal family (left is right) of B's Hermitian part,
         built once; hermitian_eig returns it.  eigh's values, held as complex,
@@ -200,6 +229,7 @@ class DiscreteOperator:
         then each gets unit W-norm and a real-positive anchor.  Raises as
         _hermitian_eigh does, caching nothing."""
         vals, P = _hermitian_eigh(self)
+        route = REFLECTED_ROUTE[P.dtype.kind] if self.reflection_symmetric else "hermitian"
         keep = _retained(vals)
         order = _family_order(vals, keep)  # real vals sort as their complex form does
         nu, P = vals[order], P[:, order]
@@ -213,7 +243,7 @@ class DiscreteOperator:
         P = _read_only(P)
         return BiSpectralDecomposition(_read_only(nu.astype(complex)), P, P,
                                        _biorth_residual(w, P, P, retained), hermitian=True,
-                                       retained=retained, weights=w, K=self.K)
+                                       route=route, retained=retained, weights=w, K=self.K)
 
     @cached_property
     def general_family(self):
@@ -245,7 +275,11 @@ class BiSpectralDecomposition:
     max |<q_j, p_k>_W - delta_jk| over the retained pairs.  Pairs with
     |nu_j| <= 1e-12 |nu_1| are reported but not scored.  ``hermitian`` is
     True exactly when the pairs come from the eigh of B's Hermitian part
-    (left is right).  weights are the operator's w_rows and K its samples,
+    (left is right).  ``route`` names the build: "hermitian" (one eigh),
+    "hermitian-split" (two half-size real eighs of a real reflection-symmetric
+    B), "hermitian-real" (one real eigh of a complex reflection-symmetric B's
+    real form) or "general" (the Schur form).  weights are the operator's
+    w_rows and K its samples,
     for the Nystrom step of second_kind_solve_series.  right, left and
     biorth_residual are None when refusal holds a DefectiveSuspectedError's
     message.  It never holds its operator, so a dropped operator needs no
@@ -257,6 +291,7 @@ class BiSpectralDecomposition:
     left: np.ndarray
     biorth_residual: float
     hermitian: bool
+    route: str
     retained: int
     weights: np.ndarray
     K: np.ndarray
@@ -276,9 +311,9 @@ def _form_B(op):
 
 
 def _hermitian_eigh(op):
-    """(vals ascending, vecs in B's dtype) of scipy.linalg.eigh, with B's
-    EIGH_DRIVER, on B's Hermitian part, built here or kept by the defect
-    (_hermitian_defect), for LAPACK to overwrite.  Raises InvalidArgumentError
+    """(vals, vecs in B's dtype) of B's Hermitian part, built here or kept by
+    the defect (_hermitian_defect): _reflected_eigh's on a reflection-symmetric
+    operator, else one _eigh, vals ascending.  Raises InvalidArgumentError
     when that part is not finite (zheevr would answer without an error) and
     ConvergenceError when eigh does not converge."""
     op._require_square("a Hermitian eigendecomposition")
@@ -288,8 +323,56 @@ def _hermitian_eigh(op):
         op.__dict__.setdefault("_defect", defect)
         if not np.isfinite(defect):  # finite exactly when S is
             raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
+    return _reflected_eigh(S) if op.reflection_symmetric else _eigh(S)
+
+
+def _eigh(S):
+    """scipy.linalg.eigh of the Hermitian S with S's EIGH_DRIVER, for LAPACK
+    to overwrite."""
     return _linalg("eigh", S, lib=scipy.linalg, driver=EIGH_DRIVER[S.dtype.kind],
                    overwrite_a=True, check_finite=False)
+
+
+def _reflected_eigh(S):
+    """(vals, vecs in S's dtype) of a Hermitian S that is reflection-symmetric
+    (J S J == S real, == conj(S) complex; DiscreteOperator.reflection_symmetric).
+    With h = ceil(N/2), m = floor(N/2), F = S[:h, :h], G = F's columns
+    reflected (S[:h, N-1-j]) and D = I but 1/sqrt(2) at an odd N's middle
+    node, E = D (F + G) D and O = (F - G)[:m, :m].  A real S is orthogonally
+    similar to diag(E, O): two half-size eighs whose vectors u give the
+    exactly even and odd [u; +-Ju] / sqrt(2) (Cantoni & Butler, Linear Algebra
+    Appl. 13, 1976).  A complex S is unitarily similar, through
+    Q = [[I, iI], [J, -iJ]] / sqrt(2), to the real symmetric
+    R = [[Re E, Im E[:m]^T], [Im E[:m], Re O]] (Lee, Linear Algebra Appl. 29,
+    1980): one real eigh whose vectors [a; b] give [a + ib; J (a - ib)] / sqrt(2),
+    each bottom half the conjugate reflection of its top.  vals ascend within
+    each eigh.  E and R are symmetric in their bits, so LAPACK gets them in
+    Fortran order as they are."""
+    N = S.shape[0]
+    h, m = (N + 1) // 2, N // 2
+    c = np.full(h, np.sqrt(0.5))
+    c[m:] = 1.0  # an odd N's middle node maps to itself
+    d = np.sqrt(0.5) / c
+    F, G = S[:h, :h], S[:h, ::-1][:, :h]
+    E = (F + G) * d[:, None] * d
+    V = np.empty_like(S)
+    if S.dtype.kind == "f":
+        (even, Ve), (odd, Vo) = _eigh(E.T), _eigh((F - G)[:m, :m].T)
+        V[:h, :h] = Ve * c[:, None]
+        V[:m, h:] = Vo * np.sqrt(0.5)
+        V[m:h, h:] = 0.0
+        np.multiply(V[:m][::-1], np.repeat([1.0, -1.0], (h, m)), out=V[h:])
+        return np.concatenate((even, odd)), V
+    R = np.empty((N, N))
+    R[:h, :h], R[h:, :h], R[h:, h:] = E.real, E.imag[:m], (F - G)[:m, :m].real
+    R[:h, h:] = R[h:, :h].T
+    del E, F, G
+    vals, Y = _eigh(R.T)
+    V.real[:h] = Y[:h] * c[:, None]
+    V.imag[:m] = Y[h:] * np.sqrt(0.5)
+    V.imag[m:h] = 0.0
+    np.conjugate(V[:m][::-1], out=V[h:])
+    return vals, V
 
 
 def _hermitian_part(B):
@@ -346,8 +429,8 @@ def _general_family(op):
     nu = _read_only(nu)
 
     def family(P=None, Q=None, resid=None, refusal=None):
-        return BiSpectralDecomposition(nu, P, Q, resid, hermitian=False, retained=r, weights=w,
-                                       K=op.K, refusal=refusal)
+        return BiSpectralDecomposition(nu, P, Q, resid, hermitian=False, route="general",
+                                       retained=r, weights=w, K=op.K, refusal=refusal)
 
     if not kappa * n * UNIT <= 1e-8:
         return family(refusal=f"eigenvector matrix condition {kappa:.3e} exceeds 1e-8 / "
@@ -418,13 +501,20 @@ def _rebasis_degenerate(vals, V, retained):
     retained eigenvalues, within DEGENERATE_RTOL of the larger modulus or the
     roundoff floor N eps |nu_1|: LAPACK's basis of a repeated semisimple
     eigenvalue is arbitrary, and a QR basis leaves the inversion and the
-    condition check to the geometry between eigenspaces."""
+    condition check to the geometry between eigenspaces.  A group whose unit
+    vectors have an R factor entry below n u / 1e-8 (a condition above the
+    condition rule's limit) is left as it is: those are the coalescing
+    vectors of a defective eigenvalue that the Schur form holds exactly, and
+    rebasing them would hide the defect from the condition rule."""
     mods = np.abs(vals[:retained])
     gap = np.maximum(DEGENERATE_RTOL * np.maximum(mods[:-1], mods[1:]), _roundoff_floor(vals))
     edges = [0, *(np.flatnonzero(np.abs(np.diff(vals[:retained])) > gap) + 1), retained]
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a >= 2:
-            V[:, a:b] = np.linalg.qr(V[:, a:b])[0]
+            Q, R = np.linalg.qr(V[:, a:b])
+            unit_r = np.abs(R.diagonal()) / np.linalg.norm(V[:, a:b], axis=0)  # the unit vectors' R
+            if np.min(unit_r) * 1e-8 > V.shape[0] * UNIT:
+                V[:, a:b] = Q
 
 
 def _pow2_scale(X):
@@ -686,6 +776,10 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     the bound below holds as it is; BLAS may still round it otherwise for
     the smaller call (with OpenBLAS's SkylakeX kernels the bits agree when N
     is at most ITERATE_SLAB or a multiple of 8, and can differ otherwise).
+    For n >= 3 on a reflection-symmetric operator, each product forms its top
+    ceil(N/2) rows only and fills the bottom ones by the exact reflection
+    X[N-1-i, N-1-j] = X[i, j] (its conjugate for a complex X), as
+    J X_n J = X_n (or conj(X_n)) for X_n = (K W)^{n-1} K.
 
     The iterate has K's dtype: real products for a real operator.
 
@@ -696,6 +790,9 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
     by induction over X_{a+b} = X_a W X_b, every evaluation order gives
     |computed X_n - X_n| <= (((1 + u)(1 + g))^{n-1} - 1) |K| (W |K|)^{n-1}
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.5).
+    On the reflection route each bottom entry is an exact copy of a top one,
+    with the same error modulus, and M = |K| (W |K|)^{n-1} is centrosymmetric
+    there (M[N-1-i, N-1-j] = M[i, j]), so the bound holds for it as derived.
 
     Requires a square block shape.  Raises InvalidArgumentError when an
     entry of the iterate is not finite (overflow).
@@ -707,13 +804,18 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
         X = op.K.copy()
         Y = np.empty_like(X)
         w = op.w_cols
+        N = X.shape[0]
+        top = (N + 1) // 2 if n > 2 and op.reflection_symmetric else N
         for bit in bin(n)[3:]:
-            for r in range(0, X.shape[0], ITERATE_SLAB):
-                np.matmul(X[r:r + ITERATE_SLAB] * w, X, out=Y[r:r + ITERATE_SLAB])
+            for r in range(0, top, ITERATE_SLAB):
+                rows = slice(r, min(r + ITERATE_SLAB, top))
+                np.matmul(X[rows] * w, X, out=Y[rows])
+            np.conjugate(Y[:N - top][::-1, ::-1], out=Y[top:])
             X, Y = Y, X
             if bit == "1":
                 X *= w[:, None]
-                np.matmul(op.K, X, out=Y)
+                np.matmul(op.K[:top], X, out=Y[:top])
+                np.conjugate(Y[:N - top][::-1, ::-1], out=Y[top:])
                 X, Y = Y, X
         return X
 

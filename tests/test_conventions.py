@@ -15,8 +15,10 @@ mehler, twin and basis are Hermitian to roundoff, so djf_eig and
 operator_svd answer from the eigh of B's Hermitian part there: their oracles
 are the eigh one, in its dtype, for djf_eig, and the same one sorted by
 modulus and sign-folded for the SVD.  That eigh is the call fredkit makes,
-dsyevd for real mehler and basis and zheevr for twin, so the oracle sees
-the same bits.
+so the oracle sees the same bits: on the symmetric rules here mehler and
+twin are reflection-symmetric, and take the reflection route's two
+half-size real eighs (mehler) or one real eigh of the real form (twin);
+basis takes dsyevd.
 skew, the real e^{0.2y} M(y, z) e^{-0.2z}, is not: its svd path keeps the
 bit-for-bit oracle, and djf_eig's general path, built from a sorted Schur
 form, is checked against an independent reference instead, numpy's eig of
@@ -189,12 +191,32 @@ def test_outputs_keep_the_conventions(name, n, method):
 
 
 def hermitian_eigh(op):
-    """The eigh fredkit makes of op's Hermitian part: LAPACK's dsyevd for a
-    real B and zheevr for a complex one (nystrom.EIGH_DRIVER)."""
+    """The eigh fredkit makes of op's Hermitian part: on the reflection route
+    (op.reflection_symmetric) its own two half-size real eighs or real-form
+    eigh (nystrom._reflected_eigh), else LAPACK's dsyevd for a real B and
+    zheevr for a complex one (nystrom.EIGH_DRIVER).  The route's output is
+    first checked against one plain full-size eigh of S, independent of the
+    route: both are backward stable, each within n u ||S||_2 of S, so the
+    spectra agree within 2 n u ||S||_2 (Weyl) and each unit vector with
+    |nu| >= REFINE_RTOL nu_1 within pi n u nu_1 / gap after the best unit
+    phase (Davis-Kahan, as tests/test_dtype.py bounds it)."""
     B = symmetrized(op)
     S = 0.5 * (B + B.conj().T)
-    return scipy.linalg.eigh(S, driver=EIGH_DRIVER[S.dtype.kind], overwrite_a=True,
-                             check_finite=False)
+    if not op.reflection_symmetric:
+        return scipy.linalg.eigh(S, driver=EIGH_DRIVER[S.dtype.kind], overwrite_a=True,
+                                 check_finite=False)
+    vals, vecs = nystrom._reflected_eigh(S)
+    ref, ref_vecs = scipy.linalg.eigh(S, check_finite=False)
+    n, top = S.shape[0], np.max(np.abs(ref))
+    order = np.argsort(vals, kind="stable")
+    assert np.max(np.abs(vals[order] - ref)) <= 2 * n * UNIT * top
+    sel = np.flatnonzero(np.abs(ref) >= nystrom.REFINE_RTOL * top)
+    gaps = np.array([np.min(np.abs(np.delete(ref, j) - ref[j])) for j in sel])
+    P, Q = vecs[:, order[sel]], ref_vecs[:, sel]
+    inner = np.sum(np.conj(Q) * P, axis=0)
+    dist = np.linalg.norm(P - Q * (inner / np.abs(inner)), axis=0)
+    assert np.all(dist <= np.pi * n * UNIT * top / gaps)
+    return vals, vecs
 
 
 def column_at_a_time(op, method):
@@ -342,10 +364,12 @@ LIMIT = (r"exceeds 1e-8 / \(n u\) = 7\.506e\+06; "
 
 
 @pytest.mark.parametrize("op, message", [
-    # kappa n u = 3.6e-7: the coalescing eigenvectors of a Jordan block, whose
-    # kappa is set by the rounding that splits the double eigenvalue (about
-    # u^{-1/2}, times the Schur vectors' geometry)
-    (lambda: defective(2), r"^eigenvector matrix condition 2\.\d+e\+08 " + LIMIT),
+    # the coalescing eigenvectors of a Jordan block.  Where rounding splits
+    # the double eigenvalue, kappa is about u^{-1/2} times the Schur vectors'
+    # geometry (defective(3)); on this mirrored rule the real Schur form holds
+    # it exactly, LAPACK's two eigenvectors agree to rounding and kappa is
+    # about 1/u (kappa n u = 24)
+    (lambda: defective(2), r"^eigenvector matrix condition \S+e\+16 " + LIMIT),
     (lambda: defective(3), r"^eigenvector matrix condition \S+e\+10 " + LIMIT),
     # kappa n u = 8.4e-8: refused on the condition.  kappa = cond_1(M) depends
     # on the orthonormal basis Q_t of the tail (here the Schur vectors; the

@@ -147,9 +147,12 @@ def _matrix_row(C, branch):
     _matrix_row([[1.0, 1e5], [0.0, 0.5]], None),
     # kappa n u / 1e-8 = 6.7: refused before a noise eigen-residual is read
     _matrix_row([[1.0, 1e7], [0.0, 0.5]], "condition"),
+    # a semisimple double eigenvalue 0.5 beside a non-normal coupling: its
+    # pair is rebased and accepted on both dtypes
+    _matrix_row([[0.5, 0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.25]], None),
 ], ids=["jordan-1e-4", "jordan-1.778e-4", "jordan-2.371e-4", "jordan-3.2e-4",
         "jordan-1e-3", "jordan-1e-2", "defective-2", "defective-3", "polish-noise",
-        "near-equal", "offdiag-1e5", "offdiag-1e7"])
+        "near-equal", "offdiag-1e5", "offdiag-1e7", "semisimple-2"])
 def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenvalues):
     """Each row takes the same branch on the real operator (real Schur form)
     and on its complex twin, whose basis functions carry e^{iax} (complex
@@ -178,6 +181,23 @@ def test_refusal_table_is_independent_of_dtype(monkeypatch, make, branch, eigenv
             ref = np.zeros(r, dtype=complex)
             ref[:eigenvalues.size] = eigenvalues[np.argsort(-np.abs(eigenvalues))]
             assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * op.hs_norm()
+
+
+def test_rebasis_leaves_coalescing_vectors_to_the_condition_rule():
+    """_rebasis_degenerate orthonormalizes a group of equal eigenvalues whose
+    vectors are independent (a semisimple eigenvalue), and leaves a group
+    whose unit vectors agree to rounding (a defective eigenvalue the Schur
+    form holds exactly, as defective(2) on its mirrored rule): rebasing that
+    one would set kappa to 1 and hide the defect from the condition rule."""
+    vals = np.array([0.5, 0.5, 0.25, 0.25], dtype=complex)
+    V = np.zeros((12, 4))
+    V[0, :2] = V[1, 0] = 1.0
+    V[0, 2] = V[0, 3] = 1.0
+    V[1, 3] = 1e-16
+    rebased = V.copy()
+    nystrom._rebasis_degenerate(vals, rebased, 4)
+    assert np.allclose(rebased[:, :2].T @ rebased[:, :2], np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.array_equal(rebased[:, 2:], V[:, 2:])
 
 
 def test_one_real_schur_form_and_no_n_by_n_eig(monkeypatch):

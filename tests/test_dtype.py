@@ -105,9 +105,9 @@ class TestDtypeFollowsKernel:
 
     def test_real_lapack_on_a_real_operator(self, monkeypatch, gl8):
         """The Hermitian, SVD and spectrum paths hand real matrices to LAPACK.
-        On a Hermitian operator one real eigh serves hermitian_eig,
-        operator_svd, the spectrum and djf_eig, whose pairs are that eigh's
-        float64 family; on one that is not, operator_svd runs a real svd and
+        On a Hermitian operator one family build (here the reflection route's
+        two half-size real eighs) serves hermitian_eig, operator_svd, the
+        spectrum and djf_eig, whose pairs are that build's float64 family; on one that is not, operator_svd runs a real svd and
         djf_eig a real eig, and djf_eig's pairs are complex there."""
         seen = []
         for name in ("eigh", "svd", "eigvals", "eig"):
@@ -123,7 +123,7 @@ class TestDtypeFollowsKernel:
         svd = fk.operator_svd(op)
         op.spectrum
         dj = fk.djf_eig(op)
-        assert seen == [("eigh", np.float64)]
+        assert seen == [("eigh", np.float64)] * 2
         assert d.right.dtype == svd.left.dtype == svd.right.dtype == np.float64
         assert fk.iterated_kernel(op, 5).dtype == np.float64
         assert d.eigenvalues.dtype == dj.eigenvalues.dtype == np.complex128
@@ -131,7 +131,7 @@ class TestDtypeFollowsKernel:
         skew = fk.discretize(fk.separable_kernel([1.0], [lambda y: y], [lambda z: z * z]), gl8)
         skew_svd = fk.operator_svd(skew)
         skew_dj = fk.djf_eig(skew)
-        assert seen[1:] == [("svd", np.float64), ("eig", np.float64)]
+        assert seen[2:] == [("svd", np.float64), ("eig", np.float64)]
         assert skew_svd.left.dtype == skew_svd.right.dtype == np.float64
         assert skew_dj.right.dtype == skew_dj.left.dtype == np.complex128
         # an empty sum has the dtype of a nonempty one
@@ -140,20 +140,26 @@ class TestDtypeFollowsKernel:
             assert fk.resolvent_series(d, 0.3, k).dtype == np.complex128
 
     def test_eigh_driver_follows_the_dtype(self, monkeypatch, gh40):
-        """The one eigh gets B's Hermitian part in B's dtype, for LAPACK to
+        """The eigh gets B's Hermitian part in B's dtype, for LAPACK to
         overwrite, with the LAPACK driver nystrom.EIGH_DRIVER names: dsyevd
-        ("evd") for real Mehler, zheevr ("evr") for its complex twin."""
+        ("evd") for real Mehler, zheevr ("evr") for its complex twin, on
+        Gauss-Legendre 40 over [0, 1], off the reflection route.  On GH40 both
+        are reflection-symmetric and every eigh is a real dsyevd: two
+        half-size ones for Mehler, one of the twin's real form."""
         seen = []
         real = library("eigh").eigh
 
         def spy(a, **kwargs):
-            seen.append((a.dtype, kwargs["driver"], kwargs["overwrite_a"]))
+            seen.append((a.dtype, a.shape, kwargs["driver"], kwargs["overwrite_a"]))
             return real(a, **kwargs)
 
         monkeypatch.setattr(library("eigh"), "eigh", spy)
-        for kern in (fk.mehler_kernel(0.5), twin_kernel(0.5, 0.8)):
-            fk.hermitian_eig(fk.discretize(kern, gh40))
-        assert seen == [(np.float64, "evd", True), (np.complex128, "evr", True)]
+        for rule in (fk.gauss_legendre(40, 0.0, 1.0), gh40):
+            for kern in (fk.mehler_kernel(0.5), twin_kernel(0.5, 0.8)):
+                fk.hermitian_eig(fk.discretize(kern, rule))
+        assert seen == [(np.float64, (40, 40), "evd", True), (np.complex128, (40, 40), "evr", True),
+                        *[(np.float64, (20, 20), "evd", True)] * 2,
+                        (np.float64, (40, 40), "evd", True)]
 
 
 @pytest.fixture(scope="module")

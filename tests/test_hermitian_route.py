@@ -2,7 +2,8 @@
 
 An operator whose B is Hermitian to roundoff, hermitian_defect() <= n u
 (n = K.shape[0], u = eps / 2), is decomposed by one eigh of B's Hermitian
-part, sorted and polished once into the family cached on the operator
+part (on a reflection-symmetric operator, two half-size eighs or one of the
+real form: test_reflection_route.py), sorted and polished once into the family cached on the operator
 (hermitian_family); hermitian_eig, djf_eig, operator_svd, first_kind_solve
 and the spectrum all answer from it.  The bounds are those
 perfbench/README.md sets for the spectra-n1024 workload: sum theta^2 =
@@ -248,8 +249,9 @@ def square_arrays(op):
 @pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
                                    "first_kind_solve", "hermitian_family", "lambda_path"])
 def test_one_hermitian_part_per_operator(monkeypatch, first):
-    """B's Hermitian part is built once on GH256 Mehler, and one eigh and one
-    polish product run, whichever reader comes first.  Of the operator's
+    """B's Hermitian part is built once on GH256 Mehler, and one family build
+    (the reflection route's two half-size eighs) and one polish product run,
+    whichever reader comes first.  Of the operator's
     matrices only K is stored; B is formed for each reader and dropped, so
     it is not among them: after every reader, the other N x N arrays are
     the family's samples, _elimination's K_e and the last lambda's LU
@@ -275,7 +277,7 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     for read in readers.values():
         read()
     assert op.hermitian_to_roundoff()
-    assert calls == [(256, 256)] and eighs == ["eigh"] and len(polishes) == 1
+    assert calls == [(256, 256)] and eighs == ["eigh"] * 2 and len(polishes) == 1
     assert sorted(k for k, v in vars(op).items()
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["K"]
     assert square_arrays(op) == ["K", "_elimination[1]", "_lu[1]", "hermitian_family.right"]

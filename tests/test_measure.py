@@ -59,8 +59,14 @@ class TestGaussLegendre:
         assert float(np.sum(r.weights)) == pytest.approx(3.5, rel=1e-14)
 
     def test_node_symmetry(self):
-        r = fk.gauss_legendre(9, -2.0, 2.0)
-        assert np.max(np.abs(r.nodes + r.nodes[::-1])) <= 1e-13
+        # built as its nonnegative half and reflected: mirror-exact in its
+        # bits on an interval symmetric about 0, an odd n's middle node 0.0
+        for n in (9, 1023, 1024):
+            r = fk.gauss_legendre(n, -2.0, 2.0)
+            assert np.array_equal(r.nodes, -r.nodes[::-1]), n
+            assert np.array_equal(r.weights, r.weights[::-1]), n
+            if n % 2:
+                assert r.nodes[n // 2] == 0.0, n
 
     @pytest.mark.parametrize("n,a,b", [(0, 0, 1), (-3, 0, 1), (2, 1, 1), (2, 2, 1)])
     def test_invalid_arguments(self, n, a, b):
@@ -106,8 +112,13 @@ class TestGaussHermiteProb:
             assert abs(got - exact) <= 1e-11 * scale
 
     def test_node_symmetry(self):
-        r = fk.gauss_hermite_prob(12)
-        assert np.max(np.abs(r.nodes + r.nodes[::-1])) <= 1e-13
+        # every size is mirror-exact in its bits, an odd n's middle node 0.0
+        for n in range(1, measure.MAX_HERMITE_SIZE + 1):
+            r = fk.gauss_hermite_prob(n)
+            assert np.array_equal(r.nodes, -r.nodes[::-1]), n
+            assert np.array_equal(r.weights, r.weights[::-1]), n
+            if n % 2:
+                assert r.nodes[n // 2] == 0.0, n
 
     def test_invalid(self):
         with pytest.raises(InvalidArgumentError):

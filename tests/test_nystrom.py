@@ -61,6 +61,20 @@ class TestDiscretize:
         with pytest.raises(TypeError):
             fk.DiscreteOperator(rule=gl8, shape=(2, 3), K=K, A=op.A, B=op.B)
 
+    @pytest.mark.parametrize("value", [1.0, 1.0 + 0.5j])
+    def test_the_callers_k_is_made_read_only_in_place(self, gl8, value):
+        """A float64 or complex128 K is kept, not copied, and frozen in place:
+        a write through the caller's own name raises, so the samples under
+        the cached gate, defect and family do not change."""
+        K = np.full((8, 8), value)
+        op = fk.DiscreteOperator(rule=gl8, shape=(1, 1), K=K)
+        assert op.K is K and not K.flags.writeable
+        before = (op.reflection_symmetric, op.hermitian_defect(), op.family.eigenvalues.copy())
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 2.0
+        assert before[:2] == (op.reflection_symmetric, op.hermitian_defect())
+        assert np.array_equal(before[2], op.family.eigenvalues)
+
     def test_hs_norm_quadrature(self, gl8, yz_kernel):
         # oracle: ||N||_2^2 = int int y^2 z^2 dy dz = 1/9
         op = fk.discretize(yz_kernel, gl8)

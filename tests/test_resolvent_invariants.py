@@ -245,7 +245,9 @@ def test_reversed_listing_reindexes_the_solution(both_listings, lam):
 @pytest.mark.parametrize("n", [256, 64])
 def test_no_eigvals_on_the_hermitian_route(monkeypatch, n):
     """Every public entry point that reads the spectrum, and every
-    decomposition, runs on one eigh per fresh operator."""
+    decomposition, runs on one family build per fresh operator: on the
+    reflection route, two half-size eighs for Mehler and one real eigh of the
+    real form for its twin."""
     calls = spy_on(monkeypatch, ("eigvals", "eigh", "eig", "svd"))
     lam = LAMBDAS[0]
     for op in sweep_operators(n):
@@ -259,7 +261,7 @@ def test_no_eigvals_on_the_hermitian_route(monkeypatch, n):
         for decompose in (fk.hermitian_eig, fk.djf_eig, fk.operator_svd):
             decompose(op)
         assert op.spectrum is op.family.eigenvalues is op.hermitian_family.eigenvalues
-    assert calls == ["eigh", "eigh"]
+    assert calls == ["eigh", "eigh", "eigh"]
 
 
 def test_real_rhs_is_solved_in_real_arithmetic(operators, monkeypatch):
@@ -301,15 +303,16 @@ def test_refusal_names_the_eigenvalue(operators, j, offset):
 
 def test_first_kind_solve_follows_the_one_gate(monkeypatch):
     """On real Mehler GH256, Hermitian to roundoff, first_kind_solve takes
-    hermitian_eig's real vectors; on its band operator, above n u, it takes
-    djf_eig's general path (one eig, no eigh).  Either vector p is an
+    hermitian_eig's real vectors (the reflection route's two half-size
+    eighs); on its band operator, above n u, it takes djf_eig's general path
+    (one eig, no eigh).  Either vector p is an
     eigenfunction: ||A p - p / lambda_j||_W within 1e-9 |nu_1| = 1e-9, the
     eigen-residual bound of perfbench/README.md, for ||p||_W = 1."""
     mehler = sweep_operators(256)[0]
     band = band_operator(mehler)
     assert not band.hermitian_to_roundoff()
     calls = spy_on(monkeypatch, ("eigh", "eig"))
-    for op, dtype, route in ((mehler, np.float64, ["eigh"]), (band, np.complex128, ["eig"])):
+    for op, dtype, route in ((mehler, np.float64, ["eigh"] * 2), (band, np.complex128, ["eig"])):
         del calls[:]
         (p,) = fk.first_kind_solve(op, 2.0, 1e-8)
         assert p.dtype == dtype and calls == route
