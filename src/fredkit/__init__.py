@@ -44,6 +44,7 @@ from .kernels import (
 )
 from .nystrom import (
     DiscreteOperator,
+    NodePartition,
     apply,
     apply_adjoint,
     discretize,
@@ -104,7 +105,7 @@ __all__ = [
     "QuadratureRule", "gauss_legendre", "gauss_hermite_prob", "discrete_measure",
     "Kernel", "HermitePair", "hermite_he", "mehler_kernel", "separable_kernel",
     "defective_kernel", "grid_kernel", "basis_kernel", "orthonormal_poly_basis",
-    "DiscreteOperator", "discretize", "apply", "apply_adjoint",
+    "DiscreteOperator", "NodePartition", "discretize", "apply", "apply_adjoint",
     "iterated_kernel", "nystrom_extend",
     "BiSpectralDecomposition", "AsymptoticProfile", "hermitian_eig", "djf_eig",
     "asymptotic_profile", "power_approx", "reconstruct",

@@ -9,15 +9,21 @@ determinant, read off its diagonal and pivots, and each log-derivative path
 point.  It is real for a real lambda on a real operator, and the last
 lambda's is kept on the operator, so a solve and a determinant at one
 lambda pay for one LU (Bornemann, Math. Comp. 79 (2010)).  It factors
-P (I - lambda*A) P^T = I - K_e (lambda w_e), built from K and the weights
-permuted so that the nodes are eliminated by decreasing weight
-(_elimination): in the listed order a rule whose weights span hundreds of
-decades, Gauss-Hermite above all, eliminates its lightest nodes first and
-the factorization runs in subnormal arithmetic.  The permutation keeps the
-determinant, the 1-norm and the condition estimate, so every guard and
-error keeps its meaning.  Fredholm convention throughout: the "eigenvalues"
-lambda_j are the reciprocals 1/nu_j of the operator eigenvalues, and the
-determinant D(lambda) vanishes exactly there.
+the kept block of M = I - K_e (lambda w_e), the system in the order of the
+operator's node partition (DiscreteOperator.node_partition): kept nodes a,
+then the nodes t whose rows and columns of B sit below rounding of ||B||_F
+(104 of 256 for Mehler r = 1/2 on Gauss-Hermite 256), each part by
+decreasing weight, since a rule whose weights span hundreds of decades,
+eliminated lightest first, runs in subnormal arithmetic.  There M_at and
+M_tt's strict upper triangle are below rounding of B and M_tt's diagonal
+is 1 to rounding, so det M = det M_aa to rounding, and a solve inverts
+M~ = [[M_aa, 0], [M_ta, L]], L = tril(M_tt): the tail rows by the Nystrom
+formula x_t = b_t + lambda (K W x)_t, node by node, then one refinement
+pass on M (_guarded_solve).  With nothing dropped, as on every
+Gauss-Legendre operator the tests run, each lambda-path keeps its bits.
+Fredholm convention throughout: the "eigenvalues" lambda_j are the
+reciprocals 1/nu_j of the operator eigenvalues, and the determinant
+D(lambda) vanishes exactly there.
 
 One pole rule (_guard_pole) decides every refusal near the spectrum:
 lambda is too near when its gap to the Fredholm eigenvalue nearest it in
@@ -99,77 +105,58 @@ def _guard_pole(lam, lambdas, rtol, error=EigenvalueProximityError, name="lambda
     return gap, nearest
 
 
-def _elimination(op):
-    """(order, K_e, w_e): the elimination order of every LU of
-    I - lambda*A, the nodes by decreasing weight (a stable argsort of
-    -w_cols, so a block's components stay together and ties keep their
-    listing), K_e = P K P^T = K[order][:, order] and w_e = w_cols[order], so
-    that P A P^T = K_e W_e; computed once per operator and read-only.  On
-    Gauss-Hermite 256 (weights down to 3e-211) the listed order's first
-    steps update the trailing matrix with products that underflow, and
-    getrf runs at a quarter of its speed.  Gaussian elimination with partial
-    pivoting is backward stable in any column order (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 9)."""
-    cached = op.__dict__.get("_elimination")
-    if cached is None:
-        order = np.argsort(-op.w_cols, kind="stable")
-        cached = op.__dict__["_elimination"] = (
-            _read_only(order), _read_only(op.K[np.ix_(order, order)]),
-            _read_only(op.w_cols[order]))
-    return cached
-
-
 def _system(op, lam):
-    """P (I - lambda*A) P^T = I - K_e (lambda w_e), the system in elimination
-    order (_elimination), built in one pass over K_e, in the dtype of lambda
-    and K: real for a real lambda on a real operator.  The one expression
-    every LU and every refinement residual builds, so a rebuilt system has
-    the bits the factored one had."""
-    _order, Ke, we = _elimination(op)
+    """P (I - lambda*A) P^T = I - K_e (lambda w_e), the system in the node
+    partition's order (DiscreteOperator.node_partition: the kept nodes
+    first, each part by decreasing weight), built in one pass over K_e, in
+    the dtype of lambda and K: real for a real lambda on a real operator.
+    The one expression every LU and every refinement residual builds, so a
+    rebuilt system has the bits the factored one had."""
+    part = op.node_partition
     with np.errstate(over="ignore", invalid="ignore"):
-        M = Ke * ((-_narrowed(lam)) * we)
+        M = part.K_e * ((-_narrowed(lam)) * part.w_e)
         M.reshape(-1)[:: M.shape[0] + 1] += 1.0  # the diagonal
     return M
 
 
+def _lapack(name, *args, **kwargs):
+    """LAPACK's `name` on args, looked up at each call for the first one's
+    dtype, its outputs but info (one output as itself); a negative info, an
+    illegal argument, raises ValueError."""
+    *out, info = get_lapack_funcs(name, args[:1])(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    return out[0] if len(out) == 1 else out
+
+
 def _getrf(M):
     """(lu, piv) of M from LAPACK getrf, the pivots 0-based, as lu_factor
-    gives them; getrf is looked up at each call, as gecon is.  An exactly
-    zero pivot is no error here: it shows as rcond = 0 and as D = 0."""
-    lu, piv, info = get_lapack_funcs("getrf", (M,))(M)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    return lu, piv
+    gives them.  An exactly zero pivot is no error here: it shows as
+    rcond = 0 and as D = 0."""
+    return _lapack("getrf", M)
 
 
 def _lu(op, lam):
-    """(M, lu, piv): the LU factorization of M = _system(op, lam), the system
-    in elimination order (_elimination), so the nodes of largest weight are
-    eliminated first.  The one LU of every lambda-path -- solves, resolvent
-    kernels, direct determinants, log-derivative path points -- cached on
-    the operator for the last lambda, so one lambda's solve and determinant
-    share it.  The cache keeps the factors, not M: M is returned when this
-    call built it and None when the factors come from the cache."""
+    """(M, lu, piv): the LU factorization of M_aa, the kept block of
+    M = _system(op, lam), its nodes of largest weight eliminated first.
+    The one LU of every lambda-path -- solves, resolvent kernels, direct
+    determinants, log-derivative path points -- cached on the operator for
+    the last lambda, so one lambda's solve and determinant share it.  The
+    cache keeps the factors, not M: M is returned when this call built it
+    and None when the factors come from the cache."""
     cached = op.__dict__.get("_lu")
     if cached is not None and cached[0] == lam:
         return (None,) + cached[1:]
     M = _system(op, lam)
-    lu, piv = _getrf(M)
+    k = op.node_partition.kept_count
+    lu, piv = _getrf(M[:k, :k])
     op.__dict__["_lu"] = (lam, _read_only(lu), _read_only(piv))
     return M, lu, piv
 
 
-def _getrs(lu, piv, b):
-    """M^{-1} b from M's LU by LAPACK getrs, looked up at each call."""
-    x, info = get_lapack_funcs("getrs", (lu, b))(lu, piv, b)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
 def _lu_solve(lu, piv, rhs):
     """M^{-1} rhs from M's LU, a real LU on a complex rhs's float view."""
-    return _on_float_view(lu, lambda y: _getrs(lu, piv, y), rhs)
+    return _on_float_view(lu, lambda y: _lapack("getrs", lu, piv, y), rhs)
 
 
 def _slogdet(lu, piv):
@@ -186,24 +173,48 @@ def _slogdet(lu, piv):
     return (-sign if odd else sign), float(np.log(absd).sum())
 
 
+def _reciprocal(rcond):
+    """1 / rcond, inf for rcond = 0: an estimate of ||X^-1||_1 or a condition."""
+    return np.inf if rcond == 0 else 1.0 / float(rcond)
+
+
+def _condition(op, lam, M, lu):
+    """The guard's 1-norm condition estimate of M in the node partition's
+    order (inf for an exactly singular factor; InvalidArgumentError, naming
+    lambda, when ||M||_1 overflows): LAPACK gecon's (Hager-Higham) from M's
+    LU when nothing is dropped, else ||M~||_1 times a bound on ||M~^-1||_1.
+    M~^-1 = [[M_aa^-1, 0], [-L^-1 M_ta M_aa^-1, L^-1]], so with e gecon's
+    estimate of ||M_aa^-1||_1 and v = C^-T 1 for L's comparison matrix C
+    (|l_ii| on the diagonal, -|l_ij| below; |L^-1| <= C^-1, Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 8.3) the bound is
+    max(max v, (1 + max v^T |M_ta|) e): max(1, (1 + ||M_ta||_1) e) for L = I."""
+    k = op.node_partition.kept_count
+    with np.errstate(over="ignore", invalid="ignore"):
+        kept, C = np.abs(M[:, :k]), -np.abs(np.tril(M[k:, k:]))
+        anorm = float(max(np.max(kept.sum(axis=0)), np.max(-C.sum(axis=0), initial=0.0)))
+    if not np.isfinite(anorm):
+        raise InvalidArgumentError(
+            f"I - lambda*A at lambda={lam:.6g} has 1-norm {anorm}, not a finite number")
+    if not C.size:
+        return _reciprocal(_lapack("gecon", lu, anorm))
+    C.reshape(-1)[:: C.shape[0] + 1] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _lapack("trtrs", C, np.ones(C.shape[0]), lower=1, trans=1)
+        e = _reciprocal(_lapack("gecon", lu, 1.0))
+        return anorm * float(max(np.max(v), (1.0 + np.max(v @ kept[k:])) * e))
+
+
 def _guarded_lu(op, lam):
-    """(M, lu, piv, nearest_eigen_gap) of M = I - lambda*A in elimination
-    order, as _lu gives them (M rebuilt when the factors come from the
-    cache), refusing lambda near the cached spectrum or a condition
-    estimate above 1e10 (LAPACK gecon's 1-norm estimate, Hager-Higham, from
-    the LU; inf for an exactly singular M), and a lambda so large that M or
-    its 1-norm overflows."""
+    """(M, lu, piv, nearest_eigen_gap) of M = I - lambda*A in the node
+    partition's order and of its kept block's LU, as _lu gives them (M
+    rebuilt when the factors come from the cache), refusing lambda near the
+    cached spectrum or a condition estimate above 1e10 (_condition), and a
+    lambda so large that M or its 1-norm overflows."""
     gap, nearest = _guard_pole(lam, _fredholm_lambdas(op), GAP_RTOL)
     M, lu, piv = _lu(op, lam)
     if M is None:
         M = _system(op, lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        anorm = float(np.linalg.norm(M, 1))
-    if not np.isfinite(anorm):
-        raise InvalidArgumentError(
-            f"I - lambda*A at lambda={lam:.6g} has 1-norm {anorm}, not a finite number")
-    rcond, _info = get_lapack_funcs("gecon", (lu,))(lu, anorm)
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
+    cond = _condition(op, lam, M, lu)
     if cond > COND_LIMIT:
         raise EigenvalueProximityError(
             f"system condition {cond:.3e} exceeds 1e10 near lambda={lam:.6g}; "
@@ -215,20 +226,32 @@ def _guarded_lu(op, lam):
 
 
 def _guarded_solve(op, lam, rhs):
-    """Solve (I - lambda*A) X = rhs through _guarded_lu with one refinement
-    pass, in elimination order: rhs is permuted once on the way in and X
-    once on the way out.  Returns (X, nearest_eigen_gap); raises
-    InvalidArgumentError, naming lambda, when an entry of X overflows."""
+    """Solve (I - lambda*A) X = rhs through _guarded_lu in the node
+    partition's order, rhs permuted once on the way in and X once on the way
+    out: each solve is of M~ (x_a from M_aa's LU, then L x_t = b_t - M_ta x_a
+    by trtrs), with one refinement pass on M.  Returns (X, nearest_eigen_gap);
+    raises InvalidArgumentError, naming lambda, when an entry of X overflows."""
     M, lu, piv, gap = _guarded_lu(op, lam)
-    order = _elimination(op)[0]
-    b = rhs[order]
+    part = op.node_partition
+    k = part.kept_count
+    L = np.asfortranarray(M[k:, k:])  # LAPACK's layout, copied once
+
+    def solve(b):
+        y = _lu_solve(lu, piv, b[:k])
+        if not L.size:
+            return y
+        tail = b[k:] - _matvec(M[k:, :k], y)
+        return np.concatenate((y, _on_float_view(L, lambda z: _lapack("trtrs", L, z, lower=1),
+                                                 tail)))
+
+    b = rhs[part.order]
     with np.errstate(over="ignore", invalid="ignore"):
-        Y = _lu_solve(lu, piv, b)
-        Y = Y + _lu_solve(lu, piv, b - _matvec(M, Y))  # one refinement pass
+        Y = solve(b)
+        Y = Y + solve(b - _matvec(M, Y))  # one refinement pass
     if not np.isfinite(Y).all():
         raise InvalidArgumentError(f"the solve at lambda={lam:.6g} overflows")
     X = np.empty_like(Y)
-    X[order] = Y
+    X[part.order] = Y
     return X, gap
 
 
@@ -241,10 +264,14 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     operator's cached family, and the LU is the one per operator and lambda
     that resolvent_kernel and the direct determinant share, real at a real
     lambda on a real operator, where p is real for a real f and a complex f
-    is solved on its float view, eliminating the nodes by decreasing weight:
-    f is permuted once, refined, and the solution permuted back.  A
-    non-finite lambda or f, or a solution or residual that overflows,
-    raises InvalidArgumentError.  The residual is ||r|| / ||f|| in
+    is solved on its float view.  That LU is of the node partition's kept
+    block, its nodes eliminated by decreasing weight; p's tail rows come
+    from the Nystrom formula p_t = f_t + lambda (K W p)_t, node by node in
+    decreasing weight, and one refinement pass on the full system follows
+    (_guarded_solve).  The condition estimate bounds the system that solve
+    inverts (_condition), and is gecon's of I - lambda*A when nothing
+    is dropped.  A non-finite lambda or f, or a solution or residual that
+    overflows, raises InvalidArgumentError.  The residual is ||r|| / ||f|| in
     nystrom._norm's norms, which neither overflow nor underflow on the way;
     past the float range both take f and r at 2^-32.
     """
@@ -270,8 +297,8 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
     Satisfies both defining identities (the Neumann-series form)
     lambda * A @ N_lambda = N_lambda - K = lambda * N_lambda @ (W K).
     Guarded as resolvent_solve is, against the cached spectrum, and solved
-    with the same one LU per operator and lambda; real at a real lambda on
-    a real operator.
+    as it is, with the same one LU per operator and lambda of the node
+    partition's kept block; real at a real lambda on a real operator.
     """
     _operator_arg(op)._require_square("a resolvent kernel")
     NL, _gap = _guarded_solve(op, _number_arg(lam, "lambda"), op.K)
@@ -343,8 +370,11 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     its LU, the one LU per operator and lambda a resolvent solve or kernel
     at that lambda shares (real for a real lambda on a real operator), and
     is 0 when a pivot is exactly zero; it runs no guard.  That LU factors
-    the system with its nodes eliminated by decreasing weight, a symmetric
-    permutation, whose determinant is det(I - lambda*A) exactly.  method="product"
+    the node partition's kept block M_aa, its nodes eliminated by decreasing
+    weight.  What it leaves out, M_at and M_tt's strict upper triangle, is
+    below rounding of B, and M_tt's diagonal is 1 - lambda B_ii, so
+    det(I - lambda*A) = det M_aa to rounding; with nothing dropped, exactly,
+    up to the symmetric permutation.  method="product"
     multiplies (1 - lambda*nu_j) over every eigenvalue of A, read from the
     operator's cached spectrum, dropping only the machine-neutral factors
     with |lambda*nu_j| < 1e-14.  Zeros of D locate the Fredholm
@@ -369,11 +399,13 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     more than 1e-3 relative to its nearest Fredholm eigenvalue, else
     PoleError.  Each path point costs one guarded LU of I - lambda*A, real
     on a real operator, the one LU per operator and lambda of every
-    lambda-path; it gives both the weighted trace, as
-    tr((I - lambda*A)^{-1} A) = sum_i w_e,i ((P M P^T)^{-1} K_e)_ii in
-    elimination order, and log D, read as the direct determinant is.  The
-    path check and the guards share the operator's cached spectrum.  The
-    path must be two finite real numbers and steps an integer >= 1.
+    lambda-path, of the node partition's kept block; it gives both the
+    weighted trace, as tr((I - lambda*A)^{-1} A) = sum_{i in a} w_i
+    (M_aa^{-1} K_aa)_ii on the kept nodes a in elimination order (the
+    dropped columns of A are below rounding of B), and log D, read as the
+    direct determinant is.  The path check and the guards share the
+    operator's cached spectrum.  The path must be two finite real numbers
+    and steps an integer >= 1.
     """
     if not (isinstance(lambda_path, (tuple, list, np.ndarray)) and len(lambda_path) == 2):
         raise InvalidArgumentError(f"lambda_path must be a pair (a, b), got {lambda_path!r}")
@@ -384,13 +416,15 @@ def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: i
     for t in grid:
         _guard_pole(t, lambdas, PATH_RTOL, PoleError, "path point lambda")
 
-    _order, Ke, we = _elimination(op)
+    part = op.node_partition
+    k = part.kept_count
 
     def log_det_and_trace(lam):
-        # tr(M^{-1} A) = tr((P M P^T)^{-1} K_e W_e), both in elimination order
+        # tr(M^{-1} A) = tr(M_aa^{-1} K_aa W_a), on the kept block
         _M, lu, piv, _gap = _guarded_lu(op, complex(lam))
         sign, logabs = _slogdet(lu, piv)
-        return logabs + 1j * np.angle(sign), np.sum(we * np.diagonal(_lu_solve(lu, piv, Ke)))
+        return (logabs + 1j * np.angle(sign),
+                np.sum(part.w_e[:k] * np.diagonal(_lu_solve(lu, piv, part.K_e[:k, :k]))))
 
     log_d, g = np.array([log_det_and_trace(t) for t in grid]).T
     h = (b - a) / steps

@@ -90,6 +90,8 @@ class DiscreteOperator:
         fredkit's own readers form a transient B each (_form_B)
     family : the one eigen-family (BiSpectralDecomposition); spectrum : its
         eigenvalues
+    node_partition : the nodes the lambda-path factors and the ones it
+        drops (NodePartition)
 
     An operator is built from (rule, shape, K), each checked: a
     QuadratureRule, two positive integers and an array of numbers of shape
@@ -100,11 +102,11 @@ class DiscreteOperator:
     gets real arrays, products and LAPACK calls.  Complex by contract are the
     spectrum, the general family's pairs and Jordan forms.  K is read-only, so
     nothing cached from it (on first read, read-only) can go stale: A, B, the
-    Hermitian defect, the reflection gate, the families, and fredholm's
-    elimination order and LU.  A float64 or complex128 K is the caller's own
-    array, made read-only in place: a read-only view would leave the caller
-    free to write the samples under those caches, and a copy would cost
-    8-16 MB per discretize at N = 1024.
+    Hermitian defect, the reflection gate, the families, the node partition
+    (with K in the lambda-path's order) and fredholm's last LU.  A float64
+    or complex128 K is the caller's own array, made read-only in place: a
+    read-only view would leave the caller free to write the samples under
+    those caches, and a copy would cost 8-16 MB per discretize at N = 1024.
 
     The Hermitian route.  When hermitian_defect() <= n u (n = K.shape[0],
     u = eps / 2), one eigh of S = (B + B^H) / 2 (EIGH_DRIVER) replaces the
@@ -221,6 +223,12 @@ class DiscreteOperator:
                 and np.array_equal(K[::-1, ::-1][:top], np.conj(K[:top])))
 
     @cached_property
+    def node_partition(self):
+        """The lambda-path's NodePartition, read off K and the weights in
+        O(N^2) and cached.  Needs a square block shape."""
+        return _node_partition(self)
+
+    @cached_property
     def hermitian_family(self):
         """The W-orthonormal family (left is right) of B's Hermitian part,
         built once; hermitian_eig returns it.  eigh's values, held as complex,
@@ -296,6 +304,77 @@ class BiSpectralDecomposition:
     weights: np.ndarray
     K: np.ndarray
     refusal: str = None
+
+
+@dataclass(frozen=True, eq=False)
+class NodePartition:
+    """The rows of K (nodes, for a 1 x 1 block) that every LU of
+    I - lambda*A factors, the kept block, and the ones it drops: one
+    operator's record, built once (DiscreteOperator.node_partition) and
+    read-only.
+
+    Row i's mass is the root mean square of ||B_{i,:}|| and ||B_{:,i}|| (for a
+    Hermitian B, its row norm).  The dropped rows t are the largest set,
+    smallest mass first (stable), whose masses' root sum of squares is at
+    most u ||B||_F / sqrt(2), u = eps / 2: ||B_{t,:}||_F and ||B_{:,t}||_F
+    are then each at most u ||B||_F, and what the lambda-path leaves out of
+    them is a backward error below rounding of B (Weyl; Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 12).  On a
+    reflection-symmetric operator the masses are those of the top ceil(N/2)
+    nodes, each counted with its mirror, and the partition is
+    mirror-symmetric bit for bit.  Nothing is dropped when ||B||_F is 0 or
+    not finite.  Mehler r = 1/2 on Gauss-Hermite 256 drops its 104 lightest
+    nodes; the Gauss-Legendre operators of fredkit's tests drop none.
+
+    order : the rows, kept ones first, each part by decreasing weight (a
+        stable sort): the lambda-path's elimination order, heaviest first
+    kept_count : the number of kept rows, order[:kept_count]
+    dropped : the dropped rows, order[kept_count:]
+    dropped_mass : the dropped masses' root sum of squares over ||B||_F
+    K_e, w_e : K[order][:, order] and w_cols[order], the samples each lambda
+        builds its system from
+    """
+
+    order: np.ndarray
+    kept_count: int
+    dropped_mass: float
+    K_e: np.ndarray
+    w_e: np.ndarray
+
+    @property
+    def dropped(self):
+        return self.order[self.kept_count:]
+
+
+def _node_partition(op):
+    """DiscreteOperator.node_partition's build, from |B|'s squared rows at a
+    power-of-two scale that keeps them in range: the top ceil(N/2) alone on
+    the reflection route, where column j's bottom rows are column N-1-j's
+    top ones, reflected."""
+    op._require_square("a node partition")
+    K, w = op.K, op.w_cols
+    N = K.shape[0]
+    top = (N + 1) // 2 if op.reflection_symmetric else N
+    sqw = np.sqrt(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # a K that is not finite drops nothing
+        Y = np.abs(K[:top]) * sqw[:top, None] * sqw
+        Y *= _pow2_scale(Y)
+        Y *= Y
+        rows, cols = Y.sum(axis=1), Y.sum(axis=0)
+        if top < N:
+            cols = cols[:top] + cols[::-1][:top] - (N % 2) * Y[-1, :top]
+        pairs = np.where(np.arange(top) < N - top, 2.0, 1.0)  # a node and its mirror
+        total = float(np.sum(pairs * rows))  # ||B||_F^2 at Y's scale
+        by_mass = np.argsort(rows + cols, kind="stable")
+        cum = np.cumsum((pairs * (rows + cols) / 2)[by_mass])
+    k = int(np.count_nonzero(cum <= UNIT ** 2 * total / 2)) if 0 < total < np.inf else 0
+    dropped = np.zeros(N, dtype=bool)
+    dropped[by_mass[:k]] = True
+    dropped[N - 1 - by_mass[:k]] |= top < N  # their mirrors
+    order = np.lexsort((-w, dropped))  # stable: ties keep their listing
+    return NodePartition(_read_only(order), N - int(np.count_nonzero(dropped)),
+                         float(np.sqrt(cum[k - 1] / total)) if k else 0.0,
+                         _read_only(K[np.ix_(order, order)]), _read_only(w[order]))
 
 
 def _operator_arg(op):

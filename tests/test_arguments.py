@@ -352,6 +352,7 @@ RECORDS = {
     "QuadratureRule": lambda e: e["rule"],
     "GridSampled": lambda e: fk.grid_kernel(e["rule"], np.eye(8)).body,
     "DiscreteOperator": lambda e: e["op"],
+    "NodePartition": lambda e: e["op"].node_partition,
     "BiSpectralDecomposition": lambda e: e["d"],
     "AsymptoticProfile": lambda e: e["profile"],
     "JordanForm": lambda e: e["jf"],

@@ -248,12 +248,13 @@ class TestSpectrumCache:
         fk.hermitian_eig(op)
         fk.djf_eig(op)
         fk.operator_svd(op)
-        # one LU per lambda and per path point; the pole refusal needs none
-        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(256, 256)] * (5 + 21))
+        # one LU per lambda and per path point, of the 152 kept nodes'
+        # block (node_partition); the pole refusal needs none
+        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(152, 152)] * (5 + 21))
         assert op.spectrum is op.family.eigenvalues is op.hermitian_family.eigenvalues
         fresh = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         fk.fredholm_determinant(fresh, 1.0, "product")
-        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 4, getrf=[(256, 256)] * 26)
+        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 4, getrf=[(152, 152)] * 26)
 
     def test_one_lu_per_lambda_gh256(self, lapack_calls):
         """Solve, resolvent kernel and direct determinant at one lambda share
@@ -267,7 +268,7 @@ class TestSpectrumCache:
         for lam in (0.3, -1.0, 1.5 + 0.5j, 3.0 - 1.0j, 7.0):
             for call in next(orders):
                 call(lam)
-        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(256, 256)] * 5)
+        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(152, 152)] * 5)
 
     @pytest.mark.parametrize("make, lambdas, path", [
         (lambda k: fk.discretize(k, fk.gauss_legendre(8, 0.0, 1.0)), (1.0, 2.0 + 1.0j), (0.0, 1.0)),
@@ -452,7 +453,7 @@ class TestLogDerivativeCheck:
     def test_one_factorization_per_path_point(self, lapack_calls):
         op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
         assert fk.determinant_log_derivative_check(op, (0.0, 0.9), 20) <= 0.05
-        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(256, 256)] * 21)
+        assert lapack_calls == no_lapack(eigh=[(128, 128)] * 2, getrf=[(152, 152)] * 21)
 
 
 class TestFirstKindSolve:

@@ -221,7 +221,7 @@ def test_one_eigh_serves_every_decomposition(monkeypatch, gh40):
 
 def lambda_path(op):
     """A resolvent solve, a direct determinant and a log-derivative check:
-    the readers of the elimination order and of the shared LU.  Mehler
+    the readers of the node partition and of the shared LU.  Mehler
     r = 1/2 has its Fredholm eigenvalues at 2^j, away from all three."""
     fk.resolvent_solve(op, 0.5, np.ones(op.K.shape[0]))
     fk.fredholm_determinant(op, 2.5 + 1j, "direct")
@@ -229,14 +229,14 @@ def lambda_path(op):
 
 
 def square_arrays(op):
-    """Where op keeps an N x N array: an attribute, entry i of a cached tuple
-    or a field of an eigen-family, each array named once (a Hermitian
-    family's left is its right)."""
+    """Where op keeps a matrix: an attribute, entry i of a cached tuple or a
+    field of a cached record (an eigen-family, the node partition), each
+    array named once (a Hermitian family's left is its right)."""
     named = {}
     for k, v in vars(op).items():
         if isinstance(v, tuple):
             items = [(f"{k}[{i}]", x) for i, x in enumerate(v)]
-        elif isinstance(v, fk.BiSpectralDecomposition):
+        elif dataclasses.is_dataclass(v):
             items = [(f"{k}.{f.name}", getattr(v, f.name)) for f in dataclasses.fields(v)]
         else:
             items = [(k, v)]
@@ -253,10 +253,11 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     (the reflection route's two half-size eighs) and one polish product run,
     whichever reader comes first.  Of the operator's
     matrices only K is stored; B is formed for each reader and dropped, so
-    it is not among them: after every reader, the other N x N arrays are
-    the family's samples, _elimination's K_e and the last lambda's LU
-    factors.  A is formed on its first read, K * w_cols bit for bit, and
-    kept read-only."""
+    it is not among them: after every reader, the other matrices are the
+    family's samples, the node partition's K_e (K in its elimination order,
+    the 152 kept nodes first) and the last lambda's LU factors of the kept
+    block, 152 x 152.  A is formed on its first read, K * w_cols bit for
+    bit, and kept read-only."""
     eighs = spy_on(monkeypatch, ("eigh",))
     polishes = spy_on_polish(monkeypatch)
     calls = []
@@ -280,9 +281,12 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     assert calls == [(256, 256)] and eighs == ["eigh"] * 2 and len(polishes) == 1
     assert sorted(k for k, v in vars(op).items()
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["K"]
-    assert square_arrays(op) == ["K", "_elimination[1]", "_lu[1]", "hermitian_family.right"]
-    order, Ke, we = vars(op)["_elimination"]
-    assert np.array_equal(Ke, op.K[np.ix_(order, order)]) and np.array_equal(we, op.w_cols[order])
+    assert square_arrays(op) == ["K", "_lu[1]", "hermitian_family.right", "node_partition.K_e"]
+    part = vars(op)["node_partition"]
+    assert part.kept_count == 152 and vars(op)["_lu"][1].shape == (152, 152)
+    order = part.order
+    assert np.array_equal(part.K_e, op.K[np.ix_(order, order)])
+    assert np.array_equal(part.w_e, op.w_cols[order])
     assert "A" not in vars(op)
     A = op.A
     assert vars(op)["A"] is A and not A.flags.writeable

@@ -194,10 +194,11 @@ def subnormal_parts(X):
 @pytest.mark.parametrize("lam", [LAMBDAS[0], 0.9], ids=["round0", "0.9"])
 @pytest.mark.parametrize("listing", ["natural", "reversed"])
 def test_lu_eliminates_heavy_nodes_first(monkeypatch, lam, listing):
-    """GH256's weights span 1 down to 3e-211.  The one LU per lambda
-    eliminates the nodes by decreasing weight, whatever the order the rule
-    lists them in, so its factors hold no subnormal entry; eliminated in
-    the listed order, the light nodes first, they hold 556 to 1,070."""
+    """GH256's weights span 1 down to 3e-211.  The one LU per lambda, of
+    the 152 kept nodes' block (node_partition), eliminates the nodes by
+    decreasing weight, whatever the order the rule lists them in, so its
+    factors hold no subnormal entry; all 256 eliminated in the listed
+    order, the light nodes first, held 556 to 1,070."""
     lus = []
     getrf = fredholm._getrf
     monkeypatch.setattr(fredholm, "_getrf", lambda M: lus.append(M.shape) or getrf(M))
@@ -207,7 +208,7 @@ def test_lu_eliminates_heavy_nodes_first(monkeypatch, lam, listing):
         fk.resolvent_solve(op, lam, np.ones(256, dtype=complex))
         fk.fredholm_determinant(op, lam, "direct")
         assert subnormal_parts(op.__dict__["_lu"][1]) == 0  # the cached factors
-    assert lus == [(256, 256)] * 2
+    assert lus == [(152, 152)] * 2
 
 
 @pytest.fixture(scope="module")
