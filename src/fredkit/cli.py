@@ -286,7 +286,7 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
     if dump_operator:
         write_complex_csv(f"{dump_operator}_K.csv", op.K)
         write_complex_csv(f"{dump_operator}_A.csv", op.A)
-        write_complex_csv(f"{dump_operator}_B.csv", nystrom._form_B(op))
+        write_complex_csv(f"{dump_operator}_B.csv", op.B)
     cmd = config.command
 
     if cmd in ("eig", "djf"):

@@ -5,8 +5,9 @@ dense matrix A = K W with block entry A[i, j] = N(x_i, x_j) * w_j.  An
 operator stores one matrix, the raw samples K; every product with A is
 K (w x) (_apply_A).  The symmetrized form B = W^{1/2} K W^{1/2}, which
 shares A's eigenvalues and turns weighted orthonormality of eigenfunction
-samples into Euclidean orthonormality, is formed by one helper (_form_B)
-for the one reader that needs it, which may overwrite it.
+samples into Euclidean orthonormality, is formed afresh on each read of
+DiscreteOperator.B, as A is on each read of DiscreteOperator.A: one
+expression each, whose reader owns (and may overwrite) what it gets.
 B's Hermitian defect and one eigen-family record (BiSpectralDecomposition)
 per operator are computed once, on first use; DiscreteOperator.family is the
 one dispatch: hermitian_family (one eigh of B's Hermitian part) when
@@ -19,7 +20,7 @@ is two half-size real eighs or one real eigh of the real form
 (_reflected_eigh), and iterated_kernel forms the top ceil(N/2) rows of each
 product and fills the bottom ones by the exact reflection J X J (conjugated
 for a complex X).
-K (and A and B, once formed) are float64 for a real kernel and complex128
+K (and A and B) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
 
@@ -84,10 +85,13 @@ class DiscreteOperator:
     rule : QuadratureRule
     shape : (s1, s2) kernel block shape
     K : raw kernel samples, (n*s1) x (n*s2), node-major blocks
-    A : K * w_cols, formed on first read (fredkit's CLI reads it for jordan
-        and --dump-operator; its own products with A are K (w x))
-    B : W^{1/2}-symmetrized samples, formed on first read for callers;
-        fredkit's own readers form a transient B each (_form_B)
+    A : K * w_cols, formed on every read (the Frobenius norm of the
+        collapse test, the CLI's jordan and --dump-operator; fredkit's
+        products with A are K (w x))
+    B : W^{1/2} K W^{1/2}, formed on every read (the Hilbert-Schmidt norm,
+        the Hermitian defect and part, the Schur form, the svd)
+    A and B are fresh, writeable arrays their reader owns: writing to
+    one changes nothing on the operator, and the operator keeps neither.
     family : the one eigen-family (BiSpectralDecomposition); spectrum : its
         eigenvalues
     node_partition : the nodes the lambda-path factors and the ones it
@@ -101,7 +105,7 @@ class DiscreteOperator:
     real kernel, and a real sample vector or power-iteration start with it,
     gets real arrays, products and LAPACK calls.  Complex by contract are the
     spectrum, the general family's pairs and Jordan forms.  K is read-only, so
-    nothing cached from it (on first read, read-only) can go stale: A, B, the
+    nothing cached from it (on first read, read-only) can go stale: the
     Hermitian defect, the reflection gate, the families, the node partition
     (with K in the lambda-path's order) and fredholm's last LU.  A float64
     or complex128 K is the caller's own array, made read-only in place: a
@@ -134,20 +138,17 @@ class DiscreteOperator:
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
 
-    @cached_property
+    @property
     def A(self):
         """The Nystrom matrix K * w_cols, K's columns scaled by the node
-        weights, formed on first read and read-only.  fredkit forms it only
-        for its CLI (jordan, --dump-operator); every product with A is
-        K (w x)."""
-        return _read_only(self.K * self.w_cols)
+        weights, formed on every read: a fresh array its reader owns."""
+        return self.K * self.w_cols
 
-    @cached_property
+    @property
     def B(self):
-        """W^{1/2} K W^{1/2}, formed on first read (as _form_B forms it, bit
-        for bit) and read-only.  No fredkit path reads it: each of its
-        readers forms its own transient B."""
-        return _read_only(_form_B(self))
+        """W^{1/2} K W^{1/2}, formed on every read: a fresh array its reader
+        owns and may overwrite."""
+        return np.sqrt(self.w_rows)[:, None] * self.K * np.sqrt(self.w_cols)
 
     @property
     def spectrum(self):
@@ -183,8 +184,8 @@ class DiscreteOperator:
 
     def hs_norm(self):
         """Quadrature estimate of the Hilbert-Schmidt norm ||N||_2:
-        sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F, on a transient B."""
-        return float(_norm(_form_B(self)))
+        sqrt(sum_ij w_i w_j ||N(x_i, x_j)||_F^2) = ||B||_F."""
+        return float(_norm(self.B))
 
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
@@ -199,7 +200,7 @@ class DiscreteOperator:
         defect = self.__dict__.get("_defect")
         if defect is None:
             self._require_square("a Hermitian defect")
-            S, defect = _hermitian_part(_form_B(self))
+            S, defect = _hermitian_part(self.B)
             if defect <= keep:
                 self.__dict__["_hermitian_S"] = S
             self.__dict__["_defect"] = defect
@@ -250,8 +251,8 @@ class DiscreteOperator:
         P *= _unit_anchored(w, P)
         P = _read_only(P)
         return BiSpectralDecomposition(_read_only(nu.astype(complex)), P, P,
-                                       _biorth_residual(w, P, P, retained), hermitian=True,
-                                       route=route, retained=retained, weights=w, K=self.K)
+                                       _biorth_residual(w, P, P, retained), route=route,
+                                       retained=retained, weights=w, K=self.K)
 
     @cached_property
     def general_family(self):
@@ -281,13 +282,13 @@ class BiSpectralDecomposition:
     real-positive anchor entry; left vectors q_j are fixed by
     bi-orthogonality <q_j, p_k>_W = delta_jk, and biorth_residual is
     max |<q_j, p_k>_W - delta_jk| over the retained pairs.  Pairs with
-    |nu_j| <= 1e-12 |nu_1| are reported but not scored.  ``hermitian`` is
-    True exactly when the pairs come from the eigh of B's Hermitian part
-    (left is right).  ``route`` names the build: "hermitian" (one eigh),
+    |nu_j| <= 1e-12 |nu_1| are reported but not scored.  ``route`` names
+    the build: "hermitian" (one eigh),
     "hermitian-split" (two half-size real eighs of a real reflection-symmetric
     B), "hermitian-real" (one real eigh of a complex reflection-symmetric B's
-    real form) or "general" (the Schur form).  weights are the operator's
-    w_rows and K its samples,
+    real form) or "general" (the Schur form); ``hermitian``, read off it, is
+    True exactly when the pairs come from an eigh of B's Hermitian part
+    (left is right).  weights are the operator's w_rows and K its samples,
     for the Nystrom step of second_kind_solve_series.  right, left and
     biorth_residual are None when refusal holds a DefectiveSuspectedError's
     message.  It never holds its operator, so a dropped operator needs no
@@ -298,12 +299,15 @@ class BiSpectralDecomposition:
     right: np.ndarray
     left: np.ndarray
     biorth_residual: float
-    hermitian: bool
     route: str
     retained: int
     weights: np.ndarray
     K: np.ndarray
     refusal: str = None
+
+    @property
+    def hermitian(self):
+        return self.route != "general"
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,12 +387,6 @@ def _operator_arg(op):
     return _instance_arg(op, DiscreteOperator, "operator")
 
 
-def _form_B(op):
-    """B = W^{1/2} K W^{1/2}, formed afresh for the one reader that needs it,
-    which may overwrite it: the operator stores K only."""
-    return np.sqrt(op.w_rows)[:, None] * op.K * np.sqrt(op.w_cols)[None, :]
-
-
 def _hermitian_eigh(op):
     """(vals, vecs in B's dtype) of B's Hermitian part, built here or kept by
     the defect (_hermitian_defect): _reflected_eigh's on a reflection-symmetric
@@ -398,7 +396,7 @@ def _hermitian_eigh(op):
     op._require_square("a Hermitian eigendecomposition")
     S = op.__dict__.pop("_hermitian_S", None)
     if S is None:
-        S, defect = _hermitian_part(_form_B(op))
+        S, defect = _hermitian_part(op.B)
         op.__dict__.setdefault("_defect", defect)
         if not np.isfinite(defect):  # finite exactly when S is
             raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
@@ -455,7 +453,7 @@ def _reflected_eigh(S):
 
 
 def _hermitian_part(B):
-    """(S, defect) for a square, transient B: its Hermitian part
+    """(S, defect) for a square B that is the caller's to overwrite: its Hermitian part
     S = (B + B^H) / 2 and ||B - B^H||_F / ||B||_F, read off S as
     2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S), with B - S taken in
     B's own buffer, so no N x N copy of B^H outlives the sum and B is
@@ -469,7 +467,7 @@ def _hermitian_part(B):
 
 def _general_family(op):
     """DiscreteOperator.general_family's build, on a square operator."""
-    B = _form_B(op)
+    B = op.B
     if not np.isfinite(B).all():
         raise InvalidArgumentError("B has an entry that is not finite")
     T, Z = _linalg("schur", B, lib=scipy.linalg, output={"f": "real", "c": "complex"}[B.dtype.kind],
@@ -508,7 +506,7 @@ def _general_family(op):
     nu = _read_only(nu)
 
     def family(P=None, Q=None, resid=None, refusal=None):
-        return BiSpectralDecomposition(nu, P, Q, resid, hermitian=False, route="general",
+        return BiSpectralDecomposition(nu, P, Q, resid, route="general",
                                        retained=r, weights=w, K=op.K, refusal=refusal)
 
     if not kappa * n * UNIT <= 1e-8:
@@ -599,10 +597,11 @@ def _rebasis_degenerate(vals, V, retained):
 def _pow2_scale(X):
     """The power of two s with max |X s| in [1/2, 1), 1 for a zero or
     non-finite X: multiplying by it is exact for every entry that stays in
-    the normal range."""
+    the normal range.  s is capped at 2^1023, the largest power of two, so a
+    max |X| below 2^-1024 gets max |X s| in [2^-51, 1/2): its square is normal."""
     with np.errstate(over="ignore"):
         top = float(np.max(np.abs(X), initial=0.0))
-    return float(np.ldexp(1.0, -np.frexp(top)[1])) if 0.0 < top < np.inf else 1.0
+    return float(np.ldexp(1.0, min(-np.frexp(top)[1], 1023))) if 0.0 < top < np.inf else 1.0
 
 
 def _no_overflow(norm, X):

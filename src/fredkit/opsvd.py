@@ -1,8 +1,8 @@
 """Singular value decomposition of discretized integral operators.
 
-The SVD is computed on B = W^{1/2} K W^{1/2}, formed for that one svd
-call (nystrom._form_B), so Euclidean orthonormality of the singular vectors
-becomes weighted orthonormality of the node samples.
+The SVD is computed on B = W^{1/2} K W^{1/2}, read (DiscreteOperator.B,
+formed on every read) for that one svd call, so Euclidean orthonormality of
+the singular vectors becomes weighted orthonormality of the node samples.
 Iterated Gram-operator kernels (N N^*)^n and their odd-power variants, the
 trace power sums, and truncation follow from the triples alone; a power
 whose result overflows raises InvalidArgumentError naming n.
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg
-from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _form_B, _linalg, _matvec,
+from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec,
                       _operator_arg, _read_only, _retained_count, _roundoff_floor)
 
 
@@ -70,7 +70,7 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         negative = nu < -_roundoff_floor(nu)
         Q = P * np.where(negative, -1.0, 1.0) if negative.any() else P
     else:
-        U, s, Vh = _linalg("svd", _form_B(op), full_matrices=False)
+        U, s, Vh = _linalg("svd", op.B, full_matrices=False)
         P = U / np.sqrt(op.w_rows)[:, None]
         Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
         ph = _anchor_phase(P)

@@ -8,10 +8,12 @@ renormalized to unit weighted norm each step, ratios computed before
 renormalization.
 
 Nothing depends on the kernel's scale: starting vectors are scaled by a
-power of two and then to unit weighted norm (_start), an iterate has
+power of two (at most 2^1023, so a start down to 2^-1074 runs as its scaled
+copy does) and then to unit weighted norm (_start), an iterate has
 collapsed when its image A h, before any division, has weighted norm at
-most 1e-14 ||A||_F (_collapse_test), and weighted norms that would overflow are
-taken after an exact power-of-two scaling (nystrom._no_overflow).
+most 1e-14 ||A||_F (_collapse_test, which refuses a K that is not finite),
+and weighted norms that would overflow are taken after an exact
+power-of-two scaling (nystrom._no_overflow).
 
 Power iteration follows the kernel: a real start on a real operator runs in
 real products (real ratios, float64 iterates, pairs and deflated K), and a
@@ -52,7 +54,8 @@ COLLAPSE_RTOL = 1e-14
 
 def _unit_scaled(op, f, name):
     """f, checked, in the kind of f and op.K together, as every iterate, times
-    the power of two that brings its largest entry into [1/2, 1).  A starting
+    the power of two that brings its largest entry into [1/2, 1) (into
+    [2^-51, 1/2) below 2^-1024; nystrom._pow2_scale).  A starting
     vector or probe is scale-free, and the scaling is exact: f's squared entries
     cannot overflow, while f / ||f||_W and every ratio against a probe keep their bits."""
     f = _array_arg(f, name, (op.K.shape[0],))
@@ -72,9 +75,12 @@ def _collapse_test(op):
     """The collapse test, as a function of ||A h||_W, the weighted norm of the
     image of a unit iterate h (or of its adjoint image) before it is divided
     by anything: StartingVectorError when that is at most COLLAPSE_RTOL
-    ||A||_F, so that image and floor both scale with the kernel.  ||A||_F is
-    taken of a transient K * w_cols, which the operator does not keep."""
-    floor = COLLAPSE_RTOL * max(float(_norm(op.K * op.w_cols)), 1e-300)
+    ||A||_F, so that image and floor both scale with the kernel.  Raises
+    InvalidArgumentError when ||A||_F is not finite: no floor holds then."""
+    norm_A = float(_norm(op.A))
+    if not np.isfinite(norm_A):
+        raise InvalidArgumentError("K has an entry that is not finite, or ||A||_F overflows")
+    floor = COLLAPSE_RTOL * max(norm_A, 1e-300)
 
     def test(image_norm):
         if image_norm <= floor:

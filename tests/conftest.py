@@ -74,8 +74,8 @@ def defective_op(gl8):
 
 def symmetrized(op):
     """B = W^{1/2} K W^{1/2}, derived from op's K and weights by the
-    expression fredkit forms it with, so equal to op.B bit for bit; reading
-    op.B instead would cache it on the operator."""
+    expression fredkit forms it with, so equal to op.B bit for bit: an
+    oracle written apart from the property it checks."""
     return np.sqrt(op.w_rows)[:, None] * op.K * np.sqrt(op.w_cols)[None, :]
 
 

@@ -41,14 +41,14 @@ def block_kernel(y, z):
 
 
 def forced_complex(op):
-    """op with K, A and B stored as complex128, as the constructor stored
-    every operator before the dtype followed the kernel; the constructor
-    itself would narrow them back, so the fields are set directly."""
+    """op with K stored as complex128, as the constructor stored every
+    operator before the dtype followed the kernel; A and B, formed from K on
+    every read, follow it.  The constructor itself would narrow K back, so
+    the fields are set directly."""
     forced = object.__new__(fk.DiscreteOperator)
     object.__setattr__(forced, "rule", op.rule)
     object.__setattr__(forced, "shape", op.shape)
-    for name in ("K", "A", "B"):
-        object.__setattr__(forced, name, _read_only(getattr(op, name).astype(complex)))
+    object.__setattr__(forced, "K", _read_only(op.K.astype(complex)))
     return forced
 
 
@@ -84,8 +84,9 @@ class TestDtypeFollowsKernel:
     def test_real_kernel_real_arrays(self, gl8, name):
         op = fk.discretize(real_kernels(gl8)[name], gl8)
         for M in (op.K, op.A, op.B):
-            assert M.dtype == np.float64
-            assert M.flags.c_contiguous and not M.flags.writeable
+            assert M.dtype == np.float64 and M.flags.c_contiguous
+        # K is stored read-only; A and B are formed fresh for their reader
+        assert not op.K.flags.writeable and op.A.flags.writeable and op.B.flags.writeable
         assert op.spectrum.dtype == np.complex128
 
     @pytest.mark.parametrize("name", COMPLEX_KERNELS)

@@ -189,6 +189,48 @@ class TestPowerIterationScale:
         nus, _p, _q = self.run(op, 1)
         assert abs(nus[0] / 1e305 * 3 - 1) <= gl8.count * UNIT
 
+    def test_subnormal_start_runs_as_its_scaled_copy(self):
+        """A start 2^-1074 v runs as v does on Mehler GH16: the power of two
+        that scales it is capped at 2^1023, so its largest entry lands at
+        2^-51 or above, where its squares are normal, and the unit start, the
+        estimate, every iterate and the leading pair keep v's bits."""
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(16))
+        v = np.arange(16) % 5 - 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref, tiny = [fk.power_ratio_estimate(op, c * v, 60, 1e-12) for c in (1.0, 2.0 ** -1074)]
+            pairs = [fk.extract_leading_pair(op, ref.estimate, c * v, c * v, 60)
+                     for c in (1.0, 2.0 ** -1074)]
+        assert ref.converged and tiny.estimate == ref.estimate
+        assert len(tiny.iterates) == len(ref.iterates)
+        for a, b in [*zip(ref.iterates, tiny.iterates), *zip(*pairs)]:
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_subnormal_weighted_norm(self, gl8):
+        # the weights sum to 1, so ||u||_W is the entries' common value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nystrom._wnorm(gl8.weights, np.full(8, 1e-320)) == 1e-320
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["power_ratio_estimate", "extract_leading_pair",
+                                       "sequential_spectrum"])
+    def test_sample_that_is_not_finite_is_refused(self, gl8, entry, value):
+        """The collapse test's floor, COLLAPSE_RTOL ||A||_F, is not finite
+        for such a K: each power-iteration entry point refuses it, where a
+        NaN floor gave NaN results and an infinite one a false collapse."""
+        K = fk.discretize(fk.mehler_kernel(0.5), gl8).K.copy()
+        K[2, 5] = value
+        op = fk.DiscreteOperator(rule=gl8, shape=(1, 1), K=K)
+        f = np.ones(K.shape[0])
+        call = {"power_ratio_estimate": lambda: fk.power_ratio_estimate(op, f, 60, 1e-12),
+                "extract_leading_pair": lambda: fk.extract_leading_pair(op, 1.0, f, f, 60),
+                "sequential_spectrum": lambda: fk.sequential_spectrum(op, 2, 60, 1e-12)}[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="K has an entry that is not finite"):
+                call()
+
     def test_null_space_start_still_collapses(self, gl8):
         # orthogonal to z in the weighted inner product: A f = 0
         f = gl8.nodes - np.sum(gl8.weights * gl8.nodes ** 2) / np.sum(gl8.weights * gl8.nodes)

@@ -246,18 +246,26 @@ def square_arrays(op):
     return sorted(named.values())
 
 
-@pytest.mark.parametrize("first", ["spectrum", "hermitian_eig", "djf_eig", "operator_svd",
-                                   "first_kind_solve", "hermitian_family", "lambda_path"])
-def test_one_hermitian_part_per_operator(monkeypatch, first):
-    """B's Hermitian part is built once on GH256 Mehler, and one family build
-    (the reflection route's two half-size eighs) and one polish product run,
-    whichever reader comes first.  Of the operator's
-    matrices only K is stored; B is formed for each reader and dropped, so
-    it is not among them: after every reader, the other matrices are the
-    family's samples, the node partition's K_e (K in its elimination order,
-    the 152 kept nodes first) and the last lambda's LU factors of the kept
-    block, 152 x 152.  A is formed on its first read, K * w_cols bit for
-    bit, and kept read-only."""
+READERS = ["spectrum", "hermitian_eig", "djf_eig", "operator_svd", "first_kind_solve",
+           "hermitian_family", "lambda_path"]
+
+
+@pytest.mark.parametrize("kernel, first", [("mehler", f) for f in READERS]
+                         + [("twin", f) for f in READERS],
+                         ids=READERS + [f"twin-{f}" for f in READERS])
+def test_one_hermitian_part_per_operator(monkeypatch, kernel, first):
+    """lambda-sweep's two operators, Mehler r = 1/2 on GH256 and its complex
+    twin (a = 1): B's Hermitian part is built once, and one family build
+    (the reflection route's two half-size eighs, or the twin's one real
+    eigh) and one polish product run, whichever reader comes first.  Of the
+    operator's matrices only K is stored; B is formed for each reader and
+    dropped, so it is not among them: after every reader and the workload's
+    refusal round (a read of op.A for f's length, then a solve refused at
+    the pole lambda = 2), the other matrices are the family's samples, the
+    node partition's K_e (K in its elimination order, the 152 kept nodes
+    first) and the last lambda's LU factors of the kept block, 152 x 152.
+    A and B are formed afresh on every read, each its expression bit for
+    bit, and neither is kept."""
     eighs = spy_on(monkeypatch, ("eigh",))
     polishes = spy_on_polish(monkeypatch)
     calls = []
@@ -268,7 +276,8 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
         return build(B)
 
     monkeypatch.setattr(nystrom, "_hermitian_part", spy)
-    op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(256))
+    op = fk.discretize(fk.mehler_kernel(0.5) if kernel == "mehler" else twin_kernel(1.0),
+                       fk.gauss_hermite_prob(256))
     readers = {"spectrum": lambda: op.spectrum, "hermitian_family": lambda: op.hermitian_family,
                "lambda_path": lambda: lambda_path(op),
                "first_kind_solve": lambda: fk.first_kind_solve(op, 1.0, 1e-8),
@@ -277,8 +286,12 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     readers.pop(first)()
     for read in readers.values():
         read()
+    f = np.ones(op.A.shape[0], dtype=complex)
+    with pytest.raises(fk.EigenvalueProximityError):
+        fk.resolvent_solve(op, 2.0 * (1.0 + 1e-10), f)
     assert op.hermitian_to_roundoff()
-    assert calls == [(256, 256)] and eighs == ["eigh"] * 2 and len(polishes) == 1
+    assert calls == [(256, 256)] and len(polishes) == 1
+    assert eighs == ["eigh"] * (2 if kernel == "mehler" else 1)
     assert sorted(k for k, v in vars(op).items()
                   if isinstance(v, np.ndarray) and v.ndim == 2) == ["K"]
     assert square_arrays(op) == ["K", "_lu[1]", "hermitian_family.right", "node_partition.K_e"]
@@ -287,11 +300,12 @@ def test_one_hermitian_part_per_operator(monkeypatch, first):
     order = part.order
     assert np.array_equal(part.K_e, op.K[np.ix_(order, order)])
     assert np.array_equal(part.w_e, op.w_cols[order])
-    assert "A" not in vars(op)
-    A = op.A
-    assert vars(op)["A"] is A and not A.flags.writeable
-    assert A.dtype == op.K.dtype and np.array_equal(A.view(np.uint64),
-                                                    (op.K * op.w_cols).view(np.uint64))
+    assert not {"A", "B"} & set(vars(op))
+    for name, expected in (("A", op.K * op.w_cols), ("B", symmetrized(op))):
+        M = getattr(op, name)
+        assert M is not getattr(op, name) and M.flags.writeable and M.dtype == op.K.dtype
+        assert np.array_equal(M.view(np.uint64), expected.view(np.uint64))
+    assert not {"A", "B"} & set(vars(op))
 
 
 def test_mrrr_family_is_orthonormal_through_clusters():
@@ -491,16 +505,17 @@ def test_results_do_not_keep_their_operator(name):
         gc.enable()
 
 
-def spy_on_form_B(monkeypatch):
-    """Record the name of the function that forms each B, through _form_B
-    in every fredkit module that binds it."""
+def spy_on_B(monkeypatch):
+    """Record the name of the function that forms each B, through the
+    DiscreteOperator.B property that every reader reads it from."""
     calls = []
-    for module in (nystrom, fk.opsvd):
-        def spy(op, _real=module._form_B):
-            calls.append(sys._getframe(1).f_code.co_name)
-            return _real(op)
+    real = fk.DiscreteOperator.B.fget
 
-        monkeypatch.setattr(module, "_form_B", spy)
+    def spy(op):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(op)
+
+    monkeypatch.setattr(fk.DiscreteOperator, "B", property(spy))
     return calls
 
 
@@ -517,9 +532,10 @@ def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
     """The spectra-n1024 calls, on real Mehler and on its complex twin:
     discretizing forms no B (its zero-kernel check reads K), the readers
     form it once (the Hermitian defect), and none keeps it.  Afterwards the operator's only
-    N x N arrays are K and the family's samples.  An outside read of op.B
-    forms it as the expression does, bit for bit, read-only and once."""
-    calls = spy_on_form_B(monkeypatch)
+    N x N arrays are K and the family's samples.  Each outside read of op.B
+    forms a fresh, writeable B, bit for bit the expression, and the operator
+    keeps none."""
+    calls = spy_on_B(monkeypatch)
     op = fk.discretize(kernel, fk.gauss_legendre(n, -4.0, 4.0))
     assert calls == []
     assert formed_by(calls, lambda: fk.hermitian_eig(op)) == ["_hermitian_defect"]
@@ -527,10 +543,11 @@ def test_only_k_is_stored_at_benchmark_scale(monkeypatch, kernel, n):
                  lambda: fk.iterated_kernel(op, 20), lambda: op.spectrum):
         assert formed_by(calls, read) == []
     assert square_arrays(op) == ["K", "hermitian_family.right"]
-    B = formed_by(calls, lambda: op.B)
-    assert B == ["B"] and op.B is vars(op)["B"] and calls == ["B"]
-    assert not op.B.flags.writeable and op.B.dtype == op.K.dtype
-    assert np.array_equal(op.B.view(np.uint64), symmetrized(op).view(np.uint64))
+    assert formed_by(calls, lambda: op.B) == ["<lambda>"]
+    B = op.B
+    assert B is not op.B and B.flags.writeable and B.dtype == op.K.dtype
+    assert np.array_equal(B.view(np.uint64), symmetrized(op).view(np.uint64))
+    assert square_arrays(op) == ["K", "hermitian_family.right"] and "B" not in vars(op)
 
 
 def test_iterate_holds_two_square_buffers_and_a_slab(twin1024):
@@ -558,7 +575,7 @@ def test_each_reader_forms_b_at_most_once_per_call(monkeypatch):
     operator_svd's svd forms one.  On a perturbed twin within hermitian_eig's
     1e-10, hermitian_eig forms one: the defect keeps the Hermitian part it
     builds for the eigh that follows in the same call."""
-    calls = spy_on_form_B(monkeypatch)
+    calls = spy_on_B(monkeypatch)
     skew = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0))
     assert formed_by(calls, lambda: fk.djf_eig(skew)) == ["_hermitian_defect", "_general_family"]
     assert formed_by(calls, lambda: fk.djf_eig(skew)) == []

@@ -54,9 +54,16 @@ class TestDiscretize:
         op = fk.DiscreteOperator(rule=gl8, shape=(2, 3), K=K)
         assert not {"A", "B"} & set(vars(op))
         wr, wc = np.repeat(gl8.weights, 2), np.repeat(gl8.weights, 3)
-        assert np.array_equal(op.A, K * wc[None, :])
-        assert np.array_equal(op.B, np.sqrt(wr)[:, None] * K * np.sqrt(wc)[None, :])
-        assert vars(op)["B"] is op.B and not op.B.flags.writeable
+        expected = {"A": K * wc[None, :], "B": np.sqrt(wr)[:, None] * K * np.sqrt(wc)[None, :]}
+        # each read forms a fresh array its reader owns: writing to it changes
+        # nothing on the operator, which keeps neither
+        for name in ("A", "B"):
+            M = getattr(op, name)
+            assert M is not getattr(op, name) and M.flags.writeable
+            M[...] = 0
+            for other, value in expected.items():
+                assert np.array_equal(getattr(op, other), value)
+        assert not {"A", "B"} & set(vars(op))
         assert op.hs_norm() == np.linalg.norm(op.B)
         with pytest.raises(TypeError):
             fk.DiscreteOperator(rule=gl8, shape=(2, 3), K=K, A=op.A, B=op.B)

@@ -86,6 +86,7 @@ def test_route_agrees_with_the_full_eigh(kernel, rule):
     nu = np.linalg.eigvalsh(B)
     weyl = n * UNIT * np.linalg.norm(B, 2)
     for d in (on_d, off_d):
+        assert d.hermitian == (d.route != "general")
         assert np.max(np.abs(d.eigenvalues.imag)) == 0.0
         assert np.max(np.abs(np.sort(d.eigenvalues.real) - nu)) <= weyl
     nu = nu[::-1]
@@ -179,7 +180,7 @@ def test_other_operators_keep_the_full_size_path(monkeypatch, name):
     assert op.hermitian_to_roundoff() == (route == "hermitian")
     calls = spy_on(monkeypatch, ("eigh",))
     d = op.family
-    assert d.route == route
+    assert d.route == route and d.hermitian == (d.route != "general")
     if route == "hermitian":
         assert calls == ["eigh"]
         assert np.array_equal(d.right, column_at_a_time(op, "eig")[0])
