@@ -36,15 +36,8 @@ import numpy as np
 from . import fredholm, jordan, kernels, measure, nystrom, opsvd, powerit, spectral
 from .errors import (FredkitError, InvalidArgumentError, _array_arg, _count_arg, _number_arg,
                      _tolerance_arg)
-from .serialize import (
-    csv_text,
-    decomposition_to_obj,
-    dumps_canonical,
-    jordan_to_obj,
-    obj_to_complex,
-    read_complex_csv,
-    write_complex_csv,
-)
+from .serialize import (csv_text, dumps_canonical, obj_to_complex, read_complex_csv,
+                        write_complex_csv)
 
 COMMANDS = (
     "eig", "djf", "jordan", "svd", "solve", "det", "iterate", "powerit",
@@ -273,7 +266,9 @@ def validate(config: RunConfig):
 def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
     """Run one command; returns (json_obj, csv_rows).
 
-    main renders the rows to text only when CSV output is asked for.
+    Each command's branch builds its JSON object and names the (P, Q) pair,
+    if any, that dump_vectors writes.  main renders the rows to text only
+    when CSV output is asked for.
     """
     if config.command == "validate":
         report = validate(config)
@@ -288,35 +283,38 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
         write_complex_csv(f"{dump_operator}_A.csv", op.A)
         write_complex_csv(f"{dump_operator}_B.csv", op.B)
     cmd = config.command
+    vectors = ()  # the (P, Q) pair that --dump-vectors writes, if the command has one
 
     if cmd in ("eig", "djf"):
         d = spectral.hermitian_eig(op) if cmd == "eig" else spectral.djf_eig(op)
-        if dump_vectors:
-            write_complex_csv(f"{dump_vectors}_P.csv", d.right)
-            write_complex_csv(f"{dump_vectors}_Q.csv", d.left)
-        obj = decomposition_to_obj(d)
-        return obj, [[v] for v in d.eigenvalues]
+        vectors = d.right, d.left
+        obj = {
+            "eigenvalues": np.asarray(d.eigenvalues, dtype=complex),
+            "biorth_residual": float(d.biorth_residual),
+            "hermitian": bool(d.hermitian),
+            "retained": int(d.retained),
+        }
+        rows = [[v] for v in d.eigenvalues]
 
-    if cmd == "jordan":
+    elif cmd == "jordan":
         jf = jordan.jordan_decompose(op.A, cluster_tol=p["cluster_tol"])
-        if dump_vectors:
-            write_complex_csv(f"{dump_vectors}_P.csv", jf.P)
-            write_complex_csv(f"{dump_vectors}_Q.csv", jf.Q)
-        obj = jordan_to_obj(jf)
-        return obj, [[lam, complex(m)] for lam, m in jf.blocks]
+        vectors = jf.P, jf.Q
+        obj = {
+            "blocks": [{"lambda": complex(lam), "m": int(m)} for lam, m in jf.blocks],
+            "residuals": np.asarray(jf.residuals, dtype=float),
+        }
+        rows = [[lam, complex(m)] for lam, m in jf.blocks]
 
-    if cmd == "svd":
+    elif cmd == "svd":
         sv = opsvd.operator_svd(op)
-        if dump_vectors:
-            write_complex_csv(f"{dump_vectors}_P.csv", sv.left)
-            write_complex_csv(f"{dump_vectors}_Q.csv", sv.right)
+        vectors = sv.left, sv.right
         obj = {
             "singular_values": np.asarray(sv.singular_values, dtype=float),
             "rank_numerical": sv.rank_numerical,
         }
-        return obj, [[complex(t)] for t in sv.singular_values]
+        rows = [[complex(t)] for t in sv.singular_values]
 
-    if cmd == "solve":
+    elif cmd == "solve":
         f = np.ones(op.K.shape[1], dtype=complex) if p["rhs"] is None else p["rhs"]
         sol = fredholm.resolvent_solve(op, p["lambda"], f)
         obj = {
@@ -325,9 +323,9 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "nearest_eigen_gap": sol.nearest_eigen_gap,
             "solution": np.asarray(sol.solution, dtype=complex),
         }
-        return obj, [[v] for v in sol.solution]
+        rows = [[v] for v in sol.solution]
 
-    if cmd == "det":
+    elif cmd == "det":
         lams = [p["lambda"]] if p["lambda_grid"] is None else p["lambda_grid"]
         evals = [fredholm.fredholm_determinant(op, lam, p["method"]) for lam in lams]
         obj = {
@@ -337,17 +335,17 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
                 for e in evals
             ],
         }
-        return obj, [[e.lam, complex(e.value.real), complex(e.value.imag)] for e in evals]
+        rows = [[e.lam, complex(e.value.real), complex(e.value.imag)] for e in evals]
 
-    if cmd == "iterate":
+    elif cmd == "iterate":
         Kn = nystrom.iterated_kernel(op, p["n"])
         obj = {
             "n": p["n"],
             "matrix": np.asarray(Kn, dtype=complex),
         }
-        return obj, Kn
+        rows = Kn
 
-    if cmd == "powerit":
+    elif cmd == "powerit":
         res = powerit.sequential_spectrum(op, p["k"], p["nmax"], p["tol"])
         obj = {
             "estimates": np.array([nu for nu, _p, _q in res], dtype=complex),
@@ -355,11 +353,16 @@ def execute(config: RunConfig, dump_operator=None, dump_vectors=None):
             "stages_completed": res.stages_completed,
             "failure": res.failure_reason,
         }
-        return obj, [[nu] for nu, _p, _q in res]
+        rows = [[nu] for nu, _p, _q in res]
 
-    if cmd == "trace":
+    else:  # trace
         val = opsvd.trace_power(opsvd.operator_svd(op), p["n"])
-        return {"n": p["n"], "value": val}, [[complex(val)]]
+        obj, rows = {"n": p["n"], "value": val}, [[complex(val)]]
+
+    if dump_vectors:
+        for name, M in zip("PQ", vectors):
+            write_complex_csv(f"{dump_vectors}_{name}.csv", M)
+    return obj, rows
 
 
 def _render_csv(command, rows):

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .nystrom import (
     DiscreteOperator, _apply_A, _matvec, _narrowed, _norm, _on_float_view, _operator_arg,
-    _read_only, _weighted_products,
+    _pow2_scale, _read_only, _weighted_products,
 )
 from .spectral import BiSpectralDecomposition, _decomposition_arg, _unrefused
 
@@ -270,22 +270,24 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     decreasing weight, and one refinement pass on the full system follows
     (_guarded_solve).  The condition estimate bounds the system that solve
     inverts (_condition), and is gecon's of I - lambda*A when nothing
-    is dropped.  A non-finite lambda or f, or a solution or residual that
-    overflows, raises InvalidArgumentError.  The residual is ||r|| / ||f|| in
-    nystrom._norm's norms, which neither overflow nor underflow on the way;
-    past the float range both take f and r at 2^-32.
+    is dropped.  It solves for f s, s = nystrom._pow2_scale(f), and returns
+    that solution over s, exact in the normal range, so a subnormal or huge f
+    solves as its scaled copy does.  A non-finite lambda or f, or a solution
+    or residual that overflows, raises InvalidArgumentError.  The residual
+    is ||r|| / ||f|| at that scale, in nystrom._norm's norms.
     """
     _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
     f = _array_arg(f, "f", (op.K.shape[0],))
+    s = _pow2_scale(f)
+    f = f * s
     p, gap = _guarded_solve(op, lam, f)
     with np.errstate(over="ignore", invalid="ignore"):
         r = p - _narrowed(lam) * _apply_A(op, p) - f
         scale, residual = float(_norm(f)), float(_norm(r))
-        if scale == np.inf:  # ||f|| past the float range: both norms at 2^-32 scale
-            scale, residual = float(_norm(f * 2.0 ** -32)), float(_norm(r * 2.0 ** -32))
-    if not np.isfinite(residual):
-        raise InvalidArgumentError(f"the residual at lambda={lam:.6g} overflows")
+        p /= s
+    if not (np.isfinite(residual) and np.isfinite(p).all()):
+        raise InvalidArgumentError(f"the solution or residual at lambda={lam:.6g} overflows")
     if scale > 0:
         residual /= scale
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)

@@ -190,7 +190,8 @@ class DiscreteOperator:
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
         ||B - B^H||_F / ||B||_F, computed once.  Raises InvalidArgumentError
-        for a block shape that is not square."""
+        for a block shape that is not square or a ||B||_F that is not finite,
+        for every reader of the family or the lambda-path."""
         return self._hermitian_defect(self.K.shape[0] * UNIT)
 
     def _hermitian_defect(self, keep):
@@ -457,10 +458,14 @@ def _hermitian_part(B):
     S = (B + B^H) / 2 and ||B - B^H||_F / ||B||_F, read off S as
     2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S), with B - S taken in
     B's own buffer, so no N x N copy of B^H outlives the sum and B is
-    overwritten."""
+    overwritten.  Raises InvalidArgumentError when ||B||_F is not finite."""
+    scale = float(_norm(B))
+    if not np.isfinite(scale):
+        raise InvalidArgumentError("B's Hermitian part has an entry that is not finite, "
+                                   "or ||B||_F overflows")
     S = B + B.conj().T
     S *= 0.5
-    scale = max(float(_norm(B)), 1e-300)
+    scale = max(scale, 1e-300)
     B -= S
     return S, 2.0 * float(_norm(B)) / scale
 
@@ -609,14 +614,15 @@ def _no_overflow(norm, X):
     entry is below 1/2 the norms below NORM_FLOOR, and when it is 1 or more
     those that overflow, are recomputed on X * _pow2_scale(X) and scaled
     back; scaling down would push a small norm's squares further below the
-    normal range.  The others are norm(X) itself."""
+    normal range.  The others are norm(X) itself.  A norm past the float
+    range reads inf, with no warning."""
     with np.errstate(over="ignore"):
         nrm = norm(X)
-    if ((nrm >= NORM_FLOOR) & (nrm < np.inf)).all():
-        return nrm
-    s = _pow2_scale(X)
-    redo = nrm < NORM_FLOOR if s > 1.0 else nrm == np.inf
-    return np.where(redo, norm(X * s) / s, nrm) if redo.any() else nrm
+        if ((nrm >= NORM_FLOOR) & (nrm < np.inf)).all():
+            return nrm
+        s = _pow2_scale(X)
+        redo = nrm < NORM_FLOOR if s > 1.0 else nrm == np.inf
+        return np.where(redo, norm(X * s) / s, nrm) if redo.any() else nrm
 
 
 def _norm(X):

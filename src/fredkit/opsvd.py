@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg
-from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec,
+from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec, _norm,
                       _operator_arg, _read_only, _retained_count, _roundoff_floor)
 
 
@@ -58,7 +58,8 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
     un-weighted back from the singular vectors (division by sqrt(w)); each
     p_j gets a real-positive anchor entry and q_j inherits the same
     rotation, so A q_j = theta_j p_j is preserved.  Both families are
-    read-only on both routes.
+    read-only on both routes.  A ||B||_F that is not finite raises
+    InvalidArgumentError.
     """
     if _operator_arg(op).hermitian_to_roundoff():
         family = op.hermitian_family
@@ -70,7 +71,10 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         negative = nu < -_roundoff_floor(nu)
         Q = P * np.where(negative, -1.0, 1.0) if negative.any() else P
     else:
-        U, s, Vh = _linalg("svd", op.B, full_matrices=False)
+        B = op.B
+        if not np.isfinite(_norm(B)):
+            raise InvalidArgumentError("B has an entry that is not finite, or ||B||_F overflows")
+        U, s, Vh = _linalg("svd", B, full_matrices=False)
         P = U / np.sqrt(op.w_rows)[:, None]
         Q = Vh.conj().T / np.sqrt(op.w_cols)[:, None]
         ph = _anchor_phase(P)

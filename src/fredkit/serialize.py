@@ -7,13 +7,15 @@ complex cells written as quoted "re,im" pairs.
 
 Real and complex float ndarrays take a fast path: nested brackets are
 folded from the innermost axis outwards into one template, instead of one
-recursive call per number, and each distinct value is formatted once (a
-complex matrix with zero imaginary parts repeats 0.0 in half its numbers).
-The bytes are the same as the per-number rendering of the array's nested
-lists.  Float and complex scalars go straight to ``_number``, a complex
-one's imaginary part first as in an array; other values (dicts, lists,
-ints, bools, strings, integer arrays) are written recursively.  The CLI
-writes the text to a file as UTF-8 bytes.
+recursive call per number, and the values fill it from "%.17g" templates
+of _FORMAT_CHUNK values each.  A complex array whose imaginary parts are
+all +0.0, as the CLI's real results written as complex are, has 0.0 in its
+entry template and formats its real parts only.  The bytes are the same as
+the per-number rendering of the array's nested lists.  Float and complex
+scalars go straight to ``_number``, a complex one's imaginary part first as
+in an array; other values (dicts, lists, ints, bools, strings, integer
+arrays) are written recursively.  The CLI writes the text to a file as
+UTF-8 bytes; which fields each command writes is the CLI's to decide.
 """
 import csv
 import io
@@ -24,13 +26,10 @@ import numpy as np
 from .errors import _is_number
 
 
-# below this many entries an array is formatted number by number, since
-# np.unique costs more there than the repeats it saves
-_UNIQUE_MIN = 64
-# distinct values per "%.17g" template: one template over all of a large
-# array's values grows a string of hundreds of kB, which fragments the heap
-# (on cli-mix, peak RSS rose by up to 3.6 MB over per-number formatting;
-# in chunks of this size it stays within 0.5 MB, at the same speed)
+# values per "%.17g" template: one template over all of a large array's
+# values grows a string of hundreds of kB, which fragments the heap (on
+# cli-mix, peak RSS rose by up to 3.6 MB over per-number formatting; in
+# chunks of this size it stays within 0.5 MB, at the same speed)
 _FORMAT_CHUNK = 512
 
 
@@ -60,26 +59,18 @@ def _number(x):
 
 
 def _tokens(values):
-    """The _number tokens of a finite float64 array's entries, in C order:
-    a list, or an object array for an array of _UNIQUE_MIN entries or more.
-
-    Such an array formats each distinct bit pattern once, so -0.0 and 0.0
-    keep their own tokens, through "%.17g" templates filled from tuples,
-    appends ".0" to the integral values below 1e17 in magnitude, and maps
-    the tokens back to the entries.
-    """
+    """The _number tokens of a finite float64 array's entries, in C order,
+    as a list: "%.17g" templates of _FORMAT_CHUNK values each, filled from
+    tuples, then ".0" appended to the integral values below 1e17 in
+    magnitude.  -0.0 keeps its sign ("-0.0")."""
     values = values.ravel()
-    if values.size < _UNIQUE_MIN:
-        return [_number(x) for x in values.tolist()]
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(float)
-    floats, text = distinct.tolist(), []
+    floats, text = values.tolist(), []
     for i in range(0, len(floats), _FORMAT_CHUNK):
         chunk = tuple(floats[i:i + _FORMAT_CHUNK])
         text += ("%.17g " * len(chunk) % chunk).split()
-    for i in np.flatnonzero((distinct == np.floor(distinct)) & (abs(distinct) < 1e17)).tolist():
+    for i in np.flatnonzero((values == np.floor(values)) & (abs(values) < 1e17)).tolist():
         text[i] += ".0"
-    return np.array(text, dtype=object)[inverse]
+    return text
 
 
 def _string(s):
@@ -100,15 +91,20 @@ def _array(a, indent, level):
     ("im" sorts before "re"), and brackets are built by folding the
     innermost axis outwards.  The entries' tokens fill it in one pass; a
     complex array's come from its parts interleaved as (im, re), the
-    imaginary parts checked first for a value that is not finite.
+    imaginary parts checked first for a value that is not finite, except
+    that imaginary parts all +0.0 (none nonzero, none with its sign bit set)
+    are written as the literal 0.0 in the entry template and only the real
+    parts are formatted.
     """
     leaf = level + a.ndim
     a = np.asarray(a, dtype=complex if a.dtype.kind == "c" else float)
     _check_finite(a)
     if a.dtype.kind == "c":
+        zero_imag = not (a.imag.any() or np.signbit(a.imag).any())
         inner = _pad(indent, leaf + 1)
-        template = "{" + inner + '"im": %s,' + inner + '"re": %s' + _pad(indent, leaf) + "}"
-        tokens = _tokens(np.stack((a.imag, a.real), axis=-1))
+        template = ("{" + inner + '"im": ' + ("0.0" if zero_imag else "%s") + "," + inner
+                    + '"re": %s' + _pad(indent, leaf) + "}")
+        tokens = _tokens(a.real if zero_imag else np.stack((a.imag, a.real), axis=-1))
     else:
         template, tokens = "%s", _tokens(a)
     for axis in reversed(range(a.ndim)):
@@ -217,21 +213,3 @@ def csv_text(matrix):
     buf = io.StringIO()
     write_complex_csv(buf, matrix)
     return buf.getvalue()
-
-
-def decomposition_to_obj(d):
-    """JSON-ready summary of a BiSpectralDecomposition."""
-    return {
-        "eigenvalues": np.asarray(d.eigenvalues, dtype=complex),
-        "biorth_residual": float(d.biorth_residual),
-        "hermitian": bool(d.hermitian),
-        "retained": int(d.retained),
-    }
-
-
-def jordan_to_obj(jf):
-    """JSON-ready summary of a JordanForm."""
-    return {
-        "blocks": [{"lambda": complex(lam), "m": int(m)} for lam, m in jf.blocks],
-        "residuals": np.asarray(jf.residuals, dtype=float),
-    }

@@ -521,11 +521,33 @@ class TestOverflowingSolve:
     end of the float range gets the relative residual of its unit scale."""
 
     def test_overflowing_rhs_refused(self, gl8):
+        """f is solved at the power of two that brings max |f| into [1/2, 1):
+        at f = 1e308 the solution, 1.62e308 at most, is 1e308 times the f = 1
+        solve; at f = 1.7e308 it lies past the float range and is refused."""
         op = fk.discretize(fk.mehler_kernel(0.5), gl8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            sol = fk.resolvent_solve(op, 0.3, np.full(8, 1e308))
+            ref = fk.resolvent_solve(op, 0.3, np.ones(8))
             with pytest.raises(InvalidArgumentError, match=r"lambda=0\.3"):
-                fk.resolvent_solve(op, 0.3, np.full(8, 1e308))
+                fk.resolvent_solve(op, 0.3, np.full(8, 1.7e308))
+        assert 1.6e308 < np.max(sol.solution) < 1.63e308
+        assert np.max(np.abs(sol.solution / 1e308 - ref.solution)) <= 2.3e-16
+        assert sol.residual <= 3e-16
+
+    @pytest.mark.parametrize("k", [1070, 1074])
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_subnormal_rhs_solves_as_its_scaled_copy(self, n, k):
+        """f = 2^-k cos(x) is subnormal: its solve, and its residual, are
+        those of 2^k f, the solution scaled back by 2^-k, bit for bit."""
+        op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(n))
+        f = np.ldexp(np.cos(op.rule.nodes), -k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = fk.resolvent_solve(op, 0.5, f)
+            ref = fk.resolvent_solve(op, 0.5, np.ldexp(f, k))
+        assert np.array_equal(tiny.solution, np.ldexp(ref.solution, -k))
+        assert tiny.residual == ref.residual <= 3e-13
 
     def test_large_rhs_gives_a_finite_residual(self, gl8):
         """||f|| overflows at 1e200 entries; f and the residual are scaled by

@@ -7,7 +7,8 @@
 * the eigenvalue order (nystrom._sort_order), Jordan blocks included;
 * power iteration's start and collapse test, which scale with the kernel;
 
-and the refusals of results that overflow: deflation updates and powers.
+and the refusals of results that overflow: deflation updates and powers,
+and ||B||_F of finite samples.
 """
 import warnings
 
@@ -299,3 +300,62 @@ class TestOverflowRefused:
                 call(2000)
         for x in finite if isinstance(finite, tuple) else (finite,):
             assert np.isfinite(x).all()
+
+
+# every reader of ||B||_F or ||A||_F, by name: the Hermitian defect, each
+# reader of the family or the lambda-path (which read the defect first), the
+# operator SVD and power iteration
+NORM_READERS = {
+    "hermitian_defect": lambda op: op.hermitian_defect(),
+    "hermitian_eig": fk.hermitian_eig,
+    "djf_eig": fk.djf_eig,
+    "family": lambda op: op.family,
+    "spectrum": lambda op: op.spectrum,
+    "product_determinant": lambda op: fk.fredholm_determinant(op, 1e-310, "product"),
+    "resolvent_solve": lambda op: fk.resolvent_solve(op, 1e-310, np.ones(op.K.shape[1])),
+    "resolvent_kernel": lambda op: fk.resolvent_kernel(op, 1e-310),
+    "operator_svd": fk.operator_svd,
+    "power_ratio_estimate": lambda op: fk.power_ratio_estimate(op, np.ones(op.K.shape[1]), 60,
+                                                               1e-12),
+}
+
+
+class TestNormPastTheFloatRange:
+    """K = 1e308 on GL8 over [0, 8] has rank one and nu = 8e308: every sample
+    is finite, ||B||_F is not.  Each reader refuses it as invalid, with no
+    numpy warning; a non-square block is refused for its shape first, except
+    by the SVD.  K = 1e307 (||B||_F = 8e307) is read as before."""
+
+    @staticmethod
+    def operator(shape, value):
+        rule = fk.gauss_legendre(8, 0.0, 8.0)
+        return fk.DiscreteOperator(rule=rule, shape=shape, K=np.full((8 * shape[0], 8), value))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=["1x1", "2x1"])
+    @pytest.mark.parametrize("entry", list(NORM_READERS))
+    def test_refused(self, shape, entry):
+        op = self.operator(shape, 1e308)
+        overflow = shape == (1, 1) or entry == "operator_svd"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op.hs_norm() == np.inf
+            with pytest.raises(InvalidArgumentError,
+                               match="overflows" if overflow else "square block shape"):
+                NORM_READERS[entry](op)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=["1x1", "2x1"])
+    def test_largest_finite_norm_is_read(self, shape):
+        op = self.operator(shape, 1e307)
+        top = np.sqrt(shape[0]) * 8e307  # ||B||_F, the one singular value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op.hs_norm() == pytest.approx(top, rel=1e-15)
+            theta = fk.operator_svd(op).singular_values
+            if shape == (1, 1):
+                assert op.hermitian_defect() <= 8 * np.finfo(float).eps
+                assert op.spectrum[0] == pytest.approx(top, rel=1e-15)
+                assert fk.power_ratio_estimate(op, np.ones(8), 60, 1e-12).estimate == \
+                    pytest.approx(top, rel=1e-14)
+        assert theta[0] == pytest.approx(top, rel=1e-15)
+        assert np.all(theta[1:] <= 1e-15 * top)
+

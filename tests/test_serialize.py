@@ -220,8 +220,9 @@ class TestCanonicalJson:
             dumps_canonical({"a": a}, indent=2)
 
 
-# arrays at and above serialize._UNIQUE_MIN entries, which format each
-# distinct value once, and below it
+# arrays of 64 entries or more, and of 0 to 6; each is written through the
+# same "%.17g" templates, a complex one whose imaginary parts are all +0.0
+# with 0.0 in its entry template
 def _gl_nodes(n):
     return np.polynomial.legendre.leggauss(n)[0]
 
@@ -240,27 +241,36 @@ BIG_ARRAYS = {
     "float32": np.linspace(-3.0, 3.0, 100, dtype=np.float32).reshape(4, 25),
     "complex64": np.asarray(np.linspace(-1.0, 1.0, 80) + 1j * np.linspace(0.0, 2.0, 80),
                             dtype=np.complex64),
+    # imaginary parts all +0.0; real parts with -0.0 and integral values
+    "zero-imag-signed-real": np.array([-0.0, 1.0, -3.0, 0.5, 1e16, 2.5e17, 0.0, 7.0] * 10,
+                                      dtype=complex).reshape(8, 10),
+    # +0.0 but for one -0.0: interleaved, the -0.0 keeping its token
+    "one-negative-zero-imag": np.array([complex(1.5, 0.0)] * 63 + [complex(2.0, -0.0)]),
+    "all-negative-zero-imag": np.array([complex(v, -0.0) for v in range(-40, 40)]),
 }
+# the iterate payload spans several "%.17g" templates
+assert BIG_ARRAYS["complex-128-zero-imag"].size > 2 * serialize._FORMAT_CHUNK
 SMALL_ARRAYS = {
     "signed-zeros": np.array([0.0, -0.0, -0.0, 0.0]),
     "integral-edges": np.array([1e16 - 2, 1e16, 1e17, 2.5e17, -1e16, -2.5e17]),
     "subnormals": np.array([[5e-324, -5e-324], [1e-310, 2.2250738585072009e-308]]),
     "zero-d-real": np.array(-0.0),
     "zero-d-complex": np.array(1e16 - 2j),
+    "zero-d-complex-zero-imag": np.array(complex(-2.5, 0.0)),
+    "real-1": np.array([0.1]),
+    "real-3": np.array([-0.0, 3.0, 1e17]),
+    "complex-1": np.array([complex(4.0, 0.0)]),
+    "complex-3": np.array([complex(1.0, 0.0), complex(-0.0, 2.5), complex(1e-300, -0.0)]),
     "empty-complex": np.zeros((3, 0, 2), dtype=complex),
     "empty-real": np.zeros((0,)),
 }
 
 
 class TestDistinctValueTokens:
-    """_tokens formats each distinct value of an array of _UNIQUE_MIN entries
-    or more once; the bytes are those of the per-number writer either way."""
-
-    def test_sizes_straddle_the_cut(self):
-        assert all(a.size >= serialize._UNIQUE_MIN for a in BIG_ARRAYS.values())
-        assert all(a.size < serialize._UNIQUE_MIN for a in SMALL_ARRAYS.values())
-        distinct = np.unique(BIG_ARRAYS["complex-128-zero-imag"].view(float)).size
-        assert serialize._FORMAT_CHUNK < distinct < 128 * 128  # several templates, many repeats
+    """_tokens formats every array, large or small, through chunked "%.17g"
+    templates, and a complex array whose imaginary parts are all +0.0 fills
+    0.0 into its entry template; the bytes are those of the per-number
+    writer either way."""
 
     @pytest.mark.parametrize("indent", [None, 2])
     @pytest.mark.parametrize("name", list(BIG_ARRAYS) + [f"small-{k}" for k in SMALL_ARRAYS])
@@ -295,8 +305,8 @@ class TestDistinctValueTokens:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
     def test_non_finite_entry_rejected(self, bad):
-        """At or above the cut, as below it, the error names the first
-        imaginary part that is not finite, else the first real part."""
+        """The error names the first imaginary part that is not finite,
+        else the first real part."""
         a = np.ones((16, 16), dtype=type(bad))
         a[3, 5] = bad
         a[9, 1] = complex(-np.inf, np.inf) if a.dtype.kind == "c" else -np.inf
