@@ -397,7 +397,7 @@ def _parser():
     parser.add_argument(
         "--dump-vectors",
         metavar="PREFIX",
-        help="for eig/djf/jordan/svd: also write PREFIX_P.csv, PREFIX_Q.csv",
+        help="also write PREFIX_P.csv, PREFIX_Q.csv: the N x r retained vectors, or jordan's P, Q",
     )
     return parser
 

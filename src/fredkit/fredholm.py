@@ -52,7 +52,7 @@ from .errors import (
 )
 from .nystrom import (
     DiscreteOperator, _apply_A, _matvec, _narrowed, _norm, _on_float_view, _operator_arg,
-    _pow2_scale, _read_only, _weighted_products,
+    _read_only, _scale_free, _weighted_products,
 )
 from .spectral import BiSpectralDecomposition, _decomposition_arg, _unrefused
 
@@ -270,26 +270,28 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     decreasing weight, and one refinement pass on the full system follows
     (_guarded_solve).  The condition estimate bounds the system that solve
     inverts (_condition), and is gecon's of I - lambda*A when nothing
-    is dropped.  It solves for f s, s = nystrom._pow2_scale(f), and returns
-    that solution over s, exact in the normal range, so a subnormal or huge f
-    solves as its scaled copy does.  A non-finite lambda or f, or a solution
-    or residual that overflows, raises InvalidArgumentError.  The residual
-    is ||r|| / ||f|| at that scale, in nystrom._norm's norms.
+    is dropped.  It solves at the power-of-two scale of f's largest entry
+    and scales the solution back (nystrom._scale_free), so a subnormal or
+    huge f solves as its scaled copy does.  A non-finite lambda or f, or a
+    solution or residual that overflows, raises InvalidArgumentError.  The
+    residual is ||r|| / ||f|| at that scale, in nystrom._norm's norms.
     """
     _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
     f = _array_arg(f, "f", (op.K.shape[0],))
-    s = _pow2_scale(f)
-    f = f * s
-    p, gap = _guarded_solve(op, lam, f)
+    gap = residual = None
+
+    def solve(fs):
+        nonlocal gap, residual
+        p, gap = _guarded_solve(op, lam, fs)
+        r = p - _narrowed(lam) * _apply_A(op, p) - fs
+        residual = float(_norm(r)) / (float(_norm(fs)) or 1.0)
+        return p
+
     with np.errstate(over="ignore", invalid="ignore"):
-        r = p - _narrowed(lam) * _apply_A(op, p) - f
-        scale, residual = float(_norm(f)), float(_norm(r))
-        p /= s
+        p = _scale_free(f, solve)
     if not (np.isfinite(residual) and np.isfinite(p).all()):
         raise InvalidArgumentError(f"the solution or residual at lambda={lam:.6g} overflows")
-    if scale > 0:
-        residual /= scale
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)
 
 
@@ -330,13 +332,17 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
     """Solution of p - lambda A p = f in Nystrom form, f + lambda A s, from the
     series s = f + lambda sum_{j<=k} p_j <q_j, f>_W / (lambda_j - lambda); f's
     pairs beyond k get one Neumann term.  A's weights do not hide samples the
-    polish left unresolved (ROADMAP item 2).  Guarded as resolvent_series is."""
+    polish left unresolved (ROADMAP item 2).  Guarded as resolvent_series is; scale-free."""
     lam = _number_arg(lam, "lambda")
     f = _array_arg(f, "f", (_decomposition_arg(d).right.shape[0],))
     lambdas = _series_lambdas(d, k, lam)
-    proj = _matvec(d.left[:, :k].conj().T, d.weights * f)  # <q_j, f>_W
-    s = f + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
-    return f + lam * _weighted_products(d.K, d.weights, s)
+
+    def series(g):
+        proj = _matvec(d.left[:, :k].conj().T, d.weights * g)  # <q_j, g>_W
+        s = g + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
+        return g + lam * _weighted_products(d.K, d.weights, s)
+
+    return _scale_free(f, series)
 
 
 def _det_direct(op, lam):

@@ -234,25 +234,24 @@ class DiscreteOperator:
     def hermitian_family(self):
         """The W-orthonormal family (left is right) of B's Hermitian part,
         built once; hermitian_eig returns it.  eigh's values, held as complex,
-        and its vectors' node samples v / sqrt(w) in B's dtype: one Nystrom
-        pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL |nu_1|,
+        and its retained vectors' node samples v / sqrt(w) in B's dtype: one
+        Nystrom pass p <- A p / nu polishes those with |nu| >= REFINE_RTOL |nu_1|,
         then each gets unit W-norm and a real-positive anchor.  Raises as
         _hermitian_eigh does, caching nothing."""
         vals, P = _hermitian_eigh(self)
         route = REFLECTED_ROUTE[P.dtype.kind] if self.reflection_symmetric else "hermitian"
         keep = _retained(vals)
+        retained = int(np.count_nonzero(keep))
         order = _family_order(vals, keep)  # real vals sort as their complex form does
-        nu, P = vals[order], P[:, order]
+        nu, P = vals[order], P[:, order[:retained]]
         w = self.w_rows
         P /= np.sqrt(w)[:, None]
-        retained = int(np.count_nonzero(keep))
-        if retained:
-            sel = np.flatnonzero(np.abs(nu) >= REFINE_RTOL * np.abs(nu[0]))
-            P[:, sel] = _apply_A(self, P[:, sel]) / nu[sel]
+        sel = np.flatnonzero(np.abs(nu[:retained]) >= REFINE_RTOL * np.abs(nu[0]))
+        P[:, sel] = _apply_A(self, P[:, sel]) / nu[sel]
         P *= _unit_anchored(w, P)
         P = _read_only(P)
         return BiSpectralDecomposition(_read_only(nu.astype(complex)), P, P,
-                                       _biorth_residual(w, P, P, retained), route=route,
+                                       _biorth_residual(w, P, P), route=route,
                                        retained=retained, weights=w, K=self.K)
 
     @cached_property
@@ -266,9 +265,9 @@ class DiscreteOperator:
         T11 Y - Y T22 = -T12 (trsyl) and the r x r eig T22 G = G Lambda give
         V_r = Z [Y G; G], so V = [V_r, Q_t] = Z M with M = [[A, I], [C, 0]],
         A = Y G and C = G up to V_r's column scaling; T22's eigenvalues are
-        the retained ones.  Raises InvalidArgumentError for a B that is not
-        finite and ConvergenceError when the Schur form or its reordering
-        fails, caching nothing."""
+        the retained ones; the record keeps V_r and U_r = Q_perp C^{-H} only.
+        Raises InvalidArgumentError for a B that is not finite and
+        ConvergenceError when the Schur form or its reordering fails, caching nothing."""
         return _general_family(self)
 
 
@@ -277,13 +276,13 @@ class BiSpectralDecomposition:
     """Eigenvalues with right/left eigenvector node samples: one operator's
     eigen-family, built once (DiscreteOperator.family) and read-only.
 
-    Eigenvalues are complex, sorted by descending modulus, ties by
-    descending phase in (-pi, pi], with the `retained` pairs first
-    (_family_order).  Right vectors p_j have unit weighted norm with a
+    Eigenvalues are complex, all N of them, sorted by descending modulus,
+    ties by descending phase in (-pi, pi], with the `retained` pairs first
+    (_family_order), whose vectors alone right and left keep (N x `retained`).
+    Right vectors p_j have unit weighted norm with a
     real-positive anchor entry; left vectors q_j are fixed by
     bi-orthogonality <q_j, p_k>_W = delta_jk, and biorth_residual is
-    max |<q_j, p_k>_W - delta_jk| over the retained pairs.  Pairs with
-    |nu_j| <= 1e-12 |nu_1| are reported but not scored.  ``route`` names
+    max |<q_j, p_k>_W - delta_jk| over the retained pairs.  ``route`` names
     the build: "hermitian" (one eigh),
     "hermitian-split" (two half-size real eighs of a real reflection-symmetric
     B), "hermitian-real" (one real eigh of a complex reflection-symmetric B's
@@ -456,14 +455,16 @@ def _reflected_eigh(S):
 def _hermitian_part(B):
     """(S, defect) for a square B that is the caller's to overwrite: its Hermitian part
     S = (B + B^H) / 2 and ||B - B^H||_F / ||B||_F, read off S as
-    2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S), with B - S taken in
-    B's own buffer, so no N x N copy of B^H outlives the sum and B is
-    overwritten.  Raises InvalidArgumentError when ||B||_F is not finite."""
+    2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S).  S is B^H, in one
+    C-ordered buffer, plus B, and B - S is taken in B's own buffer: B and S
+    are the only N x N arrays.  Raises InvalidArgumentError when ||B||_F is
+    not finite."""
     scale = float(_norm(B))
     if not np.isfinite(scale):
         raise InvalidArgumentError("B's Hermitian part has an entry that is not finite, "
                                    "or ||B||_F overflows")
-    S = B + B.conj().T
+    S = np.conjugate(B.T, out=np.empty_like(B))
+    S += B
     S *= 0.5
     scale = max(scale, 1e-300)
     B -= S
@@ -497,15 +498,12 @@ def _general_family(op):
     _rebasis_degenerate(nu, X, r)
     w = op.w_rows
     sqw = np.sqrt(w)[:, None]
-    # p = v / sqrt(w) gets unit weighted norm and a real-positive anchor entry,
-    # and the tail Q_t, orthonormal already, a phase; A and C follow
-    Pr = _matvec(Z, X) / sqw
-    scale = _unit_anchored(w, Pr)
-    Pr *= scale
+    # p = v / sqrt(w) gets unit weighted norm and a real-positive anchor entry; A and C follow
+    P = _matvec(Z, X) / sqw
+    scale = _unit_anchored(w, P)
+    P *= scale
     X *= scale
-    phase = _unit_anchored(w, Z[:, :m] / sqw)
-    Qt = Z[:, :m] * phase
-    U, kappa = _inverse_adjoint(np.conj(phase)[:, None] * X[:m], X[m:], Qt, Z[:, m:])
+    U, kappa = _inverse_adjoint(X[:m], X[m:], Z[:, m:])
     del Z, X
 
     nu = _read_only(nu)
@@ -519,26 +517,25 @@ def _general_family(op):
                               f"(n u) = {1e-8 / (n * UNIT):.3e}; the operator looks "
                               "defective -- use the jordan module")
     top = np.abs(nu[0]) if n else 0.0
-    APr = _apply_A(op, Pr)
-    resid = _wnorm(w, APr - Pr * nu[:r])  # ||B v - nu v|| / ||v||, since ||p||_W = 1
+    AP = _apply_A(op, P)
+    resid = _wnorm(w, AP - P * nu[:r])  # ||B v - nu v|| / ||v||, since ||p||_W = 1
     bad = np.flatnonzero(resid > 1e-9 * top)
     if bad.size:
         return family(refusal=f"eigen-residual {resid[bad[0]]:.3e} for nu={nu[bad[0]]:.6g} "
                               "exceeds 1e-9 |nu_1|; the eigenspace is deficient -- use the "
                               "jordan module")
-    P = np.empty((n, n), dtype=complex)
-    P[:, :r], P[:, r:] = Pr, Qt / sqw
+    P = P.astype(complex, copy=False)
     Q = (U / sqw).astype(complex, copy=False)
     # the Nystrom pass on the retained pairs whose rounding fits (djf_eig),
     # then q rescaled to <q, p>_W = 1
-    kappa_max = np.max(_wnorm(w, Q[:, :r]), initial=1.0)
+    kappa_max = np.max(_wnorm(w, Q), initial=1.0)
     sel = np.flatnonzero(np.abs(nu[:r]) >= REFINE_RTOL * top * kappa_max)
-    Ps = APr[:, sel] / nu[sel]
+    Ps = AP[:, sel] / nu[sel]
     Ps *= _unit_anchored(w, Ps)
     Qs = _apply_adjoint(op, Q[:, sel]) / np.conj(nu[sel])
     Qs /= np.conj(_winner(w, Qs, Ps))
     P[:, sel], Q[:, sel] = Ps, Qs
-    resid = _biorth_residual(w, P, Q, r)
+    resid = _biorth_residual(w, P, Q)
     if resid > 1e-8:
         return family(refusal=f"bi-orthogonality residual {resid:.3e} exceeds 1e-8; the "
                               "operator looks defective -- use the jordan module")
@@ -556,13 +553,12 @@ def _schur_moduli(T):
     return mods
 
 
-def _inverse_adjoint(A, C, Qt, Qp):
-    """(U, kappa) with U = V^{-H} for V = [V_r, Q_t] = [Q_t, Q_perp] M,
-    M = [[A, I], [C, 0]], where [Q_t, Q_perp] is unitary (each column of Q_t
-    may carry a phase), A = Q_t^H V_r and C = Q_perp^H V_r (r x r):
-    M^{-1} = [[0, C^{-1}], [I, -A C^{-1}]], so U = [Q_perp C^{-H},
-    Q_t - Q_perp C^{-H} A^H] and kappa = ||M||_1 ||M^{-1}||_1 exactly; kappa
-    is inf when C is singular (U None) or when it does not come out finite."""
+def _inverse_adjoint(A, C, Qp):
+    """(U_r, kappa) for V = [V_r, Q_t] = [Q_t, Q_perp] M, M = [[A, I], [C, 0]],
+    [Q_t, Q_perp] unitary, A = Q_t^H V_r and C = Q_perp^H V_r (r x r): as
+    M^{-1} = [[0, C^{-1}], [I, -A C^{-1}]], V_r's left partners, V^{-H}'s first
+    r columns, are U_r = Q_perp C^{-H}, and kappa = ||M||_1 ||M^{-1}||_1 exactly,
+    inf when C is singular (U_r None) or when it does not come out finite."""
     try:
         Cinv = np.linalg.inv(C)
     except np.linalg.LinAlgError:
@@ -573,8 +569,7 @@ def _inverse_adjoint(A, C, Qt, Qp):
         kappa = float(np.prod([np.max(np.abs(np.vstack(X)).sum(axis=0),
                                       initial=float(A.shape[0] > 0))
                                for X in ((A, C), (Cinv, A @ Cinv))]))
-        Ur = _matvec(Qp, Cinv.conj().T)
-        U = np.hstack((Ur, Qt - Ur @ A.conj().T))
+        U = _matvec(Qp, Cinv.conj().T)
     return U, kappa if np.isfinite(kappa) else np.inf
 
 
@@ -607,6 +602,13 @@ def _pow2_scale(X):
     with np.errstate(over="ignore"):
         top = float(np.max(np.abs(X), initial=0.0))
     return float(np.ldexp(1.0, min(-np.frexp(top)[1], 1023))) if 0.0 < top < np.inf else 1.0
+
+
+def _scale_free(f, apply):
+    """apply(f s) / s, s = _pow2_scale(f), for a linear map `apply`: a subnormal
+    or huge f maps as its scaled copy does, bit for bit while apply's steps stay normal."""
+    s = _pow2_scale(f)
+    return apply(f * s) / s
 
 
 def _no_overflow(norm, X):
@@ -780,11 +782,9 @@ def _retained_count(vals):
     return int(np.count_nonzero(_retained(vals)))
 
 
-def _biorth_residual(w, P, Q, retained):
-    if retained == 0:
-        return 0.0
-    G = Q[:, :retained].conj().T @ (w[:, None] * P[:, :retained])
-    return float(np.max(np.abs(G - np.eye(retained))))
+def _biorth_residual(w, P, Q):
+    G = Q.conj().T @ (w[:, None] * P)
+    return float(np.max(np.abs(G - np.eye(P.shape[1])), initial=0.0))
 
 
 def _unit_anchored(w, P):

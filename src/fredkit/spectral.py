@@ -8,14 +8,14 @@
 
 Both return, as it is, the one eigen-family each operator builds once from
 B = W^{1/2} K W^{1/2} and caches (BiSpectralDecomposition, defined in
-nystrom): sorted with the retained pairs first, polished by one Nystrom
-pass (p <- A p / nu = K (w p) / nu) where its rounding fits the budget,
-which leaves the samples at the smallest weights of a wide rule unresolved
-(ROADMAP item 2), and anchored.  djf_eig reads DiscreteOperator.family:
-hermitian_family when B is Hermitian to roundoff, else general_family, from
-one sorted Schur form of B in its dtype.  Its arrays are read-only, real
-vectors only for a real B on the Hermitian route, and it holds the
-operator's weights and samples, never the operator.
+nystrom): all N eigenvalues, the retained pairs first and only their vectors
+(N x retained), polished by one Nystrom pass (p <- A p / nu = K (w p) / nu)
+where its rounding fits the budget, which leaves the samples at the smallest
+weights of a wide rule unresolved (ROADMAP item 2), and anchored.  djf_eig
+reads DiscreteOperator.family: hermitian_family when B is Hermitian to
+roundoff, else general_family, from one sorted Schur form of B in its dtype.
+Its arrays are read-only, real vectors only for a real B on the Hermitian
+route, and it holds the operator's weights and samples, never the operator.
 """
 from dataclasses import dataclass
 
@@ -87,18 +87,18 @@ def djf_eig(op: DiscreteOperator) -> BiSpectralDecomposition:
     """Bi-orthogonal eigendecomposition for diagonalizable kernels.
 
     The left family is the inverse-adjoint of the right one, so
-    <q_j, p_k>_W = delta_jk holds globally; right vectors have unit weighted
-    norm and a real-positive anchor entry.  It returns op.family itself: when
-    B is Hermitian to roundoff that is hermitian_eig's family (in B's dtype,
-    one array serving as right and left family).  Otherwise
-    it is general_family: V = [V_r, Q_t] = Z M from one sorted Schur form,
-    U = V^{-H} and the exact condition kappa of M from r x r algebra
-    (nystrom._inverse_adjoint).  An inverse of condition kappa is
-    bi-orthogonal to about kappa n u (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 14), so kappa n u <= 1e-8 is the one
-    refusal rule, tested first.  The pass p <- A p / nu, q <- K^H (w q) /
-    conj(nu) moves <q_k, p_j>_W by up to u ||B|| kappa_max / |nu_j|,
-    kappa_max = max_j ||q_j||_W >= 1 over the retained pairs, so it runs
+    <q_j, p_k>_W = delta_jk over the retained pairs, the only ones kept; right
+    vectors have unit weighted norm and a real-positive anchor entry.  It
+    returns op.family itself: when B is Hermitian to roundoff that is
+    hermitian_eig's family (in B's dtype, one array serving as right and left
+    family).  Otherwise it is general_family: V_r from one sorted Schur form,
+    V = [V_r, Q_t] = Z M, and from r x r algebra U_r, V^{-H}'s first r columns,
+    and the exact condition kappa of M (nystrom._inverse_adjoint).  An inverse
+    of condition kappa is bi-orthogonal to about kappa n u (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 14), so kappa n u <=
+    1e-8 is the one refusal rule, tested first.  The pass p <- A p / nu,
+    q <- K^H (w q) / conj(nu) moves <q_k, p_j>_W by up to
+    u ||B|| kappa_max / |nu_j|, kappa_max = max_j ||q_j||_W >= 1, so it runs
     where |nu_j| >= REFINE_RTOL kappa_max |nu_1|, within hermitian_eig's
     budget u ||B|| / (REFINE_RTOL |nu_1|).  A refusal is cached with the
     family, and the spectrum stays readable.
@@ -161,13 +161,13 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
     """
     n = _count_arg(n, "iterate", 1)
     d, profile = _decomposition_arg(d), _instance_arg(profile, AsymptoticProfile, "profile")
-    scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R : d.retained])))
+    scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R :])))
     approx = _finite_power(n, "iterate", lambda: (profile.r1 ** n) * profile.coefficient_matrix(n))
     bound = _finite_power(n, "iterate", lambda: (profile.r0 ** n) * scale)
     return approx, bound
 
 
 def reconstruct(d: BiSpectralDecomposition, k: int) -> np.ndarray:
-    """Partial kernel reconstruction sum_{j<=k} nu_j p_j q_j^* at node pairs."""
-    k = _count_arg(k, "rank", 0, _decomposition_arg(d).eigenvalues.size)
+    """Partial kernel reconstruction sum_{j<=k} nu_j p_j q_j^* at node pairs, k <= retained."""
+    k = _count_arg(k, "rank", 0, _decomposition_arg(d).retained)
     return (d.right[:, :k] * d.eigenvalues[None, :k]) @ d.left[:, :k].conj().T

@@ -225,7 +225,7 @@ class TestRun:
         from fredkit.serialize import read_complex_csv
 
         P = read_complex_csv(tmp_path / "vec_P.csv")
-        assert P.shape == (40, 40)
+        assert P.shape == (40, json.loads(out.read_text())["retained"])
         rule = fk.gauss_hermite_prob(40)
         assert np.max(np.abs(P[:, 1].real) - np.abs(rule.nodes)) <= 1e-4
 

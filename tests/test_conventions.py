@@ -264,13 +264,13 @@ def test_outputs_equal_the_column_at_a_time_ones(name, n, method):
     """Bit for bit, so every anchor lands where one column alone puts it:
     Mehler's odd eigenfunctions on a symmetric rule have mirror-node entries
     tied up to rounding, and a matrix-matrix polish moves some of them."""
-    P, Q, _, _ = families(decomposition(name, n, method), method)
+    P, Q, _, r = families(decomposition(name, n, method), method)
     op = operator(name, n)
     assert op.hermitian_to_roundoff() == HERMITIAN[name]
     P_ref, Q_ref = column_at_a_time(op, method)
     assert P.dtype == P_ref.dtype and Q.dtype == Q_ref.dtype
-    assert np.array_equal(P, P_ref)
-    assert np.array_equal(Q, Q_ref)
+    assert np.array_equal(P, P_ref[:, :r])
+    assert np.array_equal(Q, Q_ref[:, :r])
     assert (Q is P) == (Q_ref is P_ref)
 
 
@@ -291,7 +291,11 @@ def test_skew_djf_agrees_with_an_eig_reference(n):
     * each left vector within ||q_j||_W times its right vector's bound, of
       the exact one scaled to <q_j, p_j>_W = 1.
     The two sides' bounds add, and aligning the phase of unit vectors at
-    most doubles a distance (2 sin(phi / 2) <= phi <= (pi / 2) sin(phi))."""
+    most doubles a distance (2 sin(phi / 2) <= phi <= (pi / 2) sin(phi)).
+    djf_eig keeps the retained pairs only, so the tail's ||q_k||_W come from
+    V = W^{1/2} [P_r, Y] with W^{1/2} Y an orthonormal complement of
+    W^{1/2} Q_r: in exact arithmetic that complement is the span of the
+    tail's right vectors, and q_k is column k of V^{-H} / sqrt(w)."""
     op = operator("skew", n)
     assert not op.hermitian_to_roundoff()
     d = fk.djf_eig(op)
@@ -304,7 +308,9 @@ def test_skew_djf_agrees_with_an_eig_reference(n):
     order = np.argsort(-np.abs(vals), kind="stable")
     vals, V = vals[order], V[:, order]
     P_ref, Q_ref = V / sqw, np.linalg.inv(V).conj().T / sqw
-    qn = np.sqrt(np.sum(w[:, None] * np.abs(Q) ** 2, axis=0))
+    tail = np.linalg.inv(np.hstack((sqw * P, scipy.linalg.null_space((sqw * Q).conj().T))))
+    qn = np.concatenate((np.sqrt(np.sum(w[:, None] * np.abs(Q) ** 2, axis=0)),
+                         np.linalg.norm(tail[r:], axis=1)))
     assert np.all(np.abs(nu[:r] - vals[:r]) <= 2 * qn[:r] * E)
     polished = np.abs(nu[:r]) >= nystrom.REFINE_RTOL * abs(nu[0]) * np.max(qn[:r])
     for j in range(r):

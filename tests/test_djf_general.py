@@ -3,7 +3,7 @@
 There one Schur form B = Z T Z^H runs in the operator's dtype, reordered so
 that the eigenvalues outside the retained cut lead; its first n - r Schur
 vectors are the tail Q_t, a Sylvester solve and an r x r eig give the r
-retained right vectors, and the left family and the condition
+retained right vectors, and their left partners and the condition
 kappa = cond_1(M) of V = Z M come from r x r algebra (see
 DiscreteOperator.general_family).  The one refusal rule is
 kappa n u <= 1e-8, tested first; the eigen-residual and bi-orthogonality
@@ -22,7 +22,7 @@ its discrete spectrum.  Bounds come from n, u, kappa and REFINE_RTOL:
 * the pass p <- A p / nu, q <- K^H (w q) / conj(nu) rounds at about
   u ||B|| kappa_max / |nu| in the Gram matrix, kappa_max = max_j ||q_j||_W,
   and runs only for |nu| >= REFINE_RTOL kappa_max |nu_1|, so the pairs below
-  REFINE_RTOL |nu_1| are untouched and the whole families stay within
+  REFINE_RTOL |nu_1| are untouched and the retained families stay within
   kappa n u / REFINE_RTOL;
 * eigenvalues move by at most kappa times their backward error n u ||B||.
 """
@@ -82,13 +82,15 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     w, P, Q, r, nu = op.w_rows, d.right, d.left, d.retained, d.eigenvalues
     nu1 = abs(nu[0])
     assert r >= 6
+    assert P.shape == Q.shape == (n, r) and nu.shape == (n,)
 
-    # bi-orthogonality: the retained pairs as reported, the whole families
-    # within the polish bound, and the pairs the pass left alone within kappa n u
-    G = Q.conj().T @ (w[:, None] * P) - np.eye(n)
-    assert d.biorth_residual == pytest.approx(np.max(np.abs(G[:r, :r])), rel=n * UNIT)
+    # bi-orthogonality: the retained pairs as reported and within the polish
+    # bound, and the pairs the pass left alone within kappa n u
+    G = Q.conj().T @ (w[:, None] * P) - np.eye(r)
+    assert d.biorth_residual == pytest.approx(np.max(np.abs(G)), rel=n * UNIT)
     assert np.max(np.abs(G)) <= kappa * n * UNIT / nystrom.REFINE_RTOL
-    untouched = np.abs(nu) < nystrom.REFINE_RTOL * nu1
+    untouched = np.abs(nu[:r]) < nystrom.REFINE_RTOL * nu1
+    assert untouched.any()
     assert np.max(np.abs(G[np.ix_(untouched, untouched)])) <= kappa * n * UNIT
 
     assert_eigen_residuals(op, d)
@@ -99,17 +101,21 @@ def test_invariants_at_benchmark_scale(monkeypatch, n, a):
     ref = mehler[::-1][:r]
     assert np.max(np.abs(nu[:r] - ref)) <= (kappa + 1) * n * UNIT * op.hs_norm()
 
-    # the retained left vectors against this test's own inverse of V = W^{1/2} P:
-    # U - V^{-H} = V^{-H} G^H, so column j moves by at most ||V^{-1}|| ||G[j, :]||,
-    # plus the rounding of the test's inverse, cond(V) n u ||V^{-1}||
+    # the retained left vectors against this test's own inverse of
+    # V = W^{1/2} [P, Y], W^{1/2} Y an orthonormal complement of W^{1/2} Q (in
+    # exact arithmetic, the span of the tail's right vectors): with
+    # G = U^H V - I for U = W^{1/2} [Q, Y'] and any Y', U - V^{-H} = V^{-H} G^H,
+    # so column j < r moves by at most ||V^{-1}|| ||G[j, :]||, plus the
+    # rounding of the test's inverse, cond(V) n u ||V^{-1}||
     sqw = np.sqrt(w)[:, None]
-    V = sqw * P
+    V = np.hstack((sqw * P, scipy.linalg.null_space((sqw * Q).conj().T)))
     Vinv = np.linalg.inv(V)
     inv_norm = np.linalg.norm(Vinv)
     cond = np.linalg.norm(V) * inv_norm
     Qref = Vinv.conj().T[:, :r] / sqw
-    bound = inv_norm * (np.linalg.norm(G[:r], axis=1) + cond * n * UNIT)
-    assert np.all(_wnorms(w, Q[:, :r] - Qref) <= bound)
+    Gr = (sqw * Q).conj().T @ V - np.eye(r, n)
+    bound = inv_norm * (np.linalg.norm(Gr, axis=1) + cond * n * UNIT)
+    assert np.all(_wnorms(w, Q - Qref) <= bound)
 
 
 def _branch(op):
@@ -259,8 +265,8 @@ def test_biorthogonality_check_refuses_a_spoiled_left_family(monkeypatch):
     op = fk.discretize(skew_kernel(0.2), fk.gauss_legendre(64, -4.0, 4.0))
     inverse_adjoint = nystrom._inverse_adjoint
 
-    def spoiled(A, C, Qt, Qp):
-        U, kappa = inverse_adjoint(A, C, Qt, Qp)
+    def spoiled(A, C, Qp):
+        U, kappa = inverse_adjoint(A, C, Qp)
         r = C.shape[0]
         U[:, r - 1] += 1e-6 * U[:, 0]
         return U, kappa

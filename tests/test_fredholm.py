@@ -594,3 +594,29 @@ class TestOverflowingSolve:
             assert np.isfinite(fk.resolvent_kernel(op, 0.999e-305)).all()
             with pytest.raises(InvalidArgumentError, match=r"lambda=9\.9999e-306.* overflows"):
                 fk.resolvent_kernel(op, 0.99999e-305)
+
+
+# maps of node samples f that run at the power-of-two scale of f's largest
+# entry (nystrom._scale_free), as resolvent_solve does
+# (TestOverflowingSolve.test_subnormal_rhs_solves_as_its_scaled_copy)
+SCALE_FREE_MAPS = {
+    "second_kind_solve_series": lambda op, f: fk.second_kind_solve_series(
+        fk.djf_eig(op), 0.5, f, fk.djf_eig(op).retained),
+    "gram_apply-left": lambda op, f: fk.gram_apply(fk.operator_svd(op), 1, f),
+    "gram_apply-right": lambda op, f: fk.gram_apply(fk.operator_svd(op), 0, f, side="right"),
+}
+
+
+@pytest.mark.parametrize("k", [1040, 1070])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", SCALE_FREE_MAPS)
+def test_maps_of_samples_are_scale_free(name, n, k):
+    """f = 2^-k cos(x) is subnormal: each map of it is the map of 2^k f
+    scaled back by 2^-k (real and imaginary parts alike), bit for bit."""
+    op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(n))
+    f = np.ldexp(np.cos(op.rule.nodes), -k)
+    fn = SCALE_FREE_MAPS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny, ref = fn(op, f), fn(op, np.ldexp(f, k))
+    assert np.array_equal(tiny, np.ldexp(ref.view(float), -k).view(ref.dtype))

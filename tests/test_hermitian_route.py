@@ -132,10 +132,10 @@ def test_indefinite_kernel_folds_the_sign_into_q():
     assert set(signs) == {-1.0, 1.0}
     assert np.array_equal(sv.singular_values[:r], np.abs(h.eigenvalues[:r]))
     assert np.array_equal(sv.right[:, :r], sv.left[:, :r] * signs)
-    # the null space sits below the roundoff floor N eps |nu_1|: unfolded
+    # the null space sits below the roundoff floor N eps |nu_1|
     nu = np.sort(np.abs(h.eigenvalues.real))
     assert nu[-r - 1] <= nu.size * np.finfo(float).eps * nu[-1]
-    assert np.array_equal(sv.right[:, r:], sv.left[:, r:]) and sv.right is not sv.left
+    assert sv.right is not sv.left
     check_svd_bounds(op, sv)
 
 
@@ -161,6 +161,40 @@ ON_ROUTE = {
 }
 
 
+# an operator per route, at the benchmark's sizes, with the route it takes
+# (twin-gl1024, the spectra-n1024 twin, takes "hermitian-real")
+ROUTES = {
+    "mehler-gl1024": (lambda: fk.discretize(fk.mehler_kernel(0.5), fk.gauss_legendre(1024, -4.0, 4.0)),
+                      "hermitian-split"),
+    "mehler-gl256-0-1": (lambda: fk.discretize(fk.mehler_kernel(0.5),
+                                               fk.gauss_legendre(256, 0.0, 1.0)), "hermitian"),
+    "skew-gl256": (lambda: fk.discretize(skew_kernel(0.2), fk.gauss_legendre(256, -4.0, 4.0)),
+                   "general"),
+    "skew-twin-gl256": (lambda: fk.discretize(skew_kernel(0.2 + 0.7j),
+                                              fk.gauss_legendre(256, -4.0, 4.0)), "general"),
+}
+
+
+@pytest.mark.parametrize("name", [*ROUTES, "twin-gl1024"])
+def test_records_keep_the_retained_vectors_only(name, request):
+    """On every route the family keeps all N eigenvalues and the vectors of
+    its retained pairs only, N x retained, and the SVD all N singular values
+    and its rank_numerical triples' vectors only, on the Hermitian route
+    (from the family) and off it (from the svd): no N x N vector array."""
+    if name == "twin-gl1024":
+        op, route = request.getfixturevalue("twin1024"), "hermitian-real"
+    else:
+        make, route = ROUTES[name]
+        op = make()
+    n = op.K.shape[0]
+    d, sv = op.family, fk.operator_svd(op)
+    assert d.route == route
+    assert d.eigenvalues.shape == sv.singular_values.shape == (n,)
+    assert 0 < d.retained < n and 0 < sv.rank_numerical < n
+    assert d.right.shape == d.left.shape == (n, d.retained)
+    assert sv.left.shape == sv.right.shape == (n, sv.rank_numerical)
+
+
 @pytest.mark.parametrize("name", [*ON_ROUTE, "twin-gl1024"])
 def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
     """On the route operator_svd's families are hermitian_eig's, polished and
@@ -172,7 +206,8 @@ def test_svd_is_the_sorted_sign_folded_hermitian_eig(name, request):
     assert op.hermitian_to_roundoff()
     h, sv = fk.hermitian_eig(op), fk.operator_svd(op)
     nu = h.eigenvalues.real
-    order = np.argsort(-np.abs(nu), kind="stable")
+    r = h.retained
+    order = np.argsort(-np.abs(nu), kind="stable")[:r]
     negative = nu[order] < -nu.size * np.finfo(float).eps * np.max(np.abs(nu))
     assert np.array_equal(sv.left, h.right[:, order])
     assert np.array_equal(sv.right, h.right[:, order] * np.where(negative, -1.0, 1.0))
