@@ -51,8 +51,8 @@ from .errors import (
     _array_arg, _count_arg, _number_arg, _tolerance_arg,
 )
 from .nystrom import (
-    DiscreteOperator, _apply_A, _matvec, _narrowed, _norm, _on_float_view, _operator_arg,
-    _read_only, _scale_free, _weighted_products,
+    DiscreteOperator, _apply_A, _finite, _matvec, _narrowed, _norm, _on_float_view,
+    _operator_arg, _read_only, _scale_free, _weighted_products,
 )
 from .spectral import BiSpectralDecomposition, _decomposition_arg, _unrefused
 
@@ -113,7 +113,7 @@ def _system(op, lam):
     The one expression every LU and every refinement residual builds, so a
     rebuilt system has the bits the factored one had."""
     part = op.node_partition
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # _condition refuses an entry past the range
         M = part.K_e * ((-_narrowed(lam)) * part.w_e)
         M.reshape(-1)[:: M.shape[0] + 1] += 1.0  # the diagonal
     return M
@@ -181,7 +181,7 @@ def _reciprocal(rcond):
 def _condition(op, lam, M, lu):
     """The guard's 1-norm condition estimate of M in the node partition's
     order (inf for an exactly singular factor; InvalidArgumentError, naming
-    lambda, when ||M||_1 overflows): LAPACK gecon's (Hager-Higham) from M's
+    lambda, when ||M||_1 is not finite): LAPACK gecon's (Hager-Higham) from M's
     LU when nothing is dropped, else ||M~||_1 times a bound on ||M~^-1||_1.
     M~^-1 = [[M_aa^-1, 0], [-L^-1 M_ta M_aa^-1, L^-1]], so with e gecon's
     estimate of ||M_aa^-1||_1 and v = C^-T 1 for L's comparison matrix C
@@ -189,16 +189,13 @@ def _condition(op, lam, M, lu):
     and Stability of Numerical Algorithms, 2nd ed., sec. 8.3) the bound is
     max(max v, (1 + max v^T |M_ta|) e): max(1, (1 + ||M_ta||_1) e) for L = I."""
     k = op.node_partition.kept_count
-    with np.errstate(over="ignore", invalid="ignore"):
-        kept, C = np.abs(M[:, :k]), -np.abs(np.tril(M[k:, k:]))
-        anorm = float(max(np.max(kept.sum(axis=0)), np.max(-C.sum(axis=0), initial=0.0)))
-    if not np.isfinite(anorm):
-        raise InvalidArgumentError(
-            f"I - lambda*A at lambda={lam:.6g} has 1-norm {anorm}, not a finite number")
+    kept, C = np.abs(M[:, :k]), -np.abs(np.tril(M[k:, k:]))
+    anorm = _finite(f"I - lambda*A at lambda={lam:.6g} has 1-norm inf or nan: not a finite number",
+                    lambda: max(np.max(kept.sum(axis=0)), np.max(-C.sum(axis=0), initial=0.0)))
     if not C.size:
         return _reciprocal(_lapack("gecon", lu, anorm))
     C.reshape(-1)[:: C.shape[0] + 1] *= -1.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an estimate past the float range is inf
         v = _lapack("trtrs", C, np.ones(C.shape[0]), lower=1, trans=1)
         e = _reciprocal(_lapack("gecon", lu, 1.0))
         return anorm * float(max(np.max(v), (1.0 + np.max(v @ kept[k:])) * e))
@@ -225,12 +222,12 @@ def _guarded_lu(op, lam):
     return M, lu, piv, gap
 
 
-def _guarded_solve(op, lam, rhs):
-    """Solve (I - lambda*A) X = rhs through _guarded_lu in the node
-    partition's order, rhs permuted once on the way in and X once on the way
-    out: each solve is of M~ (x_a from M_aa's LU, then L x_t = b_t - M_ta x_a
-    by trtrs), with one refinement pass on M.  Returns (X, nearest_eigen_gap);
-    raises InvalidArgumentError, naming lambda, when an entry of X overflows."""
+def _guarded_solve(op, lam):
+    """(solve, nearest_eigen_gap): _guarded_lu's refusals, then solve(rhs)
+    solves (I - lambda*A) X = rhs in the node partition's order, rhs
+    permuted once on the way in and X once on the way out: each solve is of
+    M~ (x_a from M_aa's LU, then L x_t = b_t - M_ta x_a by trtrs), with one
+    refinement pass on M.  Its caller runs solve under _finite."""
     M, lu, piv, gap = _guarded_lu(op, lam)
     part = op.node_partition
     k = part.kept_count
@@ -244,15 +241,14 @@ def _guarded_solve(op, lam, rhs):
         return np.concatenate((y, _on_float_view(L, lambda z: _lapack("trtrs", L, z, lower=1),
                                                  tail)))
 
-    b = rhs[part.order]
-    with np.errstate(over="ignore", invalid="ignore"):
+    def refined(rhs):
+        b = rhs[part.order]
         Y = solve(b)
-        Y = Y + solve(b - _matvec(M, Y))  # one refinement pass
-    if not np.isfinite(Y).all():
-        raise InvalidArgumentError(f"the solve at lambda={lam:.6g} overflows")
-    X = np.empty_like(Y)
-    X[part.order] = Y
-    return X, gap
+        X = np.empty_like(Y)
+        X[part.order] = Y + solve(b - _matvec(M, Y))  # one refinement pass
+        return X
+
+    return refined, gap
 
 
 def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
@@ -279,19 +275,18 @@ def resolvent_solve(op: DiscreteOperator, lam, f) -> ResolventSolve:
     _operator_arg(op)._require_square("a resolvent solve")
     lam = _number_arg(lam, "lambda")
     f = _array_arg(f, "f", (op.K.shape[0],))
-    gap = residual = None
+    solve, gap = _guarded_solve(op, lam)
+    message = f"the solution or residual at lambda={lam:.6g} overflows"
+    residual = None
 
-    def solve(fs):
-        nonlocal gap, residual
-        p, gap = _guarded_solve(op, lam, fs)
+    def solve_scaled(fs):
+        nonlocal residual
+        p = solve(fs)
         r = p - _narrowed(lam) * _apply_A(op, p) - fs
-        residual = float(_norm(r)) / (float(_norm(fs)) or 1.0)
+        residual = _finite(message, lambda: float(_norm(r)) / (float(_norm(fs)) or 1.0))
         return p
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = _scale_free(f, solve)
-    if not (np.isfinite(residual) and np.isfinite(p).all()):
-        raise InvalidArgumentError(f"the solution or residual at lambda={lam:.6g} overflows")
+    p = _scale_free(message, f, solve_scaled)
     return ResolventSolve(lam=lam, solution=p, residual=residual, nearest_eigen_gap=gap)
 
 
@@ -305,8 +300,9 @@ def resolvent_kernel(op: DiscreteOperator, lam) -> np.ndarray:
     partition's kept block; real at a real lambda on a real operator.
     """
     _operator_arg(op)._require_square("a resolvent kernel")
-    NL, _gap = _guarded_solve(op, _number_arg(lam, "lambda"), op.K)
-    return NL
+    lam = _number_arg(lam, "lambda")
+    solve, _gap = _guarded_solve(op, lam)
+    return _finite(f"the solve at lambda={lam:.6g} overflows", lambda: solve(op.K))
 
 
 def _series_lambdas(d, k, lam):
@@ -342,19 +338,20 @@ def second_kind_solve_series(d: BiSpectralDecomposition, lam, f, k: int) -> np.n
         s = g + _matvec(d.right[:, :k], lam * proj / (lambdas - lam))
         return g + lam * _weighted_products(d.K, d.weights, s)
 
-    return _scale_free(f, series)
+    return _scale_free(f"the series solution at lambda={lam:.6g} overflows", f, series)
 
 
 def _det_direct(op, lam):
     _M, lu, piv = _lu(op, lam)
     sign, logabs = _slogdet(lu, piv)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(sign * np.exp(logabs))
+    return _finite(f"direct D(lambda={lam:.6g}) = {sign:.6g} exp({logabs:.6g}) is not finite",
+                   lambda: complex(sign * np.exp(logabs)))
 
 
 def _det_product(op, lam):
     nus = op.spectrum  # complex, so an empty product is 1 + 0j
-    return complex(np.prod((1.0 - lam * nus)[np.abs(lam * nus) >= TAIL_CUTOFF]))
+    return _finite(f"product D(lambda={lam:.6g}) = prod_j (1 - lambda nu_j) is not finite",
+                   lambda: complex(np.prod((1.0 - lam * nus)[np.abs(lam * nus) >= TAIL_CUTOFF])))
 
 
 # method name -> evaluator of D(lambda) on a square operator
@@ -391,10 +388,7 @@ def fredholm_determinant(op: DiscreteOperator, lam, method="direct") -> Determin
     _operator_arg(op)._require_square("a determinant")
     lam = _number_arg(lam, "lambda")
     method = _determinant_method(method)
-    value = _DETERMINANTS[method](op, lam)
-    if not np.isfinite(value):
-        raise InvalidArgumentError(f"{method} D(lambda={lam:.6g}) = {value} is not finite")
-    return DeterminantEval(lam=lam, value=value, method=method)
+    return DeterminantEval(lam=lam, value=_DETERMINANTS[method](op, lam), method=method)
 
 
 def determinant_log_derivative_check(op: DiscreteOperator, lambda_path, steps: int):

@@ -26,7 +26,7 @@ from .errors import (
     _array_arg, _count_arg, _instance_arg, _number_arg, _tolerance_arg,
 )
 from .kernels import _callables_arg, basis_kernel
-from .nystrom import _anchor_phase, _finite_power, _sort_order
+from .nystrom import _anchor_phase, _finite, _sort_order
 
 DESK_DIM_LIMIT = 64
 RANK_RTOL = 1e-10
@@ -75,7 +75,7 @@ def jordan_block_power(lam, m, n):
                 out[idx, idx + a] = val
         return out
 
-    return _finite_power(n, "exponent", power)
+    return _finite(f"exponent n={n} overflows: its entries are not finite", power)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +154,9 @@ def jordan_decompose(N, cluster_tol=1e-7):
     InvalidArgumentError
         When N is not a square array of numbers, exceeds desk scale or has
         an entry that is not finite (checked before any LAPACK call), when
-        cluster_tol is not a finite real number >= 0, or when a power
-        ||N - lambda I||^k the rank staircase needs overflows.
+        cluster_tol is not a finite real number >= 0, or when a cluster
+        centre or a power ||N - lambda I||^k the rank staircase needs
+        overflows.
     """
     cluster_tol = _tolerance_arg(cluster_tol, "cluster_tol")
     N = _array_arg(N, "N", (None, None)).astype(complex, copy=False)
@@ -181,7 +182,8 @@ def _decompose(N, cluster_tol):
     else:
         delta = cluster_tol * rho
         clusters = _cluster_eigenvalues(eigs, delta)
-    centers = [complex(np.mean(c)) for c in clusters]
+    centers = _finite("a cluster centre of N's eigenvalues overflows -- rescale N",
+                      lambda: [complex(np.mean(c)) for c in clusters])
     if len(clusters) > 1:
         gaps = [
             abs(centers[i] - centers[j])
@@ -254,13 +256,9 @@ def _cluster_chains(N, lam, amult):
                 "not match the actual eigenvalue splitting"
             )
         # ||S^k||_2 <= smax^k: while the rank tolerance is finite, so is S^k
-        try:
-            tol = RANK_RTOL * max(smax, 1e-300) ** k
-        except OverflowError:
-            raise InvalidArgumentError(
-                f"||N - lambda I||^{k} overflows for lambda={lam:.6g}; the staircase "
-                "rank tolerance cannot be formed -- rescale N"
-            ) from None
+        tol = _finite(f"||N - lambda I||^{k} overflows for lambda={lam:.6g}; the staircase "
+                      "rank tolerance cannot be formed -- rescale N",
+                      lambda: RANK_RTOL * max(smax, 1e-300) ** k)
         Sk = S @ Sk
         u, sv, vh = np.linalg.svd(Sk)
         r = int(np.sum(sv > tol))
@@ -317,7 +315,8 @@ def matrix_power_via_jordan(jf: JordanForm, n: int) -> np.ndarray:
     that overflows raises InvalidArgumentError naming n."""
     n = _count_arg(n, "exponent")
     jf = _instance_arg(jf, JordanForm, "jf")
-    return _finite_power(n, "exponent", lambda: jf.P @ jf.assemble_j(n) @ jf.Q.conj().T)
+    return _finite(f"exponent n={n} overflows: its entries are not finite",
+                   lambda: jf.P @ jf.assemble_j(n) @ jf.Q.conj().T)
 
 
 def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
@@ -358,7 +357,8 @@ def defective_asymptotic(jf: JordanForm, n: int, tier_rtol=1e-8):
                     "supported asymptotic profile"
                 )
         seen.append(lam)
-    envelope = _finite_power(n, "iterate", lambda: binomial(n, M - 1) * r1 ** (n - M + 1))
+    envelope = _finite(f"iterate n={n} overflows: its entries are not finite",
+                       lambda: binomial(n, M - 1) * r1 ** (n - M + 1))
     D = np.zeros((jf.dim, jf.dim), dtype=complex)
     for i, lam in leading:
         theta = np.angle(lam)

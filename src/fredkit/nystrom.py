@@ -23,6 +23,11 @@ for a complex X).
 K (and A and B) are float64 for a real kernel and complex128
 otherwise; _matvec applies a real matrix to complex samples (a vector, a
 matrix or a stack of them) without a complex copy of the matrix.
+One rule decides every result that can leave the float range (_finite):
+its arithmetic runs with numpy's overflow and invalid warnings off, and a
+result that is not finite raises InvalidArgumentError naming what
+overflowed.  Each map of node samples runs under it at the power-of-two
+scale of the samples' largest entry (_scale_free).
 
 Node samples live in the discrete L2(mu), <u, v>_W = sum_i w_i conj(u_i) v_i;
 block samples are node-major (entry i*s + c is component c at node i), each
@@ -141,14 +146,19 @@ class DiscreteOperator:
     @property
     def A(self):
         """The Nystrom matrix K * w_cols, K's columns scaled by the node
-        weights, formed on every read: a fresh array its reader owns."""
-        return self.K * self.w_cols
+        weights, formed on every read: a fresh array its reader owns.  An
+        entry past the float range reads inf, with no warning, for the
+        ||A||_F refusal of its reader."""
+        with np.errstate(over="ignore"):
+            return self.K * self.w_cols
 
     @property
     def B(self):
         """W^{1/2} K W^{1/2}, formed on every read: a fresh array its reader
-        owns and may overwrite."""
-        return np.sqrt(self.w_rows)[:, None] * self.K * np.sqrt(self.w_cols)
+        owns and may overwrite.  An entry past the float range reads inf,
+        with no warning, for the ||B||_F refusal of its reader."""
+        with np.errstate(over="ignore"):
+            return np.sqrt(self.w_rows)[:, None] * self.K * np.sqrt(self.w_cols)
 
     @property
     def spectrum(self):
@@ -190,8 +200,9 @@ class DiscreteOperator:
     def hermitian_defect(self):
         """Relative departure of B from Hermitian symmetry,
         ||B - B^H||_F / ||B||_F, computed once.  Raises InvalidArgumentError
-        for a block shape that is not square or a ||B||_F that is not finite,
-        for every reader of the family or the lambda-path."""
+        for a block shape that is not square, or when ||B||_F or B's Hermitian
+        part is not finite (_hermitian_part), for every reader of the family
+        or the lambda-path."""
         return self._hermitian_defect(self.K.shape[0] * UNIT)
 
     def _hermitian_defect(self, keep):
@@ -391,15 +402,13 @@ def _hermitian_eigh(op):
     """(vals, vecs in B's dtype) of B's Hermitian part, built here or kept by
     the defect (_hermitian_defect): _reflected_eigh's on a reflection-symmetric
     operator, else one _eigh, vals ascending.  Raises InvalidArgumentError
-    when that part is not finite (zheevr would answer without an error) and
-    ConvergenceError when eigh does not converge."""
+    when that part is not finite (_hermitian_part: zheevr would answer
+    without an error) and ConvergenceError when eigh does not converge."""
     op._require_square("a Hermitian eigendecomposition")
     S = op.__dict__.pop("_hermitian_S", None)
     if S is None:
         S, defect = _hermitian_part(op.B)
         op.__dict__.setdefault("_defect", defect)
-        if not np.isfinite(defect):  # finite exactly when S is
-            raise InvalidArgumentError("B's Hermitian part has an entry that is not finite")
     return _reflected_eigh(S) if op.reflection_symmetric else _eigh(S)
 
 
@@ -457,25 +466,23 @@ def _hermitian_part(B):
     S = (B + B^H) / 2 and ||B - B^H||_F / ||B||_F, read off S as
     2 ||B - S||_F / ||B||_F since B - B^H = 2 (B - S).  S is B^H, in one
     C-ordered buffer, plus B, and B - S is taken in B's own buffer: B and S
-    are the only N x N arrays.  Raises InvalidArgumentError when ||B||_F is
-    not finite."""
-    scale = float(_norm(B))
-    if not np.isfinite(scale):
-        raise InvalidArgumentError("B's Hermitian part has an entry that is not finite, "
-                                   "or ||B||_F overflows")
+    are the only N x N arrays.  Raises InvalidArgumentError when ||B||_F or
+    the defect is not finite: the defect is not finite exactly when S is."""
+    message = "B's Hermitian part has an entry that is not finite, or ||B||_F overflows"
+    scale = max(_finite(message, lambda: float(_norm(B))), 1e-300)
     S = np.conjugate(B.T, out=np.empty_like(B))
-    S += B
-    S *= 0.5
-    scale = max(scale, 1e-300)
-    B -= S
-    return S, 2.0 * float(_norm(B)) / scale
+
+    def defect():
+        np.multiply(np.add(S, B, out=S), 0.5, out=S)
+        return 2.0 * float(_norm(np.subtract(B, S, out=B))) / scale
+
+    return S, _finite(message, defect)
 
 
 def _general_family(op):
     """DiscreteOperator.general_family's build, on a square operator."""
     B = op.B
-    if not np.isfinite(B).all():
-        raise InvalidArgumentError("B has an entry that is not finite")
+    _finite("B has an entry that is not finite", lambda: B)
     T, Z = _linalg("schur", B, lib=scipy.linalg, output={"f": "real", "c": "complex"}[B.dtype.kind],
                    overwrite_a=True, check_finite=False)
     del B
@@ -604,11 +611,13 @@ def _pow2_scale(X):
     return float(np.ldexp(1.0, min(-np.frexp(top)[1], 1023))) if 0.0 < top < np.inf else 1.0
 
 
-def _scale_free(f, apply):
-    """apply(f s) / s, s = _pow2_scale(f), for a linear map `apply`: a subnormal
-    or huge f maps as its scaled copy does, bit for bit while apply's steps stay normal."""
+def _scale_free(message, f, apply):
+    """apply(f s) / s, s = _pow2_scale(f), for a linear map `apply`, computed
+    under _finite: a subnormal or huge f maps as its scaled copy does, bit
+    for bit while apply's steps stay normal, and a result that is not
+    finite raises InvalidArgumentError(message)."""
     s = _pow2_scale(f)
-    return apply(f * s) / s
+    return _finite(message, lambda: apply(f * s) / s)
 
 
 def _no_overflow(norm, X):
@@ -632,17 +641,18 @@ def _norm(X):
     return _no_overflow(np.linalg.norm, X)
 
 
-def _finite_power(n, name, power):
-    """power(), an n-th power or a result built from one, with its overflow
-    refused: an OverflowError or a result with an entry that is not finite
-    raises InvalidArgumentError naming n.  A finite result keeps its bits."""
+def _finite(message, compute):
+    """compute(), with numpy's overflow and invalid warnings off and an
+    OverflowError read as inf; InvalidArgumentError(message) unless every
+    entry of the result is finite.  The one rule for arithmetic that leaves
+    the float range: a finite result keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            out = power()
+            out = compute()
         except OverflowError:
             out = np.inf
     if not np.isfinite(out).all():
-        raise InvalidArgumentError(f"{name} n={n} overflows: its entries are not finite")
+        raise InvalidArgumentError(message)
     return out
 
 
@@ -830,13 +840,20 @@ def _check_finite(K, rule, s1, s2):
 
 
 def apply(op: DiscreteOperator, f) -> np.ndarray:
-    """Nystrom image of the operator on node samples: A @ f = K (w f)."""
-    return _apply_A(op, _array_arg(f, "f", (_operator_arg(op).K.shape[1],)))
+    """Nystrom image of the operator on node samples: A @ f = K (w f).
+    Scale-free (_scale_free); an image past the float range raises
+    InvalidArgumentError."""
+    f = _array_arg(f, "f", (_operator_arg(op).K.shape[1],))
+    return _scale_free("A f overflows: its entries are not finite", f, lambda g: _apply_A(op, g))
 
 
 def apply_adjoint(op: DiscreteOperator, p) -> np.ndarray:
-    """Node samples of the adjoint image: (W K)^* p = K^H (w * p)."""
-    return _apply_adjoint(op, _array_arg(p, "p", (_operator_arg(op).K.shape[0],)))
+    """Node samples of the adjoint image: (W K)^* p = K^H (w * p).
+    Scale-free (_scale_free); an image past the float range raises
+    InvalidArgumentError."""
+    p = _array_arg(p, "p", (_operator_arg(op).K.shape[0],))
+    return _scale_free("the adjoint image of p overflows: its entries are not finite", p,
+                       lambda g: _apply_adjoint(op, g))
 
 
 def _apply_adjoint(op, X):
@@ -903,7 +920,7 @@ def iterated_kernel(op: DiscreteOperator, n: int) -> np.ndarray:
                 X, Y = Y, X
         return X
 
-    return _finite_power(n, "iterate", doubling)
+    return _finite(f"iterate n={n} overflows: its entries are not finite", doubling)
 
 
 def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
@@ -912,7 +929,9 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     p(y) = nu^{-1} sum_i N(y, x_i) w_i p(x_i), one row of samples at (y, x_i)
     times the weighted samples.  At a node this reproduces the sample up to
     the eigen-residual; a grid-sampled kernel extends only to its own nodes.
-    nu must be a finite number and y a finite real number.
+    nu must be a finite number and y a finite real number.  Scale-free in
+    the samples (_scale_free); a value past the float range raises
+    InvalidArgumentError.
     """
     nu = _number_arg(nu, "nu")
     if nu == 0:
@@ -920,5 +939,6 @@ def nystrom_extend(kernel: Kernel, rule: QuadratureRule, eig_samples, nu, y):
     s1, s2 = _kernel_arg(kernel).shape
     p = _array_arg(eig_samples, "eig_samples", (_rule_arg(rule).count * s2,))
     row = kernel.body._samples(kernel.shape, _real_point(y, "y"), rule.nodes)
-    acc = _matvec(row, np.repeat(rule.weights, s2) * p) / nu
+    acc = _scale_free("the Nystrom extension overflows: its entries are not finite", p,
+                      lambda g: _matvec(row, np.repeat(rule.weights, s2) * g) / nu)
     return complex(acc[0]) if s1 == 1 else acc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidArgumentError, _array_arg, _count_arg, _instance_arg
-from .nystrom import (DiscreteOperator, _anchor_phase, _finite_power, _linalg, _matvec, _norm,
+from .nystrom import (DiscreteOperator, _anchor_phase, _finite, _linalg, _matvec, _norm,
                       _operator_arg, _read_only, _retained_count, _roundoff_floor, _scale_free)
 
 
@@ -72,8 +72,7 @@ def operator_svd(op: DiscreteOperator) -> OperatorSVD:
         Q = P * np.where(negative, -1.0, 1.0) if negative.any() else P
     else:
         B = op.B
-        if not np.isfinite(_norm(B)):
-            raise InvalidArgumentError("B has an entry that is not finite, or ||B||_F overflows")
+        _finite("B has an entry that is not finite, or ||B||_F overflows", lambda: _norm(B))
         U, s, Vh = _linalg("svd", B, full_matrices=False)
         r = _retained_count(s)
         P = U[:, :r] / np.sqrt(op.w_rows)[:, None]
@@ -109,7 +108,8 @@ def iterated_gram(svd: OperatorSVD, n: int, side="left") -> np.ndarray:
     n = _count_arg(n, "iterate", 1)
     V = _side_matrix(svd, side)
     theta = svd.singular_values[None, :svd.rank_numerical]
-    return _finite_power(n, "iterate", lambda: (V * theta ** (2 * n)) @ V.conj().T)
+    return _finite(f"iterate n={n} overflows: its entries are not finite",
+                   lambda: (V * theta ** (2 * n)) @ V.conj().T)
 
 
 def iterated_gram_with_kernel(svd: OperatorSVD, n: int, side="left") -> np.ndarray:
@@ -122,7 +122,8 @@ def iterated_gram_with_kernel(svd: OperatorSVD, n: int, side="left") -> np.ndarr
     V = _side_matrix(svd, side)
     W = svd.right if side == "left" else svd.left
     theta = svd.singular_values[None, :svd.rank_numerical]
-    return _finite_power(n, "iterate", lambda: (V * theta ** (2 * n + 1)) @ W.conj().T)
+    return _finite(f"iterate n={n} overflows: its entries are not finite",
+                   lambda: (V * theta ** (2 * n + 1)) @ W.conj().T)
 
 
 def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
@@ -138,8 +139,8 @@ def gram_apply(svd: OperatorSVD, n: int, f, side="left") -> np.ndarray:
     w = svd.w_rows if side == "left" else svd.w_cols
     f = _array_arg(f, "f", (V.shape[0],))
     theta = svd.singular_values[:svd.rank_numerical]
-    return _finite_power(n, "iterate", lambda: _scale_free(
-        f, lambda g: _matvec(V, theta ** (2 * n) * _matvec(V.conj().T, w * g))))
+    return _scale_free(f"iterate n={n} overflows: its entries are not finite", f,
+                       lambda g: _matvec(V, theta ** (2 * n) * _matvec(V.conj().T, w * g)))
 
 
 def trace_power(svd: OperatorSVD, n: int) -> float:
@@ -149,7 +150,8 @@ def trace_power(svd: OperatorSVD, n: int) -> float:
     """
     n = _count_arg(n, "iterate")
     svd = _svd_arg(svd)
-    return _finite_power(n, "iterate", lambda: float(np.sum(svd.singular_values ** (2 * n + 2))))
+    return _finite(f"iterate n={n} overflows: its entries are not finite",
+                   lambda: float(np.sum(svd.singular_values ** (2 * n + 2))))
 
 
 def svd_truncate(svd: OperatorSVD, M: int):

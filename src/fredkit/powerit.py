@@ -39,6 +39,7 @@ from .nystrom import (
     _anchor_phase,
     _apply_A,
     _apply_adjoint,
+    _finite,
     _narrowed,
     _norm,
     _operator_arg,
@@ -54,12 +55,14 @@ COLLAPSE_RTOL = 1e-14
 
 def _unit_scaled(op, f, name):
     """f, checked, in the kind of f and op.K together, as every iterate, times
-    the power of two that brings its largest entry into [1/2, 1) (into
-    [2^-51, 1/2) below 2^-1024; nystrom._pow2_scale).  A starting
-    vector or probe is scale-free, and the scaling is exact: f's squared entries
-    cannot overflow, while f / ||f||_W and every ratio against a probe keep their bits."""
+    the power of two that brings its largest entry into [1/2, 1)
+    (nystrom._pow2_scale; below 2^-1024, where that scale is capped at
+    2^1023, in a second step).  A starting vector or probe is scale-free,
+    and the scaling is exact: f's squared entries cannot overflow, while
+    f / ||f||_W and every ratio against a probe keep their bits."""
     f = _array_arg(f, name, (op.K.shape[0],))
-    return f.astype(np.result_type(f, op.K), copy=False) * _pow2_scale(f)
+    f = f.astype(np.result_type(f, op.K), copy=False) * _pow2_scale(f)
+    return f * _pow2_scale(f)
 
 
 def _start(op, f, name):
@@ -77,9 +80,8 @@ def _collapse_test(op):
     by anything: StartingVectorError when that is at most COLLAPSE_RTOL
     ||A||_F, so that image and floor both scale with the kernel.  Raises
     InvalidArgumentError when ||A||_F is not finite: no floor holds then."""
-    norm_A = float(_norm(op.A))
-    if not np.isfinite(norm_A):
-        raise InvalidArgumentError("K has an entry that is not finite, or ||A||_F overflows")
+    norm_A = _finite("K has an entry that is not finite, or ||A||_F overflows",
+                     lambda: float(_norm(op.A)))
     floor = COLLAPSE_RTOL * max(norm_A, 1e-300)
 
     def test(image_norm):
@@ -278,11 +280,8 @@ def deflate(target, nu1, p1, q1, rule=None) -> DiscreteOperator:
         raise PreconditionViolationError(
             f"pair is not bi-orthonormalized: <q1, p1>_W = {pairing:.12g}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        K1 = op.K - nu1 * np.outer(p1, np.conj(q1))
-    if not np.isfinite(K1).all():
-        raise InvalidArgumentError(
-            f"deflating by nu1={nu1:.6g} overflows: the updated kernel samples are not finite")
+    K1 = _finite(f"deflating by nu1={nu1:.6g} overflows: the updated kernel samples are not "
+                 "finite", lambda: op.K - nu1 * np.outer(p1, np.conj(q1)))
     return DiscreteOperator(rule=op.rule, shape=op.shape, K=K1)
 
 

@@ -27,8 +27,7 @@ from .errors import (
     WrongDecompositionError,
     _count_arg, _instance_arg, _tolerance_arg,
 )
-from .nystrom import (BiSpectralDecomposition, DiscreteOperator, _finite_power, _operator_arg,
-                      _wnorm)
+from .nystrom import BiSpectralDecomposition, DiscreteOperator, _finite, _operator_arg, _wnorm
 
 HERMITIAN_RTOL = 1e-10    # hermitian_eig's refusal only: its caller asks for B's
                           # Hermitian part, which may be further than n u from B
@@ -162,8 +161,9 @@ def power_approx(d: BiSpectralDecomposition, profile: AsymptoticProfile, n: int)
     n = _count_arg(n, "iterate", 1)
     d, profile = _decomposition_arg(d), _instance_arg(profile, AsymptoticProfile, "profile")
     scale = float(np.sum(_wnorm(d.weights, d.left[:, profile.R :])))
-    approx = _finite_power(n, "iterate", lambda: (profile.r1 ** n) * profile.coefficient_matrix(n))
-    bound = _finite_power(n, "iterate", lambda: (profile.r0 ** n) * scale)
+    message = f"iterate n={n} overflows: its entries are not finite"
+    approx = _finite(message, lambda: (profile.r1 ** n) * profile.coefficient_matrix(n))
+    bound = _finite(message, lambda: (profile.r0 ** n) * scale)
     return approx, bound
 
 

@@ -511,6 +511,23 @@ def test_overflowing_determinant_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["direct", "product"])
+def test_overflowing_determinant_prints_its_refusal_only(tmp_path, capsys, method):
+    """lambda = 1e300 on Mehler GH16: D(lambda) lies past the float range
+    by either method.  With warnings as errors the run exits 1, and stderr
+    is the refusal's one line, with no numpy warning before it."""
+    doc = dict(MEHLER_EIG, command="det", params={"lambda": 1e300, "method": method},
+               measure={"kind": "gauss-hermite-prob", "n": 16})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(tmp_path, doc)
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"InvalidArgumentError: {method} D(lambda=1e+300+0j) = ")
+    assert err.count("\n") == 1
+
+
 def test_overflowing_solve_exits_1(tmp_path, capsys):
     """At lambda = 1e308 (1 + i) the 1-norm of I - lambda*A overflows: the
     solve is refused as invalid, not as near an eigenvalue, and no numpy

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import warnings
@@ -596,15 +597,53 @@ class TestOverflowingSolve:
                 fk.resolvent_kernel(op, 0.99999e-305)
 
 
-# maps of node samples f that run at the power-of-two scale of f's largest
-# entry (nystrom._scale_free), as resolvent_solve does
-# (TestOverflowingSolve.test_subnormal_rhs_solves_as_its_scaled_copy)
+def power_run(op, f):
+    """The last iterate and every ratio of a power run started and probed by f."""
+    trace = fk.power_ratio_estimate(op, f, 30, 1e-10, probe=f)
+    return np.append(trace.iterates[-1], trace.ratios)
+
+
+# every public callable that takes node samples (a name in SAMPLE_ARGUMENTS),
+# as (degree, call on an operator and samples f): a map that runs at the
+# power-of-two scale of f's largest entry and scales its result back
+# (nystrom._scale_free; degree 1, fn(2^-k f) = 2^-k fn(f)), or a power
+# iteration that divides that scale out of its start (powerit._unit_scaled;
+# degree 0, fn(2^-k f) = fn(f)); or else an exemption, with its reason
+SAMPLE_ARGUMENTS = {"f", "g", "p", "p1", "q1", "probe", "eig_samples", "x"}
 SCALE_FREE_MAPS = {
-    "second_kind_solve_series": lambda op, f: fk.second_kind_solve_series(
-        fk.djf_eig(op), 0.5, f, fk.djf_eig(op).retained),
-    "gram_apply-left": lambda op, f: fk.gram_apply(fk.operator_svd(op), 1, f),
-    "gram_apply-right": lambda op, f: fk.gram_apply(fk.operator_svd(op), 0, f, side="right"),
+    "second_kind_solve_series": (1, lambda op, f: fk.second_kind_solve_series(
+        fk.djf_eig(op), 0.5, f, fk.djf_eig(op).retained)),
+    "gram_apply-left": (1, lambda op, f: fk.gram_apply(fk.operator_svd(op), 1, f)),
+    "gram_apply-right": (1, lambda op, f: fk.gram_apply(fk.operator_svd(op), 0, f, side="right")),
+    "resolvent_solve": (1, lambda op, f: fk.resolvent_solve(op, 0.5, f).solution),
+    "apply": (1, fk.apply),
+    "apply_adjoint": (1, fk.apply_adjoint),
+    "nystrom_extend": (1, lambda op, f: np.array([fk.nystrom_extend(
+        fk.mehler_kernel(0.5), op.rule, f, 0.5, 0.3)])),
+    "power_ratio_estimate": (0, power_run),
+    "extract_leading_pair": (0, lambda op, f: np.concatenate(
+        fk.extract_leading_pair(op, 1.0, f, f, 30))),
 }
+SCALE_EXEMPT = {
+    "deflate": "p1 and q1 are a bi-orthonormal pair, <q1, p1>_W = 1, not free samples",
+    "hermite_he": "x holds points, not samples: He_j(2^-k x) is no scaled copy of He_j(x)",
+}
+
+
+def test_every_public_map_of_samples_is_listed():
+    """A public function taking samples is in SCALE_FREE_MAPS or exempt,
+    so a new entry point cannot skip the scale tests below."""
+    takers = {name for name in fk.__all__ if inspect.isfunction(getattr(fk, name))
+              and SAMPLE_ARGUMENTS & set(inspect.signature(getattr(fk, name)).parameters)}
+    listed = {name.split("-")[0] for name in SCALE_FREE_MAPS}
+    assert not listed & set(SCALE_EXEMPT)
+    assert takers == listed | set(SCALE_EXEMPT)
+
+
+def scaled(x, k):
+    """2^k x, real and imaginary parts alike, past the float range as inf."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x.view(float), k).view(x.dtype)
 
 
 @pytest.mark.parametrize("k", [1040, 1070])
@@ -612,11 +651,31 @@ SCALE_FREE_MAPS = {
 @pytest.mark.parametrize("name", SCALE_FREE_MAPS)
 def test_maps_of_samples_are_scale_free(name, n, k):
     """f = 2^-k cos(x) is subnormal: each map of it is the map of 2^k f
-    scaled back by 2^-k (real and imaginary parts alike), bit for bit."""
+    scaled back by 2^-k per degree, bit for bit."""
     op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(n))
     f = np.ldexp(np.cos(op.rule.nodes), -k)
-    fn = SCALE_FREE_MAPS[name]
+    degree, fn = SCALE_FREE_MAPS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tiny, ref = fn(op, f), fn(op, np.ldexp(f, k))
-    assert np.array_equal(tiny, np.ldexp(ref.view(float), -k).view(ref.dtype))
+    assert np.array_equal(tiny, scaled(ref, -k * degree))
+
+
+@pytest.mark.parametrize("k", [1000, 1023])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", SCALE_FREE_MAPS)
+def test_huge_samples_map_as_their_scaled_copy_or_are_refused(name, n, k):
+    """f = 2^k cos(x) is finite: each map of it is the map of cos(x) scaled
+    by 2^k per degree, bit for bit, or raises InvalidArgumentError, with no
+    numpy warning, exactly when that copy is not finite."""
+    op = fk.discretize(fk.mehler_kernel(0.5), fk.gauss_hermite_prob(n))
+    f = np.cos(op.rule.nodes)
+    degree, fn = SCALE_FREE_MAPS[name]
+    expected = scaled(fn(op, f), k * degree)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(expected).all():
+            assert np.array_equal(fn(op, np.ldexp(f, k)), expected)
+        else:
+            with pytest.raises(InvalidArgumentError, match="overflows"):
+                fn(op, np.ldexp(f, k))

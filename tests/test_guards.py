@@ -7,8 +7,9 @@
 * the eigenvalue order (nystrom._sort_order), Jordan blocks included;
 * power iteration's start and collapse test, which scale with the kernel;
 
-and the refusals of results that overflow: deflation updates and powers,
-and ||B||_F of finite samples.
+and the refusals of results that overflow (nystrom._finite, the one rule):
+deflation updates and powers, ||B||_F of finite samples, and each map that
+once leaked numpy's raw overflow warning instead.
 """
 import warnings
 
@@ -301,6 +302,41 @@ class TestOverflowRefused:
         for x in finite if isinstance(finite, tuple) else (finite,):
             assert np.isfinite(x).all()
 
+    @staticmethod
+    def leaks():
+        """Calls whose result lies past the float range, each of which raised
+        numpy's raw RuntimeWarning before its refusal went through
+        nystrom._finite: a series solution (1.7e308 / (1 - 1.9 nu_1)), a
+        Nystrom extension divided by nu = 1e-10, the images of f = 1e308
+        under N(y, z) = 4 on [0, 1] (4e308), a product determinant
+        (prod_j (1 - 1e300 2^-j)) and a Jordan cluster centre whose sum
+        (2e308) overflows."""
+        gh16 = fk.gauss_hermite_prob(16)
+        mehler = fk.discretize(fk.mehler_kernel(0.5), gh16)
+        d = fk.djf_eig(mehler)
+        four = fk.discretize(fk.separable_kernel([4.0], [one], [one]),
+                             fk.gauss_legendre(8, 0.0, 1.0))
+        return {
+            "second_kind_solve_series": lambda: fk.second_kind_solve_series(
+                d, 1.9, np.full(16, 1.7e308), d.retained),
+            "nystrom_extend": lambda: fk.nystrom_extend(
+                fk.mehler_kernel(0.5), gh16, 1e300 * np.cos(gh16.nodes), 1e-10, 0.3),
+            "apply": lambda: fk.apply(four, np.full(8, 1e308)),
+            "apply_adjoint": lambda: fk.apply_adjoint(four, np.full(8, 1e308)),
+            "product_determinant": lambda: fk.fredholm_determinant(mehler, 1e300, "product"),
+            "jordan_decompose": lambda: fk.jordan_decompose([[1e308, 1e308], [0.0, 1e308]]),
+        }
+
+    @pytest.mark.parametrize("name", ["second_kind_solve_series", "nystrom_extend", "apply",
+                                      "apply_adjoint", "product_determinant",
+                                      "jordan_decompose"])
+    def test_leak_refused(self, name):
+        call = self.leaks()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="overflows|not finite"):
+                call()
+
 
 # every reader of ||B||_F or ||A||_F, by name: the Hermitian defect, each
 # reader of the family or the lambda-path (which read the defect first), the
@@ -322,9 +358,11 @@ NORM_READERS = {
 
 class TestNormPastTheFloatRange:
     """K = 1e308 on GL8 over [0, 8] has rank one and nu = 8e308: every sample
-    is finite, ||B||_F is not.  Each reader refuses it as invalid, with no
-    numpy warning; a non-square block is refused for its shape first, except
-    by the SVD.  K = 1e307 (||B||_F = 8e307) is read as before."""
+    is finite, ||B||_F is not.  At K = 1.7e308 the entries of B and A are not
+    finite either, as the largest weight is 1.45: B and A are formed with
+    no warning.  Each reader refuses both as invalid, with no numpy
+    warning; a non-square block is refused for its shape first, except by
+    the SVD.  K = 1e307 (||B||_F = 8e307) is read as before."""
 
     @staticmethod
     def operator(shape, value):
@@ -334,14 +372,15 @@ class TestNormPastTheFloatRange:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=["1x1", "2x1"])
     @pytest.mark.parametrize("entry", list(NORM_READERS))
     def test_refused(self, shape, entry):
-        op = self.operator(shape, 1e308)
         overflow = shape == (1, 1) or entry == "operator_svd"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert op.hs_norm() == np.inf
-            with pytest.raises(InvalidArgumentError,
-                               match="overflows" if overflow else "square block shape"):
-                NORM_READERS[entry](op)
+        for value in (1e308, 1.7e308):
+            op = self.operator(shape, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert op.hs_norm() == np.inf
+                with pytest.raises(InvalidArgumentError,
+                                   match="overflows" if overflow else "square block shape"):
+                    NORM_READERS[entry](op)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1)], ids=["1x1", "2x1"])
     def test_largest_finite_norm_is_read(self, shape):
